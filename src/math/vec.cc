@@ -631,6 +631,87 @@ void AccumulateCosineGrad(const float* u_hat, const float* i_hat, float score,
   }
 }
 
+namespace ref {
+
+// The scalar oracle: the per-element loop AdamOptimizer::Step has always
+// run. Keep its expression as it is — AdamStep must match it bit for
+// bit, and every recorded Adam trajectory depends on its rounding.
+void AdamStep(const AdamCoeffs& c, const float* g, float* w, float* m,
+              float* v, size_t n) {
+  for (size_t k = 0; k < n; ++k) {
+    m[k] = static_cast<float>(c.beta1 * m[k] + (1.0 - c.beta1) * g[k]);
+    v[k] = static_cast<float>(c.beta2 * v[k] +
+                              (1.0 - c.beta2) * static_cast<double>(g[k]) *
+                                  g[k]);
+    const double m_hat = m[k] / c.bc1;
+    const double v_hat = v[k] / c.bc2;
+    w[k] -= static_cast<float>(
+        c.lr * (m_hat / (std::sqrt(v_hat) + c.eps) + c.weight_decay * w[k]));
+  }
+}
+
+}  // namespace ref
+
+void AdamStep(const AdamCoeffs& c, const float* g, float* w, float* m,
+              float* v, size_t n) {
+#if BSLREC_SIMD_SSE2
+  // The reference's expression, two double lanes per register, with the
+  // same operations in the same order (see the vec.h contract note).
+  const __m128d beta1 = _mm_set1_pd(c.beta1);
+  const __m128d one_minus_beta1 = _mm_set1_pd(1.0 - c.beta1);
+  const __m128d beta2 = _mm_set1_pd(c.beta2);
+  const __m128d one_minus_beta2 = _mm_set1_pd(1.0 - c.beta2);
+  const __m128d bc1 = _mm_set1_pd(c.bc1);
+  const __m128d bc2 = _mm_set1_pd(c.bc2);
+  const __m128d eps = _mm_set1_pd(c.eps);
+  const __m128d lr = _mm_set1_pd(c.lr);
+  const __m128d wd = _mm_set1_pd(c.weight_decay);
+  // Updates the two elements held in the low float lanes of g4..w4:
+  // their new m and v, and the step to subtract from w, all narrowed to
+  // float in the low lanes.
+  struct Lanes {
+    __m128 m, v, step;
+  };
+  const auto two = [&](__m128 g4, __m128 m4, __m128 v4, __m128 w4) {
+    const __m128d gd = _mm_cvtps_pd(g4);
+    const __m128 m_new =
+        _mm_cvtpd_ps(_mm_add_pd(_mm_mul_pd(beta1, _mm_cvtps_pd(m4)),
+                                _mm_mul_pd(one_minus_beta1, gd)));
+    const __m128 v_new = _mm_cvtpd_ps(
+        _mm_add_pd(_mm_mul_pd(beta2, _mm_cvtps_pd(v4)),
+                   _mm_mul_pd(_mm_mul_pd(one_minus_beta2, gd), gd)));
+    const __m128d m_hat = _mm_div_pd(_mm_cvtps_pd(m_new), bc1);
+    const __m128d v_hat = _mm_div_pd(_mm_cvtps_pd(v_new), bc2);
+    const __m128d ratio =
+        _mm_div_pd(m_hat, _mm_add_pd(_mm_sqrt_pd(v_hat), eps));
+    const __m128 step = _mm_cvtpd_ps(
+        _mm_mul_pd(lr, _mm_add_pd(ratio, _mm_mul_pd(wd, _mm_cvtps_pd(w4)))));
+    return Lanes{m_new, v_new, step};
+  };
+  size_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    const __m128 g4 = _mm_loadu_ps(g + k);
+    const __m128 m4 = _mm_loadu_ps(m + k);
+    const __m128 v4 = _mm_loadu_ps(v + k);
+    const __m128 w4 = _mm_loadu_ps(w + k);
+    const Lanes lo = two(g4, m4, v4, w4);
+    const Lanes hi = two(_mm_movehl_ps(g4, g4), _mm_movehl_ps(m4, m4),
+                         _mm_movehl_ps(v4, v4), _mm_movehl_ps(w4, w4));
+    _mm_storeu_ps(m + k, _mm_movelh_ps(lo.m, hi.m));
+    _mm_storeu_ps(v + k, _mm_movelh_ps(lo.v, hi.v));
+    _mm_storeu_ps(w + k, _mm_sub_ps(w4, _mm_movelh_ps(lo.step, hi.step)));
+  }
+  ref::AdamStep(c, g + k, w + k, m + k, v + k, n - k);
+#else
+  ref::AdamStep(c, g, w, m, v, n);
+#endif
+}
+
+void SgdStep(float lr, float weight_decay, const float* g, float* w,
+             size_t n) {
+  for (size_t k = 0; k < n; ++k) w[k] -= lr * (g[k] + weight_decay * w[k]);
+}
+
 double LogSumExp(const float* x, size_t n) {
   if (n == 0) return -std::numeric_limits<double>::infinity();
   // Blocked max scan (max is associative/commutative, so lane order is

@@ -7,12 +7,12 @@
 //
 // ---- SIMD dispatch contract ----
 //
-// The hot kernels (`Dot`, `DotI8`, `DotBatchI8`, `QuantizeRow`) have
-// explicitly vectorized implementations selected at compile time (AVX2
-// when the build enables it — see the BSLREC_NATIVE CMake option — and
-// SSE2 on any x86-64 build). The scalar forms are always compiled and
-// exposed under `vec::ref`; every SIMD kernel is contractually
-// *bit-identical* to its reference:
+// The hot kernels (`Dot`, `DotI8`, `DotBatchI8`, `QuantizeRow`,
+// `AdamStep`) have explicitly vectorized implementations selected at
+// compile time (AVX2 when the build enables it — see the BSLREC_NATIVE
+// CMake option — and SSE2 on any x86-64 build). The scalar forms are
+// always compiled and exposed under `vec::ref`; every SIMD kernel is
+// contractually *bit-identical* to its reference:
 //
 //   * integer kernels (`DotI8`, `DotBatchI8`) exactly — int32 arithmetic
 //     is associative, so lane layout cannot change the result;
@@ -31,10 +31,20 @@
 //     `F16ToF32` is exact (every binary16 value is a binary32 value),
 //     and `DotF16` decodes then reuses Dot's four-double-lane summation
 //     tree, so the F16C hardware forms agree with the scalar bit
-//     twiddling bit-for-bit.
+//     twiddling bit-for-bit;
+//   * `AdamStep` exactly — its SSE2 form runs the reference's double-
+//     precision expression two lanes at a time, operation for
+//     operation: float -> double widening is exact, and IEEE add, mul,
+//     div, sqrt and the double -> float narrowing are correctly rounded
+//     in packed and scalar form alike. vec.cc is compiled with
+//     -ffp-contract=off (CMakeLists.txt), so no build fuses a
+//     multiply-add into an FMA in either form: an FMA rounds once where
+//     mul + add rounds twice, which would make -march=native builds
+//     compute other bits than the portable one.
 //
-// tests/test_vec.cc enforces all of these contracts; SimdTier() reports
-// which tier a binary was compiled with.
+// tests/test_vec.cc enforces all of these contracts (AdamStep's lives in
+// tests/test_optimizer.cc, next to the pooled optimizer step it feeds);
+// SimdTier() reports which tier a binary was compiled with.
 #ifndef BSLREC_MATH_VEC_H_
 #define BSLREC_MATH_VEC_H_
 
@@ -47,6 +57,19 @@ namespace bslrec::vec {
 // Compile-time selected SIMD tier of the hot kernels: "avx2", "sse2" or
 // "scalar". Diagnostic only (recorded into BENCH_*.json machine info).
 const char* SimdTier();
+
+// Coefficients of one Adam update (Kingma & Ba, with decoupled weight
+// decay): bc1 = 1 - beta1^t and bc2 = 1 - beta2^t are the bias
+// corrections of step t.
+struct AdamCoeffs {
+  double lr = 0.0;
+  double weight_decay = 0.0;
+  double beta1 = 0.0;
+  double beta2 = 0.0;
+  double eps = 0.0;
+  double bc1 = 1.0;
+  double bc2 = 1.0;
+};
 
 // Always-compiled scalar reference forms of the SIMD-dispatched kernels.
 // The public kernels below must match these bit-for-bit (see the header
@@ -62,6 +85,8 @@ void GatherF16(const uint16_t* in, size_t n, float* out);
 float DotF16(const float* q, const uint16_t* row, size_t n);
 void DotBatchF16(const float* q, const uint16_t* rows, size_t m, size_t d,
                  float* out);
+void AdamStep(const AdamCoeffs& c, const float* g, float* w, float* m,
+              float* v, size_t n);
 }  // namespace ref
 
 // Returns sum_i a[i] * b[i].
@@ -176,6 +201,22 @@ void GatherNormalize(const float* table, size_t stride, const uint32_t* ids,
 // accumulated into `grad_u` scaled by `coeff` (the upstream gradient).
 void AccumulateCosineGrad(const float* u_hat, const float* i_hat, float score,
                           float u_norm, float coeff, float* grad_u, size_t n);
+
+// One Adam update of n parameters w in place, with their moment
+// estimates m and v and gradients g. Per element, in double precision:
+//   m = f32(beta1 * m + (1 - beta1) * g)
+//   v = f32(beta2 * v + (1 - beta2) * g * g)
+//   w = w - f32(lr * ((m / bc1) / (sqrt(v / bc2) + eps) + wd * w))
+// Each element's update reads only that element, so splitting [0, n)
+// into ranges (the optimizer's pooled shards) never changes a bit.
+void AdamStep(const AdamCoeffs& c, const float* g, float* w, float* m,
+              float* v, size_t n);
+
+// One SGD update in place, in float: w -= lr * (g + weight_decay * w).
+// Elementwise like AdamStep, and like it never fused into FMAs (vec.cc
+// is compiled with -ffp-contract=off).
+void SgdStep(float lr, float weight_decay, const float* g, float* w,
+             size_t n);
 
 // Numerically stable log(sum_j exp(x[j])) over n values.
 double LogSumExp(const float* x, size_t n);

@@ -3,28 +3,13 @@
 namespace bslrec {
 
 MfModel::MfModel(uint32_t num_users, uint32_t num_items, size_t dim, Rng& rng)
-    : EmbeddingModel(num_users, num_items, dim),
-      user_param_(num_users, dim),
-      item_param_(num_items, dim),
-      user_param_grad_(num_users, dim),
-      item_param_grad_(num_items, dim) {
-  user_param_.InitXavierUniform(rng);
-  item_param_.InitXavierUniform(rng);
-}
-
-void MfModel::Forward(Rng&) {
-  final_user_ = user_param_;
-  final_item_ = item_param_;
-}
-
-void MfModel::Backward() {
-  user_param_grad_.AddScaled(grad_user_, 1.0f);
-  item_param_grad_.AddScaled(grad_item_, 1.0f);
+    : EmbeddingModel(num_users, num_items, dim) {
+  final_user_.InitXavierUniform(rng);
+  final_item_.InitXavierUniform(rng);
 }
 
 std::vector<ParamGrad> MfModel::Params() {
-  return {{&user_param_, &user_param_grad_},
-          {&item_param_, &item_param_grad_}};
+  return {{&final_user_, &grad_user_}, {&final_item_, &grad_item_}};
 }
 
 }  // namespace bslrec

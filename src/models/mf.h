@@ -1,8 +1,10 @@
 // Matrix Factorization backbone (Koren et al., 2009).
 //
 // The simplest embedding model: the final representations *are* the
-// parameters. Used throughout the paper as the primary backbone for the
-// loss-function study.
+// parameters. Params() hands the optimizer the final tables and their
+// gradient accumulators themselves, so Forward and Backward have
+// nothing to do. Used throughout the paper as the primary backbone for
+// the loss-function study.
 #ifndef BSLREC_MODELS_MF_H_
 #define BSLREC_MODELS_MF_H_
 
@@ -16,15 +18,10 @@ class MfModel : public EmbeddingModel {
   MfModel(uint32_t num_users, uint32_t num_items, size_t dim, Rng& rng);
 
   std::string_view name() const override { return "MF"; }
-  void Forward(Rng& rng) override;
-  void Backward() override;
+  void Forward(Rng&) override {}
+  void Backward() override {}
+  // {final users, user grads}, {final items, item grads}.
   std::vector<ParamGrad> Params() override;
-
- private:
-  Matrix user_param_;
-  Matrix item_param_;
-  Matrix user_param_grad_;
-  Matrix item_param_grad_;
 };
 
 }  // namespace bslrec

@@ -15,7 +15,9 @@ EmbeddingModel::EmbeddingModel(uint32_t num_users, uint32_t num_items,
 void EmbeddingModel::ZeroGrad() {
   grad_user_.SetZero();
   grad_item_.SetZero();
-  for (ParamGrad pg : Params()) pg.grad->SetZero();
+  for (ParamGrad pg : Params()) {
+    if (pg.grad != &grad_user_ && pg.grad != &grad_item_) pg.grad->SetZero();
+  }
 }
 
 double EmbeddingModel::AuxLossAndGrad(std::span<const uint32_t>,
@@ -24,7 +26,7 @@ double EmbeddingModel::AuxLossAndGrad(std::span<const uint32_t>,
 }
 
 void EmbeddingModel::SetRuntime(runtime::ThreadPool*) {
-  // Default: nothing to parallelize (MF's Forward is a table copy).
+  // Default: nothing to parallelize (MF's Forward is a no-op).
 }
 
 }  // namespace bslrec

@@ -3,8 +3,8 @@
 // Every backbone (MF, NGCF, LightGCN, SGL, SimGCL, LightGCL) is an
 // *embedding model*: parameters are (at least) user/item embedding
 // tables; `Forward` produces the final user/item representations the
-// scoring head consumes (for MF the parameters themselves; for graph
-// models the propagated embeddings). The training loop is:
+// scoring head consumes (for graph models the propagated embeddings).
+// The training loop is:
 //
 //   model.Forward(rng);                    // (re)propagate
 //   model.ZeroGrad();
@@ -12,6 +12,10 @@
 //   aux += model.AuxLossAndGrad(...);      // contrastive regularizers
 //   model.Backward();                      // chain into parameter grads
 //   optimizer.Step(model.Params());
+//
+// MF's final tables *are* its parameters: its Params() pairs them with
+// the final-embedding gradients, so its Forward and Backward are no-ops
+// and the optimizer steps the tables the scoring head reads.
 //
 // Scores are cosine similarities of the final embeddings; the cosine
 // chain rule lives in the trainer, not here.
@@ -75,7 +79,9 @@ class EmbeddingModel {
   float* UserGrad(uint32_t u) { return grad_user_.Row(u); }
   float* ItemGrad(uint32_t i) { return grad_item_.Row(i); }
 
-  // Zeroes final-embedding gradients and parameter gradients.
+  // Zeroes final-embedding gradients and parameter gradients, each
+  // table once (a parameter gradient may *be* a final-embedding
+  // gradient, as in MF).
   void ZeroGrad();
 
   // Propagates the accumulated final-embedding gradients into parameter

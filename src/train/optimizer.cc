@@ -3,27 +3,47 @@
 #include <cmath>
 
 #include "math/check.h"
+#include "math/vec.h"
+#include "runtime/thread_pool.h"
 
 namespace bslrec {
 
+void Optimizer::ForEachShard(
+    size_t n, const std::function<void(size_t, size_t)>& fn) const {
+  if (pool_ == nullptr || n <= kStepGrain) {
+    fn(0, n);
+    return;
+  }
+  runtime::ParallelFor(
+      *pool_, 0, n, kStepGrain,
+      [&](size_t lo, size_t hi, size_t, size_t) { fn(lo, hi); });
+}
+
 void SgdOptimizer::Step(const std::vector<ParamGrad>& params) {
+  const float lr = static_cast<float>(lr_);
+  const float wd = static_cast<float>(weight_decay_);
   for (const ParamGrad& pg : params) {
     BSLREC_CHECK(pg.value != nullptr && pg.grad != nullptr);
     BSLREC_CHECK(pg.value->size() == pg.grad->size());
     float* w = pg.value->data();
     const float* g = pg.grad->data();
-    const float lr = static_cast<float>(lr_);
-    const float wd = static_cast<float>(weight_decay_);
-    for (size_t k = 0; k < pg.value->size(); ++k) {
-      w[k] -= lr * (g[k] + wd * w[k]);
-    }
+    ForEachShard(pg.value->size(), [&](size_t lo, size_t hi) {
+      vec::SgdStep(lr, wd, g + lo, w + lo, hi - lo);
+    });
   }
 }
 
 void AdamOptimizer::Step(const std::vector<ParamGrad>& params) {
   ++step_;
-  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(step_));
-  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(step_));
+  const vec::AdamCoeffs c{
+      .lr = lr_,
+      .weight_decay = weight_decay_,
+      .beta1 = beta1_,
+      .beta2 = beta2_,
+      .eps = eps_,
+      .bc1 = 1.0 - std::pow(beta1_, static_cast<double>(step_)),
+      .bc2 = 1.0 - std::pow(beta2_, static_cast<double>(step_)),
+  };
   for (const ParamGrad& pg : params) {
     BSLREC_CHECK(pg.value != nullptr && pg.grad != nullptr);
     BSLREC_CHECK(pg.value->size() == pg.grad->size());
@@ -36,16 +56,9 @@ void AdamOptimizer::Step(const std::vector<ParamGrad>& params) {
     const float* g = pg.grad->data();
     float* m = slot.m.data();
     float* v = slot.v.data();
-    for (size_t k = 0; k < pg.value->size(); ++k) {
-      m[k] = static_cast<float>(beta1_ * m[k] + (1.0 - beta1_) * g[k]);
-      v[k] = static_cast<float>(beta2_ * v[k] +
-                                (1.0 - beta2_) * static_cast<double>(g[k]) *
-                                    g[k]);
-      const double m_hat = m[k] / bc1;
-      const double v_hat = v[k] / bc2;
-      w[k] -= static_cast<float>(
-          lr_ * (m_hat / (std::sqrt(v_hat) + eps_) + weight_decay_ * w[k]));
-    }
+    ForEachShard(pg.value->size(), [&](size_t lo, size_t hi) {
+      vec::AdamStep(c, g + lo, w + lo, m + lo, v + lo, hi - lo);
+    });
   }
 }
 

@@ -5,9 +5,17 @@
 // acts on embedding tables. Optimizer state is keyed by the parameter
 // matrix address, so the same optimizer instance can drive any model as
 // long as its parameter set is stable across steps.
+//
+// A step is elementwise (vec::AdamStep / vec::SgdStep): every parameter
+// entry's update reads only that entry, its gradient and its moment
+// state. So an attached pool (SetRuntime) runs each tensor as fixed
+// kStepGrain-element shards on its workers, and the result is
+// bit-identical for any worker count, and to no pool at all.
 #ifndef BSLREC_TRAIN_OPTIMIZER_H_
 #define BSLREC_TRAIN_OPTIMIZER_H_
 
+#include <cstddef>
+#include <functional>
 #include <map>
 #include <vector>
 
@@ -18,10 +26,29 @@ namespace bslrec {
 
 class Optimizer {
  public:
+  // Elements per pooled shard of one parameter tensor. A tensor of at
+  // most this many elements is stepped inline on the calling thread.
+  static constexpr size_t kStepGrain = size_t{1} << 14;
+
   virtual ~Optimizer() = default;
+
+  // Borrows `pool` for Step (the trainer attaches its own, as it does
+  // for EmbeddingModel::SetRuntime). nullptr, the default, steps inline;
+  // the bits are the same either way. `pool` must outlive the optimizer
+  // or be detached before it dies.
+  void SetRuntime(runtime::ThreadPool* pool) { pool_ = pool; }
 
   // Applies one update using the gradients currently stored in `params`.
   virtual void Step(const std::vector<ParamGrad>& params) = 0;
+
+ protected:
+  // Calls fn(lo, hi) over [0, n) in kStepGrain-element ranges, on the
+  // attached pool when there is more than one range.
+  void ForEachShard(size_t n,
+                    const std::function<void(size_t, size_t)>& fn) const;
+
+ private:
+  runtime::ThreadPool* pool_ = nullptr;
 };
 
 class SgdOptimizer : public Optimizer {

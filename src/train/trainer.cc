@@ -69,8 +69,9 @@ Trainer::Trainer(const Dataset& data, EmbeddingModel& model,
                                                    config.runtime);
   }
   // Route the model's own heavy compute (graph propagation, contrastive
-  // views) through the trainer's pool as well.
+  // views) and the optimizer step through the trainer's pool as well.
   model_.SetRuntime(pool_.get());
+  optimizer_->SetRuntime(pool_.get());
   const size_t d = model.dim();
   const size_t n_neg = config.num_negatives;
   for (WorkerScratch& ws : scratch_) {

@@ -29,7 +29,11 @@
 // backbones run steps 1 and 6 — propagation in Forward/Backward and the
 // contrastive aux pass — through the same worker budget (the sharded
 // kernels in graph/propagation.h keep those bit-identical too). The
-// pool is detached again when the trainer is destroyed.
+// pool is detached again when the trainer is destroyed. Step 6's
+// optimizer step runs on the pool as well (`Optimizer::SetRuntime`):
+// every parameter tensor is stepped as fixed-size element shards, and
+// the update is elementwise, so its bits do not depend on the worker
+// count either.
 //
 // Evaluation runs every `eval_every` epochs on the held-out test split;
 // the best checkpoint metrics (by NDCG) are reported, emulating the

@@ -1,14 +1,22 @@
 #include "models/mf.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
 #include <vector>
 
+#include "core/losses.h"
+#include "data/synthetic.h"
 #include "graph/bipartite_graph.h"
 #include "gtest/gtest.h"
 #include "math/vec.h"
 #include "models/lightgcn.h"
 #include "models/ngcf.h"
+#include "sampling/negative_sampler.h"
 #include "test_util.h"
+#include "train/trainer.h"
 
 namespace bslrec {
 namespace {
@@ -95,18 +103,137 @@ TEST(MfModel, ForwardExposesParameters) {
   }
 }
 
-TEST(MfModel, BackwardCopiesFinalGradients) {
+TEST(MfModel, ParamsAreTheFinalTablesAndGradients) {
   Rng rng(2);
-  MfModel mf(2, 2, 4, rng);
-  mf.Forward(rng);
+  MfModel mf(2, 3, 4, rng);
+  const auto params = mf.Params();
+  ASSERT_EQ(params.size(), 2u);
+  EXPECT_EQ(params[0].value, &mf.FinalUserMatrix());
+  EXPECT_EQ(params[1].value, &mf.FinalItemMatrix());
+  EXPECT_EQ(params[0].grad->Row(1), mf.UserGrad(1));
+  EXPECT_EQ(params[1].grad->Row(2), mf.ItemGrad(2));
+
+  // Forward and Backward leave tables and gradients as they are.
   mf.ZeroGrad();
   mf.UserGrad(1)[2] = 3.5f;
   mf.ItemGrad(0)[1] = -1.25f;
+  const Matrix users = mf.FinalUserMatrix();
+  const Matrix items = mf.FinalItemMatrix();
+  mf.Forward(rng);
   mf.Backward();
-  const auto params = mf.Params();
-  EXPECT_FLOAT_EQ(params[0].grad->At(1, 2), 3.5f);
-  EXPECT_FLOAT_EQ(params[1].grad->At(0, 1), -1.25f);
-  EXPECT_FLOAT_EQ(params[0].grad->At(0, 0), 0.0f);
+  EXPECT_EQ(params[0].grad->At(1, 2), 3.5f);
+  EXPECT_EQ(params[1].grad->At(0, 1), -1.25f);
+  for (size_t k = 0; k < users.size(); ++k) {
+    EXPECT_EQ(mf.FinalUserMatrix().data()[k], users.data()[k]);
+  }
+  for (size_t k = 0; k < items.size(); ++k) {
+    EXPECT_EQ(mf.FinalItemMatrix().data()[k], items.data()[k]);
+  }
+
+  // A step on Params() moves the tables the scoring head reads.
+  params[0].value->At(0, 0) += 1.0f;
+  EXPECT_EQ(mf.UserEmb(0)[0], users.At(0, 0) + 1.0f);
+
+  mf.ZeroGrad();
+  EXPECT_EQ(params[0].grad->At(1, 2), 0.0f);
+  EXPECT_EQ(params[1].grad->At(0, 1), 0.0f);
+}
+
+// MF as it was built before its final tables became its parameters:
+// separate parameter tables, copied into the final tables by Forward,
+// and separate parameter gradients that Backward adds the final
+// gradients into.
+class CopyingMfModel : public EmbeddingModel {
+ public:
+  CopyingMfModel(uint32_t num_users, uint32_t num_items, size_t dim,
+                 Rng& rng)
+      : EmbeddingModel(num_users, num_items, dim),
+        user_param_(num_users, dim),
+        item_param_(num_items, dim),
+        user_param_grad_(num_users, dim),
+        item_param_grad_(num_items, dim) {
+    user_param_.InitXavierUniform(rng);
+    item_param_.InitXavierUniform(rng);
+  }
+
+  std::string_view name() const override { return "CopyingMF"; }
+  void Forward(Rng&) override {
+    final_user_ = user_param_;
+    final_item_ = item_param_;
+  }
+  void Backward() override {
+    user_param_grad_.AddScaled(grad_user_, 1.0f);
+    item_param_grad_.AddScaled(grad_item_, 1.0f);
+  }
+  std::vector<ParamGrad> Params() override {
+    return {{&user_param_, &user_param_grad_},
+            {&item_param_, &item_param_grad_}};
+  }
+
+ private:
+  Matrix user_param_;
+  Matrix item_param_;
+  Matrix user_param_grad_;
+  Matrix item_param_grad_;
+};
+
+::testing::AssertionResult SameBits(const Matrix& a, const Matrix& b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure() << "sizes differ";
+  }
+  if (std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) != 0) {
+    return ::testing::AssertionFailure() << "tables differ";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(MfModel, TrainsBitIdenticallyToCopyingMf) {
+  // Adding a gradient into a zeroed parameter gradient (0 + g) is g
+  // bitwise, because gradient tables never hold -0: they start at +0
+  // and only ever have values added to them. So stepping the final
+  // tables directly must reproduce the copying model's run exactly.
+  SyntheticConfig config;
+  config.num_users = 300;
+  config.num_items = 260;
+  config.avg_items_per_user = 10.0;
+  config.seed = 5;
+  const SyntheticData data = GenerateSynthetic(config);
+  const Dataset& ds = data.dataset;
+  for (const size_t threads : {1u, 2u}) {
+    for (const SamplingMode mode :
+         {SamplingMode::kSampledNegatives, SamplingMode::kInBatch}) {
+      TrainConfig cfg;
+      cfg.epochs = 3;
+      cfg.batch_size = 256;
+      cfg.num_negatives = 16;
+      cfg.eval_every = 3;
+      cfg.sampling_mode = mode;
+      cfg.runtime.num_threads = threads;
+      BilateralSoftmaxLoss loss(0.2, 0.25);
+      UniformNegativeSampler sampler(ds);
+
+      Rng rng_a(8), rng_b(8);
+      MfModel mf(ds.num_users(), ds.num_items(), 64, rng_a);
+      CopyingMfModel copying(ds.num_users(), ds.num_items(), 64, rng_b);
+      const TrainResult a = Trainer(ds, mf, loss, sampler, cfg).Train();
+      const TrainResult b = Trainer(ds, copying, loss, sampler, cfg).Train();
+
+      const std::string where = "threads=" + std::to_string(threads) +
+                                (mode == SamplingMode::kInBatch
+                                     ? " in-batch"
+                                     : " sampled");
+      ASSERT_EQ(a.history.size(), b.history.size()) << where;
+      for (size_t e = 0; e < a.history.size(); ++e) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(a.history[e].avg_loss),
+                  std::bit_cast<uint64_t>(b.history[e].avg_loss))
+            << where << " epoch " << e;
+      }
+      EXPECT_EQ(a.best.ndcg, b.best.ndcg) << where;
+      const auto params = copying.Params();
+      EXPECT_TRUE(SameBits(mf.FinalUserMatrix(), *params[0].value)) << where;
+      EXPECT_TRUE(SameBits(mf.FinalItemMatrix(), *params[1].value)) << where;
+    }
+  }
 }
 
 TEST(MfModel, GradientCheck) {

@@ -3,6 +3,7 @@
 // results guarantee of the multi-threaded trainer and evaluator.
 #include "runtime/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
@@ -156,19 +157,28 @@ SyntheticData EquivData(uint64_t seed = 31) {
   return GenerateSynthetic(c);
 }
 
+// What the equivalence runs vary; everything else is fixed.
+struct EquivRun {
+  size_t dim = 16;
+  int epochs = 3;
+  int eval_every = 1;
+  bool use_adam = true;
+};
+
 TrainResult TrainAtThreads(const Dataset& data, size_t num_threads,
-                           SamplingMode mode) {
+                           SamplingMode mode, const EquivRun& run = {}) {
   Rng rng(7);
-  MfModel model(data.num_users(), data.num_items(), 16, rng);
+  MfModel model(data.num_users(), data.num_items(), run.dim, rng);
   BilateralSoftmaxLoss loss(0.2, 0.25);
   UniformNegativeSampler sampler(data);
   TrainConfig cfg;
-  cfg.epochs = 3;
+  cfg.epochs = run.epochs;
   cfg.batch_size = 128;
   cfg.num_negatives = 16;
-  cfg.eval_every = 1;
+  cfg.eval_every = run.eval_every;
   cfg.seed = 99;
   cfg.sampling_mode = mode;
+  cfg.use_adam = run.use_adam;
   cfg.runtime.num_threads = num_threads;
   Trainer trainer(data, model, loss, sampler, cfg);
   return trainer.Train();
@@ -211,6 +221,55 @@ TEST(RuntimeEquivalence, InBatchTrainingIsThreadCountInvariant) {
       TrainAtThreads(data.dataset, 8, SamplingMode::kInBatch);
   ExpectBitIdentical(t1, t2);
   ExpectBitIdentical(t1, t8);
+}
+
+// The shapes above give tables of at most 2.4k elements, inside one
+// optimizer shard, so they never step a tensor in parallel. This one
+// spans at least three shards per table (two epochs and one eval keep
+// it affordable under ThreadSanitizer).
+constexpr EquivRun kShardedRun{.dim = 64, .epochs = 2, .eval_every = 2};
+
+SyntheticData ShardedEquivData(uint64_t seed) {
+  SyntheticConfig c;
+  c.num_users = 800;
+  c.num_items = 780;
+  c.num_clusters = 8;
+  c.avg_items_per_user = 5.0;
+  c.seed = seed;
+  SyntheticData data = GenerateSynthetic(c);
+  const size_t smallest = std::min(data.dataset.num_users(),
+                                   data.dataset.num_items()) *
+                          kShardedRun.dim;
+  EXPECT_GE(smallest, 3 * Optimizer::kStepGrain);
+  return data;
+}
+
+TEST(RuntimeEquivalence, ShardedOptimizerStepIsThreadCountInvariant) {
+  const SyntheticData data = ShardedEquivData(37);
+  for (const SamplingMode mode :
+       {SamplingMode::kSampledNegatives, SamplingMode::kInBatch}) {
+    const TrainResult t1 = TrainAtThreads(data.dataset, 1, mode, kShardedRun);
+    const TrainResult t2 = TrainAtThreads(data.dataset, 2, mode, kShardedRun);
+    const TrainResult t8 = TrainAtThreads(data.dataset, 8, mode, kShardedRun);
+    ExpectBitIdentical(t1, t2);
+    ExpectBitIdentical(t1, t8);
+  }
+}
+
+TEST(RuntimeEquivalence, SgdTrainingIsThreadCountInvariant) {
+  const SyntheticData data = ShardedEquivData(39);
+  EquivRun sgd = kShardedRun;
+  sgd.use_adam = false;
+  const TrainResult t1 =
+      TrainAtThreads(data.dataset, 1, SamplingMode::kSampledNegatives, sgd);
+  const TrainResult t2 =
+      TrainAtThreads(data.dataset, 2, SamplingMode::kSampledNegatives, sgd);
+  const TrainResult t8 =
+      TrainAtThreads(data.dataset, 8, SamplingMode::kSampledNegatives, sgd);
+  ExpectBitIdentical(t1, t2);
+  ExpectBitIdentical(t1, t8);
+  // SGD actually trained: the loss moved.
+  EXPECT_NE(t1.history.front().avg_loss, t1.history.back().avg_loss);
 }
 
 TEST(RuntimeEquivalence, EvaluatorIsThreadCountInvariant) {
