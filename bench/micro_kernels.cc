@@ -265,6 +265,50 @@ void BM_DotBatchPerRowLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_DotBatchPerRowLoop)->Arg(16)->Arg(64)->Arg(256);
 
+// In-batch scoring at the trainer's Algorithm-2 shape: a 1024-sample
+// batch's users against its 1024 positive items at dim 64. BM_DotTile
+// is one tile over rows widened once (the widening is timed too, as the
+// trainer pays it once per batch); BM_DotTilePerPairDot is the per-pair
+// Dot loop it replaced. The two produce the same bits.
+constexpr size_t kTileBatch = 1024;
+constexpr size_t kTileDim = 64;
+
+void BM_DotTile(benchmark::State& state) {
+  const auto users = GaussianVec(kTileBatch * kTileDim, 23);
+  const auto items = GaussianVec(kTileBatch * kTileDim, 24);
+  std::vector<double> users_wide(users.size()), items_wide(items.size());
+  std::vector<float> out(kTileBatch * kTileBatch);
+  for (auto _ : state) {
+    vec::Widen(users.data(), users.size(), users_wide.data());
+    vec::Widen(items.data(), items.size(), items_wide.data());
+    vec::DotTile(users_wide.data(), kTileBatch, items_wide.data(),
+                 kTileBatch, kTileDim, out.data(), kTileBatch);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kTileBatch * kTileBatch);
+}
+BENCHMARK(BM_DotTile)->Unit(benchmark::kMillisecond);
+
+void BM_DotTilePerPairDot(benchmark::State& state) {
+  const auto users = GaussianVec(kTileBatch * kTileDim, 23);
+  const auto items = GaussianVec(kTileBatch * kTileDim, 24);
+  std::vector<float> out(kTileBatch * kTileBatch);
+  for (auto _ : state) {
+    for (size_t s = 0; s < kTileBatch; ++s) {
+      for (size_t t = 0; t < kTileBatch; ++t) {
+        out[s * kTileBatch + t] = vec::Dot(users.data() + s * kTileDim,
+                                           items.data() + t * kTileDim,
+                                           kTileDim);
+      }
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kTileBatch * kTileBatch);
+}
+BENCHMARK(BM_DotTilePerPairDot)->Unit(benchmark::kMillisecond);
+
 // ---- int8 catalog-scan kernels (quantized two-phase scorer) ----
 // SIMD dispatch vs the always-compiled scalar reference (vec::ref), and
 // the batched int8 scan vs the fp32 DotBatch it displaces in phase 1 —

@@ -618,7 +618,7 @@ void GatherNormalize(const float* table, size_t stride, const uint32_t* ids,
 void AccumulateCosineGrad(const float* u_hat, const float* i_hat, float score,
                           float u_norm, float coeff, float* grad_u, size_t n) {
   // d cos / d u = (i_hat - score * u_hat) / ||u||.
-  const float inv = coeff / std::max(u_norm, 1e-12f);
+  const float inv = CosineGradScale(coeff, u_norm);
   size_t k = 0;
   for (; k + 4 <= n; k += 4) {
     grad_u[k + 0] += inv * (i_hat[k + 0] - score * u_hat[k + 0]);
@@ -629,6 +629,195 @@ void AccumulateCosineGrad(const float* u_hat, const float* i_hat, float score,
   for (; k < n; ++k) {
     grad_u[k] += inv * (i_hat[k] - score * u_hat[k]);
   }
+}
+
+namespace ref {
+
+void AccumulateCosineGradRun(const float* self_hat, const float* others,
+                             size_t stride, const uint32_t* idx,
+                             const float* scores, const float* scales,
+                             size_t m, float* grad, size_t n) {
+  for (size_t j = 0; j < m; ++j) {
+    const float* x = others + static_cast<size_t>(idx[j]) * stride;
+    for (size_t k = 0; k < n; ++k) {
+      grad[k] += scales[j] * (x[k] - scores[j] * self_hat[k]);
+    }
+  }
+}
+
+void DotTile(const double* q, size_t m, const double* rows, size_t n,
+             size_t d, float* out, size_t out_stride) {
+  for (size_t i = 0; i < m; ++i) {
+    const double* a = q + i * d;
+    for (size_t j = 0; j < n; ++j) {
+      const double* b = rows + j * d;
+      double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
+      size_t k = 0;
+      for (; k + 4 <= d; k += 4) {
+        acc0 += a[k + 0] * b[k + 0];
+        acc1 += a[k + 1] * b[k + 1];
+        acc2 += a[k + 2] * b[k + 2];
+        acc3 += a[k + 3] * b[k + 3];
+      }
+      for (; k < d; ++k) acc0 += a[k] * b[k];
+      out[i * out_stride + j] =
+          static_cast<float>((acc0 + acc1) + (acc2 + acc3));
+    }
+  }
+}
+
+}  // namespace ref
+
+namespace {
+
+#if BSLREC_SIMD_SSE2
+// One cosine-gradient term on four elements: acc + scale * (x - score * y),
+// AccumulateCosineGrad's expression operation for operation.
+inline __m128 CosineGradTerm(__m128 acc, __m128 scale, __m128 score,
+                             const float* x, __m128 y) {
+  const __m128 diff = _mm_sub_ps(_mm_loadu_ps(x), _mm_mul_ps(score, y));
+  return _mm_add_ps(acc, _mm_mul_ps(scale, diff));
+}
+#endif
+
+}  // namespace
+
+void AccumulateCosineGradRun(const float* self_hat, const float* others,
+                             size_t stride, const uint32_t* idx,
+                             const float* scores, const float* scales,
+                             size_t m, float* grad, size_t n) {
+#if BSLREC_SIMD_SSE2
+  // Element k sees the reference's operations in the reference's term
+  // order; the blocks only decide which elements share registers.
+  size_t k = 0;
+  for (; k + 16 <= n; k += 16) {
+    __m128 a0 = _mm_loadu_ps(grad + k + 0);
+    __m128 a1 = _mm_loadu_ps(grad + k + 4);
+    __m128 a2 = _mm_loadu_ps(grad + k + 8);
+    __m128 a3 = _mm_loadu_ps(grad + k + 12);
+    const __m128 y0 = _mm_loadu_ps(self_hat + k + 0);
+    const __m128 y1 = _mm_loadu_ps(self_hat + k + 4);
+    const __m128 y2 = _mm_loadu_ps(self_hat + k + 8);
+    const __m128 y3 = _mm_loadu_ps(self_hat + k + 12);
+    for (size_t j = 0; j < m; ++j) {
+      const float* x = others + static_cast<size_t>(idx[j]) * stride + k;
+      const __m128 sc = _mm_set1_ps(scores[j]);
+      const __m128 sl = _mm_set1_ps(scales[j]);
+      a0 = CosineGradTerm(a0, sl, sc, x + 0, y0);
+      a1 = CosineGradTerm(a1, sl, sc, x + 4, y1);
+      a2 = CosineGradTerm(a2, sl, sc, x + 8, y2);
+      a3 = CosineGradTerm(a3, sl, sc, x + 12, y3);
+    }
+    _mm_storeu_ps(grad + k + 0, a0);
+    _mm_storeu_ps(grad + k + 4, a1);
+    _mm_storeu_ps(grad + k + 8, a2);
+    _mm_storeu_ps(grad + k + 12, a3);
+  }
+  for (; k + 4 <= n; k += 4) {
+    __m128 a = _mm_loadu_ps(grad + k);
+    const __m128 y = _mm_loadu_ps(self_hat + k);
+    for (size_t j = 0; j < m; ++j) {
+      const float* x = others + static_cast<size_t>(idx[j]) * stride + k;
+      const __m128 sc = _mm_set1_ps(scores[j]);
+      const __m128 sl = _mm_set1_ps(scales[j]);
+      a = CosineGradTerm(a, sl, sc, x, y);
+    }
+    _mm_storeu_ps(grad + k, a);
+  }
+  if (k < n) {
+    // The last n % 4 elements: the reference on a column slice.
+    ref::AccumulateCosineGradRun(self_hat + k, others + k, stride, idx,
+                                 scores, scales, m, grad + k, n - k);
+  }
+#else
+  ref::AccumulateCosineGradRun(self_hat, others, stride, idx, scores, scales,
+                               m, grad, n);
+#endif
+}
+
+void Widen(const float* x, size_t n, double* out) {
+  for (size_t k = 0; k < n; ++k) out[k] = static_cast<double>(x[k]);
+}
+
+namespace {
+
+#if BSLREC_SIMD_SSE2
+// One MQ x NR block of DotTile: every (query, row) pair keeps Dot's four
+// double lanes, lanes 0-1 in lo[][] and 2-3 in hi[][]. A 2 x 2 block
+// holds 8 accumulators plus 6 operands, within SSE2's 16 registers.
+template <size_t MQ, size_t NR>
+inline void DotTileBlock(const double* q, const double* rows, size_t d,
+                         float* out, size_t out_stride) {
+  __m128d lo[MQ][NR], hi[MQ][NR];
+  for (size_t i = 0; i < MQ; ++i) {
+    for (size_t j = 0; j < NR; ++j) {
+      lo[i][j] = _mm_setzero_pd();
+      hi[i][j] = _mm_setzero_pd();
+    }
+  }
+  size_t k = 0;
+  for (; k + 4 <= d; k += 4) {
+    __m128d r01[NR], r23[NR];
+    for (size_t j = 0; j < NR; ++j) {
+      r01[j] = _mm_loadu_pd(rows + j * d + k);
+      r23[j] = _mm_loadu_pd(rows + j * d + k + 2);
+    }
+    for (size_t i = 0; i < MQ; ++i) {
+      const __m128d q01 = _mm_loadu_pd(q + i * d + k);
+      const __m128d q23 = _mm_loadu_pd(q + i * d + k + 2);
+      for (size_t j = 0; j < NR; ++j) {
+        lo[i][j] = _mm_add_pd(lo[i][j], _mm_mul_pd(q01, r01[j]));
+        hi[i][j] = _mm_add_pd(hi[i][j], _mm_mul_pd(q23, r23[j]));
+      }
+    }
+  }
+  for (size_t i = 0; i < MQ; ++i) {
+    for (size_t j = 0; j < NR; ++j) {
+      alignas(16) double l01[2], l23[2];
+      _mm_store_pd(l01, lo[i][j]);
+      _mm_store_pd(l23, hi[i][j]);
+      double acc0 = l01[0];
+      for (size_t t = k; t < d; ++t) acc0 += q[i * d + t] * rows[j * d + t];
+      out[i * out_stride + j] =
+          static_cast<float>((acc0 + l01[1]) + (l23[0] + l23[1]));
+    }
+  }
+}
+#endif
+
+}  // namespace
+
+void DotTile(const double* q, size_t m, const double* rows, size_t n,
+             size_t d, float* out, size_t out_stride) {
+#if BSLREC_SIMD_SSE2
+  // Rows go in chunks small enough (kChunk rows of d doubles) to stay in
+  // L1 while every query pair passes over them.
+  constexpr size_t kChunk = 32;
+  for (size_t c0 = 0; c0 < n; c0 += kChunk) {
+    const size_t c1 = std::min(n, c0 + kChunk);
+    size_t i = 0;
+    for (; i + 2 <= m; i += 2) {
+      const double* qi = q + i * d;
+      float* oi = out + i * out_stride;
+      size_t j = c0;
+      for (; j + 2 <= c1; j += 2) {
+        DotTileBlock<2, 2>(qi, rows + j * d, d, oi + j, out_stride);
+      }
+      if (j < c1) DotTileBlock<2, 1>(qi, rows + j * d, d, oi + j, out_stride);
+    }
+    if (i < m) {
+      const double* qi = q + i * d;
+      float* oi = out + i * out_stride;
+      size_t j = c0;
+      for (; j + 2 <= c1; j += 2) {
+        DotTileBlock<1, 2>(qi, rows + j * d, d, oi + j, out_stride);
+      }
+      if (j < c1) DotTileBlock<1, 1>(qi, rows + j * d, d, oi + j, out_stride);
+    }
+  }
+#else
+  ref::DotTile(q, m, rows, n, d, out, out_stride);
+#endif
 }
 
 namespace ref {

@@ -7,8 +7,9 @@
 //
 // ---- SIMD dispatch contract ----
 //
-// The hot kernels (`Dot`, `DotI8`, `DotBatchI8`, `QuantizeRow`,
-// `AdamStep`) have explicitly vectorized implementations selected at
+// The hot kernels (`Dot`, `DotTile`, `AccumulateCosineGradRun`, `DotI8`,
+// `DotBatchI8`, `QuantizeRow`, `AdamStep`) have explicitly vectorized
+// implementations selected at
 // compile time (AVX2 when the build enables it — see the BSLREC_NATIVE
 // CMake option — and SSE2 on any x86-64 build). The scalar forms are
 // always compiled and exposed under `vec::ref`; every SIMD kernel is
@@ -25,6 +26,17 @@
 //     sums elements k+j), combined in the same fixed ((0+1)+(2+3))
 //     order. float*float products are exact in double (24+24 < 53
 //     mantissa bits), so mul+add and fma agree bitwise, too.
+//   * `DotTile` via the same tree: each (query, row) entry keeps Dot's
+//     four double lanes (lane j sums the products with k = j mod 4, the
+//     d % 4 tail goes to lane 0, the lanes combine as (0+1)+(2+3)), so
+//     every entry equals Dot over the float rows bitwise. Its operands
+//     are rows widened to double once (`Widen`, exact), so a tile
+//     reuses each widened row across queries instead of re-widening it
+//     per pair.
+//   * `AccumulateCosineGradRun` exactly — per element it performs
+//     AccumulateCosineGrad's float expression, term by term in run
+//     order, on the same operands; the SIMD form only keeps a block of
+//     the accumulator in registers across the run (elements never mix).
 //   * the fp16 kernels (`EncodeF16`, `GatherF16`, `DotF16`,
 //     `DotBatchF16`) exactly — `F32ToF16` is IEEE round-to-nearest-even
 //     (the rounding VCVTPS2PH performs with _MM_FROUND_TO_NEAREST_INT),
@@ -36,11 +48,11 @@
 //     precision expression two lanes at a time, operation for
 //     operation: float -> double widening is exact, and IEEE add, mul,
 //     div, sqrt and the double -> float narrowing are correctly rounded
-//     in packed and scalar form alike. vec.cc is compiled with
+//     in packed and scalar form alike. Every target is compiled with
 //     -ffp-contract=off (CMakeLists.txt), so no build fuses a
-//     multiply-add into an FMA in either form: an FMA rounds once where
-//     mul + add rounds twice, which would make -march=native builds
-//     compute other bits than the portable one.
+//     multiply-add into an FMA, in these kernels or anywhere else: an
+//     FMA rounds once where mul + add rounds twice, which would make
+//     -march=native builds compute other bits than the portable one.
 //
 // tests/test_vec.cc enforces all of these contracts (AdamStep's lives in
 // tests/test_optimizer.cc, next to the pooled optimizer step it feeds);
@@ -48,6 +60,7 @@
 #ifndef BSLREC_MATH_VEC_H_
 #define BSLREC_MATH_VEC_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -76,6 +89,12 @@ struct AdamCoeffs {
 // note); benches compare against them to quantify the SIMD win.
 namespace ref {
 float Dot(const float* a, const float* b, size_t n);
+void DotTile(const double* q, size_t m, const double* rows, size_t n,
+             size_t d, float* out, size_t out_stride);
+void AccumulateCosineGradRun(const float* self_hat, const float* others,
+                             size_t stride, const uint32_t* idx,
+                             const float* scores, const float* scales,
+                             size_t m, float* grad, size_t n);
 int32_t DotI8(const int8_t* a, const int8_t* b, size_t n);
 void DotBatchI8(const int8_t* q, const int8_t* rows, size_t m, size_t d,
                 int32_t* out);
@@ -201,6 +220,39 @@ void GatherNormalize(const float* table, size_t stride, const uint32_t* ids,
 // accumulated into `grad_u` scaled by `coeff` (the upstream gradient).
 void AccumulateCosineGrad(const float* u_hat, const float* i_hat, float score,
                           float u_norm, float coeff, float* grad_u, size_t n);
+
+// The multiplier AccumulateCosineGrad applies to one pair's term:
+// coeff / max(norm, 1e-12f). Callers of AccumulateCosineGradRun compute
+// it once per pair with this function, so both kernels see the same bits.
+inline float CosineGradScale(float coeff, float norm) {
+  return coeff / std::max(norm, 1e-12f);
+}
+
+// A run of cosine-gradient terms into one row's accumulator: for j in
+// [0, m), in order,
+//   grad[k] += scales[j] * (x_j[k] - scores[j] * self_hat[k]),
+// where x_j = others + idx[j] * stride. With scales[j] ==
+// CosineGradScale(coeffs[j], norm) it equals, bitwise, the loop
+//   for j: AccumulateCosineGrad(self_hat, x_j, scores[j], norm,
+//                               coeffs[j], grad, n)
+// zero coefficients included (the run skips nothing; callers leave out
+// the terms they skip). It keeps a block of `grad` in registers across
+// the whole run instead of loading and storing it once per term.
+void AccumulateCosineGradRun(const float* self_hat, const float* others,
+                             size_t stride, const uint32_t* idx,
+                             const float* scores, const float* scales,
+                             size_t m, float* grad, size_t n);
+
+// Widens n floats to double (exact): the operand form of DotTile.
+void Widen(const float* x, size_t n, double* out);
+
+// Tiled scoring of m queries against n rows (both widened with Widen,
+// row-major with stride d): out[i * out_stride + j] equals
+// Dot(query i, row j, d) over the original float rows, bitwise (see the
+// header note). Each widened row is loaded once per pair of queries and
+// stays in L1 across the whole query block.
+void DotTile(const double* q, size_t m, const double* rows, size_t n,
+             size_t d, float* out, size_t out_stride);
 
 // One Adam update of n parameters w in place, with their moment
 // estimates m and v and gradients g. Per element, in double precision:

@@ -41,6 +41,11 @@
 //   * The trainer (sharded gradient buffers), the evaluator (per-user
 //     metric slots) and the benches all follow this pattern; new
 //     subsystems (sharding, batching, async pipelines) should too.
+//   * Row owners need no reduction at all: when every output row is
+//     written by exactly one task, which sums that row's terms in an
+//     order fixed by the input, the result cannot depend on the worker
+//     count either. The trainer's in-batch gradient (phase B) and the
+//     optimizer step (disjoint element ranges) work this way.
 //
 // How to pin the worker count
 //   * `RuntimeConfig{.num_threads = N}` threads through `TrainConfig`,

@@ -326,8 +326,15 @@ uint64_t ServingFrontEnd::PublishSnapshot(
   const uint64_t seq = next_seq_++;
   // Engine construction never drives the pool (ranking_engine.h), so
   // building the new state races nothing the dispatcher is doing.
-  state_.store(std::make_shared<State>(data_, std::move(snapshot), pool_,
-                                       config_, seq));
+  auto next = std::make_shared<State>(data_, std::move(snapshot), pool_,
+                                      config_, seq);
+  {
+    std::lock_guard<std::mutex> lock(state_mu_);
+    state_.swap(next);
+  }
+  // `next` now holds the previous state: it is released here, outside
+  // the lock (or later, by the last batch still serving on it).
+  next.reset();
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.snapshots_published;
@@ -335,15 +342,21 @@ uint64_t ServingFrontEnd::PublishSnapshot(
   return seq;
 }
 
-std::shared_ptr<const ModelSnapshot> ServingFrontEnd::current_snapshot()
+std::shared_ptr<ServingFrontEnd::State> ServingFrontEnd::CurrentState()
     const {
-  return state_.load()->snapshot;
+  std::lock_guard<std::mutex> lock(state_mu_);
+  return state_;
 }
 
-uint64_t ServingFrontEnd::current_seq() const { return state_.load()->seq; }
+std::shared_ptr<const ModelSnapshot> ServingFrontEnd::current_snapshot()
+    const {
+  return CurrentState()->snapshot;
+}
+
+uint64_t ServingFrontEnd::current_seq() const { return CurrentState()->seq; }
 
 DegradeMode ServingFrontEnd::current_brownout_mode() const {
-  return state_.load()->brownout_mode;
+  return CurrentState()->brownout_mode;
 }
 
 void ServingFrontEnd::Drain() {
@@ -492,7 +505,7 @@ void ServingFrontEnd::DispatchLoop() {
 
 void ServingFrontEnd::ServeBatch(std::vector<Pending>& batch, bool degraded,
                                  const FaultAction& fault) {
-  const std::shared_ptr<State> state = state_.load();
+  const std::shared_ptr<State> state = CurrentState();
   const ModelSnapshot& snapshot = *state->snapshot;
 
   // Validate up front so malformed requests fail their own future with

@@ -101,13 +101,15 @@
 //     published. `PublishSnapshot` wraps an immutable snapshot in
 //     fresh `RankingEngine`s (exact + brownout tier when available;
 //     caches are engine-local, so they are keyed per snapshot and can
-//     never mix generations) and publishes them through a single
-//     `std::atomic<std::shared_ptr>` store. Publication never blocks
-//     serving and serving never blocks publication: batches in flight
-//     finish on the shared_ptr they loaded, the next batch loads the
-//     new one. Publications are serialized internally; `snapshot_seq`
-//     in every response names the publication that served it
-//     (monotone from 1).
+//     never mix generations) and publishes them by swapping one
+//     `shared_ptr` under a small mutex that guards nothing else; the
+//     dispatcher copies the pointer once per batch under the same
+//     mutex. Neither side holds it for more than a pointer copy, so
+//     publication never waits on serving and serving never waits on
+//     publication: batches in flight finish on the shared_ptr they
+//     copied, the next batch copies the new one. Publications are
+//     serialized internally; `snapshot_seq` in every response names the
+//     publication that served it (monotone from 1).
 //
 // Errors
 //   * Malformed requests (user out of range, k == 0, unsorted
@@ -139,7 +141,6 @@
 #ifndef BSLREC_SERVE_SERVING_FRONTEND_H_
 #define BSLREC_SERVE_SERVING_FRONTEND_H_
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -434,13 +435,17 @@ class ServingFrontEnd {
   FrontEndConfig config_;
   runtime::ThreadPool pool_;  // driven only by the dispatcher (+ Init)
 
-  // Hot-swap publication point. Producers/publishers store, the
-  // dispatcher loads once per batch. Non-const because the dispatcher
-  // mutates the engines (cache, scorer scratch) — publishers only ever
-  // construct and store.
-  std::atomic<std::shared_ptr<State>> state_;
-  std::mutex publish_mu_;  // serializes seq assignment + store
-  uint64_t next_seq_ = 1;  // guarded by publish_mu_
+  // The current publication, copied under state_mu_.
+  std::shared_ptr<State> CurrentState() const;
+
+  // Hot-swap publication point. Publishers swap it, the dispatcher
+  // copies it once per batch. Non-const because the dispatcher mutates
+  // the engines (cache, scorer scratch) — publishers only ever construct
+  // and swap.
+  mutable std::mutex state_mu_;   // guards state_ only
+  std::shared_ptr<State> state_;  // guarded by state_mu_
+  std::mutex publish_mu_;         // serializes seq assignment + swap
+  uint64_t next_seq_ = 1;         // guarded by publish_mu_
 
   mutable std::mutex mu_;            // queue + stats + lifecycle
   std::condition_variable queue_cv_;  // wakes the dispatcher

@@ -74,13 +74,18 @@ Trainer::Trainer(const Dataset& data, EmbeddingModel& model,
   optimizer_->SetRuntime(pool_.get());
   const size_t d = model.dim();
   const size_t n_neg = config.num_negatives;
+  const bool sampled =
+      config.sampling_mode == SamplingMode::kSampledNegatives;
   for (WorkerScratch& ws : scratch_) {
-    ws.users.tag.assign(data.num_users(), 0);
-    ws.users.slot.assign(data.num_users(), 0);
-    ws.items.tag.assign(data.num_items(), 0);
-    ws.items.slot.assign(data.num_items(), 0);
+    if (sampled) {
+      ws.users.tag.assign(data.num_users(), 0);
+      ws.users.slot.assign(data.num_users(), 0);
+      ws.items.tag.assign(data.num_items(), 0);
+      ws.items.slot.assign(data.num_items(), 0);
+    }
     ws.u_hat.resize(d);
     ws.i_hat.resize(d);
+    ws.partial.resize(d);
     ws.negs.resize(n_neg);
     ws.j_hat = Matrix(n_neg, d);
     ws.j_norm.resize(n_neg);
@@ -90,6 +95,56 @@ Trainer::Trainer(const Dataset& data, EmbeddingModel& model,
 }
 
 Trainer::~Trainer() { model_.SetRuntime(nullptr); }
+
+void Trainer::GradRun::Reserve(size_t cap) {
+  if (idx.size() < cap) {
+    idx.resize(cap);
+    score.resize(cap);
+    scale.resize(cap);
+  }
+}
+
+void Trainer::GradRun::AccumulateInto(const float* self_hat,
+                                      const float* others, size_t d,
+                                      float* grad) const {
+  vec::AccumulateCosineGradRun(self_hat, others, d, idx.data(), score.data(),
+                               scale.data(), size, grad, d);
+}
+
+void Trainer::WorkerScratch::PrepareInBatch(size_t b, size_t run_cap,
+                                            size_t tile_size) {
+  if (neg_scores.size() < b) {
+    neg_scores.resize(b);
+    d_neg.resize(b);
+  }
+  run.Reserve(run_cap);
+  if (tile.size() < tile_size) {
+    tile.resize(tile_size);
+    coeff.resize(tile_size);
+  }
+}
+
+void Trainer::InBatchBuffers::Resize(size_t batch, size_t d) {
+  b = batch;
+  // Row strides of 16 floats (or 8 pairs) past a multiple of 16: at
+  // b = 1024 an unpadded stride is exactly 4 KiB, and the item-major
+  // copy's column walks would keep landing in the same L1 cache sets.
+  const size_t padded = (b + 15) / 16 * 16;
+  tile_stride = padded + 16;
+  pair_stride = padded + 8;
+  u_hat.resize(b * d);
+  i_hat.resize(b * d);
+  u_wide.resize(b * d);
+  i_wide.resize(b * d);
+  u_norm.resize(b);
+  i_norm.resize(b);
+  logq_shift.resize(b);
+  user_occ.resize(b);
+  item_occ.resize(b);
+  user_head.resize(b);
+  user_part.resize(b * d);
+  pairs.resize(b * pair_stride);
+}
 
 double Trainer::ReduceShards(size_t num_shards) {
   const size_t d = model_.dim();
@@ -198,21 +253,26 @@ double Trainer::AccumulateInBatchLoss(const std::vector<Edge>& edges,
   const size_t d = model_.dim();
   const size_t b = end - begin;
   if (b < 2) return 0.0;  // no in-batch negatives available
-  const float inv_batch = 1.0f / static_cast<float>(b);
+  InBatchBuffers& buf = in_batch_;
+  buf.Resize(b, d);
+  const Edge* batch = edges.data() + begin;
 
   // Normalize every sample's user and item embedding once (Algorithm 2
-  // computes the full pairwise similarity matrix). Rows are independent,
-  // so the parallel fill is bit-identical for any worker count.
-  Matrix u_hat(b, d), i_hat(b, d);
-  std::vector<float> u_norm(b), i_norm(b);
+  // computes the full pairwise similarity matrix), and widen the rows
+  // to double for DotTile. Rows are independent, so the parallel fill
+  // is bit-identical for any worker count.
   runtime::ParallelFor(
       *pool_, 0, b, 128,
       [&](size_t lo, size_t hi, size_t /*shard*/, size_t /*worker*/) {
         for (size_t s = lo; s < hi; ++s) {
-          u_norm[s] = vec::Normalize(model_.UserEmb(edges[begin + s].user),
-                                     u_hat.Row(s), d);
-          i_norm[s] = vec::Normalize(model_.ItemEmb(edges[begin + s].item),
-                                     i_hat.Row(s), d);
+          float* u_hat = buf.u_hat.data() + s * d;
+          float* i_hat = buf.i_hat.data() + s * d;
+          buf.u_norm[s] = vec::Normalize(model_.UserEmb(batch[s].user),
+                                         u_hat, d);
+          buf.i_norm[s] = vec::Normalize(model_.ItemEmb(batch[s].item),
+                                         i_hat, d);
+          vec::Widen(u_hat, d, buf.u_wide.data() + s * d);
+          vec::Widen(i_hat, d, buf.i_wide.data() + s * d);
         }
       });
 
@@ -220,85 +280,203 @@ double Trainer::AccumulateInBatchLoss(const std::vector<Edge>& edges,
   // with probability proportional to popularity; subtracting
   // tau*log q(item) from their scores de-biases the softmax. The shift
   // is a data constant, so the gradient chain is unchanged.
-  std::vector<float> logq_shift(b, 0.0f);
+  std::fill(buf.logq_shift.begin(), buf.logq_shift.end(), 0.0f);
   if (config_.inbatch_logq_tau > 0.0) {
     const double total =
         static_cast<double>(data_.num_train()) + data_.num_items();
     for (size_t t = 0; t < b; ++t) {
-      const double q =
-          (static_cast<double>(
-               data_.item_popularity()[edges[begin + t].item]) +
-           1.0) /
-          total;
-      logq_shift[t] =
+      const double pop = data_.item_popularity()[batch[t].item];
+      const double q = (pop + 1.0) / total;
+      buf.logq_shift[t] =
           static_cast<float>(config_.inbatch_logq_tau * std::log(q));
     }
   }
 
+  // Each distinct row's sample positions in ascending order: the work
+  // lists of phase B's row owners.
+  for (size_t s = 0; s < b; ++s) {
+    buf.user_occ[s] = uint64_t{batch[s].user} << 32 | s;
+    buf.item_occ[s] = uint64_t{batch[s].item} << 32 | s;
+  }
+  SortIntoRuns(buf.user_occ, buf.user_runs);
+  const size_t max_item_count = SortIntoRuns(buf.item_occ, buf.item_runs);
+  // A gradient run holds one sample's user terms (at most b) or one
+  // item's terms in one shard (at most 16 per occurrence).
+  const size_t run_cap = std::max(b, kInBatchGrain * max_item_count);
+
+  // Phase A: score, run the loss and sum the user terms, per shard.
   const size_t num_shards = (b + kInBatchGrain - 1) / kInBatchGrain;
-  if (shards_.size() < num_shards) shards_.resize(num_shards);
+  buf.shard_loss.assign(num_shards, 0.0);
   runtime::ParallelFor(
       *pool_, 0, b, kInBatchGrain,
       [&](size_t lo, size_t hi, size_t shard, size_t worker) {
         WorkerScratch& ws = scratch_[worker];
-        ShardGrad& out = shards_[shard];
-        BeginShard(ws, out);
-        if (ws.neg_scores.size() < b - 1) {
-          ws.neg_scores.resize(b - 1);
-          ws.d_neg.resize(b - 1);
-        }
-        for (size_t s = lo; s < hi; ++s) {
-          const uint32_t u = edges[begin + s].user;
-          const uint32_t i = edges[begin + s].item;
-          const float pos_score = vec::Dot(u_hat.Row(s), i_hat.Row(s), d);
-          // Other samples' positives are this sample's negatives
-          // (diagonal masked, duplicates kept — see SamplingMode docs).
-          size_t idx = 0;
-          for (size_t t = 0; t < b; ++t) {
-            if (t == s) continue;
-            ws.neg_scores[idx++] =
-                vec::Dot(u_hat.Row(s), i_hat.Row(t), d) - logq_shift[t];
-          }
-          float d_pos = 0.0f;
-          out.loss_sum +=
-              loss_.Compute(pos_score, {ws.neg_scores.data(), b - 1},
-                            &d_pos, {ws.d_neg.data(), b - 1});
+        ws.PrepareInBatch(b, run_cap, kInBatchGrain * buf.tile_stride);
+        buf.shard_loss[shard] = InBatchShard(batch, lo, hi, ws);
+      });
 
-          const float d_pos_scaled = d_pos * inv_batch;
-          vec::AccumulateCosineGrad(
-              u_hat.Row(s), i_hat.Row(s), pos_score, u_norm[s],
-              d_pos_scaled,
-              GradSlot(ws.users, ws.shard_tag, out.user_rows, out.user_vals,
-                       u, d),
-              d);
-          vec::AccumulateCosineGrad(
-              i_hat.Row(s), u_hat.Row(s), pos_score, i_norm[s],
-              d_pos_scaled,
-              GradSlot(ws.items, ws.shard_tag, out.item_rows, out.item_vals,
-                       i, d),
-              d);
-          idx = 0;
-          for (size_t t = 0; t < b; ++t) {
-            if (t == s) continue;
-            const float g = ws.d_neg[idx] * inv_batch;
-            // Undo the logQ shift: the chain rule needs the raw score.
-            const float score = ws.neg_scores[idx] + logq_shift[t];
-            ++idx;
-            if (g == 0.0f) continue;
-            vec::AccumulateCosineGrad(
-                u_hat.Row(s), i_hat.Row(t), score, u_norm[s], g,
-                GradSlot(ws.users, ws.shard_tag, out.user_rows,
-                         out.user_vals, u, d),
-                d);
-            vec::AccumulateCosineGrad(
-                i_hat.Row(t), u_hat.Row(s), score, i_norm[t], g,
-                GradSlot(ws.items, ws.shard_tag, out.item_rows,
-                         out.item_vals, edges[begin + t].item, d),
-                d);
+  // Phase B: every distinct row has one owner, so the gradient tables
+  // take no shared writes (items first, then users).
+  const size_t num_items = buf.item_runs.size() - 1;
+  const size_t num_users = buf.user_runs.size() - 1;
+  runtime::ParallelFor(
+      *pool_, 0, num_items + num_users, kOwnerGrain,
+      [&](size_t lo, size_t hi, size_t /*shard*/, size_t worker) {
+        WorkerScratch& ws = scratch_[worker];
+        ws.PrepareInBatch(b, run_cap, 0);
+        for (size_t r = lo; r < hi; ++r) {
+          if (r < num_items) {
+            OwnItemRow(r, ws);
+          } else {
+            OwnUserRow(r - num_items);
           }
         }
       });
-  return ReduceShards(num_shards);
+
+  double loss_sum = 0.0;
+  for (const double shard_loss : buf.shard_loss) loss_sum += shard_loss;
+  return loss_sum;
+}
+
+size_t Trainer::SortIntoRuns(std::vector<uint64_t>& occ,
+                             std::vector<uint32_t>& runs) {
+  std::sort(occ.begin(), occ.end());
+  runs.clear();
+  size_t longest = 0;
+  for (size_t k = 0; k < occ.size(); ++k) {
+    if (k == 0 || occ[k] >> 32 != occ[k - 1] >> 32) {
+      if (!runs.empty()) longest = std::max<size_t>(longest, k - runs.back());
+      runs.push_back(static_cast<uint32_t>(k));
+    }
+  }
+  longest = std::max<size_t>(longest, occ.size() - runs.back());
+  runs.push_back(static_cast<uint32_t>(occ.size()));
+  return longest;
+}
+
+double Trainer::InBatchShard(const Edge* batch, size_t lo, size_t hi,
+                             WorkerScratch& ws) {
+  InBatchBuffers& buf = in_batch_;
+  const size_t d = model_.dim();
+  const size_t b = buf.b;
+  const size_t ld = buf.tile_stride;
+  const float inv_batch = 1.0f / static_cast<float>(b);
+  vec::DotTile(buf.u_wide.data() + lo * d, hi - lo, buf.i_wide.data(), b, d,
+               ws.tile.data(), ld);
+  double loss_sum = 0.0;
+  for (size_t s = lo; s < hi; ++s) {
+    // Row s - lo of the tile: the scores, then the scores the gradient
+    // uses; beside it the loss coefficients. The diagonal holds the
+    // positive.
+    float* score_row = ws.tile.data() + (s - lo) * ld;
+    float* coeff_row = ws.coeff.data() + (s - lo) * ld;
+    const float pos_score = score_row[s];
+    // Other samples' positives are this sample's negatives
+    // (diagonal masked, duplicates kept — see SamplingMode docs).
+    size_t idx = 0;
+    for (size_t t = 0; t < b; ++t) {
+      if (t == s) continue;
+      ws.neg_scores[idx++] = score_row[t] - buf.logq_shift[t];
+    }
+    float d_pos = 0.0f;
+    loss_sum += loss_.Compute(pos_score, {ws.neg_scores.data(), b - 1},
+                              &d_pos, {ws.d_neg.data(), b - 1});
+    const float d_pos_scaled = d_pos * inv_batch;
+    coeff_row[s] = d_pos_scaled;
+
+    // The user's run: the positive first, then every negative with a
+    // nonzero coefficient, in batch order.
+    const float u_norm = buf.u_norm[s];
+    GradRun& run = ws.run;
+    run.size = 0;
+    run.Add(s, pos_score, vec::CosineGradScale(d_pos_scaled, u_norm));
+    idx = 0;
+    for (size_t t = 0; t < b; ++t) {
+      if (t == s) continue;
+      const float g = ws.d_neg[idx] * inv_batch;
+      // Undo the logQ shift: the chain rule needs the raw score.
+      const float score = ws.neg_scores[idx] + buf.logq_shift[t];
+      ++idx;
+      score_row[t] = score;
+      coeff_row[t] = g;
+      if (g != 0.0f) run.Add(t, score, vec::CosineGradScale(g, u_norm));
+    }
+    // The shard's partial for this user lives at the row of the user's
+    // first sample in the shard; later samples of the user add to it.
+    size_t head = lo;
+    while (batch[head].user != batch[s].user) ++head;
+    buf.user_head[s] = static_cast<uint32_t>(head);
+    float* partial = buf.user_part.data() + head * d;
+    if (head == s) std::fill(partial, partial + d, 0.0f);
+    run.AccumulateInto(buf.u_hat.data() + s * d, buf.i_hat.data(), d,
+                       partial);
+  }
+  // Item-major copy: pair (s, t) lands at pairs[t][s], so an item row's
+  // owner reads its terms as contiguous runs.
+  for (size_t t = 0; t < b; ++t) {
+    PairTerm* dst = buf.pairs.data() + t * buf.pair_stride + lo;
+    for (size_t r = 0; r < hi - lo; ++r) {
+      dst[r] = {ws.coeff[r * ld + t], ws.tile[r * ld + t]};
+    }
+  }
+  return loss_sum;
+}
+
+void Trainer::OwnItemRow(size_t r, WorkerScratch& ws) {
+  // Shard by shard, sums the item's terms (per sample, its positive
+  // term first, then its other occurrences in batch order; zero
+  // coefficients skipped) into a partial that starts at +0.0f, and adds
+  // each shard's partial into the gradient table in shard order. That
+  // summation tree fixes the training bits (see the header comment).
+  const InBatchBuffers& buf = in_batch_;
+  const size_t d = model_.dim();
+  const size_t b = buf.b;
+  const uint64_t* occ = buf.item_occ.data() + buf.item_runs[r];
+  const size_t count = buf.item_runs[r + 1] - buf.item_runs[r];
+  const size_t first = static_cast<uint32_t>(occ[0]);
+  const float* self = buf.i_hat.data() + first * d;
+  const float i_norm = buf.i_norm[first];
+  float* grad = model_.ItemGrad(static_cast<uint32_t>(occ[0] >> 32));
+  GradRun& run = ws.run;
+  size_t next = 0;  // the item's first occurrence at or after s
+  for (size_t lo = 0; lo < b; lo += kInBatchGrain) {
+    const size_t hi = std::min(b, lo + kInBatchGrain);
+    run.size = 0;
+    for (size_t s = lo; s < hi; ++s) {
+      const bool own = next < count && static_cast<uint32_t>(occ[next]) == s;
+      if (own) {
+        const PairTerm& p = buf.pairs[s * buf.pair_stride + s];
+        run.Add(s, p.score, vec::CosineGradScale(p.coeff, i_norm));
+        ++next;
+      }
+      for (size_t k = 0; k < count; ++k) {
+        const size_t t = static_cast<uint32_t>(occ[k]);
+        const PairTerm& p = buf.pairs[t * buf.pair_stride + s];
+        if (t == s || p.coeff == 0.0f) continue;
+        run.Add(s, p.score, vec::CosineGradScale(p.coeff, i_norm));
+      }
+    }
+    if (run.size == 0) continue;
+    std::fill(ws.partial.begin(), ws.partial.end(), 0.0f);
+    run.AccumulateInto(self, buf.u_hat.data(), d, ws.partial.data());
+    vec::Axpy(1.0f, ws.partial.data(), grad, d);
+  }
+}
+
+void Trainer::OwnUserRow(size_t u) {
+  // Adds the user's phase-A partials in shard order: one per shard, at
+  // the row of the user's first sample in that shard.
+  const InBatchBuffers& buf = in_batch_;
+  const size_t d = model_.dim();
+  const uint32_t begin = buf.user_runs[u], end = buf.user_runs[u + 1];
+  const uint32_t row = static_cast<uint32_t>(buf.user_occ[begin] >> 32);
+  float* grad = model_.UserGrad(row);
+  for (uint32_t k = begin; k < end; ++k) {
+    const size_t s = static_cast<uint32_t>(buf.user_occ[k]);
+    if (buf.user_head[s] == s) {
+      vec::Axpy(1.0f, buf.user_part.data() + s * d, grad, d);
+    }
+  }
 }
 
 std::pair<double, double> Trainer::RunBatch(const std::vector<Edge>& edges,

@@ -10,17 +10,35 @@
 //   6. backpropagates into parameters and steps the optimizer.
 //
 // Steps 2-4 — the per-sample sampling/score/gradient work that dominates
-// the epoch — fan out across a runtime::ThreadPool: the batch is split
-// into fixed-size sample shards, every worker accumulates gradients into
-// per-shard sparse buffers, and the shards are reduced into the model's
-// gradient tables serially in shard order. Negative sampling runs
-// *inside* the shards from counter-based per-sample streams: sample s of
-// epoch e draws from StreamRng(stream_seed, e, s), a pure function of
-// the sample's epoch-global index, so the drawn items do not depend on
-// which worker processes the shard or when. Training results are
-// therefore bit-identical for any `TrainConfig::runtime.num_threads`
-// with no serial pre-draw stage at all (see runtime/thread_pool.h for
-// the sharding contract and math/rng.h for the stream discipline).
+// the epoch — fan out across a runtime::ThreadPool, and the batch is
+// split into fixed-size sample shards either way. The two sampling modes
+// then build the gradient differently:
+//   * Sampled negatives (Algorithm 1): every worker accumulates its
+//     shard's gradients into per-shard sparse buffers, and the shards
+//     are reduced into the model's gradient tables serially in shard
+//     order.
+//   * In-batch negatives (Algorithm 2) score, then scatter. Phase A,
+//     per shard: one vec::DotTile scores the shard's users against every
+//     positive item in the batch, the loss runs row by row, each user's
+//     terms are summed into that shard's user partial, and every pair's
+//     loss coefficient and score is written item-major. Phase B gives
+//     each distinct user and item row one owner on the pool. An item's
+//     owner sums the row's terms per shard (per sample, its positive
+//     term first, then its other occurrences in batch order) into a
+//     partial that starts at +0.0f; a user's owner takes its phase-A
+//     partials. Both add the partials into the gradient table in shard
+//     order. No row has two writers and nothing is reduced serially.
+//     That summation tree is the one per-shard first-touch buffers
+//     build, which test_runtime keeps as this path's bitwise oracle.
+//
+// In sampled mode, negative sampling runs *inside* the shards from
+// counter-based per-sample streams: sample s of epoch e draws from
+// StreamRng(stream_seed, e, s), a pure function of the sample's
+// epoch-global index, so the drawn items do not depend on which worker
+// processes the shard or when. Training results are therefore
+// bit-identical for any `TrainConfig::runtime.num_threads` in either
+// mode, with no serial pre-draw stage at all (see runtime/thread_pool.h
+// for the sharding contract and math/rng.h for the stream discipline).
 // Negative scoring is fused: the shard gathers + normalizes a sample's
 // negatives as one block (vec::GatherNormalize) and scores it with one
 // blocked batch kernel (vec::DotBatch) instead of N- strided dots.
@@ -167,11 +185,14 @@ class Trainer {
   // count — or results would change with num_threads.
   static constexpr size_t kSampledGrain = 32;
   static constexpr size_t kInBatchGrain = 16;
+  // Rows per task of the in-batch row owners. Each row is computed by
+  // one owner alone, so the grain moves only load balance, never bits.
+  static constexpr size_t kOwnerGrain = 8;
 
-  // Sparse partial gradients produced by one shard: the embedding rows
-  // its samples touched, in first-touch order, each with a d-wide
-  // accumulated gradient. Reduced into the model serially in shard
-  // order, which is what makes training thread-count invariant.
+  // Sparse partial gradients produced by one sampled-mode shard: the
+  // embedding rows its samples touched, in first-touch order, each with
+  // a d-wide accumulated gradient. Reduced into the model serially in
+  // shard order, which is what makes training thread-count invariant.
   struct ShardGrad {
     std::vector<uint32_t> user_rows, item_rows;
     std::vector<float> user_vals, item_vals;  // rows.size() x dim, packed
@@ -184,14 +205,67 @@ class Trainer {
     std::vector<uint32_t> slot;
   };
 
+  // One in-batch pair's loss coefficient (dL/dscore over the batch size)
+  // and the score its gradient term uses.
+  struct PairTerm {
+    float coeff;
+    float score;
+  };
+
+  // The terms of one vec::AccumulateCosineGradRun call: other row,
+  // score and CosineGradScale multiplier per term.
+  struct GradRun {
+    std::vector<uint32_t> idx;
+    std::vector<float> score, scale;
+    size_t size = 0;
+    void Reserve(size_t cap);
+    void Add(size_t row, float s, float sc) {
+      idx[size] = static_cast<uint32_t>(row);
+      score[size] = s;
+      scale[size++] = sc;
+    }
+    // grad += the run's terms, with rows of `others` d floats apart.
+    void AccumulateInto(const float* self_hat, const float* others,
+                        size_t d, float* grad) const;
+  };
+
   // Per-worker temporaries, reused across shards and batches.
   struct WorkerScratch {
+    // Sampled mode only (the tag arrays are O(users + items)).
     SlotMap users, items;
     uint64_t shard_tag = 0;
     std::vector<float> u_hat, i_hat;
     std::vector<uint32_t> negs;  // this sample's drawn negatives, N- wide
     Matrix j_hat;                // gathered normalized negatives, N- x d
     std::vector<float> j_norm, neg_scores, d_neg;
+    // In-batch mode: the shard's score and coefficient rows
+    // (kInBatchGrain x tile_stride), one gradient run, one item partial.
+    std::vector<float> tile, coeff, partial;
+    GradRun run;
+    void PrepareInBatch(size_t b, size_t run_cap, size_t tile_size);
+  };
+
+  // One in-batch batch's shared state, reused across batches. Rows are
+  // indexed by sample position s in [0, b).
+  struct InBatchBuffers {
+    std::vector<float> u_hat, i_hat;     // b x d normalized rows
+    std::vector<double> u_wide, i_wide;  // the same, widened for DotTile
+    std::vector<float> u_norm, i_norm, logq_shift;
+    // (row << 32 | s) sorted, and the offsets where each row's run of
+    // sample positions starts (plus the end): the phase-B owners.
+    std::vector<uint64_t> user_occ, item_occ;
+    std::vector<uint32_t> user_runs, item_runs;
+    // user_head[s]: the first sample of s's shard with s's user; that
+    // (user, shard)'s partial gradient is row user_head[s] of user_part.
+    std::vector<uint32_t> user_head;
+    std::vector<float> user_part;  // b x d
+    // Item-major pairs: pairs[t * pair_stride + s] is the pair (user of
+    // s, item of t); the diagonal holds each sample's positive.
+    std::vector<PairTerm> pairs;
+    std::vector<double> shard_loss;
+    size_t b = 0;  // the batch size
+    size_t tile_stride = 0, pair_stride = 0;
+    void Resize(size_t batch, size_t d);
   };
 
   // Returns the shard-local accumulator row for `row`, creating (and
@@ -210,16 +284,28 @@ class Trainer {
                                      uint64_t epoch);
   // Sampled-negatives (Algorithm 1) and in-batch (Algorithm 2) loss
   // accumulation over the final embeddings; both only write into the
-  // model's final-embedding gradient buffers (via the shard reduction).
-  // Sample s of the batch draws negatives from the counter-based stream
-  // keyed (stream_seed_, epoch, begin + s) — `begin` doubles as the
-  // batch's epoch-global sample offset.
+  // model's final-embedding gradient buffers (the sampled path via the
+  // shard reduction, the in-batch path via its row owners). Sample s of
+  // the batch draws negatives from the counter-based stream keyed
+  // (stream_seed_, epoch, begin + s) — `begin` doubles as the batch's
+  // epoch-global sample offset.
   double AccumulateSampledLoss(const std::vector<Edge>& edges, size_t begin,
                                size_t end, uint64_t epoch);
   double AccumulateInBatchLoss(const std::vector<Edge>& edges, size_t begin,
                                size_t end);
-  // Adds every shard's partial gradients into the model's gradient
-  // tables in shard order; returns the summed loss.
+  // The in-batch phases (see the header comment). Phase A for samples
+  // [lo, hi) of `batch`: returns the shard's loss sum. Phase B: the
+  // owners of the batch's r-th distinct item row and u-th user row.
+  double InBatchShard(const Edge* batch, size_t lo, size_t hi,
+                      WorkerScratch& ws);
+  void OwnItemRow(size_t r, WorkerScratch& ws);
+  void OwnUserRow(size_t u);
+  // Sorts (row << 32 | sample) keys and writes where each row's run
+  // starts, plus the end; returns the longest run.
+  static size_t SortIntoRuns(std::vector<uint64_t>& occ,
+                             std::vector<uint32_t>& runs);
+  // Adds every sampled-mode shard's partial gradients into the model's
+  // gradient tables in shard order; returns the summed loss.
   double ReduceShards(size_t num_shards);
 
   // Freezes (or reuses — see Evaluate) a snapshot of the model's
@@ -241,7 +327,8 @@ class Trainer {
   TrainConfig config_;
   std::unique_ptr<runtime::ThreadPool> pool_;
   std::vector<WorkerScratch> scratch_;   // one per pool worker
-  std::vector<ShardGrad> shards_;        // one per shard, reused per batch
+  std::vector<ShardGrad> shards_;        // sampled mode: one per shard
+  InBatchBuffers in_batch_;              // in-batch mode
   Evaluator evaluator_;
   std::unique_ptr<AsyncEvaluator> async_eval_;  // null unless async_eval
   std::unique_ptr<Optimizer> optimizer_;

@@ -1,6 +1,8 @@
 #include "core/losses.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -174,6 +176,35 @@ TEST(BslLossTest, RatioScalesNegativePart) {
   BilateralSoftmaxLoss(0.1, 0.2).Compute(0.3f, negs, &dp1, g);
   BilateralSoftmaxLoss(0.2, 0.2).Compute(0.3f, negs, &dp2, g);
   EXPECT_NEAR(dp1, 2.0 * dp2, 1e-5);
+}
+
+TEST(BslLossTest, LossValueRoundsTheProductBeforeTheSum) {
+  // The loss value is -f+/tau1 + (tau1/tau2) * lse with the product
+  // rounded on its own. A build that fused it into one FMA (GCC does at
+  // -march=native unless the library is built with -ffp-contract=off)
+  // would round once and report other loss bits than a portable build.
+  // The input is chosen so the two roundings differ.
+  const double tau1 = 0.15, tau2 = 0.11;
+  const BilateralSoftmaxLoss bsl(tau1, tau2);
+  const SoftmaxLoss sl(tau2);  // same lse; -0/tau2 + lse is lse exactly
+  const std::vector<float> negs = {0.31f, -0.42f, 0.05f, 0.77f, -0.13f};
+  std::vector<float> d_neg(negs.size());
+  float d_pos = 0.0f;
+  const double lse = sl.Compute(0.0f, negs, &d_pos, d_neg);
+  const double ratio = tau1 / tau2;
+  volatile double product = ratio * lse;  // rounded to double here
+  bool found = false;
+  for (int k = 0; k < 1000 && !found; ++k) {
+    const float pos = -1.0f + 0.002f * static_cast<float>(k);
+    const double head = -static_cast<double>(pos) / tau1;
+    const double expected = head + product;
+    if (std::fma(ratio, lse, head) == expected) continue;
+    found = true;
+    EXPECT_EQ(std::bit_cast<uint64_t>(bsl.Compute(pos, negs, &d_pos, d_neg)),
+              std::bit_cast<uint64_t>(expected))
+        << "pos=" << pos;
+  }
+  ASSERT_TRUE(found) << "no input separates fused from unfused rounding";
 }
 
 TEST(BslLossTest, AccessorsReturnConfiguredTemperatures) {

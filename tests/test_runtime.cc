@@ -5,19 +5,27 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/losses.h"
 #include "data/synthetic.h"
+#include "graph/bipartite_graph.h"
 #include "gtest/gtest.h"
+#include "math/vec.h"
+#include "models/lightgcn.h"
 #include "models/mf.h"
 #include "sampling/negative_sampler.h"
 #include "test_util.h"
+#include "train/optimizer.h"
 #include "train/trainer.h"
 
 namespace bslrec {
@@ -270,6 +278,255 @@ TEST(RuntimeEquivalence, SgdTrainingIsThreadCountInvariant) {
   ExpectBitIdentical(t1, t8);
   // SGD actually trained: the loss moved.
   EXPECT_NE(t1.history.front().avg_loss, t1.history.back().avg_loss);
+}
+
+// ---- in-batch row owners against the per-shard slot backend ----
+//
+// The in-batch (Algorithm 2) gradient as the trainer computed it before
+// it scored in tiles and scattered through row owners: per-pair
+// vec::Dot, per-shard first-touch slots filled by
+// vec::AccumulateCosineGrad, and a serial shard-order reduction into
+// the gradient tables. Shards of 16 samples, like the trainer's. The
+// shards run serially here; their bits never depended on the worker.
+class SlotBackendOracle {
+ public:
+  SlotBackendOracle(const Dataset& data, EmbeddingModel& model,
+                    const LossFunction& loss, const TrainConfig& cfg)
+      : data_(data),
+        model_(model),
+        loss_(loss),
+        cfg_(cfg),
+        optimizer_(cfg.lr, cfg.weight_decay),
+        rng_(cfg.seed) {}
+
+  // Trainer::RunEpoch's loop: shuffle, then per batch Forward, ZeroGrad,
+  // loss, aux, Backward and the Adam step. Returns the mean loss.
+  double RunEpoch() {
+    std::vector<Edge> edges = data_.train_edges();
+    rng_.Shuffle(edges);
+    double loss_sum = 0.0;
+    for (size_t begin = 0; begin < edges.size(); begin += cfg_.batch_size) {
+      const size_t end = std::min(edges.size(), begin + cfg_.batch_size);
+      model_.Forward(rng_);
+      model_.ZeroGrad();
+      loss_sum += InBatchLoss(edges, begin, end);
+      std::vector<uint32_t> users, items;
+      for (size_t s = begin; s < end; ++s) {
+        users.push_back(edges[s].user);
+        items.push_back(edges[s].item);
+      }
+      std::sort(users.begin(), users.end());
+      users.erase(std::unique(users.begin(), users.end()), users.end());
+      std::sort(items.begin(), items.end());
+      items.erase(std::unique(items.begin(), items.end()), items.end());
+      model_.AuxLossAndGrad(users, items, rng_);
+      model_.Backward();
+      optimizer_.Step(model_.Params());
+    }
+    return loss_sum / static_cast<double>(edges.size());
+  }
+
+ private:
+  // One shard's sparse gradient rows in first-touch order.
+  struct Slots {
+    std::vector<uint32_t> rows;
+    std::vector<float> vals;
+    std::vector<int> slot_of;  // row -> slot, -1 when untouched
+    float* Get(uint32_t row, size_t d) {
+      if (slot_of[row] < 0) {
+        slot_of[row] = static_cast<int>(rows.size());
+        rows.push_back(row);
+        vals.resize(vals.size() + d, 0.0f);
+      }
+      return vals.data() + static_cast<size_t>(slot_of[row]) * d;
+    }
+  };
+
+  double InBatchLoss(const std::vector<Edge>& edges, size_t begin,
+                     size_t end) {
+    const size_t d = model_.dim();
+    const size_t b = end - begin;
+    if (b < 2) return 0.0;
+    const float inv_batch = 1.0f / static_cast<float>(b);
+    Matrix u_hat(b, d), i_hat(b, d);
+    std::vector<float> u_norm(b), i_norm(b), logq_shift(b, 0.0f);
+    for (size_t s = 0; s < b; ++s) {
+      const Edge& e = edges[begin + s];
+      u_norm[s] = vec::Normalize(model_.UserEmb(e.user), u_hat.Row(s), d);
+      i_norm[s] = vec::Normalize(model_.ItemEmb(e.item), i_hat.Row(s), d);
+    }
+    if (cfg_.inbatch_logq_tau > 0.0) {
+      const double total =
+          static_cast<double>(data_.num_train()) + data_.num_items();
+      for (size_t t = 0; t < b; ++t) {
+        const double pop = data_.item_popularity()[edges[begin + t].item];
+        const double q = (pop + 1.0) / total;
+        logq_shift[t] = static_cast<float>(cfg_.inbatch_logq_tau * std::log(q));
+      }
+    }
+    std::vector<Slots> user_slots, item_slots;
+    std::vector<double> shard_loss;
+    std::vector<float> neg_scores(b - 1), d_neg(b - 1);
+    for (size_t lo = 0; lo < b; lo += 16) {
+      const size_t hi = std::min(b, lo + 16);
+      Slots& us = user_slots.emplace_back();
+      Slots& is = item_slots.emplace_back();
+      us.slot_of.assign(data_.num_users(), -1);
+      is.slot_of.assign(data_.num_items(), -1);
+      double loss_sum = 0.0;
+      for (size_t s = lo; s < hi; ++s) {
+        const uint32_t u = edges[begin + s].user;
+        const uint32_t i = edges[begin + s].item;
+        const float pos_score = vec::Dot(u_hat.Row(s), i_hat.Row(s), d);
+        size_t idx = 0;
+        for (size_t t = 0; t < b; ++t) {
+          if (t == s) continue;
+          neg_scores[idx++] =
+              vec::Dot(u_hat.Row(s), i_hat.Row(t), d) - logq_shift[t];
+        }
+        float d_pos = 0.0f;
+        loss_sum += loss_.Compute(pos_score, neg_scores, &d_pos, d_neg);
+        const float d_pos_scaled = d_pos * inv_batch;
+        vec::AccumulateCosineGrad(u_hat.Row(s), i_hat.Row(s), pos_score,
+                                  u_norm[s], d_pos_scaled, us.Get(u, d), d);
+        vec::AccumulateCosineGrad(i_hat.Row(s), u_hat.Row(s), pos_score,
+                                  i_norm[s], d_pos_scaled, is.Get(i, d), d);
+        idx = 0;
+        for (size_t t = 0; t < b; ++t) {
+          if (t == s) continue;
+          const float g = d_neg[idx] * inv_batch;
+          const float score = neg_scores[idx] + logq_shift[t];
+          ++idx;
+          if (g == 0.0f) continue;
+          vec::AccumulateCosineGrad(u_hat.Row(s), i_hat.Row(t), score,
+                                    u_norm[s], g, us.Get(u, d), d);
+          vec::AccumulateCosineGrad(i_hat.Row(t), u_hat.Row(s), score,
+                                    i_norm[t], g,
+                                    is.Get(edges[begin + t].item, d), d);
+        }
+      }
+      shard_loss.push_back(loss_sum);
+    }
+    double loss_sum = 0.0;
+    for (size_t sh = 0; sh < shard_loss.size(); ++sh) {
+      for (size_t r = 0; r < user_slots[sh].rows.size(); ++r) {
+        vec::Axpy(1.0f, user_slots[sh].vals.data() + r * d,
+                  model_.UserGrad(user_slots[sh].rows[r]), d);
+      }
+      for (size_t r = 0; r < item_slots[sh].rows.size(); ++r) {
+        vec::Axpy(1.0f, item_slots[sh].vals.data() + r * d,
+                  model_.ItemGrad(item_slots[sh].rows[r]), d);
+      }
+      loss_sum += shard_loss[sh];
+    }
+    return loss_sum;
+  }
+
+  const Dataset& data_;
+  EmbeddingModel& model_;
+  const LossFunction& loss_;
+  TrainConfig cfg_;
+  AdamOptimizer optimizer_;
+  Rng rng_;
+};
+
+// Random train/test edges in which users (few users) or items (few
+// items) repeat inside every 16-sample shard.
+Dataset RepeatingCatalog(uint32_t num_users, uint32_t num_items,
+                         size_t train_per_user, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Edge> train, test;
+  for (uint32_t u = 0; u < num_users; ++u) {
+    const std::vector<uint32_t> items = rng.SampleWithoutReplacement(
+        num_items, static_cast<uint32_t>(train_per_user + 1));
+    for (size_t k = 0; k < train_per_user; ++k) train.push_back({u, items[k]});
+    test.push_back({u, items[train_per_user]});
+  }
+  return Dataset(num_users, num_items, std::move(train), std::move(test));
+}
+
+bool SameParamBits(EmbeddingModel& a, EmbeddingModel& b) {
+  const std::vector<ParamGrad> pa = a.Params(), pb = b.Params();
+  if (pa.size() != pb.size()) return false;
+  for (size_t k = 0; k < pa.size(); ++k) {
+    const Matrix& x = *pa[k].value;
+    const Matrix& y = *pb[k].value;
+    if (x.size() != y.size()) return false;
+    for (size_t e = 0; e < x.size(); ++e) {
+      if (std::bit_cast<uint32_t>(x.data()[e]) !=
+          std::bit_cast<uint32_t>(y.data()[e])) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+TEST(InBatchRowOwners, TrainBitIdenticallyToPerShardSlotBackend) {
+  // Every dim x batch cell runs once, and the 24 cells also walk every
+  // (catalog, logQ, loss, backbone) combination once, so each value of
+  // each axis meets several partners. Each run is compared at 1, 2 and
+  // 8 threads: per-epoch losses and trained parameters, bit for bit.
+  const Dataset few_users = RepeatingCatalog(20, 300, 30, 61);
+  const Dataset few_items = RepeatingCatalog(300, 15, 2, 62);
+  const BipartiteGraph few_users_graph(few_users);
+  const BipartiteGraph few_items_graph(few_items);
+  const BilateralSoftmaxLoss bsl(0.2, 0.25);
+  const BprLoss bpr;
+  const CmlLoss cml(0.5);
+  const LossFunction* losses[] = {&bsl, &bpr, &cml};
+  size_t cell = 0;
+  for (const size_t dim : {1u, 7u, 17u, 64u}) {
+    for (const size_t batch : {2u, 3u, 15u, 33u, 130u, 512u}) {
+      const bool users_repeat = cell % 2 == 0;
+      const bool logq = cell / 2 % 2 == 0;
+      const LossFunction& loss = *losses[cell / 4 % 3];
+      const bool lightgcn = cell / 12 % 2 == 1;
+      ++cell;
+      const Dataset& data = users_repeat ? few_users : few_items;
+      const BipartiteGraph& graph =
+          users_repeat ? few_users_graph : few_items_graph;
+      const auto make_model = [&]() -> std::unique_ptr<EmbeddingModel> {
+        Rng init(17);
+        if (lightgcn) {
+          return std::make_unique<LightGcnModel>(graph, dim, 2, init);
+        }
+        return std::make_unique<MfModel>(data.num_users(), data.num_items(),
+                                         dim, init);
+      };
+      TrainConfig cfg;
+      cfg.epochs = 2;
+      cfg.batch_size = batch;
+      cfg.sampling_mode = SamplingMode::kInBatch;
+      cfg.inbatch_logq_tau = logq ? 0.25 : 0.0;
+      cfg.seed = 5 + cell;
+      const std::string where =
+          "dim=" + std::to_string(dim) + " batch=" + std::to_string(batch) +
+          (users_repeat ? " 20x300" : " 300x15") + (logq ? " logQ " : " ") +
+          std::string(loss.name()) + (lightgcn ? " LightGCN" : " MF");
+
+      const std::unique_ptr<EmbeddingModel> oracle_model = make_model();
+      SlotBackendOracle oracle(data, *oracle_model, loss, cfg);
+      std::vector<double> oracle_losses;
+      for (int e = 0; e < cfg.epochs; ++e) {
+        oracle_losses.push_back(oracle.RunEpoch());
+      }
+      for (const size_t threads : {1u, 2u, 8u}) {
+        cfg.runtime.num_threads = threads;
+        const std::unique_ptr<EmbeddingModel> model = make_model();
+        UniformNegativeSampler sampler(data);
+        Trainer trainer(data, *model, loss, sampler, cfg);
+        for (int e = 0; e < cfg.epochs; ++e) {
+          const double got = trainer.RunEpoch(e + 1).avg_loss;
+          EXPECT_EQ(std::bit_cast<uint64_t>(got),
+                    std::bit_cast<uint64_t>(oracle_losses[e]))
+              << where << " threads=" << threads << " epoch " << e + 1;
+        }
+        EXPECT_TRUE(SameParamBits(*model, *oracle_model))
+            << where << " threads=" << threads;
+      }
+    }
+  }
 }
 
 TEST(RuntimeEquivalence, EvaluatorIsThreadCountInvariant) {

@@ -1,6 +1,8 @@
 #include "math/vec.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -455,6 +457,149 @@ TEST(Vec, L1NormMatchesNaiveSum) {
   const float x[] = {1.0f, -2.0f, 3.0f, -4.0f, 0.5f};
   EXPECT_DOUBLE_EQ(vec::L1Norm(x, 5), 10.5);
   EXPECT_DOUBLE_EQ(vec::L1Norm(x, 0), 0.0);
+}
+
+// Values that stress an exactness contract: signed zeros, subnormals,
+// large magnitudes and signed powers of two mixed into Gaussian values.
+// The powers of two are +-1 and +-2^31, so their products include 2^62,
+// which absorbs a 1 in double but cancels exactly against -2^62: a sum
+// taken in another order than the contract's then differs by whole
+// units, which survive the narrowing to float.
+std::vector<float> HardValues(size_t n, Rng& rng) {
+  std::vector<float> x(n);
+  for (float& v : x) {
+    const float g = static_cast<float>(rng.NextGaussian());
+    switch (rng.NextIndex(12)) {
+      case 8:
+      case 9:
+      case 10:
+      case 11:
+        v = std::ldexp(g < 0.0f ? -1.0f : 1.0f,
+                       31 * static_cast<int>(rng.NextIndex(2)));
+        break;
+      case 0:
+        v = 0.0f;
+        break;
+      case 1:
+        v = -0.0f;
+        break;
+      case 2:
+        v = 1e-40f * g;  // subnormal
+        break;
+      case 3:
+        v = 1e18f * g;
+        break;
+      default:
+        v = g;
+    }
+  }
+  return x;
+}
+
+// d = 0-37 crosses every tail of the four-lane tree twice over; 64 is
+// the training dim.
+std::vector<size_t> TileDims() {
+  std::vector<size_t> dims;
+  for (size_t d = 0; d <= 37; ++d) dims.push_back(d);
+  dims.push_back(64);
+  return dims;
+}
+
+TEST(Vec, DotTileBitwiseMatchesDot) {
+  // Every entry of the tile must be Dot over the float rows, bit for
+  // bit, for odd and even block shapes and an output stride wider than
+  // the tile; the padding columns stay untouched.
+  Rng rng(41);
+  const float kSentinel = 12345.0f;
+  for (const size_t d : TileDims()) {
+    for (const size_t m : {1u, 2u, 3u, 5u, 16u}) {
+      for (const size_t n : {1u, 2u, 3u, 5u, 16u}) {
+        const std::vector<float> q = HardValues(m * d, rng);
+        const std::vector<float> rows = HardValues(n * d, rng);
+        std::vector<double> q_wide(m * d), rows_wide(n * d);
+        vec::Widen(q.data(), m * d, q_wide.data());
+        vec::Widen(rows.data(), n * d, rows_wide.data());
+        const size_t stride = n + 3;
+        std::vector<float> out(m * stride, kSentinel);
+        std::vector<float> ref_out(m * stride, kSentinel);
+        vec::DotTile(q_wide.data(), m, rows_wide.data(), n, d, out.data(),
+                     stride);
+        vec::ref::DotTile(q_wide.data(), m, rows_wide.data(), n, d,
+                          ref_out.data(), stride);
+        for (size_t i = 0; i < m; ++i) {
+          for (size_t j = 0; j < stride; ++j) {
+            const float got = out[i * stride + j];
+            const float want =
+                j < n ? vec::Dot(q.data() + i * d, rows.data() + j * d, d)
+                      : kSentinel;
+            EXPECT_EQ(std::bit_cast<uint32_t>(got),
+                      std::bit_cast<uint32_t>(want))
+                << "d=" << d << " m=" << m << " n=" << n << " (" << i << ", "
+                << j << ")";
+            EXPECT_EQ(std::bit_cast<uint32_t>(ref_out[i * stride + j]),
+                      std::bit_cast<uint32_t>(want))
+                << "ref d=" << d << " m=" << m << " n=" << n;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Vec, AccumulateCosineGradRunMatchesCallLoopBitwise) {
+  // A run must be the loop of AccumulateCosineGrad calls it replaces,
+  // bit for bit, zero coefficients included (the run skips nothing),
+  // with repeated rows, an all-zero norm (the 1e-12 guard) and a row
+  // stride wider than the row.
+  Rng rng(43);
+  constexpr size_t kRows = 7;
+  for (const size_t n : TileDims()) {
+    for (const size_t m : {0u, 1u, 2u, 5u, 17u}) {
+      for (const float norm : {0.0f, 0.7f, 3.5f}) {
+        const size_t stride = n + 2;
+        const std::vector<float> self = HardValues(n, rng);
+        std::vector<float> others = HardValues(kRows * stride, rng);
+        std::vector<uint32_t> idx(m);
+        std::vector<float> scores(m), coeffs(m), scales(m);
+        for (size_t j = 0; j < m; ++j) {
+          idx[j] = static_cast<uint32_t>(rng.NextIndex(kRows));
+          scores[j] = static_cast<float>(rng.NextGaussian());
+          if (j % 3 == 1) {
+            coeffs[j] = 0.0f;
+          } else if (j % 5 == 2) {
+            coeffs[j] = -0.0f;
+          } else {
+            coeffs[j] = static_cast<float>(rng.NextGaussian());
+          }
+          scales[j] = vec::CosineGradScale(coeffs[j], norm);
+        }
+        std::vector<float> want(n);
+        for (float& v : want) v = static_cast<float>(rng.NextGaussian());
+        std::vector<float> got = want, ref_got = want;
+        for (size_t j = 0; j < m; ++j) {
+          vec::AccumulateCosineGrad(self.data(),
+                                    others.data() + idx[j] * stride,
+                                    scores[j], norm, coeffs[j], want.data(),
+                                    n);
+        }
+        vec::AccumulateCosineGradRun(self.data(), others.data(), stride,
+                                     idx.data(), scores.data(), scales.data(),
+                                     m, got.data(), n);
+        vec::ref::AccumulateCosineGradRun(self.data(), others.data(), stride,
+                                          idx.data(), scores.data(),
+                                          scales.data(), m, ref_got.data(),
+                                          n);
+        for (size_t k = 0; k < n; ++k) {
+          EXPECT_EQ(std::bit_cast<uint32_t>(got[k]),
+                    std::bit_cast<uint32_t>(want[k]))
+              << "n=" << n << " m=" << m << " norm=" << norm << " k=" << k;
+          EXPECT_EQ(std::bit_cast<uint32_t>(ref_got[k]),
+                    std::bit_cast<uint32_t>(want[k]))
+              << "ref n=" << n << " m=" << m << " norm=" << norm;
+        }
+      }
+    }
+  }
 }
 
 TEST(Vec, AccumulateCosineGradScalesWithCoeff) {
