@@ -25,11 +25,11 @@ struct RuntimeConfig {
   // `num_threads` budget; the two pools timeshare the machine through
   // the OS scheduler. 0 = share/steal policy: the eval pool is sized to
   // half the resolved training worker count (at least 1), so an
-  // overlapped pass mostly soaks up the cycles the trainer's serial
-  // sections (optimizer step, shard reduction) leave idle instead of
-  // doubling the thread count. Results never depend on this value —
-  // evaluation is thread-count invariant — so the knob is purely about
-  // wall time.
+  // overlapped pass mostly soaks up the cycles the trainer leaves idle
+  // (its serial per-batch bookkeeping between the pooled phases, and the
+  // workers' waits at each phase's end) instead of doubling the thread
+  // count. Results never depend on this value — evaluation is
+  // thread-count invariant — so the knob is purely about wall time.
   size_t eval_threads = 0;
 };
 

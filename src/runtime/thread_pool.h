@@ -38,14 +38,15 @@
 //     output is computed by identical floating-point operations in
 //     iteration order, and the reduction order is fixed, the final
 //     result is bit-identical for any `num_threads` — including 1.
-//   * The trainer (sharded gradient buffers), the evaluator (per-user
-//     metric slots) and the benches all follow this pattern; new
-//     subsystems (sharding, batching, async pipelines) should too.
+//   * The trainer (per-shard loss sums), the evaluator (per-user metric
+//     slots) and the benches all follow this pattern; new subsystems
+//     (sharding, batching, async pipelines) should too.
 //   * Row owners need no reduction at all: when every output row is
 //     written by exactly one task, which sums that row's terms in an
 //     order fixed by the input, the result cannot depend on the worker
-//     count either. The trainer's in-batch gradient (phase B) and the
-//     optimizer step (disjoint element ranges) work this way.
+//     count either. The trainer's gradient in both sampling modes
+//     (phase B) and the optimizer step (disjoint element ranges) work
+//     this way.
 //
 // How to pin the worker count
 //   * `RuntimeConfig{.num_threads = N}` threads through `TrainConfig`,

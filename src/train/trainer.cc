@@ -17,27 +17,6 @@ constexpr uint64_t kSamplingStreamSalt = 0x4E45474154495645ULL;  // "NEGATIVE"
 
 }  // namespace
 
-float* Trainer::GradSlot(SlotMap& map, uint64_t shard_tag,
-                         std::vector<uint32_t>& rows,
-                         std::vector<float>& vals, uint32_t row, size_t d) {
-  if (map.tag[row] != shard_tag) {
-    map.tag[row] = shard_tag;
-    map.slot[row] = static_cast<uint32_t>(rows.size());
-    rows.push_back(row);
-    vals.resize(vals.size() + d, 0.0f);
-  }
-  return vals.data() + static_cast<size_t>(map.slot[row]) * d;
-}
-
-void Trainer::BeginShard(WorkerScratch& ws, ShardGrad& out) {
-  ++ws.shard_tag;
-  out.user_rows.clear();
-  out.item_rows.clear();
-  out.user_vals.clear();
-  out.item_vals.clear();
-  out.loss_sum = 0.0;
-}
-
 Trainer::Trainer(const Dataset& data, EmbeddingModel& model,
                  const LossFunction& loss, const NegativeSampler& sampler,
                  const TrainConfig& config)
@@ -73,24 +52,23 @@ Trainer::Trainer(const Dataset& data, EmbeddingModel& model,
   model_.SetRuntime(pool_.get());
   optimizer_->SetRuntime(pool_.get());
   const size_t d = model.dim();
-  const size_t n_neg = config.num_negatives;
+  const size_t slots = 1 + config.num_negatives;
   const bool sampled =
       config.sampling_mode == SamplingMode::kSampledNegatives;
   for (WorkerScratch& ws : scratch_) {
-    if (sampled) {
-      ws.users.tag.assign(data.num_users(), 0);
-      ws.users.slot.assign(data.num_users(), 0);
-      ws.items.tag.assign(data.num_items(), 0);
-      ws.items.slot.assign(data.num_items(), 0);
-    }
-    ws.u_hat.resize(d);
     ws.i_hat.resize(d);
     ws.partial.resize(d);
-    ws.negs.resize(n_neg);
-    ws.j_hat = Matrix(n_neg, d);
-    ws.j_norm.resize(n_neg);
-    ws.neg_scores.resize(n_neg);
-    ws.d_neg.resize(n_neg);
+    if (sampled) {
+      ws.block.resize(slots * d);
+      ws.block_norm.resize(slots);
+    }
+  }
+  if (sampled) {
+    // Item terms index a batch's (sample, slot) pairs in 32 bits.
+    BSLREC_CHECK_MSG(config.batch_size <= UINT32_MAX / slots,
+                     "batch_size x (1 + num_negatives) exceeds 2^32");
+    batch_.slots = slots;
+    batch_.item_cursor.resize(data.num_items());
   }
 }
 
@@ -111,150 +89,251 @@ void Trainer::GradRun::AccumulateInto(const float* self_hat,
                                scale.data(), size, grad, d);
 }
 
-void Trainer::WorkerScratch::PrepareInBatch(size_t b, size_t run_cap,
-                                            size_t tile_size) {
+void Trainer::WorkerScratch::PrepareInBatch(size_t b, size_t tile_size) {
   if (neg_scores.size() < b) {
     neg_scores.resize(b);
     d_neg.resize(b);
   }
-  run.Reserve(run_cap);
   if (tile.size() < tile_size) {
     tile.resize(tile_size);
     coeff.resize(tile_size);
   }
 }
 
-void Trainer::InBatchBuffers::Resize(size_t batch, size_t d) {
+void Trainer::BatchBuffers::Resize(size_t batch, size_t d) {
   b = batch;
+  u_hat.resize(b * d);
+  user_occ.resize(b);
+  user_head.resize(b);
+  user_part.resize(b * d);
+  if (slots > 0) {
+    slot_item.resize(b * slots);
+    slot_score.resize(b * slots);
+    slot_coeff.resize(b * slots);
+    item_terms.resize(b * slots);
+  }
+}
+
+void Trainer::BatchBuffers::ResizeInBatch(size_t d) {
   // Row strides of 16 floats (or 8 pairs) past a multiple of 16: at
   // b = 1024 an unpadded stride is exactly 4 KiB, and the item-major
   // copy's column walks would keep landing in the same L1 cache sets.
   const size_t padded = (b + 15) / 16 * 16;
   tile_stride = padded + 16;
   pair_stride = padded + 8;
-  u_hat.resize(b * d);
   i_hat.resize(b * d);
   u_wide.resize(b * d);
   i_wide.resize(b * d);
   u_norm.resize(b);
   i_norm.resize(b);
   logq_shift.resize(b);
-  user_occ.resize(b);
   item_occ.resize(b);
-  user_head.resize(b);
-  user_part.resize(b * d);
   pairs.resize(b * pair_stride);
 }
 
-double Trainer::ReduceShards(size_t num_shards) {
-  const size_t d = model_.dim();
-  double loss_sum = 0.0;
-  for (size_t sh = 0; sh < num_shards; ++sh) {
-    const ShardGrad& g = shards_[sh];
-    for (size_t r = 0; r < g.user_rows.size(); ++r) {
-      vec::Axpy(1.0f, g.user_vals.data() + r * d,
-                model_.UserGrad(g.user_rows[r]), d);
-    }
-    for (size_t r = 0; r < g.item_rows.size(); ++r) {
-      vec::Axpy(1.0f, g.item_vals.data() + r * d,
-                model_.ItemGrad(g.item_rows[r]), d);
-    }
-    loss_sum += g.loss_sum;
+std::optional<size_t> Trainer::FirstNonFiniteShard() const {
+  for (size_t sh = 0; sh < batch_.shard_loss.size(); ++sh) {
+    if (!std::isfinite(batch_.shard_loss[sh])) return sh;
   }
-  return loss_sum;
+  return std::nullopt;
 }
 
-double Trainer::AccumulateSampledLoss(const std::vector<Edge>& edges,
-                                      size_t begin, size_t end,
-                                      uint64_t epoch) {
-  const size_t d = model_.dim();
-  const size_t n_neg = config_.num_negatives;
+std::optional<size_t> Trainer::AccumulateSampledLoss(
+    const std::vector<Edge>& edges, size_t begin, size_t end, uint64_t epoch) {
+  BatchBuffers& buf = batch_;
   const size_t b = end - begin;
-  const float inv_batch = 1.0f / static_cast<float>(b);
+  buf.Resize(b, model_.dim());
+  const Edge* batch = edges.data() + begin;
 
-  // Negatives are drawn inside the shards: sample s reads the
+  // Phase A. Negatives are drawn inside the shards: sample s reads the
   // counter-based stream keyed (stream_seed_, epoch, begin + s), a pure
   // function of the sample's epoch-global index, so the drawn items —
   // and therefore the whole training run — do not depend on the worker
   // count. The virtual sampler lookup is hoisted out of the loop here.
-  const SamplerDispatch sample = sampler_.Dispatch();
-  const Matrix& item_table = model_.FinalItemMatrix();
-
-  const size_t num_shards = (b + kSampledGrain - 1) / kSampledGrain;
-  if (shards_.size() < num_shards) shards_.resize(num_shards);
+  const SamplerDispatch draw = sampler_.Dispatch();
+  const size_t run_cap = kSampledGrain * buf.slots;
+  buf.shard_loss.assign((b + kSampledGrain - 1) / kSampledGrain, 0.0);
   runtime::ParallelFor(
       *pool_, 0, b, kSampledGrain,
       [&](size_t lo, size_t hi, size_t shard, size_t worker) {
         WorkerScratch& ws = scratch_[worker];
-        ShardGrad& out = shards_[shard];
-        BeginShard(ws, out);
-        for (size_t s = lo; s < hi; ++s) {
-          const uint32_t u = edges[begin + s].user;
-          const uint32_t i = edges[begin + s].item;
-          StreamRng stream(stream_seed_, epoch, begin + s);
-          sample(u, stream, {ws.negs.data(), n_neg});
-          const uint32_t* negs = ws.negs.data();
+        ws.run.Reserve(run_cap);
+        buf.shard_loss[shard] =
+            SampledShard(batch, lo, hi, draw, epoch, begin, ws);
+      });
+  if (const auto bad = FirstNonFiniteShard()) return bad;
 
-          const float u_norm =
-              vec::Normalize(model_.UserEmb(u), ws.u_hat.data(), d);
-          const float i_norm =
-              vec::Normalize(model_.ItemEmb(i), ws.i_hat.data(), d);
-          const float pos_score =
-              vec::Dot(ws.u_hat.data(), ws.i_hat.data(), d);
-          // Fused scoring: one gather+normalize over the negative block,
-          // one blocked batch dot against it.
-          vec::GatherNormalize(item_table.data(), item_table.cols(), negs,
-                               n_neg, d, ws.j_hat.data(), ws.j_norm.data());
-          vec::DotBatch(ws.u_hat.data(), ws.j_hat.data(), n_neg, d,
-                        ws.neg_scores.data());
+  GroupSampledItemTerms();
+  OwnRows(batch, buf.touched.size(), run_cap);
+  return std::nullopt;
+}
 
-          float d_pos = 0.0f;
-          out.loss_sum +=
-              loss_.Compute(pos_score, {ws.neg_scores.data(), n_neg}, &d_pos,
-                            {ws.d_neg.data(), n_neg});
+double Trainer::SampledShard(const Edge* batch, size_t lo, size_t hi,
+                             const SamplerDispatch& draw, uint64_t epoch,
+                             size_t begin, WorkerScratch& ws) {
+  BatchBuffers& buf = batch_;
+  const size_t d = model_.dim();
+  const size_t m = buf.slots;
+  const float inv_batch = 1.0f / static_cast<float>(buf.b);
+  const Matrix& item_table = model_.FinalItemMatrix();
+  double loss_sum = 0.0;
+  for (size_t s = lo; s < hi; ++s) {
+    const uint32_t u = batch[s].user;
+    uint32_t* ids = buf.slot_item.data() + s * m;
+    float* score = buf.slot_score.data() + s * m;
+    float* coeff = buf.slot_coeff.data() + s * m;
+    ids[0] = batch[s].item;
+    StreamRng stream(stream_seed_, epoch, begin + s);
+    draw(u, stream, {ids + 1, m - 1});
 
-          // Chain rule through the cosine head (mean batch reduction).
-          const float d_pos_scaled = d_pos * inv_batch;
-          vec::AccumulateCosineGrad(
-              ws.u_hat.data(), ws.i_hat.data(), pos_score, u_norm,
-              d_pos_scaled,
-              GradSlot(ws.users, ws.shard_tag, out.user_rows, out.user_vals,
-                       u, d),
-              d);
-          vec::AccumulateCosineGrad(
-              ws.i_hat.data(), ws.u_hat.data(), pos_score, i_norm,
-              d_pos_scaled,
-              GradSlot(ws.items, ws.shard_tag, out.item_rows, out.item_vals,
-                       i, d),
-              d);
-          for (size_t j = 0; j < n_neg; ++j) {
-            const float g = ws.d_neg[j] * inv_batch;
-            if (g == 0.0f) continue;
-            vec::AccumulateCosineGrad(
-                ws.u_hat.data(), ws.j_hat.Row(j), ws.neg_scores[j], u_norm,
-                g,
-                GradSlot(ws.users, ws.shard_tag, out.user_rows,
-                         out.user_vals, u, d),
-                d);
-            vec::AccumulateCosineGrad(
-                ws.j_hat.Row(j), ws.u_hat.data(), ws.neg_scores[j],
-                ws.j_norm[j], g,
-                GradSlot(ws.items, ws.shard_tag, out.item_rows,
-                         out.item_vals, negs[j], d),
-                d);
+    // Fused scoring: one gather+normalize over the positive (row 0) and
+    // the draws, one blocked batch dot against them.
+    float* u_hat = buf.u_hat.data() + s * d;
+    const float u_norm = vec::Normalize(model_.UserEmb(u), u_hat, d);
+    vec::GatherNormalize(item_table.data(), item_table.cols(), ids, m, d,
+                         ws.block.data(), ws.block_norm.data());
+    vec::DotBatch(u_hat, ws.block.data(), m, d, score);
+    loss_sum += loss_.Compute(score[0], {score + 1, m - 1}, coeff,
+                              {coeff + 1, m - 1});
+
+    // Chain rule through the cosine head (mean batch reduction). The
+    // user's run: the positive first (kept even at coefficient 0), then
+    // every draw with a nonzero coefficient, in draw order.
+    GradRun& run = ws.run;
+    run.size = 0;
+    for (size_t k = 0; k < m; ++k) {
+      coeff[k] *= inv_batch;
+      if (k == 0 || coeff[k] != 0.0f) {
+        run.Add(k, score[k], vec::CosineGradScale(coeff[k], u_norm));
+      }
+    }
+    run.AccumulateInto(u_hat, ws.block.data(), d, UserPartial(batch, lo, s));
+  }
+  return loss_sum;
+}
+
+float* Trainer::UserPartial(const Edge* batch, size_t lo, size_t s) {
+  BatchBuffers& buf = batch_;
+  const size_t d = model_.dim();
+  size_t head = lo;
+  while (batch[head].user != batch[s].user) ++head;
+  buf.user_head[s] = static_cast<uint32_t>(head);
+  float* partial = buf.user_part.data() + head * d;
+  if (head == s) std::fill(partial, partial + d, 0.0f);
+  return partial;
+}
+
+void Trainer::GroupSampledItemTerms() {
+  // A stable counting sort of the item terms by item id: every positive,
+  // and every draw with a nonzero coefficient. Each item's terms come
+  // out in (sample, slot) order, the order its per-shard slot took them.
+  BatchBuffers& buf = batch_;
+  const size_t m = buf.slots;
+  const size_t n = buf.b * m;
+  const uint32_t* item = buf.slot_item.data();
+  const float* coeff = buf.slot_coeff.data();
+  uint32_t* cursor = buf.item_cursor.data();
+  std::fill(buf.item_cursor.begin(), buf.item_cursor.end(), 0u);
+  for (size_t f = 0; f < n; f += m) {
+    ++cursor[item[f]];
+    for (size_t k = f + 1; k < f + m; ++k) {
+      if (coeff[k] != 0.0f) ++cursor[item[k]];
+    }
+  }
+  buf.touched.clear();
+  buf.term_runs.clear();
+  uint32_t total = 0;
+  for (size_t i = 0; i < buf.item_cursor.size(); ++i) {
+    const uint32_t count = cursor[i];
+    if (count == 0) continue;
+    buf.touched.push_back(static_cast<uint32_t>(i));
+    buf.term_runs.push_back(total);
+    cursor[i] = total;
+    total += count;
+  }
+  buf.term_runs.push_back(total);
+  ItemTerm* terms = buf.item_terms.data();
+  uint32_t sample = 0;
+  for (size_t f = 0; f < n; f += m, ++sample) {
+    terms[cursor[item[f]]++] = {sample, static_cast<uint32_t>(f)};
+    for (size_t k = f + 1; k < f + m; ++k) {
+      if (coeff[k] != 0.0f) {
+        terms[cursor[item[k]]++] = {sample, static_cast<uint32_t>(k)};
+      }
+    }
+  }
+}
+
+void Trainer::OwnSampledItemRow(size_t r, WorkerScratch& ws) {
+  // Shard by shard, sums the item's terms in (sample, slot) order into a
+  // partial that starts at +0.0f, and adds each shard's partial into the
+  // gradient table in shard order (see the header comment).
+  const BatchBuffers& buf = batch_;
+  const size_t d = model_.dim();
+  const uint32_t item = buf.touched[r];
+  const float norm = vec::Normalize(model_.ItemEmb(item), ws.i_hat.data(), d);
+  float* grad = model_.ItemGrad(item);
+  const ItemTerm* term = buf.item_terms.data() + buf.term_runs[r];
+  const ItemTerm* const end = buf.item_terms.data() + buf.term_runs[r + 1];
+  GradRun& run = ws.run;
+  while (term < end) {
+    const uint32_t shard = term->sample / kSampledGrain;
+    run.size = 0;
+    for (; term < end && term->sample / kSampledGrain == shard; ++term) {
+      run.Add(term->sample, buf.slot_score[term->slot],
+              vec::CosineGradScale(buf.slot_coeff[term->slot], norm));
+    }
+    if (run.size == 1) {
+      // g + (+0.0f + t) == g + t: the table never holds -0.0f.
+      run.AccumulateInto(ws.i_hat.data(), buf.u_hat.data(), d, grad);
+      continue;
+    }
+    std::fill(ws.partial.begin(), ws.partial.end(), 0.0f);
+    run.AccumulateInto(ws.i_hat.data(), buf.u_hat.data(), d, ws.partial.data());
+    vec::Axpy(1.0f, ws.partial.data(), grad, d);
+  }
+}
+
+void Trainer::OwnRows(const Edge* batch, size_t num_items, size_t run_cap) {
+  // Each distinct user's sample positions in ascending order: the work
+  // lists of the user owners.
+  BatchBuffers& buf = batch_;
+  for (size_t s = 0; s < buf.b; ++s) {
+    buf.user_occ[s] = uint64_t{batch[s].user} << 32 | s;
+  }
+  SortIntoRuns(buf.user_occ, buf.user_runs);
+
+  // Every distinct row has one owner, so the gradient tables take no
+  // shared writes (items first, then users).
+  const bool sampled =
+      config_.sampling_mode == SamplingMode::kSampledNegatives;
+  const size_t num_users = buf.user_runs.size() - 1;
+  runtime::ParallelFor(
+      *pool_, 0, num_items + num_users, kOwnerGrain,
+      [&](size_t lo, size_t hi, size_t /*shard*/, size_t worker) {
+        WorkerScratch& ws = scratch_[worker];
+        ws.run.Reserve(run_cap);
+        for (size_t r = lo; r < hi; ++r) {
+          if (r >= num_items) {
+            OwnUserRow(r - num_items);
+          } else if (sampled) {
+            OwnSampledItemRow(r, ws);
+          } else {
+            OwnInBatchItemRow(r, ws);
           }
         }
       });
-  return ReduceShards(num_shards);
 }
 
-double Trainer::AccumulateInBatchLoss(const std::vector<Edge>& edges,
-                                      size_t begin, size_t end) {
+std::optional<size_t> Trainer::AccumulateInBatchLoss(
+    const std::vector<Edge>& edges, size_t begin, size_t end) {
+  BatchBuffers& buf = batch_;
   const size_t d = model_.dim();
   const size_t b = end - begin;
-  if (b < 2) return 0.0;  // no in-batch negatives available
-  InBatchBuffers& buf = in_batch_;
+  buf.shard_loss.clear();
+  if (b < 2) return std::nullopt;  // no in-batch negatives available
   buf.Resize(b, d);
+  buf.ResizeInBatch(d);
   const Edge* batch = edges.data() + begin;
 
   // Normalize every sample's user and item embedding once (Algorithm 2
@@ -292,50 +371,30 @@ double Trainer::AccumulateInBatchLoss(const std::vector<Edge>& edges,
     }
   }
 
-  // Each distinct row's sample positions in ascending order: the work
-  // lists of phase B's row owners.
+  // Each distinct item's sample positions in ascending order: the work
+  // lists of phase B's item owners.
   for (size_t s = 0; s < b; ++s) {
-    buf.user_occ[s] = uint64_t{batch[s].user} << 32 | s;
     buf.item_occ[s] = uint64_t{batch[s].item} << 32 | s;
   }
-  SortIntoRuns(buf.user_occ, buf.user_runs);
   const size_t max_item_count = SortIntoRuns(buf.item_occ, buf.item_runs);
   // A gradient run holds one sample's user terms (at most b) or one
   // item's terms in one shard (at most 16 per occurrence).
   const size_t run_cap = std::max(b, kInBatchGrain * max_item_count);
 
   // Phase A: score, run the loss and sum the user terms, per shard.
-  const size_t num_shards = (b + kInBatchGrain - 1) / kInBatchGrain;
-  buf.shard_loss.assign(num_shards, 0.0);
+  buf.shard_loss.assign((b + kInBatchGrain - 1) / kInBatchGrain, 0.0);
   runtime::ParallelFor(
       *pool_, 0, b, kInBatchGrain,
       [&](size_t lo, size_t hi, size_t shard, size_t worker) {
         WorkerScratch& ws = scratch_[worker];
-        ws.PrepareInBatch(b, run_cap, kInBatchGrain * buf.tile_stride);
+        ws.PrepareInBatch(b, kInBatchGrain * buf.tile_stride);
+        ws.run.Reserve(run_cap);
         buf.shard_loss[shard] = InBatchShard(batch, lo, hi, ws);
       });
+  if (const auto bad = FirstNonFiniteShard()) return bad;
 
-  // Phase B: every distinct row has one owner, so the gradient tables
-  // take no shared writes (items first, then users).
-  const size_t num_items = buf.item_runs.size() - 1;
-  const size_t num_users = buf.user_runs.size() - 1;
-  runtime::ParallelFor(
-      *pool_, 0, num_items + num_users, kOwnerGrain,
-      [&](size_t lo, size_t hi, size_t /*shard*/, size_t worker) {
-        WorkerScratch& ws = scratch_[worker];
-        ws.PrepareInBatch(b, run_cap, 0);
-        for (size_t r = lo; r < hi; ++r) {
-          if (r < num_items) {
-            OwnItemRow(r, ws);
-          } else {
-            OwnUserRow(r - num_items);
-          }
-        }
-      });
-
-  double loss_sum = 0.0;
-  for (const double shard_loss : buf.shard_loss) loss_sum += shard_loss;
-  return loss_sum;
+  OwnRows(batch, buf.item_runs.size() - 1, run_cap);
+  return std::nullopt;
 }
 
 size_t Trainer::SortIntoRuns(std::vector<uint64_t>& occ,
@@ -356,7 +415,7 @@ size_t Trainer::SortIntoRuns(std::vector<uint64_t>& occ,
 
 double Trainer::InBatchShard(const Edge* batch, size_t lo, size_t hi,
                              WorkerScratch& ws) {
-  InBatchBuffers& buf = in_batch_;
+  BatchBuffers& buf = batch_;
   const size_t d = model_.dim();
   const size_t b = buf.b;
   const size_t ld = buf.tile_stride;
@@ -401,15 +460,8 @@ double Trainer::InBatchShard(const Edge* batch, size_t lo, size_t hi,
       coeff_row[t] = g;
       if (g != 0.0f) run.Add(t, score, vec::CosineGradScale(g, u_norm));
     }
-    // The shard's partial for this user lives at the row of the user's
-    // first sample in the shard; later samples of the user add to it.
-    size_t head = lo;
-    while (batch[head].user != batch[s].user) ++head;
-    buf.user_head[s] = static_cast<uint32_t>(head);
-    float* partial = buf.user_part.data() + head * d;
-    if (head == s) std::fill(partial, partial + d, 0.0f);
     run.AccumulateInto(buf.u_hat.data() + s * d, buf.i_hat.data(), d,
-                       partial);
+                       UserPartial(batch, lo, s));
   }
   // Item-major copy: pair (s, t) lands at pairs[t][s], so an item row's
   // owner reads its terms as contiguous runs.
@@ -422,13 +474,13 @@ double Trainer::InBatchShard(const Edge* batch, size_t lo, size_t hi,
   return loss_sum;
 }
 
-void Trainer::OwnItemRow(size_t r, WorkerScratch& ws) {
+void Trainer::OwnInBatchItemRow(size_t r, WorkerScratch& ws) {
   // Shard by shard, sums the item's terms (per sample, its positive
   // term first, then its other occurrences in batch order; zero
   // coefficients skipped) into a partial that starts at +0.0f, and adds
   // each shard's partial into the gradient table in shard order. That
   // summation tree fixes the training bits (see the header comment).
-  const InBatchBuffers& buf = in_batch_;
+  const BatchBuffers& buf = batch_;
   const size_t d = model_.dim();
   const size_t b = buf.b;
   const uint64_t* occ = buf.item_occ.data() + buf.item_runs[r];
@@ -466,7 +518,7 @@ void Trainer::OwnItemRow(size_t r, WorkerScratch& ws) {
 void Trainer::OwnUserRow(size_t u) {
   // Adds the user's phase-A partials in shard order: one per shard, at
   // the row of the user's first sample in that shard.
-  const InBatchBuffers& buf = in_batch_;
+  const BatchBuffers& buf = batch_;
   const size_t d = model_.dim();
   const uint32_t begin = buf.user_runs[u], end = buf.user_runs[u + 1];
   const uint32_t row = static_cast<uint32_t>(buf.user_occ[begin] >> 32);
@@ -479,16 +531,20 @@ void Trainer::OwnUserRow(size_t u) {
   }
 }
 
-std::pair<double, double> Trainer::RunBatch(const std::vector<Edge>& edges,
-                                            size_t begin, size_t end,
-                                            uint64_t epoch) {
+Trainer::BatchOutcome Trainer::RunBatch(const std::vector<Edge>& edges,
+                                        size_t begin, size_t end,
+                                        uint64_t epoch) {
   model_.Forward(rng_);
   model_.ZeroGrad();
 
-  const double loss_sum =
+  BatchOutcome out;
+  out.non_finite_shard =
       config_.sampling_mode == SamplingMode::kInBatch
           ? AccumulateInBatchLoss(edges, begin, end)
           : AccumulateSampledLoss(edges, begin, end, epoch);
+  for (const double shard_loss : batch_.shard_loss) out.loss += shard_loss;
+  // A diverged batch steps nothing: no aux, Backward or optimizer step.
+  if (out.non_finite_shard) return out;
 
   // Contrastive regularizer on the batch's distinct nodes.
   std::vector<uint32_t> batch_users, batch_items;
@@ -504,12 +560,12 @@ std::pair<double, double> Trainer::RunBatch(const std::vector<Edge>& edges,
   std::sort(batch_items.begin(), batch_items.end());
   batch_items.erase(std::unique(batch_items.begin(), batch_items.end()),
                     batch_items.end());
-  const double aux = model_.AuxLossAndGrad(batch_users, batch_items, rng_);
+  out.aux = model_.AuxLossAndGrad(batch_users, batch_items, rng_);
 
   model_.Backward();
   optimizer_->Step(model_.Params());
   ++step_count_;  // invalidates any snapshot frozen before this batch
-  return {loss_sum, aux};
+  return out;
 }
 
 EpochStats Trainer::RunEpoch(int epoch_index) {
@@ -525,10 +581,16 @@ EpochStats Trainer::RunEpoch(int epoch_index) {
   for (size_t begin = 0; begin < edges.size();
        begin += config_.batch_size) {
     const size_t end = std::min(edges.size(), begin + config_.batch_size);
-    const auto [loss, aux] =
+    const BatchOutcome batch =
         RunBatch(edges, begin, end, static_cast<uint64_t>(epoch_index));
-    loss_sum += loss;
-    aux_sum += aux;
+    loss_sum += batch.loss;
+    if (batch.non_finite_shard) {
+      const size_t shard = *batch.non_finite_shard;
+      stats.non_finite = NonFiniteLoss{epoch_index, num_batches, shard,
+                                       batch_.shard_loss[shard]};
+      break;
+    }
+    aux_sum += batch.aux;
     ++num_batches;
   }
   stats.avg_loss = loss_sum / static_cast<double>(edges.size());
@@ -587,6 +649,10 @@ TrainResult Trainer::Train() {
   int evals_without_improvement = 0;
   for (int epoch = 1; epoch <= config_.epochs; ++epoch) {
     result.history.push_back(RunEpoch(epoch));
+    if (result.history.back().non_finite) {
+      result.non_finite = result.history.back().non_finite;
+      break;
+    }
     const bool last_epoch = epoch == config_.epochs;
     if (epoch % config_.eval_every != 0 && !last_epoch) continue;
     if (async_eval_ != nullptr) {
@@ -610,10 +676,11 @@ TrainResult Trainer::Train() {
     // Join the final epoch's pass (a post-loop stop verdict is moot).
     JoinAsyncEvals(result, &evals_without_improvement);
   }
-  if (result.evals.empty()) {
+  if (result.evals.empty() && !result.non_finite) {
     // epochs == 0, so no eval ran: report the untrained model. (Keyed
     // on the recorded evals, not on best.num_users — an empty test
-    // split legitimately yields zero-user metrics from real evals.)
+    // split legitimately yields zero-user metrics from real evals. A
+    // run stopped by a non-finite loss ranks nothing with its model.)
     result.best = Evaluate();
     result.final_metrics = result.best;
     result.evals.push_back({0, result.best});

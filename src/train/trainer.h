@@ -10,26 +10,34 @@
 //   6. backpropagates into parameters and steps the optimizer.
 //
 // Steps 2-4 — the per-sample sampling/score/gradient work that dominates
-// the epoch — fan out across a runtime::ThreadPool, and the batch is
-// split into fixed-size sample shards either way. The two sampling modes
-// then build the gradient differently:
-//   * Sampled negatives (Algorithm 1): every worker accumulates its
-//     shard's gradients into per-shard sparse buffers, and the shards
-//     are reduced into the model's gradient tables serially in shard
-//     order.
-//   * In-batch negatives (Algorithm 2) score, then scatter. Phase A,
-//     per shard: one vec::DotTile scores the shard's users against every
-//     positive item in the batch, the loss runs row by row, each user's
-//     terms are summed into that shard's user partial, and every pair's
-//     loss coefficient and score is written item-major. Phase B gives
-//     each distinct user and item row one owner on the pool. An item's
-//     owner sums the row's terms per shard (per sample, its positive
-//     term first, then its other occurrences in batch order) into a
-//     partial that starts at +0.0f; a user's owner takes its phase-A
-//     partials. Both add the partials into the gradient table in shard
-//     order. No row has two writers and nothing is reduced serially.
-//     That summation tree is the one per-shard first-touch buffers
-//     build, which test_runtime keeps as this path's bitwise oracle.
+// the epoch — fan out across a runtime::ThreadPool. Both sampling modes
+// score, then scatter, over fixed-size sample shards:
+//   * Phase A, per shard: score the shard's samples, run the loss, and
+//     sum each user's terms into that shard's user partial, which lives
+//     at the row of the user's first sample in the shard. Keep every
+//     (sample, item) term's loss coefficient and score, and each shard's
+//     loss sum. Sampled negatives (Algorithm 1): a sample gathers its
+//     positive and its N- draws as one normalized block and scores it
+//     with one batch dot. In-batch negatives (Algorithm 2): one
+//     vec::DotTile scores the shard's users against every positive item
+//     in the batch, and the terms are written item-major.
+//   * Between the phases, on the calling thread: if a shard's loss sum is
+//     not finite, the batch stops here (see EpochStats::non_finite).
+//     Otherwise the terms are grouped by row: the samples are sorted by
+//     user in both modes, and sampled mode sorts its item terms by item
+//     id (a stable counting sort). In-batch mode sorted its samples by
+//     item before phase A.
+//   * Phase B gives each distinct user and item row one owner on the
+//     pool. An item's owner normalizes its row once, then sums its terms
+//     shard by shard, in (sample, slot) order, into a partial that starts
+//     at +0.0f; a user's owner takes its phase-A partials. Both add the
+//     partials into the gradient table in shard order. No row has two
+//     writers and nothing is reduced serially but the shard losses.
+//     That summation tree is the one per-shard first-touch slot buffers
+//     build, which test_runtime keeps as the bitwise oracle of both
+//     modes. (A sampled item's shard with one term adds it straight into
+//     the table: the tables start at +0.0f, so they never hold -0.0f,
+//     and g + (+0.0f + t) == g + t for every such g.)
 //
 // In sampled mode, negative sampling runs *inside* the shards from
 // counter-based per-sample streams: sample s of epoch e draws from
@@ -39,9 +47,6 @@
 // bit-identical for any `TrainConfig::runtime.num_threads` in either
 // mode, with no serial pre-draw stage at all (see runtime/thread_pool.h
 // for the sharding contract and math/rng.h for the stream discipline).
-// Negative scoring is fused: the shard gathers + normalizes a sample's
-// negatives as one block (vec::GatherNormalize) and scores it with one
-// blocked batch kernel (vec::DotBatch) instead of N- strided dots.
 //
 // The trainer also hands its pool to the model (`SetRuntime`), so graph
 // backbones run steps 1 and 6 — propagation in Forward/Backward and the
@@ -76,6 +81,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/losses.h"
@@ -134,10 +140,26 @@ struct TrainConfig {
   runtime::RuntimeConfig runtime;
 };
 
+// Where training met a loss that is not finite: the first shard, in shard
+// order, of the first batch whose phase-A loss sum is NaN or infinite.
+// That batch wrote no gradient and stepped nothing, so the parameters are
+// the ones the previous batch left.
+struct NonFiniteLoss {
+  int epoch = 0;
+  size_t batch = 0;  // batch index within the epoch
+  // Shard index within the batch, in shards of the mode's grain
+  // (Trainer::kSampledGrain or Trainer::kInBatchGrain samples).
+  size_t shard = 0;
+  double shard_loss = 0.0;  // that shard's loss sum
+};
+
 struct EpochStats {
   int epoch = 0;
   double avg_loss = 0.0;      // mean recommendation loss per sample
   double avg_aux_loss = 0.0;  // mean contrastive aux loss per batch
+  // Set when the epoch stopped early at a non-finite loss; avg_loss then
+  // includes that batch and is not finite either.
+  std::optional<NonFiniteLoss> non_finite;
 };
 
 struct TrainResult {
@@ -148,6 +170,9 @@ struct TrainResult {
   // Every evaluation in epoch order — the same sequence whether
   // evaluation ran synchronously or overlapped (async_eval).
   std::vector<EvalRecord> evals;
+  // Set when training stopped at a non-finite loss (the last history
+  // entry's record). No evaluation runs after it.
+  std::optional<NonFiniteLoss> non_finite;
 };
 
 class Trainer {
@@ -179,37 +204,30 @@ class Trainer {
 
   Rng& rng() { return rng_; }
 
- private:
-  // Fixed samples-per-shard grains for the parallel batch loops. Shard
-  // boundaries must depend only on the batch size — never on the worker
-  // count — or results would change with num_threads.
+  // Samples per shard of the batch loops, per sampling mode. Shard
+  // boundaries depend only on the batch size — never on the worker count
+  // — or results would change with num_threads; a NonFiniteLoss names
+  // its shard by this grain.
   static constexpr size_t kSampledGrain = 32;
   static constexpr size_t kInBatchGrain = 16;
-  // Rows per task of the in-batch row owners. Each row is computed by
-  // one owner alone, so the grain moves only load balance, never bits.
+
+ private:
+  // Rows per task of the phase-B row owners. Each row is computed by one
+  // owner alone, so the grain moves only load balance, never bits.
   static constexpr size_t kOwnerGrain = 8;
-
-  // Sparse partial gradients produced by one sampled-mode shard: the
-  // embedding rows its samples touched, in first-touch order, each with
-  // a d-wide accumulated gradient. Reduced into the model serially in
-  // shard order, which is what makes training thread-count invariant.
-  struct ShardGrad {
-    std::vector<uint32_t> user_rows, item_rows;
-    std::vector<float> user_vals, item_vals;  // rows.size() x dim, packed
-    double loss_sum = 0.0;
-  };
-
-  // Epoch-tagged row -> shard-slot map (no O(rows) clearing per shard).
-  struct SlotMap {
-    std::vector<uint64_t> tag;
-    std::vector<uint32_t> slot;
-  };
 
   // One in-batch pair's loss coefficient (dL/dscore over the batch size)
   // and the score its gradient term uses.
   struct PairTerm {
     float coeff;
     float score;
+  };
+
+  // One sampled item term: the sample and its (sample, slot) index
+  // s * (1 + N-) + k into the batch's slot arrays.
+  struct ItemTerm {
+    uint32_t sample;
+    uint32_t slot;
   };
 
   // The terms of one vec::AccumulateCosineGradRun call: other row,
@@ -231,82 +249,115 @@ class Trainer {
 
   // Per-worker temporaries, reused across shards and batches.
   struct WorkerScratch {
-    // Sampled mode only (the tag arrays are O(users + items)).
-    SlotMap users, items;
-    uint64_t shard_tag = 0;
-    std::vector<float> u_hat, i_hat;
-    std::vector<uint32_t> negs;  // this sample's drawn negatives, N- wide
-    Matrix j_hat;                // gathered normalized negatives, N- x d
-    std::vector<float> j_norm, neg_scores, d_neg;
-    // In-batch mode: the shard's score and coefficient rows
-    // (kInBatchGrain x tile_stride), one gradient run, one item partial.
-    std::vector<float> tile, coeff, partial;
+    // An item owner's normalized row and shard partial (d floats each),
+    // and one gradient run.
+    std::vector<float> i_hat, partial;
     GradRun run;
-    void PrepareInBatch(size_t b, size_t run_cap, size_t tile_size);
+    // Sampled mode: one sample's positive and draws, gathered and
+    // normalized ((1 + N-) x d), and their norms.
+    std::vector<float> block, block_norm;
+    // In-batch mode: one sample's negative scores and coefficients, and
+    // the shard's score and coefficient rows (kInBatchGrain x
+    // tile_stride).
+    std::vector<float> neg_scores, d_neg, tile, coeff;
+    void PrepareInBatch(size_t b, size_t tile_size);
   };
 
-  // One in-batch batch's shared state, reused across batches. Rows are
-  // indexed by sample position s in [0, b).
-  struct InBatchBuffers {
-    std::vector<float> u_hat, i_hat;     // b x d normalized rows
-    std::vector<double> u_wide, i_wide;  // the same, widened for DotTile
-    std::vector<float> u_norm, i_norm, logq_shift;
-    // (row << 32 | s) sorted, and the offsets where each row's run of
-    // sample positions starts (plus the end): the phase-B owners.
-    std::vector<uint64_t> user_occ, item_occ;
-    std::vector<uint32_t> user_runs, item_runs;
-    // user_head[s]: the first sample of s's shard with s's user; that
-    // (user, shard)'s partial gradient is row user_head[s] of user_part.
-    std::vector<uint32_t> user_head;
-    std::vector<float> user_part;  // b x d
-    // Item-major pairs: pairs[t * pair_stride + s] is the pair (user of
-    // s, item of t); the diagonal holds each sample's positive.
-    std::vector<PairTerm> pairs;
-    std::vector<double> shard_loss;
+  // One batch's shared state, reused across batches. Rows are indexed by
+  // sample position s in [0, b).
+  struct BatchBuffers {
     size_t b = 0;  // the batch size
+    // Both modes: the normalized user rows, each shard's loss sum, and
+    // the user owners' work. user_occ holds (user << 32 | s) sorted, and
+    // user_runs the offsets where each user's run starts (plus the end).
+    // user_head[s] is the first sample of s's shard with s's user; that
+    // (user, shard)'s partial gradient is row user_head[s] of user_part.
+    std::vector<float> u_hat;  // b x d
+    std::vector<double> shard_loss;
+    std::vector<uint64_t> user_occ;
+    std::vector<uint32_t> user_runs, user_head;
+    std::vector<float> user_part;  // b x d
+    // Sampled mode: per sample, `slots` = 1 + N- item ids (the positive,
+    // then the draws in draw order) with each one's score and loss
+    // coefficient. The phase-B owners: the touched items in id order and
+    // their terms, grouped by item in (sample, slot) order; touched item
+    // r's terms are item_terms[term_runs[r] .. term_runs[r + 1]).
+    // item_cursor is the counting sort's per-item cursor (num_items wide).
+    size_t slots = 0;
+    std::vector<uint32_t> slot_item;
+    std::vector<float> slot_score, slot_coeff;
+    std::vector<uint32_t> touched, term_runs, item_cursor;
+    std::vector<ItemTerm> item_terms;
+    // In-batch mode: the positives' normalized rows; both tables widened
+    // for DotTile; the norms and logQ shifts; the item owners' runs of
+    // sample positions (like user_occ); and the item-major pairs:
+    // pairs[t * pair_stride + s] is the pair (user of s, item of t), the
+    // diagonal holding each sample's positive.
+    std::vector<float> i_hat;            // b x d
+    std::vector<double> u_wide, i_wide;  // b x d
+    std::vector<float> u_norm, i_norm, logq_shift;
+    std::vector<uint64_t> item_occ;
+    std::vector<uint32_t> item_runs;
+    std::vector<PairTerm> pairs;
     size_t tile_stride = 0, pair_stride = 0;
     void Resize(size_t batch, size_t d);
+    void ResizeInBatch(size_t d);
   };
 
-  // Returns the shard-local accumulator row for `row`, creating (and
-  // zero-filling) it on first touch. Rows register in first-touch order,
-  // which is deterministic because samples inside a shard run in order.
-  // Must be re-called per use: growing `vals` may reallocate.
-  static float* GradSlot(SlotMap& map, uint64_t shard_tag,
-                         std::vector<uint32_t>& rows,
-                         std::vector<float>& vals, uint32_t row, size_t d);
-  static void BeginShard(WorkerScratch& ws, ShardGrad& out);
+  // One batch's outcome: its loss and aux sums, or the first shard whose
+  // phase-A loss sum was not finite (then nothing was written or stepped).
+  struct BatchOutcome {
+    double loss = 0.0;
+    double aux = 0.0;
+    std::optional<size_t> non_finite_shard;
+  };
 
-  // Processes one batch of edges [begin, end); returns (sum loss, aux).
-  // `epoch` keys the batch's negative-sampling streams.
-  std::pair<double, double> RunBatch(const std::vector<Edge>& edges,
-                                     size_t begin, size_t end,
-                                     uint64_t epoch);
+  // Processes one batch of edges [begin, end). `epoch` keys the batch's
+  // negative-sampling streams.
+  BatchOutcome RunBatch(const std::vector<Edge>& edges, size_t begin,
+                        size_t end, uint64_t epoch);
   // Sampled-negatives (Algorithm 1) and in-batch (Algorithm 2) loss
-  // accumulation over the final embeddings; both only write into the
-  // model's final-embedding gradient buffers (the sampled path via the
-  // shard reduction, the in-batch path via its row owners). Sample s of
-  // the batch draws negatives from the counter-based stream keyed
+  // accumulation over the final embeddings: phase A fills
+  // batch_.shard_loss; then, unless a shard's sum is not finite (that
+  // shard is returned and nothing is written), phase B adds the batch's
+  // gradient into the model's final-embedding gradient tables. Sample s
+  // of the batch draws negatives from the counter-based stream keyed
   // (stream_seed_, epoch, begin + s) — `begin` doubles as the batch's
   // epoch-global sample offset.
-  double AccumulateSampledLoss(const std::vector<Edge>& edges, size_t begin,
-                               size_t end, uint64_t epoch);
-  double AccumulateInBatchLoss(const std::vector<Edge>& edges, size_t begin,
-                               size_t end);
-  // The in-batch phases (see the header comment). Phase A for samples
-  // [lo, hi) of `batch`: returns the shard's loss sum. Phase B: the
-  // owners of the batch's r-th distinct item row and u-th user row.
+  std::optional<size_t> AccumulateSampledLoss(const std::vector<Edge>& edges,
+                                              size_t begin, size_t end,
+                                              uint64_t epoch);
+  std::optional<size_t> AccumulateInBatchLoss(const std::vector<Edge>& edges,
+                                              size_t begin, size_t end);
+  // Phase A for samples [lo, hi) of the batch: returns the shard's loss
+  // sum. The sampled form draws sample s's negatives from stream
+  // (stream_seed_, epoch, begin + s) through `draw`.
+  double SampledShard(const Edge* batch, size_t lo, size_t hi,
+                      const SamplerDispatch& draw, uint64_t epoch, size_t begin,
+                      WorkerScratch& ws);
   double InBatchShard(const Edge* batch, size_t lo, size_t hi,
                       WorkerScratch& ws);
-  void OwnItemRow(size_t r, WorkerScratch& ws);
-  void OwnUserRow(size_t u);
-  // Sorts (row << 32 | sample) keys and writes where each row's run
-  // starts, plus the end; returns the longest run.
+  // The partial gradient sample s adds its user's terms to (phase A of
+  // either mode, for the shard starting at sample lo): the row of the
+  // user's first sample in the shard, zeroed when that is s.
+  float* UserPartial(const Edge* batch, size_t lo, size_t s);
+  // The first shard whose phase-A loss sum is not finite, if any.
+  std::optional<size_t> FirstNonFiniteShard() const;
+  // Between the phases: sorts (row << 32 | sample) keys and writes where
+  // each row's run starts, plus the end; returns the longest run.
   static size_t SortIntoRuns(std::vector<uint64_t>& occ,
                              std::vector<uint32_t>& runs);
-  // Adds every sampled-mode shard's partial gradients into the model's
-  // gradient tables in shard order; returns the summed loss.
-  double ReduceShards(size_t num_shards);
+  // Sampled mode: groups the batch's item terms by item.
+  void GroupSampledItemTerms();
+  // Sorts the batch's samples by user (between the phases), then runs
+  // phase B on the pool: the owners of the batch's `num_items` item rows,
+  // then of its distinct user rows. `run_cap` bounds a gradient run.
+  void OwnRows(const Edge* batch, size_t num_items, size_t run_cap);
+  // The owners of the batch's r-th touched item row (per mode) and u-th
+  // distinct user row (both modes).
+  void OwnSampledItemRow(size_t r, WorkerScratch& ws);
+  void OwnInBatchItemRow(size_t r, WorkerScratch& ws);
+  void OwnUserRow(size_t u);
 
   // Freezes (or reuses — see Evaluate) a snapshot of the model's
   // current state: re-runs Forward exactly as a synchronous eval would,
@@ -326,9 +377,8 @@ class Trainer {
   const NegativeSampler& sampler_;
   TrainConfig config_;
   std::unique_ptr<runtime::ThreadPool> pool_;
-  std::vector<WorkerScratch> scratch_;   // one per pool worker
-  std::vector<ShardGrad> shards_;        // sampled mode: one per shard
-  InBatchBuffers in_batch_;              // in-batch mode
+  std::vector<WorkerScratch> scratch_;  // one per pool worker
+  BatchBuffers batch_;
   Evaluator evaluator_;
   std::unique_ptr<AsyncEvaluator> async_eval_;  // null unless async_eval
   std::unique_ptr<Optimizer> optimizer_;

@@ -4,6 +4,7 @@
 #include "runtime/thread_pool.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cmath>
@@ -280,28 +281,34 @@ TEST(RuntimeEquivalence, SgdTrainingIsThreadCountInvariant) {
   EXPECT_NE(t1.history.front().avg_loss, t1.history.back().avg_loss);
 }
 
-// ---- in-batch row owners against the per-shard slot backend ----
+// ---- row owners against the per-shard slot backend ----
 //
-// The in-batch (Algorithm 2) gradient as the trainer computed it before
-// it scored in tiles and scattered through row owners: per-pair
-// vec::Dot, per-shard first-touch slots filled by
-// vec::AccumulateCosineGrad, and a serial shard-order reduction into
-// the gradient tables. Shards of 16 samples, like the trainer's. The
+// The trainer's gradient as it was computed before both sampling modes
+// scored, then scattered through row owners: per-shard first-touch slots
+// filled by vec::AccumulateCosineGrad, then a serial shard-order
+// reduction into the gradient tables. In-batch mode (Algorithm 2) scores
+// with per-pair vec::Dot over 16-sample shards; sampled mode (Algorithm
+// 1) draws each sample's negatives in its shard from the counter-based
+// stream (sampling_stream_seed, epoch, sample), scores them with
+// vec::GatherNormalize and vec::DotBatch over 32-sample shards. The
 // shards run serially here; their bits never depended on the worker.
+// Sampled runs must pin `sampling_stream_seed` (nonzero).
 class SlotBackendOracle {
  public:
   SlotBackendOracle(const Dataset& data, EmbeddingModel& model,
-                    const LossFunction& loss, const TrainConfig& cfg)
+                    const LossFunction& loss, const NegativeSampler& sampler,
+                    const TrainConfig& cfg)
       : data_(data),
         model_(model),
         loss_(loss),
+        sampler_(sampler),
         cfg_(cfg),
         optimizer_(cfg.lr, cfg.weight_decay),
         rng_(cfg.seed) {}
 
   // Trainer::RunEpoch's loop: shuffle, then per batch Forward, ZeroGrad,
   // loss, aux, Backward and the Adam step. Returns the mean loss.
-  double RunEpoch() {
+  double RunEpoch(uint64_t epoch) {
     std::vector<Edge> edges = data_.train_edges();
     rng_.Shuffle(edges);
     double loss_sum = 0.0;
@@ -309,7 +316,9 @@ class SlotBackendOracle {
       const size_t end = std::min(edges.size(), begin + cfg_.batch_size);
       model_.Forward(rng_);
       model_.ZeroGrad();
-      loss_sum += InBatchLoss(edges, begin, end);
+      loss_sum += cfg_.sampling_mode == SamplingMode::kInBatch
+                      ? InBatchLoss(edges, begin, end)
+                      : SampledLoss(edges, begin, end, epoch);
       std::vector<uint32_t> users, items;
       for (size_t s = begin; s < end; ++s) {
         users.push_back(edges[s].user);
@@ -342,6 +351,87 @@ class SlotBackendOracle {
     }
   };
 
+  // Every shard's user and item slots, and its loss sum.
+  struct ShardSlots {
+    std::vector<Slots> users, items;
+    std::vector<double> loss;
+    void Begin(const Dataset& data) {
+      users.emplace_back().slot_of.assign(data.num_users(), -1);
+      items.emplace_back().slot_of.assign(data.num_items(), -1);
+      loss.push_back(0.0);
+    }
+  };
+
+  // Adds every shard's slots into the gradient tables in shard order;
+  // returns the summed loss.
+  double Reduce(const ShardSlots& shards) {
+    const size_t d = model_.dim();
+    double loss_sum = 0.0;
+    for (size_t sh = 0; sh < shards.loss.size(); ++sh) {
+      const Slots& us = shards.users[sh];
+      const Slots& is = shards.items[sh];
+      for (size_t r = 0; r < us.rows.size(); ++r) {
+        vec::Axpy(1.0f, us.vals.data() + r * d, model_.UserGrad(us.rows[r]),
+                  d);
+      }
+      for (size_t r = 0; r < is.rows.size(); ++r) {
+        vec::Axpy(1.0f, is.vals.data() + r * d, model_.ItemGrad(is.rows[r]),
+                  d);
+      }
+      loss_sum += shards.loss[sh];
+    }
+    return loss_sum;
+  }
+
+  double SampledLoss(const std::vector<Edge>& edges, size_t begin, size_t end,
+                     uint64_t epoch) {
+    const size_t d = model_.dim();
+    const size_t n_neg = cfg_.num_negatives;
+    const size_t b = end - begin;
+    const float inv_batch = 1.0f / static_cast<float>(b);
+    const SamplerDispatch sample = sampler_.Dispatch();
+    const Matrix& item_table = model_.FinalItemMatrix();
+    std::vector<float> u_hat(d), i_hat(d), j_norm(n_neg), neg_scores(n_neg),
+        d_neg(n_neg);
+    std::vector<uint32_t> negs(n_neg);
+    Matrix j_hat(n_neg, d);
+    ShardSlots shards;
+    for (size_t lo = 0; lo < b; lo += 32) {
+      shards.Begin(data_);
+      Slots& us = shards.users.back();
+      Slots& is = shards.items.back();
+      for (size_t s = lo; s < std::min(b, lo + 32); ++s) {
+        const uint32_t u = edges[begin + s].user;
+        const uint32_t i = edges[begin + s].item;
+        StreamRng stream(cfg_.sampling_stream_seed, epoch, begin + s);
+        sample(u, stream, negs);
+        const float u_norm = vec::Normalize(model_.UserEmb(u), u_hat.data(), d);
+        const float i_norm = vec::Normalize(model_.ItemEmb(i), i_hat.data(), d);
+        const float pos_score = vec::Dot(u_hat.data(), i_hat.data(), d);
+        vec::GatherNormalize(item_table.data(), item_table.cols(), negs.data(),
+                             n_neg, d, j_hat.data(), j_norm.data());
+        vec::DotBatch(u_hat.data(), j_hat.data(), n_neg, d, neg_scores.data());
+        float d_pos = 0.0f;
+        shards.loss.back() +=
+            loss_.Compute(pos_score, neg_scores, &d_pos, d_neg);
+        const float d_pos_scaled = d_pos * inv_batch;
+        vec::AccumulateCosineGrad(u_hat.data(), i_hat.data(), pos_score, u_norm,
+                                  d_pos_scaled, us.Get(u, d), d);
+        vec::AccumulateCosineGrad(i_hat.data(), u_hat.data(), pos_score, i_norm,
+                                  d_pos_scaled, is.Get(i, d), d);
+        for (size_t j = 0; j < n_neg; ++j) {
+          const float g = d_neg[j] * inv_batch;
+          if (g == 0.0f) continue;
+          vec::AccumulateCosineGrad(u_hat.data(), j_hat.Row(j), neg_scores[j],
+                                    u_norm, g, us.Get(u, d), d);
+          vec::AccumulateCosineGrad(j_hat.Row(j), u_hat.data(), neg_scores[j],
+                                    j_norm[j], g, is.Get(negs[j], d), d);
+        }
+      }
+    }
+    return Reduce(shards);
+  }
+
   double InBatchLoss(const std::vector<Edge>& edges, size_t begin,
                      size_t end) {
     const size_t d = model_.dim();
@@ -364,16 +454,13 @@ class SlotBackendOracle {
         logq_shift[t] = static_cast<float>(cfg_.inbatch_logq_tau * std::log(q));
       }
     }
-    std::vector<Slots> user_slots, item_slots;
-    std::vector<double> shard_loss;
+    ShardSlots shards;
     std::vector<float> neg_scores(b - 1), d_neg(b - 1);
     for (size_t lo = 0; lo < b; lo += 16) {
       const size_t hi = std::min(b, lo + 16);
-      Slots& us = user_slots.emplace_back();
-      Slots& is = item_slots.emplace_back();
-      us.slot_of.assign(data_.num_users(), -1);
-      is.slot_of.assign(data_.num_items(), -1);
-      double loss_sum = 0.0;
+      shards.Begin(data_);
+      Slots& us = shards.users.back();
+      Slots& is = shards.items.back();
       for (size_t s = lo; s < hi; ++s) {
         const uint32_t u = edges[begin + s].user;
         const uint32_t i = edges[begin + s].item;
@@ -385,7 +472,8 @@ class SlotBackendOracle {
               vec::Dot(u_hat.Row(s), i_hat.Row(t), d) - logq_shift[t];
         }
         float d_pos = 0.0f;
-        loss_sum += loss_.Compute(pos_score, neg_scores, &d_pos, d_neg);
+        shards.loss.back() +=
+            loss_.Compute(pos_score, neg_scores, &d_pos, d_neg);
         const float d_pos_scaled = d_pos * inv_batch;
         vec::AccumulateCosineGrad(u_hat.Row(s), i_hat.Row(s), pos_score,
                                   u_norm[s], d_pos_scaled, us.Get(u, d), d);
@@ -405,26 +493,14 @@ class SlotBackendOracle {
                                     is.Get(edges[begin + t].item, d), d);
         }
       }
-      shard_loss.push_back(loss_sum);
     }
-    double loss_sum = 0.0;
-    for (size_t sh = 0; sh < shard_loss.size(); ++sh) {
-      for (size_t r = 0; r < user_slots[sh].rows.size(); ++r) {
-        vec::Axpy(1.0f, user_slots[sh].vals.data() + r * d,
-                  model_.UserGrad(user_slots[sh].rows[r]), d);
-      }
-      for (size_t r = 0; r < item_slots[sh].rows.size(); ++r) {
-        vec::Axpy(1.0f, item_slots[sh].vals.data() + r * d,
-                  model_.ItemGrad(item_slots[sh].rows[r]), d);
-      }
-      loss_sum += shard_loss[sh];
-    }
-    return loss_sum;
+    return Reduce(shards);
   }
 
   const Dataset& data_;
   EmbeddingModel& model_;
   const LossFunction& loss_;
+  const NegativeSampler& sampler_;
   TrainConfig cfg_;
   AdamOptimizer optimizer_;
   Rng rng_;
@@ -460,6 +536,36 @@ bool SameParamBits(EmbeddingModel& a, EmbeddingModel& b) {
     }
   }
   return true;
+}
+
+// Trains one model with the oracle and one per thread count (1, 2, 8)
+// with the trainer, each from make_model(): per-epoch losses and final
+// parameters must agree bit for bit.
+template <typename MakeModel>
+void ExpectTrainerMatchesOracle(const Dataset& data,
+                                const MakeModel& make_model,
+                                const LossFunction& loss,
+                                const NegativeSampler& sampler, TrainConfig cfg,
+                                const std::string& where) {
+  const std::unique_ptr<EmbeddingModel> oracle_model = make_model();
+  SlotBackendOracle oracle(data, *oracle_model, loss, sampler, cfg);
+  std::vector<double> oracle_losses;
+  for (int e = 0; e < cfg.epochs; ++e) {
+    oracle_losses.push_back(oracle.RunEpoch(e + 1));
+  }
+  for (const size_t threads : {1u, 2u, 8u}) {
+    cfg.runtime.num_threads = threads;
+    const std::unique_ptr<EmbeddingModel> model = make_model();
+    Trainer trainer(data, *model, loss, sampler, cfg);
+    for (int e = 0; e < cfg.epochs; ++e) {
+      const double got = trainer.RunEpoch(e + 1).avg_loss;
+      EXPECT_EQ(std::bit_cast<uint64_t>(got),
+                std::bit_cast<uint64_t>(oracle_losses[e]))
+          << where << " threads=" << threads << " epoch " << e + 1;
+    }
+    EXPECT_TRUE(SameParamBits(*model, *oracle_model))
+        << where << " threads=" << threads;
+  }
 }
 
 TEST(InBatchRowOwners, TrainBitIdenticallyToPerShardSlotBackend) {
@@ -505,26 +611,74 @@ TEST(InBatchRowOwners, TrainBitIdenticallyToPerShardSlotBackend) {
           (users_repeat ? " 20x300" : " 300x15") + (logq ? " logQ " : " ") +
           std::string(loss.name()) + (lightgcn ? " LightGCN" : " MF");
 
-      const std::unique_ptr<EmbeddingModel> oracle_model = make_model();
-      SlotBackendOracle oracle(data, *oracle_model, loss, cfg);
-      std::vector<double> oracle_losses;
-      for (int e = 0; e < cfg.epochs; ++e) {
-        oracle_losses.push_back(oracle.RunEpoch());
-      }
-      for (const size_t threads : {1u, 2u, 8u}) {
-        cfg.runtime.num_threads = threads;
-        const std::unique_ptr<EmbeddingModel> model = make_model();
-        UniformNegativeSampler sampler(data);
-        Trainer trainer(data, *model, loss, sampler, cfg);
-        for (int e = 0; e < cfg.epochs; ++e) {
-          const double got = trainer.RunEpoch(e + 1).avg_loss;
-          EXPECT_EQ(std::bit_cast<uint64_t>(got),
-                    std::bit_cast<uint64_t>(oracle_losses[e]))
-              << where << " threads=" << threads << " epoch " << e + 1;
+      const UniformNegativeSampler sampler(data);  // unused in this mode
+      ExpectTrainerMatchesOracle(data, make_model, loss, sampler, cfg, where);
+    }
+  }
+}
+
+TEST(SampledRowOwners, TrainBitIdenticallyToPerShardSlotBackend) {
+  // Every dim x batch cell runs once. The other axes cycle with periods
+  // 2, 3, 9, 12 and 4 over the 28 cells, so every pair of values of two
+  // of them (catalog, N-, sampler, loss, backbone) meets at least once.
+  // LightGCN re-propagates the whole graph every batch, so it leaves the
+  // 1- and 2-sample batches (hundreds of batches an epoch) to MF: they
+  // would take most of this test's time under ThreadSanitizer, and the
+  // gradient path does not depend on the backbone. The noisy sampler
+  // serves positives as negatives, so a sample's own positive and
+  // repeated draws appear among its terms; CML gives zero coefficients,
+  // also on positives. Each run is compared at 1, 2 and 8 threads:
+  // per-epoch losses and trained parameters, bit for bit.
+  const Dataset few_users = RepeatingCatalog(20, 300, 30, 61);
+  const Dataset few_items = RepeatingCatalog(300, 15, 2, 62);
+  const BipartiteGraph few_users_graph(few_users);
+  const BipartiteGraph few_items_graph(few_items);
+  const BilateralSoftmaxLoss bsl(0.2, 0.25);
+  const BprLoss bpr;
+  const CmlLoss cml(0.5);
+  const LossFunction* losses[] = {&bsl, &bpr, &cml};
+  const char* sampler_names[] = {"uniform", "popularity", "noisy"};
+  size_t cell = 0;
+  for (const size_t dim : {1u, 7u, 17u, 64u}) {
+    for (const size_t batch : {1u, 2u, 31u, 32u, 33u, 130u, 512u}) {
+      const bool users_repeat = cell % 2 == 0;
+      const size_t n_neg = std::array<size_t, 3>{1, 3, 64}[cell % 3];
+      const size_t sampler_kind = cell / 3 % 3;
+      const LossFunction& loss = *losses[cell / 4 % 3];
+      const bool lightgcn = cell / 2 % 2 == 1 && batch > 2;
+      ++cell;
+      const Dataset& data = users_repeat ? few_users : few_items;
+      const BipartiteGraph& graph =
+          users_repeat ? few_users_graph : few_items_graph;
+      const auto make_model = [&]() -> std::unique_ptr<EmbeddingModel> {
+        Rng init(17);
+        if (lightgcn) {
+          return std::make_unique<LightGcnModel>(graph, dim, 2, init);
         }
-        EXPECT_TRUE(SameParamBits(*model, *oracle_model))
-            << where << " threads=" << threads;
+        return std::make_unique<MfModel>(data.num_users(), data.num_items(),
+                                         dim, init);
+      };
+      std::unique_ptr<NegativeSampler> sampler;
+      if (sampler_kind == 0) {
+        sampler = std::make_unique<UniformNegativeSampler>(data);
+      } else if (sampler_kind == 1) {
+        sampler = std::make_unique<PopularityNegativeSampler>(data, 0.75);
+      } else {
+        sampler = std::make_unique<NoisyNegativeSampler>(data, 2.0);
       }
+      TrainConfig cfg;
+      cfg.epochs = 2;
+      cfg.batch_size = batch;
+      cfg.num_negatives = n_neg;
+      cfg.seed = 5 + cell;
+      cfg.sampling_stream_seed = 1000 + cell;
+      const std::string where =
+          "dim=" + std::to_string(dim) + " batch=" + std::to_string(batch) +
+          (users_repeat ? " 20x300" : " 300x15") + " N-=" +
+          std::to_string(n_neg) + " " + sampler_names[sampler_kind] + " " +
+          std::string(loss.name()) + (lightgcn ? " LightGCN" : " MF");
+      ExpectTrainerMatchesOracle(data, make_model, loss, *sampler, cfg,
+                                 where);
     }
   }
 }

@@ -1,9 +1,17 @@
 #include "train/trainer.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "data/synthetic.h"
+#include "graph/bipartite_graph.h"
 #include "gtest/gtest.h"
+#include "models/lightgcn.h"
 #include "models/mf.h"
 #include "test_util.h"
 
@@ -92,7 +100,9 @@ TEST(Trainer, HistoryHasOneEntryPerEpoch) {
   for (size_t k = 0; k < result.history.size(); ++k) {
     EXPECT_EQ(result.history[k].epoch, static_cast<int>(k) + 1);
     EXPECT_TRUE(std::isfinite(result.history[k].avg_loss));
+    EXPECT_FALSE(result.history[k].non_finite.has_value());
   }
+  EXPECT_FALSE(result.non_finite.has_value());
 }
 
 TEST(Trainer, EarlyStoppingCutsRunShort) {
@@ -203,6 +213,154 @@ TEST(Trainer, RunEpochReturnsFiniteStats) {
   EXPECT_EQ(stats.epoch, 1);
   EXPECT_TRUE(std::isfinite(stats.avg_loss));
   EXPECT_DOUBLE_EQ(stats.avg_aux_loss, 0.0);  // MF has no aux objective
+}
+
+// A NaN user row makes every shard that holds one of the user's samples
+// diverge. The user's first sample lies in batch 0 of epoch 1 (the
+// trainer's Rng(seed) shuffles that epoch first), so training must stop
+// there, name that sample's shard, evaluate nothing and leave every
+// parameter as it was.
+TEST(Trainer, NonFiniteShardStopsTrainingBeforeAnyStep) {
+  const Dataset data = TrainData(23).dataset;
+  TrainConfig cfg = FastConfig();
+  cfg.batch_size = 256;
+  cfg.eval_every = 1;
+  std::vector<Edge> edges = data.train_edges();
+  Rng shuffle(cfg.seed);
+  shuffle.Shuffle(edges);
+  ASSERT_GT(edges.size(), 2 * cfg.batch_size);
+  // The first sample at or after position 40 whose user has not appeared
+  // yet: past the first shard in both modes, still inside batch 0.
+  size_t first = 40;
+  const auto seen_before = [&](size_t p) {
+    for (size_t q = 0; q < p; ++q) {
+      if (edges[q].user == edges[p].user) return true;
+    }
+    return false;
+  };
+  while (seen_before(first)) ++first;
+  ASSERT_LT(first, cfg.batch_size);
+  const uint32_t user = edges[first].user;
+
+  for (const SamplingMode mode :
+       {SamplingMode::kSampledNegatives, SamplingMode::kInBatch}) {
+    for (const size_t threads : {1u, 2u, 8u}) {
+      Rng init(24);
+      MfModel model(data.num_users(), data.num_items(), 8, init);
+      Matrix& users = *model.Params()[0].value;
+      std::fill(users.Row(user), users.Row(user) + users.cols(),
+                std::numeric_limits<float>::quiet_NaN());
+      std::vector<Matrix> before;
+      for (const ParamGrad& pg : model.Params()) before.push_back(*pg.value);
+
+      const BilateralSoftmaxLoss loss(0.2, 0.25);
+      UniformNegativeSampler sampler(data);
+      cfg.sampling_mode = mode;
+      cfg.runtime.num_threads = threads;
+      Trainer trainer(data, model, loss, sampler, cfg);
+      const TrainResult result = trainer.Train();
+      const std::string where =
+          std::string(mode == SamplingMode::kInBatch ? "in-batch" : "sampled") +
+          " threads=" + std::to_string(threads);
+
+      ASSERT_TRUE(result.non_finite.has_value()) << where;
+      EXPECT_EQ(result.non_finite->epoch, 1) << where;
+      EXPECT_EQ(result.non_finite->batch, 0u) << where;
+      const size_t grain = mode == SamplingMode::kInBatch
+                               ? Trainer::kInBatchGrain
+                               : Trainer::kSampledGrain;
+      EXPECT_EQ(result.non_finite->shard, first / grain) << where;
+      EXPECT_TRUE(std::isnan(result.non_finite->shard_loss)) << where;
+      ASSERT_EQ(result.history.size(), 1u) << where;
+      ASSERT_TRUE(result.history[0].non_finite.has_value()) << where;
+      EXPECT_EQ(result.history[0].non_finite->shard, result.non_finite->shard);
+      EXPECT_FALSE(std::isfinite(result.history[0].avg_loss)) << where;
+      EXPECT_TRUE(result.evals.empty()) << where;
+      const std::vector<ParamGrad> after = model.Params();
+      for (size_t t = 0; t < before.size(); ++t) {
+        EXPECT_EQ(std::memcmp(before[t].data(), after[t].value->data(),
+                              before[t].size() * sizeof(float)),
+                  0)
+            << where << " tensor " << t;
+      }
+    }
+  }
+}
+
+// One epoch over TinyDataset as a single batch (batch_size >= num_train),
+// stepped by SGD at lr = 0: the parameters do not move, so each
+// Params()[k].grad is the gradient of the epoch's avg_loss as the trainer
+// composes it (loss, cosine head, logQ shift, gradient scatter, then the
+// backbone's Backward). `bump` moves one parameter entry before the
+// epoch; a fresh trainer with the same seed replays the same shuffle and
+// the same negative streams, so every run evaluates the same function.
+struct ComposedRun {
+  const Dataset& data;
+  const BipartiteGraph& graph;
+  bool lightgcn;
+  SamplingMode mode;
+
+  double Loss(size_t tensor, size_t entry, float bump,
+              std::vector<Matrix>* grads = nullptr) const {
+    Rng init(41);
+    std::unique_ptr<EmbeddingModel> model;
+    if (lightgcn) {
+      model = std::make_unique<LightGcnModel>(graph, 5, 2, init);
+    } else {
+      model = std::make_unique<MfModel>(data.num_users(), data.num_items(), 5,
+                                        init);
+    }
+    model->Params()[tensor].value->data()[entry] += bump;
+    const BilateralSoftmaxLoss loss(0.3, 0.25);
+    UniformNegativeSampler sampler(data);
+    TrainConfig cfg;
+    cfg.batch_size = 64;
+    cfg.sampling_mode = mode;
+    cfg.num_negatives = 4;
+    cfg.inbatch_logq_tau = 0.25;  // read in in-batch mode only
+    cfg.use_adam = false;
+    cfg.lr = 0.0;
+    cfg.weight_decay = 0.0;
+    cfg.seed = 7;
+    cfg.runtime.num_threads = 1;
+    Trainer trainer(data, *model, loss, sampler, cfg);
+    const double avg_loss = trainer.RunEpoch(1).avg_loss;
+    if (grads != nullptr) {
+      for (const ParamGrad& pg : model->Params()) grads->push_back(*pg.grad);
+    }
+    return avg_loss;
+  }
+};
+
+TEST(Trainer, ComposedGradientMatchesFiniteDifference) {
+  const Dataset data = testing::TinyDataset();
+  ASSERT_LE(data.num_train(), 64u);  // one batch per epoch
+  const BipartiteGraph graph(data);
+  for (const bool lightgcn : {false, true}) {
+    for (const SamplingMode mode :
+         {SamplingMode::kSampledNegatives, SamplingMode::kInBatch}) {
+      const ComposedRun run{data, graph, lightgcn, mode};
+      const std::string where =
+          std::string(lightgcn ? "LightGCN" : "MF") +
+          (mode == SamplingMode::kInBatch ? " in-batch" : " sampled");
+      std::vector<Matrix> analytic;
+      run.Loss(0, 0, 0.0f, &analytic);
+      double largest = 0.0;
+      for (size_t t = 0; t < analytic.size(); ++t) {
+        for (size_t k = 0; k < analytic[t].size(); ++k) {
+          const double g = analytic[t].data()[k];
+          const float eps = 2e-3f;
+          const double fd =
+              (run.Loss(t, k, eps) - run.Loss(t, k, -eps)) / (2.0 * eps);
+          EXPECT_NEAR(fd, g, 2e-3 + 2e-2 * std::abs(g))
+              << where << " tensor " << t << " entry " << k;
+          largest = std::max(largest, std::abs(g));
+        }
+      }
+      // The check compares real gradients, not zeros.
+      EXPECT_GT(largest, 0.05) << where;
+    }
+  }
 }
 
 }  // namespace

@@ -235,6 +235,14 @@ int main(int argc, char** argv) {
               opts.backbone.c_str(), opts.loss.c_str(), opts.dim,
               opts.epochs);
   const bslrec::TrainResult result = trainer.Train();
+  if (result.non_finite.has_value()) {
+    const bslrec::NonFiniteLoss& bad = *result.non_finite;
+    std::fprintf(stderr,
+                 "training stopped: non-finite loss %g in epoch %d, batch "
+                 "%zu, shard %zu (nothing stepped from that batch on)\n",
+                 bad.shard_loss, bad.epoch, bad.batch, bad.shard);
+    return 1;
+  }
   std::printf(
       "best (epoch %d): Recall@%u %.4f  NDCG@%u %.4f  Precision@%u %.4f  "
       "HitRate@%u %.4f\n",
