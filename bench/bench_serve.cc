@@ -1,15 +1,13 @@
 // Inference-service bench: per-batch latency percentiles (p50/p99) and
-// request throughput for the sharded top-k scorer across its four
+// request throughput for the sharded top-k scorer across its three
 // serving modes — exact fp32 scan, int8 quantized two-phase scan
-// (ServeConfig::quantize), fp16 two-phase scan (ServeConfig::fp16),
-// and IVF approximate retrieval (ServeConfig::exact = false) — across
-// batch sizes and 1 / 2 / hardware threads. Probes gate the exit code:
-// quantized responses must be bit-identical to the exact 1-thread
-// baseline for every worker count; IVF responses must be bit-identical
-// across thread counts, shard grains, and batch packings (and equal the
-// exact scan outright at nprobe >= nlist with fp32 lists); fp16
-// responses must be bit-identical across thread counts and batch
-// packings at the fixed shard grain. Emits machine-readable
+// (ServeConfig::quantize), and IVF approximate retrieval
+// (ServeConfig::exact = false) — across batch sizes and 1 / 2 /
+// hardware threads. Probes gate the exit code: quantized responses must
+// be bit-identical to the exact 1-thread baseline for every worker
+// count; IVF responses must be bit-identical across thread counts,
+// shard grains, and batch packings (and equal the exact scan outright
+// at nprobe >= nlist with fp32 lists). Emits machine-readable
 // BENCH_serve.json into the working directory.
 //
 // An ANN tier sweeps (nlist, nprobe) and reports recall@k of each
@@ -95,7 +93,7 @@ namespace {
 using namespace bslrec;  // NOLINT: bench-local convenience
 
 struct ServePoint {
-  const char* mode;  // "exact" | "quantized" | "fp16" | "ivf"
+  const char* mode;  // "exact" | "quantized" | "ivf"
   size_t threads;
   size_t batch;
   double p50_ms;
@@ -150,7 +148,6 @@ serve::ServeConfig MakeConfig(uint32_t k, size_t threads, const char* mode) {
   sc.cache_rankings = false;  // measure scoring, not cache hits
   sc.runtime.num_threads = threads;
   if (std::strcmp(mode, "quantized") == 0) sc.quantize = true;
-  if (std::strcmp(mode, "fp16") == 0) sc.fp16 = true;
   if (std::strcmp(mode, "ivf") == 0) sc.exact = false;  // auto nlist, nprobe 8
   return sc;
 }
@@ -352,7 +349,7 @@ int main() {
 
   std::vector<ServePoint> points;
   for (size_t threads : ThreadCounts()) {
-    for (const char* mode : {"exact", "quantized", "fp16", "ivf"}) {
+    for (const char* mode : {"exact", "quantized", "ivf"}) {
       serve::InferenceService service(data, model,
                                       MakeConfig(k, threads, mode));
       for (size_t batch : batch_sizes) {
@@ -500,29 +497,6 @@ int main() {
   std::printf("ivf bit-identical across threads/grains/batching and "
               "full-probe == exact: %s\n",
               ann_identical ? "yes" : "NO — BUG");
-
-  // fp16 candidate sets depend on the shard grain (topk_scorer.h), so
-  // the grain stays fixed here: at a fixed grain the fp16 scan must be
-  // bit-identical across thread counts and batch packings.
-  bool fp16_identical = true;
-  {
-    const std::vector<serve::TopKRequest> probe =
-        MakeRequests(scale ? 32 : 64, data.num_users(), k, 137);
-    serve::InferenceService baseline(data, model, MakeConfig(k, 1, "fp16"));
-    const auto want = baseline.HandleBatch(probe);
-    for (size_t threads : ThreadCounts()) {
-      serve::InferenceService service(data, model,
-                                      MakeConfig(k, threads, "fp16"));
-      const auto whole = service.HandleBatch(probe);
-      for (size_t r = 0; r < probe.size(); ++r) {
-        fp16_identical = fp16_identical && SameResponse(whole[r], want[r]);
-        fp16_identical = fp16_identical &&
-                         SameResponse(service.Handle(probe[r]), want[r]);
-      }
-    }
-  }
-  std::printf("fp16 bit-identical across threads/batching: %s\n",
-              fp16_identical ? "yes" : "NO — BUG");
 
   // ---- ANN tier: (nlist, nprobe) sweep, recall@k vs exact ----
   // Each point serves the same request stream as an exact reference run
@@ -1088,10 +1062,9 @@ int main() {
               ol_no_expired_fulfilled ? "yes" : "NO — BUG",
               ol_identical ? "yes" : "NO — BUG");
 
-  identical = identical && ann_identical && fp16_identical &&
-              frontdoor_identical && net_identical && trainserve_matched &&
-              ol_accounting && ol_depth_ok && ol_no_expired_fulfilled &&
-              ol_identical;
+  identical = identical && ann_identical && frontdoor_identical &&
+              net_identical && trainserve_matched && ol_accounting &&
+              ol_depth_ok && ol_no_expired_fulfilled && ol_identical;
 
   // ---- machine-readable output ----
   FILE* out = bench::BeginBenchJson("BENCH_serve.json");
@@ -1143,11 +1116,8 @@ int main() {
                static_cast<unsigned long long>(ivf_stats.ivf_lists),
                static_cast<unsigned long long>(ivf_stats.ivf_candidates),
                static_cast<unsigned long long>(ivf_stats.ivf_reranked));
-  std::fprintf(out,
-               "  \"determinism\": {\"ivf_bit_identical\": %s, "
-               "\"fp16_bit_identical\": %s}},\n",
-               ann_identical ? "true" : "false",
-               fp16_identical ? "true" : "false");
+  std::fprintf(out, "  \"determinism\": {\"ivf_bit_identical\": %s}},\n",
+               ann_identical ? "true" : "false");
   std::fprintf(out,
                "  \"frontend\": {\"max_batch\": %zu, "
                "\"flush_deadline_us\": %u, \"points\": [\n",

@@ -42,23 +42,10 @@ Evaluator::Evaluator(const Dataset& data, uint32_t k,
   BSLREC_CHECK(pool != nullptr);
 }
 
-namespace {
-
-serve::SnapshotOptions SnapshotOptionsForScoring(
-    const serve::ScorerOptions& scoring) {
-  serve::SnapshotOptions so;
-  so.quantize_items = scoring.quantize;
-  so.fp16_items = scoring.fp16;
-  so.ivf.build = !scoring.exact;
-  return so;
-}
-
-}  // namespace
-
 Evaluator::Pass::Pass(const Evaluator& eval, const EmbeddingModel& model)
     : Pass(eval, std::make_shared<const serve::ModelSnapshot>(
                      model, *eval.pool_,
-                     SnapshotOptionsForScoring(eval.scoring_))) {}
+                     serve::SnapshotOptionsFor(eval.scoring_))) {}
 
 Evaluator::Pass::Pass(const Evaluator& eval,
                       std::shared_ptr<const serve::ModelSnapshot> snapshot)
@@ -69,67 +56,28 @@ Evaluator::Pass::Pass(const Evaluator& eval,
   BSLREC_CHECK_MSG(snapshot_->num_users() == eval_.data_.num_users() &&
                        snapshot_->num_items() == eval_.data_.num_items(),
                    "snapshot shape does not match the evaluator's dataset");
+  BSLREC_CHECK(eval_.scoring_.items_per_shard > 0);
   BSLREC_CHECK_MSG(
       !eval_.scoring_.quantize || snapshot_->has_quantized_items(),
       "quantized evaluator pass needs a snapshot built with "
       "SnapshotOptions::quantize_items");
-  BSLREC_CHECK_MSG(!eval_.scoring_.fp16 || snapshot_->has_fp16_items(),
-                   "fp16 evaluator pass needs a snapshot built with "
-                   "SnapshotOptions::fp16_items");
   BSLREC_CHECK_MSG(eval_.scoring_.exact || snapshot_->ivf() != nullptr,
                    "approximate (exact = false) evaluator pass needs a "
                    "snapshot built with SnapshotOptions::ivf.build");
-  if (eval_.scoring_.exact && !eval_.scoring_.quantize &&
-      !eval_.scoring_.fp16) {
-    for (WorkerScratch& ws : scratch_) {
-      ws.scores.resize(eval_.data_.num_items());
-    }
-  }
 }
-
-void Evaluator::Pass::ScoreUser(uint32_t user, WorkerScratch& ws) {
-  serve::ScoreItemRange(*snapshot_, snapshot_->UserVec(user), 0,
-                        snapshot_->num_items(), ws.scores.data());
-}
-
-namespace {
-
-std::vector<uint32_t> ItemsOf(const std::vector<serve::ScoredItem>& top) {
-  std::vector<uint32_t> items(top.size());
-  for (size_t i = 0; i < top.size(); ++i) items[i] = top[i].item;
-  return items;
-}
-
-}  // namespace
 
 std::vector<uint32_t> Evaluator::Pass::RankUser(uint32_t user, uint32_t k,
                                                 WorkerScratch& ws) {
-  // All non-exact branches run serially per user (the surrounding user
-  // loop is the parallel axis), so the approximate metrics are still
-  // bit-identical for any worker count.
-  if (!eval_.scoring_.exact) {
-    // ANN through the snapshot's IVF index: approximate candidate set,
-    // exact top-k over it. This is the *approximate evaluation pass* —
-    // its metrics measure exactly what ANN serving would ship.
-    return ItemsOf(serve::IvfCatalogTopK(
-        *snapshot_, snapshot_->UserVec(user), k, eval_.data_.TrainItems(user),
-        eval_.scoring_, ws.qscan));
-  }
-  if (eval_.scoring_.quantize) {
-    // Certified two-phase scan — bit-identical to the exact branch.
-    return ItemsOf(serve::QuantizedCatalogTopK(
-        *snapshot_, snapshot_->UserVec(user), k, eval_.data_.TrainItems(user),
-        eval_.scoring_, ws.qscan));
-  }
-  if (eval_.scoring_.fp16) {
-    // Certification-free fp16 scan (approximate candidates, exact
-    // scores for what it returns).
-    return ItemsOf(serve::F16CatalogTopK(
-        *snapshot_, snapshot_->UserVec(user), k, eval_.data_.TrainItems(user),
-        eval_.scoring_, ws.qscan));
-  }
-  ScoreUser(user, ws);
-  return eval_.RankTopK(ws.scores, user, k);
+  // The serving stack's per-query kernel, run serially per user (the
+  // surrounding user loop is the parallel axis). Candidates exclude the
+  // user's train positives entirely: a recommendation list must never
+  // contain already-consumed items.
+  serve::QueryTopK(*snapshot_, snapshot_->UserVec(user), k,
+                   eval_.data_.TrainItems(user), eval_.scoring_, ws.scan,
+                   ws.top);
+  std::vector<uint32_t> items(ws.top.size());
+  for (size_t i = 0; i < ws.top.size(); ++i) items[i] = ws.top[i].item;
+  return items;
 }
 
 std::vector<std::vector<uint32_t>> Evaluator::Pass::ComputeRankings(
@@ -228,20 +176,6 @@ Evaluator::Pass Evaluator::BeginPass(const EmbeddingModel& model) const {
 Evaluator::Pass Evaluator::BeginPassOn(
     std::shared_ptr<const serve::ModelSnapshot> snapshot) const {
   return Pass(*this, std::move(snapshot));
-}
-
-std::vector<uint32_t> Evaluator::RankTopK(const std::vector<float>& scores,
-                                          uint32_t user, uint32_t k) const {
-  // Candidates exclude the user's train positives entirely: a
-  // recommendation list must never contain already-consumed items.
-  // Selection and tie-breaking come from the serve core, so evaluator
-  // rankings and served responses are the same lists by construction.
-  const std::vector<serve::ScoredItem> top = serve::SelectTopK(
-      scores.data(), 0, static_cast<uint32_t>(scores.size()), k,
-      data_.TrainItems(user));
-  std::vector<uint32_t> items(top.size());
-  for (size_t i = 0; i < top.size(); ++i) items[i] = top[i].item;
-  return items;
 }
 
 TopKMetrics Evaluator::Evaluate(const EmbeddingModel& model) const {

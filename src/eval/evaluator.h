@@ -14,10 +14,10 @@
 // An evaluation *pass* (`BeginPass`) freezes the model's current final
 // embeddings into a read-only `serve::ModelSnapshot` (the same snapshot
 // type the inference service ships to production) and shares it, along
-// with per-worker score buffers, across every query on the pass. The
-// scoring and ranking kernels also come from `serve/` —
-// `ScoreItemRange` and `SelectTopK` — so offline metrics and served
-// responses agree bit-for-bit by construction. The single-shot
+// with per-worker scan buffers, across every query on the pass. Each
+// user is ranked by the serving stack's own per-query kernel,
+// `serve::QueryTopK`, so offline metrics and served responses agree
+// bit-for-bit by construction. The single-shot
 // `Evaluate`/`GroupNdcg`/... wrappers each open a one-query pass;
 // callers issuing several queries against the same model state should
 // hold a pass instead.
@@ -29,18 +29,16 @@
 // and because ranking is thread-count invariant, the metrics are
 // bit-identical to a synchronous pass over the same snapshot.
 //
-// The `scoring` options select the ranking kernel per pass:
+// The `scoring` options pick the tier QueryTopK runs per pass:
 //   * default — exact full-catalog scan;
 //   * `quantize` — certified int8 two-phase scan, metrics bit-identical
 //     to exact;
-//   * `fp16` — certification-free fp16 two-phase scan (approximate
-//     candidate sets);
 //   * `exact = false` — ANN through the snapshot's IVF index at
 //     `nprobe` probes: the *approximate evaluation pass*, measuring
 //     exactly the lists ANN serving would return (with nprobe >= nlist
 //     it degenerates to the exact metrics bitwise).
-// Every branch runs serially per user inside the parallel user loop,
-// so all metric variants are bit-identical for any worker count.
+// Every tier runs serially per user inside the parallel user loop, so
+// all metric variants are bit-identical for any worker count.
 #ifndef BSLREC_EVAL_EVALUATOR_H_
 #define BSLREC_EVAL_EVALUATOR_H_
 
@@ -115,14 +113,12 @@ class Evaluator {
          std::shared_ptr<const serve::ModelSnapshot> snapshot);
 
     struct WorkerScratch {
-      std::vector<float> scores;  // one score per catalog item (exact)
-      serve::ShardScratch qscan;  // quantized / fp16 / ivf buffers
+      serve::ShardScratch scan;
+      std::vector<serve::ScoredItem> top;
     };
 
-    // Scores all items for `user` into ws.scores.
-    void ScoreUser(uint32_t user, WorkerScratch& ws);
-    // Top-k ids for one user (train positives masked), through the
-    // evaluator's configured scoring path (exact or quantized).
+    // Top-k ids for one user (train positives masked), through
+    // serve::QueryTopK under the evaluator's scoring options.
     std::vector<uint32_t> RankUser(uint32_t user, uint32_t k,
                                    WorkerScratch& ws);
     // Parallel score+rank of every test user at cutoff k.
@@ -160,9 +156,6 @@ class Evaluator {
 
  private:
   friend class Pass;
-
-  std::vector<uint32_t> RankTopK(const std::vector<float>& scores,
-                                 uint32_t user, uint32_t k) const;
 
   const Dataset& data_;
   uint32_t k_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 
 // SIMD tier selection. AVX2 needs an explicit opt-in (-mavx2, via the
@@ -14,12 +13,6 @@
 #include <immintrin.h>
 #define BSLREC_SIMD_AVX2 1
 #define BSLREC_SIMD_SSE2 1
-// F16C (half-float converts) ships with every AVX2 CPU but is a
-// separate ISA flag; the fp16 kernels use it only when the build
-// enables both.
-#if defined(__F16C__)
-#define BSLREC_SIMD_F16C 1
-#endif
 #elif defined(__SSE2__) || defined(__x86_64__) || defined(_M_X64)
 #include <emmintrin.h>
 #define BSLREC_SIMD_SSE2 1
@@ -317,166 +310,6 @@ float QuantizeRow(const float* x, size_t n, int8_t* out) {
 #else
   return ref::QuantizeRow(x, n, out);
 #endif
-}
-
-uint16_t F32ToF16(float f) {
-  uint32_t x;
-  std::memcpy(&x, &f, sizeof(x));
-  const uint16_t sign = static_cast<uint16_t>((x >> 16) & 0x8000u);
-  x &= 0x7fffffffu;
-  if (x >= 0x7f800000u) {
-    // inf / NaN: quiet bit forced, high payload bits preserved (what
-    // VCVTPS2PH does with signaling NaNs).
-    const uint16_t mant =
-        x > 0x7f800000u
-            ? static_cast<uint16_t>(0x0200u | ((x >> 13) & 0x03ffu))
-            : static_cast<uint16_t>(0);
-    return static_cast<uint16_t>(sign | 0x7c00u | mant);
-  }
-  if (x >= 0x477ff000u) {
-    // Magnitude >= 65520 rounds past the max normal (65504) to inf.
-    return static_cast<uint16_t>(sign | 0x7c00u);
-  }
-  if (x >= 0x38800000u) {
-    // Normal f16: rebias the exponent, round the 13 dropped mantissa
-    // bits to nearest-even (a carry ripples correctly into the
-    // exponent field, including up to inf-1 -> never, guarded above).
-    const uint32_t e = x >> 23;  // 113..142
-    uint32_t q = ((e - 112u) << 10) | ((x >> 13) & 0x3ffu);
-    const uint32_t rem = x & 0x1fffu;
-    if (rem > 0x1000u || (rem == 0x1000u && (q & 1u))) ++q;
-    return static_cast<uint16_t>(sign | q);
-  }
-  if (x < 0x33000000u) {
-    // Below 2^-25: rounds to (signed) zero. Covers f32 subnormals too.
-    return sign;
-  }
-  // Subnormal f16: the value is m * 2^(e-150) with the implicit bit
-  // restored; shift it down to units of 2^-24 and round to nearest-even.
-  const uint32_t e = x >> 23;                    // 102..112
-  const uint32_t m = (x & 0x7fffffu) | 0x800000u;
-  const uint32_t shift = 126u - e;               // 14..24
-  uint32_t q = m >> shift;
-  const uint32_t rem = m & ((1u << shift) - 1u);
-  const uint32_t half = 1u << (shift - 1u);
-  if (rem > half || (rem == half && (q & 1u))) ++q;
-  return static_cast<uint16_t>(sign | q);  // carry into 0x0400 is exact
-}
-
-float F16ToF32(uint16_t h) {
-  const uint32_t sign = static_cast<uint32_t>(h & 0x8000u) << 16;
-  const uint32_t em = h & 0x7fffu;
-  uint32_t r;
-  if (em >= 0x7c00u) {
-    // inf / NaN; quiet bit forced on NaNs (matching VCVTPH2PS).
-    r = sign | 0x7f800000u | (static_cast<uint32_t>(em & 0x3ffu) << 13);
-    if (em > 0x7c00u) r |= 0x400000u;
-  } else if (em >= 0x0400u) {
-    // Normal: rebias exponent, widen mantissa. Exact.
-    r = sign | (((em >> 10) + 112u) << 23) |
-        (static_cast<uint32_t>(em & 0x3ffu) << 13);
-  } else if (em != 0u) {
-    // Subnormal f16 -> normal f32: renormalize the mantissa. Exact.
-    uint32_t m = em;
-    uint32_t e = 113u;
-    while ((m & 0x400u) == 0u) {
-      m <<= 1;
-      --e;
-    }
-    r = sign | (e << 23) | (static_cast<uint32_t>(m & 0x3ffu) << 13);
-  } else {
-    r = sign;  // +-0
-  }
-  float f;
-  std::memcpy(&f, &r, sizeof(f));
-  return f;
-}
-
-namespace ref {
-
-void EncodeF16(const float* x, size_t n, uint16_t* out) {
-  for (size_t k = 0; k < n; ++k) out[k] = F32ToF16(x[k]);
-}
-
-void GatherF16(const uint16_t* in, size_t n, float* out) {
-  for (size_t k = 0; k < n; ++k) out[k] = F16ToF32(in[k]);
-}
-
-float DotF16(const float* q, const uint16_t* row, size_t n) {
-  double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
-  size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    acc0 += static_cast<double>(q[k + 0]) * F16ToF32(row[k + 0]);
-    acc1 += static_cast<double>(q[k + 1]) * F16ToF32(row[k + 1]);
-    acc2 += static_cast<double>(q[k + 2]) * F16ToF32(row[k + 2]);
-    acc3 += static_cast<double>(q[k + 3]) * F16ToF32(row[k + 3]);
-  }
-  for (; k < n; ++k) acc0 += static_cast<double>(q[k]) * F16ToF32(row[k]);
-  return static_cast<float>((acc0 + acc1) + (acc2 + acc3));
-}
-
-void DotBatchF16(const float* q, const uint16_t* rows, size_t m, size_t d,
-                 float* out) {
-  for (size_t r = 0; r < m; ++r) out[r] = DotF16(q, rows + r * d, d);
-}
-
-}  // namespace ref
-
-void EncodeF16(const float* x, size_t n, uint16_t* out) {
-#if BSLREC_SIMD_F16C
-  size_t k = 0;
-  for (; k + 8 <= n; k += 8) {
-    const __m128i h = _mm256_cvtps_ph(_mm256_loadu_ps(x + k),
-                                      _MM_FROUND_TO_NEAREST_INT);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + k), h);
-  }
-  for (; k < n; ++k) out[k] = F32ToF16(x[k]);
-#else
-  ref::EncodeF16(x, n, out);
-#endif
-}
-
-void GatherF16(const uint16_t* in, size_t n, float* out) {
-#if BSLREC_SIMD_F16C
-  size_t k = 0;
-  for (; k + 8 <= n; k += 8) {
-    const __m128i h =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + k));
-    _mm256_storeu_ps(out + k, _mm256_cvtph_ps(h));
-  }
-  for (; k < n; ++k) out[k] = F16ToF32(in[k]);
-#else
-  ref::GatherF16(in, n, out);
-#endif
-}
-
-float DotF16(const float* q, const uint16_t* row, size_t n) {
-#if BSLREC_SIMD_F16C
-  // Same four double lanes as Dot: decode 4 halves (exact), widen both
-  // operands to double, multiply-add. The decode is exact and the adds
-  // follow the reference's lane order, so the result is bit-identical
-  // to ref::DotF16.
-  __m256d acc = _mm256_setzero_pd();
-  size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    const __m128 vr = _mm_cvtph_ps(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(row + k)));
-    const __m256d dq = _mm256_cvtps_pd(_mm_loadu_ps(q + k));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(dq, _mm256_cvtps_pd(vr)));
-  }
-  alignas(32) double lane[4];
-  _mm256_store_pd(lane, acc);
-  double acc0 = lane[0];
-  for (; k < n; ++k) acc0 += static_cast<double>(q[k]) * F16ToF32(row[k]);
-  return static_cast<float>((acc0 + lane[1]) + (lane[2] + lane[3]));
-#else
-  return ref::DotF16(q, row, n);
-#endif
-}
-
-void DotBatchF16(const float* q, const uint16_t* rows, size_t m, size_t d,
-                 float* out) {
-  for (size_t r = 0; r < m; ++r) out[r] = DotF16(q, rows + r * d, d);
 }
 
 double L1Norm(const float* x, size_t n) {

@@ -37,13 +37,6 @@
 //     AccumulateCosineGrad's float expression, term by term in run
 //     order, on the same operands; the SIMD form only keeps a block of
 //     the accumulator in registers across the run (elements never mix).
-//   * the fp16 kernels (`EncodeF16`, `GatherF16`, `DotF16`,
-//     `DotBatchF16`) exactly — `F32ToF16` is IEEE round-to-nearest-even
-//     (the rounding VCVTPS2PH performs with _MM_FROUND_TO_NEAREST_INT),
-//     `F16ToF32` is exact (every binary16 value is a binary32 value),
-//     and `DotF16` decodes then reuses Dot's four-double-lane summation
-//     tree, so the F16C hardware forms agree with the scalar bit
-//     twiddling bit-for-bit;
 //   * `AdamStep` exactly — its SSE2 form runs the reference's double-
 //     precision expression two lanes at a time, operation for
 //     operation: float -> double widening is exact, and IEEE add, mul,
@@ -99,11 +92,6 @@ int32_t DotI8(const int8_t* a, const int8_t* b, size_t n);
 void DotBatchI8(const int8_t* q, const int8_t* rows, size_t m, size_t d,
                 int32_t* out);
 float QuantizeRow(const float* x, size_t n, int8_t* out);
-void EncodeF16(const float* x, size_t n, uint16_t* out);
-void GatherF16(const uint16_t* in, size_t n, float* out);
-float DotF16(const float* q, const uint16_t* row, size_t n);
-void DotBatchF16(const float* q, const uint16_t* rows, size_t m, size_t d,
-                 float* out);
 void AdamStep(const AdamCoeffs& c, const float* g, float* w, float* m,
               float* v, size_t n);
 }  // namespace ref
@@ -129,39 +117,6 @@ void DotBatchI8(const int8_t* q, const int8_t* rows, size_t m, size_t d,
 // error |x[i] - out[i]*scale| <= scale * (0.5 + eps)). An all-zero row
 // gets scale 0 and all-zero codes.
 float QuantizeRow(const float* x, size_t n, int8_t* out);
-
-// ---- fp16 (IEEE binary16) item-table kernels ----
-//
-// Half-precision values travel as raw uint16_t bit patterns; the
-// scalar conversions below are bit-identical to the F16C hardware
-// instructions (VCVTPS2PH with round-to-nearest-even / VCVTPH2PS), so
-// fp16 tables encode and score identically on every SIMD tier.
-
-// binary32 -> binary16, round-to-nearest-even (overflow to +-inf,
-// subnormals handled exactly, NaN quieted with payload preserved).
-uint16_t F32ToF16(float f);
-
-// binary16 -> binary32, exact (signaling NaNs are quieted, matching
-// VCVTPH2PS).
-float F16ToF32(uint16_t h);
-
-// Encodes n floats into fp16 codes: out[i] = F32ToF16(x[i]).
-void EncodeF16(const float* x, size_t n, uint16_t* out);
-
-// Decodes n fp16 codes into floats: out[i] = F16ToF32(in[i]).
-void GatherF16(const uint16_t* in, size_t n, float* out);
-
-// Mixed-precision dot: sum_i q[i] * F16ToF32(row[i]), accumulated with
-// Dot's four-double-lane fixed summation tree — deterministic and
-// bit-identical across SIMD tiers, but NOT equal to Dot over the fp32
-// row (the fp16 encode rounds each element; relative error <= 2^-11
-// per element for normal-range values).
-float DotF16(const float* q, const uint16_t* row, size_t n);
-
-// Batch form over a contiguous m x d fp16 block: out[r] == DotF16(q,
-// row r, d) bitwise (the phase-1 kernel of the fp16 catalog scan).
-void DotBatchF16(const float* q, const uint16_t* rows, size_t m, size_t d,
-                 float* out);
 
 // Returns sum_i |x[i]|, accumulated in double with the same four-lane
 // fixed summation tree as Dot (deterministic, context-independent).

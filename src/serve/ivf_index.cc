@@ -32,8 +32,7 @@ uint32_t AssignRow(const float* row, const float* centroids, uint32_t nlist,
 }  // namespace
 
 IvfIndex::IvfIndex(const Matrix& items, const int8_t* codes,
-                   const float* scales, const uint16_t* f16,
-                   runtime::ThreadPool& pool,
+                   const float* scales, runtime::ThreadPool& pool,
                    const IvfBuildOptions& options) {
   num_items_ = static_cast<uint32_t>(items.rows());
   dim_ = items.cols();
@@ -163,9 +162,6 @@ IvfIndex::IvfIndex(const Matrix& items, const int8_t* codes,
     grouped_codes_.resize(static_cast<size_t>(num_items_) * dim_);
     grouped_scale_.resize(num_items_);
   }
-  if (f16 != nullptr) {
-    grouped_f16_.resize(static_cast<size_t>(num_items_) * dim_);
-  }
   runtime::ParallelFor(
       pool, 0, num_items_, kIvfGrain,
       [&](size_t lo, size_t hi, size_t /*shard*/, size_t /*worker*/) {
@@ -177,10 +173,6 @@ IvfIndex::IvfIndex(const Matrix& items, const int8_t* codes,
             std::memcpy(grouped_codes_.data() + p * dim_, codes + id * dim_,
                         dim_ * sizeof(int8_t));
             grouped_scale_[p] = scales[id];
-          }
-          if (f16 != nullptr) {
-            std::memcpy(grouped_f16_.data() + p * dim_, f16 + id * dim_,
-                        dim_ * sizeof(uint16_t));
           }
         }
       });

@@ -13,9 +13,8 @@
 //   * *grouped* copies of the item representations in posting order —
 //     always the fp32 rows (bitwise equal to the snapshot's ItemVec
 //     rows, so the exact re-rank reads only the index), plus the int8
-//     codes/scales and/or fp16 codes when the snapshot carries those
-//     tables — so visiting a list is a contiguous fused scan, never a
-//     gather.
+//     codes/scales when the snapshot carries that table — so visiting
+//     a list is a contiguous fused scan, never a gather.
 //
 // Determinism: the k-means is a fixed-iteration Lloyd loop with a
 // serial seeded init (math/rng.h), parallelized per the PR 1 contract
@@ -67,12 +66,10 @@ class IvfIndex {
  public:
   // Builds the index over `items` (L2-normalized rows — the snapshot's
   // item table). `codes`/`scales` point at the snapshot's int8 table
-  // (row-major codes, per-row scale) or are null; `f16` likewise for
-  // the fp16 table. Grouped copies are built for whichever tables are
-  // present. `pool` is only used during construction.
+  // (row-major codes, per-row scale) or are null; grouped int8 copies
+  // are built when present. `pool` is only used during construction.
   IvfIndex(const Matrix& items, const int8_t* codes, const float* scales,
-           const uint16_t* f16, runtime::ThreadPool& pool,
-           const IvfBuildOptions& options);
+           runtime::ThreadPool& pool, const IvfBuildOptions& options);
 
   uint32_t nlist() const { return nlist_; }
   size_t dim() const { return dim_; }
@@ -100,11 +97,6 @@ class IvfIndex {
   }
   float Scale(uint32_t p) const { return grouped_scale_[p]; }
 
-  bool has_f16() const { return !grouped_f16_.empty(); }
-  const uint16_t* F16(uint32_t p) const {
-    return grouped_f16_.data() + static_cast<size_t>(p) * dim_;
-  }
-
  private:
   uint32_t nlist_ = 0;
   uint32_t num_items_ = 0;
@@ -115,7 +107,6 @@ class IvfIndex {
   std::vector<float> grouped_f32_;     // num_items x dim, posting order
   std::vector<int8_t> grouped_codes_;  // iff codes given
   std::vector<float> grouped_scale_;   // iff codes given
-  std::vector<uint16_t> grouped_f16_;  // iff f16 given
 };
 
 }  // namespace bslrec::serve

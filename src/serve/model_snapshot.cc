@@ -60,28 +60,13 @@ ModelSnapshot::ModelSnapshot(const EmbeddingModel& model,
         });
   }
 
-  if (options.fp16_items) {
-    // fp16 copy of the normalized item rows (same independent-row
-    // parallel fill).
-    item_f16_.resize(static_cast<size_t>(num_items_) * dim_);
-    runtime::ParallelFor(
-        pool, 0, num_items_, kNormalizeGrain,
-        [&](size_t lo, size_t hi, size_t /*shard*/, size_t /*worker*/) {
-          for (size_t r = lo; r < hi; ++r) {
-            vec::EncodeF16(item_normed_.Row(r), dim_,
-                           item_f16_.data() + r * dim_);
-          }
-        });
-  }
-
   if (options.ivf.build) {
-    // The index groups copies of whichever tables exist, so int8 / fp16
-    // phase-1 scans compose with ANN probing. Built last: it snapshots
-    // the tables above.
+    // The index groups copies of whichever tables exist, so int8 phase-1
+    // scans compose with ANN probing. Built last: it snapshots the
+    // tables above.
     ivf_ = std::make_unique<const IvfIndex>(
         item_normed_, item_codes_.empty() ? nullptr : item_codes_.data(),
-        item_scale_.empty() ? nullptr : item_scale_.data(),
-        item_f16_.empty() ? nullptr : item_f16_.data(), pool, options.ivf);
+        item_scale_.empty() ? nullptr : item_scale_.data(), pool, options.ivf);
   }
 }
 

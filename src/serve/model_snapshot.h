@@ -26,15 +26,12 @@
 // topk_scorer.h), so a quantized snapshot answers identically to an
 // unquantized one.
 //
-// Two further opt-in tables trade exactness for speed (topk_scorer.h
-// documents both scan modes and their determinism guarantees):
-//
-//   * `fp16_items` — an IEEE-half copy of the item table (half the scan
-//     traffic of fp32) driving the certification-free fp16 two-phase
-//     scan (`ScorerOptions::fp16`);
-//   * `ivf` — an IVF coarse index (ivf_index.h) built over the
-//     normalized item table at freeze time, driving true ANN retrieval
-//     (`ScorerOptions::exact = false`).
+// With `SnapshotOptions::ivf` the snapshot also carries an IVF coarse
+// index (ivf_index.h) built over the normalized item table at freeze
+// time. It trades exactness for speed, driving true ANN retrieval
+// (`ScorerOptions::exact = false`; topk_scorer.h documents the scan and
+// its determinism guarantees). `serve::SnapshotOptionsFor` maps scorer
+// options to the tables they read.
 #ifndef BSLREC_SERVE_MODEL_SNAPSHOT_H_
 #define BSLREC_SERVE_MODEL_SNAPSHOT_H_
 
@@ -52,8 +49,6 @@ namespace bslrec::serve {
 struct SnapshotOptions {
   // Also build the int8 item table (enables ScorerOptions::quantize).
   bool quantize_items = false;
-  // Also build the fp16 item table (enables ScorerOptions::fp16).
-  bool fp16_items = false;
   // With ivf.build, also build the IVF coarse index over the item table
   // (enables ScorerOptions::exact = false). See ivf_index.h.
   IvfBuildOptions ivf;
@@ -85,13 +80,6 @@ class ModelSnapshot {
   // quantized scorer's error bound, precomputed at freeze time.
   float ItemScaleL1(uint32_t i) const { return item_scale_l1_[i]; }
 
-  // fp16 item table (present iff built with fp16_items): row i holds
-  // dim() IEEE-half codes of ItemVec(i), encoded by vec::EncodeF16.
-  bool has_fp16_items() const { return !item_f16_.empty(); }
-  const uint16_t* ItemF16(uint32_t i) const {
-    return item_f16_.data() + static_cast<size_t>(i) * dim_;
-  }
-
   // IVF coarse index (non-null iff built with ivf.build).
   const IvfIndex* ivf() const { return ivf_.get(); }
 
@@ -104,7 +92,6 @@ class ModelSnapshot {
   std::vector<int8_t> item_codes_;     // num_items x dim, row-major
   std::vector<float> item_scale_;      // per item
   std::vector<float> item_scale_l1_;   // per item
-  std::vector<uint16_t> item_f16_;     // num_items x dim, row-major
   std::unique_ptr<const IvfIndex> ivf_;
 };
 

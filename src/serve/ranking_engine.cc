@@ -29,19 +29,13 @@ TopKResponse ToResponse(std::span<const ScoredItem> ranking, uint32_t k) {
 }  // namespace
 
 SnapshotOptions SnapshotOptionsFor(const ServeConfig& config) {
-  SnapshotOptions so;
-  so.quantize_items = config.quantize;
-  so.fp16_items = config.fp16;
-  so.ivf = config.ivf;
-  if (!config.exact) so.ivf.build = true;
-  return so;
+  return SnapshotOptionsFor(ScorerOptionsFor(config), config.ivf);
 }
 
 ScorerOptions ScorerOptionsFor(const ServeConfig& config) {
   return ScorerOptions{.items_per_shard = config.items_per_shard,
                        .quantize = config.quantize,
                        .candidate_margin = config.candidate_margin,
-                       .fp16 = config.fp16,
                        .exact = config.exact,
                        .nprobe = config.nprobe};
 }

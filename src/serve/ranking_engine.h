@@ -62,10 +62,6 @@ struct ServeConfig {
   bool quantize = false;
   // Extra phase-1 candidates per shard beyond each request's k.
   uint32_t candidate_margin = kDefaultCandidateMargin;
-  // Build an fp16 item table at snapshot time and serve through the
-  // certification-free fp16 two-phase scan (mutually exclusive with
-  // quantize). Candidate sets are approximate; returned scores exact.
-  bool fp16 = false;
   // With exact = false, serve through the snapshot's IVF index (built
   // automatically): probe the top-nprobe coarse lists and exact fp32
   // re-rank the gathered candidates. See topk_scorer.h.
@@ -79,7 +75,9 @@ struct ServeConfig {
 
 // The snapshot/scorer option sets a ServeConfig implies — shared by
 // every serving entry point (InferenceService, ServingFrontEnd, tools,
-// benches) so they all freeze and score identically.
+// benches) so they all freeze and score identically. The snapshot
+// options are SnapshotOptionsFor(ScorerOptionsFor(config), config.ivf),
+// the same mapping the evaluator freezes its passes with.
 SnapshotOptions SnapshotOptionsFor(const ServeConfig& config);
 ScorerOptions ScorerOptionsFor(const ServeConfig& config);
 
@@ -126,7 +124,7 @@ class RankingEngine {
 
   const ModelSnapshot& snapshot() const { return snapshot_; }
   const ServeConfig& config() const { return config_; }
-  // Scan statistics (quantized mode: shards scanned / fallbacks).
+  // Per-tier scan statistics (CatalogScorer::Stats).
   const CatalogScorer& scorer() const { return scorer_; }
 
   TopKResponse Handle(const TopKRequest& request);

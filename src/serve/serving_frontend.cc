@@ -58,7 +58,6 @@ void FailPromise(std::promise<ServedResponse>& promise,
 DegradeMode BrownoutModeFor(const ModelSnapshot& snapshot,
                             const ServeConfig& serve) {
   if (snapshot.ivf() != nullptr) return DegradeMode::kIvf;
-  if (snapshot.has_fp16_items() && !serve.fp16) return DegradeMode::kFp16;
   if (snapshot.has_quantized_items() && !serve.quantize) {
     return DegradeMode::kQuantized;
   }
@@ -78,17 +77,10 @@ ServeConfig BrownoutServeConfigFor(const ServeConfig& serve, DegradeMode mode,
       out.exact = false;
       out.nprobe = brownout_nprobe;
       out.quantize = false;
-      out.fp16 = false;
-      break;
-    case DegradeMode::kFp16:
-      out.exact = true;
-      out.fp16 = true;
-      out.quantize = false;
       break;
     case DegradeMode::kQuantized:
       out.exact = true;
       out.quantize = true;
-      out.fp16 = false;
       break;
   }
   return out;

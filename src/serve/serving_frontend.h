@@ -67,12 +67,12 @@
 //     queue depth (and optionally observed batch latency) and trades
 //     ranking exactness for bounded latency when the front door falls
 //     behind: past the high-water mark it switches scoring to the
-//     snapshot's cheapest *approximate* tier — the IVF index at
-//     `brownout.nprobe` probes when the snapshot has one, else the
-//     fp16 table, else the int8 quantized scan (which is exact in
-//     results, cheaper in memory traffic) — and recovers to the
-//     configured tier once depth falls to the low-water mark
-//     (hysteresis, so the mode cannot flap batch-to-batch). Every
+//     snapshot's cheapest tier — the IVF index at `brownout.nprobe`
+//     probes when the snapshot has one, else the int8 quantized scan
+//     (which is exact in results, cheaper in memory traffic) — and
+//     recovers to the configured tier once depth falls to the
+//     low-water mark (hysteresis, so the mode cannot flap
+//     batch-to-batch). Every
 //     response scored in brownout is marked `degraded` with the
 //     `DegradeMode` used. `BrownoutModeFor` / `BrownoutServeConfigFor`
 //     expose the exact tier selection so callers can construct the
@@ -203,8 +203,9 @@ class DeadlineExceededError : public ServeError {
 };
 
 // The degraded tier a brownout would serve `snapshot` at under `serve`
-// (kNone = no cheaper tier available: brownout cannot engage).
-// Preference order: IVF index > fp16 table > int8 table.
+// (kNone = no cheaper tier available: brownout cannot engage). The
+// ladder: the IVF index when the snapshot has one, else the int8 table
+// when the configured tier does not already scan it.
 DegradeMode BrownoutModeFor(const ModelSnapshot& snapshot,
                             const ServeConfig& serve);
 // The ServeConfig of the brownout tier — build an InferenceService /

@@ -7,6 +7,9 @@
 
 namespace bslrec::serve {
 
+namespace {
+
+// out[i - lo] = cos(q_hat, item i) for every item in [lo, hi).
 void ScoreItemRange(const ModelSnapshot& snapshot, const float* q_hat,
                     uint32_t lo, uint32_t hi, float* out) {
   const size_t d = snapshot.dim();
@@ -15,55 +18,35 @@ void ScoreItemRange(const ModelSnapshot& snapshot, const float* q_hat,
   }
 }
 
-namespace {
+// Keeps the ScoredBefore-first min(k, size) entries of `pool`, in order.
+void KeepTopK(std::vector<ScoredItem>& pool, uint32_t k) {
+  const auto kk = static_cast<long>(std::min<size_t>(k, pool.size()));
+  std::partial_sort(pool.begin(), pool.begin() + kk, pool.end(), ScoredBefore);
+  pool.resize(static_cast<size_t>(kk));
+}
 
-// Fills `cand` with the non-excluded items of the scored block and
-// partially sorts its top-min(k, size) prefix; returns the prefix size.
-size_t SortTopCandidates(const float* scores, uint32_t lo, uint32_t hi,
-                         uint32_t k, std::span<const uint32_t> exclude,
-                         std::vector<ScoredItem>& cand) {
-  cand.clear();
-  cand.reserve(hi - lo);
-  auto ex = exclude.begin();
-  for (uint32_t i = lo; i < hi; ++i) {
-    while (ex != exclude.end() && *ex < i) ++ex;
-    if (ex != exclude.end() && *ex == i) continue;
-    cand.push_back({i, scores[i - lo]});
+// k + margin phase-1 candidates, saturating.
+uint32_t CandidateCount(uint32_t k, uint32_t margin) {
+  return k > UINT32_MAX - margin ? UINT32_MAX : k + margin;
+}
+
+// Prepares `q_hat` (dim d) for ShardTopK, quantizing it into `codes` (d
+// entries, which must outlive the result) unless `codes` is null.
+PreparedQuery PrepareQuery(const float* q_hat, size_t d, int8_t* codes) {
+  PreparedQuery query;
+  query.q_hat = q_hat;
+  if (codes != nullptr) {
+    query.codes = codes;
+    query.scale = vec::QuantizeRow(q_hat, d, codes);
+    query.l1 = vec::L1Norm(q_hat, d);
   }
-  const size_t kk = std::min<size_t>(k, cand.size());
-  std::partial_sort(cand.begin(), cand.begin() + kk, cand.end(),
-                    ScoredBefore);
-  return kk;
+  return query;
 }
 
-}  // namespace
-
-std::vector<ScoredItem> SelectTopK(const float* scores, uint32_t lo,
-                                   uint32_t hi, uint32_t k,
-                                   std::span<const uint32_t> exclude) {
-  std::vector<ScoredItem> cand;
-  cand.resize(SortTopCandidates(scores, lo, hi, k, exclude, cand));
-  return cand;
-}
-
-std::vector<ScoredItem> SelectTopKWithScratch(
-    const float* scores, uint32_t lo, uint32_t hi, uint32_t k,
-    std::span<const uint32_t> exclude, std::vector<ScoredItem>& scratch) {
-  const size_t kk = SortTopCandidates(scores, lo, hi, k, exclude, scratch);
-  return std::vector<ScoredItem>(scratch.begin(),
-                                 scratch.begin() + static_cast<long>(kk));
-}
-
-void SelectTopKInto(const float* scores, uint32_t lo, uint32_t hi, uint32_t k,
-                    std::span<const uint32_t> exclude,
-                    std::vector<ScoredItem>& scratch,
-                    std::vector<ScoredItem>& out) {
-  const size_t kk = SortTopCandidates(scores, lo, hi, k, exclude, scratch);
-  out.assign(scratch.begin(), scratch.begin() + static_cast<long>(kk));
-}
-
+// The certified int8 two-phase scan of one shard (see the header note):
+// writes the shard's exact top-k into `out`; `k` > 0.
 void QuantizedShardTopK(const ModelSnapshot& snapshot,
-                        const QuantizedQuery& query, uint32_t lo, uint32_t hi,
+                        const PreparedQuery& query, uint32_t lo, uint32_t hi,
                         uint32_t k, uint32_t candidate_margin,
                         std::span<const uint32_t> exclude, ShardScratch& ws,
                         std::vector<ScoredItem>& out) {
@@ -93,21 +76,15 @@ void QuantizedShardTopK(const ModelSnapshot& snapshot,
     ws.approx.push_back({i, approx});
   }
 
-  // c = k + margin candidates (saturating).
-  const uint32_t c = k > UINT32_MAX - candidate_margin
-                         ? UINT32_MAX
-                         : k + candidate_margin;
+  const uint32_t c = CandidateCount(k, candidate_margin);
   if (ws.approx.size() <= c) {
     // Degenerate shard (not enough items to prune): exact-score every
     // eligible item — identical to the full fp32 path by construction.
     for (ScoredItem& e : ws.approx) {
       e.score = vec::Dot(query.q_hat, snapshot.ItemVec(e.item), d);
     }
-    const size_t kk = std::min<size_t>(k, ws.approx.size());
-    std::partial_sort(ws.approx.begin(),
-                      ws.approx.begin() + static_cast<long>(kk),
-                      ws.approx.end(), ScoredBefore);
-    out.assign(ws.approx.begin(), ws.approx.begin() + static_cast<long>(kk));
+    KeepTopK(ws.approx, k);
+    out.assign(ws.approx.begin(), ws.approx.end());
     return;
   }
 
@@ -153,62 +130,16 @@ void QuantizedShardTopK(const ModelSnapshot& snapshot,
   ++ws.shards_fallback;
   ws.scores.resize(m);
   ScoreItemRange(snapshot, query.q_hat, lo, hi, ws.scores.data());
+  out.clear();
   SelectTopKInto(ws.scores.data(), lo, hi, k, exclude, ws.cand, out);
 }
 
-void F16ShardTopK(const ModelSnapshot& snapshot, const float* q_hat,
-                  uint32_t lo, uint32_t hi, uint32_t k,
-                  uint32_t candidate_margin, std::span<const uint32_t> exclude,
-                  ShardScratch& ws, std::vector<ScoredItem>& out) {
-  const size_t d = snapshot.dim();
-  const uint32_t m = hi - lo;
-  ++ws.fp16_shards;
-
-  // Phase 1: fp16 scan of the shard (half the fp32 memory traffic),
-  // then the top c = k + margin eligible items by fp16 score.
-  ws.scores.resize(m);
-  vec::DotBatchF16(q_hat, snapshot.ItemF16(lo), m, d, ws.scores.data());
-  const uint32_t c = k > UINT32_MAX - candidate_margin ? UINT32_MAX
-                                                       : k + candidate_margin;
-  const size_t cc = SortTopCandidates(ws.scores.data(), lo, hi, c, exclude,
-                                      ws.cand);
-  // Phase 2: exact fp32 re-rank of just those candidates. No
-  // certification — items below the fp16 cutoff stay invisible (see the
-  // header note); every returned score is still the exact cosine.
-  for (size_t j = 0; j < cc; ++j) {
-    ws.cand[j].score = vec::Dot(q_hat, snapshot.ItemVec(ws.cand[j].item), d);
-  }
-  const size_t kk = std::min<size_t>(k, cc);
-  std::partial_sort(ws.cand.begin(), ws.cand.begin() + static_cast<long>(kk),
-                    ws.cand.begin() + static_cast<long>(cc), ScoredBefore);
-  out.assign(ws.cand.begin(), ws.cand.begin() + static_cast<long>(kk));
-}
-
-std::vector<ScoredItem> F16CatalogTopK(const ModelSnapshot& snapshot,
-                                       const float* q_hat, uint32_t k,
-                                       std::span<const uint32_t> exclude,
-                                       const ScorerOptions& options,
-                                       ShardScratch& ws) {
-  const uint32_t n = snapshot.num_items();
-  ws.merge.clear();
-  for (uint32_t lo = 0; lo < n; lo += options.items_per_shard) {
-    const uint32_t hi = std::min<uint32_t>(n, lo + options.items_per_shard);
-    F16ShardTopK(snapshot, q_hat, lo, hi, k, options.candidate_margin,
-                 exclude, ws, ws.shard_out);
-    ws.merge.insert(ws.merge.end(), ws.shard_out.begin(), ws.shard_out.end());
-  }
-  const size_t kk = std::min<size_t>(k, ws.merge.size());
-  std::partial_sort(ws.merge.begin(),
-                    ws.merge.begin() + static_cast<long>(kk), ws.merge.end(),
-                    ScoredBefore);
-  return std::vector<ScoredItem>(ws.merge.begin(),
-                                 ws.merge.begin() + static_cast<long>(kk));
-}
-
-void IvfTopKInto(const ModelSnapshot& snapshot, const float* q_hat,
-                 uint32_t k, std::span<const uint32_t> exclude,
-                 const ScorerOptions& options, ShardScratch& ws,
-                 std::vector<ScoredItem>& out) {
+// One serial ANN query through the snapshot's IVF index: probes the
+// top-nprobe lists, scans them in fp32 or int8, exact fp32 re-ranks the
+// int8 candidates, and writes the top-k into `out`.
+void IvfTopK(const ModelSnapshot& snapshot, const float* q_hat, uint32_t k,
+             std::span<const uint32_t> exclude, const ScorerOptions& options,
+             ShardScratch& ws, std::vector<ScoredItem>& out) {
   const IvfIndex* ivf = snapshot.ivf();
   BSLREC_CHECK_MSG(ivf != nullptr,
                    "ANN scoring needs a snapshot built with "
@@ -225,12 +156,12 @@ void IvfTopKInto(const ModelSnapshot& snapshot, const float* q_hat,
       std::min<uint32_t>(std::max<uint32_t>(options.nprobe, 1), nlist);
   ws.scores.resize(nlist);
   vec::DotBatch(q_hat, ivf->Centroids(), nlist, d, ws.scores.data());
+  ws.probes.clear();
   SelectTopKInto(ws.scores.data(), 0, nlist, nprobe, {}, ws.cand, ws.probes);
 
   // 2. Gather eligible candidates from the probed lists. Candidates
   // carry their grouped *position* in `item` until the final sort so
   // phase 2 can read the index's contiguous rows.
-  const bool two_phase = options.quantize || options.fp16;
   float q_scale = 0.0f;
   if (options.quantize) {
     ws.q_codes.resize(d);
@@ -252,8 +183,6 @@ void IvfTopKInto(const ModelSnapshot& snapshot, const float* q_hat,
         ws.scores[j] = static_cast<float>(ws.idot[j]) *
                        (q_scale * ivf->Scale(begin + j));
       }
-    } else if (options.fp16) {
-      vec::DotBatchF16(q_hat, ivf->F16(begin), m, d, ws.scores.data());
     } else {
       vec::DotBatch(q_hat, ivf->Row(begin), m, d, ws.scores.data());
     }
@@ -270,16 +199,14 @@ void IvfTopKInto(const ModelSnapshot& snapshot, const float* q_hat,
   }
   ws.ivf_candidates += ws.approx.size();
 
-  // 3. Two-phase modes: keep the top c = k + margin of the whole
-  // candidate pool by approximate score (position tie-break — a fixed
-  // property of the index, so still deterministic), then exact fp32
-  // re-rank the survivors. fp32 mode scored exactly already.
+  // 3. int8 lists: keep the top c = k + margin of the whole candidate
+  // pool by approximate score (position tie-break — a fixed property of
+  // the index, so still deterministic), then exact fp32 re-rank the
+  // survivors. fp32 lists scored exactly already.
   size_t cc = ws.approx.size();
-  if (two_phase) {
-    const uint32_t c = k > UINT32_MAX - options.candidate_margin
-                           ? UINT32_MAX
-                           : k + options.candidate_margin;
-    cc = std::min<size_t>(c, ws.approx.size());
+  if (options.quantize) {
+    cc = std::min<size_t>(CandidateCount(k, options.candidate_margin),
+                          ws.approx.size());
     std::partial_sort(ws.approx.begin(),
                       ws.approx.begin() + static_cast<long>(cc),
                       ws.approx.end(), ScoredBefore);
@@ -291,77 +218,89 @@ void IvfTopKInto(const ModelSnapshot& snapshot, const float* q_hat,
 
   // 4. Map positions back to item ids, then the final top-k under the
   // strict (score desc, id asc) total order.
-  for (size_t j = 0; j < cc; ++j) {
-    ws.approx[j].item = ivf->ItemIdAt(ws.approx[j].item);
+  ws.approx.resize(cc);
+  for (ScoredItem& e : ws.approx) e.item = ivf->ItemIdAt(e.item);
+  KeepTopK(ws.approx, k);
+  out.assign(ws.approx.begin(), ws.approx.end());
+}
+
+}  // namespace
+
+void SelectTopKInto(const float* scores, uint32_t lo, uint32_t hi, uint32_t k,
+                    std::span<const uint32_t> exclude,
+                    std::vector<ScoredItem>& scratch,
+                    std::vector<ScoredItem>& top) {
+  scratch.assign(top.begin(), top.end());
+  scratch.reserve(top.size() + (hi - lo));
+  // Once `top` holds k items, an item ranked after its k-th has k items
+  // ahead of it and cannot enter the result.
+  const bool full = k > 0 && top.size() >= k;
+  const ScoredItem floor = full ? top[k - 1] : ScoredItem{};
+  auto ex = exclude.begin();
+  for (uint32_t i = lo; i < hi; ++i) {
+    while (ex != exclude.end() && *ex < i) ++ex;
+    if (ex != exclude.end() && *ex == i) continue;
+    const ScoredItem item{i, scores[i - lo]};
+    if (full && !ScoredBefore(item, floor)) continue;
+    scratch.push_back(item);
   }
-  const size_t kk = std::min<size_t>(k, cc);
-  std::partial_sort(ws.approx.begin(),
-                    ws.approx.begin() + static_cast<long>(kk),
-                    ws.approx.begin() + static_cast<long>(cc), ScoredBefore);
-  out.assign(ws.approx.begin(), ws.approx.begin() + static_cast<long>(kk));
+  KeepTopK(scratch, k);
+  top.assign(scratch.begin(), scratch.end());
 }
 
-std::vector<ScoredItem> IvfCatalogTopK(const ModelSnapshot& snapshot,
-                                       const float* q_hat, uint32_t k,
-                                       std::span<const uint32_t> exclude,
-                                       const ScorerOptions& options,
-                                       ShardScratch& ws) {
-  std::vector<ScoredItem> out;
-  IvfTopKInto(snapshot, q_hat, k, exclude, options, ws, out);
-  return out;
+SnapshotOptions SnapshotOptionsFor(const ScorerOptions& options,
+                                   IvfBuildOptions ivf) {
+  SnapshotOptions so;
+  so.quantize_items = options.quantize;
+  so.ivf = ivf;
+  if (!options.exact) so.ivf.build = true;
+  return so;
 }
 
-std::vector<ScoredItem> QuantizedCatalogTopK(const ModelSnapshot& snapshot,
-                                             const float* q_hat, uint32_t k,
-                                             std::span<const uint32_t> exclude,
-                                             const ScorerOptions& options,
-                                             ShardScratch& ws) {
-  const size_t d = snapshot.dim();
-  const uint32_t n = snapshot.num_items();
-  ws.q_codes.resize(d);
-  QuantizedQuery query;
-  query.q_hat = q_hat;
-  query.codes = ws.q_codes.data();
-  query.scale = vec::QuantizeRow(q_hat, d, ws.q_codes.data());
-  query.l1 = vec::L1Norm(q_hat, d);
-
-  // Per-shard certified top-k, accumulated and reduced exactly like
-  // MergeTopK (concatenate, then one partial_sort under the strict
-  // total order), so the result is independent of the shard grain.
-  ws.merge.clear();
-  for (uint32_t lo = 0; lo < n; lo += options.items_per_shard) {
-    const uint32_t hi = std::min<uint32_t>(n, lo + options.items_per_shard);
+void ShardTopK(const ModelSnapshot& snapshot, const PreparedQuery& query,
+               uint32_t lo, uint32_t hi, uint32_t k,
+               std::span<const uint32_t> exclude, const ScorerOptions& options,
+               ShardScratch& ws, std::vector<ScoredItem>& top) {
+  if (k == 0) {
+    top.clear();
+    return;
+  }
+  if (options.quantize) {
     QuantizedShardTopK(snapshot, query, lo, hi, k, options.candidate_margin,
                        exclude, ws, ws.shard_out);
-    ws.merge.insert(ws.merge.end(), ws.shard_out.begin(), ws.shard_out.end());
+    top.insert(top.end(), ws.shard_out.begin(), ws.shard_out.end());
+    KeepTopK(top, k);
+    return;
   }
-  const size_t kk = std::min<size_t>(k, ws.merge.size());
-  std::partial_sort(ws.merge.begin(), ws.merge.begin() + static_cast<long>(kk),
-                    ws.merge.end(), ScoredBefore);
-  return std::vector<ScoredItem>(ws.merge.begin(),
-                                 ws.merge.begin() + static_cast<long>(kk));
+  ++ws.exact_shards;
+  ws.scores.resize(hi - lo);
+  ScoreItemRange(snapshot, query.q_hat, lo, hi, ws.scores.data());
+  SelectTopKInto(ws.scores.data(), lo, hi, k, exclude, ws.cand, top);
 }
 
-std::vector<ScoredItem> MergeTopK(
-    std::span<const std::vector<ScoredItem>> shard_tops, uint32_t k) {
-  size_t total = 0;
-  for (const std::vector<ScoredItem>& st : shard_tops) total += st.size();
-  std::vector<ScoredItem> all;
-  all.reserve(total);
-  for (const std::vector<ScoredItem>& st : shard_tops) {
-    all.insert(all.end(), st.begin(), st.end());
+void QueryTopK(const ModelSnapshot& snapshot, const float* q_hat, uint32_t k,
+               std::span<const uint32_t> exclude, const ScorerOptions& options,
+               ShardScratch& ws, std::vector<ScoredItem>& out) {
+  if (!options.exact) {
+    IvfTopK(snapshot, q_hat, k, exclude, options, ws, out);
+    return;
   }
-  const size_t kk = std::min<size_t>(k, all.size());
-  std::partial_sort(all.begin(), all.begin() + kk, all.end(), ScoredBefore);
-  all.resize(kk);
-  return all;
+  const size_t d = snapshot.dim();
+  const uint32_t n = snapshot.num_items();
+  int8_t* codes = nullptr;
+  if (options.quantize) {
+    ws.q_codes.resize(d);
+    codes = ws.q_codes.data();
+  }
+  const PreparedQuery query = PrepareQuery(q_hat, d, codes);
+  // Each shard merges into the running top-k of the shards before it;
+  // the strict total order makes the result independent of the grain.
+  out.clear();
+  for (uint32_t lo = 0; lo < n; lo += options.items_per_shard) {
+    const uint32_t hi = std::min<uint32_t>(n, lo + options.items_per_shard);
+    ShardTopK(snapshot, query, lo, hi, k, exclude, options, ws, out);
+  }
 }
-
-CatalogScorer::CatalogScorer(const ModelSnapshot& snapshot,
-                             runtime::ThreadPool& pool,
-                             uint32_t items_per_shard)
-    : CatalogScorer(snapshot, pool,
-                    ScorerOptions{.items_per_shard = items_per_shard}) {}
 
 CatalogScorer::CatalogScorer(const ModelSnapshot& snapshot,
                              runtime::ThreadPool& pool,
@@ -374,12 +313,6 @@ CatalogScorer::CatalogScorer(const ModelSnapshot& snapshot,
   BSLREC_CHECK_MSG(!options.quantize || snapshot.has_quantized_items(),
                    "ScorerOptions::quantize requires a snapshot built with "
                    "SnapshotOptions::quantize_items");
-  BSLREC_CHECK_MSG(!options.fp16 || snapshot.has_fp16_items(),
-                   "ScorerOptions::fp16 requires a snapshot built with "
-                   "SnapshotOptions::fp16_items");
-  BSLREC_CHECK_MSG(!(options.quantize && options.fp16),
-                   "ScorerOptions::quantize and fp16 are mutually exclusive "
-                   "phase-1 representations");
   BSLREC_CHECK_MSG(options.exact || snapshot.ivf() != nullptr,
                    "ScorerOptions::exact = false requires a snapshot built "
                    "with SnapshotOptions::ivf.build");
@@ -391,7 +324,6 @@ CatalogScorer::Stats CatalogScorer::stats() const {
     s.exact_shards += ws.exact_shards;
     s.shards_scanned += ws.shards_scanned;
     s.shards_fallback += ws.shards_fallback;
-    s.fp16_shards += ws.fp16_shards;
     s.ivf_queries += ws.ivf_queries;
     s.ivf_lists += ws.ivf_lists;
     s.ivf_candidates += ws.ivf_candidates;
@@ -405,7 +337,6 @@ void CatalogScorer::ResetStats() const {
     ws.exact_shards = 0;
     ws.shards_scanned = 0;
     ws.shards_fallback = 0;
-    ws.fp16_shards = 0;
     ws.ivf_queries = 0;
     ws.ivf_lists = 0;
     ws.ivf_candidates = 0;
@@ -436,31 +367,27 @@ std::vector<std::vector<ScoredItem>> CatalogScorer::BatchTopK(
         [&](size_t lo, size_t hi, size_t /*shard*/, size_t worker) {
           ShardScratch& ws = scratch_[worker];
           for (size_t qi = lo; qi < hi; ++qi) {
-            IvfTopKInto(snapshot_, queries[qi].q_hat, queries[qi].k,
-                        queries[qi].exclude, options_, ws, out[qi]);
+            QueryTopK(snapshot_, queries[qi].q_hat, queries[qi].k,
+                      queries[qi].exclude, options_, ws, out[qi]);
           }
         });
     return out;
   }
   if (num_shards == 0) return out;
 
+  // Prepare every query once up front (rows are independent, so the
+  // parallel fill is deterministic); the task grid below reads them.
   const size_t d = snapshot_.dim();
-  if (options_.quantize) {
-    // Quantize every query once up front (rows are independent, so the
-    // parallel fill is deterministic); the task grid below reads them.
-    q_codes_.resize(queries.size() * d);
-    q_scale_.resize(queries.size());
-    q_l1_.resize(queries.size());
-    runtime::ParallelFor(
-        pool_, 0, queries.size(), 8,
-        [&](size_t lo, size_t hi, size_t /*shard*/, size_t /*worker*/) {
-          for (size_t qi = lo; qi < hi; ++qi) {
-            q_scale_[qi] =
-                vec::QuantizeRow(queries[qi].q_hat, d, &q_codes_[qi * d]);
-            q_l1_[qi] = vec::L1Norm(queries[qi].q_hat, d);
-          }
-        });
-  }
+  q_codes_.resize(options_.quantize ? queries.size() * d : 0);
+  prepared_.resize(queries.size());
+  runtime::ParallelFor(
+      pool_, 0, queries.size(), 8,
+      [&](size_t lo, size_t hi, size_t /*shard*/, size_t /*worker*/) {
+        for (size_t qi = lo; qi < hi; ++qi) {
+          int8_t* codes = options_.quantize ? &q_codes_[qi * d] : nullptr;
+          prepared_[qi] = PrepareQuery(queries[qi].q_hat, d, codes);
+        }
+      });
 
   // Flat (query, item-shard) task grid with one per-shard output slot
   // per task and shard-sized buffers per worker (hoisted into scorer
@@ -474,36 +401,27 @@ std::vector<std::vector<ScoredItem>> CatalogScorer::BatchTopK(
         ShardScratch& ws = scratch_[worker];
         for (size_t t = lo; t < hi; ++t) {
           const size_t qi = t / num_shards;
-          const ScoreQuery& q = queries[qi];
           const uint32_t item_lo =
               static_cast<uint32_t>((t % num_shards) * items_per_shard);
           const uint32_t item_hi =
               std::min<uint32_t>(n, item_lo + items_per_shard);
-          if (options_.quantize) {
-            const QuantizedQuery qq{q.q_hat, q_codes_.data() + qi * d,
-                                    q_scale_[qi], q_l1_[qi]};
-            QuantizedShardTopK(snapshot_, qq, item_lo, item_hi, q.k,
-                               options_.candidate_margin, q.exclude, ws,
-                               shard_tops_[t]);
-          } else if (options_.fp16) {
-            F16ShardTopK(snapshot_, q.q_hat, item_lo, item_hi, q.k,
-                         options_.candidate_margin, q.exclude, ws,
-                         shard_tops_[t]);
-          } else {
-            ++ws.exact_shards;
-            ws.scores.resize(items_per_shard);
-            ScoreItemRange(snapshot_, q.q_hat, item_lo, item_hi,
-                           ws.scores.data());
-            SelectTopKInto(ws.scores.data(), item_lo, item_hi, q.k, q.exclude,
-                           ws.cand, shard_tops_[t]);
-          }
+          shard_tops_[t].clear();
+          ShardTopK(snapshot_, prepared_[qi], item_lo, item_hi,
+                    queries[qi].k, queries[qi].exclude, options_, ws,
+                    shard_tops_[t]);
         }
       });
+  // Concatenated in a reused buffer, so each result is allocated at its
+  // own size (the ranking engine caches these vectors).
+  std::vector<ScoredItem> merge;
   for (size_t qi = 0; qi < queries.size(); ++qi) {
-    out[qi] = MergeTopK(
-        std::span<const std::vector<ScoredItem>>(
-            shard_tops_.data() + qi * num_shards, num_shards),
-        queries[qi].k);
+    merge.clear();
+    for (size_t s = 0; s < num_shards; ++s) {
+      const std::vector<ScoredItem>& top = shard_tops_[qi * num_shards + s];
+      merge.insert(merge.end(), top.begin(), top.end());
+    }
+    KeepTopK(merge, queries[qi].k);
+    out[qi].assign(merge.begin(), merge.end());
   }
   return out;
 }

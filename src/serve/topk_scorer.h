@@ -6,23 +6,34 @@
 // total order (score descending, item id ascending), optionally
 // skipping an excluded (already seen) item set.
 //
-// `CatalogScorer` parallelizes one or many queries over a
-// `runtime::ThreadPool` by splitting the catalog into *fixed-grain item
-// shards*: each (query, shard) pair scores only `items_per_shard`
-// items into a per-worker buffer and emits its local top-k into a
-// per-shard output slot; the shards of a query are then reduced
-// serially in shard order. Shard boundaries depend only on the catalog
-// size and the grain — never on the worker count — so results are
-// bit-identical for any `num_threads` (the PR 1 determinism contract,
-// see runtime/thread_pool.h), and a worker never needs a score buffer
-// larger than one shard, so catalogs bigger than any single buffer
-// still serve fine.
+// Every tier is built from two kernels:
 //
-// Because (score, id) is a strict total order over the catalog, the
-// global top-k is unique and has the *prefix property*: the top-k list
-// is exactly the first k entries of any top-k' list with k' >= k. The
-// inference service's cutoff-prefix reuse and the evaluator's cached
-// rankings both lean on this.
+//   * `ShardTopK` answers one (query, item shard) pair: it merges the
+//     exact top-k of items [lo, hi), found by the fp32 scan or by the
+//     certified int8 two-phase scan below, into a running top-k.
+//   * `QueryTopK` answers one query serially, allocation-free: the IVF
+//     probe, list scan and re-rank when !exact, otherwise every
+//     fixed-grain shard through `ShardTopK` into one running top-k.
+//
+// `CatalogScorer::BatchTopK` parallelizes the flat (query x shard) grid
+// over a `runtime::ThreadPool`, one `ShardTopK` per task into its own
+// slot, and merges each query's slots serially; its ANN branch runs one
+// `QueryTopK` per query. The evaluator ranks every user with
+// `QueryTopK` inside its own parallel user loop. Shard boundaries
+// depend only on the catalog size and `items_per_shard` — never on the
+// worker count — and a worker never needs a score buffer larger than
+// one shard.
+//
+// Why the bits hold: every tier selects a strict (score desc, id asc)
+// top-k over the same `vec::Dot` scores, so on the exact tiers the
+// merged per-shard top-k is the full-catalog top-k whatever the grain,
+// the merge order, the thread count or the batch packing. The evaluator
+// and the server call the same kernels, so the evaluator measures the
+// lists the server returns. The total order also gives the global
+// top-k the *prefix property*: the top-k list is exactly the first k
+// entries of any top-k' list with k' >= k. The inference service's
+// cutoff-prefix reuse and the evaluator's cached rankings both lean on
+// this.
 //
 // ---- Quantized two-phase scan (ScorerOptions::quantize) ----
 //
@@ -59,35 +70,16 @@
 // existing contracts (any thread count, any shard grain, batch ==
 // single, evaluator == service) carry over unchanged.
 //
-// ---- fp16 two-phase scan (ScorerOptions::fp16) ----
-//
-// With an fp16 snapshot table, each (query, shard) task scans the
-// shard's IEEE-half codes with vec::DotBatchF16 (half the fp32 memory
-// traffic), keeps the top c = k + candidate_margin eligible items by
-// fp16 score, and exact fp32 re-ranks just those. Unlike the quantized
-// scan there is NO certification and NO fallback — this is the
-// certification-free intermediate the ROADMAP names: every *returned*
-// score is still the exact fp32 cosine (phase 2), but an item whose
-// fp16 score fell below the margin cutoff can be missed, so results may
-// diverge from the exact ranking (bench_serve reports the divergence as
-// recall@k). Determinism still holds: fp16 scores are bit-identical on
-// every SIMD tier (vec.h contract) and selection uses the same strict
-// total order, so responses are bit-identical across thread counts and
-// batch packings at a fixed shard grain. (Changing items_per_shard
-// changes which candidates clear the per-shard margin — grain is part
-// of the approximation's shape, like nprobe for ANN.)
-//
 // ---- IVF approximate retrieval (ScorerOptions::exact = false) ----
 //
-// With a snapshot built with SnapshotOptions::ivf, BatchTopK routes
+// With a snapshot built with SnapshotOptions::ivf, QueryTopK routes
 // each query through the snapshot's IvfIndex (ivf_index.h) instead of
 // the sharded full scan:
 //
 //   1. score all nlist centroids with one fused vec::DotBatch;
 //   2. visit the top-nprobe lists under (score desc, centroid id asc);
-//   3. scan each list's grouped rows contiguously — fp32 by default,
-//      int8 codes (vec::DotBatchI8) under ScorerOptions::quantize, or
-//      fp16 codes (vec::DotBatchF16) under ScorerOptions::fp16, in
+//   3. scan each list's grouped rows contiguously — fp32 by default, or
+//      int8 codes (vec::DotBatchI8) under ScorerOptions::quantize, in
 //      which case the top k + candidate_margin of the gathered pool by
 //      approximate score are kept;
 //   4. exact fp32 re-rank the surviving candidates and emit the top-k
@@ -129,39 +121,19 @@ inline bool ScoredBefore(const ScoredItem& a, const ScoredItem& b) {
   return a.item < b.item;
 }
 
-// Serial scoring kernel: out[i - lo] = cos(q_hat, item i) for every
-// item in [lo, hi). `q_hat` must be unit-norm with snapshot dim.
-void ScoreItemRange(const ModelSnapshot& snapshot, const float* q_hat,
-                    uint32_t lo, uint32_t hi, float* out);
-
-// Selects the top-k of a scored block: `scores[i - lo]` is item i's
-// score for i in [lo, hi). Ids listed in `exclude` (sorted ascending;
-// entries outside the block are ignored) are skipped. Returns at most
-// k items ordered by ScoredBefore.
-std::vector<ScoredItem> SelectTopK(const float* scores, uint32_t lo,
-                                   uint32_t hi, uint32_t k,
-                                   std::span<const uint32_t> exclude);
-
-// As SelectTopK, but builds candidates in caller-owned scratch
-// (cleared on entry, capacity reused) so hot loops avoid a
-// block-sized allocation per call; only the k returned entries are
-// freshly allocated.
-std::vector<ScoredItem> SelectTopKWithScratch(
-    const float* scores, uint32_t lo, uint32_t hi, uint32_t k,
-    std::span<const uint32_t> exclude, std::vector<ScoredItem>& scratch);
-
-// Fully allocation-free form: the result lands in `out` (cleared on
-// entry, capacity reused) instead of a fresh vector.
+// Merges the top-k of a scored block into `top`: `scores[i - lo]` is
+// item i's score for i in [lo, hi), and ids listed in `exclude` (sorted
+// ascending; entries outside the block are ignored) are skipped. On
+// entry `top` holds at most k items in ScoredBefore order (empty for a
+// fresh selection); on return it holds the top-k of those items and
+// the block's, in order. Once `top` is full, only items ranked before
+// its k-th become candidates. Candidates are built in `scratch`; both
+// buffers keep their capacity, so steady-state selection allocates
+// nothing.
 void SelectTopKInto(const float* scores, uint32_t lo, uint32_t hi, uint32_t k,
                     std::span<const uint32_t> exclude,
                     std::vector<ScoredItem>& scratch,
-                    std::vector<ScoredItem>& out);
-
-// Serial reduction of per-shard top-k candidate lists into the global
-// top-k. The result is the unique ScoredBefore-minimal k-set, so it is
-// independent of how candidates were partitioned into shards.
-std::vector<ScoredItem> MergeTopK(
-    std::span<const std::vector<ScoredItem>> shard_tops, uint32_t k);
+                    std::vector<ScoredItem>& top);
 
 // One full-catalog top-k query against a snapshot.
 struct ScoreQuery {
@@ -182,112 +154,79 @@ struct ScorerOptions {
   // Catalog items per scoring shard (per-worker buffer size).
   uint32_t items_per_shard = 2048;
   // Use the snapshot's int8 table for phase 1 (the snapshot must have
-  // been built with SnapshotOptions::quantize_items). Mutually
-  // exclusive with fp16.
+  // been built with SnapshotOptions::quantize_items).
   bool quantize = false;
   uint32_t candidate_margin = kDefaultCandidateMargin;
-  // Use the snapshot's fp16 table for phase 1 (the snapshot must have
-  // been built with SnapshotOptions::fp16_items). Certification-free:
-  // returned scores are exact fp32, but near-margin items can be
-  // missed (see the header note).
-  bool fp16 = false;
   // false = ANN: retrieve through the snapshot's IVF index (the
   // snapshot must have been built with SnapshotOptions::ivf.build)
-  // instead of scanning the full catalog. Composes with quantize/fp16,
-  // which then pick the list-scan representation.
+  // instead of scanning the full catalog. Composes with quantize, which
+  // then picks the list-scan representation.
   bool exact = true;
   // Coarse lists visited per ANN query (clamped to [1, nlist]);
   // ignored when exact.
   uint32_t nprobe = kDefaultNprobe;
 };
 
-// Reusable per-worker buffers for one shard-scan task stream; also
-// accumulates the owner's scan statistics. All buffers keep their
-// capacity across calls, so steady-state scanning allocates nothing.
+// The snapshot tables a scorer with `options` reads: the int8 table
+// under quantize, and the IVF index (shaped by `ivf`) when !exact or
+// when ivf.build asks for it anyway.
+SnapshotOptions SnapshotOptionsFor(const ScorerOptions& options,
+                                   IvfBuildOptions ivf = {});
+
+// Reusable per-worker buffers for one stream of scans; also accumulates
+// the owner's scan statistics. All buffers keep their capacity across
+// calls, so steady-state scanning allocates nothing.
 struct ShardScratch {
   std::vector<float> scores;       // fp32 scores (shard / centroid / list)
   std::vector<int32_t> idot;       // one integer dot per shard item
   std::vector<ScoredItem> approx;  // eligible items by approximate score
-  std::vector<ScoredItem> cand;    // SelectTopK candidate scratch
-  std::vector<ScoredItem> merge;   // serial whole-catalog accumulation
-  std::vector<ScoredItem> shard_out;
+  std::vector<ScoredItem> cand;    // SelectTopKInto candidate scratch
+  std::vector<ScoredItem> shard_out;  // one int8 shard's top-k
   std::vector<ScoredItem> probes;  // top-nprobe centroids (ivf)
-  std::vector<int8_t> q_codes;     // serial-path query quantization
+  std::vector<int8_t> q_codes;     // QueryTopK's query quantization
   // Per-mode counters (summed into CatalogScorer::Stats):
   uint64_t exact_shards = 0;       // exact fp32 shard tasks executed
   uint64_t shards_scanned = 0;     // quantized shard tasks executed
   uint64_t shards_fallback = 0;    // ... that failed certification
-  uint64_t fp16_shards = 0;        // fp16 two-phase shard tasks executed
   uint64_t ivf_queries = 0;        // ANN queries answered
   uint64_t ivf_lists = 0;          // coarse lists probed (incl. empty)
   uint64_t ivf_candidates = 0;     // eligible candidates gathered
   uint64_t ivf_reranked = 0;       // candidates exact fp32 re-ranked
 };
 
-// A query prepared for the quantized scan: the fp32 unit vector plus
-// its int8 codes, quantization scale, and fp32 L1 norm.
-struct QuantizedQuery {
-  const float* q_hat;
-  const int8_t* codes;
-  float scale;
-  double l1;
+// A query prepared for ShardTopK: the fp32 unit vector, plus, when the
+// scorer quantizes, its int8 codes and scale (vec::QuantizeRow of q_hat)
+// and its fp32 L1 norm (vec::L1Norm). Codes stay null otherwise.
+struct PreparedQuery {
+  const float* q_hat = nullptr;
+  const int8_t* codes = nullptr;
+  float scale = 0.0f;
+  double l1 = 0.0;
 };
 
-// One certified (query, shard) task: writes the *exact* top-k of items
-// [lo, hi) under ScoredBefore into `out` — bit-identical to
-// ScoreItemRange + SelectTopK over the same range — using the two-phase
-// quantized scan described in the header note.
-void QuantizedShardTopK(const ModelSnapshot& snapshot,
-                        const QuantizedQuery& query, uint32_t lo, uint32_t hi,
-                        uint32_t k, uint32_t candidate_margin,
-                        std::span<const uint32_t> exclude, ShardScratch& ws,
-                        std::vector<ScoredItem>& out);
+// The shard kernel: merges the *exact* top-k of items [lo, hi) into the
+// running top-k `top` (SelectTopKInto's in/out contract: empty on
+// entry for the shard's own top-k; always empty on return for k = 0).
+// Without options.quantize it scores the range in fp32 and selects;
+// with it, it runs the certified two-phase scan described in the header
+// note (`query` must then carry codes), falling back to the fp32 scan
+// when certification fails. Both paths return the same bits.
+void ShardTopK(const ModelSnapshot& snapshot, const PreparedQuery& query,
+               uint32_t lo, uint32_t hi, uint32_t k,
+               std::span<const uint32_t> exclude, const ScorerOptions& options,
+               ShardScratch& ws, std::vector<ScoredItem>& top);
 
-// Serial whole-catalog form (quantizes the query itself): the exact
-// top-k over every item, bit-identical to an exact full scan. This is
-// the evaluator's per-user kernel — its user loop is already parallel,
-// so each user's catalog scan stays on one worker.
-std::vector<ScoredItem> QuantizedCatalogTopK(const ModelSnapshot& snapshot,
-                                             const float* q_hat, uint32_t k,
-                                             std::span<const uint32_t> exclude,
-                                             const ScorerOptions& options,
-                                             ShardScratch& ws);
-
-// One fp16 (query, shard) task: phase-1 vec::DotBatchF16 over the
-// snapshot's fp16 codes of items [lo, hi), top k + candidate_margin
-// eligible by fp16 score, exact fp32 re-rank of those. Returned scores
-// are exact; the candidate *set* is approximate (no certification — see
-// the header note). Deterministic for a fixed range.
-void F16ShardTopK(const ModelSnapshot& snapshot, const float* q_hat,
-                  uint32_t lo, uint32_t hi, uint32_t k,
-                  uint32_t candidate_margin, std::span<const uint32_t> exclude,
-                  ShardScratch& ws, std::vector<ScoredItem>& out);
-
-// Serial whole-catalog fp16 form (the evaluator's per-user kernel for
-// ScorerOptions::fp16); shard layout follows options.items_per_shard.
-std::vector<ScoredItem> F16CatalogTopK(const ModelSnapshot& snapshot,
-                                       const float* q_hat, uint32_t k,
-                                       std::span<const uint32_t> exclude,
-                                       const ScorerOptions& options,
-                                       ShardScratch& ws);
-
-// One serial ANN query through the snapshot's IVF index (the snapshot
-// must have been built with SnapshotOptions::ivf.build): probes the
-// top-nprobe lists, scans them with the representation options selects
-// (fp32 / int8 / fp16), exact fp32 re-ranks the candidates, and writes
-// the top-k into `out`. This is both the per-query kernel of the
-// parallel ANN BatchTopK and the evaluator's approximate per-user path.
-void IvfTopKInto(const ModelSnapshot& snapshot, const float* q_hat,
-                 uint32_t k, std::span<const uint32_t> exclude,
-                 const ScorerOptions& options, ShardScratch& ws,
-                 std::vector<ScoredItem>& out);
-
-// Convenience wrapper returning a fresh vector.
-std::vector<ScoredItem> IvfCatalogTopK(const ModelSnapshot& snapshot,
-                                       const float* q_hat, uint32_t k,
-                                       std::span<const uint32_t> exclude,
-                                       const ScorerOptions& options,
-                                       ShardScratch& ws);
+// The serial per-query kernel: writes one query's top-k into `out`
+// without allocating in steady state. With !options.exact it runs the
+// IVF probe, list scan and re-rank; otherwise it runs every
+// options.items_per_shard shard through ShardTopK into `out` as the
+// running top-k, so later shards only compete with the k items found
+// so far. This is the per-query unit of the ANN BatchTopK and the
+// evaluator's per-user kernel (its user loop is already parallel, so
+// each user's scan stays on one worker).
+void QueryTopK(const ModelSnapshot& snapshot, const float* q_hat, uint32_t k,
+               std::span<const uint32_t> exclude, const ScorerOptions& options,
+               ShardScratch& ws, std::vector<ScoredItem>& out);
 
 class CatalogScorer {
  public:
@@ -301,7 +240,6 @@ class CatalogScorer {
     uint64_t exact_shards = 0;     // exact fp32 shard tasks
     uint64_t shards_scanned = 0;   // quantized shard tasks
     uint64_t shards_fallback = 0;  // ... that failed certification
-    uint64_t fp16_shards = 0;      // fp16 two-phase shard tasks
     uint64_t ivf_queries = 0;      // ANN queries answered
     uint64_t ivf_lists = 0;        // coarse lists probed (incl. empty)
     uint64_t ivf_candidates = 0;   // eligible list candidates gathered
@@ -313,8 +251,6 @@ class CatalogScorer {
   // `snapshot` and `pool` must outlive the scorer. The pool is driven
   // from the calling thread — one TopK/BatchTopK at a time (they are
   // const but share mutable per-worker scratch).
-  CatalogScorer(const ModelSnapshot& snapshot, runtime::ThreadPool& pool,
-                uint32_t items_per_shard = kDefaultItemsPerShard);
   CatalogScorer(const ModelSnapshot& snapshot, runtime::ThreadPool& pool,
                 const ScorerOptions& options);
 
@@ -349,8 +285,7 @@ class CatalogScorer {
   mutable std::vector<ShardScratch> scratch_;        // one per worker
   mutable std::vector<std::vector<ScoredItem>> shard_tops_;
   mutable std::vector<int8_t> q_codes_;              // per-call queries
-  mutable std::vector<float> q_scale_;
-  mutable std::vector<double> q_l1_;
+  mutable std::vector<PreparedQuery> prepared_;
 };
 
 }  // namespace bslrec::serve

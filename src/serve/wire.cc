@@ -88,8 +88,6 @@ const char* DegradeModeName(DegradeMode mode) {
       return "none";
     case DegradeMode::kIvf:
       return "ivf";
-    case DegradeMode::kFp16:
-      return "fp16";
     case DegradeMode::kQuantized:
       return "quantized";
   }
@@ -101,8 +99,6 @@ bool DegradeModeFromName(std::string_view name, DegradeMode* mode) {
     *mode = DegradeMode::kNone;
   } else if (name == "ivf") {
     *mode = DegradeMode::kIvf;
-  } else if (name == "fp16") {
-    *mode = DegradeMode::kFp16;
   } else if (name == "quantized") {
     *mode = DegradeMode::kQuantized;
   } else {

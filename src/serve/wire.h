@@ -36,8 +36,7 @@
 //   ERR <id> BAD_REQUEST <detail>
 //   ERR <id> INTERNAL <detail>
 //
-// where <degrade_mode> is none|ivf|fp16|quantized (DegradeModeName)
-// naming
+// where <degrade_mode> is none|ivf|quantized (DegradeModeName) naming
 // the brownout tier that served the response, <snapshot_seq> the
 // publication that produced it, and scores print with six decimals
 // ("%.6f" — the CLI's historical precision).
@@ -101,7 +100,6 @@ bool DeadlineStageForCode(ErrorCode code, DeadlineStage* stage);
 enum class DegradeMode : uint8_t {
   kNone = 0,   // served at the configured tier
   kIvf,        // IVF ANN at brownout.nprobe probes
-  kFp16,       // fp16 two-phase scan
   kQuantized,  // int8 certified scan (exact results, cheaper scan)
 };
 const char* DegradeModeName(DegradeMode mode);

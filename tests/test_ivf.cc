@@ -1,12 +1,13 @@
-// Tests for IVF approximate retrieval and the fp16 scan path: seeded
-// k-means reproducibility, index layout invariants, ANN response
-// determinism across thread counts / shard grains / batch packings, the
-// nprobe >= nlist exactness degeneration, int8/fp16 list-scan
-// composition, empty-list edge cases, scorer stats, the approximate
+// Tests for IVF approximate retrieval: seeded k-means reproducibility,
+// index layout invariants, ANN response determinism across thread
+// counts / shard grains / batch packings, the nprobe >= nlist exactness
+// degeneration, int8 list-scan composition, empty-list edge cases,
+// scorer stats, the recall floor on clustered tables, the approximate
 // evaluator pass, and the concurrent front door on an ANN config.
 #include "serve/ivf_index.h"
 
 #include <algorithm>
+#include <cmath>
 #include <future>
 #include <string>
 #include <vector>
@@ -41,10 +42,9 @@ Dataset MediumDataset(uint64_t seed = 11) {
   return GenerateSynthetic(cfg).dataset;
 }
 
-serve::SnapshotOptions SnapOpts(bool quantize, bool fp16, uint32_t nlist) {
+serve::SnapshotOptions SnapOpts(bool quantize, uint32_t nlist) {
   serve::SnapshotOptions so;
   so.quantize_items = quantize;
-  so.fp16_items = fp16;
   so.ivf.build = true;
   so.ivf.nlist = nlist;
   return so;
@@ -95,11 +95,11 @@ TEST(IvfIndex, KMeansIsSeedReproducibleForAnyPoolSize) {
   MfModel model(d.num_users(), d.num_items(), 8, rng);
   model.Forward(rng);
   runtime::ThreadPool pool1(1);
-  const ModelSnapshot base(model, pool1, SnapOpts(false, false, 8));
+  const ModelSnapshot base(model, pool1, SnapOpts(false, 8));
   ASSERT_NE(base.ivf(), nullptr);
   for (const size_t threads : {2u, 8u}) {
     runtime::ThreadPool pool(threads);
-    const ModelSnapshot snap(model, pool, SnapOpts(false, false, 8));
+    const ModelSnapshot snap(model, pool, SnapOpts(false, 8));
     const IvfIndex& a = *base.ivf();
     const IvfIndex& b = *snap.ivf();
     ASSERT_EQ(a.nlist(), b.nlist()) << threads << " threads";
@@ -124,7 +124,7 @@ TEST(IvfIndex, LayoutPartitionsTheCatalogWithAscendingIds) {
   MfModel model(d.num_users(), d.num_items(), 8, rng);
   model.Forward(rng);
   runtime::ThreadPool pool(4);
-  const ModelSnapshot snap(model, pool, SnapOpts(true, true, 8));
+  const ModelSnapshot snap(model, pool, SnapOpts(true, 8));
   const IvfIndex& ivf = *snap.ivf();
   ASSERT_EQ(ivf.num_items(), snap.num_items());
   EXPECT_EQ(ivf.ListOffset(0), 0u);
@@ -147,14 +147,12 @@ TEST(IvfIndex, LayoutPartitionsTheCatalogWithAscendingIds) {
   // Grouped tables are bitwise copies of the snapshot rows in posting
   // order (the bit-identity of ANN scores rests on this).
   ASSERT_TRUE(ivf.has_codes());
-  ASSERT_TRUE(ivf.has_f16());
   for (uint32_t p = 0; p < ivf.num_items(); ++p) {
     const uint32_t id = ivf.ItemIdAt(p);
     EXPECT_EQ(ivf.Scale(p), snap.ItemScale(id)) << "pos " << p;
     for (size_t c = 0; c < snap.dim(); ++c) {
       EXPECT_EQ(ivf.Row(p)[c], snap.ItemVec(id)[c]) << "pos " << p;
       EXPECT_EQ(ivf.Codes(p)[c], snap.ItemCodes(id)[c]) << "pos " << p;
-      EXPECT_EQ(ivf.F16(p)[c], snap.ItemF16(id)[c]) << "pos " << p;
     }
   }
 }
@@ -217,41 +215,37 @@ TEST(AnnService, FullProbeFp32MatchesExactServiceBitwise) {
   }
 }
 
-TEST(AnnService, Int8AndF16ListScansStayDeterministicWithExactScores) {
+TEST(AnnService, Int8ListScanStaysDeterministicWithExactScores) {
   const Dataset d = MediumDataset();
   Rng rng(44);
   MfModel model(d.num_users(), d.num_items(), 8, rng);
   model.Forward(rng);
   const std::vector<TopKRequest> reqs = AllUserRequests(d);
-  for (const bool use_fp16 : {false, true}) {
-    ServeConfig base_cfg = AnnConfig(1, 8, 3);
-    base_cfg.quantize = !use_fp16;
-    base_cfg.fp16 = use_fp16;
-    InferenceService baseline(d, model, base_cfg);
-    const std::vector<TopKResponse> want = baseline.HandleBatch(reqs);
-    const ModelSnapshot& snap = baseline.snapshot();
-    // Phase 2 re-ranks every ANN candidate in fp32, so each returned
-    // score must equal the exact cosine recomputed from the fp32 rows.
-    for (size_t r = 0; r < want.size(); ++r) {
-      for (size_t i = 0; i < want[r].items.size(); ++i) {
-        EXPECT_EQ(want[r].scores[i],
-                  vec::Dot(snap.UserVec(reqs[r].user),
-                           snap.ItemVec(want[r].items[i]), snap.dim()))
-            << (use_fp16 ? "fp16" : "int8") << " request " << r;
-      }
+  ServeConfig base_cfg = AnnConfig(1, 8, 3);
+  base_cfg.quantize = true;
+  InferenceService baseline(d, model, base_cfg);
+  const std::vector<TopKResponse> want = baseline.HandleBatch(reqs);
+  const ModelSnapshot& snap = baseline.snapshot();
+  // Phase 2 re-ranks every ANN candidate in fp32, so each returned
+  // score must equal the exact cosine recomputed from the fp32 rows.
+  for (size_t r = 0; r < want.size(); ++r) {
+    for (size_t i = 0; i < want[r].items.size(); ++i) {
+      EXPECT_EQ(want[r].scores[i],
+                vec::Dot(snap.UserVec(reqs[r].user),
+                         snap.ItemVec(want[r].items[i]), snap.dim()))
+          << "request " << r;
     }
-    for (const size_t threads : {2u, 8u}) {
-      ServeConfig cfg = base_cfg;
-      cfg.runtime.num_threads = threads;
-      InferenceService service(d, model, cfg);
-      const std::vector<TopKResponse> got = service.HandleBatch(reqs);
-      ASSERT_EQ(got.size(), want.size());
-      for (size_t r = 0; r < want.size(); ++r) {
-        ExpectSameResponse(got[r], want[r],
-                           std::string(use_fp16 ? "fp16" : "int8") + ", " +
-                               std::to_string(threads) + " threads, request " +
-                               std::to_string(r));
-      }
+  }
+  for (const size_t threads : {2u, 8u}) {
+    ServeConfig cfg = base_cfg;
+    cfg.runtime.num_threads = threads;
+    InferenceService service(d, model, cfg);
+    const std::vector<TopKResponse> got = service.HandleBatch(reqs);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t r = 0; r < want.size(); ++r) {
+      ExpectSameResponse(got[r], want[r],
+                         std::to_string(threads) + " threads, request " +
+                             std::to_string(r));
     }
   }
 }
@@ -302,7 +296,6 @@ TEST(AnnService, StatsCountProbesAndResetZeroes) {
   EXPECT_GT(st.ivf_candidates, 0u);
   EXPECT_EQ(st.ivf_reranked, 0u);
   EXPECT_EQ(st.exact_shards, 0u);
-  EXPECT_EQ(st.fp16_shards, 0u);
   EXPECT_EQ(st.shards_scanned, 0u);
   fp32.scorer().ResetStats();
   st = fp32.scorer().stats();
@@ -320,53 +313,83 @@ TEST(AnnService, StatsCountProbesAndResetZeroes) {
   EXPECT_LE(st.ivf_reranked, st.ivf_candidates);
 }
 
-TEST(F16Service, DeterministicAcrossThreadsAndBatchesWithExactScores) {
-  const Dataset d = MediumDataset();
-  Rng rng(47);
-  MfModel model(d.num_users(), d.num_items(), 8, rng);
-  model.Forward(rng);
-  const std::vector<TopKRequest> reqs = AllUserRequests(d);
-  // Fixed shard grain: the fp16 candidate sets depend on it (the mode
-  // is certification-free), but at a fixed grain responses must be
-  // bit-identical for any thread count and batch packing.
-  ServeConfig base_cfg;
-  base_cfg.max_k = 20;
-  base_cfg.items_per_shard = 16;
-  base_cfg.fp16 = true;
-  base_cfg.runtime.num_threads = 1;
-  InferenceService baseline(d, model, base_cfg);
-  const std::vector<TopKResponse> want = baseline.HandleBatch(reqs);
-  const ModelSnapshot& snap = baseline.snapshot();
-  for (size_t r = 0; r < want.size(); ++r) {
-    for (size_t i = 0; i < want[r].items.size(); ++i) {
-      EXPECT_EQ(want[r].scores[i],
-                vec::Dot(snap.UserVec(reqs[r].user),
-                         snap.ItemVec(want[r].items[i]), snap.dim()))
-          << "request " << r << " rank " << i;
+// Rewrites both embedding tables the way bench_serve does: shared unit
+// centers plus small per-row Gaussian noise (noise L2 ~= 0.15), the
+// neighbourhood structure trained embeddings have and random-init
+// tables lack. Call Forward() afterwards.
+void ClusterEmbeddings(MfModel& model, size_t num_clusters, Rng& rng) {
+  std::vector<ParamGrad> params = model.Params();
+  const size_t dim = params[0].value->cols();
+  const float sigma = 0.15f / std::sqrt(static_cast<float>(dim));
+  std::vector<float> centers(num_clusters * dim);
+  for (size_t c = 0; c < num_clusters; ++c) {
+    float* row = centers.data() + c * dim;
+    for (size_t j = 0; j < dim; ++j) {
+      row[j] = static_cast<float>(rng.NextGaussian());
     }
+    vec::Normalize(row, row, dim);
   }
-  for (const size_t threads : {2u, 8u}) {
-    ServeConfig cfg = base_cfg;
-    cfg.runtime.num_threads = threads;
-    InferenceService service(d, model, cfg);
-    const std::vector<TopKResponse> got = service.HandleBatch(reqs);
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t r = 0; r < want.size(); ++r) {
-      ExpectSameResponse(got[r], want[r],
-                         std::to_string(threads) + " threads, request " +
-                             std::to_string(r));
-    }
-    InferenceService single(d, model, cfg);
-    for (size_t r = 0; r < reqs.size(); r += 7) {
-      const size_t n = std::min<size_t>(7, reqs.size() - r);
-      const std::vector<TopKResponse> slice =
-          single.HandleBatch({reqs.data() + r, n});
-      for (size_t j = 0; j < n; ++j) {
-        ExpectSameResponse(slice[j], want[r + j],
-                           "slice at " + std::to_string(r + j));
+  for (ParamGrad& pg : params) {
+    Matrix& m = *pg.value;
+    for (size_t r = 0; r < m.rows(); ++r) {
+      const float* center = centers.data() + rng.NextIndex(num_clusters) * dim;
+      float* row = m.Row(r);
+      for (size_t j = 0; j < dim; ++j) {
+        row[j] = center[j] + sigma * static_cast<float>(rng.NextGaussian());
       }
     }
   }
+}
+
+TEST(AnnService, RecallAtTwentyClearsTheFloorOnClusteredTables) {
+  // bench_serve's recall floor, at one fixed point: a 1200-item catalog
+  // in 32 lists, 4 probed per query (1/8 of the catalog scanned).
+  SyntheticConfig cfg;
+  cfg.num_users = 400;
+  cfg.num_items = 1200;
+  cfg.num_clusters = 10;
+  cfg.avg_items_per_user = 18.0;
+  cfg.seed = 77;
+  const Dataset d = GenerateSynthetic(cfg).dataset;
+  Rng rng(5);
+  MfModel model(d.num_users(), d.num_items(), 16, rng);
+  ClusterEmbeddings(model, cfg.num_clusters, rng);
+  model.Forward(rng);
+
+  Rng stream(211);
+  std::vector<TopKRequest> reqs(256);
+  for (TopKRequest& req : reqs) {
+    req = Req(static_cast<uint32_t>(stream.NextIndex(d.num_users())), 20);
+  }
+  ServeConfig exact_cfg;
+  exact_cfg.max_k = 20;
+  exact_cfg.runtime.num_threads = 2;
+  ServeConfig ann_cfg = AnnConfig(2, /*nlist=*/32, /*nprobe=*/4);
+  InferenceService exact(d, model, exact_cfg);
+  InferenceService ann(d, model, ann_cfg);
+  const std::vector<TopKResponse> want = exact.HandleBatch(reqs);
+  const std::vector<TopKResponse> got = ann.HandleBatch(reqs);
+
+  // Mean fraction of each exact top-20 the ANN response reproduces.
+  double recall_sum = 0.0;
+  size_t counted = 0;
+  for (size_t r = 0; r < reqs.size(); ++r) {
+    std::vector<uint32_t> truth = want[r].items;
+    if (truth.empty()) continue;
+    std::sort(truth.begin(), truth.end());
+    size_t hits = 0;
+    for (const uint32_t item : got[r].items) {
+      hits += std::binary_search(truth.begin(), truth.end(), item) ? 1 : 0;
+    }
+    recall_sum +=
+        static_cast<double>(hits) / static_cast<double>(truth.size());
+    ++counted;
+  }
+  ASSERT_EQ(counted, reqs.size());
+  const double recall = recall_sum / static_cast<double>(counted);
+  EXPECT_GE(recall, 0.95);
+  // A genuine approximation: the probe misses some exact neighbours.
+  EXPECT_LT(recall, 1.0);
 }
 
 TEST(AnnEvaluator, FullProbePassMatchesExactMetricsBitwise) {

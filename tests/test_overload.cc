@@ -581,17 +581,27 @@ TEST(Overload, DrainObservesMidBatchPublisherAndFulfilledPromises) {
   const auto snap1 = std::make_shared<const ModelSnapshot>(*gen1, freeze_pool);
   const auto snap2 = std::make_shared<const ModelSnapshot>(*gen2, freeze_pool);
 
-  FrontEndConfig cfg = Config(/*max_batch=*/8, /*flush_us=*/100);
+  // Eight valid requests and one malformed one (user out of range) in
+  // one batch that forms only when all nine are queued: max_batch is the
+  // request count, and the flush deadline is far longer than the test.
+  std::vector<TopKRequest> reqs;
+  for (uint32_t u = 0; u < 8; ++u) reqs.push_back(Req(u, 5));
+  reqs.push_back(Req(d.num_users(), 5));
+  FrontEndConfig cfg = Config(/*max_batch=*/reqs.size(),
+                              /*flush_us=*/60'000'000);
   // One slow batch (100ms) so the publish lands mid-batch.
   cfg.fault_injector = Inject({{FaultAction::Kind::kDelay, 0, 1, 1, 100000}});
   ServingFrontEnd frontend(d, snap1, cfg);
 
-  std::vector<TopKRequest> reqs;
-  for (uint32_t u = 0; u < 8; ++u) reqs.push_back(Req(u, 5));
   std::vector<std::future<ServedResponse>> futures =
       frontend.SubmitBatch(reqs);
-  // Publish while the batch is inside its injected delay.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  std::future<ServedResponse> malformed = std::move(futures.back());
+  futures.pop_back();
+  // The dispatcher loads the batch's state before it validates the
+  // requests, and validates before the injected delay. Once the
+  // malformed request has failed, the batch holds generation 1 and is
+  // inside its delay: publish now.
+  EXPECT_THROW(malformed.get(), std::invalid_argument);
   EXPECT_EQ(frontend.PublishSnapshot(snap2), 2u);
 
   frontend.Drain();
@@ -608,8 +618,12 @@ TEST(Overload, DrainObservesMidBatchPublisherAndFulfilledPromises) {
     EXPECT_EQ(resp.snapshot_seq, 1u) << "request " << i;
     EXPECT_EQ(resp.snapshot, snap1) << "request " << i;
   }
-  // Traffic after the publish serves the new generation.
-  EXPECT_EQ(frontend.HandleSync(Req(0, 5)).snapshot_seq, 2u);
+  // Traffic after the publish serves the new generation (a full batch,
+  // so it does not wait out the flush deadline).
+  const std::vector<TopKRequest> after(reqs.size(), Req(0, 5));
+  for (const ServedResponse& resp : frontend.HandleBatchSync(after)) {
+    EXPECT_EQ(resp.snapshot_seq, 2u);
+  }
 }
 
 }  // namespace

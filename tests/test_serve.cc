@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "data/synthetic.h"
@@ -107,12 +108,19 @@ TEST(ModelSnapshot, IsImmutableCopyOfTheModel) {
 TEST(TopKScorer, SelectTopKOrdersAndExcludes) {
   const float scores[] = {0.1f, 0.9f, 0.9f, 0.5f, -0.2f};
   const std::vector<uint32_t> exclude = {1};
-  const std::vector<ScoredItem> top =
-      serve::SelectTopK(scores, 0, 5, 3, exclude);
+  std::vector<ScoredItem> scratch, top;
+  serve::SelectTopKInto(scores, 0, 5, 3, exclude, scratch, top);
   ASSERT_EQ(top.size(), 3u);
   EXPECT_EQ(top[0].item, 2u);  // 0.9, id 1 excluded
   EXPECT_EQ(top[1].item, 3u);  // 0.5
   EXPECT_EQ(top[2].item, 0u);  // 0.1
+  // A second block (items 5..7) merges into the running top-3.
+  const float more[] = {0.5f, 0.95f, 0.1f};
+  serve::SelectTopKInto(more, 5, 8, 3, exclude, scratch, top);
+  ASSERT_EQ(top.size(), 3u);
+  EXPECT_EQ(top[0].item, 6u);  // 0.95
+  EXPECT_EQ(top[1].item, 2u);  // 0.9
+  EXPECT_EQ(top[2].item, 3u);  // 0.5 ties item 5, lower id first
 }
 
 TEST(TopKScorer, ShardSizeNeverChangesTheResult) {
@@ -124,11 +132,12 @@ TEST(TopKScorer, ShardSizeNeverChangesTheResult) {
   const ModelSnapshot snap(model, pool);
   const std::vector<uint32_t> exclude = d.TestUsers();  // arbitrary ids
   const serve::ScoreQuery query{snap.UserVec(7), 12, exclude};
-  const CatalogScorer reference(snap, pool, d.num_items() + 1);
+  const CatalogScorer reference(snap, pool,
+                                {.items_per_shard = d.num_items() + 1});
   const std::vector<ScoredItem> want = reference.TopK(query);
   ASSERT_EQ(want.size(), 12u);
   for (uint32_t shard : {1u, 7u, 16u, 64u}) {
-    const CatalogScorer scorer(snap, pool, shard);
+    const CatalogScorer scorer(snap, pool, {.items_per_shard = shard});
     const std::vector<ScoredItem> got = scorer.TopK(query);
     ASSERT_EQ(got.size(), want.size()) << "shard " << shard;
     for (size_t i = 0; i < want.size(); ++i) {
@@ -138,21 +147,57 @@ TEST(TopKScorer, ShardSizeNeverChangesTheResult) {
   }
 }
 
+TEST(TopKScorer, ZeroCutoffReturnsEmptyOnEveryTier) {
+  // One 90-item shard holds more eligible items than the int8 scan's
+  // candidate margin, so the quantized tier reaches its phase-2 cutoff.
+  const Dataset d = MediumDataset();
+  Rng rng(4);
+  MfModel model(d.num_users(), d.num_items(), 8, rng);
+  model.Forward(rng);
+  runtime::ThreadPool pool(2);
+  serve::SnapshotOptions so;
+  so.quantize_items = true;
+  so.ivf.build = true;
+  const ModelSnapshot snap(model, pool, so);
+  const serve::ScoreQuery zero{snap.UserVec(3), 0, {}};
+  const serve::ScoreQuery five{snap.UserVec(3), 5, {}};
+  for (const serve::ScorerOptions& options :
+       {serve::ScorerOptions{}, serve::ScorerOptions{.quantize = true},
+        serve::ScorerOptions{.exact = false},
+        serve::ScorerOptions{.quantize = true, .exact = false}}) {
+    const CatalogScorer scorer(snap, pool, options);
+    const std::string tier = std::string(options.quantize ? "int8" : "fp32") +
+                             (options.exact ? "" : " ivf");
+    EXPECT_TRUE(scorer.TopK(zero).empty()) << tier;
+    // A zero cutoff beside a real one in the same batch.
+    const std::vector<serve::ScoreQuery> batch = {zero, five};
+    const std::vector<std::vector<ScoredItem>> got = scorer.BatchTopK(batch);
+    EXPECT_TRUE(got[0].empty()) << tier;
+    EXPECT_EQ(got[1].size(), 5u) << tier;
+  }
+}
+
 TEST(InferenceService, MatchesEvaluatorRankingsOnTheSameSnapshot) {
   const Dataset d = MediumDataset();
   Rng rng(4);
   MfModel model(d.num_users(), d.num_items(), 8, rng);
   model.Forward(rng);
   const uint32_t k = 15;
-  const Evaluator eval(d, k, runtime::RuntimeConfig{2});
-  Evaluator::Pass pass = eval.BeginPass(model);
   InferenceService service(d, model, Config(2));
-  for (uint32_t u = 0; u < d.num_users(); ++u) {
-    const std::vector<uint32_t> want = pass.TopKForUser(u);
-    const TopKResponse got = service.Handle(Req(u, k));
-    ASSERT_EQ(got.items.size(), want.size()) << "user " << u;
-    for (size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(got.items[i], want[i]) << "user " << u << " rank " << i;
+  // The evaluator's serial kernel over one shard, and over 13 shards
+  // merged into its running top-k.
+  for (const uint32_t grain : {CatalogScorer::kDefaultItemsPerShard, 7u}) {
+    const Evaluator eval(d, k, runtime::RuntimeConfig{2},
+                         serve::ScorerOptions{.items_per_shard = grain});
+    Evaluator::Pass pass = eval.BeginPass(model);
+    for (uint32_t u = 0; u < d.num_users(); ++u) {
+      const std::vector<uint32_t> want = pass.TopKForUser(u);
+      const TopKResponse got = service.Handle(Req(u, k));
+      ASSERT_EQ(got.items.size(), want.size()) << "user " << u;
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got.items[i], want[i])
+            << "grain " << grain << " user " << u << " rank " << i;
+      }
     }
   }
 }
@@ -378,7 +423,8 @@ TEST(QuantizedScorer, BitIdenticalToExactAcrossShardGrainsAndMargins) {
                            QuantSnapshotOptions());
   const std::vector<uint32_t> exclude = d.TestUsers();  // arbitrary ids
   const serve::ScoreQuery query{snap.UserVec(7), 12, exclude};
-  const CatalogScorer reference(snap, pool, d.num_items() + 1);
+  const CatalogScorer reference(snap, pool,
+                                {.items_per_shard = d.num_items() + 1});
   const std::vector<ScoredItem> want = reference.TopK(query);
   ASSERT_EQ(want.size(), 12u);
   for (const uint32_t shard : {1u, 7u, 16u, 64u, 128u}) {

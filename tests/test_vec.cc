@@ -314,145 +314,6 @@ TEST(Vec, QuantizeRowDegenerateRows) {
   EXPECT_EQ(vec::QuantizeRow(flat.data(), 0, codes.data()), 0.0f);
 }
 
-TEST(Vec, F16RoundTripIsExhaustivelyStable) {
-  // Every fp16 code decodes exactly, and re-encoding the decoded value
-  // returns the original bits (decode is exact, so the nearest half to
-  // it is itself). NaN payloads get the quiet bit forced (matching the
-  // hardware converter), so compare those by NaN-ness instead.
-  for (uint32_t code = 0; code < 0x10000; ++code) {
-    const uint16_t h = static_cast<uint16_t>(code);
-    const float f = vec::F16ToF32(h);
-    if ((h & 0x7fff) > 0x7c00) {
-      EXPECT_TRUE(std::isnan(f)) << "code " << code;
-      EXPECT_TRUE((vec::F32ToF16(f) & 0x7fff) > 0x7c00) << "code " << code;
-      continue;
-    }
-    EXPECT_EQ(vec::F32ToF16(f), h) << "code " << code;
-  }
-}
-
-TEST(Vec, F32ToF16KnownValues) {
-  EXPECT_EQ(vec::F32ToF16(0.0f), 0x0000);
-  EXPECT_EQ(vec::F32ToF16(-0.0f), 0x8000);
-  EXPECT_EQ(vec::F32ToF16(1.0f), 0x3c00);
-  EXPECT_EQ(vec::F32ToF16(-2.0f), 0xc000);
-  EXPECT_EQ(vec::F32ToF16(65504.0f), 0x7bff);   // max finite half
-  EXPECT_EQ(vec::F32ToF16(65520.0f), 0x7c00);   // ties to even -> inf
-  EXPECT_EQ(vec::F32ToF16(100000.0f), 0x7c00);  // overflow -> inf
-  EXPECT_EQ(vec::F32ToF16(-100000.0f), 0xfc00);
-  EXPECT_EQ(vec::F32ToF16(5.9604645e-8f), 0x0001);  // min subnormal
-  EXPECT_EQ(vec::F32ToF16(1e-10f), 0x0000);         // underflow -> +0
-  EXPECT_EQ(vec::F32ToF16(-1e-10f), 0x8000);        // underflow -> -0
-  EXPECT_EQ(vec::F32ToF16(0.5f), 0x3800);
-  EXPECT_EQ(vec::F32ToF16(0.099975586f), 0x2e66);
-}
-
-TEST(Vec, EncodeGatherF16MatchSubnormalAndOverflowRanges) {
-  // Magnitude sweep from deep-subnormal (rounds to signed zero) through
-  // half subnormals up to overflow: the SIMD encode/decode paths must
-  // match the scalar references bitwise on every range.
-  Rng rng(26);
-  for (const size_t n : kKernelLens) {
-    std::vector<float> x(n);
-    for (size_t i = 0; i < n; ++i) {
-      const double mag = std::pow(10.0, -41.0 + 46.0 * rng.NextDouble());
-      x[i] = static_cast<float>(mag * (rng.NextIndex(2) == 0 ? 1.0 : -1.0));
-    }
-    std::vector<uint16_t> got(n, 0xeeee), want(n, 0x1111);
-    vec::EncodeF16(x.data(), n, got.data());
-    vec::ref::EncodeF16(x.data(), n, want.data());
-    for (size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(got[i], want[i]) << "n=" << n << " i=" << i << " x=" << x[i];
-    }
-    std::vector<float> back(n, -1.0f), back_want(n, -2.0f);
-    vec::GatherF16(got.data(), n, back.data());
-    vec::ref::GatherF16(want.data(), n, back_want.data());
-    for (size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(back[i], back_want[i]) << "n=" << n << " i=" << i;
-    }
-  }
-}
-
-TEST(Vec, EncodeF16RoundTripErrorBound) {
-  // Relative error of one round trip <= 2^-11 per element (half a ulp
-  // of the 11-bit significand), plus the subnormal absolute floor.
-  Rng rng(27);
-  for (int rep = 0; rep < 100; ++rep) {
-    const size_t n = 1 + rng.NextIndex(64);
-    std::vector<float> x(n);
-    for (auto& v : x) v = static_cast<float>(rng.NextGaussian());
-    std::vector<uint16_t> h(n);
-    vec::EncodeF16(x.data(), n, h.data());
-    std::vector<float> back(n);
-    vec::GatherF16(h.data(), n, back.data());
-    for (size_t i = 0; i < n; ++i) {
-      const double err =
-          std::fabs(static_cast<double>(back[i]) - static_cast<double>(x[i]));
-      EXPECT_LE(err, std::ldexp(std::fabs(x[i]), -11) + std::ldexp(1.0, -24))
-          << "i=" << i << " x=" << x[i];
-    }
-  }
-}
-
-TEST(Vec, DotF16BitwiseMatchesScalarReference) {
-  // Same exactness contract as the fp32 dot: the F16C kernel must
-  // reproduce ref::DotF16's summation tree bitwise.
-  Rng rng(28);
-  for (const size_t n : kKernelLens) {
-    for (int rep = 0; rep < 8; ++rep) {
-      std::vector<float> q(n), x(n);
-      for (auto& v : q) v = static_cast<float>(rng.NextGaussian());
-      for (auto& v : x) v = static_cast<float>(rng.NextGaussian());
-      std::vector<uint16_t> row(n);
-      vec::EncodeF16(x.data(), n, row.data());
-      EXPECT_EQ(vec::DotF16(q.data(), row.data(), n),
-                vec::ref::DotF16(q.data(), row.data(), n))
-          << "n=" << n;
-    }
-  }
-}
-
-TEST(Vec, DotF16ApproximatesFp32Dot) {
-  // Sanity on the quality side: on unit-ish vectors the fp16 dot stays
-  // within the elementwise relative-error budget of the fp32 dot.
-  Rng rng(29);
-  const size_t n = 64;
-  for (int rep = 0; rep < 20; ++rep) {
-    std::vector<float> q(n), x(n), x_hat(n);
-    for (auto& v : q) v = static_cast<float>(rng.NextGaussian());
-    for (auto& v : x) v = static_cast<float>(rng.NextGaussian());
-    vec::Normalize(q.data(), q.data(), n);
-    vec::Normalize(x.data(), x_hat.data(), n);
-    std::vector<uint16_t> row(n);
-    vec::EncodeF16(x_hat.data(), n, row.data());
-    const double budget = std::ldexp(vec::L1Norm(q.data(), n), -11) + 1e-5;
-    EXPECT_NEAR(vec::DotF16(q.data(), row.data(), n),
-                vec::Dot(q.data(), x_hat.data(), n), budget)
-        << "rep " << rep;
-  }
-}
-
-TEST(Vec, DotBatchF16MatchesPerRowAndReference) {
-  Rng rng(30);
-  for (const size_t m : {0u, 1u, 2u, 3u, 5u, 9u, 16u, 17u}) {
-    for (const size_t d : {1u, 4u, 8u, 15u, 16u, 17u, 48u, 128u}) {
-      std::vector<float> q(d), x(m * d);
-      for (auto& v : q) v = static_cast<float>(rng.NextGaussian());
-      for (auto& v : x) v = static_cast<float>(rng.NextGaussian());
-      std::vector<uint16_t> rows(m * d);
-      vec::EncodeF16(x.data(), m * d, rows.data());
-      std::vector<float> got(m, -1.0f), want(m, -2.0f);
-      vec::DotBatchF16(q.data(), rows.data(), m, d, got.data());
-      vec::ref::DotBatchF16(q.data(), rows.data(), m, d, want.data());
-      for (size_t r = 0; r < m; ++r) {
-        EXPECT_EQ(got[r], want[r]) << "m=" << m << " d=" << d << " row " << r;
-        EXPECT_EQ(got[r], vec::DotF16(q.data(), rows.data() + r * d, d))
-            << "m=" << m << " d=" << d << " row " << r;
-      }
-    }
-  }
-}
-
 TEST(Vec, L1NormMatchesNaiveSum) {
   const float x[] = {1.0f, -2.0f, 3.0f, -4.0f, 0.5f};
   EXPECT_DOUBLE_EQ(vec::L1Norm(x, 5), 10.5);

@@ -240,8 +240,9 @@ TEST(WireFormat, CliResponseMatchesHistoricalPrintf) {
             "user=3 k=2 items=1:0.500000,2:0.250000");
   EXPECT_EQ(wire::FormatCliResponse(req, TopKResponse{}),
             "user=3 k=2 items=");
-  EXPECT_EQ(wire::FormatCliResponse(req, topk, DegradeMode::kFp16, 4),
-            "user=3 k=2 items=1:0.500000,2:0.250000 degraded=fp16 seq=4");
+  EXPECT_EQ(wire::FormatCliResponse(req, topk, DegradeMode::kQuantized, 4),
+            "user=3 k=2 items=1:0.500000,2:0.250000 degraded=quantized "
+            "seq=4");
 }
 
 TEST(WireFormat, CliErrorTokensMatchHistoricalStrings) {
@@ -274,8 +275,7 @@ TEST(WireErrors, StageMappingIsABijection) {
 
 TEST(WireErrors, DegradeModeNamesRoundTrip) {
   for (const DegradeMode mode :
-       {DegradeMode::kNone, DegradeMode::kIvf, DegradeMode::kFp16,
-        DegradeMode::kQuantized}) {
+       {DegradeMode::kNone, DegradeMode::kIvf, DegradeMode::kQuantized}) {
     DegradeMode back;
     ASSERT_TRUE(DegradeModeFromName(DegradeModeName(mode), &back));
     EXPECT_EQ(back, mode);

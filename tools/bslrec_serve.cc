@@ -70,7 +70,6 @@ struct Options {
   size_t batch = 32;          // requests handled per HandleBatch call
   bool no_cache = false;
   bool quantize = false;      // int8 two-phase catalog scan
-  bool fp16 = false;          // fp16 two-phase catalog scan
   bool ann = false;           // IVF approximate retrieval
   uint32_t nlist = 0;         // coarse lists (0 = ceil(sqrt(num_items)))
   uint32_t nprobe = serve::kDefaultNprobe;  // lists visited per query
@@ -99,7 +98,7 @@ void Usage() {
       "                    [--dim=N] [--layers=N] [--load=CKPT]\n"
       "                    [--requests=FILE] [--k=N] [--max-k=N]\n"
       "                    [--batch=N] [--shard-items=N] [--no-cache]\n"
-      "                    [--quantize] [--fp16] [--margin=N]\n"
+      "                    [--quantize] [--margin=N]\n"
       "                    [--ann] [--nlist=N] [--nprobe=P] [--recall]\n"
       "                    [--threads=N] [--seed=N]\n"
       "                    [--concurrent] [--producers=N] [--flush-us=D]\n"
@@ -128,15 +127,11 @@ void Usage() {
       "               bit-identical to the exact scorer — this flag\n"
       "               trades memory traffic for a wider per-shard\n"
       "               candidate pass, it never changes a ranking\n"
-      "--fp16:        scan through an fp16 item table instead (mutually\n"
-      "               exclusive with --quantize). Certification-free:\n"
-      "               returned scores are exact fp32 but near-margin\n"
-      "               items can be missed — use --recall to measure\n"
       "--ann:         approximate retrieval through an IVF coarse index\n"
       "               built at snapshot time: score --nlist centroids,\n"
       "               visit the top --nprobe lists, exact fp32 re-rank\n"
       "               the gathered candidates. Composes with --quantize\n"
-      "               or --fp16 (they pick the list-scan representation).\n"
+      "               (int8 list scans, then the fp32 re-rank).\n"
       "               Responses are deterministic (bit-identical for any\n"
       "               --threads / --batch / --shard-items) but may miss\n"
       "               items outside the probed lists\n"
@@ -146,7 +141,7 @@ void Usage() {
       "               higher = better recall, slower\n"
       "--recall:      after serving, replay every request against an\n"
       "               exact reference scorer and report measured\n"
-      "               recall-vs-exact on stderr (approximate modes)\n"
+      "               recall-vs-exact on stderr (needs --ann)\n"
       "--margin:      extra phase-1 candidates per shard beyond k\n"
       "               (quantized mode; larger = fewer exact-rescan\n"
       "               fallbacks on near-tie score distributions)\n"
@@ -235,8 +230,6 @@ bool ParseFlags(int argc, char** argv, Options& opts) {
       opts.no_cache = true;
     } else if (key == "quantize") {
       opts.quantize = true;
-    } else if (key == "fp16") {
-      opts.fp16 = true;
     } else if (key == "ann") {
       opts.ann = true;
     } else if (key == "nlist") {
@@ -315,18 +308,14 @@ bool ParseFlags(int argc, char** argv, Options& opts) {
                  "(degrade tier, snapshot seq) and needs --concurrent\n");
     return false;
   }
-  if (opts.quantize && opts.fp16) {
-    std::fprintf(stderr, "--quantize and --fp16 are mutually exclusive\n");
-    return false;
-  }
   if (opts.ann && opts.nprobe == 0) {
     std::fprintf(stderr, "--nprobe must be >= 1\n");
     return false;
   }
-  if (opts.recall && !opts.ann && !opts.fp16) {
+  if (opts.recall && !opts.ann) {
     std::fprintf(stderr,
-                 "--recall needs an approximate mode (--ann or --fp16); "
-                 "exact and --quantize responses match the reference by "
+                 "--recall needs the approximate mode (--ann); exact and "
+                 "--quantize responses match the reference by "
                  "construction\n");
     return false;
   }
@@ -368,7 +357,6 @@ void PrintResponses(const std::vector<serve::TopKRequest>& reqs,
 std::string ModeSuffix(const Options& opts) {
   std::string s;
   if (opts.quantize) s += ", int8 catalog table";
-  if (opts.fp16) s += ", fp16 catalog table";
   if (opts.ann) s += ", ivf index";
   return s;
 }
@@ -384,7 +372,6 @@ void ReportRecall(const Options& opts, const Dataset& data,
                   const std::vector<serve::TopKResponse>& resps) {
   serve::ServeConfig ref_cfg = cfg;
   ref_cfg.quantize = false;
-  ref_cfg.fp16 = false;
   ref_cfg.exact = true;
   ref_cfg.ivf = serve::IvfBuildOptions{};
   serve::InferenceService ref(data, model, ref_cfg);
@@ -434,9 +421,6 @@ void ReportScanStats(const Options& opts, const serve::CatalogScorer& scorer) {
                  "quantized scan: %llu shard tasks, %llu exact fallbacks\n",
                  static_cast<unsigned long long>(st.shards_scanned),
                  static_cast<unsigned long long>(st.shards_fallback));
-  } else if (opts.fp16) {
-    std::fprintf(stderr, "fp16 scan: %llu shard tasks\n",
-                 static_cast<unsigned long long>(st.fp16_shards));
   }
 }
 
@@ -651,7 +635,6 @@ int main(int argc, char** argv) {
   cfg.items_per_shard = opts.shard_items;
   cfg.cache_rankings = !opts.no_cache;
   cfg.quantize = opts.quantize;
-  cfg.fp16 = opts.fp16;
   cfg.exact = !opts.ann;
   cfg.nprobe = opts.nprobe;
   cfg.ivf.nlist = opts.nlist;

@@ -55,7 +55,6 @@ struct Options {
   uint32_t shard_items = serve::CatalogScorer::kDefaultItemsPerShard;
   bool no_cache = false;
   bool quantize = false;
-  bool fp16 = false;
   bool ann = false;
   uint32_t nlist = 0;
   uint32_t nprobe = serve::kDefaultNprobe;
@@ -86,7 +85,7 @@ void Usage() {
       "[--backbone=mf|ngcf|lightgcn|sgl|simgcl|lightgcl]\n"
       "                     [--dim=N] [--layers=N] [--load=CKPT]\n"
       "                     [--k=N] [--max-k=N] [--shard-items=N]\n"
-      "                     [--no-cache] [--quantize] [--fp16]\n"
+      "                     [--no-cache] [--quantize]\n"
       "                     [--ann] [--nlist=N] [--nprobe=P] [--margin=N]\n"
       "                     [--threads=N] [--seed=N]\n"
       "                     [--batch=N] [--flush-us=D] [--max-queue=N]\n"
@@ -112,7 +111,6 @@ void Usage() {
       "--max-k:       per-user rankings are cached at this depth\n"
       "--shard-items: catalog items per scoring shard\n"
       "--quantize:    int8 certified two-phase catalog scan\n"
-      "--fp16:        fp16 two-phase scan (excludes --quantize)\n"
       "--ann:         IVF approximate retrieval (--nlist/--nprobe)\n"
       "--margin:      extra phase-1 candidates per shard (quantized)\n"
       "--threads:     scorer workers (0 = hardware concurrency)\n"
@@ -182,8 +180,6 @@ bool ParseFlags(int argc, char** argv, Options& opts) {
       opts.no_cache = true;
     } else if (key == "quantize") {
       opts.quantize = true;
-    } else if (key == "fp16") {
-      opts.fp16 = true;
     } else if (key == "ann") {
       opts.ann = true;
     } else if (key == "nlist") {
@@ -237,10 +233,6 @@ bool ParseFlags(int argc, char** argv, Options& opts) {
                  "--overflow must be block, shed-newest, or shed-oldest\n");
     return false;
   }
-  if (opts.quantize && opts.fp16) {
-    std::fprintf(stderr, "--quantize and --fp16 are mutually exclusive\n");
-    return false;
-  }
   if (opts.ann && opts.nprobe == 0) {
     std::fprintf(stderr, "--nprobe must be >= 1\n");
     return false;
@@ -261,7 +253,6 @@ serve::OverflowPolicy OverflowFromFlag(const std::string& name) {
 std::string ModeSuffix(const Options& opts) {
   std::string s;
   if (opts.quantize) s += ", int8 catalog table";
-  if (opts.fp16) s += ", fp16 catalog table";
   if (opts.ann) s += ", ivf index";
   return s;
 }
@@ -357,7 +348,6 @@ int main(int argc, char** argv) {
   fe.serve.items_per_shard = opts.shard_items;
   fe.serve.cache_rankings = !opts.no_cache;
   fe.serve.quantize = opts.quantize;
-  fe.serve.fp16 = opts.fp16;
   fe.serve.exact = !opts.ann;
   fe.serve.nprobe = opts.nprobe;
   fe.serve.ivf.nlist = opts.nlist;
