@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks for the hot kernels: loss
 // forward+backward per sample, negative sampling, cosine scoring, graph
-// propagation and the evaluator. These guard the throughput the
-// experiment harnesses depend on.
+// propagation, the evaluator and its top-k block kernel. These guard the
+// throughput the experiment harnesses depend on.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -19,7 +19,10 @@
 #include "math/vec.h"
 #include "models/lightgcn.h"
 #include "models/mf.h"
+#include "runtime/thread_pool.h"
 #include "sampling/negative_sampler.h"
+#include "serve/model_snapshot.h"
+#include "serve/topk_scorer.h"
 
 namespace {
 
@@ -497,6 +500,44 @@ void BM_Evaluator(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Evaluator);
+
+// One block of m queries through serve::BlockTopK's exact tier at the
+// evaluator's shape: 8000 items, dim 64, 2048-item shards, k = 20, and
+// 20 excluded ids per query. m = 1 is the per-pair vec::Dot scan; larger
+// blocks widen each item chunk once for the whole block and score it
+// with vec::DotTile. Every m returns the same bits per query.
+void BM_BlockTopK(benchmark::State& state) {
+  constexpr uint32_t kItems = 8000;
+  constexpr uint32_t kUsers = 64;
+  constexpr uint32_t kExcluded = 20;
+  const size_t m = static_cast<size_t>(state.range(0));
+  Rng rng(41);
+  MfModel model(kUsers, kItems, 64, rng);
+  runtime::ThreadPool pool(1);
+  const serve::ModelSnapshot snapshot(model, pool);
+  std::vector<std::vector<uint32_t>> excluded(m);
+  std::vector<serve::ScoreQuery> block;
+  for (size_t j = 0; j < m; ++j) {
+    for (uint32_t t = 0; t < kExcluded; ++t) {
+      excluded[j].push_back(
+          static_cast<uint32_t>((j * 131 + t * 397) % kItems));
+    }
+    std::sort(excluded[j].begin(), excluded[j].end());
+    const auto user = static_cast<uint32_t>(j % kUsers);
+    block.push_back({snapshot.UserVec(user), 20, excluded[j]});
+  }
+  const serve::ScorerOptions options{.items_per_shard = 2048};
+  serve::ShardScratch ws;
+  std::vector<std::vector<serve::ScoredItem>> tops(m);
+  for (auto _ : state) {
+    serve::BlockTopK(snapshot, block, options, ws, tops);
+    benchmark::DoNotOptimize(tops.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(m) *
+                          kItems);
+}
+BENCHMARK(BM_BlockTopK)->Arg(1)->Arg(2)->Arg(8)->Arg(16);
 
 void BM_WorstCaseWeights(benchmark::State& state) {
   const auto scores = MakeScores(static_cast<size_t>(state.range(0)), 10);

@@ -11,10 +11,12 @@
 namespace bslrec {
 namespace {
 
-// Users per shard in the parallel per-user loops. Fixed (independent of
-// the worker count) so per-shard outputs reduce deterministically; small
-// enough that ranking-heavy shards still load-balance.
-constexpr size_t kEvalGrain = 8;
+// Users per shard in the parallel ranking loop; each shard is ranked as
+// one block of serve::BlockTopK. Fixed (independent of the worker
+// count) so per-shard outputs reduce deterministically; small enough
+// that ranking-heavy shards still load-balance. No ranking depends on
+// it: every block scores each user with vec::Dot's bits.
+constexpr size_t kEvalGrain = serve::kQueryBlock;
 
 }  // namespace
 
@@ -66,30 +68,38 @@ Evaluator::Pass::Pass(const Evaluator& eval,
                    "snapshot built with SnapshotOptions::ivf.build");
 }
 
-std::vector<uint32_t> Evaluator::Pass::RankUser(uint32_t user, uint32_t k,
-                                                WorkerScratch& ws) {
-  // The serving stack's per-query kernel, run serially per user (the
-  // surrounding user loop is the parallel axis). Candidates exclude the
+void Evaluator::Pass::RankUsers(std::span<const uint32_t> users, uint32_t k,
+                                WorkerScratch& ws,
+                                std::vector<uint32_t>* rankings) {
+  // The serving stack's block kernel, run serially per block (the
+  // surrounding user loop is the parallel axis). Candidates exclude each
   // user's train positives entirely: a recommendation list must never
   // contain already-consumed items.
-  serve::QueryTopK(*snapshot_, snapshot_->UserVec(user), k,
-                   eval_.data_.TrainItems(user), eval_.scoring_, ws.scan,
-                   ws.top);
-  std::vector<uint32_t> items(ws.top.size());
-  for (size_t i = 0; i < ws.top.size(); ++i) items[i] = ws.top[i].item;
-  return items;
+  ws.queries.clear();
+  for (const uint32_t user : users) {
+    ws.queries.push_back(
+        {snapshot_->UserVec(user), k, eval_.data_.TrainItems(user)});
+  }
+  ws.tops.resize(users.size());
+  serve::BlockTopK(*snapshot_, ws.queries, eval_.scoring_, ws.scan,
+                   {ws.tops.data(), users.size()});
+  for (size_t j = 0; j < users.size(); ++j) {
+    rankings[j].resize(ws.tops[j].size());
+    for (size_t i = 0; i < ws.tops[j].size(); ++i) {
+      rankings[j][i] = ws.tops[j][i].item;
+    }
+  }
 }
 
 std::vector<std::vector<uint32_t>> Evaluator::Pass::ComputeRankings(
     uint32_t k) {
-  std::vector<std::vector<uint32_t>> rankings(eval_.test_users_.size());
+  const std::span<const uint32_t> users = eval_.test_users_;
+  std::vector<std::vector<uint32_t>> rankings(users.size());
   runtime::ParallelFor(
-      *eval_.pool_, 0, eval_.test_users_.size(), kEvalGrain,
+      *eval_.pool_, 0, users.size(), kEvalGrain,
       [&](size_t lo, size_t hi, size_t /*shard*/, size_t worker) {
-        WorkerScratch& ws = scratch_[worker];
-        for (size_t t = lo; t < hi; ++t) {
-          rankings[t] = RankUser(eval_.test_users_[t], k, ws);
-        }
+        RankUsers(users.subspan(lo, hi - lo), k, scratch_[worker],
+                  &rankings[lo]);
       });
   return rankings;
 }
@@ -157,7 +167,9 @@ std::vector<double> Evaluator::Pass::GroupNdcg(uint32_t num_groups) {
 }
 
 std::vector<uint32_t> Evaluator::Pass::TopKForUser(uint32_t user) {
-  return RankUser(user, eval_.k_, scratch_[0]);
+  std::vector<uint32_t> items;
+  RankUsers({&user, 1}, eval_.k_, scratch_[0], &items);
+  return items;
 }
 
 std::vector<double> Evaluator::Pass::ItemExposure() {

@@ -6,21 +6,28 @@
 // users. Also provides the popularity-group NDCG decomposition behind the
 // fairness figures and raw top-K lists for analysis.
 //
-// Per-user scoring and ranking fan out across a runtime::ThreadPool.
-// Users are assigned to fixed shards and every per-user result lands in
-// its own output slot before a serial reduction, so all metrics are
-// bit-identical for any worker count (see runtime/thread_pool.h).
+// Ranking fans out across a runtime::ThreadPool. Test users are
+// assigned to fixed shards of serve::kQueryBlock users and every
+// per-user result lands in its own output slot before a serial
+// reduction, so all metrics are bit-identical for any worker count (see
+// runtime/thread_pool.h).
 //
 // An evaluation *pass* (`BeginPass`) freezes the model's current final
 // embeddings into a read-only `serve::ModelSnapshot` (the same snapshot
 // type the inference service ships to production) and shares it, along
 // with per-worker scan buffers, across every query on the pass. Each
-// user is ranked by the serving stack's own per-query kernel,
-// `serve::QueryTopK`, so offline metrics and served responses agree
-// bit-for-bit by construction. The single-shot
-// `Evaluate`/`GroupNdcg`/... wrappers each open a one-query pass;
-// callers issuing several queries against the same model state should
-// hold a pass instead.
+// user shard is ranked as one block by the serving stack's own block
+// kernel, `serve::BlockTopK`, so offline metrics and served responses
+// agree bit-for-bit by construction. On the exact tier a block widens
+// its users' rows once and scores the catalog in vec::DotTile tiles
+// (see serve/topk_scorer.h); `TopKForUser` ranks one user alone, with
+// per-pair vec::Dot. Both give every (user, item) pair vec::Dot's bits
+// and select under the same strict total order, so each user's ranking,
+// and hence every metric, is the same whatever the block — the metrics
+// are the sums of the per-user kernels over those rankings in test-user
+// order. The single-shot `Evaluate`/`GroupNdcg`/... wrappers each open
+// a one-query pass; callers issuing several queries against the same
+// model state should hold a pass instead.
 //
 // `BeginPassOn(snapshot)` opens a pass over an *already frozen*
 // snapshot instead of freezing one itself. That is the seam async
@@ -29,21 +36,22 @@
 // and because ranking is thread-count invariant, the metrics are
 // bit-identical to a synchronous pass over the same snapshot.
 //
-// The `scoring` options pick the tier QueryTopK runs per pass:
-//   * default — exact full-catalog scan;
-//   * `quantize` — certified int8 two-phase scan, metrics bit-identical
-//     to exact;
+// The `scoring` options pick the tier BlockTopK runs per pass:
+//   * default — exact full-catalog scan, tiled per user block;
+//   * `quantize` — certified int8 two-phase scan per user, metrics
+//     bit-identical to exact;
 //   * `exact = false` — ANN through the snapshot's IVF index at
-//     `nprobe` probes: the *approximate evaluation pass*, measuring
-//     exactly the lists ANN serving would return (with nprobe >= nlist
-//     it degenerates to the exact metrics bitwise).
-// Every tier runs serially per user inside the parallel user loop, so
+//     `nprobe` probes, per user: the *approximate evaluation pass*,
+//     measuring exactly the lists ANN serving would return (with
+//     nprobe >= nlist it degenerates to the exact metrics bitwise).
+// Every tier runs serially per block inside the parallel user loop, so
 // all metric variants are bit-identical for any worker count.
 #ifndef BSLREC_EVAL_EVALUATOR_H_
 #define BSLREC_EVAL_EVALUATOR_H_
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "data/dataset.h"
@@ -114,13 +122,15 @@ class Evaluator {
 
     struct WorkerScratch {
       serve::ShardScratch scan;
-      std::vector<serve::ScoredItem> top;
+      std::vector<serve::ScoreQuery> queries;  // one block
+      std::vector<std::vector<serve::ScoredItem>> tops;
     };
 
-    // Top-k ids for one user (train positives masked), through
-    // serve::QueryTopK under the evaluator's scoring options.
-    std::vector<uint32_t> RankUser(uint32_t user, uint32_t k,
-                                   WorkerScratch& ws);
+    // Writes the top-k ids of users[j] (train positives masked) into
+    // rankings[j], ranking the users as one serve::BlockTopK block under
+    // the evaluator's scoring options.
+    void RankUsers(std::span<const uint32_t> users, uint32_t k,
+                   WorkerScratch& ws, std::vector<uint32_t>* rankings);
     // Parallel score+rank of every test user at cutoff k.
     std::vector<std::vector<uint32_t>> ComputeRankings(uint32_t k);
     // Cached ComputeRankings(k()): Evaluate/GroupNdcg/ItemExposure all

@@ -205,7 +205,12 @@ void Widen(const float* x, size_t n, double* out);
 // row-major with stride d): out[i * out_stride + j] equals
 // Dot(query i, row j, d) over the original float rows, bitwise (see the
 // header note). Each widened row is loaded once per pair of queries and
-// stays in L1 across the whole query block.
+// stays in L1 across the whole query block. It scores the trainer's
+// in-batch shards (Algorithm 2: a shard's users against the batch's
+// positives) and the exact catalog scan's query blocks
+// (serve::ShardTopK: a block of users or requests against a chunk of
+// item rows), which the evaluator pass and CatalogScorer::BatchTopK
+// both run.
 void DotTile(const double* q, size_t m, const double* rows, size_t n,
              size_t d, float* out, size_t out_stride);
 

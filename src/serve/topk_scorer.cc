@@ -30,27 +30,64 @@ uint32_t CandidateCount(uint32_t k, uint32_t margin) {
   return k > UINT32_MAX - margin ? UINT32_MAX : k + margin;
 }
 
-// Prepares `q_hat` (dim d) for ShardTopK, quantizing it into `codes` (d
+// Prepares `query` (dim d) for ShardTopK, quantizing it into `codes` (d
 // entries, which must outlive the result) unless `codes` is null.
-PreparedQuery PrepareQuery(const float* q_hat, size_t d, int8_t* codes) {
-  PreparedQuery query;
-  query.q_hat = q_hat;
+PreparedQuery PrepareQuery(const ScoreQuery& query, size_t d, int8_t* codes) {
+  PreparedQuery prepared;
+  prepared.q_hat = query.q_hat;
+  prepared.k = query.k;
+  prepared.exclude = query.exclude;
   if (codes != nullptr) {
-    query.codes = codes;
-    query.scale = vec::QuantizeRow(q_hat, d, codes);
-    query.l1 = vec::L1Norm(q_hat, d);
+    prepared.codes = codes;
+    prepared.scale = vec::QuantizeRow(query.q_hat, d, codes);
+    prepared.l1 = vec::L1Norm(query.q_hat, d);
   }
-  return query;
+  return prepared;
+}
+
+// The tiled exact scan of items [lo, hi) for a block of m >= 2 queries
+// (see the header note): every score equals vec::Dot's bitwise, so each
+// query's selection sees exactly its one-query scores.
+void TiledShardTopK(const ModelSnapshot& snapshot,
+                    std::span<const PreparedQuery> block, uint32_t lo,
+                    uint32_t hi, ShardScratch& ws,
+                    std::span<std::vector<ScoredItem>> tops) {
+  const size_t d = snapshot.dim();
+  const size_t m = block.size();
+  const size_t width = hi - lo;
+  ws.q_wide.resize(m * d);
+  for (size_t j = 0; j < m; ++j) {
+    vec::Widen(block[j].q_hat, d, ws.q_wide.data() + j * d);
+  }
+  // Row j of the block's scores holds query j's scores for [lo, hi).
+  ws.rows_wide.resize(static_cast<size_t>(kItemChunk) * d);
+  ws.scores.resize(m * width);
+  for (uint32_t c0 = lo; c0 < hi; c0 += kItemChunk) {
+    const uint32_t c1 = std::min<uint32_t>(hi, c0 + kItemChunk);
+    vec::Widen(snapshot.ItemVec(c0), (c1 - c0) * d, ws.rows_wide.data());
+    vec::DotTile(ws.q_wide.data(), m, ws.rows_wide.data(), c1 - c0, d,
+                 ws.scores.data() + (c0 - lo), width);
+  }
+  for (size_t j = 0; j < m; ++j) {
+    if (block[j].k == 0) {
+      tops[j].clear();
+      continue;
+    }
+    ++ws.exact_shards;
+    SelectTopKInto(ws.scores.data() + j * width, lo, hi, block[j].k,
+                   block[j].exclude, ws.cand, tops[j]);
+  }
 }
 
 // The certified int8 two-phase scan of one shard (see the header note):
-// writes the shard's exact top-k into `out`; `k` > 0.
+// writes the shard's exact top-k into `out`; query.k > 0.
 void QuantizedShardTopK(const ModelSnapshot& snapshot,
                         const PreparedQuery& query, uint32_t lo, uint32_t hi,
-                        uint32_t k, uint32_t candidate_margin,
-                        std::span<const uint32_t> exclude, ShardScratch& ws,
+                        uint32_t candidate_margin, ShardScratch& ws,
                         std::vector<ScoredItem>& out) {
   const size_t d = snapshot.dim();
+  const uint32_t k = query.k;
+  const std::span<const uint32_t> exclude = query.exclude;
   const uint32_t m = hi - lo;
   ++ws.shards_scanned;
 
@@ -224,6 +261,30 @@ void IvfTopK(const ModelSnapshot& snapshot, const float* q_hat, uint32_t k,
   out.assign(ws.approx.begin(), ws.approx.end());
 }
 
+// One query's shard scan (ShardTopK's contract for a block of one):
+// the certified int8 scan under options.quantize, else per-pair
+// vec::Dot scores and selection.
+void OneShardTopK(const ModelSnapshot& snapshot, const PreparedQuery& query,
+                  uint32_t lo, uint32_t hi, const ScorerOptions& options,
+                  ShardScratch& ws, std::vector<ScoredItem>& top) {
+  if (query.k == 0) {
+    top.clear();
+    return;
+  }
+  if (options.quantize) {
+    QuantizedShardTopK(snapshot, query, lo, hi, options.candidate_margin, ws,
+                       ws.shard_out);
+    top.insert(top.end(), ws.shard_out.begin(), ws.shard_out.end());
+    KeepTopK(top, query.k);
+    return;
+  }
+  ++ws.exact_shards;
+  ws.scores.resize(hi - lo);
+  ScoreItemRange(snapshot, query.q_hat, lo, hi, ws.scores.data());
+  SelectTopKInto(ws.scores.data(), lo, hi, query.k, query.exclude, ws.cand,
+                 top);
+}
+
 }  // namespace
 
 void SelectTopKInto(const float* scores, uint32_t lo, uint32_t hi, uint32_t k,
@@ -257,48 +318,45 @@ SnapshotOptions SnapshotOptionsFor(const ScorerOptions& options,
   return so;
 }
 
-void ShardTopK(const ModelSnapshot& snapshot, const PreparedQuery& query,
-               uint32_t lo, uint32_t hi, uint32_t k,
-               std::span<const uint32_t> exclude, const ScorerOptions& options,
-               ShardScratch& ws, std::vector<ScoredItem>& top) {
-  if (k == 0) {
-    top.clear();
+void ShardTopK(const ModelSnapshot& snapshot,
+               std::span<const PreparedQuery> block, uint32_t lo, uint32_t hi,
+               const ScorerOptions& options, ShardScratch& ws,
+               std::span<std::vector<ScoredItem>> tops) {
+  // Widening the rows for one query costs more than per-pair Dot saves,
+  // and the int8 tier's certified scan is per query by design.
+  if (block.size() >= 2 && !options.quantize) {
+    TiledShardTopK(snapshot, block, lo, hi, ws, tops);
     return;
   }
-  if (options.quantize) {
-    QuantizedShardTopK(snapshot, query, lo, hi, k, options.candidate_margin,
-                       exclude, ws, ws.shard_out);
-    top.insert(top.end(), ws.shard_out.begin(), ws.shard_out.end());
-    KeepTopK(top, k);
-    return;
+  for (size_t j = 0; j < block.size(); ++j) {
+    OneShardTopK(snapshot, block[j], lo, hi, options, ws, tops[j]);
   }
-  ++ws.exact_shards;
-  ws.scores.resize(hi - lo);
-  ScoreItemRange(snapshot, query.q_hat, lo, hi, ws.scores.data());
-  SelectTopKInto(ws.scores.data(), lo, hi, k, exclude, ws.cand, top);
 }
 
-void QueryTopK(const ModelSnapshot& snapshot, const float* q_hat, uint32_t k,
-               std::span<const uint32_t> exclude, const ScorerOptions& options,
-               ShardScratch& ws, std::vector<ScoredItem>& out) {
+void BlockTopK(const ModelSnapshot& snapshot, std::span<const ScoreQuery> block,
+               const ScorerOptions& options, ShardScratch& ws,
+               std::span<std::vector<ScoredItem>> outs) {
   if (!options.exact) {
-    IvfTopK(snapshot, q_hat, k, exclude, options, ws, out);
+    for (size_t j = 0; j < block.size(); ++j) {
+      IvfTopK(snapshot, block[j].q_hat, block[j].k, block[j].exclude, options,
+              ws, outs[j]);
+    }
     return;
   }
   const size_t d = snapshot.dim();
   const uint32_t n = snapshot.num_items();
-  int8_t* codes = nullptr;
-  if (options.quantize) {
-    ws.q_codes.resize(d);
-    codes = ws.q_codes.data();
+  ws.q_codes.resize(options.quantize ? block.size() * d : 0);
+  ws.prepared.resize(block.size());
+  for (size_t j = 0; j < block.size(); ++j) {
+    int8_t* codes = options.quantize ? &ws.q_codes[j * d] : nullptr;
+    ws.prepared[j] = PrepareQuery(block[j], d, codes);
+    outs[j].clear();
   }
-  const PreparedQuery query = PrepareQuery(q_hat, d, codes);
   // Each shard merges into the running top-k of the shards before it;
   // the strict total order makes the result independent of the grain.
-  out.clear();
   for (uint32_t lo = 0; lo < n; lo += options.items_per_shard) {
     const uint32_t hi = std::min<uint32_t>(n, lo + options.items_per_shard);
-    ShardTopK(snapshot, query, lo, hi, k, exclude, options, ws, out);
+    ShardTopK(snapshot, ws.prepared, lo, hi, options, ws, outs);
   }
 }
 
@@ -354,7 +412,8 @@ std::vector<std::vector<ScoredItem>> CatalogScorer::BatchTopK(
   const uint32_t items_per_shard = options_.items_per_shard;
   const size_t num_shards =
       (static_cast<size_t>(n) + items_per_shard - 1) / items_per_shard;
-  std::vector<std::vector<ScoredItem>> out(queries.size());
+  const size_t num_queries = queries.size();
+  std::vector<std::vector<ScoredItem>> out(num_queries);
   if (queries.empty()) return out;
 
   if (!options_.exact) {
@@ -363,12 +422,11 @@ std::vector<std::vector<ScoredItem>> CatalogScorer::BatchTopK(
     // responses are bit-identical for any thread count, shard grain
     // (unused here), or batch packing.
     runtime::ParallelFor(
-        pool_, 0, queries.size(), 1,
+        pool_, 0, num_queries, 1,
         [&](size_t lo, size_t hi, size_t /*shard*/, size_t worker) {
-          ShardScratch& ws = scratch_[worker];
           for (size_t qi = lo; qi < hi; ++qi) {
-            QueryTopK(snapshot_, queries[qi].q_hat, queries[qi].k,
-                      queries[qi].exclude, options_, ws, out[qi]);
+            BlockTopK(snapshot_, queries.subspan(qi, 1), options_,
+                      scratch_[worker], {&out[qi], 1});
           }
         });
     return out;
@@ -378,46 +436,61 @@ std::vector<std::vector<ScoredItem>> CatalogScorer::BatchTopK(
   // Prepare every query once up front (rows are independent, so the
   // parallel fill is deterministic); the task grid below reads them.
   const size_t d = snapshot_.dim();
-  q_codes_.resize(options_.quantize ? queries.size() * d : 0);
-  prepared_.resize(queries.size());
+  q_codes_.resize(options_.quantize ? num_queries * d : 0);
+  prepared_.resize(num_queries);
   runtime::ParallelFor(
-      pool_, 0, queries.size(), 8,
+      pool_, 0, num_queries, 8,
       [&](size_t lo, size_t hi, size_t /*shard*/, size_t /*worker*/) {
         for (size_t qi = lo; qi < hi; ++qi) {
           int8_t* codes = options_.quantize ? &q_codes_[qi * d] : nullptr;
-          prepared_[qi] = PrepareQuery(queries[qi].q_hat, d, codes);
+          prepared_[qi] = PrepareQuery(queries[qi], d, codes);
         }
       });
 
-  // Flat (query, item-shard) task grid with one per-shard output slot
-  // per task and shard-sized buffers per worker (hoisted into scorer
-  // scratch — steady-state scanning allocates nothing). Each slot is
-  // written by exactly one task, so no synchronization is needed and
-  // the serial per-query merge below is deterministic.
-  shard_tops_.resize(queries.size() * num_shards);
+  // Flat (query block, item-shard) task grid with one per-shard output
+  // slot per query, stored shard-major so a block's slots for one shard
+  // are contiguous, and shard-sized buffers per worker (hoisted into
+  // scorer scratch — steady-state scanning allocates nothing). Each slot
+  // is written by exactly one task, so no synchronization is needed and
+  // the serial per-query merge below is deterministic. Exact blocks
+  // hold up to kQueryBlock queries, fewer when a catalog of few shards
+  // would otherwise leave workers idle (no response depends on the
+  // block). The int8 tier scans per query, so its blocks hold one query
+  // and it keeps one task per (query, shard).
+  const size_t blocks_per_shard =
+      (pool_.num_workers() + num_shards - 1) / num_shards;
+  const size_t block =
+      options_.quantize
+          ? 1
+          : std::clamp<size_t>(
+                (num_queries + blocks_per_shard - 1) / blocks_per_shard, 1,
+                kQueryBlock);
+  const size_t num_blocks = (num_queries + block - 1) / block;
+  shard_tops_.resize(num_shards * num_queries);
   runtime::ParallelFor(
-      pool_, 0, shard_tops_.size(), 1,
+      pool_, 0, num_blocks * num_shards, 1,
       [&](size_t lo, size_t hi, size_t /*shard*/, size_t worker) {
-        ShardScratch& ws = scratch_[worker];
         for (size_t t = lo; t < hi; ++t) {
-          const size_t qi = t / num_shards;
-          const uint32_t item_lo =
-              static_cast<uint32_t>((t % num_shards) * items_per_shard);
+          const size_t q0 = (t / num_shards) * block;
+          const size_t m = std::min(block, num_queries - q0);
+          const size_t s = t % num_shards;
+          const uint32_t item_lo = static_cast<uint32_t>(s * items_per_shard);
           const uint32_t item_hi =
               std::min<uint32_t>(n, item_lo + items_per_shard);
-          shard_tops_[t].clear();
-          ShardTopK(snapshot_, prepared_[qi], item_lo, item_hi,
-                    queries[qi].k, queries[qi].exclude, options_, ws,
-                    shard_tops_[t]);
+          const std::span<std::vector<ScoredItem>> tops(
+              &shard_tops_[s * num_queries + q0], m);
+          for (std::vector<ScoredItem>& top : tops) top.clear();
+          ShardTopK(snapshot_, std::span(prepared_).subspan(q0, m), item_lo,
+                    item_hi, options_, scratch_[worker], tops);
         }
       });
   // Concatenated in a reused buffer, so each result is allocated at its
   // own size (the ranking engine caches these vectors).
   std::vector<ScoredItem> merge;
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
+  for (size_t qi = 0; qi < num_queries; ++qi) {
     merge.clear();
     for (size_t s = 0; s < num_shards; ++s) {
-      const std::vector<ScoredItem>& top = shard_tops_[qi * num_shards + s];
+      const std::vector<ScoredItem>& top = shard_tops_[s * num_queries + qi];
       merge.insert(merge.end(), top.begin(), top.end());
     }
     KeepTopK(merge, queries[qi].k);

@@ -2,38 +2,61 @@
 //
 // The scoring core behind both the inference service and the offline
 // evaluator: cosine-score every catalog item of a `ModelSnapshot`
-// against a unit query vector and select the k best under the strict
-// total order (score descending, item id ascending), optionally
-// skipping an excluded (already seen) item set.
+// against unit query vectors and select each query's k best under the
+// strict total order `ScoredBefore` (score descending, item id
+// ascending, NaN last), optionally skipping an excluded (already seen)
+// item set.
 //
 // Every tier is built from two kernels:
 //
-//   * `ShardTopK` answers one (query, item shard) pair: it merges the
-//     exact top-k of items [lo, hi), found by the fp32 scan or by the
-//     certified int8 two-phase scan below, into a running top-k.
-//   * `QueryTopK` answers one query serially, allocation-free: the IVF
-//     probe, list scan and re-rank when !exact, otherwise every
-//     fixed-grain shard through `ShardTopK` into one running top-k.
+//   * `ShardTopK` answers one (query block, item shard) pair: for each
+//     query of the block it merges the exact top-k of items [lo, hi),
+//     with that query's own k and exclusion list, into the query's
+//     running top-k. On the exact tier a block of m >= 2 queries is
+//     scored as tiles (see below); a block of one, and every query on
+//     the certified int8 tier, runs its own scan.
+//   * `BlockTopK` answers a block of queries serially, allocation-free:
+//     the IVF probe, list scan and re-rank per query when !exact,
+//     otherwise every fixed-grain shard through `ShardTopK` into the
+//     queries' running top-k lists.
 //
-// `CatalogScorer::BatchTopK` parallelizes the flat (query x shard) grid
-// over a `runtime::ThreadPool`, one `ShardTopK` per task into its own
-// slot, and merges each query's slots serially; its ANN branch runs one
-// `QueryTopK` per query. The evaluator ranks every user with
-// `QueryTopK` inside its own parallel user loop. Shard boundaries
-// depend only on the catalog size and `items_per_shard` — never on the
-// worker count — and a worker never needs a score buffer larger than
+// `CatalogScorer::BatchTopK` parallelizes the flat (query block x
+// shard) grid over a `runtime::ThreadPool`, one `ShardTopK` per task
+// into its own slots, and merges each query's slots serially; its ANN
+// branch runs one single-query `BlockTopK` per query. The evaluator
+// ranks each shard of its parallel user loop as one `BlockTopK` block.
+// Shard boundaries depend only on the catalog size and
+// `items_per_shard` — never on the worker count or the block size — and
+// a worker's score buffer never holds more than one block's scores for
 // one shard.
 //
-// Why the bits hold: every tier selects a strict (score desc, id asc)
-// top-k over the same `vec::Dot` scores, so on the exact tiers the
-// merged per-shard top-k is the full-catalog top-k whatever the grain,
-// the merge order, the thread count or the batch packing. The evaluator
-// and the server call the same kernels, so the evaluator measures the
-// lists the server returns. The total order also gives the global
-// top-k the *prefix property*: the top-k list is exactly the first k
-// entries of any top-k' list with k' >= k. The inference service's
-// cutoff-prefix reuse and the evaluator's cached rankings both lean on
-// this.
+// ---- Tiled exact scan (ShardTopK with m >= 2 exact queries) ----
+//
+// Scoring one (query, item) pair with vec::Dot widens both rows to
+// double for that pair alone. A block of m queries instead widens its
+// query rows once per shard, widens the shard's item rows kItemChunk at
+// a time into per-worker scratch (vec::Widen), scores each
+// m x chunk tile with vec::DotTile into the block's score rows, and then
+// runs each query's SelectTopKInto over its own row. DotTile keeps
+// Dot's summation tree for every pair, so each score equals vec::Dot's
+// bitwise and each query's result is its one-query result, whatever
+// the block. A single query keeps the per-pair Dot scan: widening the
+// rows for one query costs more than it saves. The per-worker scratch
+// is m x items_per_shard floats plus (m + kItemChunk) x dim doubles.
+//
+// Why the bits hold: every tier selects a strict `ScoredBefore` top-k
+// over the same `vec::Dot` scores, so on the exact tiers the merged
+// per-shard top-k is the full-catalog top-k whatever the grain, the
+// merge order, the block, the thread count or the batch packing. That
+// needs a total order: a NaN score compares neither above nor below a
+// number, so `ScoredBefore` ranks every number before every NaN and
+// breaks ties among NaNs, like ties among equal numbers, by ascending
+// id. The evaluator and the server call the same kernels, so the
+// evaluator measures the lists the server returns. The total order also
+// gives the global top-k the *prefix property*: the top-k list is
+// exactly the first k entries of any top-k' list with k' >= k. The
+// inference service's cutoff-prefix reuse and the evaluator's cached
+// rankings both lean on this.
 //
 // ---- Quantized two-phase scan (ScorerOptions::quantize) ----
 //
@@ -72,7 +95,7 @@
 //
 // ---- IVF approximate retrieval (ScorerOptions::exact = false) ----
 //
-// With a snapshot built with SnapshotOptions::ivf, QueryTopK routes
+// With a snapshot built with SnapshotOptions::ivf, BlockTopK routes
 // each query through the snapshot's IvfIndex (ivf_index.h) instead of
 // the sharded full scan:
 //
@@ -99,6 +122,8 @@
 #ifndef BSLREC_SERVE_TOPK_SCORER_H_
 #define BSLREC_SERVE_TOPK_SCORER_H_
 
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -114,10 +139,16 @@ struct ScoredItem {
   float score;
 };
 
-// Strict total order used everywhere: higher score first, ties broken
-// by ascending item id (deterministic).
+// Strict total order used everywhere: higher score first; every number
+// (infinities included) before every NaN; equal scores (+0 and -0
+// included) and NaNs by ascending item id. Numbers compare as they
+// always have; the NaN rule only makes the order total, so selection
+// gives one answer however the calls split the catalog.
 inline bool ScoredBefore(const ScoredItem& a, const ScoredItem& b) {
-  if (a.score != b.score) return a.score > b.score;
+  if (a.score > b.score) return true;
+  if (a.score < b.score) return false;
+  const bool a_nan = std::isnan(a.score);
+  if (a_nan != std::isnan(b.score)) return !a_nan;
   return a.item < b.item;
 }
 
@@ -151,7 +182,8 @@ inline constexpr uint32_t kDefaultCandidateMargin = 64;
 inline constexpr uint32_t kDefaultNprobe = 8;
 
 struct ScorerOptions {
-  // Catalog items per scoring shard (per-worker buffer size).
+  // Catalog items per scoring shard (a worker's score buffer holds one
+  // block of queries' scores for one shard).
   uint32_t items_per_shard = 2048;
   // Use the snapshot's int8 table for phase 1 (the snapshot must have
   // been built with SnapshotOptions::quantize_items).
@@ -173,19 +205,42 @@ struct ScorerOptions {
 SnapshotOptions SnapshotOptionsFor(const ScorerOptions& options,
                                    IvfBuildOptions ivf = {});
 
+// Queries per block of the tiled exact scan: the evaluator's user shard,
+// and the largest query block of CatalogScorer::BatchTopK's exact grid.
+// Chosen by measurement; no result depends on it.
+inline constexpr size_t kQueryBlock = 16;
+
+// Item rows the tiled exact scan widens to double at a time.
+inline constexpr uint32_t kItemChunk = 64;
+
+// A query prepared for ShardTopK: its ScoreQuery fields, plus, when the
+// scorer quantizes, its int8 codes and scale (vec::QuantizeRow of q_hat)
+// and its fp32 L1 norm (vec::L1Norm). Codes stay null otherwise.
+struct PreparedQuery {
+  const float* q_hat = nullptr;
+  uint32_t k = 0;
+  std::span<const uint32_t> exclude;
+  const int8_t* codes = nullptr;
+  float scale = 0.0f;
+  double l1 = 0.0;
+};
+
 // Reusable per-worker buffers for one stream of scans; also accumulates
 // the owner's scan statistics. All buffers keep their capacity across
 // calls, so steady-state scanning allocates nothing.
 struct ShardScratch {
-  std::vector<float> scores;       // fp32 scores (shard / centroid / list)
+  std::vector<float> scores;       // fp32 scores (shard / block / list)
+  std::vector<double> q_wide;      // a query block widened to double
+  std::vector<double> rows_wide;   // kItemChunk item rows, widened
   std::vector<int32_t> idot;       // one integer dot per shard item
   std::vector<ScoredItem> approx;  // eligible items by approximate score
   std::vector<ScoredItem> cand;    // SelectTopKInto candidate scratch
   std::vector<ScoredItem> shard_out;  // one int8 shard's top-k
   std::vector<ScoredItem> probes;  // top-nprobe centroids (ivf)
-  std::vector<int8_t> q_codes;     // QueryTopK's query quantization
+  std::vector<int8_t> q_codes;     // BlockTopK's query quantization
+  std::vector<PreparedQuery> prepared;  // BlockTopK's block
   // Per-mode counters (summed into CatalogScorer::Stats):
-  uint64_t exact_shards = 0;       // exact fp32 shard tasks executed
+  uint64_t exact_shards = 0;       // exact fp32 (query, shard) scans
   uint64_t shards_scanned = 0;     // quantized shard tasks executed
   uint64_t shards_fallback = 0;    // ... that failed certification
   uint64_t ivf_queries = 0;        // ANN queries answered
@@ -194,50 +249,45 @@ struct ShardScratch {
   uint64_t ivf_reranked = 0;       // candidates exact fp32 re-ranked
 };
 
-// A query prepared for ShardTopK: the fp32 unit vector, plus, when the
-// scorer quantizes, its int8 codes and scale (vec::QuantizeRow of q_hat)
-// and its fp32 L1 norm (vec::L1Norm). Codes stay null otherwise.
-struct PreparedQuery {
-  const float* q_hat = nullptr;
-  const int8_t* codes = nullptr;
-  float scale = 0.0f;
-  double l1 = 0.0;
-};
-
-// The shard kernel: merges the *exact* top-k of items [lo, hi) into the
-// running top-k `top` (SelectTopKInto's in/out contract: empty on
+// The shard kernel: for each query j of `block`, merges the *exact*
+// top-k of items [lo, hi), skipping the query's excluded ids, into the
+// running top-k tops[j] (SelectTopKInto's in/out contract: empty on
 // entry for the shard's own top-k; always empty on return for k = 0).
-// Without options.quantize it scores the range in fp32 and selects;
-// with it, it runs the certified two-phase scan described in the header
-// note (`query` must then carry codes), falling back to the fp32 scan
-// when certification fails. Both paths return the same bits.
-void ShardTopK(const ModelSnapshot& snapshot, const PreparedQuery& query,
-               uint32_t lo, uint32_t hi, uint32_t k,
-               std::span<const uint32_t> exclude, const ScorerOptions& options,
-               ShardScratch& ws, std::vector<ScoredItem>& top);
+// Without options.quantize it scores the range in fp32 — per-pair
+// vec::Dot for a block of one, DotTile tiles for larger blocks (see the
+// header note) — and selects; with it, each query runs the certified
+// two-phase scan described in the header note (the query must then
+// carry codes), falling back to the fp32 scan when certification fails.
+// Every path returns the same bits.
+void ShardTopK(const ModelSnapshot& snapshot,
+               std::span<const PreparedQuery> block, uint32_t lo, uint32_t hi,
+               const ScorerOptions& options, ShardScratch& ws,
+               std::span<std::vector<ScoredItem>> tops);
 
-// The serial per-query kernel: writes one query's top-k into `out`
-// without allocating in steady state. With !options.exact it runs the
-// IVF probe, list scan and re-rank; otherwise it runs every
-// options.items_per_shard shard through ShardTopK into `out` as the
-// running top-k, so later shards only compete with the k items found
-// so far. This is the per-query unit of the ANN BatchTopK and the
-// evaluator's per-user kernel (its user loop is already parallel, so
-// each user's scan stays on one worker).
-void QueryTopK(const ModelSnapshot& snapshot, const float* q_hat, uint32_t k,
-               std::span<const uint32_t> exclude, const ScorerOptions& options,
-               ShardScratch& ws, std::vector<ScoredItem>& out);
+// The serial per-block kernel: writes the top-k of each query of
+// `block` into outs[j] without allocating in steady state. With
+// !options.exact it runs the IVF probe, list scan and re-rank per
+// query; otherwise it prepares the block once and runs every
+// options.items_per_shard shard through ShardTopK into `outs` as the
+// running top-k lists, so later shards only compete with the k items
+// found so far. This is the per-query unit of the ANN BatchTopK (blocks
+// of one) and the evaluator's kernel (one block per shard of its
+// parallel user loop, so each block's scan stays on one worker).
+void BlockTopK(const ModelSnapshot& snapshot, std::span<const ScoreQuery> block,
+               const ScorerOptions& options, ShardScratch& ws,
+               std::span<std::vector<ScoredItem>> outs);
 
 class CatalogScorer {
  public:
-  // Items per scoring shard; the per-worker score buffer is this big.
+  // Items per scoring shard; a worker's score buffer holds one block of
+  // queries' scores for one shard.
   static constexpr uint32_t kDefaultItemsPerShard = 2048;
 
   // Per-mode scan counters, cumulative since construction (or the last
   // ResetStats). Each scoring mode ticks only its own counters, so a
   // scorer's stats identify the path it actually ran.
   struct Stats {
-    uint64_t exact_shards = 0;     // exact fp32 shard tasks
+    uint64_t exact_shards = 0;     // exact fp32 (query, shard) scans
     uint64_t shards_scanned = 0;   // quantized shard tasks
     uint64_t shards_fallback = 0;  // ... that failed certification
     uint64_t ivf_queries = 0;      // ANN queries answered
@@ -267,9 +317,11 @@ class CatalogScorer {
   // Full-catalog top-k for one query.
   std::vector<ScoredItem> TopK(const ScoreQuery& query) const;
 
-  // Batched queries: parallelizes over the flat (query x item-shard)
-  // task grid, so a single large query and many small ones saturate
-  // the pool equally well. Result i answers queries[i].
+  // Batched queries: parallelizes over the flat (query block x
+  // item-shard) task grid, so a single large query and many small ones
+  // saturate the pool equally well. Exact blocks hold up to kQueryBlock
+  // queries; the int8 tier's blocks hold one. Result i answers
+  // queries[i].
   std::vector<std::vector<ScoredItem>> BatchTopK(
       std::span<const ScoreQuery> queries) const;
 

@@ -1,15 +1,19 @@
 // Tests for the serving layer: snapshot construction, the sharded
-// top-k scoring core, and the inference service's batching, seen-item
-// filtering, cutoff-prefix reuse, and thread-count determinism.
+// top-k scoring core and its tiled block kernel, the inference service's
+// batching, seen-item filtering, cutoff-prefix reuse, and thread-count
+// determinism, and the evaluator's blocked ranking pass.
 #include "serve/inference_service.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "data/synthetic.h"
 #include "eval/evaluator.h"
+#include "eval/metrics.h"
 #include "gtest/gtest.h"
 #include "math/vec.h"
 #include "models/mf.h"
@@ -174,6 +178,130 @@ TEST(TopKScorer, ZeroCutoffReturnsEmptyOnEveryTier) {
     const std::vector<std::vector<ScoredItem>> got = scorer.BatchTopK(batch);
     EXPECT_TRUE(got[0].empty()) << tier;
     EXPECT_EQ(got[1].size(), 5u) << tier;
+  }
+}
+
+// Bitwise equality: NaN scores included, which operator== never calls
+// equal.
+bool SameBits(float a, float b) {
+  return std::bit_cast<uint32_t>(a) == std::bit_cast<uint32_t>(b);
+}
+
+void ExpectSameRanking(const std::vector<ScoredItem>& got,
+                       const std::vector<ScoredItem>& want,
+                       const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].item, want[i].item) << what << " rank " << i;
+    EXPECT_TRUE(SameBits(got[i].score, want[i].score)) << what << " rank " << i;
+  }
+}
+
+// Every query of a block must get, bitwise, the result it gets alone:
+// blocks of m >= 2 score through vec::DotTile tiles, a block of one
+// through per-pair vec::Dot. The catalog spans three item chunks, so
+// the exclusion lists can cover a whole chunk and the whole catalog.
+TEST(BlockTopK, EveryQueryMatchesItsOneQueryResultBitwise) {
+  constexpr uint32_t kUsers = 20;
+  const uint32_t n = 2 * serve::kItemChunk + 22;
+  std::vector<std::vector<uint32_t>> excludes(4);
+  excludes[1] = {0, 5, serve::kItemChunk - 1, serve::kItemChunk, n - 1};
+  for (uint32_t i = serve::kItemChunk; i < 2 * serve::kItemChunk; ++i) {
+    excludes[2].push_back(i);  // one whole chunk
+  }
+  for (uint32_t i = 0; i < n; ++i) excludes[3].push_back(i);  // everything
+  // The last query of every block (j = 8 and 16 included) has k > 0.
+  const uint32_t ks[] = {n + 3, 5, 1, 0};
+  for (const size_t d : {1u, 3u, 7u, 17u, 64u}) {
+    Rng rng(50 + d);
+    MfModel model(kUsers, n, d, rng);
+    runtime::ThreadPool pool(1);
+    const ModelSnapshot snap(model, pool);
+    for (const uint32_t grain : {1u, 7u, 64u, n + 1}) {
+      const serve::ScorerOptions options{.items_per_shard = grain};
+      for (const size_t m : {1u, 2u, 3u, 8u, 9u, 17u}) {
+        // Query j takes cutoff ks[j % 4] and exclusion list j / 4 % 4, so
+        // the 17-query block covers every pairing.
+        std::vector<serve::ScoreQuery> block;
+        for (size_t j = 0; j < m; ++j) {
+          const auto u = static_cast<uint32_t>(j % kUsers);
+          block.push_back({snap.UserVec(u), ks[j % 4], excludes[j / 4 % 4]});
+        }
+        serve::ShardScratch block_ws, one_ws;
+        std::vector<std::vector<ScoredItem>> got(m);
+        serve::BlockTopK(snap, block, options, block_ws, got);
+        for (size_t j = 0; j < m; ++j) {
+          std::vector<ScoredItem> want;
+          serve::BlockTopK(snap, {&block[j], 1}, options, one_ws, {&want, 1});
+          const std::string what = "d " + std::to_string(d) + " grain " +
+                                   std::to_string(grain) + " m " +
+                                   std::to_string(m) + " query " +
+                                   std::to_string(j);
+          ExpectSameRanking(got[j], want, what);
+        }
+        // The counter still counts (query, shard) scans.
+        EXPECT_EQ(block_ws.exact_shards, one_ws.exact_shards)
+            << "d " << d << " grain " << grain << " m " << m;
+      }
+    }
+  }
+}
+
+// Aggregates per-user TopKForUser lists, in test-user order, through the
+// same eval/metrics.h kernels the evaluator uses, and checks that the
+// pass's blocked Evaluate() and ItemExposure() give the same bits.
+void ExpectPassMatchesPerUserLoop(const Dataset& d, Evaluator::Pass& pass,
+                                  uint32_t k, const std::string& what) {
+  TopKMetrics want;
+  std::vector<double> exposure(d.num_items(), 0.0);
+  for (const uint32_t u : d.TestUsers()) {
+    const std::vector<uint32_t> ranking = pass.TopKForUser(u);
+    const auto test_items = d.TestItems(u);
+    want.recall += RecallAtK(ranking, test_items);
+    want.ndcg += NdcgAtK(ranking, test_items, k);
+    want.precision += PrecisionAtK(ranking, test_items, k);
+    want.hit_rate += HitAtK(ranking, test_items);
+    ++want.num_users;
+    for (const uint32_t item : ranking) exposure[item] += 1.0;
+  }
+  const double users = static_cast<double>(want.num_users);
+  want.recall /= users;
+  want.ndcg /= users;
+  want.precision /= users;
+  want.hit_rate /= users;
+  const TopKMetrics got = pass.Evaluate();
+  EXPECT_EQ(got.num_users, want.num_users) << what;
+  EXPECT_EQ(got.recall, want.recall) << what;
+  EXPECT_EQ(got.ndcg, want.ndcg) << what;
+  EXPECT_EQ(got.precision, want.precision) << what;
+  EXPECT_EQ(got.hit_rate, want.hit_rate) << what;
+  EXPECT_EQ(pass.ItemExposure(), exposure) << what;
+}
+
+// Evaluate() ranks test users in blocks of serve::kQueryBlock; a final
+// partial block must rank like the rest, at any thread count.
+TEST(BlockedEvaluator, MetricsAndExposureMatchAPerUserLoop) {
+  SyntheticConfig cfg;
+  cfg.num_users = 75;
+  cfg.num_items = 120;
+  cfg.num_clusters = 5;
+  cfg.avg_items_per_user = 10.0;
+  cfg.seed = 12;
+  const Dataset d = GenerateSynthetic(cfg).dataset;
+  ASSERT_GT(d.TestUsers().size(), serve::kQueryBlock);
+  ASSERT_NE(d.TestUsers().size() % serve::kQueryBlock, 0u);
+  Rng rng(38);
+  MfModel model(d.num_users(), d.num_items(), 8, rng);
+  const uint32_t k = 10;
+  for (const size_t threads : {1u, 2u, 8u}) {
+    for (const uint32_t grain : {CatalogScorer::kDefaultItemsPerShard, 7u}) {
+      const Evaluator eval(d, k, runtime::RuntimeConfig{threads},
+                           serve::ScorerOptions{.items_per_shard = grain});
+      Evaluator::Pass pass = eval.BeginPass(model);
+      const std::string what =
+          std::to_string(threads) + " threads, grain " + std::to_string(grain);
+      ExpectPassMatchesPerUserLoop(d, pass, k, what);
+    }
   }
 }
 
@@ -576,6 +704,82 @@ TEST(QuantizedEvaluator, MetricsAndRankingsMatchExactEvaluator) {
   for (uint32_t u = 0; u < d.num_users(); ++u) {
     EXPECT_EQ(quant_pass.TopKForUser(u), exact_pass.TopKForUser(u))
         << "user " << u;
+  }
+}
+
+// A NaN score is neither above nor below a number. ScoredBefore ranks it
+// after every number, so every split of the catalog (shard grains,
+// blocks, batches, threads) and the int8 tier rank NaN the same way.
+TEST(NanScores, RankLastAndTheSameOnEveryPathAndTier) {
+  const Dataset d = MediumDataset();
+  const uint32_t n = d.num_items();
+  Rng rng(39);
+  MfModel model(d.num_users(), d.num_items(), 8, rng);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<ParamGrad> params = model.Params();  // {users}, {items}
+  for (const uint32_t item : {3u, 17u, 40u, 41u, 88u}) {
+    std::fill_n(params[1].value->Row(item), 8, nan);
+  }
+  const uint32_t nan_user = 9;
+  std::fill_n(params[0].value->Row(nan_user), 8, nan);
+  runtime::ThreadPool pool1(1);
+  const ModelSnapshot snap(model, pool1, QuantSnapshotOptions());
+
+  // Cutoff 10 prunes against a running top-k whose k-th may be NaN; the
+  // full cutoff ranks every eligible item, NaN ones last.
+  std::vector<serve::ScoreQuery> queries;
+  for (uint32_t u = 0; u < d.num_users(); ++u) {
+    const uint32_t k = u % 2 == 0 ? 10 : n;
+    queries.push_back({snap.UserVec(u), k, d.TrainItems(u)});
+  }
+  const CatalogScorer reference(snap, pool1, {.items_per_shard = n + 1});
+  std::vector<std::vector<ScoredItem>> want;
+  for (const serve::ScoreQuery& q : queries) {
+    want.push_back(reference.TopK(q));
+    bool seen_nan = false;
+    for (const ScoredItem& e : want.back()) {
+      if (std::isnan(e.score)) seen_nan = true;
+      EXPECT_TRUE(seen_nan == std::isnan(e.score))
+          << "a number ranks after NaN for user " << want.size() - 1;
+    }
+  }
+  EXPECT_TRUE(std::isnan(want[nan_user][0].score));
+  EXPECT_TRUE(std::isnan(want[1].back().score));  // full list ends in NaN
+
+  for (const bool quantize : {false, true}) {
+    for (const size_t threads : {1u, 2u}) {
+      runtime::ThreadPool pool(threads);
+      for (const uint32_t grain : {1u, 7u, n + 1}) {
+        const std::string what = std::string(quantize ? "int8" : "fp32") +
+                                 " threads " + std::to_string(threads) +
+                                 " grain " + std::to_string(grain);
+        const serve::ScorerOptions options{.items_per_shard = grain,
+                                           .quantize = quantize};
+        const CatalogScorer scorer(snap, pool, options);
+        const auto batch = scorer.BatchTopK(queries);
+        for (uint32_t u = 0; u < d.num_users(); ++u) {
+          const std::string who = what + " user " + std::to_string(u);
+          ExpectSameRanking(batch[u], want[u], "batch " + who);
+          ExpectSameRanking(scorer.TopK(queries[u]), want[u], "single " + who);
+        }
+        for (const uint32_t k : {10u, n}) {
+          const Evaluator eval(d, k, runtime::RuntimeConfig{threads}, options);
+          Evaluator::Pass pass = eval.BeginPass(model);
+          const std::string at_k =
+              "evaluator " + what + " k " + std::to_string(k);
+          for (uint32_t u = 0; u < d.num_users(); ++u) {
+            const std::vector<uint32_t> ids = pass.TopKForUser(u);
+            const serve::ScoreQuery q{snap.UserVec(u), k, d.TrainItems(u)};
+            const std::vector<ScoredItem> full = reference.TopK(q);
+            ASSERT_EQ(ids.size(), full.size()) << at_k << " user " << u;
+            for (size_t i = 0; i < ids.size(); ++i) {
+              EXPECT_EQ(ids[i], full[i].item) << at_k << " user " << u;
+            }
+          }
+          ExpectPassMatchesPerUserLoop(d, pass, k, at_k);
+        }
+      }
+    }
   }
 }
 

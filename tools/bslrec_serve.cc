@@ -119,8 +119,9 @@ void Usage() {
       "               responses are identical for any batch size\n"
       "--max-k:       per-user rankings are cached at this depth and\n"
       "               smaller cutoffs served as prefixes\n"
-      "--shard-items: catalog items per scoring shard (per-worker\n"
-      "               score-buffer size)\n"
+      "--shard-items: catalog items per scoring shard (a worker's\n"
+      "               score buffer holds one request block's scores\n"
+      "               for one shard)\n"
       "--quantize:    scan the catalog through an int8-quantized item\n"
       "               table, then exact-re-rank the survivors in fp32\n"
       "               (certified two-phase scan). Responses are\n"
