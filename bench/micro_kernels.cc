@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/dro.h"
@@ -149,15 +150,59 @@ std::vector<float> GaussianVec(size_t n, uint64_t seed) {
   return v;
 }
 
-void BM_DotBlocked(benchmark::State& state) {
+// The vec tiers this host can run, so the tiered kernels' benchmarks
+// report them side by side (BM_<kernel>/<tier>): every tier gives the
+// same bits, so the names differ only in speed.
+struct VecTier {
+  const char* name;
+  float (*dot)(const float*, const float*, size_t);
+  void (*dot_tile)(const double*, size_t, const double*, size_t, size_t,
+                   float*, size_t);
+  void (*cosine_grad_run)(const float*, const float*, size_t,
+                          const uint32_t*, const float*, const float*, size_t,
+                          float*, size_t);
+  void (*weighted_row_sum)(const float*, const uint32_t*, size_t,
+                           const float*, size_t, float*, size_t);
+};
+
+std::vector<VecTier> HostTiers() {
+#if defined(__x86_64__)
+  std::vector<VecTier> tiers = {{"sse2", vec::sse2::Dot, vec::sse2::DotTile,
+                                 vec::sse2::AccumulateCosineGradRun,
+                                 vec::sse2::WeightedRowSum}};
+  if (std::string(vec::SimdTier()) == "avx2") {
+    tiers.push_back({"avx2", vec::avx2::Dot, vec::avx2::DotTile,
+                     vec::avx2::AccumulateCosineGradRun,
+                     vec::avx2::WeightedRowSum});
+  }
+  return tiers;
+#else
+  return {{vec::SimdTier(), vec::Dot, vec::DotTile,
+           vec::AccumulateCosineGradRun, vec::WeightedRowSum}};
+#endif
+}
+
+// Registers fn once per host tier as <name>/<tier>.
+template <typename Fn>
+std::vector<benchmark::internal::Benchmark*> RegisterPerTier(
+    const std::string& name, Fn fn) {
+  std::vector<benchmark::internal::Benchmark*> benches;
+  for (const VecTier& tier : HostTiers()) {
+    benches.push_back(benchmark::RegisterBenchmark(
+        (name + "/" + tier.name).c_str(),
+        [fn, tier](benchmark::State& st) { fn(st, tier); }));
+  }
+  return benches;
+}
+
+void BM_DotBlocked(benchmark::State& state, const VecTier& tier) {
   const size_t n = static_cast<size_t>(state.range(0));
   const auto a = GaussianVec(n, 11), b = GaussianVec(n, 12);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(vec::Dot(a.data(), b.data(), n));
+    benchmark::DoNotOptimize(tier.dot(a.data(), b.data(), n));
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_DotBlocked)->Arg(16)->Arg(64)->Arg(256)->Arg(4096);
 
 void BM_DotNaive(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
@@ -276,7 +321,7 @@ BENCHMARK(BM_DotBatchPerRowLoop)->Arg(16)->Arg(64)->Arg(256);
 constexpr size_t kTileBatch = 1024;
 constexpr size_t kTileDim = 64;
 
-void BM_DotTile(benchmark::State& state) {
+void BM_DotTile(benchmark::State& state, const VecTier& tier) {
   const auto users = GaussianVec(kTileBatch * kTileDim, 23);
   const auto items = GaussianVec(kTileBatch * kTileDim, 24);
   std::vector<double> users_wide(users.size()), items_wide(items.size());
@@ -284,14 +329,13 @@ void BM_DotTile(benchmark::State& state) {
   for (auto _ : state) {
     vec::Widen(users.data(), users.size(), users_wide.data());
     vec::Widen(items.data(), items.size(), items_wide.data());
-    vec::DotTile(users_wide.data(), kTileBatch, items_wide.data(),
-                 kTileBatch, kTileDim, out.data(), kTileBatch);
+    tier.dot_tile(users_wide.data(), kTileBatch, items_wide.data(),
+                  kTileBatch, kTileDim, out.data(), kTileBatch);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * kTileBatch * kTileBatch);
 }
-BENCHMARK(BM_DotTile)->Unit(benchmark::kMillisecond);
 
 void BM_DotTilePerPairDot(benchmark::State& state) {
   const auto users = GaussianVec(kTileBatch * kTileDim, 23);
@@ -311,6 +355,111 @@ void BM_DotTilePerPairDot(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kTileBatch * kTileBatch);
 }
 BENCHMARK(BM_DotTilePerPairDot)->Unit(benchmark::kMillisecond);
+
+// One in-batch user run at the same shape: the user's 1023 terms (the
+// positive and every other sample's positive) summed into its gradient
+// row at dim 64, as the trainer's phase A does once per sample.
+void BM_CosineGradRun(benchmark::State& state, const VecTier& tier) {
+  constexpr size_t kTerms = kTileBatch - 1;
+  const auto self = GaussianVec(kTileDim, 25);
+  const auto others = GaussianVec(kTileBatch * kTileDim, 26);
+  const auto scores = GaussianVec(kTerms, 27);
+  const auto scales = GaussianVec(kTerms, 28);
+  std::vector<uint32_t> idx(kTerms);
+  for (size_t j = 0; j < kTerms; ++j) idx[j] = static_cast<uint32_t>(j + 1);
+  std::vector<float> grad(kTileDim, 0.0f);
+  for (auto _ : state) {
+    tier.cosine_grad_run(self.data(), others.data(), kTileDim, idx.data(),
+                         scores.data(), scales.data(), kTerms, grad.data(),
+                         kTileDim);
+    benchmark::DoNotOptimize(grad.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kTerms);
+}
+
+// One sparse-times-dense product at LightGCN's propagation shape: a
+// 12k x 12k CSR matrix with 13 nonzeros per row (156k, the benchmark's
+// 4k x 8k graph) times a 12k x 64 table. BM_SpmmRowKernel/<tier> is
+// vec::WeightedRowSum per row, as SparseMatrix's products run it;
+// BM_SpmmFillAxpy is the Fill + one Axpy per nonzero loop it replaced,
+// with the same bits.
+constexpr size_t kSpmmRows = 12000;
+constexpr size_t kSpmmRowNnz = 13;
+constexpr size_t kSpmmDim = 64;
+
+struct SpmmInput {
+  std::vector<float> values;
+  std::vector<uint32_t> cols;
+  std::vector<float> x;
+  std::vector<float> out;
+};
+
+SpmmInput MakeSpmmInput() {
+  Rng rng(29);
+  SpmmInput in;
+  in.values.resize(kSpmmRows * kSpmmRowNnz);
+  in.cols.resize(kSpmmRows * kSpmmRowNnz);
+  for (size_t r = 0; r < kSpmmRows; ++r) {
+    uint32_t* row = in.cols.data() + r * kSpmmRowNnz;
+    for (size_t k = 0; k < kSpmmRowNnz; ++k) {
+      row[k] = static_cast<uint32_t>(rng.NextIndex(kSpmmRows));
+      in.values[r * kSpmmRowNnz + k] = static_cast<float>(rng.NextDouble());
+    }
+    std::sort(row, row + kSpmmRowNnz);  // CSR order
+  }
+  in.x = GaussianVec(kSpmmRows * kSpmmDim, 30);
+  in.out.resize(kSpmmRows * kSpmmDim);
+  return in;
+}
+
+void BM_SpmmRowKernel(benchmark::State& state, const VecTier& tier) {
+  SpmmInput in = MakeSpmmInput();
+  for (auto _ : state) {
+    for (size_t r = 0; r < kSpmmRows; ++r) {
+      tier.weighted_row_sum(in.values.data() + r * kSpmmRowNnz,
+                            in.cols.data() + r * kSpmmRowNnz, kSpmmRowNnz,
+                            in.x.data(), kSpmmDim,
+                            in.out.data() + r * kSpmmDim, kSpmmDim);
+    }
+    benchmark::DoNotOptimize(in.out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kSpmmRows * kSpmmRowNnz);
+}
+
+void BM_SpmmFillAxpy(benchmark::State& state) {
+  SpmmInput in = MakeSpmmInput();
+  for (auto _ : state) {
+    for (size_t r = 0; r < kSpmmRows; ++r) {
+      float* out_row = in.out.data() + r * kSpmmDim;
+      vec::Fill(out_row, kSpmmDim, 0.0f);
+      for (size_t k = r * kSpmmRowNnz; k < (r + 1) * kSpmmRowNnz; ++k) {
+        vec::Axpy(in.values[k], in.x.data() + in.cols[k] * kSpmmDim, out_row,
+                  kSpmmDim);
+      }
+    }
+    benchmark::DoNotOptimize(in.out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kSpmmRows * kSpmmRowNnz);
+}
+BENCHMARK(BM_SpmmFillAxpy)->Unit(benchmark::kMillisecond);
+
+void RegisterTieredBenchmarks() {
+  for (auto* b : RegisterPerTier("BM_DotBlocked", BM_DotBlocked)) {
+    b->Arg(16)->Arg(64)->Arg(256)->Arg(4096);
+  }
+  for (auto* b : RegisterPerTier("BM_DotTile", BM_DotTile)) {
+    b->Unit(benchmark::kMillisecond);
+  }
+  for (auto* b : RegisterPerTier("BM_CosineGradRun", BM_CosineGradRun)) {
+    b->Unit(benchmark::kMicrosecond);
+  }
+  for (auto* b : RegisterPerTier("BM_SpmmRowKernel", BM_SpmmRowKernel)) {
+    b->Unit(benchmark::kMillisecond);
+  }
+}
 
 // ---- int8 catalog-scan kernels (quantized two-phase scorer) ----
 // SIMD dispatch vs the always-compiled scalar reference (vec::ref), and
@@ -552,6 +701,7 @@ BENCHMARK(BM_WorstCaseWeights)->Arg(256)->Arg(4096);
 
 int main(int argc, char** argv) {
   RegisterLossBenchmarks();
+  RegisterTieredBenchmarks();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

@@ -74,12 +74,12 @@ void SparseMatrix::EnsureTransposeIndex() const {
 void SparseMatrix::MultiplyRowRange(const Matrix& x, Matrix& out,
                                     size_t row_begin, size_t row_end) const {
   const size_t d = x.cols();
+  // The row kernel reads x's rows unchecked; CSR ids are < cols().
+  BSLREC_CHECK(x.rows() == cols_ && out.cols() == d);
   for (size_t r = row_begin; r < row_end; ++r) {
-    float* out_row = out.Row(r);
-    vec::Fill(out_row, d, 0.0f);
-    for (size_t k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
-      vec::Axpy(values_[k], x.Row(col_indices_[k]), out_row, d);
-    }
+    const size_t lo = row_offsets_[r];
+    vec::WeightedRowSum(values_.data() + lo, col_indices_.data() + lo,
+                        row_offsets_[r + 1] - lo, x.data(), d, out.Row(r), d);
   }
 }
 
@@ -88,12 +88,11 @@ void SparseMatrix::TransposeMultiplyRowRange(const Matrix& x, Matrix& out,
                                              size_t row_end) const {
   EnsureTransposeIndex();  // no-op after the first transpose product
   const size_t d = x.cols();
+  BSLREC_CHECK(x.rows() == rows_ && out.cols() == d);
   for (size_t c = row_begin; c < row_end; ++c) {
-    float* out_row = out.Row(c);
-    vec::Fill(out_row, d, 0.0f);
-    for (size_t k = col_offsets_[c]; k < col_offsets_[c + 1]; ++k) {
-      vec::Axpy(col_values_[k], x.Row(row_indices_[k]), out_row, d);
-    }
+    const size_t lo = col_offsets_[c];
+    vec::WeightedRowSum(col_values_.data() + lo, row_indices_.data() + lo,
+                        col_offsets_[c + 1] - lo, x.data(), d, out.Row(c), d);
   }
 }
 

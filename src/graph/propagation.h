@@ -15,12 +15,15 @@
 //   shard) via `runtime::ParallelFor`. Each output row is produced by
 //   exactly one shard, no two shards touch the same row, and within a
 //   row the nonzeros are accumulated in CSR storage order by the same
-//   `vec::Axpy` kernel the serial path uses. The floating-point
-//   summation tree of every output element is therefore a pure function
-//   of the matrix and the input — never of the worker count, the shard
-//   grain, or OS scheduling — so the parallel products are *bit
-//   identical* to the serial ones for any pool size (the PR 1 contract
-//   documented atop src/runtime/thread_pool.h).
+//   row kernel the serial path uses (`vec::WeightedRowSum`: +0.0f, then
+//   each weighted input row added in order, bitwise one `vec::Axpy` per
+//   nonzero into a zeroed row, with the output row held in registers).
+//   The floating-point summation tree of every output element is
+//   therefore a pure function of the matrix and the input — never of
+//   the worker count, the shard grain, or OS scheduling — so the
+//   parallel products are *bit identical* to the serial ones for any
+//   pool size (the contract documented atop
+//   src/runtime/thread_pool.h).
 //
 //   A^T*X is made row-shardable by a column-compressed (CSC) view of the
 //   matrix, built lazily on the first transpose product (edge-dropped

@@ -4,18 +4,19 @@
 #include <cmath>
 #include <limits>
 
-// SIMD tier selection. AVX2 needs an explicit opt-in (-mavx2, via the
-// BSLREC_NATIVE CMake option); SSE2 is part of the x86-64 baseline, so
-// every 64-bit x86 build gets real vector code. Anything else falls
-// back to the scalar reference — which is always compiled regardless,
-// both as the vec::ref contract oracle and as the portable path.
-#if defined(__AVX2__)
+// SIMD tiers. Every x86-64 build compiles an SSE2 tier (the x86-64
+// baseline) and an AVX2 tier of the dispatched kernels, and picks one per
+// process at run time (RunAvx2). The AVX2 forms are marked
+// target("avx2") and nothing more, so they run AVX2 instructions without
+// the build targeting AVX2, and a portable build has no FMA for GCC to
+// fuse a mul + add into (see the vec.h contract note). Anything else
+// falls back to the scalar reference — which is always compiled
+// regardless, both as the vec::ref contract oracle and as the portable
+// path.
+#if defined(__x86_64__)
 #include <immintrin.h>
-#define BSLREC_SIMD_AVX2 1
-#define BSLREC_SIMD_SSE2 1
-#elif defined(__SSE2__) || defined(__x86_64__) || defined(_M_X64)
-#include <emmintrin.h>
-#define BSLREC_SIMD_SSE2 1
+#define BSLREC_VEC_X86 1
+#define BSLREC_AVX2 __attribute__((target("avx2")))
 #endif
 
 // The hot kernels below are written as unrolled/blocked loops with
@@ -27,15 +28,35 @@
 //     never depend on call context. The multi-threaded trainer and
 //     evaluator rely on this for their bit-identical-results guarantee.
 // The SIMD forms keep the same four double lanes in hardware registers
-// (see the vec.h contract note), so enabling them changes no result.
+// (see the vec.h contract note), so the tier a host runs changes no
+// result.
 
 namespace bslrec::vec {
 
+namespace {
+
+// Whether this process runs the AVX2 tier: CPUID, read once (the check
+// includes the OS's support for the 256-bit register state). A build
+// whose target already has AVX2 needs no check.
+bool RunAvx2() {
+#if defined(__AVX2__)
+  return true;
+#elif BSLREC_VEC_X86
+  static const bool avx2 = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  return avx2;
+#else
+  return false;
+#endif
+}
+
+}  // namespace
+
 const char* SimdTier() {
-#if BSLREC_SIMD_AVX2
-  return "avx2";
-#elif BSLREC_SIMD_SSE2
-  return "sse2";
+#if BSLREC_VEC_X86
+  return RunAvx2() ? "avx2" : "sse2";
 #else
   return "scalar";
 #endif
@@ -106,54 +127,42 @@ float MaxAbsScalar(const float* x, size_t n) {
   return m;
 }
 
-#if BSLREC_SIMD_SSE2
+#if BSLREC_VEC_X86
 // Horizontal sum of four int32 lanes (exact: integer adds).
 inline int32_t HSumEpi32(__m128i v) {
   v = _mm_add_epi32(v, _mm_shuffle_epi32(v, _MM_SHUFFLE(1, 0, 3, 2)));
   v = _mm_add_epi32(v, _mm_shuffle_epi32(v, _MM_SHUFFLE(2, 3, 0, 1)));
   return _mm_cvtsi128_si32(v);
 }
-#endif
 
-#if BSLREC_SIMD_AVX2
-inline int32_t HSumEpi32(__m256i v) {
+BSLREC_AVX2 inline int32_t HSumEpi32(__m256i v) {
   return HSumEpi32(
       _mm_add_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256(v, 1)));
 }
 
-// 16 int8 lanes sign-extended to int16, multiply-accumulated into 8
-// int32 lanes. Products are <= 127^2, so MADD's pairwise int32 sums and
-// the running accumulator are overflow-free for any realistic dim.
-inline __m256i MaddI8Block(const int8_t* a, const int8_t* b, __m256i acc) {
-  const __m256i a16 = _mm256_cvtepi8_epi16(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(a)));
-  const __m256i b16 = _mm256_cvtepi8_epi16(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(b)));
-  return _mm256_add_epi32(acc, _mm256_madd_epi16(a16, b16));
+// 16 int8 codes sign-extended to 16 int16 lanes.
+BSLREC_AVX2 inline __m256i LoadI8AsI16(const int8_t* x) {
+  return _mm256_cvtepi8_epi16(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(x)));
+}
+
+// 16 int16 lanes (widened codes) times b's 16 codes, multiply-
+// accumulated into 8 int32 lanes. Products are <= 127^2, so MADD's
+// pairwise int32 sums and the running accumulator are overflow-free for
+// any realistic dim.
+BSLREC_AVX2 inline __m256i MaddI8(__m256i acc, __m256i a16,
+                                  const int8_t* b) {
+  return _mm256_add_epi32(acc, _mm256_madd_epi16(a16, LoadI8AsI16(b)));
 }
 #endif
 
 }  // namespace
 
+#if BSLREC_VEC_X86
+namespace sse2 {
+
 float Dot(const float* a, const float* b, size_t n) {
-#if BSLREC_SIMD_AVX2
-  // Four double lanes in one 256-bit register: lane j holds exactly the
-  // reference's acc_j (float*float widened to double is exact, so the
-  // packed multiply-add performs the same sequence of IEEE double adds).
-  __m256d acc = _mm256_setzero_pd();
-  size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    const __m256d da = _mm256_cvtps_pd(_mm_loadu_ps(a + k));
-    const __m256d db = _mm256_cvtps_pd(_mm_loadu_ps(b + k));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(da, db));
-  }
-  alignas(32) double lane[4];
-  _mm256_store_pd(lane, acc);
-  double acc0 = lane[0];
-  for (; k < n; ++k) acc0 += static_cast<double>(a[k]) * b[k];
-  return static_cast<float>((acc0 + lane[1]) + (lane[2] + lane[3]));
-#elif BSLREC_SIMD_SSE2
-  // Same four lanes split across two 128-bit registers.
+  // The reference's four lanes split across two 128-bit registers.
   __m128d acc01 = _mm_setzero_pd();
   __m128d acc23 = _mm_setzero_pd();
   size_t k = 0;
@@ -170,22 +179,9 @@ float Dot(const float* a, const float* b, size_t n) {
   double acc0 = lane01[0];
   for (; k < n; ++k) acc0 += static_cast<double>(a[k]) * b[k];
   return static_cast<float>((acc0 + lane01[1]) + (lane23[0] + lane23[1]));
-#else
-  return ref::Dot(a, b, n);
-#endif
 }
 
 int32_t DotI8(const int8_t* a, const int8_t* b, size_t n) {
-#if BSLREC_SIMD_AVX2
-  __m256i acc = _mm256_setzero_si256();
-  size_t k = 0;
-  for (; k + 16 <= n; k += 16) acc = MaddI8Block(a + k, b + k, acc);
-  int32_t sum = HSumEpi32(acc);
-  for (; k < n; ++k) {
-    sum += static_cast<int32_t>(a[k]) * static_cast<int32_t>(b[k]);
-  }
-  return sum;
-#elif BSLREC_SIMD_SSE2
   const __m128i zero = _mm_setzero_si128();
   __m128i acc = zero;
   size_t k = 0;
@@ -207,14 +203,48 @@ int32_t DotI8(const int8_t* a, const int8_t* b, size_t n) {
     sum += static_cast<int32_t>(a[k]) * static_cast<int32_t>(b[k]);
   }
   return sum;
-#else
-  return ref::DotI8(a, b, n);
-#endif
 }
 
 void DotBatchI8(const int8_t* q, const int8_t* rows, size_t m, size_t d,
                 int32_t* out) {
-#if BSLREC_SIMD_AVX2
+  for (size_t r = 0; r < m; ++r) out[r] = DotI8(q, rows + r * d, d);
+}
+
+}  // namespace sse2
+
+namespace avx2 {
+
+BSLREC_AVX2 float Dot(const float* a, const float* b, size_t n) {
+  // Four double lanes in one 256-bit register: lane j holds exactly the
+  // reference's acc_j (float*float widened to double is exact, so the
+  // packed multiply-add performs the same sequence of IEEE double adds).
+  __m256d acc = _mm256_setzero_pd();
+  size_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    const __m256d da = _mm256_cvtps_pd(_mm_loadu_ps(a + k));
+    const __m256d db = _mm256_cvtps_pd(_mm_loadu_ps(b + k));
+    acc = _mm256_add_pd(acc, _mm256_mul_pd(da, db));
+  }
+  alignas(32) double lane[4];
+  _mm256_store_pd(lane, acc);
+  double acc0 = lane[0];
+  for (; k < n; ++k) acc0 += static_cast<double>(a[k]) * b[k];
+  return static_cast<float>((acc0 + lane[1]) + (lane[2] + lane[3]));
+}
+
+BSLREC_AVX2 int32_t DotI8(const int8_t* a, const int8_t* b, size_t n) {
+  __m256i acc = _mm256_setzero_si256();
+  size_t k = 0;
+  for (; k + 16 <= n; k += 16) acc = MaddI8(acc, LoadI8AsI16(a + k), b + k);
+  int32_t sum = HSumEpi32(acc);
+  for (; k < n; ++k) {
+    sum += static_cast<int32_t>(a[k]) * static_cast<int32_t>(b[k]);
+  }
+  return sum;
+}
+
+BSLREC_AVX2 void DotBatchI8(const int8_t* q, const int8_t* rows, size_t m,
+                            size_t d, int32_t* out) {
   // Four-row blocking: the widened query block is loaded once and
   // multiply-accumulated against four item rows, quartering the query
   // traffic of the per-row form. Integer adds are associative, so the
@@ -231,16 +261,11 @@ void DotBatchI8(const int8_t* q, const int8_t* rows, size_t m, size_t d,
     __m256i acc3 = _mm256_setzero_si256();
     size_t k = 0;
     for (; k + 16 <= d; k += 16) {
-      const __m256i q16 = _mm256_cvtepi8_epi16(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(q + k)));
-      const auto row16 = [k](const int8_t* row) {
-        return _mm256_cvtepi8_epi16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(row + k)));
-      };
-      acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(q16, row16(r0)));
-      acc1 = _mm256_add_epi32(acc1, _mm256_madd_epi16(q16, row16(r1)));
-      acc2 = _mm256_add_epi32(acc2, _mm256_madd_epi16(q16, row16(r2)));
-      acc3 = _mm256_add_epi32(acc3, _mm256_madd_epi16(q16, row16(r3)));
+      const __m256i q16 = LoadI8AsI16(q + k);
+      acc0 = MaddI8(acc0, q16, r0 + k);
+      acc1 = MaddI8(acc1, q16, r1 + k);
+      acc2 = MaddI8(acc2, q16, r2 + k);
+      acc3 = MaddI8(acc3, q16, r3 + k);
     }
     int32_t s0 = HSumEpi32(acc0), s1 = HSumEpi32(acc1);
     int32_t s2 = HSumEpi32(acc2), s3 = HSumEpi32(acc3);
@@ -257,8 +282,37 @@ void DotBatchI8(const int8_t* q, const int8_t* rows, size_t m, size_t d,
     out[r + 3] = s3;
   }
   for (; r < m; ++r) out[r] = DotI8(q, rows + r * d, d);
+}
+
+}  // namespace avx2
+#endif
+
+float Dot(const float* a, const float* b, size_t n) {
+#if BSLREC_VEC_X86
+  return RunAvx2() ? avx2::Dot(a, b, n) : sse2::Dot(a, b, n);
 #else
-  for (size_t r = 0; r < m; ++r) out[r] = DotI8(q, rows + r * d, d);
+  return ref::Dot(a, b, n);
+#endif
+}
+
+int32_t DotI8(const int8_t* a, const int8_t* b, size_t n) {
+#if BSLREC_VEC_X86
+  return RunAvx2() ? avx2::DotI8(a, b, n) : sse2::DotI8(a, b, n);
+#else
+  return ref::DotI8(a, b, n);
+#endif
+}
+
+void DotBatchI8(const int8_t* q, const int8_t* rows, size_t m, size_t d,
+                int32_t* out) {
+#if BSLREC_VEC_X86
+  if (RunAvx2()) {
+    avx2::DotBatchI8(q, rows, m, d, out);
+  } else {
+    sse2::DotBatchI8(q, rows, m, d, out);
+  }
+#else
+  ref::DotBatchI8(q, rows, m, d, out);
 #endif
 }
 
@@ -269,7 +323,7 @@ float QuantizeRow(const float* x, size_t n, int8_t* out) {
 }  // namespace ref
 
 float QuantizeRow(const float* x, size_t n, int8_t* out) {
-#if BSLREC_SIMD_SSE2
+#if BSLREC_VEC_X86
   // Max-abs reduction (order-invariant: abs and max are exact).
   const __m128 abs_mask = _mm_castsi128_ps(_mm_set1_epi32(0x7fffffff));
   __m128 vmax = _mm_setzero_ps();
@@ -499,11 +553,23 @@ void DotTile(const double* q, size_t m, const double* rows, size_t n,
   }
 }
 
+void WeightedRowSum(const float* values, const uint32_t* idx, size_t m,
+                    const float* x, size_t stride, float* out, size_t n) {
+  Fill(out, n, 0.0f);
+  for (size_t j = 0; j < m; ++j) {
+    Axpy(values[j], x + static_cast<size_t>(idx[j]) * stride, out, n);
+  }
+}
+
 }  // namespace ref
 
+void Widen(const float* x, size_t n, double* out) {
+  for (size_t k = 0; k < n; ++k) out[k] = static_cast<double>(x[k]);
+}
+
+#if BSLREC_VEC_X86
 namespace {
 
-#if BSLREC_SIMD_SSE2
 // One cosine-gradient term on four elements: acc + scale * (x - score * y),
 // AccumulateCosineGrad's expression operation for operation.
 inline __m128 CosineGradTerm(__m128 acc, __m128 scale, __m128 score,
@@ -511,15 +577,152 @@ inline __m128 CosineGradTerm(__m128 acc, __m128 scale, __m128 score,
   const __m128 diff = _mm_sub_ps(_mm_loadu_ps(x), _mm_mul_ps(score, y));
   return _mm_add_ps(acc, _mm_mul_ps(scale, diff));
 }
-#endif
+
+// The same term on eight elements.
+BSLREC_AVX2 inline __m256 CosineGradTerm(__m256 acc, __m256 scale,
+                                         __m256 score, const float* x,
+                                         __m256 y) {
+  const __m256 diff =
+      _mm256_sub_ps(_mm256_loadu_ps(x), _mm256_mul_ps(score, y));
+  return _mm256_add_ps(acc, _mm256_mul_ps(scale, diff));
+}
+
+// One MQ x NR block of the SSE2 DotTile: every (query, row) pair keeps
+// Dot's four double lanes, lanes 0-1 in lo[][] and 2-3 in hi[][]. A
+// 2 x 2 block holds 8 accumulators plus 6 operands, within SSE2's 16
+// registers.
+template <size_t MQ, size_t NR>
+inline void DotTileBlock(const double* q, const double* rows, size_t d,
+                         float* out, size_t out_stride) {
+  __m128d lo[MQ][NR], hi[MQ][NR];
+  for (size_t i = 0; i < MQ; ++i) {
+    for (size_t j = 0; j < NR; ++j) {
+      lo[i][j] = _mm_setzero_pd();
+      hi[i][j] = _mm_setzero_pd();
+    }
+  }
+  size_t k = 0;
+  for (; k + 4 <= d; k += 4) {
+    __m128d r01[NR], r23[NR];
+    for (size_t j = 0; j < NR; ++j) {
+      r01[j] = _mm_loadu_pd(rows + j * d + k);
+      r23[j] = _mm_loadu_pd(rows + j * d + k + 2);
+    }
+    for (size_t i = 0; i < MQ; ++i) {
+      const __m128d q01 = _mm_loadu_pd(q + i * d + k);
+      const __m128d q23 = _mm_loadu_pd(q + i * d + k + 2);
+      for (size_t j = 0; j < NR; ++j) {
+        lo[i][j] = _mm_add_pd(lo[i][j], _mm_mul_pd(q01, r01[j]));
+        hi[i][j] = _mm_add_pd(hi[i][j], _mm_mul_pd(q23, r23[j]));
+      }
+    }
+  }
+  for (size_t i = 0; i < MQ; ++i) {
+    for (size_t j = 0; j < NR; ++j) {
+      alignas(16) double l01[2], l23[2];
+      _mm_store_pd(l01, lo[i][j]);
+      _mm_store_pd(l23, hi[i][j]);
+      double acc0 = l01[0];
+      for (size_t t = k; t < d; ++t) acc0 += q[i * d + t] * rows[j * d + t];
+      out[i * out_stride + j] =
+          static_cast<float>((acc0 + l01[1]) + (l23[0] + l23[1]));
+    }
+  }
+}
+
+// One MQ x NR block (NR <= 4) of the AVX2 DotTile. acc[i][j] holds the
+// four double lanes of pair (query i, row j); at MQ = 3, NR = 4 the main
+// loop keeps 12 accumulators and 4 operands in AVX2's 16 registers (the
+// compiler folds the other row loads into the multiplies). At the end a
+// 4 x 4 transpose turns query i's four pair registers into lane
+// registers (lane c holds lane c of all four pairs, missing pairs
+// zero), the d % 4 tail goes into lane 0 term by term, and the lanes
+// combine as (0+1)+(2+3) with vertical adds: the four entries come out
+// as adjacent floats, with no horizontal sum per pair.
+template <size_t MQ, size_t NR>
+BSLREC_AVX2 inline void DotTileBlock256(const double* q, const double* rows,
+                                        size_t d, float* out,
+                                        size_t out_stride) {
+  __m256d acc[MQ][4];
+  for (size_t i = 0; i < MQ; ++i) {
+    for (size_t j = 0; j < 4; ++j) acc[i][j] = _mm256_setzero_pd();
+  }
+  size_t k = 0;
+  for (; k + 4 <= d; k += 4) {
+    __m256d r[NR];
+    for (size_t j = 0; j < NR; ++j) r[j] = _mm256_loadu_pd(rows + j * d + k);
+    for (size_t i = 0; i < MQ; ++i) {
+      const __m256d qv = _mm256_loadu_pd(q + i * d + k);
+      for (size_t j = 0; j < NR; ++j) {
+        acc[i][j] = _mm256_add_pd(acc[i][j], _mm256_mul_pd(qv, r[j]));
+      }
+    }
+  }
+  for (size_t i = 0; i < MQ; ++i) {
+    const __m256d t0 = _mm256_unpacklo_pd(acc[i][0], acc[i][1]);
+    const __m256d t1 = _mm256_unpackhi_pd(acc[i][0], acc[i][1]);
+    const __m256d t2 = _mm256_unpacklo_pd(acc[i][2], acc[i][3]);
+    const __m256d t3 = _mm256_unpackhi_pd(acc[i][2], acc[i][3]);
+    __m256d lane0 = _mm256_permute2f128_pd(t0, t2, 0x20);
+    const __m256d lane1 = _mm256_permute2f128_pd(t1, t3, 0x20);
+    const __m256d lane2 = _mm256_permute2f128_pd(t0, t2, 0x31);
+    const __m256d lane3 = _mm256_permute2f128_pd(t1, t3, 0x31);
+    for (size_t t = k; t < d; ++t) {
+      alignas(32) double col[4] = {0.0, 0.0, 0.0, 0.0};
+      for (size_t j = 0; j < NR; ++j) col[j] = rows[j * d + t];
+      lane0 = _mm256_add_pd(lane0, _mm256_mul_pd(_mm256_set1_pd(q[i * d + t]),
+                                                 _mm256_load_pd(col)));
+    }
+    const __m128 sums = _mm256_cvtpd_ps(_mm256_add_pd(
+        _mm256_add_pd(lane0, lane1), _mm256_add_pd(lane2, lane3)));
+    float* o = out + i * out_stride;
+    if constexpr (NR == 4) {
+      _mm_storeu_ps(o, sums);
+    } else {
+      alignas(16) float s[4];
+      _mm_store_ps(s, sums);
+      for (size_t j = 0; j < NR; ++j) o[j] = s[j];
+    }
+  }
+}
+
+// The AVX2 DotTile's blocks for MQ queries against rows [c0, c1): four
+// rows per block, then the last c1 - c0 rows mod 4.
+template <size_t MQ>
+BSLREC_AVX2 inline void DotTileRows256(const double* q, const double* rows,
+                                       size_t c0, size_t c1, size_t d,
+                                       float* out, size_t out_stride) {
+  size_t j = c0;
+  for (; j + 4 <= c1; j += 4) {
+    DotTileBlock256<MQ, 4>(q, rows + j * d, d, out + j, out_stride);
+  }
+  switch (c1 - j) {
+    case 3:
+      DotTileBlock256<MQ, 3>(q, rows + j * d, d, out + j, out_stride);
+      break;
+    case 2:
+      DotTileBlock256<MQ, 2>(q, rows + j * d, d, out + j, out_stride);
+      break;
+    case 1:
+      DotTileBlock256<MQ, 1>(q, rows + j * d, d, out + j, out_stride);
+      break;
+    default:
+      break;
+  }
+}
+
+// Rows go through DotTile in chunks small enough (kDotTileChunk rows of
+// d doubles) to stay in L1 while every query block passes over them.
+constexpr size_t kDotTileChunk = 32;
 
 }  // namespace
+
+namespace sse2 {
 
 void AccumulateCosineGradRun(const float* self_hat, const float* others,
                              size_t stride, const uint32_t* idx,
                              const float* scores, const float* scales,
                              size_t m, float* grad, size_t n) {
-#if BSLREC_SIMD_SSE2
   // Element k sees the reference's operations in the reference's term
   // order; the blocks only decide which elements share registers.
   size_t k = 0;
@@ -562,72 +765,12 @@ void AccumulateCosineGradRun(const float* self_hat, const float* others,
     ref::AccumulateCosineGradRun(self_hat + k, others + k, stride, idx,
                                  scores, scales, m, grad + k, n - k);
   }
-#else
-  ref::AccumulateCosineGradRun(self_hat, others, stride, idx, scores, scales,
-                               m, grad, n);
-#endif
 }
-
-void Widen(const float* x, size_t n, double* out) {
-  for (size_t k = 0; k < n; ++k) out[k] = static_cast<double>(x[k]);
-}
-
-namespace {
-
-#if BSLREC_SIMD_SSE2
-// One MQ x NR block of DotTile: every (query, row) pair keeps Dot's four
-// double lanes, lanes 0-1 in lo[][] and 2-3 in hi[][]. A 2 x 2 block
-// holds 8 accumulators plus 6 operands, within SSE2's 16 registers.
-template <size_t MQ, size_t NR>
-inline void DotTileBlock(const double* q, const double* rows, size_t d,
-                         float* out, size_t out_stride) {
-  __m128d lo[MQ][NR], hi[MQ][NR];
-  for (size_t i = 0; i < MQ; ++i) {
-    for (size_t j = 0; j < NR; ++j) {
-      lo[i][j] = _mm_setzero_pd();
-      hi[i][j] = _mm_setzero_pd();
-    }
-  }
-  size_t k = 0;
-  for (; k + 4 <= d; k += 4) {
-    __m128d r01[NR], r23[NR];
-    for (size_t j = 0; j < NR; ++j) {
-      r01[j] = _mm_loadu_pd(rows + j * d + k);
-      r23[j] = _mm_loadu_pd(rows + j * d + k + 2);
-    }
-    for (size_t i = 0; i < MQ; ++i) {
-      const __m128d q01 = _mm_loadu_pd(q + i * d + k);
-      const __m128d q23 = _mm_loadu_pd(q + i * d + k + 2);
-      for (size_t j = 0; j < NR; ++j) {
-        lo[i][j] = _mm_add_pd(lo[i][j], _mm_mul_pd(q01, r01[j]));
-        hi[i][j] = _mm_add_pd(hi[i][j], _mm_mul_pd(q23, r23[j]));
-      }
-    }
-  }
-  for (size_t i = 0; i < MQ; ++i) {
-    for (size_t j = 0; j < NR; ++j) {
-      alignas(16) double l01[2], l23[2];
-      _mm_store_pd(l01, lo[i][j]);
-      _mm_store_pd(l23, hi[i][j]);
-      double acc0 = l01[0];
-      for (size_t t = k; t < d; ++t) acc0 += q[i * d + t] * rows[j * d + t];
-      out[i * out_stride + j] =
-          static_cast<float>((acc0 + l01[1]) + (l23[0] + l23[1]));
-    }
-  }
-}
-#endif
-
-}  // namespace
 
 void DotTile(const double* q, size_t m, const double* rows, size_t n,
              size_t d, float* out, size_t out_stride) {
-#if BSLREC_SIMD_SSE2
-  // Rows go in chunks small enough (kChunk rows of d doubles) to stay in
-  // L1 while every query pair passes over them.
-  constexpr size_t kChunk = 32;
-  for (size_t c0 = 0; c0 < n; c0 += kChunk) {
-    const size_t c1 = std::min(n, c0 + kChunk);
+  for (size_t c0 = 0; c0 < n; c0 += kDotTileChunk) {
+    const size_t c1 = std::min(n, c0 + kDotTileChunk);
     size_t i = 0;
     for (; i + 2 <= m; i += 2) {
       const double* qi = q + i * d;
@@ -648,8 +791,199 @@ void DotTile(const double* q, size_t m, const double* rows, size_t n,
       if (j < c1) DotTileBlock<1, 1>(qi, rows + j * d, d, oi + j, out_stride);
     }
   }
+}
+
+void WeightedRowSum(const float* values, const uint32_t* idx, size_t m,
+                    const float* x, size_t stride, float* out, size_t n) {
+  // Per element: +0.0f, then each term added in order, as the reference
+  // does; a block of 16 elements stays in four registers for the row.
+  size_t k = 0;
+  for (; k + 16 <= n; k += 16) {
+    __m128 a0 = _mm_setzero_ps(), a1 = _mm_setzero_ps();
+    __m128 a2 = _mm_setzero_ps(), a3 = _mm_setzero_ps();
+    for (size_t j = 0; j < m; ++j) {
+      const float* xj = x + static_cast<size_t>(idx[j]) * stride + k;
+      const __m128 v = _mm_set1_ps(values[j]);
+      a0 = _mm_add_ps(a0, _mm_mul_ps(v, _mm_loadu_ps(xj + 0)));
+      a1 = _mm_add_ps(a1, _mm_mul_ps(v, _mm_loadu_ps(xj + 4)));
+      a2 = _mm_add_ps(a2, _mm_mul_ps(v, _mm_loadu_ps(xj + 8)));
+      a3 = _mm_add_ps(a3, _mm_mul_ps(v, _mm_loadu_ps(xj + 12)));
+    }
+    _mm_storeu_ps(out + k + 0, a0);
+    _mm_storeu_ps(out + k + 4, a1);
+    _mm_storeu_ps(out + k + 8, a2);
+    _mm_storeu_ps(out + k + 12, a3);
+  }
+  for (; k + 4 <= n; k += 4) {
+    __m128 a = _mm_setzero_ps();
+    for (size_t j = 0; j < m; ++j) {
+      const float* xj = x + static_cast<size_t>(idx[j]) * stride + k;
+      a = _mm_add_ps(a, _mm_mul_ps(_mm_set1_ps(values[j]), _mm_loadu_ps(xj)));
+    }
+    _mm_storeu_ps(out + k, a);
+  }
+  if (k < n) {
+    // The last n % 4 elements: the reference on a column slice.
+    ref::WeightedRowSum(values, idx, m, x + k, stride, out + k, n - k);
+  }
+}
+
+}  // namespace sse2
+
+namespace avx2 {
+
+BSLREC_AVX2 void AccumulateCosineGradRun(const float* self_hat,
+                                         const float* others, size_t stride,
+                                         const uint32_t* idx,
+                                         const float* scores,
+                                         const float* scales, size_t m,
+                                         float* grad, size_t n) {
+  // The SSE2 form's scheme at eight floats per register: 32 elements in
+  // four accumulators across the whole run, then 8 at a time.
+  size_t k = 0;
+  for (; k + 32 <= n; k += 32) {
+    __m256 a0 = _mm256_loadu_ps(grad + k + 0);
+    __m256 a1 = _mm256_loadu_ps(grad + k + 8);
+    __m256 a2 = _mm256_loadu_ps(grad + k + 16);
+    __m256 a3 = _mm256_loadu_ps(grad + k + 24);
+    const __m256 y0 = _mm256_loadu_ps(self_hat + k + 0);
+    const __m256 y1 = _mm256_loadu_ps(self_hat + k + 8);
+    const __m256 y2 = _mm256_loadu_ps(self_hat + k + 16);
+    const __m256 y3 = _mm256_loadu_ps(self_hat + k + 24);
+    for (size_t j = 0; j < m; ++j) {
+      const float* x = others + static_cast<size_t>(idx[j]) * stride + k;
+      const __m256 sc = _mm256_set1_ps(scores[j]);
+      const __m256 sl = _mm256_set1_ps(scales[j]);
+      a0 = CosineGradTerm(a0, sl, sc, x + 0, y0);
+      a1 = CosineGradTerm(a1, sl, sc, x + 8, y1);
+      a2 = CosineGradTerm(a2, sl, sc, x + 16, y2);
+      a3 = CosineGradTerm(a3, sl, sc, x + 24, y3);
+    }
+    _mm256_storeu_ps(grad + k + 0, a0);
+    _mm256_storeu_ps(grad + k + 8, a1);
+    _mm256_storeu_ps(grad + k + 16, a2);
+    _mm256_storeu_ps(grad + k + 24, a3);
+  }
+  for (; k + 8 <= n; k += 8) {
+    __m256 a = _mm256_loadu_ps(grad + k);
+    const __m256 y = _mm256_loadu_ps(self_hat + k);
+    for (size_t j = 0; j < m; ++j) {
+      const float* x = others + static_cast<size_t>(idx[j]) * stride + k;
+      a = CosineGradTerm(a, _mm256_set1_ps(scales[j]),
+                         _mm256_set1_ps(scores[j]), x, y);
+    }
+    _mm256_storeu_ps(grad + k, a);
+  }
+  if (k < n) {
+    // The last n % 8 elements: the SSE2 form on a column slice.
+    sse2::AccumulateCosineGradRun(self_hat + k, others + k, stride, idx,
+                                  scores, scales, m, grad + k, n - k);
+  }
+}
+
+BSLREC_AVX2 void DotTile(const double* q, size_t m, const double* rows,
+                         size_t n, size_t d, float* out, size_t out_stride) {
+  for (size_t c0 = 0; c0 < n; c0 += kDotTileChunk) {
+    const size_t c1 = std::min(n, c0 + kDotTileChunk);
+    // Blocks of three queries (12 accumulators and 4 operands); a
+    // remainder of one query splits the last four into two pairs.
+    size_t i = 0;
+    for (; i + 3 <= m && m - i != 4; i += 3) {
+      DotTileRows256<3>(q + i * d, rows, c0, c1, d, out + i * out_stride,
+                        out_stride);
+    }
+    for (; i + 2 <= m; i += 2) {
+      DotTileRows256<2>(q + i * d, rows, c0, c1, d, out + i * out_stride,
+                        out_stride);
+    }
+    if (i < m) {
+      DotTileRows256<1>(q + i * d, rows, c0, c1, d, out + i * out_stride,
+                        out_stride);
+    }
+  }
+}
+
+BSLREC_AVX2 void WeightedRowSum(const float* values, const uint32_t* idx,
+                                size_t m, const float* x, size_t stride,
+                                float* out, size_t n) {
+  // The SSE2 form's scheme at eight floats per register: 32 elements in
+  // four accumulators across the row's terms, then 8 at a time.
+  size_t k = 0;
+  for (; k + 32 <= n; k += 32) {
+    __m256 a0 = _mm256_setzero_ps(), a1 = _mm256_setzero_ps();
+    __m256 a2 = _mm256_setzero_ps(), a3 = _mm256_setzero_ps();
+    for (size_t j = 0; j < m; ++j) {
+      const float* xj = x + static_cast<size_t>(idx[j]) * stride + k;
+      const __m256 v = _mm256_set1_ps(values[j]);
+      a0 = _mm256_add_ps(a0, _mm256_mul_ps(v, _mm256_loadu_ps(xj + 0)));
+      a1 = _mm256_add_ps(a1, _mm256_mul_ps(v, _mm256_loadu_ps(xj + 8)));
+      a2 = _mm256_add_ps(a2, _mm256_mul_ps(v, _mm256_loadu_ps(xj + 16)));
+      a3 = _mm256_add_ps(a3, _mm256_mul_ps(v, _mm256_loadu_ps(xj + 24)));
+    }
+    _mm256_storeu_ps(out + k + 0, a0);
+    _mm256_storeu_ps(out + k + 8, a1);
+    _mm256_storeu_ps(out + k + 16, a2);
+    _mm256_storeu_ps(out + k + 24, a3);
+  }
+  for (; k + 8 <= n; k += 8) {
+    __m256 a = _mm256_setzero_ps();
+    for (size_t j = 0; j < m; ++j) {
+      const float* xj = x + static_cast<size_t>(idx[j]) * stride + k;
+      a = _mm256_add_ps(
+          a, _mm256_mul_ps(_mm256_set1_ps(values[j]), _mm256_loadu_ps(xj)));
+    }
+    _mm256_storeu_ps(out + k, a);
+  }
+  if (k < n) {
+    // The last n % 8 elements: the SSE2 form on a column slice.
+    sse2::WeightedRowSum(values, idx, m, x + k, stride, out + k, n - k);
+  }
+}
+
+}  // namespace avx2
+#endif
+
+void AccumulateCosineGradRun(const float* self_hat, const float* others,
+                             size_t stride, const uint32_t* idx,
+                             const float* scores, const float* scales,
+                             size_t m, float* grad, size_t n) {
+#if BSLREC_VEC_X86
+  if (RunAvx2()) {
+    avx2::AccumulateCosineGradRun(self_hat, others, stride, idx, scores,
+                                  scales, m, grad, n);
+  } else {
+    sse2::AccumulateCosineGradRun(self_hat, others, stride, idx, scores,
+                                  scales, m, grad, n);
+  }
+#else
+  ref::AccumulateCosineGradRun(self_hat, others, stride, idx, scores, scales,
+                               m, grad, n);
+#endif
+}
+
+void DotTile(const double* q, size_t m, const double* rows, size_t n,
+             size_t d, float* out, size_t out_stride) {
+#if BSLREC_VEC_X86
+  if (RunAvx2()) {
+    avx2::DotTile(q, m, rows, n, d, out, out_stride);
+  } else {
+    sse2::DotTile(q, m, rows, n, d, out, out_stride);
+  }
 #else
   ref::DotTile(q, m, rows, n, d, out, out_stride);
+#endif
+}
+
+void WeightedRowSum(const float* values, const uint32_t* idx, size_t m,
+                    const float* x, size_t stride, float* out, size_t n) {
+#if BSLREC_VEC_X86
+  if (RunAvx2()) {
+    avx2::WeightedRowSum(values, idx, m, x, stride, out, n);
+  } else {
+    sse2::WeightedRowSum(values, idx, m, x, stride, out, n);
+  }
+#else
+  ref::WeightedRowSum(values, idx, m, x, stride, out, n);
 #endif
 }
 
@@ -676,7 +1010,7 @@ void AdamStep(const AdamCoeffs& c, const float* g, float* w, float* m,
 
 void AdamStep(const AdamCoeffs& c, const float* g, float* w, float* m,
               float* v, size_t n) {
-#if BSLREC_SIMD_SSE2
+#if BSLREC_VEC_X86
   // The reference's expression, two double lanes per register, with the
   // same operations in the same order (see the vec.h contract note).
   const __m128d beta1 = _mm_set1_pd(c.beta1);

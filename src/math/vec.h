@@ -8,12 +8,16 @@
 // ---- SIMD dispatch contract ----
 //
 // The hot kernels (`Dot`, `DotTile`, `AccumulateCosineGradRun`, `DotI8`,
-// `DotBatchI8`, `QuantizeRow`, `AdamStep`) have explicitly vectorized
-// implementations selected at
-// compile time (AVX2 when the build enables it — see the BSLREC_NATIVE
-// CMake option — and SSE2 on any x86-64 build). The scalar forms are
-// always compiled and exposed under `vec::ref`; every SIMD kernel is
-// contractually *bit-identical* to its reference:
+// `DotBatchI8`, `WeightedRowSum`, `QuantizeRow`, `AdamStep`) have
+// explicitly vectorized forms. On x86-64 every build carries an SSE2
+// tier (the x86-64 baseline) and, for the first six, an AVX2 tier; each
+// process reads CPUID once and runs AVX2 where the CPU has it, SSE2
+// otherwise (a build that targets AVX2 itself, e.g. -march=native on such
+// a host, skips the check). Other architectures run the scalar forms.
+// The scalar forms are always compiled and exposed under `vec::ref`, and
+// each x86-64 tier's entry points under `vec::sse2` and `vec::avx2`;
+// every SIMD kernel is contractually *bit-identical* to its reference,
+// so the tier a host picks changes speed, never a result:
 //
 //   * integer kernels (`DotI8`, `DotBatchI8`) exactly — int32 arithmetic
 //     is associative, so lane layout cannot change the result;
@@ -21,7 +25,7 @@
 //     each code is a float multiply (identical IEEE rounding in scalar
 //     and packed form) followed by round-to-nearest-even (the default
 //     rounding mode of both std::nearbyintf and CVTPS2DQ);
-//   * fp32 `Dot` via an *identical summation tree*: the SIMD form keeps
+//   * fp32 `Dot` via an *identical summation tree*: the SIMD forms keep
 //     the reference's four double-precision accumulator lanes (lane j
 //     sums elements k+j), combined in the same fixed ((0+1)+(2+3))
 //     order. float*float products are exact in double (24+24 < 53
@@ -32,24 +36,35 @@
 //     every entry equals Dot over the float rows bitwise. Its operands
 //     are rows widened to double once (`Widen`, exact), so a tile
 //     reuses each widened row across queries instead of re-widening it
-//     per pair.
+//     per pair. The AVX2 tier holds one pair's four lanes in one
+//     register and transposes four pairs' registers before combining
+//     their lanes, so four adjacent entries combine in one vector add
+//     tree instead of four horizontal sums.
 //   * `AccumulateCosineGradRun` exactly — per element it performs
 //     AccumulateCosineGrad's float expression, term by term in run
-//     order, on the same operands; the SIMD form only keeps a block of
+//     order, on the same operands; the SIMD forms only keep a block of
 //     the accumulator in registers across the run (elements never mix).
+//   * `WeightedRowSum` exactly — per element it starts at +0.0f and adds
+//     each weighted term in order, as Fill + one Axpy per term does; the
+//     SIMD forms keep a block of the output row in registers.
 //   * `AdamStep` exactly — its SSE2 form runs the reference's double-
 //     precision expression two lanes at a time, operation for
 //     operation: float -> double widening is exact, and IEEE add, mul,
 //     div, sqrt and the double -> float narrowing are correctly rounded
-//     in packed and scalar form alike. Every target is compiled with
-//     -ffp-contract=off (CMakeLists.txt), so no build fuses a
-//     multiply-add into an FMA, in these kernels or anywhere else: an
-//     FMA rounds once where mul + add rounds twice, which would make
-//     -march=native builds compute other bits than the portable one.
+//     in packed and scalar form alike.
 //
-// tests/test_vec.cc enforces all of these contracts (AdamStep's lives in
-// tests/test_optimizer.cc, next to the pooled optimizer step it feeds);
-// SimdTier() reports which tier a binary was compiled with.
+// No kernel may fuse a multiply-add into an FMA: an FMA rounds once
+// where mul + add rounds twice, so the float kernels (the cosine
+// gradient, the weighted row sums, Adam) would compute other bits than
+// their references. Every target of the root build is compiled with
+// -ffp-contract=off (CMakeLists.txt), and the AVX2 forms are compiled
+// with target("avx2") alone, which adds no FMA to a portable build, so
+// even a build without that flag has no FMA to fuse into.
+//
+// tests/test_vec.cc enforces all of these contracts, for every tier the
+// host can run (AdamStep's lives in tests/test_optimizer.cc, next to
+// the pooled optimizer step it feeds); SimdTier() reports the tier the
+// dispatched kernels run.
 #ifndef BSLREC_MATH_VEC_H_
 #define BSLREC_MATH_VEC_H_
 
@@ -60,8 +75,9 @@
 
 namespace bslrec::vec {
 
-// Compile-time selected SIMD tier of the hot kernels: "avx2", "sse2" or
-// "scalar". Diagnostic only (recorded into BENCH_*.json machine info).
+// The tier the dispatched kernels run in this process: "avx2" on an
+// x86-64 CPU with AVX2, "sse2" on any other x86-64 CPU, "scalar"
+// elsewhere. Diagnostic only (recorded into BENCH_*.json machine info).
 const char* SimdTier();
 
 // Coefficients of one Adam update (Kingma & Ba, with decoupled weight
@@ -91,10 +107,50 @@ void AccumulateCosineGradRun(const float* self_hat, const float* others,
 int32_t DotI8(const int8_t* a, const int8_t* b, size_t n);
 void DotBatchI8(const int8_t* q, const int8_t* rows, size_t m, size_t d,
                 int32_t* out);
+void WeightedRowSum(const float* values, const uint32_t* idx, size_t m,
+                    const float* x, size_t stride, float* out, size_t n);
 float QuantizeRow(const float* x, size_t n, int8_t* out);
 void AdamStep(const AdamCoeffs& c, const float* g, float* w, float* m,
               float* v, size_t n);
 }  // namespace ref
+
+#if defined(__x86_64__)
+// Each x86-64 tier's forms of the kernels that have an AVX2 tier. The
+// dispatched kernels below call one of them; they are exposed so the
+// tests can hold every tier the host can run to the vec::ref oracles (a
+// host with AVX2 would otherwise never run the SSE2 tier) and the
+// micro benchmarks can time the tiers side by side. An avx2:: kernel
+// may only be called where SimdTier() is "avx2".
+namespace sse2 {
+float Dot(const float* a, const float* b, size_t n);
+void DotTile(const double* q, size_t m, const double* rows, size_t n,
+             size_t d, float* out, size_t out_stride);
+void AccumulateCosineGradRun(const float* self_hat, const float* others,
+                             size_t stride, const uint32_t* idx,
+                             const float* scores, const float* scales,
+                             size_t m, float* grad, size_t n);
+int32_t DotI8(const int8_t* a, const int8_t* b, size_t n);
+void DotBatchI8(const int8_t* q, const int8_t* rows, size_t m, size_t d,
+                int32_t* out);
+void WeightedRowSum(const float* values, const uint32_t* idx, size_t m,
+                    const float* x, size_t stride, float* out, size_t n);
+}  // namespace sse2
+
+namespace avx2 {
+float Dot(const float* a, const float* b, size_t n);
+void DotTile(const double* q, size_t m, const double* rows, size_t n,
+             size_t d, float* out, size_t out_stride);
+void AccumulateCosineGradRun(const float* self_hat, const float* others,
+                             size_t stride, const uint32_t* idx,
+                             const float* scores, const float* scales,
+                             size_t m, float* grad, size_t n);
+int32_t DotI8(const int8_t* a, const int8_t* b, size_t n);
+void DotBatchI8(const int8_t* q, const int8_t* rows, size_t m, size_t d,
+                int32_t* out);
+void WeightedRowSum(const float* values, const uint32_t* idx, size_t m,
+                    const float* x, size_t stride, float* out, size_t n);
+}  // namespace avx2
+#endif
 
 // Returns sum_i a[i] * b[i].
 float Dot(const float* a, const float* b, size_t n);
@@ -204,15 +260,30 @@ void Widen(const float* x, size_t n, double* out);
 // Tiled scoring of m queries against n rows (both widened with Widen,
 // row-major with stride d): out[i * out_stride + j] equals
 // Dot(query i, row j, d) over the original float rows, bitwise (see the
-// header note). Each widened row is loaded once per pair of queries and
-// stays in L1 across the whole query block. It scores the trainer's
-// in-batch shards (Algorithm 2: a shard's users against the batch's
-// positives) and the exact catalog scan's query blocks
-// (serve::ShardTopK: a block of users or requests against a chunk of
-// item rows), which the evaluator pass and CatalogScorer::BatchTopK
-// both run.
+// header note). Each widened row is loaded once per block of two (SSE2)
+// or three (AVX2) queries and stays in L1 across the whole query block.
+// It scores the trainer's in-batch shards (Algorithm 2: a shard's users
+// against the batch's positives) and the exact catalog scan's query
+// blocks (serve::ShardTopK: a block of users or requests against a
+// chunk of item rows), which the evaluator pass and
+// CatalogScorer::BatchTopK both run.
 void DotTile(const double* q, size_t m, const double* rows, size_t n,
              size_t d, float* out, size_t out_stride);
+
+// One sparse row times a dense matrix: for j in [0, m), in order,
+//   out[k] += values[j] * x[idx[j] * stride + k]   for k in [0, n),
+// with out starting at +0.0f. It equals, bitwise, Fill(out, n, 0.0f)
+// followed by one Axpy(values[j], x + idx[j] * stride, out, n) per term
+// (the +0.0f start turns a -0.0f first product into +0.0f, as that loop
+// does), but keeps a block of `out` in registers across all the terms
+// instead of loading and storing the row once per term. Repeated ids
+// are fine; `out` must not overlap the rows of x it reads. This is the
+// row kernel of SparseMatrix's products (one CSR or CSC row per call),
+// which carry every graph backbone's propagation. A NaN result is NaN
+// in every tier, but which operand's payload it carries is not part of
+// the contract (the compiler may commute an add or a multiply).
+void WeightedRowSum(const float* values, const uint32_t* idx, size_t m,
+                    const float* x, size_t stride, float* out, size_t n);
 
 // One Adam update of n parameters w in place, with their moment
 // estimates m and v and gradients g. Per element, in double precision:

@@ -13,6 +13,7 @@
 #include "data/synthetic.h"
 #include "graph/bipartite_graph.h"
 #include "gtest/gtest.h"
+#include "math/vec.h"
 #include "models/contrastive.h"
 #include "models/lightgcn.h"
 #include "models/ngcf.h"
@@ -40,35 +41,54 @@ void ExpectBitIdentical(const Matrix& a, const Matrix& b) {
   EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
 }
 
+// d = 7 reaches only the row kernel's scalar and 4-wide parts; d = 64
+// runs its full 32-wide register blocks (AVX2) and 16-wide ones (SSE2).
 TEST(SparseMatrixParallel, MultiplyMatchesSerialBitwise) {
-  Rng rng(1);
-  const SparseMatrix a = RandomSparse(300, 211, 2500, rng);
-  Matrix x(211, 7);
-  x.InitGaussian(rng, 1.0f);
-  Matrix serial(300, 7);
-  a.Multiply(x, serial);
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    runtime::ThreadPool pool(threads);
-    for (size_t grain : {size_t{17}, size_t{128}}) {
-      Matrix out(300, 7);
-      a.Multiply(x, out, pool, grain);
-      ExpectBitIdentical(serial, out);
+  for (const size_t d : {size_t{7}, size_t{64}}) {
+    Rng rng(1);
+    const SparseMatrix a = RandomSparse(300, 211, 2500, rng);
+    Matrix x(211, d);
+    x.InitGaussian(rng, 1.0f);
+    Matrix serial(300, d);
+    a.Multiply(x, serial);
+    // The row kernel against the loop it replaced: a zeroed row plus
+    // one vec::Axpy per nonzero, in CSR order.
+    Matrix axpy(300, d);
+    axpy.SetZero();
+    for (size_t r = 0; r < a.rows(); ++r) {
+      for (size_t k = a.row_offsets()[r]; k < a.row_offsets()[r + 1]; ++k) {
+        vec::Axpy(a.values()[k], x.Row(a.col_indices()[k]), axpy.Row(r), d);
+      }
+    }
+    ExpectBitIdentical(axpy, serial);
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+      runtime::ThreadPool pool(threads);
+      for (size_t grain : {size_t{17}, size_t{128}}) {
+        Matrix out(300, d);
+        a.Multiply(x, out, pool, grain);
+        ExpectBitIdentical(serial, out);
+      }
     }
   }
 }
 
 TEST(SparseMatrixParallel, TransposeMultiplyMatchesSerialBitwise) {
-  Rng rng(2);
-  const SparseMatrix a = RandomSparse(180, 260, 2000, rng);
-  Matrix x(180, 5);
-  x.InitGaussian(rng, 1.0f);
-  Matrix serial(260, 5);
-  a.TransposeMultiply(x, serial);
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    runtime::ThreadPool pool(threads);
-    Matrix out(260, 5);
-    a.TransposeMultiply(x, out, pool, 31);
-    ExpectBitIdentical(serial, out);
+  // The serial product is the index-free vec::Axpy scatter, so this
+  // also holds the pooled CSC gather's row kernel to an independent
+  // oracle.
+  for (const size_t d : {size_t{5}, size_t{64}}) {
+    Rng rng(2);
+    const SparseMatrix a = RandomSparse(180, 260, 2000, rng);
+    Matrix x(180, d);
+    x.InitGaussian(rng, 1.0f);
+    Matrix serial(260, d);
+    a.TransposeMultiply(x, serial);
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+      runtime::ThreadPool pool(threads);
+      Matrix out(260, d);
+      a.TransposeMultiply(x, out, pool, 31);
+      ExpectBitIdentical(serial, out);
+    }
   }
 }
 
@@ -117,27 +137,30 @@ TEST(PropagationEngine, InlineMatchesPooledBitwise) {
 
 TEST(PropagationEngine, MeanPropagateMatchesReferenceBitwise) {
   // Hand-rolled mean-of-powers with the serial SpMM must reproduce the
-  // engine's fused kernel exactly.
+  // engine's fused kernel exactly, at a width inside the row kernel's
+  // 4-wide tail and at the training dim.
   const Dataset d = testing::TinyDataset();
   const BipartiteGraph g(d);
-  Rng rng(5);
-  const int kLayers = 3;
-  Matrix base(g.num_nodes(), 4);
-  base.InitGaussian(rng, 1.0f);
-  Matrix ref = base;
-  Matrix cur = base, next(g.num_nodes(), 4);
-  for (int l = 1; l <= kLayers; ++l) {
-    g.Adjacency().Multiply(cur, next);
-    std::swap(cur, next);
-    ref.AddScaled(cur, 1.0f);
-  }
-  const float inv = 1.0f / static_cast<float>(kLayers + 1);
-  for (size_t k = 0; k < ref.size(); ++k) ref.data()[k] *= inv;
+  for (const size_t dim : {size_t{4}, size_t{64}}) {
+    Rng rng(5);
+    const int kLayers = 3;
+    Matrix base(g.num_nodes(), dim);
+    base.InitGaussian(rng, 1.0f);
+    Matrix ref = base;
+    Matrix cur = base, next(g.num_nodes(), dim);
+    for (int l = 1; l <= kLayers; ++l) {
+      g.Adjacency().Multiply(cur, next);
+      std::swap(cur, next);
+      ref.AddScaled(cur, 1.0f);
+    }
+    const float inv = 1.0f / static_cast<float>(kLayers + 1);
+    for (size_t k = 0; k < ref.size(); ++k) ref.data()[k] *= inv;
 
-  graph::PropagationEngine engine;
-  Matrix out(g.num_nodes(), 4);
-  engine.MeanPropagate(g.Adjacency(), base, kLayers, out);
-  ExpectBitIdentical(ref, out);
+    graph::PropagationEngine engine;
+    Matrix out(g.num_nodes(), dim);
+    engine.MeanPropagate(g.Adjacency(), base, kLayers, out);
+    ExpectBitIdentical(ref, out);
+  }
 }
 
 TEST(PropagationEngine, MeanPropagateAccumAddsOperatorResult) {

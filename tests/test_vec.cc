@@ -3,6 +3,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -193,8 +194,77 @@ TEST(Vec, GatherNormalizeZeroRowIsSafe) {
 
 TEST(Vec, SimdTierIsKnown) {
   const std::string tier = vec::SimdTier();
-  EXPECT_TRUE(tier == "avx2" || tier == "sse2" || tier == "scalar") << tier;
+#if defined(__x86_64__)
+  // The dispatched tier is AVX2 exactly when the CPU (and OS) has it.
+  __builtin_cpu_init();
+  EXPECT_EQ(tier, __builtin_cpu_supports("avx2") ? "avx2" : "sse2");
+#else
+  EXPECT_EQ(tier, "scalar");
+#endif
 }
+
+// One tier's entry points of the kernels that have per-tier forms.
+struct TierKernels {
+  float (*dot)(const float*, const float*, size_t);
+  void (*dot_tile)(const double*, size_t, const double*, size_t, size_t,
+                   float*, size_t);
+  void (*cosine_grad_run)(const float*, const float*, size_t,
+                          const uint32_t*, const float*, const float*, size_t,
+                          float*, size_t);
+  int32_t (*dot_i8)(const int8_t*, const int8_t*, size_t);
+  void (*dot_batch_i8)(const int8_t*, const int8_t*, size_t, size_t,
+                       int32_t*);
+  void (*weighted_row_sum)(const float*, const uint32_t*, size_t,
+                           const float*, size_t, float*, size_t);
+};
+
+constexpr TierKernels kDispatched = {
+    vec::Dot,   vec::DotTile,    vec::AccumulateCosineGradRun,
+    vec::DotI8, vec::DotBatchI8, vec::WeightedRowSum};
+#if defined(__x86_64__)
+constexpr TierKernels kSse2 = {
+    vec::sse2::Dot,   vec::sse2::DotTile,    vec::sse2::AccumulateCosineGradRun,
+    vec::sse2::DotI8, vec::sse2::DotBatchI8, vec::sse2::WeightedRowSum};
+constexpr TierKernels kAvx2 = {
+    vec::avx2::Dot,   vec::avx2::DotTile,    vec::avx2::AccumulateCosineGradRun,
+    vec::avx2::DotI8, vec::avx2::DotBatchI8, vec::avx2::WeightedRowSum};
+#endif
+
+// Runs each kernel contract test on the dispatched kernels and on every
+// x86-64 tier by name: a host that dispatches to AVX2 still holds its
+// SSE2 tier to the vec::ref oracles. A tier the host cannot run shows
+// as skipped, with the reason.
+class VecTier : public ::testing::TestWithParam<std::string> {
+ protected:
+  void SetUp() override {
+    const std::string& tier = GetParam();
+    if (tier == "dispatched") {
+      k_ = kDispatched;
+      return;
+    }
+#if defined(__x86_64__)
+    if (tier == "sse2") {
+      k_ = kSse2;
+      return;
+    }
+    __builtin_cpu_init();
+    if (!__builtin_cpu_supports("avx2")) {
+      GTEST_SKIP() << "this CPU has no AVX2, so the avx2 tier cannot run";
+    }
+    k_ = kAvx2;
+#else
+    GTEST_SKIP() << "the " << tier << " tier exists on x86-64 builds only";
+#endif
+  }
+
+  TierKernels k_{};
+};
+
+INSTANTIATE_TEST_SUITE_P(Tiers, VecTier,
+                         ::testing::Values("dispatched", "sse2", "avx2"),
+                         [](const ::testing::TestParamInfo<std::string>& p) {
+                           return p.param;
+                         });
 
 // Length sweep crossing every SIMD block boundary (4-wide fp32 lanes,
 // 8-wide quantize blocks, 16-wide int8 blocks) plus odd tails.
@@ -202,7 +272,7 @@ const size_t kKernelLens[] = {0,  1,  2,  3,  4,   5,   7,   8,   9,  15, 16,
                               17, 24, 31, 32, 33,  48,  63,  64,  65, 100,
                               127, 128, 129, 200, 255, 256, 257, 333};
 
-TEST(Vec, DotBitwiseMatchesScalarReference) {
+TEST_P(VecTier, DotBitwiseMatchesScalarReference) {
   // The SIMD fp32 dot must reproduce the scalar reference's summation
   // tree exactly (vec.h contract) — EXPECT_EQ, not NEAR.
   Rng rng(21);
@@ -211,21 +281,21 @@ TEST(Vec, DotBitwiseMatchesScalarReference) {
       std::vector<float> a(n), b(n);
       for (auto& v : a) v = static_cast<float>(rng.NextGaussian());
       for (auto& v : b) v = static_cast<float>(rng.NextGaussian());
-      EXPECT_EQ(vec::Dot(a.data(), b.data(), n),
+      EXPECT_EQ(k_.dot(a.data(), b.data(), n),
                 vec::ref::Dot(a.data(), b.data(), n))
           << "n=" << n;
     }
   }
 }
 
-TEST(Vec, DotI8MatchesScalarReferenceExactly) {
+TEST_P(VecTier, DotI8MatchesScalarReferenceExactly) {
   Rng rng(22);
   for (const size_t n : kKernelLens) {
     for (int rep = 0; rep < 8; ++rep) {
       std::vector<int8_t> a(n), b(n);
       for (auto& v : a) v = static_cast<int8_t>(rng.NextInt(-127, 127));
       for (auto& v : b) v = static_cast<int8_t>(rng.NextInt(-127, 127));
-      EXPECT_EQ(vec::DotI8(a.data(), b.data(), n),
+      EXPECT_EQ(k_.dot_i8(a.data(), b.data(), n),
                 vec::ref::DotI8(a.data(), b.data(), n))
           << "n=" << n;
     }
@@ -233,13 +303,13 @@ TEST(Vec, DotI8MatchesScalarReferenceExactly) {
   // Extremes: the maximum-magnitude products must accumulate exactly.
   const size_t n = 256;
   std::vector<int8_t> lo(n, -127), hi(n, 127);
-  EXPECT_EQ(vec::DotI8(lo.data(), hi.data(), n),
+  EXPECT_EQ(k_.dot_i8(lo.data(), hi.data(), n),
             -127 * 127 * static_cast<int32_t>(n));
-  EXPECT_EQ(vec::DotI8(lo.data(), lo.data(), n),
+  EXPECT_EQ(k_.dot_i8(lo.data(), lo.data(), n),
             127 * 127 * static_cast<int32_t>(n));
 }
 
-TEST(Vec, DotBatchI8MatchesPerRowAndReference) {
+TEST_P(VecTier, DotBatchI8MatchesPerRowAndReference) {
   Rng rng(23);
   for (const size_t m : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 9u, 16u, 17u}) {
     for (const size_t d : {1u, 8u, 15u, 16u, 17u, 32u, 128u}) {
@@ -247,11 +317,11 @@ TEST(Vec, DotBatchI8MatchesPerRowAndReference) {
       for (auto& v : q) v = static_cast<int8_t>(rng.NextInt(-127, 127));
       for (auto& v : rows) v = static_cast<int8_t>(rng.NextInt(-127, 127));
       std::vector<int32_t> got(m, -1), want(m, -2);
-      vec::DotBatchI8(q.data(), rows.data(), m, d, got.data());
+      k_.dot_batch_i8(q.data(), rows.data(), m, d, got.data());
       vec::ref::DotBatchI8(q.data(), rows.data(), m, d, want.data());
       for (size_t r = 0; r < m; ++r) {
         EXPECT_EQ(got[r], want[r]) << "m=" << m << " d=" << d << " row " << r;
-        EXPECT_EQ(got[r], vec::DotI8(q.data(), rows.data() + r * d, d))
+        EXPECT_EQ(got[r], vec::ref::DotI8(q.data(), rows.data() + r * d, d))
             << "m=" << m << " d=" << d << " row " << r;
       }
     }
@@ -366,15 +436,15 @@ std::vector<size_t> TileDims() {
   return dims;
 }
 
-TEST(Vec, DotTileBitwiseMatchesDot) {
+TEST_P(VecTier, DotTileBitwiseMatchesDot) {
   // Every entry of the tile must be Dot over the float rows, bit for
   // bit, for odd and even block shapes and an output stride wider than
   // the tile; the padding columns stay untouched.
   Rng rng(41);
   const float kSentinel = 12345.0f;
   for (const size_t d : TileDims()) {
-    for (const size_t m : {1u, 2u, 3u, 5u, 16u}) {
-      for (const size_t n : {1u, 2u, 3u, 5u, 16u}) {
+    for (const size_t m : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 16u}) {
+      for (const size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 16u, 37u}) {
         const std::vector<float> q = HardValues(m * d, rng);
         const std::vector<float> rows = HardValues(n * d, rng);
         std::vector<double> q_wide(m * d), rows_wide(n * d);
@@ -383,15 +453,15 @@ TEST(Vec, DotTileBitwiseMatchesDot) {
         const size_t stride = n + 3;
         std::vector<float> out(m * stride, kSentinel);
         std::vector<float> ref_out(m * stride, kSentinel);
-        vec::DotTile(q_wide.data(), m, rows_wide.data(), n, d, out.data(),
-                     stride);
+        k_.dot_tile(q_wide.data(), m, rows_wide.data(), n, d, out.data(),
+                    stride);
         vec::ref::DotTile(q_wide.data(), m, rows_wide.data(), n, d,
                           ref_out.data(), stride);
         for (size_t i = 0; i < m; ++i) {
           for (size_t j = 0; j < stride; ++j) {
             const float got = out[i * stride + j];
             const float want =
-                j < n ? vec::Dot(q.data() + i * d, rows.data() + j * d, d)
+                j < n ? vec::ref::Dot(q.data() + i * d, rows.data() + j * d, d)
                       : kSentinel;
             EXPECT_EQ(std::bit_cast<uint32_t>(got),
                       std::bit_cast<uint32_t>(want))
@@ -407,7 +477,7 @@ TEST(Vec, DotTileBitwiseMatchesDot) {
   }
 }
 
-TEST(Vec, AccumulateCosineGradRunMatchesCallLoopBitwise) {
+TEST_P(VecTier, AccumulateCosineGradRunMatchesCallLoopBitwise) {
   // A run must be the loop of AccumulateCosineGrad calls it replaces,
   // bit for bit, zero coefficients included (the run skips nothing),
   // with repeated rows, an all-zero norm (the 1e-12 guard) and a row
@@ -443,9 +513,8 @@ TEST(Vec, AccumulateCosineGradRunMatchesCallLoopBitwise) {
                                     scores[j], norm, coeffs[j], want.data(),
                                     n);
         }
-        vec::AccumulateCosineGradRun(self.data(), others.data(), stride,
-                                     idx.data(), scores.data(), scales.data(),
-                                     m, got.data(), n);
+        k_.cosine_grad_run(self.data(), others.data(), stride, idx.data(),
+                           scores.data(), scales.data(), m, got.data(), n);
         vec::ref::AccumulateCosineGradRun(self.data(), others.data(), stride,
                                           idx.data(), scores.data(),
                                           scales.data(), m, ref_got.data(),
@@ -457,6 +526,77 @@ TEST(Vec, AccumulateCosineGradRunMatchesCallLoopBitwise) {
           EXPECT_EQ(std::bit_cast<uint32_t>(ref_got[k]),
                     std::bit_cast<uint32_t>(want[k]))
               << "ref n=" << n << " m=" << m << " norm=" << norm;
+        }
+      }
+    }
+  }
+}
+
+// Bitwise equality, except that a NaN only has to meet a NaN: which
+// operand's payload a NaN result carries is not part of the contract.
+bool SameBitsOrBothNan(float got, float want) {
+  if (std::isnan(want)) return std::isnan(got);
+  return std::bit_cast<uint32_t>(got) == std::bit_cast<uint32_t>(want);
+}
+
+TEST_P(VecTier, WeightedRowSumMatchesFillAxpyBitwise) {
+  // The SpMM row kernel against its definition: Fill(out, 0) and one
+  // Axpy per term, at every width around the tiers' 4, 8, 16 and 32
+  // blocks, on rows of 0, 1 and 40 terms with repeated ids, a wider
+  // row stride, and columns past the row left untouched. Variant 1
+  // makes the first product -0.0f (a +0.0f start turns it into +0.0f);
+  // variant 2 mixes NaN and +-Inf into x and one weight.
+  Rng rng(47);
+  const float kSentinel = 12345.0f;
+  const float kNan = std::numeric_limits<float>::quiet_NaN();
+  const float kInf = std::numeric_limits<float>::infinity();
+  constexpr size_t kRows = 9;
+  for (const size_t d : {1u, 3u, 4u, 7u, 8u, 15u, 16u, 17u, 31u, 32u, 33u,
+                         63u, 64u, 65u}) {
+    for (const size_t m : {0u, 1u, 40u}) {
+      for (const int variant : {0, 1, 2}) {
+        const size_t stride = d + 3;
+        std::vector<float> x = HardValues(kRows * stride, rng);
+        std::vector<uint32_t> idx(m);
+        std::vector<float> values(m);
+        for (size_t j = 0; j < m; ++j) {
+          idx[j] = static_cast<uint32_t>(rng.NextIndex(kRows));
+          values[j] = static_cast<float>(rng.NextGaussian());
+        }
+        if (m > 1) idx[1] = idx[0];
+        if (variant == 1 && m > 0) {
+          // -1e-30 * 1e-30 underflows to -0.0f in every column.
+          values[0] = -1e-30f;
+          for (size_t k = 0; k < d; ++k) x[idx[0] * stride + k] = 1e-30f;
+        }
+        if (variant == 2) {
+          for (size_t e = 0; e < x.size(); e += 5) {
+            x[e] = e % 3 == 0 ? kNan : (e % 3 == 1 ? kInf : -kInf);
+          }
+          if (m > 2) values[2] = kInf;
+        }
+        std::vector<float> want(d + 4, kSentinel);
+        vec::Fill(want.data(), d, 0.0f);
+        for (size_t j = 0; j < m; ++j) {
+          vec::Axpy(values[j], x.data() + idx[j] * stride, want.data(), d);
+        }
+        std::vector<float> got(d + 4, kSentinel), ref_got(d + 4, kSentinel);
+        k_.weighted_row_sum(values.data(), idx.data(), m, x.data(), stride,
+                            got.data(), d);
+        vec::ref::WeightedRowSum(values.data(), idx.data(), m, x.data(),
+                                 stride, ref_got.data(), d);
+        for (size_t k = 0; k < d + 4; ++k) {
+          EXPECT_TRUE(SameBitsOrBothNan(got[k], want[k]))
+              << "d=" << d << " m=" << m << " variant " << variant
+              << " k=" << k << ": " << got[k] << " vs " << want[k];
+          EXPECT_TRUE(SameBitsOrBothNan(ref_got[k], want[k]))
+              << "ref d=" << d << " m=" << m << " variant " << variant;
+        }
+        if (variant == 1 && m == 1) {
+          for (size_t k = 0; k < d; ++k) {
+            EXPECT_EQ(std::bit_cast<uint32_t>(got[k]), 0u)
+                << "d=" << d << ": -0.0f first product must give +0.0f";
+          }
         }
       }
     }

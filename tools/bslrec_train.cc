@@ -243,9 +243,11 @@ int main(int argc, char** argv) {
                  bad.shard_loss, bad.epoch, bad.batch, bad.shard);
     return 1;
   }
+  // Round-trip precision: two runs print the same line exactly when
+  // their metrics are the same doubles.
   std::printf(
-      "best (epoch %d): Recall@%u %.4f  NDCG@%u %.4f  Precision@%u %.4f  "
-      "HitRate@%u %.4f\n",
+      "best (epoch %d): Recall@%u %.17g  NDCG@%u %.17g  Precision@%u %.17g  "
+      "HitRate@%u %.17g\n",
       result.best_epoch, opts.eval_k, result.best.recall, opts.eval_k,
       result.best.ndcg, opts.eval_k, result.best.precision, opts.eval_k,
       result.best.hit_rate);
