@@ -1,13 +1,12 @@
 // Inference-service bench: per-batch latency percentiles (p50/p99) and
-// request throughput for the sharded top-k scorer across its three
-// serving modes — exact fp32 scan, int8 quantized two-phase scan
-// (ServeConfig::quantize), and IVF approximate retrieval
+// request throughput for the sharded top-k scorer across its two
+// serving modes — exact fp32 scan and IVF approximate retrieval
 // (ServeConfig::exact = false) — across batch sizes and 1 / 2 /
-// hardware threads. Probes gate the exit code: quantized responses must
-// be bit-identical to the exact 1-thread baseline for every worker
-// count; IVF responses must be bit-identical across thread counts,
-// shard grains, and batch packings (and equal the exact scan outright
-// at nprobe >= nlist with fp32 lists). Emits machine-readable
+// hardware threads. Probes gate the exit code: exact responses must be
+// bit-identical to the 1-thread baseline for every worker count; IVF
+// responses must be bit-identical across thread counts, shard grains,
+// and batch packings (and equal the exact scan outright at
+// nprobe >= nlist with fp32 lists). Emits machine-readable
 // BENCH_serve.json into the working directory.
 //
 // An ANN tier sweeps (nlist, nprobe) and reports recall@k of each
@@ -29,7 +28,7 @@
 // counts, plus a sustained train-and-serve scenario where snapshots
 // are hot-swapped mid-traffic. Every front-door response is probed
 // bit-identical to the synchronous path against the snapshot that
-// served it; the probe gates the exit code alongside the quantized one.
+// served it; the probe gates the exit code alongside the others.
 //
 // A loopback socket tier then re-runs the closed loop through
 // serve::NetServer: the same producer counts, but each producer is a
@@ -56,10 +55,7 @@
 // Tiers:
 //   BSLREC_FAST=1   tiny catalog, few reps (CI smoke)
 //   BSLREC_SCALE=1  serving-scale: 100k-item catalog, dim 128,
-//                   power-law (zipf) item popularity — the regime where
-//                   the 4x memory-traffic cut of the int8 scan shows up
-//                   as req/s. On a multi-core host quantized should
-//                   beat exact here; single-core it is informational.
+//                   power-law (zipf) item popularity.
 //   (neither)       mid-size default
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -93,7 +89,7 @@ namespace {
 using namespace bslrec;  // NOLINT: bench-local convenience
 
 struct ServePoint {
-  const char* mode;  // "exact" | "quantized" | "ivf"
+  const char* mode;  // "exact" | "ivf"
   size_t threads;
   size_t batch;
   double p50_ms;
@@ -147,7 +143,6 @@ serve::ServeConfig MakeConfig(uint32_t k, size_t threads, const char* mode) {
   sc.max_k = k;
   sc.cache_rankings = false;  // measure scoring, not cache hits
   sc.runtime.num_threads = threads;
-  if (std::strcmp(mode, "quantized") == 0) sc.quantize = true;
   if (std::strcmp(mode, "ivf") == 0) sc.exact = false;  // auto nlist, nprobe 8
   return sc;
 }
@@ -349,7 +344,7 @@ int main() {
 
   std::vector<ServePoint> points;
   for (size_t threads : ThreadCounts()) {
-    for (const char* mode : {"exact", "quantized", "ivf"}) {
+    for (const char* mode : {"exact", "ivf"}) {
       serve::InferenceService service(data, model,
                                       MakeConfig(k, threads, mode));
       for (size_t batch : batch_sizes) {
@@ -389,66 +384,27 @@ int main() {
     }
   }
 
-  // Quantized-vs-exact throughput at the widest point (hw threads,
-  // largest batch): the headline the scale tier exists to measure.
-  double speedup_at_hw = 0.0;
-  {
-    double exact_rps = 0.0, quant_rps = 0.0;
-    for (const ServePoint& p : points) {
-      if (p.threads == ThreadCounts().back() &&
-          p.batch == batch_sizes.back()) {
-        if (std::strcmp(p.mode, "exact") == 0) exact_rps = p.requests_per_sec;
-        if (std::strcmp(p.mode, "quantized") == 0) {
-          quant_rps = p.requests_per_sec;
-        }
-      }
-    }
-    if (exact_rps > 0.0) speedup_at_hw = quant_rps / exact_rps;
-    std::printf("quantized vs exact at hw threads, batch %zu: %.2fx\n",
-                batch_sizes.back(), speedup_at_hw);
-    if (runtime::ResolveNumThreads(0) > 1) {
-      std::printf("quantized strictly faster at hw threads: %s\n",
-                  speedup_at_hw > 1.0 ? "yes" : "NO");
-    } else {
-      std::printf(
-          "single hardware core: phase-1 bandwidth win is muted "
-          "(informational only)\n");
-    }
-  }
-
   // ---- bit-identity probe (gates the exit code) ----
-  // Every mode at every worker count must reproduce the exact scorer's
-  // 1-thread responses bitwise — the quantized scan is an acceleration
-  // structure, never a different ranking function.
+  // The exact scorer at every worker count must reproduce its 1-thread
+  // responses bitwise.
   bool identical = true;
-  serve::CatalogScorer::Stats quant_stats;
   {
     const std::vector<serve::TopKRequest> probe =
         MakeRequests(scale ? 32 : 64, data.num_users(), k, 97);
     serve::InferenceService baseline(data, model, MakeConfig(k, 1, "exact"));
     const auto want = baseline.HandleBatch(probe);
     for (size_t threads : ThreadCounts()) {
-      for (const char* mode : {"exact", "quantized"}) {
-        serve::InferenceService service(data, model,
-                                        MakeConfig(k, threads, mode));
-        const auto got = service.HandleBatch(probe);
-        for (size_t r = 0; r < probe.size(); ++r) {
-          identical = identical && got[r].items == want[r].items &&
-                      got[r].scores == want[r].scores;
-        }
-        if (std::strcmp(mode, "quantized") == 0) {
-          const serve::CatalogScorer::Stats st = service.scorer().stats();
-          quant_stats.shards_scanned += st.shards_scanned;
-          quant_stats.shards_fallback += st.shards_fallback;
-        }
+      serve::InferenceService service(data, model,
+                                      MakeConfig(k, threads, "exact"));
+      const auto got = service.HandleBatch(probe);
+      for (size_t r = 0; r < probe.size(); ++r) {
+        identical = identical && got[r].items == want[r].items &&
+                    got[r].scores == want[r].scores;
       }
     }
   }
-  std::printf("quantized/exact bit-identical across thread counts: %s\n",
+  std::printf("exact bit-identical across thread counts: %s\n",
               identical ? "yes" : "NO — BUG");
-  std::printf("quantized probe scan: %llu shard tasks, %llu exact fallbacks\n",
-              static_cast<unsigned long long>(quant_stats.shards_scanned),
-              static_cast<unsigned long long>(quant_stats.shards_fallback));
 
   // ---- ANN determinism probes (gate the exit code) ----
   // IVF responses are a pure function of (snapshot, request): the
@@ -591,11 +547,7 @@ int main() {
         }
         p.recall_at_k =
             counted > 0 ? recall_sum / static_cast<double>(counted) : 1.0;
-        const serve::CatalogScorer::Stats st = service.scorer().stats();
-        ivf_stats.ivf_queries += st.ivf_queries;
-        ivf_stats.ivf_lists += st.ivf_lists;
-        ivf_stats.ivf_candidates += st.ivf_candidates;
-        ivf_stats.ivf_reranked += st.ivf_reranked;
+        ivf_stats += service.scorer().stats();
         ann_points.push_back(p);
         std::printf(
             "ivf nlist=%-4u nprobe=%-3u  recall@%u %.4f  p50 %.3f ms  "
@@ -1084,13 +1036,6 @@ int main() {
                  p.requests_per_sec, i + 1 < points.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
-  std::fprintf(out, "  \"quantized_speedup_at_hw_threads\": %.3f,\n",
-               speedup_at_hw);
-  std::fprintf(out,
-               "  \"quantized_probe_scan\": {\"shard_tasks\": %llu, "
-               "\"exact_fallbacks\": %llu},\n",
-               static_cast<unsigned long long>(quant_stats.shards_scanned),
-               static_cast<unsigned long long>(quant_stats.shards_fallback));
   std::fprintf(out,
                "  \"ann\": {\"k\": %u, \"exact_requests_per_sec\": %.1f, "
                "\"points\": [\n",

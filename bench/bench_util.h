@@ -81,10 +81,10 @@ inline bool ScaleMode() {
 //
 // Every BENCH_*.json leads with a "machine" object so a results file is
 // interpretable without knowing which host produced it: thread count,
-// SIMD tier the binary dispatched to, cache geometry (the quantized
-// catalog scan is a cache-footprint play), and which env switches
-// shaped the workload. Cache fields are 0 when sysfs is unavailable
-// (non-Linux, restricted containers) — absent, not wrong.
+// SIMD tier the binary dispatched to, cache geometry (the tiled exact
+// scan and the int8 IVF lists are cache-footprint plays), and which env
+// switches shaped the workload. Cache fields are 0 when sysfs is
+// unavailable (non-Linux, restricted containers) — absent, not wrong.
 
 struct MachineTopology {
   size_t hardware_threads = 0;

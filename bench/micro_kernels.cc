@@ -461,10 +461,10 @@ void RegisterTieredBenchmarks() {
   }
 }
 
-// ---- int8 catalog-scan kernels (quantized two-phase scorer) ----
+// ---- int8 IVF list-scan kernels (ScorerOptions::quantize) ----
 // SIMD dispatch vs the always-compiled scalar reference (vec::ref), and
-// the batched int8 scan vs the fp32 DotBatch it displaces in phase 1 —
-// the latter pair is the memory-traffic argument in numbers.
+// the batched int8 list scan vs the fp32 DotBatch of an fp32 list — the
+// latter pair is the memory-traffic argument in numbers.
 
 std::vector<int8_t> QuantizedVec(size_t n, uint64_t seed) {
   Rng rng(seed);
@@ -495,7 +495,7 @@ void BM_DotI8Ref(benchmark::State& state) {
 }
 BENCHMARK(BM_DotI8Ref)->Arg(16)->Arg(64)->Arg(128)->Arg(256);
 
-// One phase-1 shard scan: 64 catalog rows against one quantized query.
+// One int8 list scan: 64 grouped rows against one quantized query.
 // Compare against BM_DotBatchBlocked at the same dim for the int8 vs
 // fp32 bandwidth story.
 void BM_DotBatchI8(benchmark::State& state) {

@@ -58,14 +58,7 @@ Evaluator::Pass::Pass(const Evaluator& eval,
   BSLREC_CHECK_MSG(snapshot_->num_users() == eval_.data_.num_users() &&
                        snapshot_->num_items() == eval_.data_.num_items(),
                    "snapshot shape does not match the evaluator's dataset");
-  BSLREC_CHECK(eval_.scoring_.items_per_shard > 0);
-  BSLREC_CHECK_MSG(
-      !eval_.scoring_.quantize || snapshot_->has_quantized_items(),
-      "quantized evaluator pass needs a snapshot built with "
-      "SnapshotOptions::quantize_items");
-  BSLREC_CHECK_MSG(eval_.scoring_.exact || snapshot_->ivf() != nullptr,
-                   "approximate (exact = false) evaluator pass needs a "
-                   "snapshot built with SnapshotOptions::ivf.build");
+  serve::CheckScorerOptions(*snapshot_, eval_.scoring_);
 }
 
 void Evaluator::Pass::RankUsers(std::span<const uint32_t> users, uint32_t k,

@@ -38,12 +38,11 @@
 //
 // The `scoring` options pick the tier BlockTopK runs per pass:
 //   * default — exact full-catalog scan, tiled per user block;
-//   * `quantize` — certified int8 two-phase scan per user, metrics
-//     bit-identical to exact;
 //   * `exact = false` — ANN through the snapshot's IVF index at
 //     `nprobe` probes, per user: the *approximate evaluation pass*,
-//     measuring exactly the lists ANN serving would return (with
-//     nprobe >= nlist it degenerates to the exact metrics bitwise).
+//     measuring exactly the lists ANN serving would return (with fp32
+//     lists and nprobe >= nlist it degenerates to the exact metrics
+//     bitwise); `quantize` scans the lists as int8 first.
 // Every tier runs serially per block inside the parallel user loop, so
 // all metric variants are bit-identical for any worker count.
 #ifndef BSLREC_EVAL_EVALUATOR_H_
@@ -75,10 +74,9 @@ class Evaluator {
  public:
   // `data` must outlive the evaluator. The evaluator owns a pool sized
   // from `runtime` (default: one worker per hardware thread).
-  // `scoring` selects the ranking kernel: with `scoring.quantize` every
-  // per-user catalog scan runs through the certified two-phase
-  // quantized path (see topk_scorer.h) — metrics are bit-identical to
-  // the exact scan, only the pass latency changes.
+  // `scoring` selects the ranking tier (see above and topk_scorer.h);
+  // each pass aborts on options its snapshot cannot serve
+  // (serve::CheckScorerOptions).
   Evaluator(const Dataset& data, uint32_t k,
             runtime::RuntimeConfig runtime = {},
             serve::ScorerOptions scoring = {});

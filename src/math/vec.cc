@@ -366,19 +366,6 @@ float QuantizeRow(const float* x, size_t n, int8_t* out) {
 #endif
 }
 
-double L1Norm(const float* x, size_t n) {
-  double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
-  size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    acc0 += std::fabs(static_cast<double>(x[k + 0]));
-    acc1 += std::fabs(static_cast<double>(x[k + 1]));
-    acc2 += std::fabs(static_cast<double>(x[k + 2]));
-    acc3 += std::fabs(static_cast<double>(x[k + 3]));
-  }
-  for (; k < n; ++k) acc0 += std::fabs(static_cast<double>(x[k]));
-  return (acc0 + acc1) + (acc2 + acc3);
-}
-
 void Axpy(float alpha, const float* x, float* y, size_t n) {
   size_t k = 0;
   for (; k + 4 <= n; k += 4) {

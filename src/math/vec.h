@@ -162,8 +162,8 @@ float Dot(const float* a, const float* b, size_t n);
 int32_t DotI8(const int8_t* a, const int8_t* b, size_t n);
 
 // Batch form: out[r] = DotI8(q, rows + r*d, d) for r in [0, m). `rows`
-// is a contiguous m x d int8 block (a quantized item shard). This is
-// the phase-1 scan kernel of the quantized catalog scorer.
+// is a contiguous m x d int8 block (an IVF list's grouped int8 rows).
+// This is the IVF list-scan kernel under ScorerOptions::quantize.
 void DotBatchI8(const int8_t* q, const int8_t* rows, size_t m, size_t d,
                 int32_t* out);
 
@@ -173,10 +173,6 @@ void DotBatchI8(const int8_t* q, const int8_t* rows, size_t m, size_t d,
 // error |x[i] - out[i]*scale| <= scale * (0.5 + eps)). An all-zero row
 // gets scale 0 and all-zero codes.
 float QuantizeRow(const float* x, size_t n, int8_t* out);
-
-// Returns sum_i |x[i]|, accumulated in double with the same four-lane
-// fixed summation tree as Dot (deterministic, context-independent).
-double L1Norm(const float* x, size_t n);
 
 // y += alpha * x  (the classic AXPY update).
 void Axpy(float alpha, const float* x, float* y, size_t n);

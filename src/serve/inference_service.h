@@ -42,7 +42,7 @@ class InferenceService {
 
   const ModelSnapshot& snapshot() const { return snapshot_; }
   const ServeConfig& config() const { return config_; }
-  // Scan statistics (quantized mode: shards scanned / fallbacks).
+  // Per-tier scan statistics (CatalogScorer::Stats).
   const CatalogScorer& scorer() const { return engine_->scorer(); }
 
   TopKResponse Handle(const TopKRequest& request);

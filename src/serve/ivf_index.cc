@@ -31,8 +31,7 @@ uint32_t AssignRow(const float* row, const float* centroids, uint32_t nlist,
 
 }  // namespace
 
-IvfIndex::IvfIndex(const Matrix& items, const int8_t* codes,
-                   const float* scales, runtime::ThreadPool& pool,
+IvfIndex::IvfIndex(const Matrix& items, runtime::ThreadPool& pool,
                    const IvfBuildOptions& options) {
   num_items_ = static_cast<uint32_t>(items.rows());
   dim_ = items.cols();
@@ -156,9 +155,11 @@ IvfIndex::IvfIndex(const Matrix& items, const int8_t* codes,
   }
 
   // Grouped representation tables in posting order: list visits become
-  // contiguous fused scans. Per-position fills — deterministic.
+  // contiguous fused scans. Per-position fills — deterministic. Each
+  // int8 row quantizes its grouped fp32 row, a bitwise copy of the item
+  // row, so the codes depend only on the item.
   grouped_f32_.resize(static_cast<size_t>(num_items_) * dim_);
-  if (codes != nullptr) {
+  if (options.int8_lists) {
     grouped_codes_.resize(static_cast<size_t>(num_items_) * dim_);
     grouped_scale_.resize(num_items_);
   }
@@ -166,13 +167,11 @@ IvfIndex::IvfIndex(const Matrix& items, const int8_t* codes,
       pool, 0, num_items_, kIvfGrain,
       [&](size_t lo, size_t hi, size_t /*shard*/, size_t /*worker*/) {
         for (size_t p = lo; p < hi; ++p) {
-          const size_t id = list_items_[p];
-          std::memcpy(grouped_f32_.data() + p * dim_, items.Row(id),
-                      dim_ * sizeof(float));
-          if (codes != nullptr) {
-            std::memcpy(grouped_codes_.data() + p * dim_, codes + id * dim_,
-                        dim_ * sizeof(int8_t));
-            grouped_scale_[p] = scales[id];
+          float* row = grouped_f32_.data() + p * dim_;
+          std::memcpy(row, items.Row(list_items_[p]), dim_ * sizeof(float));
+          if (options.int8_lists) {
+            grouped_scale_[p] =
+                vec::QuantizeRow(row, dim_, grouped_codes_.data() + p * dim_);
           }
         }
       });

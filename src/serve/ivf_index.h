@@ -12,9 +12,10 @@
 //     catalog-length array of item ids, ascending within each list, and
 //   * *grouped* copies of the item representations in posting order —
 //     always the fp32 rows (bitwise equal to the snapshot's ItemVec
-//     rows, so the exact re-rank reads only the index), plus the int8
-//     codes/scales when the snapshot carries that table — so visiting
-//     a list is a contiguous fused scan, never a gather.
+//     rows, so the exact re-rank reads only the index), plus, with
+//     `int8_lists`, each grouped row's symmetric int8 codes and scale
+//     (vec::QuantizeRow) — so visiting a list is a contiguous fused
+//     scan, never a gather.
 //
 // Determinism: the k-means is a fixed-iteration Lloyd loop with a
 // serial seeded init (math/rng.h), parallelized per the PR 1 contract
@@ -28,8 +29,8 @@
 // order — is argued in topk_scorer.h, where the query path lives.
 //
 // Quality: an IVF probe is approximate — items whose list is not probed
-// are invisible to the query — so, unlike the certified int8 scan, ANN
-// results may diverge from the exact ranking. bench_serve measures the
+// are invisible to the query — so, unlike the exact scan, ANN results
+// may diverge from the exact ranking. bench_serve measures the
 // divergence as recall@k-vs-exact across an (nlist, nprobe) sweep.
 #ifndef BSLREC_SERVE_IVF_INDEX_H_
 #define BSLREC_SERVE_IVF_INDEX_H_
@@ -47,6 +48,9 @@ struct IvfBuildOptions {
   // Master switch (SnapshotOptions::ivf.build): off by default, so
   // plain snapshots pay nothing.
   bool build = false;
+  // Also keep int8 codes of the grouped rows (enables
+  // ScorerOptions::quantize's int8 list scan).
+  bool int8_lists = false;
   // Coarse list count; 0 = ceil(sqrt(num_items)), always clamped to
   // [1, num_items].
   uint32_t nlist = 0;
@@ -65,11 +69,10 @@ struct IvfBuildOptions {
 class IvfIndex {
  public:
   // Builds the index over `items` (L2-normalized rows — the snapshot's
-  // item table). `codes`/`scales` point at the snapshot's int8 table
-  // (row-major codes, per-row scale) or are null; grouped int8 copies
-  // are built when present. `pool` is only used during construction.
-  IvfIndex(const Matrix& items, const int8_t* codes, const float* scales,
-           runtime::ThreadPool& pool, const IvfBuildOptions& options);
+  // item table), with grouped int8 rows under options.int8_lists.
+  // `pool` is only used during construction.
+  IvfIndex(const Matrix& items, runtime::ThreadPool& pool,
+           const IvfBuildOptions& options);
 
   uint32_t nlist() const { return nlist_; }
   size_t dim() const { return dim_; }
@@ -91,6 +94,8 @@ class IvfIndex {
     return grouped_f32_.data() + static_cast<size_t>(p) * dim_;
   }
 
+  // Grouped int8 row at position p, present iff built with int8_lists
+  // over a non-empty catalog: Row(p)[j] ~= Codes(p)[j] * Scale(p).
   bool has_codes() const { return !grouped_scale_.empty(); }
   const int8_t* Codes(uint32_t p) const {
     return grouped_codes_.data() + static_cast<size_t>(p) * dim_;
@@ -105,8 +110,8 @@ class IvfIndex {
   std::vector<uint32_t> list_offsets_; // nlist + 1
   std::vector<uint32_t> list_items_;   // num_items, grouped by list
   std::vector<float> grouped_f32_;     // num_items x dim, posting order
-  std::vector<int8_t> grouped_codes_;  // iff codes given
-  std::vector<float> grouped_scale_;   // iff codes given
+  std::vector<int8_t> grouped_codes_;  // iff int8_lists
+  std::vector<float> grouped_scale_;   // iff int8_lists
 };
 
 }  // namespace bslrec::serve

@@ -17,27 +17,19 @@
 // `runtime::ThreadPool`; rows are independent, so the fill is
 // bit-identical for any worker count.
 //
-// With `SnapshotOptions::quantize_items` the snapshot additionally
-// carries a symmetric int8-quantized copy of the item table (per-item
-// scale, built in the same parallel freeze) plus the per-item scalars
-// the quantized scorer's certification bound needs. The quantized table
-// is an *acceleration structure*, not an approximation of the snapshot:
-// every served score is still computed from the fp32 rows (see
-// topk_scorer.h), so a quantized snapshot answers identically to an
-// unquantized one.
-//
 // With `SnapshotOptions::ivf` the snapshot also carries an IVF coarse
 // index (ivf_index.h) built over the normalized item table at freeze
-// time. It trades exactness for speed, driving true ANN retrieval
-// (`ScorerOptions::exact = false`; topk_scorer.h documents the scan and
-// its determinism guarantees). `serve::SnapshotOptionsFor` maps scorer
-// options to the tables they read.
+// time, optionally with int8 copies of its grouped list rows
+// (`IvfBuildOptions::int8_lists`). It trades exactness for speed,
+// driving true ANN retrieval (`ScorerOptions::exact = false`;
+// topk_scorer.h documents the scan and its determinism guarantees).
+// `serve::SnapshotOptionsFor` maps scorer options to the tables they
+// read.
 #ifndef BSLREC_SERVE_MODEL_SNAPSHOT_H_
 #define BSLREC_SERVE_MODEL_SNAPSHOT_H_
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "math/matrix.h"
 #include "models/model.h"
@@ -47,10 +39,9 @@
 namespace bslrec::serve {
 
 struct SnapshotOptions {
-  // Also build the int8 item table (enables ScorerOptions::quantize).
-  bool quantize_items = false;
   // With ivf.build, also build the IVF coarse index over the item table
-  // (enables ScorerOptions::exact = false). See ivf_index.h.
+  // (enables ScorerOptions::exact = false, and with ivf.int8_lists
+  // ScorerOptions::quantize). See ivf_index.h.
   IvfBuildOptions ivf;
 };
 
@@ -69,17 +60,6 @@ class ModelSnapshot {
   const float* UserVec(uint32_t u) const { return user_normed_.Row(u); }
   const float* ItemVec(uint32_t i) const { return item_normed_.Row(i); }
 
-  // Quantized item table (present iff built with quantize_items).
-  bool has_quantized_items() const { return !item_scale_.empty(); }
-  // int8 codes of item row i: ItemVec(i)[j] ~= ItemCodes(i)[j]*ItemScale(i).
-  const int8_t* ItemCodes(uint32_t i) const {
-    return item_codes_.data() + static_cast<size_t>(i) * dim_;
-  }
-  float ItemScale(uint32_t i) const { return item_scale_[i]; }
-  // ItemScale(i) * sum_j |ItemCodes(i)[j]| — the per-item factor of the
-  // quantized scorer's error bound, precomputed at freeze time.
-  float ItemScaleL1(uint32_t i) const { return item_scale_l1_[i]; }
-
   // IVF coarse index (non-null iff built with ivf.build).
   const IvfIndex* ivf() const { return ivf_.get(); }
 
@@ -89,9 +69,6 @@ class ModelSnapshot {
   size_t dim_;
   Matrix user_normed_;
   Matrix item_normed_;
-  std::vector<int8_t> item_codes_;     // num_items x dim, row-major
-  std::vector<float> item_scale_;      // per item
-  std::vector<float> item_scale_l1_;   // per item
   std::unique_ptr<const IvfIndex> ivf_;
 };
 

@@ -56,19 +56,20 @@ struct ServeConfig {
   uint32_t items_per_shard = CatalogScorer::kDefaultItemsPerShard;
   // Disable to score every request from scratch (benchmarks).
   bool cache_rankings = true;
-  // Build an int8 item table at snapshot time and serve through the
-  // certified two-phase quantized scan (see topk_scorer.h). Responses
-  // are bit-identical to the exact scorer; only latency changes.
+  // Scan the IVF lists as int8 (built at snapshot time), then re-rank
+  // the survivors in fp32 (see topk_scorer.h). Needs exact = false.
   bool quantize = false;
-  // Extra phase-1 candidates per shard beyond each request's k.
+  // Extra int8 candidates per request beyond its k, kept for the fp32
+  // re-rank.
   uint32_t candidate_margin = kDefaultCandidateMargin;
   // With exact = false, serve through the snapshot's IVF index (built
   // automatically): probe the top-nprobe coarse lists and exact fp32
   // re-rank the gathered candidates. See topk_scorer.h.
   bool exact = true;
   uint32_t nprobe = kDefaultNprobe;
-  // Index shape for ANN serving (ivf.build is forced on when !exact;
-  // set it directly to build the index without serving through it).
+  // Index shape for ANN serving (ivf.build is forced on when !exact and
+  // ivf.int8_lists follows quantize; set ivf.build directly to build the
+  // index without serving through it).
   IvfBuildOptions ivf;
   runtime::RuntimeConfig runtime;
 };

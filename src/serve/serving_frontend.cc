@@ -55,13 +55,8 @@ void FailPromise(std::promise<ServedResponse>& promise,
 
 }  // namespace
 
-DegradeMode BrownoutModeFor(const ModelSnapshot& snapshot,
-                            const ServeConfig& serve) {
-  if (snapshot.ivf() != nullptr) return DegradeMode::kIvf;
-  if (snapshot.has_quantized_items() && !serve.quantize) {
-    return DegradeMode::kQuantized;
-  }
-  return DegradeMode::kNone;
+DegradeMode BrownoutModeFor(const ModelSnapshot& snapshot) {
+  return snapshot.ivf() != nullptr ? DegradeMode::kIvf : DegradeMode::kNone;
 }
 
 ServeConfig BrownoutServeConfigFor(const ServeConfig& serve, DegradeMode mode,
@@ -78,10 +73,6 @@ ServeConfig BrownoutServeConfigFor(const ServeConfig& serve, DegradeMode mode,
       out.nprobe = brownout_nprobe;
       out.quantize = false;
       break;
-    case DegradeMode::kQuantized:
-      out.exact = true;
-      out.quantize = true;
-      break;
   }
   return out;
 }
@@ -94,7 +85,7 @@ ServingFrontEnd::State::State(const Dataset& data,
       seq(sequence),
       engine(data, *snapshot, pool, config.serve) {
   if (config.brownout.enable) {
-    brownout_mode = BrownoutModeFor(*snapshot, config.serve);
+    brownout_mode = BrownoutModeFor(*snapshot);
     if (brownout_mode != DegradeMode::kNone) {
       brownout_engine = std::make_unique<RankingEngine>(
           data, *snapshot, pool,
@@ -123,8 +114,8 @@ ServingFrontEnd::ServingFrontEnd(const Dataset& data,
   // pool's sole driver here — the one place besides the dispatcher
   // allowed to use it.
   SnapshotOptions options = SnapshotOptionsFor(config_.serve);
-  // With brownout enabled, build the IVF index too so the best
-  // degraded tier exists on the initial snapshot.
+  // With brownout enabled, build the IVF index too so the degraded
+  // tier exists on the initial snapshot.
   if (config_.brownout.enable) options.ivf.build = true;
   Init(std::make_shared<const ModelSnapshot>(model, pool_, options));
 }
@@ -310,10 +301,6 @@ uint64_t ServingFrontEnd::PublishSnapshot(
   BSLREC_CHECK(snapshot != nullptr);
   BSLREC_CHECK(snapshot->num_users() == data_.num_users());
   BSLREC_CHECK(snapshot->num_items() == data_.num_items());
-  BSLREC_CHECK_MSG(
-      !config_.serve.quantize || snapshot->has_quantized_items(),
-      "FrontEndConfig::serve.quantize requires snapshots built with "
-      "SnapshotOptions::quantize_items");
   std::lock_guard<std::mutex> publish_lock(publish_mu_);
   const uint64_t seq = next_seq_++;
   // Engine construction never drives the pool (ranking_engine.h), so

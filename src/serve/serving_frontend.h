@@ -67,16 +67,15 @@
 //     queue depth (and optionally observed batch latency) and trades
 //     ranking exactness for bounded latency when the front door falls
 //     behind: past the high-water mark it switches scoring to the
-//     snapshot's cheapest tier — the IVF index at `brownout.nprobe`
-//     probes when the snapshot has one, else the int8 quantized scan
-//     (which is exact in results, cheaper in memory traffic) — and
-//     recovers to the configured tier once depth falls to the
-//     low-water mark (hysteresis, so the mode cannot flap
-//     batch-to-batch). Every
-//     response scored in brownout is marked `degraded` with the
-//     `DegradeMode` used. `BrownoutModeFor` / `BrownoutServeConfigFor`
-//     expose the exact tier selection so callers can construct the
-//     bit-identical reference service for any response.
+//     snapshot's IVF index at `brownout.nprobe` probes, and recovers
+//     to the configured tier once depth falls to the low-water mark
+//     (hysteresis, so the mode cannot flap batch-to-batch). A snapshot
+//     without an index has no cheaper tier, so brownout never engages
+//     on it. Every response scored in brownout is marked `degraded`
+//     with the `DegradeMode` used. `BrownoutModeFor` /
+//     `BrownoutServeConfigFor` expose the exact tier selection so
+//     callers can construct the bit-identical reference service for
+//     any response.
 //   * Determinism contract under brownout: admission and brownout
 //     decide *whether and at what tier* a request is served — never
 //     the bits of a served ranking at a given tier. A response served
@@ -202,12 +201,10 @@ class DeadlineExceededError : public ServeError {
   DeadlineStage stage_;
 };
 
-// The degraded tier a brownout would serve `snapshot` at under `serve`
-// (kNone = no cheaper tier available: brownout cannot engage). The
-// ladder: the IVF index when the snapshot has one, else the int8 table
-// when the configured tier does not already scan it.
-DegradeMode BrownoutModeFor(const ModelSnapshot& snapshot,
-                            const ServeConfig& serve);
+// The degraded tier a brownout would serve `snapshot` at: kIvf when the
+// snapshot has an IVF index, else kNone (no cheaper tier: brownout
+// cannot engage).
+DegradeMode BrownoutModeFor(const ModelSnapshot& snapshot);
 // The ServeConfig of the brownout tier — build an InferenceService /
 // RankingEngine from this to reproduce a degraded response bitwise.
 ServeConfig BrownoutServeConfigFor(const ServeConfig& serve, DegradeMode mode,
@@ -254,8 +251,8 @@ struct FrontEndConfig {
   // faults. Called only from the dispatcher thread.
   std::shared_ptr<FaultInjector> fault_injector;
   // Scoring configuration (ServeConfig::runtime sizes the private
-  // pool; quantize requires published snapshots built with
-  // SnapshotOptions::quantize_items).
+  // pool; every published snapshot must carry the tables it reads, see
+  // serve::CheckScorerOptions).
   ServeConfig serve;
 };
 
@@ -318,7 +315,7 @@ class ServingFrontEnd {
   // Convenience: freezes `model` into the initial snapshot on the
   // front end's own pool (safe — the dispatcher has not started yet).
   // With brownout enabled the snapshot is additionally built with an
-  // IVF index so the best degraded tier exists.
+  // IVF index so the degraded tier exists.
   ServingFrontEnd(const Dataset& data, const EmbeddingModel& model,
                   FrontEndConfig config = {});
   // Drains the queue (every request served or failed), then joins the
@@ -362,7 +359,7 @@ class ServingFrontEnd {
   std::shared_ptr<const ModelSnapshot> current_snapshot() const;
   uint64_t current_seq() const;
   // The degraded tier brownout would use for the current publication
-  // (kNone = brownout disabled or no cheaper tier on this snapshot).
+  // (kNone = brownout disabled or no IVF index on this snapshot).
   DegradeMode current_brownout_mode() const;
 
   // Blocks until the front end is quiescent: both lanes empty and no
@@ -391,7 +388,7 @@ class ServingFrontEnd {
     uint64_t seq;
     RankingEngine engine;  // the configured (primary) tier
     // Brownout tier for this snapshot; null when brownout is off or
-    // the snapshot has no cheaper representation.
+    // the snapshot has no IVF index.
     DegradeMode brownout_mode = DegradeMode::kNone;
     std::unique_ptr<RankingEngine> brownout_engine;
   };

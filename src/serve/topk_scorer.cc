@@ -25,33 +25,17 @@ void KeepTopK(std::vector<ScoredItem>& pool, uint32_t k) {
   pool.resize(static_cast<size_t>(kk));
 }
 
-// k + margin phase-1 candidates, saturating.
+// k + margin int8 candidates kept for the fp32 re-rank, saturating.
 uint32_t CandidateCount(uint32_t k, uint32_t margin) {
   return k > UINT32_MAX - margin ? UINT32_MAX : k + margin;
-}
-
-// Prepares `query` (dim d) for ShardTopK, quantizing it into `codes` (d
-// entries, which must outlive the result) unless `codes` is null.
-PreparedQuery PrepareQuery(const ScoreQuery& query, size_t d, int8_t* codes) {
-  PreparedQuery prepared;
-  prepared.q_hat = query.q_hat;
-  prepared.k = query.k;
-  prepared.exclude = query.exclude;
-  if (codes != nullptr) {
-    prepared.codes = codes;
-    prepared.scale = vec::QuantizeRow(query.q_hat, d, codes);
-    prepared.l1 = vec::L1Norm(query.q_hat, d);
-  }
-  return prepared;
 }
 
 // The tiled exact scan of items [lo, hi) for a block of m >= 2 queries
 // (see the header note): every score equals vec::Dot's bitwise, so each
 // query's selection sees exactly its one-query scores.
 void TiledShardTopK(const ModelSnapshot& snapshot,
-                    std::span<const PreparedQuery> block, uint32_t lo,
-                    uint32_t hi, ShardScratch& ws,
-                    std::span<std::vector<ScoredItem>> tops) {
+                    std::span<const ScoreQuery> block, uint32_t lo, uint32_t hi,
+                    ShardScratch& ws, std::span<std::vector<ScoredItem>> tops) {
   const size_t d = snapshot.dim();
   const size_t m = block.size();
   const size_t width = hi - lo;
@@ -73,102 +57,10 @@ void TiledShardTopK(const ModelSnapshot& snapshot,
       tops[j].clear();
       continue;
     }
-    ++ws.exact_shards;
+    ++ws.stats.exact_shards;
     SelectTopKInto(ws.scores.data() + j * width, lo, hi, block[j].k,
                    block[j].exclude, ws.cand, tops[j]);
   }
-}
-
-// The certified int8 two-phase scan of one shard (see the header note):
-// writes the shard's exact top-k into `out`; query.k > 0.
-void QuantizedShardTopK(const ModelSnapshot& snapshot,
-                        const PreparedQuery& query, uint32_t lo, uint32_t hi,
-                        uint32_t candidate_margin, ShardScratch& ws,
-                        std::vector<ScoredItem>& out) {
-  const size_t d = snapshot.dim();
-  const uint32_t k = query.k;
-  const std::span<const uint32_t> exclude = query.exclude;
-  const uint32_t m = hi - lo;
-  ++ws.shards_scanned;
-
-  // Phase 1: integer scan of the shard's int8 codes.
-  ws.idot.resize(m);
-  vec::DotBatchI8(query.codes, snapshot.ItemCodes(lo), m, d, ws.idot.data());
-
-  // Dequantize into approximate scores for the eligible (non-excluded)
-  // items, tracking the shard-wide certification-bound ingredients.
-  ws.approx.clear();
-  ws.approx.reserve(m);
-  float max_iscale = 0.0f;
-  float max_scale_l1 = 0.0f;
-  auto ex = exclude.begin();
-  for (uint32_t i = lo; i < hi; ++i) {
-    while (ex != exclude.end() && *ex < i) ++ex;
-    if (ex != exclude.end() && *ex == i) continue;
-    const float iscale = snapshot.ItemScale(i);
-    max_iscale = std::max(max_iscale, iscale);
-    max_scale_l1 = std::max(max_scale_l1, snapshot.ItemScaleL1(i));
-    const float approx =
-        static_cast<float>(ws.idot[i - lo]) * (query.scale * iscale);
-    ws.approx.push_back({i, approx});
-  }
-
-  const uint32_t c = CandidateCount(k, candidate_margin);
-  if (ws.approx.size() <= c) {
-    // Degenerate shard (not enough items to prune): exact-score every
-    // eligible item — identical to the full fp32 path by construction.
-    for (ScoredItem& e : ws.approx) {
-      e.score = vec::Dot(query.q_hat, snapshot.ItemVec(e.item), d);
-    }
-    KeepTopK(ws.approx, k);
-    out.assign(ws.approx.begin(), ws.approx.end());
-    return;
-  }
-
-  // Top-c eligible items by approximate score. Every unselected item's
-  // approximate score is <= the c-th candidate's.
-  std::partial_sort(ws.approx.begin(), ws.approx.begin() + c, ws.approx.end(),
-                    ScoredBefore);
-  const float approx_cutoff = ws.approx[c - 1].score;
-
-  // Phase 2: exact fp32 re-score of the candidates — the same vec::Dot
-  // ScoreItemRange uses, so certified results match the exact scan
-  // bitwise.
-  for (uint32_t j = 0; j < c; ++j) {
-    ws.approx[j].score =
-        vec::Dot(query.q_hat, snapshot.ItemVec(ws.approx[j].item), d);
-  }
-  std::partial_sort(ws.approx.begin(), ws.approx.begin() + k,
-                    ws.approx.begin() + c, ScoredBefore);
-  const float kth_exact = ws.approx[k - 1].score;
-
-  // Certification: an unselected item's true score is at most its
-  // approximate score plus the quantization bound
-  //   B = 0.5*(max_iscale*||q^||_1 + q_scale*max(iscale_i*||codes_i||_1))
-  // over eligible shard items. The bound is computed in double and
-  // inflated (x1.001 + 1e-6) to absorb the fp rounding of the bound
-  // arithmetic, of the dequantized approximations, and of the exact
-  // scores themselves — strictly below the k-th exact score means no
-  // unselected item can reach the top-k.
-  const double bound = 0.5 * (static_cast<double>(max_iscale) * query.l1 +
-                              static_cast<double>(query.scale) *
-                                  static_cast<double>(max_scale_l1));
-  const bool certified = static_cast<double>(approx_cutoff) +
-                             bound * 1.001 + 1e-6 <
-                         static_cast<double>(kth_exact);
-  if (certified) {
-    out.assign(ws.approx.begin(), ws.approx.begin() + k);
-    return;
-  }
-
-  // The margin could not separate the top-k boundary (near-tie score
-  // distribution): fall back to the full exact shard scan. Same output
-  // either way — the fallback costs latency, never correctness.
-  ++ws.shards_fallback;
-  ws.scores.resize(m);
-  ScoreItemRange(snapshot, query.q_hat, lo, hi, ws.scores.data());
-  out.clear();
-  SelectTopKInto(ws.scores.data(), lo, hi, k, exclude, ws.cand, out);
 }
 
 // One serial ANN query through the snapshot's IVF index: probes the
@@ -183,7 +75,7 @@ void IvfTopK(const ModelSnapshot& snapshot, const float* q_hat, uint32_t k,
                    "SnapshotOptions::ivf.build");
   const size_t d = snapshot.dim();
   const uint32_t nlist = ivf->nlist();
-  ++ws.ivf_queries;
+  ++ws.stats.ivf_queries;
   out.clear();
   if (nlist == 0 || k == 0) return;
 
@@ -206,7 +98,7 @@ void IvfTopK(const ModelSnapshot& snapshot, const float* q_hat, uint32_t k,
   }
   ws.approx.clear();
   for (const ScoredItem& probe : ws.probes) {
-    ++ws.ivf_lists;
+    ++ws.stats.ivf_lists;
     const uint32_t begin = ivf->ListOffset(probe.item);
     const uint32_t end = ivf->ListOffset(probe.item + 1);
     if (begin == end) continue;  // empty list
@@ -234,7 +126,7 @@ void IvfTopK(const ModelSnapshot& snapshot, const float* q_hat, uint32_t k,
       ws.approx.push_back({begin + j, ws.scores[j]});
     }
   }
-  ws.ivf_candidates += ws.approx.size();
+  ws.stats.ivf_candidates += ws.approx.size();
 
   // 3. int8 lists: keep the top c = k + margin of the whole candidate
   // pool by approximate score (position tie-break — a fixed property of
@@ -250,7 +142,7 @@ void IvfTopK(const ModelSnapshot& snapshot, const float* q_hat, uint32_t k,
     for (size_t j = 0; j < cc; ++j) {
       ws.approx[j].score = vec::Dot(q_hat, ivf->Row(ws.approx[j].item), d);
     }
-    ws.ivf_reranked += cc;
+    ws.stats.ivf_reranked += cc;
   }
 
   // 4. Map positions back to item ids, then the final top-k under the
@@ -262,23 +154,15 @@ void IvfTopK(const ModelSnapshot& snapshot, const float* q_hat, uint32_t k,
 }
 
 // One query's shard scan (ShardTopK's contract for a block of one):
-// the certified int8 scan under options.quantize, else per-pair
-// vec::Dot scores and selection.
-void OneShardTopK(const ModelSnapshot& snapshot, const PreparedQuery& query,
-                  uint32_t lo, uint32_t hi, const ScorerOptions& options,
-                  ShardScratch& ws, std::vector<ScoredItem>& top) {
+// per-pair vec::Dot scores and selection.
+void OneShardTopK(const ModelSnapshot& snapshot, const ScoreQuery& query,
+                  uint32_t lo, uint32_t hi, ShardScratch& ws,
+                  std::vector<ScoredItem>& top) {
   if (query.k == 0) {
     top.clear();
     return;
   }
-  if (options.quantize) {
-    QuantizedShardTopK(snapshot, query, lo, hi, options.candidate_margin, ws,
-                       ws.shard_out);
-    top.insert(top.end(), ws.shard_out.begin(), ws.shard_out.end());
-    KeepTopK(top, query.k);
-    return;
-  }
-  ++ws.exact_shards;
+  ++ws.stats.exact_shards;
   ws.scores.resize(hi - lo);
   ScoreItemRange(snapshot, query.q_hat, lo, hi, ws.scores.data());
   SelectTopKInto(ws.scores.data(), lo, hi, query.k, query.exclude, ws.cand,
@@ -312,24 +196,37 @@ void SelectTopKInto(const float* scores, uint32_t lo, uint32_t hi, uint32_t k,
 SnapshotOptions SnapshotOptionsFor(const ScorerOptions& options,
                                    IvfBuildOptions ivf) {
   SnapshotOptions so;
-  so.quantize_items = options.quantize;
   so.ivf = ivf;
+  so.ivf.int8_lists = options.quantize;
   if (!options.exact) so.ivf.build = true;
   return so;
 }
 
-void ShardTopK(const ModelSnapshot& snapshot,
-               std::span<const PreparedQuery> block, uint32_t lo, uint32_t hi,
-               const ScorerOptions& options, ShardScratch& ws,
+void CheckScorerOptions(const ModelSnapshot& snapshot,
+                        const ScorerOptions& options) {
+  BSLREC_CHECK_MSG(options.items_per_shard > 0,
+                   "ScorerOptions::items_per_shard must be > 0");
+  BSLREC_CHECK_MSG(options.exact || snapshot.ivf() != nullptr,
+                   "ScorerOptions::exact = false needs a snapshot with an "
+                   "IVF index (SnapshotOptions::ivf.build)");
+  BSLREC_CHECK_MSG(!options.quantize || !options.exact,
+                   "ScorerOptions::quantize scans the IVF index's lists as "
+                   "int8, so it needs exact = false");
+  BSLREC_CHECK_MSG(!options.quantize || snapshot.ivf()->has_codes(),
+                   "ScorerOptions::quantize needs an IVF index built with "
+                   "int8 lists (IvfBuildOptions::int8_lists)");
+}
+
+void ShardTopK(const ModelSnapshot& snapshot, std::span<const ScoreQuery> block,
+               uint32_t lo, uint32_t hi, ShardScratch& ws,
                std::span<std::vector<ScoredItem>> tops) {
-  // Widening the rows for one query costs more than per-pair Dot saves,
-  // and the int8 tier's certified scan is per query by design.
-  if (block.size() >= 2 && !options.quantize) {
+  // Widening the rows for one query costs more than per-pair Dot saves.
+  if (block.size() >= 2) {
     TiledShardTopK(snapshot, block, lo, hi, ws, tops);
     return;
   }
   for (size_t j = 0; j < block.size(); ++j) {
-    OneShardTopK(snapshot, block[j], lo, hi, options, ws, tops[j]);
+    OneShardTopK(snapshot, block[j], lo, hi, ws, tops[j]);
   }
 }
 
@@ -343,20 +240,13 @@ void BlockTopK(const ModelSnapshot& snapshot, std::span<const ScoreQuery> block,
     }
     return;
   }
-  const size_t d = snapshot.dim();
   const uint32_t n = snapshot.num_items();
-  ws.q_codes.resize(options.quantize ? block.size() * d : 0);
-  ws.prepared.resize(block.size());
-  for (size_t j = 0; j < block.size(); ++j) {
-    int8_t* codes = options.quantize ? &ws.q_codes[j * d] : nullptr;
-    ws.prepared[j] = PrepareQuery(block[j], d, codes);
-    outs[j].clear();
-  }
+  for (size_t j = 0; j < block.size(); ++j) outs[j].clear();
   // Each shard merges into the running top-k of the shards before it;
   // the strict total order makes the result independent of the grain.
   for (uint32_t lo = 0; lo < n; lo += options.items_per_shard) {
     const uint32_t hi = std::min<uint32_t>(n, lo + options.items_per_shard);
-    ShardTopK(snapshot, ws.prepared, lo, hi, options, ws, outs);
+    ShardTopK(snapshot, block, lo, hi, ws, outs);
   }
 }
 
@@ -367,39 +257,17 @@ CatalogScorer::CatalogScorer(const ModelSnapshot& snapshot,
       pool_(pool),
       options_(options),
       scratch_(pool.num_workers()) {
-  BSLREC_CHECK(options.items_per_shard > 0);
-  BSLREC_CHECK_MSG(!options.quantize || snapshot.has_quantized_items(),
-                   "ScorerOptions::quantize requires a snapshot built with "
-                   "SnapshotOptions::quantize_items");
-  BSLREC_CHECK_MSG(options.exact || snapshot.ivf() != nullptr,
-                   "ScorerOptions::exact = false requires a snapshot built "
-                   "with SnapshotOptions::ivf.build");
+  CheckScorerOptions(snapshot, options);
 }
 
 CatalogScorer::Stats CatalogScorer::stats() const {
   Stats s;
-  for (const ShardScratch& ws : scratch_) {
-    s.exact_shards += ws.exact_shards;
-    s.shards_scanned += ws.shards_scanned;
-    s.shards_fallback += ws.shards_fallback;
-    s.ivf_queries += ws.ivf_queries;
-    s.ivf_lists += ws.ivf_lists;
-    s.ivf_candidates += ws.ivf_candidates;
-    s.ivf_reranked += ws.ivf_reranked;
-  }
+  for (const ShardScratch& ws : scratch_) s += ws.stats;
   return s;
 }
 
 void CatalogScorer::ResetStats() const {
-  for (ShardScratch& ws : scratch_) {
-    ws.exact_shards = 0;
-    ws.shards_scanned = 0;
-    ws.shards_fallback = 0;
-    ws.ivf_queries = 0;
-    ws.ivf_lists = 0;
-    ws.ivf_candidates = 0;
-    ws.ivf_reranked = 0;
-  }
+  for (ShardScratch& ws : scratch_) ws.stats = {};
 }
 
 std::vector<ScoredItem> CatalogScorer::TopK(const ScoreQuery& query) const {
@@ -433,38 +301,18 @@ std::vector<std::vector<ScoredItem>> CatalogScorer::BatchTopK(
   }
   if (num_shards == 0) return out;
 
-  // Prepare every query once up front (rows are independent, so the
-  // parallel fill is deterministic); the task grid below reads them.
-  const size_t d = snapshot_.dim();
-  q_codes_.resize(options_.quantize ? num_queries * d : 0);
-  prepared_.resize(num_queries);
-  runtime::ParallelFor(
-      pool_, 0, num_queries, 8,
-      [&](size_t lo, size_t hi, size_t /*shard*/, size_t /*worker*/) {
-        for (size_t qi = lo; qi < hi; ++qi) {
-          int8_t* codes = options_.quantize ? &q_codes_[qi * d] : nullptr;
-          prepared_[qi] = PrepareQuery(queries[qi], d, codes);
-        }
-      });
-
   // Flat (query block, item-shard) task grid with one per-shard output
   // slot per query, stored shard-major so a block's slots for one shard
   // are contiguous, and shard-sized buffers per worker (hoisted into
   // scorer scratch — steady-state scanning allocates nothing). Each slot
   // is written by exactly one task, so no synchronization is needed and
-  // the serial per-query merge below is deterministic. Exact blocks
-  // hold up to kQueryBlock queries, fewer when a catalog of few shards
-  // would otherwise leave workers idle (no response depends on the
-  // block). The int8 tier scans per query, so its blocks hold one query
-  // and it keeps one task per (query, shard).
+  // the serial per-query merge below is deterministic. Blocks hold up to
+  // kQueryBlock queries, fewer when a catalog of few shards would
+  // otherwise leave workers idle (no response depends on the block).
   const size_t blocks_per_shard =
       (pool_.num_workers() + num_shards - 1) / num_shards;
-  const size_t block =
-      options_.quantize
-          ? 1
-          : std::clamp<size_t>(
-                (num_queries + blocks_per_shard - 1) / blocks_per_shard, 1,
-                kQueryBlock);
+  const size_t block = std::clamp<size_t>(
+      (num_queries + blocks_per_shard - 1) / blocks_per_shard, 1, kQueryBlock);
   const size_t num_blocks = (num_queries + block - 1) / block;
   shard_tops_.resize(num_shards * num_queries);
   runtime::ParallelFor(
@@ -480,8 +328,8 @@ std::vector<std::vector<ScoredItem>> CatalogScorer::BatchTopK(
           const std::span<std::vector<ScoredItem>> tops(
               &shard_tops_[s * num_queries + q0], m);
           for (std::vector<ScoredItem>& top : tops) top.clear();
-          ShardTopK(snapshot_, std::span(prepared_).subspan(q0, m), item_lo,
-                    item_hi, options_, scratch_[worker], tops);
+          ShardTopK(snapshot_, queries.subspan(q0, m), item_lo, item_hi,
+                    scratch_[worker], tops);
         }
       });
   // Concatenated in a reused buffer, so each result is allocated at its

@@ -9,12 +9,12 @@
 //
 // Every tier is built from two kernels:
 //
-//   * `ShardTopK` answers one (query block, item shard) pair: for each
-//     query of the block it merges the exact top-k of items [lo, hi),
-//     with that query's own k and exclusion list, into the query's
-//     running top-k. On the exact tier a block of m >= 2 queries is
-//     scored as tiles (see below); a block of one, and every query on
-//     the certified int8 tier, runs its own scan.
+//   * `ShardTopK` answers one (query block, item shard) pair of the
+//     exact scan: for each query of the block it merges the exact top-k
+//     of items [lo, hi), with that query's own k and exclusion list,
+//     into the query's running top-k. A block of m >= 2 queries is
+//     scored as tiles (see below); a block of one runs its own per-pair
+//     scan.
 //   * `BlockTopK` answers a block of queries serially, allocation-free:
 //     the IVF probe, list scan and re-rank per query when !exact,
 //     otherwise every fixed-grain shard through `ShardTopK` into the
@@ -30,7 +30,7 @@
 // a worker's score buffer never holds more than one block's scores for
 // one shard.
 //
-// ---- Tiled exact scan (ShardTopK with m >= 2 exact queries) ----
+// ---- Tiled exact scan (ShardTopK with m >= 2 queries) ----
 //
 // Scoring one (query, item) pair with vec::Dot widens both rows to
 // double for that pair alone. A block of m queries instead widens its
@@ -44,54 +44,19 @@
 // rows for one query costs more than it saves. The per-worker scratch
 // is m x items_per_shard floats plus (m + kItemChunk) x dim doubles.
 //
-// Why the bits hold: every tier selects a strict `ScoredBefore` top-k
-// over the same `vec::Dot` scores, so on the exact tiers the merged
-// per-shard top-k is the full-catalog top-k whatever the grain, the
-// merge order, the block, the thread count or the batch packing. That
-// needs a total order: a NaN score compares neither above nor below a
-// number, so `ScoredBefore` ranks every number before every NaN and
-// breaks ties among NaNs, like ties among equal numbers, by ascending
-// id. The evaluator and the server call the same kernels, so the
-// evaluator measures the lists the server returns. The total order also
-// gives the global top-k the *prefix property*: the top-k list is
-// exactly the first k entries of any top-k' list with k' >= k. The
-// inference service's cutoff-prefix reuse and the evaluator's cached
-// rankings both lean on this.
-//
-// ---- Quantized two-phase scan (ScorerOptions::quantize) ----
-//
-// With a quantized snapshot, each (query, shard) task replaces the fp32
-// scan with a certified two-phase pass:
-//
-//   Phase 1  scans the shard's int8 item codes with vec::DotBatchI8 and
-//            dequantizes each integer dot into an approximate score
-//            s~_i = idot * (q_scale * item_scale_i)  (~4x less memory
-//            traffic than the fp32 scan), then picks the top
-//            c = k + candidate_margin eligible items by approximate
-//            score.
-//   Phase 2  re-scores exactly those c candidates with the *same* fp32
-//            vec::Dot the exact scorer uses, and takes their top-k.
-//
-// Certification argument (why the result is bit-identical, not merely
-// close): symmetric quantization bounds each true score by
-//   |s_i - s~_i| <= 0.5*(item_scale_i*||q^||_1
-//                        + q_scale*item_scale_i*||codes_i||_1)
-// (each factor is one round-to-nearest of at most half a quantization
-// step, weighted by the other vector's magnitude). The scan tracks the
-// shard-wide maximum B of this bound over eligible items. Every
-// unselected item has approximate score <= the c-th candidate's, so its
-// true score is < cutoff~ + B (inflated by a small factor to absorb
-// fp rounding in the bound arithmetic itself). If cutoff~ + B is
-// strictly below the k-th candidate's *exact* score, no unselected item
-// can enter the top-k, and the candidates' exact top-k IS the shard's
-// exact top-k — same fp32 score values, same (score desc, id asc)
-// order, bitwise. When the margin cannot certify the boundary (near-tie
-// score distributions), the task falls back to the full fp32 shard
-// scan, which is exact by definition. Both paths emit the identical
-// shard top-k, so the fallback rate — and therefore the quantized mode
-// itself — can never change a served ranking, only its latency. All
-// existing contracts (any thread count, any shard grain, batch ==
-// single, evaluator == service) carry over unchanged.
+// Why the bits hold: the exact scan selects a strict `ScoredBefore`
+// top-k over the same `vec::Dot` scores, so the merged per-shard top-k
+// is the full-catalog top-k whatever the grain, the merge order, the
+// block, the thread count or the batch packing. That needs a total
+// order: a NaN score compares neither above nor below a number, so
+// `ScoredBefore` ranks every number before every NaN and breaks ties
+// among NaNs, like ties among equal numbers, by ascending id. The
+// evaluator and the server call the same kernels, so the evaluator
+// measures the lists the server returns. The total order also gives the
+// global top-k the *prefix property*: the top-k list is exactly the
+// first k entries of any top-k' list with k' >= k. The inference
+// service's cutoff-prefix reuse and the evaluator's cached rankings
+// both lean on this.
 //
 // ---- IVF approximate retrieval (ScorerOptions::exact = false) ----
 //
@@ -102,9 +67,10 @@
 //   1. score all nlist centroids with one fused vec::DotBatch;
 //   2. visit the top-nprobe lists under (score desc, centroid id asc);
 //   3. scan each list's grouped rows contiguously — fp32 by default, or
-//      int8 codes (vec::DotBatchI8) under ScorerOptions::quantize, in
-//      which case the top k + candidate_margin of the gathered pool by
-//      approximate score are kept;
+//      the index's int8 codes (vec::DotBatchI8) under
+//      ScorerOptions::quantize, in which case the top
+//      k + candidate_margin of the query's gathered pool by approximate
+//      score are kept;
 //   4. exact fp32 re-rank the surviving candidates and emit the top-k
 //      under the same (score desc, item id asc) total order.
 //
@@ -117,7 +83,7 @@
 // bit-identical across thread counts, shard grains (items_per_shard is
 // not used at all), and batch packings: same index => same lists =>
 // same candidates => same total order. With nprobe >= nlist and fp32
-// phase-1, every item is visible and the response equals the exact
+// lists, every item is visible and the response equals the exact
 // scan's bitwise.
 #ifndef BSLREC_SERVE_TOPK_SCORER_H_
 #define BSLREC_SERVE_TOPK_SCORER_H_
@@ -173,9 +139,9 @@ struct ScoreQuery {
   std::span<const uint32_t> exclude;  // sorted ascending ids to skip
 };
 
-// Extra phase-1 candidates per shard beyond k. Larger margins certify
-// more shards (fewer exact fallbacks) at the cost of more phase-2 fp32
-// re-scores; the result never changes either way.
+// Extra int8 candidates per ANN query beyond k, kept from the query's
+// gathered IVF pool for the exact fp32 re-rank. A larger margin re-ranks
+// more candidates, so fewer true top-k items are lost to int8 rounding.
 inline constexpr uint32_t kDefaultCandidateMargin = 64;
 
 // Default coarse lists visited per ANN query.
@@ -185,25 +151,33 @@ struct ScorerOptions {
   // Catalog items per scoring shard (a worker's score buffer holds one
   // block of queries' scores for one shard).
   uint32_t items_per_shard = 2048;
-  // Use the snapshot's int8 table for phase 1 (the snapshot must have
-  // been built with SnapshotOptions::quantize_items).
+  // Scan the IVF lists as int8, then re-rank the survivors in fp32.
+  // Needs exact = false and an index built with
+  // IvfBuildOptions::int8_lists.
   bool quantize = false;
   uint32_t candidate_margin = kDefaultCandidateMargin;
   // false = ANN: retrieve through the snapshot's IVF index (the
   // snapshot must have been built with SnapshotOptions::ivf.build)
-  // instead of scanning the full catalog. Composes with quantize, which
-  // then picks the list-scan representation.
+  // instead of scanning the full catalog. quantize then picks the
+  // list-scan representation.
   bool exact = true;
   // Coarse lists visited per ANN query (clamped to [1, nlist]);
   // ignored when exact.
   uint32_t nprobe = kDefaultNprobe;
 };
 
-// The snapshot tables a scorer with `options` reads: the int8 table
-// under quantize, and the IVF index (shaped by `ivf`) when !exact or
-// when ivf.build asks for it anyway.
+// The snapshot tables a scorer with `options` reads: the IVF index
+// (shaped by `ivf`) when !exact or when ivf.build asks for it anyway,
+// with int8 lists under quantize.
 SnapshotOptions SnapshotOptionsFor(const ScorerOptions& options,
                                    IvfBuildOptions ivf = {});
+
+// Aborts unless a scorer with `options` can run on `snapshot`:
+// items_per_shard > 0, !exact needs the snapshot's IVF index, and
+// quantize needs !exact and an index built with int8 lists. The one
+// validation point of CatalogScorer and the evaluator's pass.
+void CheckScorerOptions(const ModelSnapshot& snapshot,
+                        const ScorerOptions& options);
 
 // Queries per block of the tiled exact scan: the evaluator's user shard,
 // and the largest query block of CatalogScorer::BatchTopK's exact grid.
@@ -213,16 +187,25 @@ inline constexpr size_t kQueryBlock = 16;
 // Item rows the tiled exact scan widens to double at a time.
 inline constexpr uint32_t kItemChunk = 64;
 
-// A query prepared for ShardTopK: its ScoreQuery fields, plus, when the
-// scorer quantizes, its int8 codes and scale (vec::QuantizeRow of q_hat)
-// and its fp32 L1 norm (vec::L1Norm). Codes stay null otherwise.
-struct PreparedQuery {
-  const float* q_hat = nullptr;
-  uint32_t k = 0;
-  std::span<const uint32_t> exclude;
-  const int8_t* codes = nullptr;
-  float scale = 0.0f;
-  double l1 = 0.0;
+// Per-tier scan counters. Each tier ticks only its own, so a scorer's
+// counters identify the path it actually ran.
+struct ScanStats {
+  uint64_t exact_shards = 0;    // exact fp32 (query, shard) scans
+  uint64_t ivf_queries = 0;     // ANN queries answered
+  uint64_t ivf_lists = 0;       // coarse lists probed (incl. empty)
+  uint64_t ivf_candidates = 0;  // eligible list candidates gathered
+  // Exact fp32 re-scores of int8 list candidates. Zero with fp32 lists,
+  // where the list scan itself already produced exact scores.
+  uint64_t ivf_reranked = 0;
+
+  ScanStats& operator+=(const ScanStats& o) {
+    exact_shards += o.exact_shards;
+    ivf_queries += o.ivf_queries;
+    ivf_lists += o.ivf_lists;
+    ivf_candidates += o.ivf_candidates;
+    ivf_reranked += o.ivf_reranked;
+    return *this;
+  }
 };
 
 // Reusable per-worker buffers for one stream of scans; also accumulates
@@ -232,47 +215,34 @@ struct ShardScratch {
   std::vector<float> scores;       // fp32 scores (shard / block / list)
   std::vector<double> q_wide;      // a query block widened to double
   std::vector<double> rows_wide;   // kItemChunk item rows, widened
-  std::vector<int32_t> idot;       // one integer dot per shard item
-  std::vector<ScoredItem> approx;  // eligible items by approximate score
+  std::vector<int32_t> idot;       // one integer dot per int8 list row
+  std::vector<ScoredItem> approx;  // gathered IVF candidates
   std::vector<ScoredItem> cand;    // SelectTopKInto candidate scratch
-  std::vector<ScoredItem> shard_out;  // one int8 shard's top-k
   std::vector<ScoredItem> probes;  // top-nprobe centroids (ivf)
-  std::vector<int8_t> q_codes;     // BlockTopK's query quantization
-  std::vector<PreparedQuery> prepared;  // BlockTopK's block
-  // Per-mode counters (summed into CatalogScorer::Stats):
-  uint64_t exact_shards = 0;       // exact fp32 (query, shard) scans
-  uint64_t shards_scanned = 0;     // quantized shard tasks executed
-  uint64_t shards_fallback = 0;    // ... that failed certification
-  uint64_t ivf_queries = 0;        // ANN queries answered
-  uint64_t ivf_lists = 0;          // coarse lists probed (incl. empty)
-  uint64_t ivf_candidates = 0;     // eligible candidates gathered
-  uint64_t ivf_reranked = 0;       // candidates exact fp32 re-ranked
+  std::vector<int8_t> q_codes;     // the query's int8 codes (int8 lists)
+  ScanStats stats;                 // summed by CatalogScorer::stats()
 };
 
-// The shard kernel: for each query j of `block`, merges the *exact*
-// top-k of items [lo, hi), skipping the query's excluded ids, into the
-// running top-k tops[j] (SelectTopKInto's in/out contract: empty on
-// entry for the shard's own top-k; always empty on return for k = 0).
-// Without options.quantize it scores the range in fp32 — per-pair
-// vec::Dot for a block of one, DotTile tiles for larger blocks (see the
-// header note) — and selects; with it, each query runs the certified
-// two-phase scan described in the header note (the query must then
-// carry codes), falling back to the fp32 scan when certification fails.
-// Every path returns the same bits.
-void ShardTopK(const ModelSnapshot& snapshot,
-               std::span<const PreparedQuery> block, uint32_t lo, uint32_t hi,
-               const ScorerOptions& options, ShardScratch& ws,
+// The shard kernel of the exact scan: for each query j of `block`,
+// merges the exact top-k of items [lo, hi), skipping the query's
+// excluded ids, into the running top-k tops[j] (SelectTopKInto's in/out
+// contract: empty on entry for the shard's own top-k; always empty on
+// return for k = 0). A block of one scores the range with per-pair
+// vec::Dot, a larger block with DotTile tiles (see the header note);
+// both give the same bits.
+void ShardTopK(const ModelSnapshot& snapshot, std::span<const ScoreQuery> block,
+               uint32_t lo, uint32_t hi, ShardScratch& ws,
                std::span<std::vector<ScoredItem>> tops);
 
 // The serial per-block kernel: writes the top-k of each query of
 // `block` into outs[j] without allocating in steady state. With
 // !options.exact it runs the IVF probe, list scan and re-rank per
-// query; otherwise it prepares the block once and runs every
-// options.items_per_shard shard through ShardTopK into `outs` as the
-// running top-k lists, so later shards only compete with the k items
-// found so far. This is the per-query unit of the ANN BatchTopK (blocks
-// of one) and the evaluator's kernel (one block per shard of its
-// parallel user loop, so each block's scan stays on one worker).
+// query; otherwise it runs every options.items_per_shard shard through
+// ShardTopK into `outs` as the running top-k lists, so later shards
+// only compete with the k items found so far. This is the per-query
+// unit of the ANN BatchTopK (blocks of one) and the evaluator's kernel
+// (one block per shard of its parallel user loop, so each block's scan
+// stays on one worker).
 void BlockTopK(const ModelSnapshot& snapshot, std::span<const ScoreQuery> block,
                const ScorerOptions& options, ShardScratch& ws,
                std::span<std::vector<ScoredItem>> outs);
@@ -283,24 +253,14 @@ class CatalogScorer {
   // queries' scores for one shard.
   static constexpr uint32_t kDefaultItemsPerShard = 2048;
 
-  // Per-mode scan counters, cumulative since construction (or the last
-  // ResetStats). Each scoring mode ticks only its own counters, so a
-  // scorer's stats identify the path it actually ran.
-  struct Stats {
-    uint64_t exact_shards = 0;     // exact fp32 (query, shard) scans
-    uint64_t shards_scanned = 0;   // quantized shard tasks
-    uint64_t shards_fallback = 0;  // ... that failed certification
-    uint64_t ivf_queries = 0;      // ANN queries answered
-    uint64_t ivf_lists = 0;        // coarse lists probed (incl. empty)
-    uint64_t ivf_candidates = 0;   // eligible list candidates gathered
-    // Phase-2 exact re-scores of ANN candidates. Zero in fp32 ANN mode,
-    // where the list scan itself already produced exact scores.
-    uint64_t ivf_reranked = 0;
-  };
+  // Per-tier scan counters, cumulative since construction (or the last
+  // ResetStats).
+  using Stats = ScanStats;
 
   // `snapshot` and `pool` must outlive the scorer. The pool is driven
   // from the calling thread — one TopK/BatchTopK at a time (they are
-  // const but share mutable per-worker scratch).
+  // const but share mutable per-worker scratch). Aborts on options the
+  // snapshot cannot serve (CheckScorerOptions).
   CatalogScorer(const ModelSnapshot& snapshot, runtime::ThreadPool& pool,
                 const ScorerOptions& options);
 
@@ -320,8 +280,7 @@ class CatalogScorer {
   // Batched queries: parallelizes over the flat (query block x
   // item-shard) task grid, so a single large query and many small ones
   // saturate the pool equally well. Exact blocks hold up to kQueryBlock
-  // queries; the int8 tier's blocks hold one. Result i answers
-  // queries[i].
+  // queries. Result i answers queries[i].
   std::vector<std::vector<ScoredItem>> BatchTopK(
       std::span<const ScoreQuery> queries) const;
 
@@ -334,10 +293,8 @@ class CatalogScorer {
   // and scratch keep their capacity across calls). Mutable because
   // scoring is logically const; guarded by the one-call-at-a-time
   // contract above.
-  mutable std::vector<ShardScratch> scratch_;        // one per worker
+  mutable std::vector<ShardScratch> scratch_;  // one per worker
   mutable std::vector<std::vector<ScoredItem>> shard_tops_;
-  mutable std::vector<int8_t> q_codes_;              // per-call queries
-  mutable std::vector<PreparedQuery> prepared_;
 };
 
 }  // namespace bslrec::serve

@@ -88,8 +88,6 @@ const char* DegradeModeName(DegradeMode mode) {
       return "none";
     case DegradeMode::kIvf:
       return "ivf";
-    case DegradeMode::kQuantized:
-      return "quantized";
   }
   return "unknown";
 }
@@ -99,8 +97,6 @@ bool DegradeModeFromName(std::string_view name, DegradeMode* mode) {
     *mode = DegradeMode::kNone;
   } else if (name == "ivf") {
     *mode = DegradeMode::kIvf;
-  } else if (name == "quantized") {
-    *mode = DegradeMode::kQuantized;
   } else {
     return false;
   }

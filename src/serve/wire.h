@@ -36,8 +36,8 @@
 //   ERR <id> BAD_REQUEST <detail>
 //   ERR <id> INTERNAL <detail>
 //
-// where <degrade_mode> is none|ivf|quantized (DegradeModeName) naming
-// the brownout tier that served the response, <snapshot_seq> the
+// where <degrade_mode> is none|ivf (DegradeModeName) naming the
+// brownout tier that served the response, <snapshot_seq> the
 // publication that produced it, and scores print with six decimals
 // ("%.6f" — the CLI's historical precision).
 //
@@ -98,9 +98,8 @@ bool DeadlineStageForCode(ErrorCode code, DeadlineStage* stage);
 
 // The approximate tier brownout switched a response to.
 enum class DegradeMode : uint8_t {
-  kNone = 0,   // served at the configured tier
-  kIvf,        // IVF ANN at brownout.nprobe probes
-  kQuantized,  // int8 certified scan (exact results, cheaper scan)
+  kNone = 0,  // served at the configured tier
+  kIvf,       // IVF ANN at brownout.nprobe probes
 };
 const char* DegradeModeName(DegradeMode mode);
 // Inverse of DegradeModeName; false when `name` matches no mode.

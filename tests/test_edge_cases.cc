@@ -11,7 +11,10 @@
 #include "gtest/gtest.h"
 #include "models/lightgcn.h"
 #include "models/mf.h"
+#include "runtime/thread_pool.h"
 #include "sampling/negative_sampler.h"
+#include "serve/model_snapshot.h"
+#include "serve/topk_scorer.h"
 #include "train/trainer.h"
 
 namespace bslrec {
@@ -155,6 +158,23 @@ TEST(EdgeCasesDeathTest, SamplerStarvationAborts) {
   Rng rng(8);
   std::vector<uint32_t> out;
   EXPECT_DEATH(sampler.Sample(0, 1, rng, out), "negatives");
+}
+
+TEST(EdgeCasesDeathTest, QuantizeOnTheExactTierAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // int8 lives only in IVF lists, so quantize on the exact tier is
+  // rejected even on a snapshot frozen for exactly these options.
+  const Dataset d = ColdStartDataset();
+  Rng rng(9);
+  MfModel model(d.num_users(), d.num_items(), 4, rng);
+  model.Forward(rng);
+  const serve::ScorerOptions quantize{.quantize = true};
+  runtime::ThreadPool pool(1);
+  const serve::ModelSnapshot snap(model, pool,
+                                  serve::SnapshotOptionsFor(quantize));
+  EXPECT_DEATH(serve::CatalogScorer(snap, pool, quantize), "IVF index");
+  const Evaluator eval(d, 2, &pool, quantize);
+  EXPECT_DEATH(eval.BeginPass(model), "IVF index");
 }
 
 }  // namespace

@@ -543,6 +543,55 @@ TEST(Overload, LatencyBrownoutTriggersOnSlowBatches) {
   ExpectAccounting(st);
 }
 
+// Brownout's only cheaper tier is the IVF index: on a snapshot without
+// one, a flood past the high-water mark is still served exact, and the
+// mode follows each publication.
+TEST(Overload, BrownoutWithoutAnIvfIndexNeverDegrades) {
+  const Dataset d = MediumDataset();
+  const std::unique_ptr<MfModel> model = MakeModel(d, 13);
+  runtime::ThreadPool freeze_pool(2);
+  const auto plain = std::make_shared<const ModelSnapshot>(*model, freeze_pool);
+  FrontEndConfig cfg = Config(/*max_batch=*/8, /*flush_us=*/100);
+  cfg.brownout.enable = true;
+  cfg.brownout.high_watermark = 8;
+  cfg.brownout.low_watermark = 2;
+  cfg.brownout.nprobe = 2;
+  cfg.fault_injector = Inject({{FaultAction::Kind::kStall, 0, 1, 1, 150000}});
+  ServingFrontEnd frontend(d, plain, cfg);
+  ASSERT_EQ(frontend.current_brownout_mode(), DegradeMode::kNone);
+
+  // Flood 30 requests into the stalled dispatcher: depth crosses the
+  // high-water mark, and every response is still served exact.
+  std::vector<TopKRequest> reqs;
+  std::vector<std::future<ServedResponse>> futures;
+  for (uint32_t i = 0; i < 30; ++i) {
+    reqs.push_back(Req(i % d.num_users(), 5 + (i % 9)));
+    futures.push_back(frontend.Submit(reqs.back()));
+  }
+  frontend.Drain();
+  runtime::ThreadPool ref_pool(1);
+  RankingEngine exact_ref(d, *plain, ref_pool, cfg.serve);
+  for (size_t i = 0; i < futures.size(); ++i) {
+    const ServedResponse resp = futures[i].get();
+    EXPECT_FALSE(resp.degraded) << "request " << i;
+    EXPECT_EQ(resp.degrade_mode, DegradeMode::kNone) << "request " << i;
+    ExpectSameResponse(resp.topk, exact_ref.Handle(reqs[i]),
+                       "request " + std::to_string(i));
+  }
+  const FrontEndStats st = frontend.stats();
+  EXPECT_GE(st.queue_depth_high_water, cfg.brownout.high_watermark);
+  EXPECT_EQ(st.degraded_served, 0u);
+  ExpectAccounting(st);
+
+  serve::SnapshotOptions indexed;
+  indexed.ivf.build = true;
+  frontend.PublishSnapshot(
+      std::make_shared<const ModelSnapshot>(*model, freeze_pool, indexed));
+  EXPECT_EQ(frontend.current_brownout_mode(), DegradeMode::kIvf);
+  frontend.PublishSnapshot(plain);
+  EXPECT_EQ(frontend.current_brownout_mode(), DegradeMode::kNone);
+}
+
 // ---------------------------------------------------------------------------
 // Injected batch faults and error context.
 

@@ -152,22 +152,19 @@ TEST(TopKScorer, ShardSizeNeverChangesTheResult) {
 }
 
 TEST(TopKScorer, ZeroCutoffReturnsEmptyOnEveryTier) {
-  // One 90-item shard holds more eligible items than the int8 scan's
-  // candidate margin, so the quantized tier reaches its phase-2 cutoff.
   const Dataset d = MediumDataset();
   Rng rng(4);
   MfModel model(d.num_users(), d.num_items(), 8, rng);
   model.Forward(rng);
   runtime::ThreadPool pool(2);
   serve::SnapshotOptions so;
-  so.quantize_items = true;
   so.ivf.build = true;
+  so.ivf.int8_lists = true;
   const ModelSnapshot snap(model, pool, so);
   const serve::ScoreQuery zero{snap.UserVec(3), 0, {}};
   const serve::ScoreQuery five{snap.UserVec(3), 5, {}};
   for (const serve::ScorerOptions& options :
-       {serve::ScorerOptions{}, serve::ScorerOptions{.quantize = true},
-        serve::ScorerOptions{.exact = false},
+       {serve::ScorerOptions{}, serve::ScorerOptions{.exact = false},
         serve::ScorerOptions{.quantize = true, .exact = false}}) {
     const CatalogScorer scorer(snap, pool, options);
     const std::string tier = std::string(options.quantize ? "int8" : "fp32") +
@@ -240,7 +237,7 @@ TEST(BlockTopK, EveryQueryMatchesItsOneQueryResultBitwise) {
           ExpectSameRanking(got[j], want, what);
         }
         // The counter still counts (query, shard) scans.
-        EXPECT_EQ(block_ws.exact_shards, one_ws.exact_shards)
+        EXPECT_EQ(block_ws.stats.exact_shards, one_ws.stats.exact_shards)
             << "d " << d << " grain " << grain << " m " << m;
       }
     }
@@ -478,238 +475,9 @@ TEST(InferenceService, EmptyBatchIsANoOp) {
   EXPECT_TRUE(service.HandleBatch({}).empty());
 }
 
-// ---- Quantized two-phase scan (see topk_scorer.h) ----
-
-ServeConfig QuantConfig(size_t threads, uint32_t items_per_shard = 16,
-                        uint32_t margin = serve::kDefaultCandidateMargin) {
-  ServeConfig cfg = Config(threads, items_per_shard);
-  cfg.quantize = true;
-  cfg.candidate_margin = margin;
-  return cfg;
-}
-
-serve::SnapshotOptions QuantSnapshotOptions() {
-  serve::SnapshotOptions so;
-  so.quantize_items = true;
-  return so;
-}
-
-TEST(QuantizedSnapshot, Int8TableRoundTripsWithinHalfAStep) {
-  const Dataset d = MediumDataset();
-  Rng rng(30);
-  MfModel model(d.num_users(), d.num_items(), 8, rng);
-  model.Forward(rng);
-  runtime::ThreadPool pool(2);
-  const ModelSnapshot snap(model, pool,
-                           QuantSnapshotOptions());
-  ASSERT_TRUE(snap.has_quantized_items());
-  for (uint32_t i = 0; i < snap.num_items(); ++i) {
-    const float scale = snap.ItemScale(i);
-    const int8_t* codes = snap.ItemCodes(i);
-    double l1 = 0.0;
-    for (size_t j = 0; j < snap.dim(); ++j) {
-      const double err =
-          std::fabs(static_cast<double>(snap.ItemVec(i)[j]) -
-                    static_cast<double>(codes[j]) * static_cast<double>(scale));
-      EXPECT_LE(err, 0.5001 * scale + 1e-12) << "item " << i << " dim " << j;
-      l1 += std::abs(static_cast<int>(codes[j]));
-    }
-    EXPECT_FLOAT_EQ(snap.ItemScaleL1(i),
-                    scale * static_cast<float>(l1));
-  }
-}
-
-TEST(QuantizedSnapshot, TableIsBitIdenticalForAnyWorkerCount) {
-  const Dataset d = MediumDataset();
-  Rng rng(31);
-  MfModel model(d.num_users(), d.num_items(), 8, rng);
-  model.Forward(rng);
-  runtime::ThreadPool pool1(1);
-  const ModelSnapshot base(model, pool1,
-                           QuantSnapshotOptions());
-  for (const size_t threads : {2u, 8u}) {
-    runtime::ThreadPool pool(threads);
-    const ModelSnapshot snap(model, pool,
-                             QuantSnapshotOptions());
-    for (uint32_t i = 0; i < base.num_items(); ++i) {
-      EXPECT_EQ(snap.ItemScale(i), base.ItemScale(i)) << "item " << i;
-      for (size_t j = 0; j < base.dim(); ++j) {
-        EXPECT_EQ(snap.ItemCodes(i)[j], base.ItemCodes(i)[j])
-            << "item " << i << " dim " << j;
-      }
-    }
-  }
-}
-
-TEST(QuantizedScorer, BitIdenticalToExactAcrossShardGrainsAndMargins) {
-  const Dataset d = MediumDataset();
-  Rng rng(32);
-  MfModel model(d.num_users(), d.num_items(), 8, rng);
-  model.Forward(rng);
-  runtime::ThreadPool pool(2);
-  const ModelSnapshot snap(model, pool,
-                           QuantSnapshotOptions());
-  const std::vector<uint32_t> exclude = d.TestUsers();  // arbitrary ids
-  const serve::ScoreQuery query{snap.UserVec(7), 12, exclude};
-  const CatalogScorer reference(snap, pool,
-                                {.items_per_shard = d.num_items() + 1});
-  const std::vector<ScoredItem> want = reference.TopK(query);
-  ASSERT_EQ(want.size(), 12u);
-  for (const uint32_t shard : {1u, 7u, 16u, 64u, 128u}) {
-    // Margin 0 maximizes fallback pressure; large margins maximize the
-    // degenerate exact-score-all path. Same answer everywhere.
-    for (const uint32_t margin : {0u, 2u, 64u, 1000u}) {
-      const CatalogScorer scorer(
-          snap, pool,
-          serve::ScorerOptions{.items_per_shard = shard,
-                               .quantize = true,
-                               .candidate_margin = margin});
-      const std::vector<ScoredItem> got = scorer.TopK(query);
-      ASSERT_EQ(got.size(), want.size())
-          << "shard " << shard << " margin " << margin;
-      for (size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(got[i].item, want[i].item)
-            << "shard " << shard << " margin " << margin << " rank " << i;
-        EXPECT_EQ(got[i].score, want[i].score)
-            << "shard " << shard << " margin " << margin << " rank " << i;
-      }
-    }
-  }
-}
-
-TEST(QuantizedService, BitIdenticalToExactServiceAcrossThreadCounts) {
-  const Dataset d = MediumDataset();
-  Rng rng(33);
-  MfModel model(d.num_users(), d.num_items(), 8, rng);
-  model.Forward(rng);
-  std::vector<TopKRequest> reqs;
-  for (uint32_t u = 0; u < d.num_users(); ++u) {
-    reqs.push_back(Req(u, 1 + u % 19));
-  }
-  InferenceService exact(d, model, Config(1));
-  const std::vector<TopKResponse> want = exact.HandleBatch(reqs);
-  for (const size_t threads : {1u, 2u, 8u}) {
-    InferenceService service(d, model, QuantConfig(threads));
-    const std::vector<TopKResponse> got = service.HandleBatch(reqs);
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t r = 0; r < want.size(); ++r) {
-      ExpectSameResponse(got[r], want[r],
-                         "quantized " + std::to_string(threads) +
-                             " threads, request " + std::to_string(r));
-    }
-  }
-}
-
-TEST(QuantizedService, BatchedMatchesSingleAndHonorsFilters) {
-  const Dataset d = MediumDataset();
-  Rng rng(34);
-  MfModel model(d.num_users(), d.num_items(), 8, rng);
-  model.Forward(rng);
-  const std::vector<uint32_t> extra = {3, 40, 41};
-  std::vector<TopKRequest> reqs;
-  reqs.push_back(Req(5, 10));
-  reqs.push_back(Req(9, 4));
-  reqs.push_back(Req(12, 8, false));        // unfiltered
-  reqs.push_back(Req(17, 6, true, extra));  // extra seen ids
-  reqs.push_back(Req(5, 10));               // repeat
-  InferenceService batched(d, model, QuantConfig(2));
-  InferenceService single(d, model, QuantConfig(2));
-  const std::vector<TopKResponse> got = batched.HandleBatch(reqs);
-  ASSERT_EQ(got.size(), reqs.size());
-  for (size_t r = 0; r < reqs.size(); ++r) {
-    ExpectSameResponse(got[r], single.Handle(reqs[r]),
-                       "quantized request " + std::to_string(r));
-  }
-}
-
-// Near-tie score distributions are the quantized scan's worst case: the
-// candidate margin cannot certify a boundary running through a tie
-// plateau, so shards must fall back to the exact scan — and the result
-// must still be bit-identical.
-TEST(QuantizedService, AdversarialNearTiesFallBackAndStayExact) {
-  const Dataset d = MediumDataset();
-  Rng rng(35);
-  MfModel model(d.num_users(), d.num_items(), 8, rng);
-  // Collapse the item table onto 4 distinct rows: massive exact-score
-  // ties everywhere, every top-k boundary sits inside a plateau.
-  for (ParamGrad& pg : model.Params()) {
-    Matrix& m = *pg.value;
-    for (size_t r = 0; r < m.rows(); ++r) {
-      for (size_t c = 0; c < m.cols(); ++c) {
-        m.Row(r)[c] = 0.25f + 0.5f * static_cast<float>((r % 4 == c % 4));
-      }
-    }
-  }
-  model.Forward(rng);
-  std::vector<TopKRequest> reqs;
-  for (uint32_t u = 0; u < d.num_users(); ++u) reqs.push_back(Req(u, 5));
-  // Shards wider than max_k + margin, so the scan must actually try to
-  // certify a boundary (narrow shards take the exact-score-all path).
-  InferenceService exact(d, model, Config(2, 64));
-  const std::vector<TopKResponse> want = exact.HandleBatch(reqs);
-  for (const uint32_t margin : {0u, 2u}) {
-    InferenceService service(d, model, QuantConfig(2, 64, margin));
-    const std::vector<TopKResponse> got = service.HandleBatch(reqs);
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t r = 0; r < want.size(); ++r) {
-      ExpectSameResponse(got[r], want[r],
-                         "near-tie margin " + std::to_string(margin) +
-                             " request " + std::to_string(r));
-    }
-    // The tie plateaus must actually have exercised the fallback path.
-    const CatalogScorer::Stats st = service.scorer().stats();
-    EXPECT_GT(st.shards_scanned, 0u) << "margin " << margin;
-    EXPECT_GT(st.shards_fallback, 0u) << "margin " << margin;
-  }
-}
-
-TEST(QuantizedService, CacheAndPrefixReuseStillHold) {
-  const Dataset d = MediumDataset();
-  Rng rng(36);
-  MfModel model(d.num_users(), d.num_items(), 8, rng);
-  model.Forward(rng);
-  InferenceService warm(d, model, QuantConfig(2));
-  const TopKResponse deep = warm.Handle(Req(4, 20));
-  ASSERT_EQ(deep.items.size(), 20u);
-  for (const uint32_t k : {1u, 3u, 12u}) {
-    const TopKResponse prefix = warm.Handle(Req(4, k));
-    ASSERT_EQ(prefix.items.size(), k);
-    for (size_t i = 0; i < k; ++i) {
-      EXPECT_EQ(prefix.items[i], deep.items[i]) << "k " << k;
-      EXPECT_EQ(prefix.scores[i], deep.scores[i]) << "k " << k;
-    }
-  }
-}
-
-TEST(QuantizedEvaluator, MetricsAndRankingsMatchExactEvaluator) {
-  const Dataset d = MediumDataset();
-  Rng rng(37);
-  MfModel model(d.num_users(), d.num_items(), 8, rng);
-  model.Forward(rng);
-  const Evaluator exact(d, 10, runtime::RuntimeConfig{2});
-  const Evaluator quant(d, 10, runtime::RuntimeConfig{2},
-                        serve::ScorerOptions{.items_per_shard = 16,
-                                             .quantize = true});
-  const TopKMetrics want = exact.Evaluate(model);
-  const TopKMetrics got = quant.Evaluate(model);
-  // Bit-identical metrics, not approximately equal: the quantized pass
-  // re-scores candidates with the same fp32 kernel.
-  EXPECT_EQ(got.recall, want.recall);
-  EXPECT_EQ(got.ndcg, want.ndcg);
-  EXPECT_EQ(got.precision, want.precision);
-  EXPECT_EQ(got.hit_rate, want.hit_rate);
-  EXPECT_EQ(got.num_users, want.num_users);
-  Evaluator::Pass exact_pass = exact.BeginPass(model);
-  Evaluator::Pass quant_pass = quant.BeginPass(model);
-  for (uint32_t u = 0; u < d.num_users(); ++u) {
-    EXPECT_EQ(quant_pass.TopKForUser(u), exact_pass.TopKForUser(u))
-        << "user " << u;
-  }
-}
-
 // A NaN score is neither above nor below a number. ScoredBefore ranks it
 // after every number, so every split of the catalog (shard grains,
-// blocks, batches, threads) and the int8 tier rank NaN the same way.
+// blocks, batches, threads) ranks NaN the same way.
 TEST(NanScores, RankLastAndTheSameOnEveryPathAndTier) {
   const Dataset d = MediumDataset();
   const uint32_t n = d.num_items();
@@ -723,7 +491,7 @@ TEST(NanScores, RankLastAndTheSameOnEveryPathAndTier) {
   const uint32_t nan_user = 9;
   std::fill_n(params[0].value->Row(nan_user), 8, nan);
   runtime::ThreadPool pool1(1);
-  const ModelSnapshot snap(model, pool1, QuantSnapshotOptions());
+  const ModelSnapshot snap(model, pool1);
 
   // Cutoff 10 prunes against a running top-k whose k-th may be NaN; the
   // full cutoff ranks every eligible item, NaN ones last.
@@ -746,38 +514,34 @@ TEST(NanScores, RankLastAndTheSameOnEveryPathAndTier) {
   EXPECT_TRUE(std::isnan(want[nan_user][0].score));
   EXPECT_TRUE(std::isnan(want[1].back().score));  // full list ends in NaN
 
-  for (const bool quantize : {false, true}) {
-    for (const size_t threads : {1u, 2u}) {
-      runtime::ThreadPool pool(threads);
-      for (const uint32_t grain : {1u, 7u, n + 1}) {
-        const std::string what = std::string(quantize ? "int8" : "fp32") +
-                                 " threads " + std::to_string(threads) +
-                                 " grain " + std::to_string(grain);
-        const serve::ScorerOptions options{.items_per_shard = grain,
-                                           .quantize = quantize};
-        const CatalogScorer scorer(snap, pool, options);
-        const auto batch = scorer.BatchTopK(queries);
+  for (const size_t threads : {1u, 2u}) {
+    runtime::ThreadPool pool(threads);
+    for (const uint32_t grain : {1u, 7u, n + 1}) {
+      const std::string what = "threads " + std::to_string(threads) +
+                               " grain " + std::to_string(grain);
+      const serve::ScorerOptions options{.items_per_shard = grain};
+      const CatalogScorer scorer(snap, pool, options);
+      const auto batch = scorer.BatchTopK(queries);
+      for (uint32_t u = 0; u < d.num_users(); ++u) {
+        const std::string who = what + " user " + std::to_string(u);
+        ExpectSameRanking(batch[u], want[u], "batch " + who);
+        ExpectSameRanking(scorer.TopK(queries[u]), want[u], "single " + who);
+      }
+      for (const uint32_t k : {10u, n}) {
+        const Evaluator eval(d, k, runtime::RuntimeConfig{threads}, options);
+        Evaluator::Pass pass = eval.BeginPass(model);
+        const std::string at_k =
+            "evaluator " + what + " k " + std::to_string(k);
         for (uint32_t u = 0; u < d.num_users(); ++u) {
-          const std::string who = what + " user " + std::to_string(u);
-          ExpectSameRanking(batch[u], want[u], "batch " + who);
-          ExpectSameRanking(scorer.TopK(queries[u]), want[u], "single " + who);
-        }
-        for (const uint32_t k : {10u, n}) {
-          const Evaluator eval(d, k, runtime::RuntimeConfig{threads}, options);
-          Evaluator::Pass pass = eval.BeginPass(model);
-          const std::string at_k =
-              "evaluator " + what + " k " + std::to_string(k);
-          for (uint32_t u = 0; u < d.num_users(); ++u) {
-            const std::vector<uint32_t> ids = pass.TopKForUser(u);
-            const serve::ScoreQuery q{snap.UserVec(u), k, d.TrainItems(u)};
-            const std::vector<ScoredItem> full = reference.TopK(q);
-            ASSERT_EQ(ids.size(), full.size()) << at_k << " user " << u;
-            for (size_t i = 0; i < ids.size(); ++i) {
-              EXPECT_EQ(ids[i], full[i].item) << at_k << " user " << u;
-            }
+          const std::vector<uint32_t> ids = pass.TopKForUser(u);
+          const serve::ScoreQuery q{snap.UserVec(u), k, d.TrainItems(u)};
+          const std::vector<ScoredItem> full = reference.TopK(q);
+          ASSERT_EQ(ids.size(), full.size()) << at_k << " user " << u;
+          for (size_t i = 0; i < ids.size(); ++i) {
+            EXPECT_EQ(ids[i], full[i].item) << at_k << " user " << u;
           }
-          ExpectPassMatchesPerUserLoop(d, pass, k, at_k);
         }
+        ExpectPassMatchesPerUserLoop(d, pass, k, at_k);
       }
     }
   }

@@ -172,20 +172,6 @@ TEST(ServingFrontEnd, NProducerFuzzMatchesSynchronousHandle) {
   EXPECT_GE(st.batches, (kProducers * kRequests + 3) / 4);
 }
 
-TEST(ServingFrontEnd, QuantizedFrontDoorMatchesExactSynchronous) {
-  const Dataset d = MediumDataset();
-  const std::unique_ptr<MfModel> model = MakeModel(d, 5);
-  FrontEndConfig cfg = Config();
-  cfg.serve.quantize = true;
-  ServingFrontEnd frontend(d, *model, cfg);
-  InferenceService sync(d, *model, Config().serve);  // exact scan
-  std::vector<std::vector<uint32_t>> extra;
-  for (const TopKRequest& req : FuzzStream(d, 9, 25, extra)) {
-    ExpectSameResponse(frontend.HandleSync(req).topk, sync.Handle(req),
-                       "quantized front door");
-  }
-}
-
 TEST(ServingFrontEnd, SizeFlushFillsBatches) {
   const Dataset d = MediumDataset();
   const std::unique_ptr<MfModel> model = MakeModel(d, 6);

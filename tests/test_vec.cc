@@ -384,12 +384,6 @@ TEST(Vec, QuantizeRowDegenerateRows) {
   EXPECT_EQ(vec::QuantizeRow(flat.data(), 0, codes.data()), 0.0f);
 }
 
-TEST(Vec, L1NormMatchesNaiveSum) {
-  const float x[] = {1.0f, -2.0f, 3.0f, -4.0f, 0.5f};
-  EXPECT_DOUBLE_EQ(vec::L1Norm(x, 5), 10.5);
-  EXPECT_DOUBLE_EQ(vec::L1Norm(x, 0), 0.0);
-}
-
 // Values that stress an exactness contract: signed zeros, subnormals,
 // large magnitudes and signed powers of two mixed into Gaussian values.
 // The powers of two are +-1 and +-2^31, so their products include 2^62,

@@ -240,9 +240,8 @@ TEST(WireFormat, CliResponseMatchesHistoricalPrintf) {
             "user=3 k=2 items=1:0.500000,2:0.250000");
   EXPECT_EQ(wire::FormatCliResponse(req, TopKResponse{}),
             "user=3 k=2 items=");
-  EXPECT_EQ(wire::FormatCliResponse(req, topk, DegradeMode::kQuantized, 4),
-            "user=3 k=2 items=1:0.500000,2:0.250000 degraded=quantized "
-            "seq=4");
+  EXPECT_EQ(wire::FormatCliResponse(req, topk, DegradeMode::kIvf, 4),
+            "user=3 k=2 items=1:0.500000,2:0.250000 degraded=ivf seq=4");
 }
 
 TEST(WireFormat, CliErrorTokensMatchHistoricalStrings) {
@@ -274,14 +273,14 @@ TEST(WireErrors, StageMappingIsABijection) {
 }
 
 TEST(WireErrors, DegradeModeNamesRoundTrip) {
-  for (const DegradeMode mode :
-       {DegradeMode::kNone, DegradeMode::kIvf, DegradeMode::kQuantized}) {
+  for (const DegradeMode mode : {DegradeMode::kNone, DegradeMode::kIvf}) {
     DegradeMode back;
     ASSERT_TRUE(DegradeModeFromName(DegradeModeName(mode), &back));
     EXPECT_EQ(back, mode);
   }
   DegradeMode unused;
   EXPECT_FALSE(DegradeModeFromName("turbo", &unused));
+  EXPECT_FALSE(DegradeModeFromName("quantized", &unused));
 }
 
 TEST(WireErrors, ExceptionsCarryTheirCode) {

@@ -69,7 +69,7 @@ struct Options {
   uint32_t shard_items = serve::CatalogScorer::kDefaultItemsPerShard;
   size_t batch = 32;          // requests handled per HandleBatch call
   bool no_cache = false;
-  bool quantize = false;      // int8 two-phase catalog scan
+  bool quantize = false;      // int8 IVF list scan (needs --ann)
   bool ann = false;           // IVF approximate retrieval
   uint32_t nlist = 0;         // coarse lists (0 = ceil(sqrt(num_items)))
   uint32_t nprobe = serve::kDefaultNprobe;  // lists visited per query
@@ -98,8 +98,8 @@ void Usage() {
       "                    [--dim=N] [--layers=N] [--load=CKPT]\n"
       "                    [--requests=FILE] [--k=N] [--max-k=N]\n"
       "                    [--batch=N] [--shard-items=N] [--no-cache]\n"
-      "                    [--quantize] [--margin=N]\n"
       "                    [--ann] [--nlist=N] [--nprobe=P] [--recall]\n"
+      "                    [--quantize] [--margin=N]\n"
       "                    [--threads=N] [--seed=N]\n"
       "                    [--concurrent] [--producers=N] [--flush-us=D]\n"
       "                    [--max-queue=N] "
@@ -122,12 +122,6 @@ void Usage() {
       "--shard-items: catalog items per scoring shard (a worker's\n"
       "               score buffer holds one request block's scores\n"
       "               for one shard)\n"
-      "--quantize:    scan the catalog through an int8-quantized item\n"
-      "               table, then exact-re-rank the survivors in fp32\n"
-      "               (certified two-phase scan). Responses are\n"
-      "               bit-identical to the exact scorer — this flag\n"
-      "               trades memory traffic for a wider per-shard\n"
-      "               candidate pass, it never changes a ranking\n"
       "--ann:         approximate retrieval through an IVF coarse index\n"
       "               built at snapshot time: score --nlist centroids,\n"
       "               visit the top --nprobe lists, exact fp32 re-rank\n"
@@ -143,9 +137,12 @@ void Usage() {
       "--recall:      after serving, replay every request against an\n"
       "               exact reference scorer and report measured\n"
       "               recall-vs-exact on stderr (needs --ann)\n"
-      "--margin:      extra phase-1 candidates per shard beyond k\n"
-      "               (quantized mode; larger = fewer exact-rescan\n"
-      "               fallbacks on near-tie score distributions)\n"
+      "--quantize:    scan the IVF lists as int8 codes, then re-rank\n"
+      "               the best --margin + k candidates in fp32 (needs\n"
+      "               --ann)\n"
+      "--margin:      extra int8 candidates per request beyond k kept\n"
+      "               for the fp32 re-rank (--ann --quantize; larger =\n"
+      "               fewer true top-k items lost to int8 rounding)\n"
       "--threads:     worker count (0 = one per hardware thread,\n"
       "               1 = serial). Results are bit-identical for any\n"
       "               value.\n"
@@ -313,11 +310,15 @@ bool ParseFlags(int argc, char** argv, Options& opts) {
     std::fprintf(stderr, "--nprobe must be >= 1\n");
     return false;
   }
+  if (opts.quantize && !opts.ann) {
+    std::fprintf(stderr,
+                 "--quantize scans the IVF lists as int8 and needs --ann\n");
+    return false;
+  }
   if (opts.recall && !opts.ann) {
     std::fprintf(stderr,
-                 "--recall needs the approximate mode (--ann); exact and "
-                 "--quantize responses match the reference by "
-                 "construction\n");
+                 "--recall needs the approximate mode (--ann); exact "
+                 "responses match the reference by construction\n");
     return false;
   }
   return true;
@@ -356,10 +357,7 @@ void PrintResponses(const std::vector<serve::TopKRequest>& reqs,
 
 // Short human tag for the active scan mode in the snapshot-ready line.
 std::string ModeSuffix(const Options& opts) {
-  std::string s;
-  if (opts.quantize) s += ", int8 catalog table";
-  if (opts.ann) s += ", ivf index";
-  return s;
+  return opts.ann ? ", ivf index" : "";
 }
 
 // Replays `reqs` against an exact reference service built from the same
@@ -404,25 +402,16 @@ void ReportRecall(const Options& opts, const Dataset& data,
                counted);
 }
 
-// Per-mode scorer counters for the stderr summary.
-void ReportScanStats(const Options& opts, const serve::CatalogScorer& scorer) {
+// IVF probe counters for the stderr summary (--ann).
+void ReportScanStats(const serve::CatalogScorer& scorer) {
   const serve::CatalogScorer::Stats st = scorer.stats();
-  if (opts.ann) {
-    std::fprintf(stderr,
-                 "ivf probe: %llu queries, %llu lists visited, %llu "
-                 "candidates gathered, %llu re-ranked\n",
-                 static_cast<unsigned long long>(st.ivf_queries),
-                 static_cast<unsigned long long>(st.ivf_lists),
-                 static_cast<unsigned long long>(st.ivf_candidates),
-                 static_cast<unsigned long long>(st.ivf_reranked));
-    return;
-  }
-  if (opts.quantize) {
-    std::fprintf(stderr,
-                 "quantized scan: %llu shard tasks, %llu exact fallbacks\n",
-                 static_cast<unsigned long long>(st.shards_scanned),
-                 static_cast<unsigned long long>(st.shards_fallback));
-  }
+  std::fprintf(stderr,
+               "ivf probe: %llu queries, %llu lists visited, %llu "
+               "candidates gathered, %llu re-ranked\n",
+               static_cast<unsigned long long>(st.ivf_queries),
+               static_cast<unsigned long long>(st.ivf_lists),
+               static_cast<unsigned long long>(st.ivf_candidates),
+               static_cast<unsigned long long>(st.ivf_reranked));
 }
 
 // Maps the --overflow flag (pre-validated by ParseFlags) to the policy.
@@ -702,7 +691,7 @@ int main(int argc, char** argv) {
                total_secs > 0.0 ? static_cast<double>(served) / total_secs
                                 : 0.0,
                malformed);
-  ReportScanStats(opts, service.scorer());
+  if (opts.ann) ReportScanStats(service.scorer());
   if (opts.recall) {
     ReportRecall(opts, *data, *model, cfg, all_reqs, all_resps);
   }

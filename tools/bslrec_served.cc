@@ -54,7 +54,7 @@ struct Options {
   uint32_t max_k = 100;  // cache / prefix-reuse depth
   uint32_t shard_items = serve::CatalogScorer::kDefaultItemsPerShard;
   bool no_cache = false;
-  bool quantize = false;
+  bool quantize = false;  // int8 IVF list scan (needs --ann)
   bool ann = false;
   uint32_t nlist = 0;
   uint32_t nprobe = serve::kDefaultNprobe;
@@ -85,9 +85,9 @@ void Usage() {
       "[--backbone=mf|ngcf|lightgcn|sgl|simgcl|lightgcl]\n"
       "                     [--dim=N] [--layers=N] [--load=CKPT]\n"
       "                     [--k=N] [--max-k=N] [--shard-items=N]\n"
-      "                     [--no-cache] [--quantize]\n"
-      "                     [--ann] [--nlist=N] [--nprobe=P] [--margin=N]\n"
-      "                     [--threads=N] [--seed=N]\n"
+      "                     [--no-cache]\n"
+      "                     [--ann] [--nlist=N] [--nprobe=P] [--quantize]\n"
+      "                     [--margin=N] [--threads=N] [--seed=N]\n"
       "                     [--batch=N] [--flush-us=D] [--max-queue=N]\n"
       "                     [--overflow=block|shed-newest|shed-oldest]\n"
       "                     [--deadline-us=D] [--brownout-nprobe=P]\n"
@@ -110,9 +110,10 @@ void Usage() {
       "--k:           cutoff for request lines that name no k\n"
       "--max-k:       per-user rankings are cached at this depth\n"
       "--shard-items: catalog items per scoring shard\n"
-      "--quantize:    int8 certified two-phase catalog scan\n"
       "--ann:         IVF approximate retrieval (--nlist/--nprobe)\n"
-      "--margin:      extra phase-1 candidates per shard (quantized)\n"
+      "--quantize:    int8 IVF list scan + fp32 re-rank (needs --ann)\n"
+      "--margin:      extra int8 candidates per request kept for the\n"
+      "               fp32 re-rank (--ann --quantize)\n"
       "--threads:     scorer workers (0 = hardware concurrency)\n"
       "\n"
       "Front-door flags (same meaning as bslrec_serve --concurrent):\n"
@@ -237,6 +238,11 @@ bool ParseFlags(int argc, char** argv, Options& opts) {
     std::fprintf(stderr, "--nprobe must be >= 1\n");
     return false;
   }
+  if (opts.quantize && !opts.ann) {
+    std::fprintf(stderr,
+                 "--quantize scans the IVF lists as int8 and needs --ann\n");
+    return false;
+  }
   if (opts.io_threads == 0 || opts.max_line == 0) {
     std::fprintf(stderr, "--io-threads and --max-line must be >= 1\n");
     return false;
@@ -251,10 +257,7 @@ serve::OverflowPolicy OverflowFromFlag(const std::string& name) {
 }
 
 std::string ModeSuffix(const Options& opts) {
-  std::string s;
-  if (opts.quantize) s += ", int8 catalog table";
-  if (opts.ann) s += ", ivf index";
-  return s;
+  return opts.ann ? ", ivf index" : "";
 }
 
 volatile std::sig_atomic_t g_stop_requested = 0;
