@@ -156,6 +156,8 @@ std::vector<float> GaussianVec(size_t n, uint64_t seed) {
 struct VecTier {
   const char* name;
   float (*dot)(const float*, const float*, size_t);
+  void (*dot_rows)(const float*, const float*, size_t, const uint32_t*,
+                   size_t, size_t, float*);
   void (*dot_tile)(const double*, size_t, const double*, size_t, size_t,
                    float*, size_t);
   void (*cosine_grad_run)(const float*, const float*, size_t,
@@ -163,22 +165,26 @@ struct VecTier {
                           float*, size_t);
   void (*weighted_row_sum)(const float*, const uint32_t*, size_t,
                            const float*, size_t, float*, size_t);
+  void (*adam_step)(const vec::AdamCoeffs&, const float*, float*, float*,
+                    float*, size_t);
 };
 
 std::vector<VecTier> HostTiers() {
 #if defined(__x86_64__)
-  std::vector<VecTier> tiers = {{"sse2", vec::sse2::Dot, vec::sse2::DotTile,
-                                 vec::sse2::AccumulateCosineGradRun,
-                                 vec::sse2::WeightedRowSum}};
+  std::vector<VecTier> tiers = {
+      {"sse2", vec::sse2::Dot, vec::sse2::DotRows, vec::sse2::DotTile,
+       vec::sse2::AccumulateCosineGradRun, vec::sse2::WeightedRowSum,
+       vec::sse2::AdamStep}};
   if (std::string(vec::SimdTier()) == "avx2") {
-    tiers.push_back({"avx2", vec::avx2::Dot, vec::avx2::DotTile,
-                     vec::avx2::AccumulateCosineGradRun,
-                     vec::avx2::WeightedRowSum});
+    tiers.push_back({"avx2", vec::avx2::Dot, vec::avx2::DotRows,
+                     vec::avx2::DotTile, vec::avx2::AccumulateCosineGradRun,
+                     vec::avx2::WeightedRowSum, vec::avx2::AdamStep});
   }
   return tiers;
 #else
-  return {{vec::SimdTier(), vec::Dot, vec::DotTile,
-           vec::AccumulateCosineGradRun, vec::WeightedRowSum}};
+  return {{vec::SimdTier(), vec::Dot, vec::DotRows, vec::DotTile,
+           vec::AccumulateCosineGradRun, vec::WeightedRowSum,
+           vec::AdamStep}};
 #endif
 }
 
@@ -313,6 +319,53 @@ void BM_DotBatchPerRowLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_DotBatchPerRowLoop)->Arg(16)->Arg(64)->Arg(256);
 
+// One sampled-mode training sample's scoring (Algorithm 1): its
+// positive and 64 draws, 65 random rows of the trainer's normalized
+// 8k x 64 item table, scored by id against the user's row with
+// vec::DotRows. BM_DotRowsPerRowDot is the per-row Dot loop over the
+// same rows, with the same bits.
+constexpr size_t kTableItems = 8000;
+constexpr size_t kTableDim = 64;
+constexpr size_t kSampleRows = 65;
+
+std::vector<uint32_t> SampleRowIds() {
+  Rng rng(31);
+  std::vector<uint32_t> ids(kSampleRows);
+  for (auto& id : ids) id = static_cast<uint32_t>(rng.NextIndex(kTableItems));
+  return ids;
+}
+
+void BM_DotRows(benchmark::State& state, const VecTier& tier) {
+  const auto table = GaussianVec(kTableItems * kTableDim, 32);
+  const auto q = GaussianVec(kTableDim, 33);
+  const std::vector<uint32_t> ids = SampleRowIds();
+  std::vector<float> out(kSampleRows);
+  for (auto _ : state) {
+    tier.dot_rows(q.data(), table.data(), kTableDim, ids.data(), kSampleRows,
+                  kTableDim, out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kSampleRows);
+}
+
+void BM_DotRowsPerRowDot(benchmark::State& state) {
+  const auto table = GaussianVec(kTableItems * kTableDim, 32);
+  const auto q = GaussianVec(kTableDim, 33);
+  const std::vector<uint32_t> ids = SampleRowIds();
+  std::vector<float> out(kSampleRows);
+  for (auto _ : state) {
+    for (size_t r = 0; r < kSampleRows; ++r) {
+      out[r] = vec::Dot(q.data(), table.data() + ids[r] * kTableDim,
+                        kTableDim);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kSampleRows);
+}
+BENCHMARK(BM_DotRowsPerRowDot);
+
 // In-batch scoring at the trainer's Algorithm-2 shape: a 1024-sample
 // batch's users against its 1024 positive items at dim 64. BM_DotTile
 // is one tile over rows widened once (the widening is timed too, as the
@@ -446,6 +499,43 @@ void BM_SpmmFillAxpy(benchmark::State& state) {
 }
 BENCHMARK(BM_SpmmFillAxpy)->Unit(benchmark::kMillisecond);
 
+// One Adam step over the 786,432 elements of the benchmark model's
+// user and item tables (12k rows x 64): each tier (BM_AdamStep/<tier>,
+// registered with the other tiered kernels) and the scalar loop it
+// replaced (BM_AdamStepRef). The trainer's pool divides this per-step
+// cost across its workers in fixed element shards.
+constexpr size_t kAdamElements = 786432;
+
+template <typename Step>
+void RunAdamStep(benchmark::State& state, Step step) {
+  const size_t n = kAdamElements;
+  const auto g = GaussianVec(n, 37);
+  auto w = GaussianVec(n, 38);
+  std::vector<float> m(n, 0.0f), v(n, 0.0f);
+  const vec::AdamCoeffs c{.lr = 0.05,
+                          .weight_decay = 1e-6,
+                          .beta1 = 0.9,
+                          .beta2 = 0.999,
+                          .eps = 1e-8,
+                          .bc1 = 1.0 - 0.9,
+                          .bc2 = 1.0 - 0.999};
+  for (auto _ : state) {
+    step(c, g.data(), w.data(), m.data(), v.data(), n);
+    benchmark::DoNotOptimize(w.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+
+void BM_AdamStep(benchmark::State& state, const VecTier& tier) {
+  RunAdamStep(state, tier.adam_step);
+}
+
+void BM_AdamStepRef(benchmark::State& state) {
+  RunAdamStep(state, vec::ref::AdamStep);
+}
+BENCHMARK(BM_AdamStepRef)->Unit(benchmark::kMillisecond);
+
 void RegisterTieredBenchmarks() {
   for (auto* b : RegisterPerTier("BM_DotBlocked", BM_DotBlocked)) {
     b->Arg(16)->Arg(64)->Arg(256)->Arg(4096);
@@ -457,6 +547,10 @@ void RegisterTieredBenchmarks() {
     b->Unit(benchmark::kMicrosecond);
   }
   for (auto* b : RegisterPerTier("BM_SpmmRowKernel", BM_SpmmRowKernel)) {
+    b->Unit(benchmark::kMillisecond);
+  }
+  RegisterPerTier("BM_DotRows", BM_DotRows);
+  for (auto* b : RegisterPerTier("BM_AdamStep", BM_AdamStep)) {
     b->Unit(benchmark::kMillisecond);
   }
 }
@@ -552,40 +646,6 @@ void BM_QuantizeRowRef(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_QuantizeRowRef)->Arg(16)->Arg(64)->Arg(128)->Arg(256);
-
-// One Adam step over the 786,432 elements of the benchmark model's
-// user and item tables (12k rows x 64), SIMD kernel vs the scalar loop
-// it replaced. The trainer's pool divides this per-step cost across its
-// workers in fixed element shards.
-void RunAdamStep(benchmark::State& state, bool reference) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const auto g = GaussianVec(n, 37);
-  auto w = GaussianVec(n, 38);
-  std::vector<float> m(n, 0.0f), v(n, 0.0f);
-  const vec::AdamCoeffs c{.lr = 0.05,
-                          .weight_decay = 1e-6,
-                          .beta1 = 0.9,
-                          .beta2 = 0.999,
-                          .eps = 1e-8,
-                          .bc1 = 1.0 - 0.9,
-                          .bc2 = 1.0 - 0.999};
-  for (auto _ : state) {
-    if (reference) {
-      vec::ref::AdamStep(c, g.data(), w.data(), m.data(), v.data(), n);
-    } else {
-      vec::AdamStep(c, g.data(), w.data(), m.data(), v.data(), n);
-    }
-    benchmark::DoNotOptimize(w.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-
-void BM_AdamStep(benchmark::State& state) { RunAdamStep(state, false); }
-BENCHMARK(BM_AdamStep)->Arg(786432);
-
-void BM_AdamStepRef(benchmark::State& state) { RunAdamStep(state, true); }
-BENCHMARK(BM_AdamStepRef)->Arg(786432);
 
 void BM_StreamRngDraws(benchmark::State& state) {
   // Cost of one full per-sample stream: construction + 64 bounded draws,

@@ -54,21 +54,10 @@ double Dataset::TrainDensity() const {
          (static_cast<double>(num_users_) * num_items_);
 }
 
-std::span<const uint32_t> Dataset::TrainItems(uint32_t u) const {
-  BSLREC_CHECK(u < num_users_);
-  return {train_items_.data() + train_offsets_[u],
-          train_offsets_[u + 1] - train_offsets_[u]};
-}
-
 std::span<const uint32_t> Dataset::TestItems(uint32_t u) const {
   BSLREC_CHECK(u < num_users_);
   return {test_items_.data() + test_offsets_[u],
           test_offsets_[u + 1] - test_offsets_[u]};
-}
-
-bool Dataset::IsTrainPositive(uint32_t u, uint32_t i) const {
-  const auto items = TrainItems(u);
-  return std::binary_search(items.begin(), items.end(), i);
 }
 
 std::vector<uint32_t> Dataset::PopularityGroups(uint32_t num_groups) const {

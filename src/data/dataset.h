@@ -8,10 +8,13 @@
 #ifndef BSLREC_DATA_DATASET_H_
 #define BSLREC_DATA_DATASET_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
+
+#include "math/check.h"
 
 namespace bslrec {
 
@@ -38,14 +41,41 @@ class Dataset {
   // Density of the training matrix, |train| / (|U|*|I|).
   double TrainDensity() const;
 
-  // Sorted train positives of user u (S+_u).
-  std::span<const uint32_t> TrainItems(uint32_t u) const;
+  // Sorted, de-duplicated train positives of user u (S+_u).
+  std::span<const uint32_t> TrainItems(uint32_t u) const {
+    BSLREC_CHECK(u < num_users_);
+    return {train_items_.data() + train_offsets_[u],
+            train_offsets_[u + 1] - train_offsets_[u]};
+  }
 
   // Sorted test positives of user u.
   std::span<const uint32_t> TestItems(uint32_t u) const;
 
-  // True iff (u, i) is a train positive. O(log |S+_u|).
-  bool IsTrainPositive(uint32_t u, uint32_t i) const;
+  // True iff (u, i) is a train positive: Contains(TrainItems(u), i).
+  bool IsTrainPositive(uint32_t u, uint32_t i) const {
+    return Contains(TrainItems(u), i);
+  }
+
+  // True iff i is in `sorted` (ascending, no duplicates), the same answer
+  // std::binary_search gives. It halves a window ceil(log2 n) times, each
+  // step one load, one compare and one conditional move, and takes no
+  // branch that depends on the data: a rejection-sampled negative draw
+  // tests a random id, so the branches of a classic binary search
+  // mispredict about once per step. Negative samplers call it once per
+  // draw on a list they fetched once per sample.
+  static bool Contains(std::span<const uint32_t> sorted, uint32_t i) {
+    size_t n = sorted.size();
+    if (n == 0) return false;
+    // base stays at the last element <= i, if there is one (else at the
+    // first element), so i is present iff *base == i.
+    const uint32_t* base = sorted.data();
+    while (n > 1) {
+      const size_t half = n / 2;
+      base = base[half] <= i ? base + half : base;
+      n -= half;
+    }
+    return *base == i;
+  }
 
   // Flat edge list for mini-batch iteration (one sample per train edge).
   const std::vector<Edge>& train_edges() const { return train_edges_; }

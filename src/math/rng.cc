@@ -16,12 +16,6 @@ inline uint64_t Rotl(uint64_t x, int k) {
 
 uint64_t SplitMix64::Next() { return Mix(state_ += 0x9e3779b97f4a7c15ULL); }
 
-uint64_t SplitMix64::Mix(uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 Rng::Rng(uint64_t seed) {
   SplitMix64 sm(seed);
   for (auto& s : s_) s = sm.Next();
@@ -91,19 +85,8 @@ inline uint64_t AbsorbWord(uint64_t key, uint64_t word) {
 StreamRng::StreamRng(uint64_t seed, uint64_t epoch, uint64_t sample_index)
     : ctr_(AbsorbWord(AbsorbWord(seed, epoch), sample_index)) {}
 
-uint64_t StreamRng::NextU64() {
-  // SplitMix64 sequence seeded at the key: draw t is a pure function of
-  // (key, t), so any draw can be re-derived from the triple + counter.
-  return SplitMix64::Mix(ctr_ += 0x9e3779b97f4a7c15ULL);
-}
-
 double StreamRng::NextDouble() {
   return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
-}
-
-uint64_t StreamRng::NextIndex(uint64_t n) {
-  BSLREC_CHECK(n > 0);
-  return rng_internal::LemireIndex(*this, n);
 }
 
 bool StreamRng::NextBernoulli(double p) {

@@ -36,6 +36,8 @@
 #include <utility>
 #include <vector>
 
+#include "math/check.h"
+
 namespace bslrec {
 
 // SplitMix64: used to expand a single 64-bit seed into generator state.
@@ -51,7 +53,11 @@ class SplitMix64 {
   // avalanche mix of a single 64-bit word. `Next()` is
   // `Mix(state += golden)`; `StreamRng` uses it to hash (key, counter)
   // pairs.
-  static uint64_t Mix(uint64_t z);
+  static uint64_t Mix(uint64_t z) {
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  }
 
  private:
   uint64_t state_;
@@ -155,15 +161,21 @@ class StreamRng {
  public:
   StreamRng(uint64_t seed, uint64_t epoch, uint64_t sample_index);
 
-  // Next value of this stream: Mix(key + (draw index) * golden).
-  uint64_t NextU64();
+  // Next value of this stream: Mix(key + (draw index) * golden). The
+  // SplitMix64 sequence seeded at the key, so draw t is a pure function
+  // of (key, t). Inline, as is NextIndex: a negative draw is one or two
+  // of these, paid N- times per training sample.
+  uint64_t NextU64() { return SplitMix64::Mix(ctr_ += 0x9e3779b97f4a7c15ULL); }
 
   // Uniform double in [0, 1).
   double NextDouble();
 
   // Uniform integer in [0, n). Requires n > 0. Lemire multiply-shift
   // reduction; unbiased for every n.
-  uint64_t NextIndex(uint64_t n);
+  uint64_t NextIndex(uint64_t n) {
+    BSLREC_CHECK(n > 0);
+    return rng_internal::LemireIndex(*this, n);
+  }
 
   // Bernoulli draw with success probability p (clamped to [0,1]).
   bool NextBernoulli(double p);

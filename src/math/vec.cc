@@ -90,9 +90,33 @@ void DotBatchI8(const int8_t* q, const int8_t* rows, size_t m, size_t d,
   for (size_t r = 0; r < m; ++r) out[r] = DotI8(q, rows + r * d, d);
 }
 
+void DotRows(const float* q, const float* table, size_t stride,
+             const uint32_t* ids, size_t m, size_t d, float* out) {
+  for (size_t r = 0; r < m; ++r) {
+    out[r] = Dot(q, table + static_cast<size_t>(ids[r]) * stride, d);
+  }
+}
+
 }  // namespace ref
 
 namespace {
+
+// Where row r of a multi-row dot starts: by id in a strided table
+// (DotRows), or at r * d in a contiguous block (DotBatch).
+struct IdRows {
+  const float* table;
+  size_t stride;
+  const uint32_t* ids;
+  const float* operator()(size_t r) const {
+    return table + static_cast<size_t>(ids[r]) * stride;
+  }
+};
+
+struct ContiguousRows {
+  const float* rows;
+  size_t d;
+  const float* operator()(size_t r) const { return rows + r * d; }
+};
 
 // Shared quantization encoder: max_abs -> scale + codes. Both the
 // reference and the degenerate branches of the SIMD kernel route here,
@@ -210,6 +234,52 @@ void DotBatchI8(const int8_t* q, const int8_t* rows, size_t m, size_t d,
   for (size_t r = 0; r < m; ++r) out[r] = DotI8(q, rows + r * d, d);
 }
 
+// The multi-row dot: two rows per block, each with Dot's four lanes in
+// two registers, against one query widened once per block; an odd last
+// row goes through Dot.
+template <typename Rows>
+void MultiDot(const float* q, Rows row, size_t m, size_t d, float* out) {
+  size_t r = 0;
+  for (; r + 2 <= m; r += 2) {
+    const float* x0 = row(r);
+    const float* x1 = row(r + 1);
+    __m128d lo0 = _mm_setzero_pd(), hi0 = _mm_setzero_pd();
+    __m128d lo1 = _mm_setzero_pd(), hi1 = _mm_setzero_pd();
+    size_t k = 0;
+    for (; k + 4 <= d; k += 4) {
+      const __m128 vq = _mm_loadu_ps(q + k);
+      const __m128d q01 = _mm_cvtps_pd(vq);
+      const __m128d q23 = _mm_cvtps_pd(_mm_movehl_ps(vq, vq));
+      const __m128 v0 = _mm_loadu_ps(x0 + k);
+      const __m128 v1 = _mm_loadu_ps(x1 + k);
+      lo0 = _mm_add_pd(lo0, _mm_mul_pd(q01, _mm_cvtps_pd(v0)));
+      hi0 = _mm_add_pd(hi0,
+                       _mm_mul_pd(q23, _mm_cvtps_pd(_mm_movehl_ps(v0, v0))));
+      lo1 = _mm_add_pd(lo1, _mm_mul_pd(q01, _mm_cvtps_pd(v1)));
+      hi1 = _mm_add_pd(hi1,
+                       _mm_mul_pd(q23, _mm_cvtps_pd(_mm_movehl_ps(v1, v1))));
+    }
+    alignas(16) double l0[2], h0[2], l1[2], h1[2];
+    _mm_store_pd(l0, lo0);
+    _mm_store_pd(h0, hi0);
+    _mm_store_pd(l1, lo1);
+    _mm_store_pd(h1, hi1);
+    double a0 = l0[0], b0 = l1[0];
+    for (; k < d; ++k) {
+      a0 += static_cast<double>(q[k]) * x0[k];
+      b0 += static_cast<double>(q[k]) * x1[k];
+    }
+    out[r] = static_cast<float>((a0 + l0[1]) + (h0[0] + h0[1]));
+    out[r + 1] = static_cast<float>((b0 + l1[1]) + (h1[0] + h1[1]));
+  }
+  if (r < m) out[r] = Dot(q, row(r), d);
+}
+
+void DotRows(const float* q, const float* table, size_t stride,
+             const uint32_t* ids, size_t m, size_t d, float* out) {
+  MultiDot(q, IdRows{table, stride, ids}, m, d, out);
+}
+
 }  // namespace sse2
 
 namespace avx2 {
@@ -284,6 +354,60 @@ BSLREC_AVX2 void DotBatchI8(const int8_t* q, const int8_t* rows, size_t m,
   for (; r < m; ++r) out[r] = DotI8(q, rows + r * d, d);
 }
 
+// The multi-row dot: four rows per block against one query widened once
+// per block, each row with Dot's four lanes in one register (four
+// independent add chains). The block ends as a DotTile block does: a
+// 4 x 4 transpose turns the row registers into lane registers, the
+// d % 4 tail goes into lane 0 term by term, and the lanes combine as
+// (0+1)+(2+3) with vertical adds. The last m % 4 rows go through Dot.
+template <typename Rows>
+BSLREC_AVX2 void MultiDot(const float* q, Rows row, size_t m, size_t d,
+                          float* out) {
+  size_t r = 0;
+  for (; r + 4 <= m; r += 4) {
+    const float* x0 = row(r);
+    const float* x1 = row(r + 1);
+    const float* x2 = row(r + 2);
+    const float* x3 = row(r + 3);
+    __m256d a0 = _mm256_setzero_pd(), a1 = _mm256_setzero_pd();
+    __m256d a2 = _mm256_setzero_pd(), a3 = _mm256_setzero_pd();
+    size_t k = 0;
+    for (; k + 4 <= d; k += 4) {
+      const __m256d qv = _mm256_cvtps_pd(_mm_loadu_ps(q + k));
+      a0 = _mm256_add_pd(
+          a0, _mm256_mul_pd(qv, _mm256_cvtps_pd(_mm_loadu_ps(x0 + k))));
+      a1 = _mm256_add_pd(
+          a1, _mm256_mul_pd(qv, _mm256_cvtps_pd(_mm_loadu_ps(x1 + k))));
+      a2 = _mm256_add_pd(
+          a2, _mm256_mul_pd(qv, _mm256_cvtps_pd(_mm_loadu_ps(x2 + k))));
+      a3 = _mm256_add_pd(
+          a3, _mm256_mul_pd(qv, _mm256_cvtps_pd(_mm_loadu_ps(x3 + k))));
+    }
+    const __m256d t0 = _mm256_unpacklo_pd(a0, a1);
+    const __m256d t1 = _mm256_unpackhi_pd(a0, a1);
+    const __m256d t2 = _mm256_unpacklo_pd(a2, a3);
+    const __m256d t3 = _mm256_unpackhi_pd(a2, a3);
+    __m256d lane0 = _mm256_permute2f128_pd(t0, t2, 0x20);
+    const __m256d lane1 = _mm256_permute2f128_pd(t1, t3, 0x20);
+    const __m256d lane2 = _mm256_permute2f128_pd(t0, t2, 0x31);
+    const __m256d lane3 = _mm256_permute2f128_pd(t1, t3, 0x31);
+    for (; k < d; ++k) {
+      const __m256d col = _mm256_set_pd(x3[k], x2[k], x1[k], x0[k]);
+      lane0 = _mm256_add_pd(lane0, _mm256_mul_pd(_mm256_set1_pd(q[k]), col));
+    }
+    _mm_storeu_ps(out + r, _mm256_cvtpd_ps(_mm256_add_pd(
+                               _mm256_add_pd(lane0, lane1),
+                               _mm256_add_pd(lane2, lane3))));
+  }
+  for (; r < m; ++r) out[r] = Dot(q, row(r), d);
+}
+
+BSLREC_AVX2 void DotRows(const float* q, const float* table, size_t stride,
+                         const uint32_t* ids, size_t m, size_t d,
+                         float* out) {
+  MultiDot(q, IdRows{table, stride, ids}, m, d, out);
+}
+
 }  // namespace avx2
 #endif
 
@@ -313,6 +437,32 @@ void DotBatchI8(const int8_t* q, const int8_t* rows, size_t m, size_t d,
   }
 #else
   ref::DotBatchI8(q, rows, m, d, out);
+#endif
+}
+
+void DotRows(const float* q, const float* table, size_t stride,
+             const uint32_t* ids, size_t m, size_t d, float* out) {
+#if BSLREC_VEC_X86
+  if (RunAvx2()) {
+    avx2::DotRows(q, table, stride, ids, m, d, out);
+  } else {
+    sse2::DotRows(q, table, stride, ids, m, d, out);
+  }
+#else
+  ref::DotRows(q, table, stride, ids, m, d, out);
+#endif
+}
+
+void DotBatch(const float* q, const float* rows, size_t m, size_t d,
+              float* out) {
+#if BSLREC_VEC_X86
+  if (RunAvx2()) {
+    avx2::MultiDot(q, ContiguousRows{rows, d}, m, d, out);
+  } else {
+    sse2::MultiDot(q, ContiguousRows{rows, d}, m, d, out);
+  }
+#else
+  for (size_t r = 0; r < m; ++r) out[r] = ref::Dot(q, rows + r * d, d);
 #endif
 }
 
@@ -436,49 +586,6 @@ float SquaredDistance(const float* a, const float* b, size_t n) {
     acc0 += d * d;
   }
   return static_cast<float>((acc0 + acc1) + (acc2 + acc3));
-}
-
-void DotBatch(const float* q, const float* rows, size_t m, size_t d,
-              float* out) {
-  // Two regimes, picked by row length (measured on GCC -O3 x86-64):
-  //  * Long rows vectorize best as the plain four-lane Dot loop — the
-  //    autovectorizer handles one row's reduction well, and pairing rows
-  //    only starves it of registers. Delegate per row.
-  //  * Short rows are dominated by loop setup and query reloads; pairing
-  //    two rows amortizes both (~1.2x at d=16).
-  // Either way each row keeps Dot's exact four-lane summation tree, so
-  // out[r] == Dot(q, row r, d) bitwise — callers may mix the kernels.
-  if (d >= 32) {
-    for (size_t r = 0; r < m; ++r) out[r] = Dot(q, rows + r * d, d);
-    return;
-  }
-  size_t r = 0;
-  for (; r + 2 <= m; r += 2) {
-    const float* a = rows + r * d;
-    const float* b = a + d;
-    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-    double b0 = 0.0, b1 = 0.0, b2 = 0.0, b3 = 0.0;
-    size_t k = 0;
-    for (; k + 4 <= d; k += 4) {
-      const double q0 = q[k + 0], q1 = q[k + 1];
-      const double q2 = q[k + 2], q3 = q[k + 3];
-      a0 += q0 * a[k + 0];
-      a1 += q1 * a[k + 1];
-      a2 += q2 * a[k + 2];
-      a3 += q3 * a[k + 3];
-      b0 += q0 * b[k + 0];
-      b1 += q1 * b[k + 1];
-      b2 += q2 * b[k + 2];
-      b3 += q3 * b[k + 3];
-    }
-    for (; k < d; ++k) {
-      a0 += static_cast<double>(q[k]) * a[k];
-      b0 += static_cast<double>(q[k]) * b[k];
-    }
-    out[r + 0] = static_cast<float>((a0 + a1) + (a2 + a3));
-    out[r + 1] = static_cast<float>((b0 + b1) + (b2 + b3));
-  }
-  for (; r < m; ++r) out[r] = Dot(q, rows + r * d, d);
 }
 
 void GatherNormalize(const float* table, size_t stride, const uint32_t* ids,
@@ -995,9 +1102,11 @@ void AdamStep(const AdamCoeffs& c, const float* g, float* w, float* m,
 
 }  // namespace ref
 
+#if BSLREC_VEC_X86
+namespace sse2 {
+
 void AdamStep(const AdamCoeffs& c, const float* g, float* w, float* m,
               float* v, size_t n) {
-#if BSLREC_VEC_X86
   // The reference's expression, two double lanes per register, with the
   // same operations in the same order (see the vec.h contract note).
   const __m128d beta1 = _mm_set1_pd(c.beta1);
@@ -1045,6 +1154,58 @@ void AdamStep(const AdamCoeffs& c, const float* g, float* w, float* m,
     _mm_storeu_ps(w + k, _mm_sub_ps(w4, _mm_movelh_ps(lo.step, hi.step)));
   }
   ref::AdamStep(c, g + k, w + k, m + k, v + k, n - k);
+}
+
+}  // namespace sse2
+
+namespace avx2 {
+
+BSLREC_AVX2 void AdamStep(const AdamCoeffs& c, const float* g, float* w,
+                          float* m, float* v, size_t n) {
+  // The SSE2 form's expression, four double lanes per register.
+  const __m256d beta1 = _mm256_set1_pd(c.beta1);
+  const __m256d one_minus_beta1 = _mm256_set1_pd(1.0 - c.beta1);
+  const __m256d beta2 = _mm256_set1_pd(c.beta2);
+  const __m256d one_minus_beta2 = _mm256_set1_pd(1.0 - c.beta2);
+  const __m256d bc1 = _mm256_set1_pd(c.bc1);
+  const __m256d bc2 = _mm256_set1_pd(c.bc2);
+  const __m256d eps = _mm256_set1_pd(c.eps);
+  const __m256d lr = _mm256_set1_pd(c.lr);
+  const __m256d wd = _mm256_set1_pd(c.weight_decay);
+  size_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    const __m128 w4 = _mm_loadu_ps(w + k);
+    const __m256d gd = _mm256_cvtps_pd(_mm_loadu_ps(g + k));
+    const __m128 m_new = _mm256_cvtpd_ps(_mm256_add_pd(
+        _mm256_mul_pd(beta1, _mm256_cvtps_pd(_mm_loadu_ps(m + k))),
+        _mm256_mul_pd(one_minus_beta1, gd)));
+    const __m128 v_new = _mm256_cvtpd_ps(_mm256_add_pd(
+        _mm256_mul_pd(beta2, _mm256_cvtps_pd(_mm_loadu_ps(v + k))),
+        _mm256_mul_pd(_mm256_mul_pd(one_minus_beta2, gd), gd)));
+    const __m256d m_hat = _mm256_div_pd(_mm256_cvtps_pd(m_new), bc1);
+    const __m256d v_hat = _mm256_div_pd(_mm256_cvtps_pd(v_new), bc2);
+    const __m256d ratio =
+        _mm256_div_pd(m_hat, _mm256_add_pd(_mm256_sqrt_pd(v_hat), eps));
+    const __m128 step = _mm256_cvtpd_ps(_mm256_mul_pd(
+        lr, _mm256_add_pd(ratio, _mm256_mul_pd(wd, _mm256_cvtps_pd(w4)))));
+    _mm_storeu_ps(m + k, m_new);
+    _mm_storeu_ps(v + k, v_new);
+    _mm_storeu_ps(w + k, _mm_sub_ps(w4, step));
+  }
+  ref::AdamStep(c, g + k, w + k, m + k, v + k, n - k);
+}
+
+}  // namespace avx2
+#endif
+
+void AdamStep(const AdamCoeffs& c, const float* g, float* w, float* m,
+              float* v, size_t n) {
+#if BSLREC_VEC_X86
+  if (RunAvx2()) {
+    avx2::AdamStep(c, g, w, m, v, n);
+  } else {
+    sse2::AdamStep(c, g, w, m, v, n);
+  }
 #else
   ref::AdamStep(c, g, w, m, v, n);
 #endif

@@ -7,13 +7,15 @@
 //
 // ---- SIMD dispatch contract ----
 //
-// The hot kernels (`Dot`, `DotTile`, `AccumulateCosineGradRun`, `DotI8`,
-// `DotBatchI8`, `WeightedRowSum`, `QuantizeRow`, `AdamStep`) have
+// The hot kernels (`Dot`, `DotRows`, `DotTile`, `AccumulateCosineGradRun`,
+// `DotI8`, `DotBatchI8`, `WeightedRowSum`, `AdamStep`, `QuantizeRow`) have
 // explicitly vectorized forms. On x86-64 every build carries an SSE2
-// tier (the x86-64 baseline) and, for the first six, an AVX2 tier; each
-// process reads CPUID once and runs AVX2 where the CPU has it, SSE2
-// otherwise (a build that targets AVX2 itself, e.g. -march=native on such
-// a host, skips the check). Other architectures run the scalar forms.
+// tier (the x86-64 baseline) and, for all but `QuantizeRow`, an AVX2
+// tier; each process reads CPUID once and runs AVX2 where the CPU has
+// it, SSE2 otherwise (a build that targets AVX2 itself, e.g.
+// -march=native on such a host, skips the check). Other architectures
+// run the scalar forms. `DotBatch` is `DotRows` over contiguous rows and
+// runs the same tiers.
 // The scalar forms are always compiled and exposed under `vec::ref`, and
 // each x86-64 tier's entry points under `vec::sse2` and `vec::avx2`;
 // every SIMD kernel is contractually *bit-identical* to its reference,
@@ -30,6 +32,12 @@
 //     sums elements k+j), combined in the same fixed ((0+1)+(2+3))
 //     order. float*float products are exact in double (24+24 < 53
 //     mantissa bits), so mul+add and fma agree bitwise, too.
+//   * `DotRows` (and `DotBatch`) via the same tree per row: every output
+//     equals Dot over its row bitwise. The tiers score a block of rows
+//     against one query (two rows per block in SSE2, four in AVX2), one
+//     accumulator per row, so a block runs several independent add
+//     chains where Dot runs one; the AVX2 tier combines its four rows'
+//     lanes with DotTile's transpose.
 //   * `DotTile` via the same tree: each (query, row) entry keeps Dot's
 //     four double lanes (lane j sums the products with k = j mod 4, the
 //     d % 4 tail goes to lane 0, the lanes combine as (0+1)+(2+3)), so
@@ -48,10 +56,11 @@
 //     each weighted term in order, as Fill + one Axpy per term does; the
 //     SIMD forms keep a block of the output row in registers.
 //   * `AdamStep` exactly — its SSE2 form runs the reference's double-
-//     precision expression two lanes at a time, operation for
-//     operation: float -> double widening is exact, and IEEE add, mul,
-//     div, sqrt and the double -> float narrowing are correctly rounded
-//     in packed and scalar form alike.
+//     precision expression two lanes at a time, and its AVX2 form four,
+//     operation for operation: float -> double widening is exact, and
+//     IEEE add, mul, div, sqrt and the double -> float narrowing are
+//     correctly rounded in packed and scalar form alike. (The step is
+//     bound by the divider, which AVX-512 does not widen here.)
 //
 // No kernel may fuse a multiply-add into an FMA: an FMA rounds once
 // where mul + add rounds twice, so the float kernels (the cosine
@@ -63,8 +72,8 @@
 //
 // tests/test_vec.cc enforces all of these contracts, for every tier the
 // host can run (AdamStep's lives in tests/test_optimizer.cc, next to
-// the pooled optimizer step it feeds); SimdTier() reports the tier the
-// dispatched kernels run.
+// the pooled optimizer step it feeds, and runs each tier by name too);
+// SimdTier() reports the tier the dispatched kernels run.
 #ifndef BSLREC_MATH_VEC_H_
 #define BSLREC_MATH_VEC_H_
 
@@ -98,6 +107,8 @@ struct AdamCoeffs {
 // note); benches compare against them to quantify the SIMD win.
 namespace ref {
 float Dot(const float* a, const float* b, size_t n);
+void DotRows(const float* q, const float* table, size_t stride,
+             const uint32_t* ids, size_t m, size_t d, float* out);
 void DotTile(const double* q, size_t m, const double* rows, size_t n,
              size_t d, float* out, size_t out_stride);
 void AccumulateCosineGradRun(const float* self_hat, const float* others,
@@ -123,6 +134,8 @@ void AdamStep(const AdamCoeffs& c, const float* g, float* w, float* m,
 // may only be called where SimdTier() is "avx2".
 namespace sse2 {
 float Dot(const float* a, const float* b, size_t n);
+void DotRows(const float* q, const float* table, size_t stride,
+             const uint32_t* ids, size_t m, size_t d, float* out);
 void DotTile(const double* q, size_t m, const double* rows, size_t n,
              size_t d, float* out, size_t out_stride);
 void AccumulateCosineGradRun(const float* self_hat, const float* others,
@@ -134,10 +147,14 @@ void DotBatchI8(const int8_t* q, const int8_t* rows, size_t m, size_t d,
                 int32_t* out);
 void WeightedRowSum(const float* values, const uint32_t* idx, size_t m,
                     const float* x, size_t stride, float* out, size_t n);
+void AdamStep(const AdamCoeffs& c, const float* g, float* w, float* m,
+              float* v, size_t n);
 }  // namespace sse2
 
 namespace avx2 {
 float Dot(const float* a, const float* b, size_t n);
+void DotRows(const float* q, const float* table, size_t stride,
+             const uint32_t* ids, size_t m, size_t d, float* out);
 void DotTile(const double* q, size_t m, const double* rows, size_t n,
              size_t d, float* out, size_t out_stride);
 void AccumulateCosineGradRun(const float* self_hat, const float* others,
@@ -149,6 +166,8 @@ void DotBatchI8(const int8_t* q, const int8_t* rows, size_t m, size_t d,
                 int32_t* out);
 void WeightedRowSum(const float* values, const uint32_t* idx, size_t m,
                     const float* x, size_t stride, float* out, size_t n);
+void AdamStep(const AdamCoeffs& c, const float* g, float* w, float* m,
+              float* v, size_t n);
 }  // namespace avx2
 #endif
 
@@ -202,21 +221,26 @@ void Fill(float* x, size_t n, float v);
 // Returns squared Euclidean distance ||a - b||^2.
 float SquaredDistance(const float* a, const float* b, size_t n);
 
-// Batch scoring: out[r] = Dot(q, rows + r*d) for r in [0, m). `rows` is a
-// contiguous m x d block (gathered negatives). Short rows are register-
-// blocked in pairs (query loads amortized across the pair); long rows
-// take the autovectorizer-friendly per-row form. Each row's summation
-// tree is identical to Dot's (four double lanes combined in fixed
-// order), so out[r] == Dot(q, row r, d) bitwise — batch scoring never
-// changes results, only speed.
+// Indexed multi-row scoring: out[r] = Dot(q, table + ids[r]*stride, d)
+// for r in [0, m), bitwise (see the header note). Repeated ids are fine.
+// It scores a sampled-mode training sample's positive and N- draws
+// straight from the trainer's per-batch normalized item table, by item
+// id, with no gather copy.
+void DotRows(const float* q, const float* table, size_t stride,
+             const uint32_t* ids, size_t m, size_t d, float* out);
+
+// DotRows over a contiguous m x d block: out[r] = Dot(q, rows + r*d, d)
+// bitwise, through the same block kernel. It scores the IVF centroids
+// and an IVF list's grouped fp32 rows.
 void DotBatch(const float* q, const float* rows, size_t m, size_t d,
               float* out);
 
 // Gathers rows ids[0..m) from `table` (row stride `stride` floats) into
 // the contiguous m x d block `out_rows`, L2-normalizing each row;
 // out_norms[r] receives the original norm. Per row this is exactly
-// Normalize(table + ids[r]*stride, out_rows + r*d, d) — one call replaces
-// the per-draw gather/normalize loop in training hot paths.
+// Normalize(table + ids[r]*stride, out_rows + r*d, d). The trainer no
+// longer calls it (it normalizes each item once per batch instead); the
+// sampling bench and the benchmark's kernel replay still do.
 void GatherNormalize(const float* table, size_t stride, const uint32_t* ids,
                      size_t m, size_t d, float* out_rows, float* out_norms);
 

@@ -72,8 +72,10 @@ void ThreadPool::WorkerLoop(size_t worker_id) {
 void ThreadPool::Run(size_t num_tasks,
                      const std::function<void(size_t, size_t)>& fn) {
   if (num_tasks == 0) return;
-  if (workers_.empty()) {
-    // Serial pool: execute inline; exceptions propagate directly.
+  if (workers_.empty() || num_tasks == 1) {
+    // A serial pool, or a job of one task (which one worker would run
+    // anyway): execute inline without waking the pool; exceptions
+    // propagate directly.
     for (size_t t = 0; t < num_tasks; ++t) fn(t, 0);
     return;
   }

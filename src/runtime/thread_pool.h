@@ -12,7 +12,9 @@
 // Threading contract
 //   * A `ThreadPool(n)` owns `n - 1` background threads; the thread that
 //     calls `Run` always participates as worker 0, so `n = 1` spawns no
-//     threads at all and executes every task inline on the caller.
+//     threads at all and executes every task inline on the caller. A
+//     job of one task also runs inline on the caller, as worker 0,
+//     without waking the background threads.
 //   * `Run(num_tasks, fn)` invokes `fn(task, worker)` for every task
 //     index in [0, num_tasks) exactly once and blocks until all calls
 //     have returned. Tasks are claimed from a shared atomic counter, so

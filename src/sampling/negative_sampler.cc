@@ -8,16 +8,18 @@ namespace bslrec {
 
 namespace {
 
-// Draws one uniform true negative for user u by rejection. The retry
-// bound only trips when a user interacted with nearly the whole catalog,
-// which the dataset builders prevent. Templated over the generator so the
-// sequential (Rng) and counter-based (StreamRng) paths share one core.
+// Draws one uniform true negative for user u, whose train positives are
+// `pos`, by rejection. The retry bound only trips when a user interacted
+// with nearly the whole catalog, which the dataset builders prevent.
+// Templated over the generator so the sequential (Rng) and
+// counter-based (StreamRng) paths share one core.
 template <typename G>
-uint32_t DrawUniformNegative(const Dataset& data, uint32_t u, G& rng) {
+uint32_t DrawUniformNegative(const Dataset& data, uint32_t u,
+                             std::span<const uint32_t> pos, G& rng) {
   constexpr int kMaxTries = 1000;
   for (int t = 0; t < kMaxTries; ++t) {
     const uint32_t i = static_cast<uint32_t>(rng.NextIndex(data.num_items()));
-    if (!data.IsTrainPositive(u, i)) return i;
+    if (!Dataset::Contains(pos, i)) return i;
   }
   BSLREC_CHECK_MSG(false, "user %u has (almost) no negatives", u);
   return 0;  // unreachable
@@ -41,8 +43,9 @@ SamplerDispatch MakeDispatch(const S* self) {
 template <typename G>
 void UniformNegativeSampler::SampleInto(uint32_t u, G& rng, uint32_t* out,
                                         size_t n) const {
+  const auto pos = data_.TrainItems(u);
   for (size_t k = 0; k < n; ++k) {
-    out[k] = DrawUniformNegative(data_, u, rng);
+    out[k] = DrawUniformNegative(data_, u, pos, rng);
   }
 }
 
@@ -74,12 +77,13 @@ template <typename G>
 void PopularityNegativeSampler::SampleInto(uint32_t u, G& rng, uint32_t* out,
                                            size_t n) const {
   constexpr int kMaxTries = 1000;
+  const auto pos = data_.TrainItems(u);
   for (size_t k = 0; k < n; ++k) {
     uint32_t i = 0;
     bool found = false;
     for (int t = 0; t < kMaxTries; ++t) {
       i = table_.Sample(rng);
-      if (!data_.IsTrainPositive(u, i)) {
+      if (!Dataset::Contains(pos, i)) {
         found = true;
         break;
       }
@@ -118,7 +122,7 @@ void NoisyNegativeSampler::SampleInto(uint32_t u, G& rng, uint32_t* out,
     if (!pos.empty() && rng.NextBernoulli(p_pos)) {
       out[k] = pos[rng.NextIndex(pos.size())];
     } else {
-      out[k] = DrawUniformNegative(data_, u, rng);
+      out[k] = DrawUniformNegative(data_, u, pos, rng);
     }
   }
 }

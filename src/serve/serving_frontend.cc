@@ -307,6 +307,7 @@ uint64_t ServingFrontEnd::PublishSnapshot(
   // building the new state races nothing the dispatcher is doing.
   auto next = std::make_shared<State>(data_, std::move(snapshot), pool_,
                                       config_, seq);
+  const bool can_degrade = next->brownout_engine != nullptr;
   {
     std::lock_guard<std::mutex> lock(state_mu_);
     state_.swap(next);
@@ -317,6 +318,8 @@ uint64_t ServingFrontEnd::PublishSnapshot(
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.snapshots_published;
+    // A snapshot without a brownout tier ends a brownout in progress.
+    if (brownout_active_ && !can_degrade) EndBrownoutLocked();
   }
   return seq;
 }
@@ -384,19 +387,27 @@ void ServingFrontEnd::FormBatchLocked(std::vector<Pending>& batch) {
 void ServingFrontEnd::UpdateBrownoutLocked() {
   const BrownoutConfig& b = config_.brownout;
   if (!b.enable) return;
+  // A snapshot without an IVF index has no cheaper tier, so nothing
+  // could degrade: no brownout while it is the current one.
+  const bool can_degrade = CurrentState()->brownout_engine != nullptr;
   const bool latency_hot =
       b.latency_high_us != 0 && last_batch_us_ >= b.latency_high_us;
   if (!brownout_active_) {
-    if (DepthLocked() >= b.high_watermark || latency_hot) {
+    if (can_degrade && (DepthLocked() >= b.high_watermark || latency_hot)) {
       brownout_active_ = true;
       brownout_entered_ = Clock::now();
       ++stats_.brownout_entries;
     }
-  } else if (DepthLocked() <= b.low_watermark && !latency_hot) {
-    brownout_active_ = false;
-    stats_.brownout_us += ElapsedUs(brownout_entered_, Clock::now());
-    ++stats_.brownout_exits;
+  } else if (!can_degrade ||
+             (DepthLocked() <= b.low_watermark && !latency_hot)) {
+    EndBrownoutLocked();
   }
+}
+
+void ServingFrontEnd::EndBrownoutLocked() {
+  brownout_active_ = false;
+  stats_.brownout_us += ElapsedUs(brownout_entered_, Clock::now());
+  ++stats_.brownout_exits;
 }
 
 void ServingFrontEnd::DispatchLoop() {
@@ -475,11 +486,7 @@ void ServingFrontEnd::DispatchLoop() {
     idle_cv_.notify_all();
   }
   // Close an active brownout span so brownout_us is complete at exit.
-  if (brownout_active_) {
-    brownout_active_ = false;
-    stats_.brownout_us += ElapsedUs(brownout_entered_, Clock::now());
-    ++stats_.brownout_exits;
-  }
+  if (brownout_active_) EndBrownoutLocked();
 }
 
 void ServingFrontEnd::ServeBatch(std::vector<Pending>& batch, bool degraded,

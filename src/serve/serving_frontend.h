@@ -71,11 +71,12 @@
 //     to the configured tier once depth falls to the low-water mark
 //     (hysteresis, so the mode cannot flap batch-to-batch). A snapshot
 //     without an index has no cheaper tier, so brownout never engages
-//     on it. Every response scored in brownout is marked `degraded`
-//     with the `DegradeMode` used. `BrownoutModeFor` /
-//     `BrownoutServeConfigFor` expose the exact tier selection so
-//     callers can construct the bit-identical reference service for
-//     any response.
+//     on it (the brownout counters stay still), and publishing one
+//     ends a brownout in progress. Every response scored in brownout
+//     is marked `degraded` with the `DegradeMode` used.
+//     `BrownoutModeFor` / `BrownoutServeConfigFor` expose the exact
+//     tier selection so callers can construct the bit-identical
+//     reference service for any response.
 //   * Determinism contract under brownout: admission and brownout
 //     decide *whether and at what tier* a request is served — never
 //     the bits of a served ranking at a given tier. A response served
@@ -420,8 +421,11 @@ class ServingFrontEnd {
   // Pops up to max_batch live requests weighted-fair across the lanes,
   // finalizing expired ones (DeadlineExceededError{kQueue}) inline.
   void FormBatchLocked(std::vector<Pending>& batch);
-  // Enter/exit brownout from queue depth + last batch latency.
+  // Enter/exit brownout from queue depth + last batch latency; never
+  // enters while the current snapshot has no brownout tier.
   void UpdateBrownoutLocked();
+  // Ends the active brownout span: counts the exit, adds its time.
+  void EndBrownoutLocked();
   size_t DepthLocked() const { return lanes_[0].size() + lanes_[1].size(); }
   // Scores one batch on the current state (at the degraded tier when
   // `degraded`) and fulfills its promises; `fault` is the injected
@@ -453,7 +457,8 @@ class ServingFrontEnd {
   size_t in_flight_ = 0;  // requests taken but not yet fulfilled
   bool shutdown_ = false;
   FrontEndStats stats_;
-  // Brownout state machine (dispatcher-only mutation, under mu_).
+  // Brownout state machine (under mu_; the dispatcher enters and exits,
+  // and a publisher of a snapshot without a brownout tier exits).
   bool brownout_active_ = false;
   std::chrono::steady_clock::time_point brownout_entered_;
   uint64_t last_batch_us_ = 0;  // service time of the previous batch

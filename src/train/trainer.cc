@@ -51,19 +51,9 @@ Trainer::Trainer(const Dataset& data, EmbeddingModel& model,
   // views) and the optimizer step through the trainer's pool as well.
   model_.SetRuntime(pool_.get());
   optimizer_->SetRuntime(pool_.get());
-  const size_t d = model.dim();
   const size_t slots = 1 + config.num_negatives;
-  const bool sampled =
-      config.sampling_mode == SamplingMode::kSampledNegatives;
-  for (WorkerScratch& ws : scratch_) {
-    ws.i_hat.resize(d);
-    ws.partial.resize(d);
-    if (sampled) {
-      ws.block.resize(slots * d);
-      ws.block_norm.resize(slots);
-    }
-  }
-  if (sampled) {
+  for (WorkerScratch& ws : scratch_) ws.partial.resize(model.dim());
+  if (config.sampling_mode == SamplingMode::kSampledNegatives) {
     // Item terms index a batch's (sample, slot) pairs in 32 bits.
     BSLREC_CHECK_MSG(config.batch_size <= UINT32_MAX / slots,
                      "batch_size x (1 + num_negatives) exceeds 2^32");
@@ -141,9 +131,27 @@ std::optional<size_t> Trainer::FirstNonFiniteShard() const {
 std::optional<size_t> Trainer::AccumulateSampledLoss(
     const std::vector<Edge>& edges, size_t begin, size_t end, uint64_t epoch) {
   BatchBuffers& buf = batch_;
+  const size_t d = model_.dim();
   const size_t b = end - begin;
-  buf.Resize(b, model_.dim());
+  buf.Resize(b, d);
   const Edge* batch = edges.data() + begin;
+
+  // Normalize every item row once: phase A scores the positives and the
+  // draws by id from this table, and phase B's item owners read their
+  // rows from it. Each row has one owner, so the pass has the bits of
+  // any per-row Normalize. Allocated here, on the first sampled batch.
+  const size_t num_items = data_.num_items();
+  buf.item_hat.resize(num_items * d);
+  buf.item_norm.resize(num_items);
+  runtime::ParallelFor(
+      *pool_, 0, num_items, kItemTableGrain,
+      [&](size_t lo, size_t hi, size_t /*shard*/, size_t /*worker*/) {
+        for (size_t i = lo; i < hi; ++i) {
+          buf.item_norm[i] =
+              vec::Normalize(model_.ItemEmb(static_cast<uint32_t>(i)),
+                             buf.item_hat.data() + i * d, d);
+        }
+      });
 
   // Phase A. Negatives are drawn inside the shards: sample s reads the
   // counter-based stream keyed (stream_seed_, epoch, begin + s), a pure
@@ -175,7 +183,7 @@ double Trainer::SampledShard(const Edge* batch, size_t lo, size_t hi,
   const size_t d = model_.dim();
   const size_t m = buf.slots;
   const float inv_batch = 1.0f / static_cast<float>(buf.b);
-  const Matrix& item_table = model_.FinalItemMatrix();
+  const float* item_hat = buf.item_hat.data();
   double loss_sum = 0.0;
   for (size_t s = lo; s < hi; ++s) {
     const uint32_t u = batch[s].user;
@@ -186,13 +194,11 @@ double Trainer::SampledShard(const Edge* batch, size_t lo, size_t hi,
     StreamRng stream(stream_seed_, epoch, begin + s);
     draw(u, stream, {ids + 1, m - 1});
 
-    // Fused scoring: one gather+normalize over the positive (row 0) and
-    // the draws, one blocked batch dot against them.
+    // Score the positive (slot 0) and the draws by id against the
+    // batch's normalized item table.
     float* u_hat = buf.u_hat.data() + s * d;
     const float u_norm = vec::Normalize(model_.UserEmb(u), u_hat, d);
-    vec::GatherNormalize(item_table.data(), item_table.cols(), ids, m, d,
-                         ws.block.data(), ws.block_norm.data());
-    vec::DotBatch(u_hat, ws.block.data(), m, d, score);
+    vec::DotRows(u_hat, item_hat, d, ids, m, d, score);
     loss_sum += loss_.Compute(score[0], {score + 1, m - 1}, coeff,
                               {coeff + 1, m - 1});
 
@@ -204,10 +210,10 @@ double Trainer::SampledShard(const Edge* batch, size_t lo, size_t hi,
     for (size_t k = 0; k < m; ++k) {
       coeff[k] *= inv_batch;
       if (k == 0 || coeff[k] != 0.0f) {
-        run.Add(k, score[k], vec::CosineGradScale(coeff[k], u_norm));
+        run.Add(ids[k], score[k], vec::CosineGradScale(coeff[k], u_norm));
       }
     }
-    run.AccumulateInto(u_hat, ws.block.data(), d, UserPartial(batch, lo, s));
+    run.AccumulateInto(u_hat, item_hat, d, UserPartial(batch, lo, s));
   }
   return loss_sum;
 }
@@ -271,7 +277,8 @@ void Trainer::OwnSampledItemRow(size_t r, WorkerScratch& ws) {
   const BatchBuffers& buf = batch_;
   const size_t d = model_.dim();
   const uint32_t item = buf.touched[r];
-  const float norm = vec::Normalize(model_.ItemEmb(item), ws.i_hat.data(), d);
+  const float* self = buf.item_hat.data() + size_t{item} * d;
+  const float norm = buf.item_norm[item];
   float* grad = model_.ItemGrad(item);
   const ItemTerm* term = buf.item_terms.data() + buf.term_runs[r];
   const ItemTerm* const end = buf.item_terms.data() + buf.term_runs[r + 1];
@@ -285,11 +292,11 @@ void Trainer::OwnSampledItemRow(size_t r, WorkerScratch& ws) {
     }
     if (run.size == 1) {
       // g + (+0.0f + t) == g + t: the table never holds -0.0f.
-      run.AccumulateInto(ws.i_hat.data(), buf.u_hat.data(), d, grad);
+      run.AccumulateInto(self, buf.u_hat.data(), d, grad);
       continue;
     }
     std::fill(ws.partial.begin(), ws.partial.end(), 0.0f);
-    run.AccumulateInto(ws.i_hat.data(), buf.u_hat.data(), d, ws.partial.data());
+    run.AccumulateInto(self, buf.u_hat.data(), d, ws.partial.data());
     vec::Axpy(1.0f, ws.partial.data(), grad, d);
   }
 }

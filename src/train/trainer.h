@@ -12,15 +12,19 @@
 // Steps 2-4 — the per-sample sampling/score/gradient work that dominates
 // the epoch — fan out across a runtime::ThreadPool. Both sampling modes
 // score, then scatter, over fixed-size sample shards:
+//   * Before phase A, on the pool: normalize each item row the batch can
+//     touch once. Sampled negatives (Algorithm 1) normalize the whole
+//     item table (see BatchBuffers::item_hat); in-batch negatives
+//     (Algorithm 2) normalize the batch's positives.
 //   * Phase A, per shard: score the shard's samples, run the loss, and
 //     sum each user's terms into that shard's user partial, which lives
 //     at the row of the user's first sample in the shard. Keep every
 //     (sample, item) term's loss coefficient and score, and each shard's
-//     loss sum. Sampled negatives (Algorithm 1): a sample gathers its
-//     positive and its N- draws as one normalized block and scores it
-//     with one batch dot. In-batch negatives (Algorithm 2): one
-//     vec::DotTile scores the shard's users against every positive item
-//     in the batch, and the terms are written item-major.
+//     loss sum. Sampled negatives: a sample scores its positive and its
+//     N- draws by item id against the normalized table with one
+//     vec::DotRows, and its user's terms read the same rows. In-batch
+//     negatives: one vec::DotTile scores the shard's users against every
+//     positive item in the batch, and the terms are written item-major.
 //   * Between the phases, on the calling thread: if a shard's loss sum is
 //     not finite, the batch stops here (see EpochStats::non_finite).
 //     Otherwise the terms are grouped by row: the samples are sorted by
@@ -28,16 +32,17 @@
 //     id (a stable counting sort). In-batch mode sorted its samples by
 //     item before phase A.
 //   * Phase B gives each distinct user and item row one owner on the
-//     pool. An item's owner normalizes its row once, then sums its terms
-//     shard by shard, in (sample, slot) order, into a partial that starts
-//     at +0.0f; a user's owner takes its phase-A partials. Both add the
-//     partials into the gradient table in shard order. No row has two
-//     writers and nothing is reduced serially but the shard losses.
-//     That summation tree is the one per-shard first-touch slot buffers
-//     build, which test_runtime keeps as the bitwise oracle of both
-//     modes. (A sampled item's shard with one term adds it straight into
-//     the table: the tables start at +0.0f, so they never hold -0.0f,
-//     and g + (+0.0f + t) == g + t for every such g.)
+//     pool. An item's owner reads its row as normalized before phase A,
+//     then sums its terms shard by shard, in (sample, slot) order, into
+//     a partial that starts at +0.0f; a user's owner takes its phase-A
+//     partials. Both add the partials into the gradient table in shard
+//     order. No row has two writers and nothing is reduced serially but
+//     the shard losses. That summation tree is the one per-shard
+//     first-touch slot buffers build, which test_runtime keeps as the
+//     bitwise oracle of both modes. (A sampled item's shard with one
+//     term adds it straight into the table: the tables start at +0.0f,
+//     so they never hold -0.0f, and g + (+0.0f + t) == g + t for every
+//     such g.)
 //
 // In sampled mode, negative sampling runs *inside* the shards from
 // counter-based per-sample streams: sample s of epoch e draws from
@@ -212,9 +217,11 @@ class Trainer {
   static constexpr size_t kInBatchGrain = 16;
 
  private:
-  // Rows per task of the phase-B row owners. Each row is computed by one
-  // owner alone, so the grain moves only load balance, never bits.
+  // Rows per task of the phase-B row owners and of the sampled mode's
+  // item-table pass. Each row is computed by one owner alone, so the
+  // grains move only load balance, never bits.
   static constexpr size_t kOwnerGrain = 8;
+  static constexpr size_t kItemTableGrain = 128;
 
   // One in-batch pair's loss coefficient (dL/dscore over the batch size)
   // and the score its gradient term uses.
@@ -249,13 +256,9 @@ class Trainer {
 
   // Per-worker temporaries, reused across shards and batches.
   struct WorkerScratch {
-    // An item owner's normalized row and shard partial (d floats each),
-    // and one gradient run.
-    std::vector<float> i_hat, partial;
+    // An item owner's shard partial (d floats) and one gradient run.
+    std::vector<float> partial;
     GradRun run;
-    // Sampled mode: one sample's positive and draws, gathered and
-    // normalized ((1 + N-) x d), and their norms.
-    std::vector<float> block, block_norm;
     // In-batch mode: one sample's negative scores and coefficients, and
     // the shard's score and coefficient rows (kInBatchGrain x
     // tile_stride).
@@ -283,11 +286,26 @@ class Trainer {
     // their terms, grouped by item in (sample, slot) order; touched item
     // r's terms are item_terms[term_runs[r] .. term_runs[r + 1]).
     // item_cursor is the counting sort's per-item cursor (num_items wide).
+    //
+    // item_hat and item_norm are the batch's item table: every item row,
+    // normalized once per batch before phase A, and its norm. Phase A
+    // scores and differentiates by item id against it, and phase B's
+    // item owners read their row and norm from it, so no item is
+    // normalized twice in a batch. A batch of b samples has b * (1 + N-)
+    // slots (66,560 at b = 1024, N- = 64), several times the catalog of
+    // the benchmark's 8k items, and every batch already pays the dense
+    // ZeroGrad and optimizer step over the same num_items rows. The
+    // table costs num_items * (d + 1) floats (2.0 MiB at 8k items,
+    // d = 64). It is allocated on the first sampled batch, not in the
+    // constructor, so a trainer that never trains (benches build several
+    // to time one stage) never holds it.
     size_t slots = 0;
     std::vector<uint32_t> slot_item;
     std::vector<float> slot_score, slot_coeff;
     std::vector<uint32_t> touched, term_runs, item_cursor;
     std::vector<ItemTerm> item_terms;
+    std::vector<float> item_hat;  // num_items x d
+    std::vector<float> item_norm;
     // In-batch mode: the positives' normalized rows; both tables widened
     // for DotTile; the norms and logQ shifts; the item owners' runs of
     // sample positions (like user_occ); and the item-major pairs:

@@ -1,9 +1,11 @@
 #include "data/dataset.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "math/rng.h"
 #include "test_util.h"
 
 namespace bslrec {
@@ -39,6 +41,49 @@ TEST(Dataset, IsTrainPositive) {
   EXPECT_TRUE(d.IsTrainPositive(0, 1));
   EXPECT_FALSE(d.IsTrainPositive(0, 2));  // test item, not train
   EXPECT_FALSE(d.IsTrainPositive(1, 0));
+}
+
+TEST(Dataset, MembershipTestAgreesWithBinarySearch) {
+  // Random sorted, de-duplicated lists of every length from 0 (a user
+  // without train positives) to 70, probed at every id of the catalog:
+  // below the list's first id, its first and last ids, the ids between
+  // and above its last id.
+  constexpr uint32_t kItems = 150;
+  constexpr uint32_t kUsers = 71;
+  Rng rng(5);
+  std::vector<Edge> train;
+  for (uint32_t u = 0; u < kUsers; ++u) {
+    for (uint32_t i : rng.SampleWithoutReplacement(kItems - 2, u)) {
+      train.push_back({u, i + 1});  // ids 0 and kItems - 1 stay absent
+    }
+  }
+  // One more user with the catalog's first and last ids.
+  train.push_back({kUsers, 0});
+  train.push_back({kUsers, kItems - 1});
+  const Dataset d(kUsers + 1, kItems, train, {});
+  for (uint32_t u = 0; u <= kUsers; ++u) {
+    const auto items = d.TrainItems(u);
+    for (uint32_t i = 0; i < kItems; ++i) {
+      const bool want = std::binary_search(items.begin(), items.end(), i);
+      EXPECT_EQ(d.IsTrainPositive(u, i), want) << "user " << u << " id " << i;
+      EXPECT_EQ(Dataset::Contains(items, i), want)
+          << "user " << u << " id " << i;
+    }
+    // Ids past the catalog are above every list's range.
+    EXPECT_FALSE(Dataset::Contains(items, kItems));
+    EXPECT_FALSE(Dataset::Contains(items, UINT32_MAX));
+  }
+  // Literal edge cases.
+  const std::vector<uint32_t> empty, one = {7}, two = {1, 5};
+  EXPECT_FALSE(Dataset::Contains(empty, 0));
+  EXPECT_TRUE(Dataset::Contains(one, 7));
+  EXPECT_FALSE(Dataset::Contains(one, 6));
+  EXPECT_FALSE(Dataset::Contains(one, 8));
+  EXPECT_TRUE(Dataset::Contains(two, 1));
+  EXPECT_TRUE(Dataset::Contains(two, 5));
+  EXPECT_FALSE(Dataset::Contains(two, 0));
+  EXPECT_FALSE(Dataset::Contains(two, 3));
+  EXPECT_FALSE(Dataset::Contains(two, 6));
 }
 
 TEST(Dataset, DeduplicatesEdges) {

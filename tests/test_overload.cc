@@ -581,6 +581,10 @@ TEST(Overload, BrownoutWithoutAnIvfIndexNeverDegrades) {
   const FrontEndStats st = frontend.stats();
   EXPECT_GE(st.queue_depth_high_water, cfg.brownout.high_watermark);
   EXPECT_EQ(st.degraded_served, 0u);
+  // Nothing could degrade, so no brownout was entered or timed.
+  EXPECT_EQ(st.brownout_entries, 0u);
+  EXPECT_EQ(st.brownout_exits, 0u);
+  EXPECT_EQ(st.brownout_us, 0u);
   ExpectAccounting(st);
 
   serve::SnapshotOptions indexed;
@@ -590,6 +594,53 @@ TEST(Overload, BrownoutWithoutAnIvfIndexNeverDegrades) {
   EXPECT_EQ(frontend.current_brownout_mode(), DegradeMode::kIvf);
   frontend.PublishSnapshot(plain);
   EXPECT_EQ(frontend.current_brownout_mode(), DegradeMode::kNone);
+}
+
+// A brownout in progress ends when a snapshot without an IVF index is
+// published: the exit is counted and its time added to brownout_us.
+TEST(Overload, PublishingAnUnindexedSnapshotEndsABrownout) {
+  const Dataset d = MediumDataset();
+  const std::unique_ptr<MfModel> model = MakeModel(d, 14);
+  FrontEndConfig cfg = Config(/*max_batch=*/8, /*flush_us=*/100);
+  cfg.brownout.enable = true;
+  cfg.brownout.high_watermark = 8;
+  cfg.brownout.low_watermark = 2;
+  cfg.brownout.nprobe = 2;
+  cfg.fault_injector = Inject({{FaultAction::Kind::kStall, 0, 1, 1, 150000}});
+  ServingFrontEnd frontend(d, *model, cfg);
+  ASSERT_EQ(frontend.current_brownout_mode(), DegradeMode::kIvf);
+
+  // Flood the stalled dispatcher past the high-water mark. The last
+  // batch drains the queue without another brownout decision, so the
+  // brownout is still on once the queue is idle.
+  std::vector<std::future<ServedResponse>> futures;
+  for (uint32_t i = 0; i < 30; ++i) {
+    futures.push_back(frontend.Submit(Req(i % d.num_users(), 5)));
+  }
+  frontend.Drain();
+  for (auto& f : futures) f.get();
+  FrontEndStats st = frontend.stats();
+  ASSERT_EQ(st.brownout_entries, 1u);
+  ASSERT_EQ(st.brownout_exits, 0u);
+  EXPECT_EQ(st.brownout_us, 0u);  // an active span is not yet counted
+
+  runtime::ThreadPool freeze_pool(2);
+  frontend.PublishSnapshot(
+      std::make_shared<const ModelSnapshot>(*model, freeze_pool));
+  EXPECT_EQ(frontend.current_brownout_mode(), DegradeMode::kNone);
+  st = frontend.stats();
+  EXPECT_EQ(st.brownout_entries, 1u);
+  EXPECT_EQ(st.brownout_exits, 1u);
+  EXPECT_GT(st.brownout_us, 0u);
+
+  // The next request is served exact and enters no brownout.
+  const ServedResponse after = frontend.HandleSync(Req(3, 5));
+  EXPECT_FALSE(after.degraded);
+  frontend.Drain();
+  st = frontend.stats();
+  EXPECT_EQ(st.brownout_entries, 1u);
+  EXPECT_EQ(st.brownout_exits, 1u);
+  ExpectAccounting(st);
 }
 
 // ---------------------------------------------------------------------------

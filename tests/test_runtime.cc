@@ -14,6 +14,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -99,6 +100,60 @@ TEST(ThreadPool, ExceptionPropagatesToCaller) {
     std::atomic<size_t> ok{0};
     pool.Run(8, [&](size_t, size_t) { ok.fetch_add(1); });
     EXPECT_EQ(ok.load(), 8u);
+  }
+}
+
+TEST(ThreadPool, OneTaskJobRunsInlineOnTheCaller) {
+  // A one-task job runs on the calling thread as worker 0, without
+  // waking the pool, at any pool size; so does a ParallelFor whose
+  // range fits in one grain.
+  for (size_t n : {1u, 2u, 4u}) {
+    ThreadPool pool(n);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::thread::id ran_on;
+    size_t ran_as = SIZE_MAX;
+    pool.Run(1, [&](size_t task, size_t worker) {
+      EXPECT_EQ(task, 0u);
+      ran_on = std::this_thread::get_id();
+      ran_as = worker;
+    });
+    EXPECT_EQ(ran_on, caller) << n << " workers";
+    EXPECT_EQ(ran_as, 0u) << n << " workers";
+
+    size_t calls = 0;
+    ran_on = std::thread::id();
+    ran_as = SIZE_MAX;
+    ParallelFor(pool, 3, 19, 16,
+                [&](size_t lo, size_t hi, size_t shard, size_t worker) {
+                  ++calls;
+                  EXPECT_EQ(lo, 3u);
+                  EXPECT_EQ(hi, 19u);
+                  EXPECT_EQ(shard, 0u);
+                  ran_on = std::this_thread::get_id();
+                  ran_as = worker;
+                });
+    EXPECT_EQ(calls, 1u);
+    EXPECT_EQ(ran_on, caller) << n << " workers";
+    EXPECT_EQ(ran_as, 0u) << n << " workers";
+  }
+}
+
+TEST(ThreadPool, OneTaskJobRethrows) {
+  for (size_t n : {1u, 4u}) {
+    ThreadPool pool(n);
+    EXPECT_THROW(pool.Run(1,
+                          [](size_t, size_t) {
+                            throw std::runtime_error("boom");
+                          }),
+                 std::runtime_error)
+        << n << " workers";
+    // The pool stays usable, for one task and for many.
+    size_t one = 0;
+    pool.Run(1, [&](size_t, size_t) { ++one; });
+    EXPECT_EQ(one, 1u);
+    std::atomic<size_t> many{0};
+    pool.Run(8, [&](size_t, size_t) { many.fetch_add(1); });
+    EXPECT_EQ(many.load(), 8u);
   }
 }
 

@@ -257,6 +257,52 @@ TEST(StreamSampling, DrawsUniformAcrossSampleIndices) {
   EXPECT_LT(chi2, 16.3);  // chi2(3) 99.9th percentile
 }
 
+// The uniform sampler's first draws from fixed streams, recorded when
+// the membership test was a std::binary_search behind an out-of-line
+// call. A change that moves the draws (a different stream, reduction or
+// rejection rule) fails here even when every draw still excludes the
+// user's positives. The dataset is a literal, not GenerateSynthetic, so
+// the table does not depend on libm.
+TEST(StreamSampling, UniformDrawsMatchGoldenList) {
+  std::vector<Edge> train;
+  for (uint32_t i : {1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u}) {
+    train.push_back({0, i});
+  }
+  // User 1 has no train positives; user 2 has the first and last ids;
+  // user 3 has every odd id.
+  train.push_back({2, 0});
+  train.push_back({2, 39});
+  for (uint32_t i = 0; i < 20; ++i) train.push_back({3, 2 * i + 1});
+  const Dataset d(4, 40, train, {});
+  const UniformNegativeSampler sampler(d);
+  struct Golden {
+    uint64_t seed, epoch, index;
+    uint32_t user;
+    std::vector<uint32_t> draws;
+  };
+  const Golden golden[] = {
+      {1, 0, 0, 0, {27, 38, 17, 32, 14, 33, 33, 11, 15, 20}},
+      {1, 0, 0, 1, {27, 38, 17, 32, 14, 33, 33, 11, 5, 1}},
+      {1, 0, 0, 2, {27, 38, 17, 32, 14, 33, 33, 11, 5, 1}},
+      {1, 0, 0, 3, {38, 32, 14, 20, 0, 0, 8, 38, 32, 12}},
+      {42, 3, 17, 0, {4, 19, 17, 24, 15, 18, 18, 20, 25, 23}},
+      {42, 3, 17, 1, {4, 19, 17, 24, 15, 18, 18, 20, 25, 23}},
+      {42, 3, 17, 2, {4, 19, 17, 24, 15, 18, 18, 20, 25, 23}},
+      {42, 3, 17, 3, {4, 24, 18, 18, 20, 32, 22, 12, 8, 38}},
+      {0xDEADBEEF, 7, 1023, 0, {4, 14, 10, 16, 36, 4, 16, 39, 26, 31}},
+      {0xDEADBEEF, 7, 1023, 1, {4, 21, 3, 14, 10, 16, 36, 4, 16, 39}},
+      {0xDEADBEEF, 7, 1023, 2, {4, 21, 3, 14, 10, 16, 36, 4, 16, 5}},
+      {0xDEADBEEF, 7, 1023, 3, {4, 14, 10, 16, 36, 4, 16, 26, 6, 8}},
+  };
+  for (const Golden& g : golden) {
+    StreamRng stream(g.seed, g.epoch, g.index);
+    std::vector<uint32_t> out(g.draws.size());
+    sampler.SampleStream(g.user, stream, out);
+    EXPECT_EQ(out, g.draws) << "stream (" << g.seed << ", " << g.epoch
+                            << ", " << g.index << "), user " << g.user;
+  }
+}
+
 TEST(StreamSampling, LegacyApiDoesNotReallocateSteadyState) {
   const Dataset d = MediumDataset(24);
   Rng rng(9);

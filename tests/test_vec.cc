@@ -206,6 +206,8 @@ TEST(Vec, SimdTierIsKnown) {
 // One tier's entry points of the kernels that have per-tier forms.
 struct TierKernels {
   float (*dot)(const float*, const float*, size_t);
+  void (*dot_rows)(const float*, const float*, size_t, const uint32_t*,
+                   size_t, size_t, float*);
   void (*dot_tile)(const double*, size_t, const double*, size_t, size_t,
                    float*, size_t);
   void (*cosine_grad_run)(const float*, const float*, size_t,
@@ -219,15 +221,17 @@ struct TierKernels {
 };
 
 constexpr TierKernels kDispatched = {
-    vec::Dot,   vec::DotTile,    vec::AccumulateCosineGradRun,
+    vec::Dot,   vec::DotRows,    vec::DotTile, vec::AccumulateCosineGradRun,
     vec::DotI8, vec::DotBatchI8, vec::WeightedRowSum};
 #if defined(__x86_64__)
 constexpr TierKernels kSse2 = {
-    vec::sse2::Dot,   vec::sse2::DotTile,    vec::sse2::AccumulateCosineGradRun,
-    vec::sse2::DotI8, vec::sse2::DotBatchI8, vec::sse2::WeightedRowSum};
+    vec::sse2::Dot,        vec::sse2::DotRows, vec::sse2::DotTile,
+    vec::sse2::AccumulateCosineGradRun, vec::sse2::DotI8,
+    vec::sse2::DotBatchI8, vec::sse2::WeightedRowSum};
 constexpr TierKernels kAvx2 = {
-    vec::avx2::Dot,   vec::avx2::DotTile,    vec::avx2::AccumulateCosineGradRun,
-    vec::avx2::DotI8, vec::avx2::DotBatchI8, vec::avx2::WeightedRowSum};
+    vec::avx2::Dot,        vec::avx2::DotRows, vec::avx2::DotTile,
+    vec::avx2::AccumulateCosineGradRun, vec::avx2::DotI8,
+    vec::avx2::DotBatchI8, vec::avx2::WeightedRowSum};
 #endif
 
 // Runs each kernel contract test on the dispatched kernels and on every
@@ -465,6 +469,48 @@ TEST_P(VecTier, DotTileBitwiseMatchesDot) {
                       std::bit_cast<uint32_t>(want))
                 << "ref d=" << d << " m=" << m << " n=" << n;
           }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(VecTier, DotRowsMatchesDotPerRowBitwise) {
+  // Every output of the indexed multi-row dot is vec::ref::Dot over its
+  // row, bit for bit: row counts around the four-row block, dims around
+  // the four-lane tree, repeated ids, and a table stride wider than d.
+  // Entries past m stay untouched.
+  Rng rng(24);
+  const float kSentinel = 12345.0f;
+  constexpr size_t kTableRows = 40;
+  for (const size_t m : {0u, 1u, 3u, 4u, 5u, 8u, 65u}) {
+    for (const size_t d : {1u, 3u, 4u, 7u, 16u, 31u, 64u, 65u}) {
+      for (const size_t stride : {d, d + 5}) {
+        const std::vector<float> table = HardValues(kTableRows * stride, rng);
+        const std::vector<float> q = HardValues(d, rng);
+        std::vector<uint32_t> ids(m);
+        for (auto& id : ids) {
+          id = static_cast<uint32_t>(rng.NextIndex(kTableRows));
+        }
+        if (m >= 3) ids[2] = ids[0];  // a repeated id
+        std::vector<float> out(m + 2, kSentinel);
+        k_.dot_rows(q.data(), table.data(), stride, ids.data(), m, d,
+                    out.data());
+        std::vector<float> ref_out(m + 2, kSentinel);
+        vec::ref::DotRows(q.data(), table.data(), stride, ids.data(), m, d,
+                          ref_out.data());
+        for (size_t r = 0; r < m + 2; ++r) {
+          const float want =
+              r < m ? vec::ref::Dot(q.data(), table.data() + ids[r] * stride,
+                                    d)
+                    : kSentinel;
+          EXPECT_EQ(std::bit_cast<uint32_t>(out[r]),
+                    std::bit_cast<uint32_t>(want))
+              << "m=" << m << " d=" << d << " stride=" << stride << " row "
+              << r;
+          EXPECT_EQ(std::bit_cast<uint32_t>(ref_out[r]),
+                    std::bit_cast<uint32_t>(want))
+              << "ref m=" << m << " d=" << d << " stride=" << stride;
         }
       }
     }
