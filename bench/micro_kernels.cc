@@ -70,44 +70,53 @@ void RegisterLossBenchmarks() {
   }
 }
 
-void BM_UniformSampler(benchmark::State& state) {
-  SyntheticConfig cfg;
-  cfg.num_users = 300;
-  cfg.num_items = 250;
-  cfg.seed = 2;
-  const Dataset data = GenerateSynthetic(cfg).dataset;
-  UniformNegativeSampler sampler(data);
-  Rng rng(3);
-  std::vector<uint32_t> out;
+// The samplers' draws, made the way Trainer::SampledShard makes them:
+// the dispatch handle bound once, then one StreamRng per sample keyed
+// by the sample's index, filling state.range(0) negatives.
+const Dataset& SamplerData() {
+  static const Dataset data = [] {
+    SyntheticConfig cfg;
+    cfg.num_users = 300;
+    cfg.num_items = 250;
+    cfg.seed = 2;
+    return GenerateSynthetic(cfg).dataset;
+  }();
+  return data;
+}
+
+void RunStreamDraws(benchmark::State& state, const NegativeSampler& sampler) {
+  const uint32_t num_users = SamplerData().num_users();
+  const SamplerDispatch draw = sampler.Dispatch();
   const size_t n = static_cast<size_t>(state.range(0));
-  uint32_t u = 0;
+  std::vector<uint32_t> out(n);
+  uint64_t s = 0;
   for (auto _ : state) {
-    sampler.Sample(u, n, rng, out);
+    StreamRng stream(0xBE7C5EEDULL, /*epoch=*/1, s);
+    draw(static_cast<uint32_t>(s % num_users), stream, {out.data(), n});
     benchmark::DoNotOptimize(out.data());
-    u = (u + 1) % data.num_users();
+    benchmark::ClobberMemory();
+    ++s;
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
+
+void BM_UniformSampler(benchmark::State& state) {
+  const UniformNegativeSampler sampler(SamplerData());
+  RunStreamDraws(state, sampler);
+}
 BENCHMARK(BM_UniformSampler)->Arg(32)->Arg(256);
 
-void BM_NoisySampler(benchmark::State& state) {
-  SyntheticConfig cfg;
-  cfg.num_users = 300;
-  cfg.num_items = 250;
-  cfg.seed = 2;
-  const Dataset data = GenerateSynthetic(cfg).dataset;
-  NoisyNegativeSampler sampler(data, 5.0);
-  Rng rng(4);
-  std::vector<uint32_t> out;
-  uint32_t u = 0;
-  for (auto _ : state) {
-    sampler.Sample(u, 64, rng, out);
-    benchmark::DoNotOptimize(out.data());
-    u = (u + 1) % data.num_users();
-  }
-  state.SetItemsProcessed(state.iterations() * 64);
+void BM_PopularitySampler(benchmark::State& state) {
+  const PopularityNegativeSampler sampler(SamplerData(), 0.75);
+  RunStreamDraws(state, sampler);
 }
-BENCHMARK(BM_NoisySampler);
+BENCHMARK(BM_PopularitySampler)->Arg(32)->Arg(256);
+
+void BM_NoisySampler(benchmark::State& state) {
+  const NoisyNegativeSampler sampler(SamplerData(), 5.0);
+  RunStreamDraws(state, sampler);
+}
+BENCHMARK(BM_NoisySampler)->Arg(64);
 
 // Naive scalar references for the blocked vec kernels: the pre-blocking
 // single-accumulator forms, kept here so BM_Dot/blocked vs BM_Dot/naive

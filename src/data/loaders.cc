@@ -1,5 +1,6 @@
 #include "data/loaders.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -8,6 +9,9 @@
 namespace bslrec {
 
 namespace {
+
+// Largest accepted id: the dimension max(id) + 1 must fit in uint32_t.
+constexpr long long kMaxId = static_cast<long long>(UINT32_MAX) - 1;
 
 // Parses one file of "user item" lines into `edges`; tracks max ids.
 // Returns false (with a stderr diagnostic) on open/parse failure.
@@ -25,7 +29,7 @@ bool ParseFile(const std::string& path, std::vector<Edge>& edges,
     if (line.empty() || line[0] == '#') continue;
     std::istringstream ss(line);
     long long u = -1, i = -1;
-    if (!(ss >> u >> i) || u < 0 || i < 0) {
+    if (!(ss >> u >> i) || u < 0 || i < 0 || u > kMaxId || i > kMaxId) {
       std::fprintf(stderr, "bslrec: parse error at %s:%zu: '%s'\n",
                    path.c_str(), line_no, line.c_str());
       return false;

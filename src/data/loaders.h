@@ -6,8 +6,8 @@
 //   <user_id> <item_id>\n
 //
 // Lines starting with '#' and blank lines are skipped. Ids must be
-// non-negative integers; the matrix dimensions are inferred as
-// max(id)+1 across both splits unless explicit dims are given.
+// integers in [0, 2^32 - 2], so that the dimensions, inferred as
+// max(id)+1 across both splits, fit in uint32_t.
 #ifndef BSLREC_DATA_LOADERS_H_
 #define BSLREC_DATA_LOADERS_H_
 

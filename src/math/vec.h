@@ -239,8 +239,8 @@ void DotBatch(const float* q, const float* rows, size_t m, size_t d,
 // the contiguous m x d block `out_rows`, L2-normalizing each row;
 // out_norms[r] receives the original norm. Per row this is exactly
 // Normalize(table + ids[r]*stride, out_rows + r*d, d). The trainer no
-// longer calls it (it normalizes each item once per batch instead); the
-// sampling bench and the benchmark's kernel replay still do.
+// longer calls it (it normalizes each item once per batch instead);
+// perfbench's kernel replay and the tests still do.
 void GatherNormalize(const float* table, size_t stride, const uint32_t* ids,
                      size_t m, size_t d, float* out_rows, float* out_norms);
 

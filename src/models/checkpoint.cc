@@ -1,5 +1,6 @@
 #include "models/checkpoint.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -59,20 +60,31 @@ bool LoadModelParams(EmbeddingModel& model, const std::string& path) {
                  static_cast<unsigned long long>(count), params.size());
     return false;
   }
-  for (const ParamGrad& pg : params) {
+  // Staged, so that a file rejected anywhere leaves the model untouched.
+  std::vector<std::vector<float>> staged(params.size());
+  for (size_t p = 0; p < params.size(); ++p) {
+    const Matrix& value = *params[p].value;
     uint64_t rows = 0, cols = 0;
     in.read(reinterpret_cast<char*>(&rows), sizeof(rows));
     in.read(reinterpret_cast<char*>(&cols), sizeof(cols));
-    if (!in || rows != pg.value->rows() || cols != pg.value->cols()) {
+    if (!in || rows != value.rows() || cols != value.cols()) {
       std::fprintf(stderr, "bslrec: checkpoint tensor shape mismatch\n");
       return false;
     }
-    in.read(reinterpret_cast<char*>(pg.value->data()),
-            static_cast<std::streamsize>(rows * cols * sizeof(float)));
+    staged[p].resize(value.size());
+    in.read(reinterpret_cast<char*>(staged[p].data()),
+            static_cast<std::streamsize>(value.size() * sizeof(float)));
     if (!in) {
       std::fprintf(stderr, "bslrec: checkpoint truncated\n");
       return false;
     }
+  }
+  if (in.peek() != std::ifstream::traits_type::eof()) {
+    std::fprintf(stderr, "bslrec: checkpoint has trailing bytes\n");
+    return false;
+  }
+  for (size_t p = 0; p < params.size(); ++p) {
+    std::copy(staged[p].begin(), staged[p].end(), params[p].value->data());
   }
   return true;
 }

@@ -21,8 +21,12 @@ namespace bslrec {
 bool SaveModelParams(EmbeddingModel& model, const std::string& path);
 
 // Restores parameters saved by SaveModelParams. Returns false when the
-// file is missing/corrupt or the shapes do not match the model.
-// On success the caller should re-run model.Forward() before scoring.
+// file is missing, truncated, has bytes after the last tensor, or its
+// shapes do not match the model; the model is then left bitwise
+// unchanged (the tensors are staged, costing one extra copy of the
+// parameters during the load, and committed only once the whole file
+// has been read). On success the caller should re-run model.Forward()
+// before scoring.
 bool LoadModelParams(EmbeddingModel& model, const std::string& path);
 
 }  // namespace bslrec

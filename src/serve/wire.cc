@@ -283,7 +283,6 @@ ServeStatus ParseRequest(std::string_view line, const ParseOptions& options,
                          ParsedRequest* out) {
   *out = ParsedRequest{};
   out->topk.k = options.default_k;
-  out->topk.lane = options.default_lane;
   if (options.max_line_bytes > 0 && line.size() > options.max_line_bytes) {
     return BadRequest(
         Format("line exceeds %zu bytes", options.max_line_bytes));
@@ -339,35 +338,6 @@ std::string FormatCliResponse(const TopKRequest& request,
   std::string out = Format("user=%u k=%u items=", request.user, request.k);
   AppendScoredItems(topk, ",", &out);
   return out;
-}
-
-std::string FormatCliResponse(const TopKRequest& request,
-                              const TopKResponse& topk, DegradeMode mode,
-                              uint64_t snapshot_seq) {
-  std::string out = FormatCliResponse(request, topk);
-  out.append(Format(" degraded=%s seq=%" PRIu64, DegradeModeName(mode),
-                    snapshot_seq));
-  return out;
-}
-
-const char* CliErrorToken(ErrorCode code) {
-  switch (code) {
-    case ErrorCode::kOk:
-      return "ok";
-    case ErrorCode::kOverload:
-      return "overload";
-    case ErrorCode::kDeadlineAdmission:
-      return "deadline-admission";
-    case ErrorCode::kDeadlineQueue:
-      return "deadline-queue";
-    case ErrorCode::kDeadlineBatch:
-      return "deadline-batch";
-    case ErrorCode::kBadRequest:
-      return "bad-request";
-    case ErrorCode::kInternal:
-      return "internal";
-  }
-  return "unknown";
 }
 
 bool ParseResponse(std::string_view line, ParsedResponse* out) {

@@ -143,15 +143,14 @@ struct ParseOptions {
   uint32_t num_users = 0;
   // Cutoff when the request names none.
   uint32_t default_k = 10;
-  // Lane when the request names none.
-  RequestLane default_lane = RequestLane::kInteractive;
   // Longest accepted request line; longer lines are kBadRequest
   // (transports additionally hang up — net_server.h). 0 = unlimited.
   size_t max_line_bytes = 4096;
 };
 
 // One parsed request line. `topk.extra_seen` is always empty: the
-// wire carries no exclusion lists.
+// wire carries no exclusion lists. A line without LANE= keeps
+// TopKRequest's default lane, interactive.
 struct ParsedRequest {
   TopKRequest topk;
   std::string id = "-";  // ID= token, or "-" when absent
@@ -182,14 +181,6 @@ std::string FormatError(std::string_view id, const ServeStatus& status);
 // historical printf path.
 std::string FormatCliResponse(const TopKRequest& request,
                               const TopKResponse& topk);
-// Verbose CLI rendering: the same line plus
-// " degraded=<mode> seq=<n>" so degraded responses are attributable.
-std::string FormatCliResponse(const TopKRequest& request,
-                              const TopKResponse& topk, DegradeMode mode,
-                              uint64_t snapshot_seq);
-// The CLI error token ("overload", "deadline-<stage>", "bad-request",
-// "internal") printed as "user=<u> k=<k> error=<token>".
-const char* CliErrorToken(ErrorCode code);
 
 // A response line parsed back (tests, client tooling, bench probes).
 struct ParsedResponse {

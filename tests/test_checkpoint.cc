@@ -1,8 +1,10 @@
 #include "models/checkpoint.h"
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "data/synthetic.h"
 #include "graph/bipartite_graph.h"
@@ -108,6 +110,47 @@ TEST_F(CheckpointTest, TruncatedFileRejected) {
             static_cast<std::streamsize>(content.size() / 2));
   out.close();
   EXPECT_FALSE(LoadModelParams(mf, path_));
+}
+
+// A load that fails must not touch the model: every truncation of a
+// valid two-tensor file, and the file with one byte appended, is
+// rejected with both tables bitwise as they were before the call.
+TEST_F(CheckpointTest, RejectedFileLeavesModelUntouched) {
+  Rng rng(9);
+  MfModel saved(6, 7, 4, rng);
+  ASSERT_TRUE(SaveModelParams(saved, path_));
+  std::ifstream in(path_, std::ios::binary);
+  const std::string content((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  in.close();
+
+  Rng rng2(10);
+  MfModel target(6, 7, 4, rng2);
+  const auto snapshot = [&target] {
+    std::vector<float> bits;
+    for (const ParamGrad& pg : target.Params()) {
+      bits.insert(bits.end(), pg.value->data(),
+                  pg.value->data() + pg.value->size());
+    }
+    return bits;
+  };
+  const std::vector<float> before = snapshot();
+  const auto expect_rejected = [&](const std::string& bytes) {
+    {
+      std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    EXPECT_FALSE(LoadModelParams(target, path_)) << bytes.size() << " bytes";
+    const std::vector<float> after = snapshot();
+    ASSERT_EQ(after.size(), before.size());
+    const bool untouched = std::memcmp(after.data(), before.data(),
+                                       before.size() * sizeof(float)) == 0;
+    EXPECT_TRUE(untouched) << bytes.size() << " bytes";
+  };
+  for (size_t len = 0; len < content.size(); ++len) {
+    expect_rejected(content.substr(0, len));
+  }
+  expect_rejected(content + '\0');
 }
 
 }  // namespace

@@ -77,6 +77,25 @@ TEST_F(LoadersTest, NegativeIdsRejected) {
   EXPECT_FALSE(LoadInteractions(train_path_, test_path_).has_value());
 }
 
+// An id must leave room for its dimension, max(id) + 1, in uint32_t:
+// 2^32 - 1 would wrap the dimension to 0, and 2^32 would truncate to
+// id 0. Both are parse errors, in either column and either split.
+TEST_F(LoadersTest, IdsBeyondThirtyTwoBitDimensionsRejected) {
+  for (const char* line :
+       {"4294967295 1", "4294967296 1", "1 4294967295", "1 4294967296"}) {
+    for (const bool in_train : {true, false}) {
+      {
+        std::ofstream out(train_path_);
+        out << "0 0\n" << (in_train ? std::string(line) + "\n" : "");
+        std::ofstream t(test_path_);
+        t << "0 0\n" << (in_train ? "" : std::string(line) + "\n");
+      }
+      EXPECT_FALSE(LoadInteractions(train_path_, test_path_).has_value())
+          << "'" << line << "' in " << (in_train ? "train" : "test");
+    }
+  }
+}
+
 TEST_F(LoadersTest, EmptyTrainReturnsNullopt) {
   {
     std::ofstream out(train_path_);

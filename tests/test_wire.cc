@@ -240,20 +240,6 @@ TEST(WireFormat, CliResponseMatchesHistoricalPrintf) {
             "user=3 k=2 items=1:0.500000,2:0.250000");
   EXPECT_EQ(wire::FormatCliResponse(req, TopKResponse{}),
             "user=3 k=2 items=");
-  EXPECT_EQ(wire::FormatCliResponse(req, topk, DegradeMode::kIvf, 4),
-            "user=3 k=2 items=1:0.500000,2:0.250000 degraded=ivf seq=4");
-}
-
-TEST(WireFormat, CliErrorTokensMatchHistoricalStrings) {
-  EXPECT_STREQ(wire::CliErrorToken(ErrorCode::kOverload), "overload");
-  EXPECT_STREQ(wire::CliErrorToken(ErrorCode::kDeadlineAdmission),
-               "deadline-admission");
-  EXPECT_STREQ(wire::CliErrorToken(ErrorCode::kDeadlineQueue),
-               "deadline-queue");
-  EXPECT_STREQ(wire::CliErrorToken(ErrorCode::kDeadlineBatch),
-               "deadline-batch");
-  EXPECT_STREQ(wire::CliErrorToken(ErrorCode::kBadRequest), "bad-request");
-  EXPECT_STREQ(wire::CliErrorToken(ErrorCode::kInternal), "internal");
 }
 
 // ---- ErrorCode surface ------------------------------------------------

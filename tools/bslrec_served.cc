@@ -7,6 +7,9 @@
 // handlers do no scoring — every parsed line becomes a front-door
 // Submit, so micro-batching, admission control, deadlines, lanes, and
 // brownout all apply to socket traffic exactly as they do in-process.
+// This is the serving entry point for concurrent producers;
+// bslrec_serve answers a request file or stdin synchronously, with the
+// same scoring flags and the same request lines.
 //
 // The protocol is the newline-delimited grammar documented atop
 // src/serve/wire.h (both the TOPK wire form and the legacy
@@ -16,6 +19,11 @@
 //   -> ERR a1 OVERLOAD retry_after_us=1000        (shed)
 //   -> ERR a1 DEADLINE stage=queue                (SLO missed)
 //   -> ERR a1 BAD_REQUEST <detail>                (malformed)
+//
+// A request's lane and deadline travel on its own line (LANE=,
+// DEADLINE_US=), and every OK line names the tier that served it and
+// the snapshot publication (seq=), so any socket client can replay a
+// request file and attribute each response.
 //
 // SIGINT/SIGTERM stop the server gracefully: in-flight requests are
 // answered and flushed before the process exits, then the front-door
@@ -116,7 +124,8 @@ void Usage() {
       "               fp32 re-rank (--ann --quantize)\n"
       "--threads:     scorer workers (0 = hardware concurrency)\n"
       "\n"
-      "Front-door flags (same meaning as bslrec_serve --concurrent):\n"
+      "Front-door flags (a request's lane travels on its own line as\n"
+      "LANE=interactive|bulk):\n"
       "--batch:       micro-batch size (dispatcher flushes at N)\n"
       "--flush-us:    micro-batch flush deadline in microseconds\n"
       "--max-queue:   bound the front-door queue at N requests\n"
