@@ -172,6 +172,9 @@ struct VecTier {
   void (*cosine_grad_run)(const float*, const float*, size_t,
                           const uint32_t*, const float*, const float*, size_t,
                           float*, size_t);
+  void (*cosine_grad_runs)(const float*, const float*, size_t,
+                           const uint32_t*, const float*, const float*,
+                           const uint32_t*, size_t, float*, size_t);
   void (*weighted_row_sum)(const float*, const uint32_t*, size_t,
                            const float*, size_t, float*, size_t);
   void (*adam_step)(const vec::AdamCoeffs&, const float*, float*, float*,
@@ -182,18 +185,20 @@ std::vector<VecTier> HostTiers() {
 #if defined(__x86_64__)
   std::vector<VecTier> tiers = {
       {"sse2", vec::sse2::Dot, vec::sse2::DotRows, vec::sse2::DotTile,
-       vec::sse2::AccumulateCosineGradRun, vec::sse2::WeightedRowSum,
+       vec::sse2::AccumulateCosineGradRun,
+       vec::sse2::AccumulateCosineGradRuns, vec::sse2::WeightedRowSum,
        vec::sse2::AdamStep}};
   if (std::string(vec::SimdTier()) == "avx2") {
     tiers.push_back({"avx2", vec::avx2::Dot, vec::avx2::DotRows,
                      vec::avx2::DotTile, vec::avx2::AccumulateCosineGradRun,
+                     vec::avx2::AccumulateCosineGradRuns,
                      vec::avx2::WeightedRowSum, vec::avx2::AdamStep});
   }
   return tiers;
 #else
   return {{vec::SimdTier(), vec::Dot, vec::DotRows, vec::DotTile,
-           vec::AccumulateCosineGradRun, vec::WeightedRowSum,
-           vec::AdamStep}};
+           vec::AccumulateCosineGradRun, vec::AccumulateCosineGradRuns,
+           vec::WeightedRowSum, vec::AdamStep}};
 #endif
 }
 
@@ -440,6 +445,72 @@ void BM_CosineGradRun(benchmark::State& state, const VecTier& tier) {
   state.SetItemsProcessed(state.iterations() * kTerms);
 }
 
+// One item row's phase-B runs (Trainer::OwnSampledItemRow and
+// OwnInBatchItemRow) at the trainer's two shapes, Args({runs, terms per
+// run}) against a 1024 x 64 table of normalized users: {8, 1} is a
+// sampled item (about 8 terms per batch at b = 1024 and N- = 64, each in
+// its own 32-sample shard), {64, 16} an in-batch item that occurs once
+// (a term from every sample, in 64 shards of 16). BM_CosineGradRuns/<tier>
+// is one vec::AccumulateCosineGradRuns call; BM_CosineGradRunLoop/<tier>
+// is the per-run loop it replaced, with the same bits: per run a +0.0f
+// partial, one AccumulateCosineGradRun into it and one Axpy into the row.
+struct GradRunsInput {
+  std::vector<float> self, others, scores, scales, grad, partial;
+  std::vector<uint32_t> idx, ends;
+};
+
+GradRunsInput MakeGradRunsInput(const benchmark::State& state) {
+  const size_t runs = static_cast<size_t>(state.range(0));
+  const size_t per_run = static_cast<size_t>(state.range(1));
+  GradRunsInput in;
+  in.self = GaussianVec(kTileDim, 29);
+  in.others = GaussianVec(kTileBatch * kTileDim, 30);
+  in.scores = GaussianVec(runs * per_run, 31);
+  in.scales = GaussianVec(runs * per_run, 32);
+  in.grad.assign(kTileDim, 0.0f);
+  in.partial.assign(kTileDim, 0.0f);
+  Rng rng(33);
+  for (size_t j = 0; j < runs * per_run; ++j) {
+    in.idx.push_back(static_cast<uint32_t>(rng.NextIndex(kTileBatch)));
+  }
+  for (size_t r = 1; r <= runs; ++r) {
+    in.ends.push_back(static_cast<uint32_t>(r * per_run));
+  }
+  return in;
+}
+
+void BM_CosineGradRuns(benchmark::State& state, const VecTier& tier) {
+  GradRunsInput in = MakeGradRunsInput(state);
+  for (auto _ : state) {
+    tier.cosine_grad_runs(in.self.data(), in.others.data(), kTileDim,
+                          in.idx.data(), in.scores.data(), in.scales.data(),
+                          in.ends.data(), in.ends.size(), in.grad.data(),
+                          kTileDim);
+    benchmark::DoNotOptimize(in.grad.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * in.idx.size());
+}
+
+void BM_CosineGradRunLoop(benchmark::State& state, const VecTier& tier) {
+  GradRunsInput in = MakeGradRunsInput(state);
+  for (auto _ : state) {
+    size_t begin = 0;
+    for (const uint32_t end : in.ends) {
+      vec::Fill(in.partial.data(), kTileDim, 0.0f);
+      tier.cosine_grad_run(in.self.data(), in.others.data(), kTileDim,
+                           in.idx.data() + begin, in.scores.data() + begin,
+                           in.scales.data() + begin, end - begin,
+                           in.partial.data(), kTileDim);
+      vec::Axpy(1.0f, in.partial.data(), in.grad.data(), kTileDim);
+      begin = end;
+    }
+    benchmark::DoNotOptimize(in.grad.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * in.idx.size());
+}
+
 // One sparse-times-dense product at LightGCN's propagation shape: a
 // 12k x 12k CSR matrix with 13 nonzeros per row (156k, the benchmark's
 // 4k x 8k graph) times a 12k x 64 table. BM_SpmmRowKernel/<tier> is
@@ -554,6 +625,13 @@ void RegisterTieredBenchmarks() {
   }
   for (auto* b : RegisterPerTier("BM_CosineGradRun", BM_CosineGradRun)) {
     b->Unit(benchmark::kMicrosecond);
+  }
+  for (auto* b : RegisterPerTier("BM_CosineGradRuns", BM_CosineGradRuns)) {
+    b->Args({8, 1})->Args({64, 16});
+  }
+  for (auto* b :
+       RegisterPerTier("BM_CosineGradRunLoop", BM_CosineGradRunLoop)) {
+    b->Args({8, 1})->Args({64, 16});
   }
   for (auto* b : RegisterPerTier("BM_SpmmRowKernel", BM_SpmmRowKernel)) {
     b->Unit(benchmark::kMillisecond);

@@ -73,14 +73,17 @@ void SparseMatrix::EnsureTransposeIndex() const {
 
 void SparseMatrix::MultiplyRowRange(const Matrix& x, Matrix& out,
                                     size_t row_begin, size_t row_end) const {
-  const size_t d = x.cols();
+  BSLREC_CHECK(out.cols() == x.cols());
+  for (size_t r = row_begin; r < row_end; ++r) MultiplyRow(x, r, out.Row(r));
+}
+
+void SparseMatrix::MultiplyRow(const Matrix& x, size_t r, float* out) const {
   // The row kernel reads x's rows unchecked; CSR ids are < cols().
-  BSLREC_CHECK(x.rows() == cols_ && out.cols() == d);
-  for (size_t r = row_begin; r < row_end; ++r) {
-    const size_t lo = row_offsets_[r];
-    vec::WeightedRowSum(values_.data() + lo, col_indices_.data() + lo,
-                        row_offsets_[r + 1] - lo, x.data(), d, out.Row(r), d);
-  }
+  BSLREC_CHECK(x.rows() == cols_ && r < rows_);
+  const size_t lo = row_offsets_[r];
+  vec::WeightedRowSum(values_.data() + lo, col_indices_.data() + lo,
+                      row_offsets_[r + 1] - lo, x.data(), x.cols(), out,
+                      x.cols());
 }
 
 void SparseMatrix::TransposeMultiplyRowRange(const Matrix& x, Matrix& out,
@@ -198,39 +201,94 @@ void PropagationEngine::MeanPropagate(const SparseMatrix& adjacency,
   BSLREC_CHECK(adjacency.rows() == base.rows() &&
                adjacency.cols() == base.rows());
   BSLREC_CHECK(&out != &base);
-  const size_t n = base.rows();
-  const size_t d = base.cols();
-  out = base;  // layer-0 term (vector copy-assign: no realloc once sized)
-  if (num_layers == 0) return;
-  cur_ = base;
-  if (next_.rows() != n || next_.cols() != d) next_ = Matrix(n, d);
-  for (int layer = 1; layer <= num_layers; ++layer) {
-    // Fused hop + readout accumulate: each shard owns a disjoint row
-    // range of both `next_` and `out`, so the fusion keeps the
-    // sharded-rows determinism contract.
-    For(0, n, row_grain_, [&](size_t lo, size_t hi, size_t, size_t) {
-      adjacency.MultiplyRowRange(cur_, next_, lo, hi);
-      for (size_t r = lo; r < hi; ++r) {
-        vec::Axpy(1.0f, next_.Row(r), out.Row(r), d);
-      }
-    });
-    std::swap(cur_, next_);
+  if (num_layers == 0) {
+    out = base;  // vector copy-assign: no realloc once sized
+    return;
   }
-  const float inv = 1.0f / static_cast<float>(num_layers + 1);
-  For(0, n, row_grain_, [&](size_t lo, size_t hi, size_t, size_t) {
-    for (size_t r = lo; r < hi; ++r) vec::Scale(out.Row(r), d, inv);
-  });
+  if (out.rows() != base.rows() || out.cols() != base.cols()) {
+    out = Matrix(base.rows(), base.cols());
+  }
+  MeanOfPowers(adjacency, base, num_layers, out, nullptr);
 }
 
 void PropagationEngine::MeanPropagateAccum(const SparseMatrix& adjacency,
                                            const Matrix& grad, int num_layers,
                                            Matrix& accum) {
+  BSLREC_CHECK(num_layers >= 0);
+  BSLREC_CHECK(adjacency.rows() == grad.rows() &&
+               adjacency.cols() == grad.rows());
   BSLREC_CHECK(accum.rows() == grad.rows() && accum.cols() == grad.cols());
-  MeanPropagate(adjacency, grad, num_layers, accum_ws_);
+  BSLREC_CHECK(&accum != &grad);
   const size_t d = grad.cols();
-  For(0, grad.rows(), row_grain_, [&](size_t lo, size_t hi, size_t, size_t) {
+  if (num_layers == 0) {
+    For(0, grad.rows(), row_grain_, [&](size_t lo, size_t hi, size_t, size_t) {
+      for (size_t r = lo; r < hi; ++r) {
+        vec::Axpy(1.0f, grad.Row(r), accum.Row(r), d);
+      }
+    });
+    return;
+  }
+  // The running sum of the hops before the last lives in accum_ws_; at
+  // L = 1 there is none (the last hop reads grad itself).
+  if (num_layers >= 2 &&
+      (accum_ws_.rows() != grad.rows() || accum_ws_.cols() != d)) {
+    accum_ws_ = Matrix(grad.rows(), d);
+  }
+  MeanOfPowers(adjacency, grad, num_layers, accum_ws_, &accum);
+}
+
+void PropagationEngine::MeanOfPowers(const SparseMatrix& adjacency,
+                                     const Matrix& x, int num_layers,
+                                     Matrix& sum, Matrix* accum) {
+  const size_t n = x.rows();
+  const size_t d = x.cols();
+  const size_t workers = pool_ != nullptr ? pool_->num_workers() : 1;
+  if (row_ws_.size() < workers * d) row_ws_.resize(workers * d);
+  const auto ensure = [&](Matrix& m) {
+    if (m.rows() != n || m.cols() != d) m = Matrix(n, d);
+  };
+  // Hops 1 .. L-1 write whole tables, since the next hop reads any row of
+  // them: hop 1 reads x in place into next_ and starts the running sum,
+  // sum[r] = x[r] + h1[r] (what `sum = x` and one Axpy(1.0f, h1, sum)
+  // compute); later hops ping-pong between next_ and cur_ and Axpy
+  // their row into sum, each in the shard that computed it.
+  const Matrix* in = &x;
+  const Matrix* prev = &x;  // the running sum the last hop finishes
+  if (num_layers >= 2) {
+    ensure(next_);
+    For(0, n, row_grain_, [&](size_t lo, size_t hi, size_t, size_t) {
+      adjacency.MultiplyRowRange(x, next_, lo, hi);
+      for (size_t r = lo; r < hi; ++r) {
+        vec::Add(x.Row(r), next_.Row(r), sum.Row(r), d);
+      }
+    });
+    in = &next_;
+    prev = &sum;
+  }
+  if (num_layers >= 3) ensure(cur_);
+  for (int layer = 2; layer < num_layers; ++layer) {
+    Matrix& hop = in == &next_ ? cur_ : next_;
+    For(0, n, row_grain_, [&](size_t lo, size_t hi, size_t, size_t) {
+      adjacency.MultiplyRowRange(*in, hop, lo, hi);
+      for (size_t r = lo; r < hi; ++r) {
+        vec::Axpy(1.0f, hop.Row(r), sum.Row(r), d);
+      }
+    });
+    in = &hop;
+  }
+  // The last hop: each row into its worker's d floats, finished in the
+  // same shard as (prev[r] + h_L[r]) * inv, then stored into sum's row
+  // r, or Axpy'd into accum's (the separate scale and accumulate passes
+  // of the operator's definition, row by row).
+  const float inv = 1.0f / static_cast<float>(num_layers + 1);
+  For(0, n, row_grain_, [&](size_t lo, size_t hi, size_t, size_t worker) {
+    float* row = row_ws_.data() + worker * d;
     for (size_t r = lo; r < hi; ++r) {
-      vec::Axpy(1.0f, accum_ws_.Row(r), accum.Row(r), d);
+      adjacency.MultiplyRow(*in, r, row);
+      const float* pr = prev->Row(r);
+      float* dst = accum != nullptr ? row : sum.Row(r);
+      for (size_t k = 0; k < d; ++k) dst[k] = (pr[k] + row[k]) * inv;
+      if (accum != nullptr) vec::Axpy(1.0f, row, accum->Row(r), d);
     }
   });
 }

@@ -94,6 +94,10 @@ class SparseMatrix {
                         size_t row_end) const;
   void TransposeMultiplyRowRange(const Matrix& x, Matrix& out,
                                  size_t row_begin, size_t row_end) const;
+  // Row r of A*X into out (x.cols() floats), by the same row kernel:
+  // the propagation engine's last hop, which finishes each row where it
+  // is computed instead of storing a whole table.
+  void MultiplyRow(const Matrix& x, size_t r, float* out) const;
 
   // Row iteration helpers (used by tests and by the SVD).
   const std::vector<size_t>& row_offsets() const { return row_offsets_; }
@@ -155,14 +159,26 @@ class PropagationEngine {
 
   // Mean-of-powers layer combination (the LightGCN readout, also the
   // per-layer trunk the contrastive views reuse):
-  //   out = 1/(L+1) * sum_{k=0..L} A^k base.
-  // `out` must not alias `base`. Scratch comes from the engine.
+  //   out = 1/(L+1) * sum_{k=0..L} A^k base,
+  // bitwise the loop out = base; cur = base; L times { next = A * cur;
+  // Axpy(1.0f, next, out); swap(cur, next) }; Scale(out, 1/(L+1)), but
+  // without its copies and whole-table passes: hop 1 reads `base` where
+  // it is and starts `out` as base + h1, and the last hop finishes each
+  // row of `out` in the shard that computes it (L = 0 copies base).
+  // Buffers: the engine's next_ holds h1 (L >= 2) and its cur_ the
+  // hops after it, ping-ponging with next_ (L >= 3 only); the last hop
+  // writes one row at a time into a d-float buffer per worker. `out`
+  // must not alias `base`.
   void MeanPropagate(const SparseMatrix& adjacency, const Matrix& base,
                      int num_layers, Matrix& out);
 
   // accum += 1/(L+1) * sum_{k=0..L} A^k grad — the backward form (the
-  // mean-of-powers operator is symmetric for symmetric A). Uses an
-  // internal workspace; `accum` must not alias `grad`.
+  // mean-of-powers operator is symmetric for symmetric A), bitwise
+  // MeanPropagate into a staging table followed by Axpy(1.0f) of each
+  // of its rows into accum. The last hop adds each finished row into
+  // accum in its own shard, so the staging table (an engine workspace)
+  // only holds the running sum of the hops before the last, and exists
+  // only for L >= 2. `accum` must not alias `grad`.
   void MeanPropagateAccum(const SparseMatrix& adjacency, const Matrix& grad,
                           int num_layers, Matrix& accum);
 
@@ -198,10 +214,19 @@ class PropagationEngine {
   Matrix& Workspace(size_t slot, size_t rows, size_t cols);
 
  private:
+  // Hops 1..L (L >= 1) of the mean of powers over x. Every hop but the
+  // last writes a table, and sum[r] collects x[r] and those hops' rows.
+  // The last hop finishes row r as (sum[r] + h_L[r]) * inv (x[r] in
+  // place of sum[r] at L = 1) and stores it into sum's row r, or, with a
+  // non-null accum, adds it into accum's row r.
+  void MeanOfPowers(const SparseMatrix& adjacency, const Matrix& x,
+                    int num_layers, Matrix& sum, Matrix* accum);
+
   runtime::ThreadPool* pool_;
   size_t row_grain_;
   Matrix cur_, next_;   // mean-propagate ping-pong buffers
-  Matrix accum_ws_;     // MeanPropagateAccum staging buffer
+  Matrix accum_ws_;     // MeanPropagateAccum's running sum (L >= 2)
+  std::vector<float> row_ws_;  // the last hop's row, d floats per worker
   std::deque<Matrix> workspace_;
 };
 

@@ -626,6 +626,30 @@ void AccumulateCosineGradRun(const float* self_hat, const float* others,
   }
 }
 
+void AccumulateCosineGradRuns(const float* self_hat, const float* others,
+                              size_t stride, const uint32_t* idx,
+                              const float* scores, const float* scales,
+                              const uint32_t* run_ends, size_t num_runs,
+                              float* grad, size_t n) {
+  // The per-run loop of the contract, on column slices of at most
+  // kSlice elements so the partial lives on the stack (elements never
+  // mix, so a slice computes its columns' bits).
+  constexpr size_t kSlice = 16;
+  float partial[kSlice];
+  for (size_t k = 0; k < n; k += kSlice) {
+    const size_t w = std::min(kSlice, n - k);
+    size_t begin = 0;
+    for (size_t r = 0; r < num_runs; ++r) {
+      Fill(partial, w, 0.0f);
+      AccumulateCosineGradRun(self_hat + k, others + k, stride, idx + begin,
+                              scores + begin, scales + begin,
+                              run_ends[r] - begin, partial, w);
+      Axpy(1.0f, partial, grad + k, w);
+      begin = run_ends[r];
+    }
+  }
+}
+
 void DotTile(const double* q, size_t m, const double* rows, size_t n,
              size_t d, float* out, size_t out_stride) {
   for (size_t i = 0; i < m; ++i) {
@@ -861,6 +885,70 @@ void AccumulateCosineGradRun(const float* self_hat, const float* others,
   }
 }
 
+void AccumulateCosineGradRuns(const float* self_hat, const float* others,
+                              size_t stride, const uint32_t* idx,
+                              const float* scores, const float* scales,
+                              const uint32_t* run_ends, size_t num_runs,
+                              float* grad, size_t n) {
+  // A block of 16 elements keeps the row (g), the run's partial (p) and
+  // self_hat (y) in 12 registers across every run; per element the
+  // operations are the reference's, in its order.
+  size_t k = 0;
+  for (; k + 16 <= n; k += 16) {
+    __m128 g0 = _mm_loadu_ps(grad + k + 0);
+    __m128 g1 = _mm_loadu_ps(grad + k + 4);
+    __m128 g2 = _mm_loadu_ps(grad + k + 8);
+    __m128 g3 = _mm_loadu_ps(grad + k + 12);
+    const __m128 y0 = _mm_loadu_ps(self_hat + k + 0);
+    const __m128 y1 = _mm_loadu_ps(self_hat + k + 4);
+    const __m128 y2 = _mm_loadu_ps(self_hat + k + 8);
+    const __m128 y3 = _mm_loadu_ps(self_hat + k + 12);
+    size_t j = 0;
+    for (size_t r = 0; r < num_runs; ++r) {
+      __m128 p0 = _mm_setzero_ps(), p1 = _mm_setzero_ps();
+      __m128 p2 = _mm_setzero_ps(), p3 = _mm_setzero_ps();
+      for (; j < run_ends[r]; ++j) {
+        const float* x = others + static_cast<size_t>(idx[j]) * stride + k;
+        const __m128 sc = _mm_set1_ps(scores[j]);
+        const __m128 sl = _mm_set1_ps(scales[j]);
+        p0 = CosineGradTerm(p0, sl, sc, x + 0, y0);
+        p1 = CosineGradTerm(p1, sl, sc, x + 4, y1);
+        p2 = CosineGradTerm(p2, sl, sc, x + 8, y2);
+        p3 = CosineGradTerm(p3, sl, sc, x + 12, y3);
+      }
+      g0 = _mm_add_ps(g0, p0);
+      g1 = _mm_add_ps(g1, p1);
+      g2 = _mm_add_ps(g2, p2);
+      g3 = _mm_add_ps(g3, p3);
+    }
+    _mm_storeu_ps(grad + k + 0, g0);
+    _mm_storeu_ps(grad + k + 4, g1);
+    _mm_storeu_ps(grad + k + 8, g2);
+    _mm_storeu_ps(grad + k + 12, g3);
+  }
+  for (; k + 4 <= n; k += 4) {
+    __m128 g = _mm_loadu_ps(grad + k);
+    const __m128 y = _mm_loadu_ps(self_hat + k);
+    size_t j = 0;
+    for (size_t r = 0; r < num_runs; ++r) {
+      __m128 p = _mm_setzero_ps();
+      for (; j < run_ends[r]; ++j) {
+        const float* x = others + static_cast<size_t>(idx[j]) * stride + k;
+        p = CosineGradTerm(p, _mm_set1_ps(scales[j]), _mm_set1_ps(scores[j]),
+                           x, y);
+      }
+      g = _mm_add_ps(g, p);
+    }
+    _mm_storeu_ps(grad + k, g);
+  }
+  if (k < n) {
+    // The last n % 4 elements: the reference on a column slice.
+    ref::AccumulateCosineGradRuns(self_hat + k, others + k, stride, idx,
+                                  scores, scales, run_ends, num_runs,
+                                  grad + k, n - k);
+  }
+}
+
 void DotTile(const double* q, size_t m, const double* rows, size_t n,
              size_t d, float* out, size_t out_stride) {
   for (size_t c0 = 0; c0 < n; c0 += kDotTileChunk) {
@@ -975,6 +1063,73 @@ BSLREC_AVX2 void AccumulateCosineGradRun(const float* self_hat,
   }
 }
 
+BSLREC_AVX2 void AccumulateCosineGradRuns(const float* self_hat,
+                                          const float* others, size_t stride,
+                                          const uint32_t* idx,
+                                          const float* scores,
+                                          const float* scales,
+                                          const uint32_t* run_ends,
+                                          size_t num_runs, float* grad,
+                                          size_t n) {
+  // The SSE2 form's scheme at eight floats per register: 32 elements of
+  // the row, the partial and self_hat in 12 registers across every run,
+  // then 8 at a time.
+  size_t k = 0;
+  for (; k + 32 <= n; k += 32) {
+    __m256 g0 = _mm256_loadu_ps(grad + k + 0);
+    __m256 g1 = _mm256_loadu_ps(grad + k + 8);
+    __m256 g2 = _mm256_loadu_ps(grad + k + 16);
+    __m256 g3 = _mm256_loadu_ps(grad + k + 24);
+    const __m256 y0 = _mm256_loadu_ps(self_hat + k + 0);
+    const __m256 y1 = _mm256_loadu_ps(self_hat + k + 8);
+    const __m256 y2 = _mm256_loadu_ps(self_hat + k + 16);
+    const __m256 y3 = _mm256_loadu_ps(self_hat + k + 24);
+    size_t j = 0;
+    for (size_t r = 0; r < num_runs; ++r) {
+      __m256 p0 = _mm256_setzero_ps(), p1 = _mm256_setzero_ps();
+      __m256 p2 = _mm256_setzero_ps(), p3 = _mm256_setzero_ps();
+      for (; j < run_ends[r]; ++j) {
+        const float* x = others + static_cast<size_t>(idx[j]) * stride + k;
+        const __m256 sc = _mm256_set1_ps(scores[j]);
+        const __m256 sl = _mm256_set1_ps(scales[j]);
+        p0 = CosineGradTerm(p0, sl, sc, x + 0, y0);
+        p1 = CosineGradTerm(p1, sl, sc, x + 8, y1);
+        p2 = CosineGradTerm(p2, sl, sc, x + 16, y2);
+        p3 = CosineGradTerm(p3, sl, sc, x + 24, y3);
+      }
+      g0 = _mm256_add_ps(g0, p0);
+      g1 = _mm256_add_ps(g1, p1);
+      g2 = _mm256_add_ps(g2, p2);
+      g3 = _mm256_add_ps(g3, p3);
+    }
+    _mm256_storeu_ps(grad + k + 0, g0);
+    _mm256_storeu_ps(grad + k + 8, g1);
+    _mm256_storeu_ps(grad + k + 16, g2);
+    _mm256_storeu_ps(grad + k + 24, g3);
+  }
+  for (; k + 8 <= n; k += 8) {
+    __m256 g = _mm256_loadu_ps(grad + k);
+    const __m256 y = _mm256_loadu_ps(self_hat + k);
+    size_t j = 0;
+    for (size_t r = 0; r < num_runs; ++r) {
+      __m256 p = _mm256_setzero_ps();
+      for (; j < run_ends[r]; ++j) {
+        const float* x = others + static_cast<size_t>(idx[j]) * stride + k;
+        p = CosineGradTerm(p, _mm256_set1_ps(scales[j]),
+                           _mm256_set1_ps(scores[j]), x, y);
+      }
+      g = _mm256_add_ps(g, p);
+    }
+    _mm256_storeu_ps(grad + k, g);
+  }
+  if (k < n) {
+    // The last n % 8 elements: the SSE2 form on a column slice.
+    sse2::AccumulateCosineGradRuns(self_hat + k, others + k, stride, idx,
+                                   scores, scales, run_ends, num_runs,
+                                   grad + k, n - k);
+  }
+}
+
 BSLREC_AVX2 void DotTile(const double* q, size_t m, const double* rows,
                          size_t n, size_t d, float* out, size_t out_stride) {
   for (size_t c0 = 0; c0 < n; c0 += kDotTileChunk) {
@@ -1052,6 +1207,25 @@ void AccumulateCosineGradRun(const float* self_hat, const float* others,
 #else
   ref::AccumulateCosineGradRun(self_hat, others, stride, idx, scores, scales,
                                m, grad, n);
+#endif
+}
+
+void AccumulateCosineGradRuns(const float* self_hat, const float* others,
+                              size_t stride, const uint32_t* idx,
+                              const float* scores, const float* scales,
+                              const uint32_t* run_ends, size_t num_runs,
+                              float* grad, size_t n) {
+#if BSLREC_VEC_X86
+  if (RunAvx2()) {
+    avx2::AccumulateCosineGradRuns(self_hat, others, stride, idx, scores,
+                                   scales, run_ends, num_runs, grad, n);
+  } else {
+    sse2::AccumulateCosineGradRuns(self_hat, others, stride, idx, scores,
+                                   scales, run_ends, num_runs, grad, n);
+  }
+#else
+  ref::AccumulateCosineGradRuns(self_hat, others, stride, idx, scores, scales,
+                                run_ends, num_runs, grad, n);
 #endif
 }
 

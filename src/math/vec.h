@@ -8,14 +8,14 @@
 // ---- SIMD dispatch contract ----
 //
 // The hot kernels (`Dot`, `DotRows`, `DotTile`, `AccumulateCosineGradRun`,
-// `DotI8`, `DotBatchI8`, `WeightedRowSum`, `AdamStep`, `QuantizeRow`) have
-// explicitly vectorized forms. On x86-64 every build carries an SSE2
-// tier (the x86-64 baseline) and, for all but `QuantizeRow`, an AVX2
-// tier; each process reads CPUID once and runs AVX2 where the CPU has
-// it, SSE2 otherwise (a build that targets AVX2 itself, e.g.
-// -march=native on such a host, skips the check). Other architectures
-// run the scalar forms. `DotBatch` is `DotRows` over contiguous rows and
-// runs the same tiers.
+// `AccumulateCosineGradRuns`, `DotI8`, `DotBatchI8`, `WeightedRowSum`,
+// `AdamStep`, `QuantizeRow`) have explicitly vectorized forms. On x86-64
+// every build carries an SSE2 tier (the x86-64 baseline) and, for all
+// but `QuantizeRow`, an AVX2 tier; each process reads CPUID once and
+// runs AVX2 where the CPU has it, SSE2 otherwise (a build that targets
+// AVX2 itself, e.g. -march=native on such a host, skips the check).
+// Other architectures run the scalar forms. `DotBatch` is `DotRows`
+// over contiguous rows and runs the same tiers.
 // The scalar forms are always compiled and exposed under `vec::ref`, and
 // each x86-64 tier's entry points under `vec::sse2` and `vec::avx2`;
 // every SIMD kernel is contractually *bit-identical* to its reference,
@@ -52,6 +52,12 @@
 //     AccumulateCosineGrad's float expression, term by term in run
 //     order, on the same operands; the SIMD forms only keep a block of
 //     the accumulator in registers across the run (elements never mix).
+//   * `AccumulateCosineGradRuns` exactly — per element and per run it
+//     starts a partial at +0.0f, adds the run's terms as
+//     AccumulateCosineGradRun does, then adds the partial into the row as
+//     Axpy(1.0f, ...) does (1.0f * p == p for every p an add can make);
+//     the SIMD forms keep a block of the row, of the partial and of
+//     self_hat in registers across all the runs of one call.
 //   * `WeightedRowSum` exactly — per element it starts at +0.0f and adds
 //     each weighted term in order, as Fill + one Axpy per term does; the
 //     SIMD forms keep a block of the output row in registers.
@@ -115,6 +121,11 @@ void AccumulateCosineGradRun(const float* self_hat, const float* others,
                              size_t stride, const uint32_t* idx,
                              const float* scores, const float* scales,
                              size_t m, float* grad, size_t n);
+void AccumulateCosineGradRuns(const float* self_hat, const float* others,
+                              size_t stride, const uint32_t* idx,
+                              const float* scores, const float* scales,
+                              const uint32_t* run_ends, size_t num_runs,
+                              float* grad, size_t n);
 int32_t DotI8(const int8_t* a, const int8_t* b, size_t n);
 void DotBatchI8(const int8_t* q, const int8_t* rows, size_t m, size_t d,
                 int32_t* out);
@@ -142,6 +153,11 @@ void AccumulateCosineGradRun(const float* self_hat, const float* others,
                              size_t stride, const uint32_t* idx,
                              const float* scores, const float* scales,
                              size_t m, float* grad, size_t n);
+void AccumulateCosineGradRuns(const float* self_hat, const float* others,
+                              size_t stride, const uint32_t* idx,
+                              const float* scores, const float* scales,
+                              const uint32_t* run_ends, size_t num_runs,
+                              float* grad, size_t n);
 int32_t DotI8(const int8_t* a, const int8_t* b, size_t n);
 void DotBatchI8(const int8_t* q, const int8_t* rows, size_t m, size_t d,
                 int32_t* out);
@@ -161,6 +177,11 @@ void AccumulateCosineGradRun(const float* self_hat, const float* others,
                              size_t stride, const uint32_t* idx,
                              const float* scores, const float* scales,
                              size_t m, float* grad, size_t n);
+void AccumulateCosineGradRuns(const float* self_hat, const float* others,
+                              size_t stride, const uint32_t* idx,
+                              const float* scores, const float* scales,
+                              const uint32_t* run_ends, size_t num_runs,
+                              float* grad, size_t n);
 int32_t DotI8(const int8_t* a, const int8_t* b, size_t n);
 void DotBatchI8(const int8_t* q, const int8_t* rows, size_t m, size_t d,
                 int32_t* out);
@@ -273,6 +294,27 @@ void AccumulateCosineGradRun(const float* self_hat, const float* others,
                              size_t stride, const uint32_t* idx,
                              const float* scores, const float* scales,
                              size_t m, float* grad, size_t n);
+
+// Several runs of cosine-gradient terms into one row, each through its
+// own partial: run r holds terms [run_ends[r - 1], run_ends[r]) of the
+// idx/scores/scales arrays (run 0 starts at term 0), and for r in
+// [0, num_runs), in order,
+//   partial = +0.0f;
+//   AccumulateCosineGradRun(self_hat, others, stride, <run r's terms>,
+//                           partial, n);
+//   Axpy(1.0f, partial, grad, n);
+// bitwise, which is what vec::ref spells out. An empty run adds +0.0f.
+// The runs of one row may be split across several calls (the row is
+// reloaded between them) with the same bits. It keeps a block of the
+// row, of the partial and of self_hat in registers across every run of
+// the call, so a row whose terms fall into many one-term runs (a sampled
+// item in the trainer's phase B: about 8 terms in 32 shards) is loaded
+// and stored once, not once per run.
+void AccumulateCosineGradRuns(const float* self_hat, const float* others,
+                              size_t stride, const uint32_t* idx,
+                              const float* scores, const float* scales,
+                              const uint32_t* run_ends, size_t num_runs,
+                              float* grad, size_t n);
 
 // Widens n floats to double (exact): the operand form of DotTile.
 void Widen(const float* x, size_t n, double* out);

@@ -34,7 +34,15 @@ bool SaveModelParams(EmbeddingModel& model, const std::string& path) {
     out.write(reinterpret_cast<const char*>(pg.value->data()),
               static_cast<std::streamsize>(rows * cols * sizeof(float)));
   }
-  return static_cast<bool>(out);
+  // The last bytes may still sit in the stream's buffer: close flushes
+  // them, and a failed flush (a full disk) must fail the save.
+  out.close();
+  if (!out) {
+    std::fprintf(stderr, "bslrec: writing checkpoint '%s' failed\n",
+                 path.c_str());
+    return false;
+  }
+  return true;
 }
 
 bool LoadModelParams(EmbeddingModel& model, const std::string& path) {

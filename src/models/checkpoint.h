@@ -17,7 +17,9 @@
 namespace bslrec {
 
 // Writes all parameter tensors of `model` to `path`. Returns false on
-// I/O failure (with a diagnostic on stderr).
+// I/O failure (with a diagnostic on stderr), including a failure of the
+// final flush when the file is closed. It writes `path` in place: a
+// failed save can leave a partial file there.
 bool SaveModelParams(EmbeddingModel& model, const std::string& path);
 
 // Restores parameters saved by SaveModelParams. Returns false when the

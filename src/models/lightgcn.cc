@@ -1,6 +1,6 @@
 #include "models/lightgcn.h"
 
-#include <cstring>
+#include <algorithm>
 
 #include "math/check.h"
 
@@ -22,26 +22,20 @@ void LightGcnModel::SetRuntime(runtime::ThreadPool* pool) {
   engine_.SetPool(pool);
 }
 
+// The combined table holds the user rows, then the item rows, each
+// block contiguous like the per-side tables: one copy per table.
 void LightGcnModel::SplitFinal(const Matrix& combined) {
-  const size_t d = dim_;
-  for (uint32_t u = 0; u < num_users_; ++u) {
-    std::memcpy(final_user_.Row(u), combined.Row(u), d * sizeof(float));
-  }
-  for (uint32_t i = 0; i < num_items_; ++i) {
-    std::memcpy(final_item_.Row(i), combined.Row(num_users_ + i),
-                d * sizeof(float));
-  }
+  const size_t user_floats = size_t{num_users_} * dim_;
+  std::copy_n(combined.data(), user_floats, final_user_.data());
+  std::copy_n(combined.data() + user_floats, size_t{num_items_} * dim_,
+              final_item_.data());
 }
 
 void LightGcnModel::GatherFinalGrad(Matrix& combined) const {
-  const size_t d = dim_;
-  for (uint32_t u = 0; u < num_users_; ++u) {
-    std::memcpy(combined.Row(u), grad_user_.Row(u), d * sizeof(float));
-  }
-  for (uint32_t i = 0; i < num_items_; ++i) {
-    std::memcpy(combined.Row(num_users_ + i), grad_item_.Row(i),
-                d * sizeof(float));
-  }
+  const size_t user_floats = size_t{num_users_} * dim_;
+  std::copy_n(grad_user_.data(), user_floats, combined.data());
+  std::copy_n(grad_item_.data(), size_t{num_items_} * dim_,
+              combined.data() + user_floats);
 }
 
 void LightGcnModel::Forward(Rng&) {

@@ -52,7 +52,6 @@ Trainer::Trainer(const Dataset& data, EmbeddingModel& model,
   model_.SetRuntime(pool_.get());
   optimizer_->SetRuntime(pool_.get());
   const size_t slots = 1 + config.num_negatives;
-  for (WorkerScratch& ws : scratch_) ws.partial.resize(model.dim());
   if (config.sampling_mode == SamplingMode::kSampledNegatives) {
     // Item terms index a batch's (sample, slot) pairs in 32 bits.
     BSLREC_CHECK_MSG(config.batch_size <= UINT32_MAX / slots,
@@ -64,12 +63,18 @@ Trainer::Trainer(const Dataset& data, EmbeddingModel& model,
 
 Trainer::~Trainer() { model_.SetRuntime(nullptr); }
 
-void Trainer::GradRun::Reserve(size_t cap) {
-  if (idx.size() < cap) {
-    idx.resize(cap);
-    score.resize(cap);
-    scale.resize(cap);
+void Trainer::GradRun::Reserve(size_t terms, size_t runs) {
+  if (idx.size() < terms) {
+    idx.resize(terms);
+    score.resize(terms);
+    scale.resize(terms);
   }
+  if (ends.size() < runs) ends.resize(runs);
+}
+
+void Trainer::GradRun::CoeffsToScales(float norm) {
+  float* s = scale.data();
+  for (size_t j = 0; j < size; ++j) s[j] = vec::CosineGradScale(s[j], norm);
 }
 
 void Trainer::GradRun::AccumulateInto(const float* self_hat,
@@ -77,6 +82,13 @@ void Trainer::GradRun::AccumulateInto(const float* self_hat,
                                       float* grad) const {
   vec::AccumulateCosineGradRun(self_hat, others, d, idx.data(), score.data(),
                                scale.data(), size, grad, d);
+}
+
+void Trainer::GradRun::AccumulateRunsInto(const float* self_hat,
+                                          const float* others, size_t d,
+                                          float* grad) const {
+  vec::AccumulateCosineGradRuns(self_hat, others, d, idx.data(), score.data(),
+                                scale.data(), ends.data(), num_runs, grad, d);
 }
 
 void Trainer::WorkerScratch::PrepareInBatch(size_t b, size_t tile_size) {
@@ -159,20 +171,21 @@ std::optional<size_t> Trainer::AccumulateSampledLoss(
   // and therefore the whole training run — do not depend on the worker
   // count. The virtual sampler lookup is hoisted out of the loop here.
   const SamplerDispatch draw = sampler_.Dispatch();
-  const size_t run_cap = kSampledGrain * buf.slots;
   buf.shard_loss.assign((b + kSampledGrain - 1) / kSampledGrain, 0.0);
   runtime::ParallelFor(
       *pool_, 0, b, kSampledGrain,
       [&](size_t lo, size_t hi, size_t shard, size_t worker) {
         WorkerScratch& ws = scratch_[worker];
-        ws.run.Reserve(run_cap);
+        ws.run.Reserve(buf.slots, 0);
         buf.shard_loss[shard] =
             SampledShard(batch, lo, hi, draw, epoch, begin, ws);
       });
   if (const auto bad = FirstNonFiniteShard()) return bad;
 
-  GroupSampledItemTerms();
-  OwnRows(batch, buf.touched.size(), run_cap);
+  // An item owner makes one kernel call: all of its terms, in at most
+  // one run per shard.
+  const size_t longest = GroupSampledItemTerms();
+  OwnRows(batch, buf.touched.size(), longest, buf.shard_loss.size());
   return std::nullopt;
 }
 
@@ -206,7 +219,7 @@ double Trainer::SampledShard(const Edge* batch, size_t lo, size_t hi,
     // user's run: the positive first (kept even at coefficient 0), then
     // every draw with a nonzero coefficient, in draw order.
     GradRun& run = ws.run;
-    run.size = 0;
+    run.Clear();
     for (size_t k = 0; k < m; ++k) {
       coeff[k] *= inv_batch;
       if (k == 0 || coeff[k] != 0.0f) {
@@ -229,14 +242,16 @@ float* Trainer::UserPartial(const Edge* batch, size_t lo, size_t s) {
   return partial;
 }
 
-void Trainer::GroupSampledItemTerms() {
+size_t Trainer::GroupSampledItemTerms() {
   // A stable counting sort of the item terms by item id: every positive,
   // and every draw with a nonzero coefficient. Each item's terms come
-  // out in (sample, slot) order, the order its per-shard slot took them.
+  // out in (sample, slot) order, the order its per-shard slot took them,
+  // each with its slot's score and coefficient.
   BatchBuffers& buf = batch_;
   const size_t m = buf.slots;
   const size_t n = buf.b * m;
   const uint32_t* item = buf.slot_item.data();
+  const float* score = buf.slot_score.data();
   const float* coeff = buf.slot_coeff.data();
   uint32_t* cursor = buf.item_cursor.data();
   std::fill(buf.item_cursor.begin(), buf.item_cursor.end(), 0u);
@@ -248,7 +263,7 @@ void Trainer::GroupSampledItemTerms() {
   }
   buf.touched.clear();
   buf.term_runs.clear();
-  uint32_t total = 0;
+  uint32_t total = 0, longest = 0;
   for (size_t i = 0; i < buf.item_cursor.size(); ++i) {
     const uint32_t count = cursor[i];
     if (count == 0) continue;
@@ -256,52 +271,50 @@ void Trainer::GroupSampledItemTerms() {
     buf.term_runs.push_back(total);
     cursor[i] = total;
     total += count;
+    longest = std::max(longest, count);
   }
   buf.term_runs.push_back(total);
   ItemTerm* terms = buf.item_terms.data();
   uint32_t sample = 0;
   for (size_t f = 0; f < n; f += m, ++sample) {
-    terms[cursor[item[f]]++] = {sample, static_cast<uint32_t>(f)};
+    terms[cursor[item[f]]++] = {sample, score[f], coeff[f]};
     for (size_t k = f + 1; k < f + m; ++k) {
       if (coeff[k] != 0.0f) {
-        terms[cursor[item[k]]++] = {sample, static_cast<uint32_t>(k)};
+        terms[cursor[item[k]]++] = {sample, score[k], coeff[k]};
       }
     }
   }
+  return longest;
 }
 
 void Trainer::OwnSampledItemRow(size_t r, WorkerScratch& ws) {
-  // Shard by shard, sums the item's terms in (sample, slot) order into a
-  // partial that starts at +0.0f, and adds each shard's partial into the
-  // gradient table in shard order (see the header comment).
+  // The item's terms in (sample, slot) order, one run per shard that
+  // has any, in one kernel call: each run is summed into a partial that
+  // starts at +0.0f, and the partials are added into the gradient table
+  // in shard order (see the header comment).
   const BatchBuffers& buf = batch_;
   const size_t d = model_.dim();
   const uint32_t item = buf.touched[r];
-  const float* self = buf.item_hat.data() + size_t{item} * d;
-  const float norm = buf.item_norm[item];
-  float* grad = model_.ItemGrad(item);
   const ItemTerm* term = buf.item_terms.data() + buf.term_runs[r];
   const ItemTerm* const end = buf.item_terms.data() + buf.term_runs[r + 1];
   GradRun& run = ws.run;
-  while (term < end) {
-    const uint32_t shard = term->sample / kSampledGrain;
-    run.size = 0;
-    for (; term < end && term->sample / kSampledGrain == shard; ++term) {
-      run.Add(term->sample, buf.slot_score[term->slot],
-              vec::CosineGradScale(buf.slot_coeff[term->slot], norm));
+  run.Clear();
+  size_t shard = term->sample / kSampledGrain;
+  for (; term < end; ++term) {
+    if (term->sample / kSampledGrain != shard) {
+      run.EndRun();
+      shard = term->sample / kSampledGrain;
     }
-    if (run.size == 1) {
-      // g + (+0.0f + t) == g + t: the table never holds -0.0f.
-      run.AccumulateInto(self, buf.u_hat.data(), d, grad);
-      continue;
-    }
-    std::fill(ws.partial.begin(), ws.partial.end(), 0.0f);
-    run.AccumulateInto(self, buf.u_hat.data(), d, ws.partial.data());
-    vec::Axpy(1.0f, ws.partial.data(), grad, d);
+    run.Add(term->sample, term->score, term->coeff);
   }
+  run.EndRun();
+  run.CoeffsToScales(buf.item_norm[item]);
+  run.AccumulateRunsInto(buf.item_hat.data() + size_t{item} * d,
+                         buf.u_hat.data(), d, model_.ItemGrad(item));
 }
 
-void Trainer::OwnRows(const Edge* batch, size_t num_items, size_t run_cap) {
+void Trainer::OwnRows(const Edge* batch, size_t num_items, size_t max_terms,
+                      size_t max_runs) {
   // Each distinct user's sample positions in ascending order: the work
   // lists of the user owners.
   BatchBuffers& buf = batch_;
@@ -319,7 +332,7 @@ void Trainer::OwnRows(const Edge* batch, size_t num_items, size_t run_cap) {
       *pool_, 0, num_items + num_users, kOwnerGrain,
       [&](size_t lo, size_t hi, size_t /*shard*/, size_t worker) {
         WorkerScratch& ws = scratch_[worker];
-        ws.run.Reserve(run_cap);
+        ws.run.Reserve(max_terms, max_runs);
         for (size_t r = lo; r < hi; ++r) {
           if (r >= num_items) {
             OwnUserRow(r - num_items);
@@ -384,23 +397,25 @@ std::optional<size_t> Trainer::AccumulateInBatchLoss(
     buf.item_occ[s] = uint64_t{batch[s].item} << 32 | s;
   }
   const size_t max_item_count = SortIntoRuns(buf.item_occ, buf.item_runs);
-  // A gradient run holds one sample's user terms (at most b) or one
-  // item's terms in one shard (at most 16 per occurrence).
-  const size_t run_cap = std::max(b, kInBatchGrain * max_item_count);
 
-  // Phase A: score, run the loss and sum the user terms, per shard.
+  // Phase A: score, run the loss and sum the user terms, per shard. A
+  // user's run holds at most b terms.
   buf.shard_loss.assign((b + kInBatchGrain - 1) / kInBatchGrain, 0.0);
   runtime::ParallelFor(
       *pool_, 0, b, kInBatchGrain,
       [&](size_t lo, size_t hi, size_t shard, size_t worker) {
         WorkerScratch& ws = scratch_[worker];
         ws.PrepareInBatch(b, kInBatchGrain * buf.tile_stride);
-        ws.run.Reserve(run_cap);
+        ws.run.Reserve(b, 0);
         buf.shard_loss[shard] = InBatchShard(batch, lo, hi, ws);
       });
   if (const auto bad = FirstNonFiniteShard()) return bad;
 
-  OwnRows(batch, buf.item_runs.size() - 1, run_cap);
+  // An item's shard adds at most 16 terms per occurrence; an item owner
+  // passes its runs in calls of at most max(b, that) terms (one call for
+  // an item that occurs once).
+  OwnRows(batch, buf.item_runs.size() - 1,
+          std::max(b, kInBatchGrain * max_item_count), buf.shard_loss.size());
   return std::nullopt;
 }
 
@@ -454,7 +469,7 @@ double Trainer::InBatchShard(const Edge* batch, size_t lo, size_t hi,
     // nonzero coefficient, in batch order.
     const float u_norm = buf.u_norm[s];
     GradRun& run = ws.run;
-    run.size = 0;
+    run.Clear();
     run.Add(s, pos_score, vec::CosineGradScale(d_pos_scaled, u_norm));
     idx = 0;
     for (size_t t = 0; t < b; ++t) {
@@ -482,11 +497,14 @@ double Trainer::InBatchShard(const Edge* batch, size_t lo, size_t hi,
 }
 
 void Trainer::OwnInBatchItemRow(size_t r, WorkerScratch& ws) {
-  // Shard by shard, sums the item's terms (per sample, its positive
+  // Shard by shard, collects the item's terms (per sample, its positive
   // term first, then its other occurrences in batch order; zero
-  // coefficients skipped) into a partial that starts at +0.0f, and adds
-  // each shard's partial into the gradient table in shard order. That
-  // summation tree fixes the training bits (see the header comment).
+  // coefficients skipped) as one run per shard that has any, and passes
+  // the runs to the kernel: each run is summed into a partial that
+  // starts at +0.0f, and the partials are added into the gradient table
+  // in shard order. That summation tree fixes the training bits (see the
+  // header comment). When the next shard might not fit, the runs so far
+  // go first: a row split across calls keeps its bits.
   const BatchBuffers& buf = batch_;
   const size_t d = model_.dim();
   const size_t b = buf.b;
@@ -497,29 +515,34 @@ void Trainer::OwnInBatchItemRow(size_t r, WorkerScratch& ws) {
   const float i_norm = buf.i_norm[first];
   float* grad = model_.ItemGrad(static_cast<uint32_t>(occ[0] >> 32));
   GradRun& run = ws.run;
+  const auto flush = [&] {
+    run.CoeffsToScales(i_norm);
+    run.AccumulateRunsInto(self, buf.u_hat.data(), d, grad);
+    run.Clear();
+  };
+  run.Clear();
   size_t next = 0;  // the item's first occurrence at or after s
   for (size_t lo = 0; lo < b; lo += kInBatchGrain) {
     const size_t hi = std::min(b, lo + kInBatchGrain);
-    run.size = 0;
+    if (run.size + (hi - lo) * count > run.capacity()) flush();
+    const size_t run_begin = run.size;
     for (size_t s = lo; s < hi; ++s) {
       const bool own = next < count && static_cast<uint32_t>(occ[next]) == s;
       if (own) {
         const PairTerm& p = buf.pairs[s * buf.pair_stride + s];
-        run.Add(s, p.score, vec::CosineGradScale(p.coeff, i_norm));
+        run.Add(s, p.score, p.coeff);
         ++next;
       }
       for (size_t k = 0; k < count; ++k) {
         const size_t t = static_cast<uint32_t>(occ[k]);
         const PairTerm& p = buf.pairs[t * buf.pair_stride + s];
         if (t == s || p.coeff == 0.0f) continue;
-        run.Add(s, p.score, vec::CosineGradScale(p.coeff, i_norm));
+        run.Add(s, p.score, p.coeff);
       }
     }
-    if (run.size == 0) continue;
-    std::fill(ws.partial.begin(), ws.partial.end(), 0.0f);
-    run.AccumulateInto(self, buf.u_hat.data(), d, ws.partial.data());
-    vec::Axpy(1.0f, ws.partial.data(), grad, d);
+    if (run.size > run_begin) run.EndRun();
   }
+  flush();
 }
 
 void Trainer::OwnUserRow(size_t u) {

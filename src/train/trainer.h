@@ -39,10 +39,18 @@
 //     order. No row has two writers and nothing is reduced serially but
 //     the shard losses. That summation tree is the one per-shard
 //     first-touch slot buffers build, which test_runtime keeps as the
-//     bitwise oracle of both modes. (A sampled item's shard with one
-//     term adds it straight into the table: the tables start at +0.0f,
-//     so they never hold -0.0f, and g + (+0.0f + t) == g + t for every
-//     such g.)
+//     bitwise oracle of both modes.
+//   * An item owner writes its terms as one run per shard (the grouping
+//     pass packs each sampled term's score and coefficient beside its
+//     sample) and hands all of them to one vec::AccumulateCosineGradRuns
+//     call, which keeps the row and the partial in registers across the
+//     runs; an in-batch item that occurs many times passes its runs in
+//     several calls, with the same bits. Every run, one-term runs
+//     included, goes through its +0.0f partial. Adding a lone term t
+//     straight into the table instead would give the same bits, because
+//     ZeroGrad starts the table at +0.0f and a float sum never turns it
+//     into -0.0f, so g + (+0.0f + t) == g + t; one kernel call per row
+//     makes that shortcut pointless, so it is gone.
 //
 // In sampled mode, negative sampling runs *inside* the shards from
 // counter-based per-sample streams: sample s of epoch e draws from
@@ -230,34 +238,52 @@ class Trainer {
     float score;
   };
 
-  // One sampled item term: the sample and its (sample, slot) index
-  // s * (1 + N-) + k into the batch's slot arrays.
+  // One sampled item term: the sample, and the score and loss
+  // coefficient of its slot, packed beside it by the grouping pass so an
+  // item's owner reads its terms from one array.
   struct ItemTerm {
     uint32_t sample;
-    uint32_t slot;
+    float score;
+    float coeff;
   };
 
-  // The terms of one vec::AccumulateCosineGradRun call: other row,
-  // score and CosineGradScale multiplier per term.
+  // The terms of one vec::AccumulateCosineGradRun call (phase A's user
+  // runs) or of one vec::AccumulateCosineGradRuns call (phase B's item
+  // owners): other row, score and CosineGradScale multiplier per term,
+  // and where each run ends.
   struct GradRun {
     std::vector<uint32_t> idx;
     std::vector<float> score, scale;
-    size_t size = 0;
-    void Reserve(size_t cap);
+    std::vector<uint32_t> ends;
+    size_t size = 0, num_runs = 0;
+    // Room for `terms` terms in `runs` runs; grows, never shrinks.
+    void Reserve(size_t terms, size_t runs);
+    size_t capacity() const { return idx.size(); }
+    void Clear() { size = num_runs = 0; }
     void Add(size_t row, float s, float sc) {
       idx[size] = static_cast<uint32_t>(row);
       score[size] = s;
       scale[size++] = sc;
     }
-    // grad += the run's terms, with rows of `others` d floats apart.
+    // Closes the current run at the last added term.
+    void EndRun() { ends[num_runs++] = static_cast<uint32_t>(size); }
+    // Turns every scale, added as a loss coefficient, into its
+    // CosineGradScale multiplier: one tight loop that GCC vectorizes
+    // (IEEE division has the same bits packed or scalar).
+    void CoeffsToScales(float norm);
+    // grad += the terms as one run, with rows of `others` d floats
+    // apart (phase A).
     void AccumulateInto(const float* self_hat, const float* others,
                         size_t d, float* grad) const;
+    // grad += each closed run through its own +0.0f partial, in run
+    // order (phase B).
+    void AccumulateRunsInto(const float* self_hat, const float* others,
+                            size_t d, float* grad) const;
   };
 
   // Per-worker temporaries, reused across shards and batches.
   struct WorkerScratch {
-    // An item owner's shard partial (d floats) and one gradient run.
-    std::vector<float> partial;
+    // One gradient run (phase A) or one row's runs (phase B).
     GradRun run;
     // In-batch mode: one sample's negative scores and coefficients, and
     // the shard's score and coefficient rows (kInBatchGrain x
@@ -365,12 +391,15 @@ class Trainer {
   // each row's run starts, plus the end; returns the longest run.
   static size_t SortIntoRuns(std::vector<uint64_t>& occ,
                              std::vector<uint32_t>& runs);
-  // Sampled mode: groups the batch's item terms by item.
-  void GroupSampledItemTerms();
+  // Sampled mode: groups the batch's item terms by item; returns the
+  // most terms one item has.
+  size_t GroupSampledItemTerms();
   // Sorts the batch's samples by user (between the phases), then runs
   // phase B on the pool: the owners of the batch's `num_items` item rows,
-  // then of its distinct user rows. `run_cap` bounds a gradient run.
-  void OwnRows(const Edge* batch, size_t num_items, size_t run_cap);
+  // then of its distinct user rows. An item owner's gradient runs hold at
+  // most `max_terms` terms in `max_runs` runs per kernel call.
+  void OwnRows(const Edge* batch, size_t num_items, size_t max_terms,
+               size_t max_runs);
   // The owners of the batch's r-th touched item row (per mode) and u-th
   // distinct user row (both modes).
   void OwnSampledItemRow(size_t r, WorkerScratch& ws);

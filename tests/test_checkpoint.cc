@@ -80,6 +80,18 @@ TEST_F(CheckpointTest, ParamCountMismatchRejected) {
   EXPECT_FALSE(LoadModelParams(lgn, path_));
 }
 
+// /dev/full takes every open and fails every write with ENOSPC. A small
+// model fits in the stream's buffer, so its bytes only reach the device
+// when the file is closed: the save must report that failed flush.
+TEST_F(CheckpointTest, SaveReportsAFailedFinalWrite) {
+  std::FILE* probe = std::fopen("/dev/full", "wb");
+  if (probe == nullptr) GTEST_SKIP() << "/dev/full cannot be opened here";
+  std::fclose(probe);
+  Rng rng(11);
+  MfModel mf(6, 7, 4, rng);
+  EXPECT_FALSE(SaveModelParams(mf, "/dev/full"));
+}
+
 TEST_F(CheckpointTest, MissingFileRejected) {
   Rng rng(6);
   MfModel mf(2, 2, 2, rng);

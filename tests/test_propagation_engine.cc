@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/losses.h"
@@ -137,46 +138,65 @@ TEST(PropagationEngine, InlineMatchesPooledBitwise) {
 
 TEST(PropagationEngine, MeanPropagateMatchesReferenceBitwise) {
   // Hand-rolled mean-of-powers with the serial SpMM must reproduce the
-  // engine's fused kernel exactly, at a width inside the row kernel's
-  // 4-wide tail and at the training dim.
+  // engine's fused hops exactly, at every layer count the hops
+  // distinguish (L = 0 copies; at L = 1 the first hop is the last; from
+  // L = 3 on the middle hops ping-pong), at a width inside the row
+  // kernel's 4-wide tail and at the training dim. One engine serves
+  // every call, so a buffer left from a deeper call must not leak into
+  // a shallower one.
   const Dataset d = testing::TinyDataset();
   const BipartiteGraph g(d);
   for (const size_t dim : {size_t{4}, size_t{64}}) {
-    Rng rng(5);
-    const int kLayers = 3;
-    Matrix base(g.num_nodes(), dim);
-    base.InitGaussian(rng, 1.0f);
-    Matrix ref = base;
-    Matrix cur = base, next(g.num_nodes(), dim);
-    for (int l = 1; l <= kLayers; ++l) {
-      g.Adjacency().Multiply(cur, next);
-      std::swap(cur, next);
-      ref.AddScaled(cur, 1.0f);
-    }
-    const float inv = 1.0f / static_cast<float>(kLayers + 1);
-    for (size_t k = 0; k < ref.size(); ++k) ref.data()[k] *= inv;
-
     graph::PropagationEngine engine;
-    Matrix out(g.num_nodes(), dim);
-    engine.MeanPropagate(g.Adjacency(), base, kLayers, out);
-    ExpectBitIdentical(ref, out);
+    for (const int layers : {3, 0, 1, 2}) {
+      Rng rng(5);
+      Matrix base(g.num_nodes(), dim);
+      base.InitGaussian(rng, 1.0f);
+      Matrix ref = base;
+      Matrix cur = base, next(g.num_nodes(), dim);
+      for (int l = 1; l <= layers; ++l) {
+        g.Adjacency().Multiply(cur, next);
+        std::swap(cur, next);
+        ref.AddScaled(cur, 1.0f);
+      }
+      const float inv = 1.0f / static_cast<float>(layers + 1);
+      for (size_t k = 0; k < ref.size(); ++k) ref.data()[k] *= inv;
+
+      Matrix out(g.num_nodes(), dim);
+      engine.MeanPropagate(g.Adjacency(), base, layers, out);
+      SCOPED_TRACE("dim " + std::to_string(dim) + ", " +
+                   std::to_string(layers) + " layers");
+      ExpectBitIdentical(ref, out);
+    }
   }
 }
 
 TEST(PropagationEngine, MeanPropagateAccumAddsOperatorResult) {
+  // accum += the operator's result, bitwise before[k] + op[k] (what one
+  // Axpy(1.0f) of the operator's rows gives), at every layer count and
+  // at widths in the row kernel's scalar tail, its 4-wide part and its
+  // register blocks.
   const Dataset d = testing::TinyDataset();
   const BipartiteGraph g(d);
-  Rng rng(6);
-  Matrix grad(g.num_nodes(), 3), accum(g.num_nodes(), 3);
-  grad.InitGaussian(rng, 1.0f);
-  accum.InitGaussian(rng, 1.0f);
-  const Matrix before = accum;
-  graph::PropagationEngine engine;
-  Matrix op(g.num_nodes(), 3);
-  engine.MeanPropagate(g.Adjacency(), grad, 2, op);
-  engine.MeanPropagateAccum(g.Adjacency(), grad, 2, accum);
-  for (size_t k = 0; k < accum.size(); ++k) {
-    EXPECT_FLOAT_EQ(accum.data()[k], before.data()[k] + op.data()[k]);
+  for (const size_t dim : {size_t{3}, size_t{4}, size_t{64}}) {
+    graph::PropagationEngine engine;
+    for (const int layers : {0, 1, 2, 3}) {
+      Rng rng(6);
+      Matrix grad(g.num_nodes(), dim), accum(g.num_nodes(), dim);
+      grad.InitGaussian(rng, 1.0f);
+      accum.InitGaussian(rng, 1.0f);
+      const Matrix before = accum;
+      Matrix op(g.num_nodes(), dim);
+      engine.MeanPropagate(g.Adjacency(), grad, layers, op);
+      engine.MeanPropagateAccum(g.Adjacency(), grad, layers, accum);
+      Matrix want(g.num_nodes(), dim);
+      for (size_t k = 0; k < want.size(); ++k) {
+        want.data()[k] = before.data()[k] + op.data()[k];
+      }
+      SCOPED_TRACE("dim " + std::to_string(dim) + ", " +
+                   std::to_string(layers) + " layers");
+      ExpectBitIdentical(want, accum);
+    }
   }
 }
 

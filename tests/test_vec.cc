@@ -1,5 +1,6 @@
 #include "math/vec.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -213,6 +214,9 @@ struct TierKernels {
   void (*cosine_grad_run)(const float*, const float*, size_t,
                           const uint32_t*, const float*, const float*, size_t,
                           float*, size_t);
+  void (*cosine_grad_runs)(const float*, const float*, size_t,
+                           const uint32_t*, const float*, const float*,
+                           const uint32_t*, size_t, float*, size_t);
   int32_t (*dot_i8)(const int8_t*, const int8_t*, size_t);
   void (*dot_batch_i8)(const int8_t*, const int8_t*, size_t, size_t,
                        int32_t*);
@@ -221,17 +225,36 @@ struct TierKernels {
 };
 
 constexpr TierKernels kDispatched = {
-    vec::Dot,   vec::DotRows,    vec::DotTile, vec::AccumulateCosineGradRun,
-    vec::DotI8, vec::DotBatchI8, vec::WeightedRowSum};
+    vec::Dot,
+    vec::DotRows,
+    vec::DotTile,
+    vec::AccumulateCosineGradRun,
+    vec::AccumulateCosineGradRuns,
+    vec::DotI8,
+    vec::DotBatchI8,
+    vec::WeightedRowSum,
+};
 #if defined(__x86_64__)
 constexpr TierKernels kSse2 = {
-    vec::sse2::Dot,        vec::sse2::DotRows, vec::sse2::DotTile,
-    vec::sse2::AccumulateCosineGradRun, vec::sse2::DotI8,
-    vec::sse2::DotBatchI8, vec::sse2::WeightedRowSum};
+    vec::sse2::Dot,
+    vec::sse2::DotRows,
+    vec::sse2::DotTile,
+    vec::sse2::AccumulateCosineGradRun,
+    vec::sse2::AccumulateCosineGradRuns,
+    vec::sse2::DotI8,
+    vec::sse2::DotBatchI8,
+    vec::sse2::WeightedRowSum,
+};
 constexpr TierKernels kAvx2 = {
-    vec::avx2::Dot,        vec::avx2::DotRows, vec::avx2::DotTile,
-    vec::avx2::AccumulateCosineGradRun, vec::avx2::DotI8,
-    vec::avx2::DotBatchI8, vec::avx2::WeightedRowSum};
+    vec::avx2::Dot,
+    vec::avx2::DotRows,
+    vec::avx2::DotTile,
+    vec::avx2::AccumulateCosineGradRun,
+    vec::avx2::AccumulateCosineGradRuns,
+    vec::avx2::DotI8,
+    vec::avx2::DotBatchI8,
+    vec::avx2::WeightedRowSum,
+};
 #endif
 
 // Runs each kernel contract test on the dispatched kernels and on every
@@ -566,6 +589,118 @@ TEST_P(VecTier, AccumulateCosineGradRunMatchesCallLoopBitwise) {
           EXPECT_EQ(std::bit_cast<uint32_t>(ref_got[k]),
                     std::bit_cast<uint32_t>(want[k]))
               << "ref n=" << n << " m=" << m << " norm=" << norm;
+        }
+      }
+    }
+  }
+}
+
+TEST_P(VecTier, AccumulateCosineGradRunsMatchesPerRunLoopBitwise) {
+  // Several runs into one row must be the per-run loop they replace, bit
+  // for bit: per run a +0.0f partial, one AccumulateCosineGradRun into
+  // it and one Axpy(1.0f) into the row. Widths around the tiers' 4, 8,
+  // 16 and 32 blocks; no runs, one-term runs (a sampled item's shards),
+  // runs of 2 and of 16 terms (an in-batch item's shards), an empty run;
+  // repeated rows, +-0 coefficients, a row stride wider than the row,
+  // and columns past the row left untouched. Each layout also goes in
+  // two calls, split between runs. Variant 1 starts the row at +0.0f and
+  // makes the first term -0.0f in every column (its partial is +0.0f,
+  // so the row stays +0.0f).
+  Rng rng(53);
+  const float kSentinel = 12345.0f;
+  constexpr size_t kRows = 5;  // rows 0-4 drawn; row 5 is all +0.0f
+  const std::vector<std::vector<size_t>> layouts = {
+      {}, {1, 1, 1, 1, 1, 1, 1, 1}, {2, 2, 2}, {16, 16, 16}, {1, 0, 2, 16, 1}};
+  for (const size_t n : {1u, 3u, 4u, 7u, 8u, 15u, 16u, 17u, 31u, 32u, 33u,
+                         63u, 64u, 65u}) {
+    for (const std::vector<size_t>& layout : layouts) {
+      for (const int variant : {0, 1}) {
+        const size_t stride = n + 2;
+        const std::vector<float> self = HardValues(n, rng);
+        std::vector<float> others = HardValues((kRows + 1) * stride, rng);
+        std::fill(others.begin() + kRows * stride, others.end(), 0.0f);
+        std::vector<uint32_t> ends;
+        for (const size_t len : layout) {
+          ends.push_back(static_cast<uint32_t>(
+              (ends.empty() ? 0 : ends.back()) + len));
+        }
+        const size_t m = ends.empty() ? 0 : ends.back();
+        std::vector<uint32_t> idx(m);
+        std::vector<float> scores(m), scales(m);
+        for (size_t j = 0; j < m; ++j) {
+          idx[j] = static_cast<uint32_t>(rng.NextIndex(kRows));
+          scores[j] = static_cast<float>(rng.NextGaussian());
+          float coeff = static_cast<float>(rng.NextGaussian());
+          if (j % 3 == 1) coeff = 0.0f;
+          if (j % 5 == 2) coeff = -0.0f;
+          scales[j] = vec::CosineGradScale(coeff, 0.7f);
+        }
+        if (m > 1) idx[1] = idx[0];
+        std::vector<float> want(n + 4, kSentinel);
+        for (size_t k = 0; k < n; ++k) {
+          want[k] = variant == 1 ? 0.0f
+                                 : static_cast<float>(rng.NextGaussian());
+        }
+        if (variant == 1 && m > 0) {
+          // -1.5 * (+0.0f - 0 * self[k]) is -0.0f for every self[k].
+          idx[0] = kRows;
+          scores[0] = 0.0f;
+          scales[0] = -1.5f;
+        }
+        std::vector<float> got = want, ref_got = want, split = want;
+        std::vector<float> partial(n);
+        size_t begin = 0;
+        for (const uint32_t end : ends) {
+          std::fill(partial.begin(), partial.end(), 0.0f);
+          vec::ref::AccumulateCosineGradRun(
+              self.data(), others.data(), stride, idx.data() + begin,
+              scores.data() + begin, scales.data() + begin, end - begin,
+              partial.data(), n);
+          vec::Axpy(1.0f, partial.data(), want.data(), n);
+          begin = end;
+        }
+        k_.cosine_grad_runs(self.data(), others.data(), stride, idx.data(),
+                            scores.data(), scales.data(), ends.data(),
+                            ends.size(), got.data(), n);
+        vec::ref::AccumulateCosineGradRuns(
+            self.data(), others.data(), stride, idx.data(), scores.data(),
+            scales.data(), ends.data(), ends.size(), ref_got.data(), n);
+        // The same runs in two calls: the second call's arrays start at
+        // its first term, and its run ends count from there.
+        const size_t cut = ends.size() / 2;
+        const size_t off = cut == 0 ? 0 : ends[cut - 1];
+        std::vector<uint32_t> tail_ends;
+        for (size_t r = cut; r < ends.size(); ++r) {
+          tail_ends.push_back(static_cast<uint32_t>(ends[r] - off));
+        }
+        k_.cosine_grad_runs(self.data(), others.data(), stride, idx.data(),
+                            scores.data(), scales.data(), ends.data(), cut,
+                            split.data(), n);
+        k_.cosine_grad_runs(self.data(), others.data(), stride,
+                            idx.data() + off, scores.data() + off,
+                            scales.data() + off, tail_ends.data(),
+                            tail_ends.size(), split.data(), n);
+        for (size_t k = 0; k < n + 4; ++k) {
+          const uint32_t w = std::bit_cast<uint32_t>(want[k]);
+          EXPECT_EQ(std::bit_cast<uint32_t>(got[k]), w)
+              << "n=" << n << " runs=" << ends.size() << " m=" << m
+              << " variant " << variant << " k=" << k;
+          EXPECT_EQ(std::bit_cast<uint32_t>(ref_got[k]), w)
+              << "ref n=" << n << " runs=" << ends.size() << " k=" << k;
+          EXPECT_EQ(std::bit_cast<uint32_t>(split[k]), w)
+              << "split n=" << n << " runs=" << ends.size() << " k=" << k;
+        }
+        if (variant == 1 && layout.size() == 8) {
+          // Eight one-term runs; the first one's -0.0f term left the row
+          // at +0.0f before the other seven ran. Check it directly too.
+          std::vector<float> row(n, 0.0f);
+          k_.cosine_grad_runs(self.data(), others.data(), stride, idx.data(),
+                              scores.data(), scales.data(), ends.data(), 1,
+                              row.data(), n);
+          for (size_t k = 0; k < n; ++k) {
+            EXPECT_EQ(std::bit_cast<uint32_t>(row[k]), 0u)
+                << "n=" << n << ": a -0.0f term must leave a +0.0f row";
+          }
         }
       }
     }

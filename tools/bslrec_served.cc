@@ -307,6 +307,15 @@ void ReportStats(const serve::FrontEndStats& st,
                static_cast<unsigned long long>(st.expired_admission),
                static_cast<unsigned long long>(st.expired_queue),
                static_cast<unsigned long long>(st.expired_batch));
+  const size_t interactive =
+      static_cast<size_t>(serve::RequestLane::kInteractive);
+  const size_t bulk = static_cast<size_t>(serve::RequestLane::kBulk);
+  std::fprintf(
+      stderr, "lanes: interactive %llu/%llu served, bulk %llu/%llu served\n",
+      static_cast<unsigned long long>(st.lane_served[interactive]),
+      static_cast<unsigned long long>(st.lane_submitted[interactive]),
+      static_cast<unsigned long long>(st.lane_served[bulk]),
+      static_cast<unsigned long long>(st.lane_submitted[bulk]));
   std::fprintf(stderr,
                "brownout: %llu entries / %llu exits, %.1f ms degraded, "
                "%llu degraded responses\n",
