@@ -81,14 +81,14 @@ inline bool ScaleMode() {
 //
 // Every BENCH_*.json leads with a "machine" object so a results file is
 // interpretable without knowing which host produced it: thread count,
-// SIMD tier the binary dispatched to, cache geometry (the tiled exact
+// SIMD form the vec kernels dispatched to, cache geometry (the tiled exact
 // scan and the int8 IVF lists are cache-footprint plays), and which env
 // switches shaped the workload. Cache fields are 0 when sysfs is
 // unavailable (non-Linux, restricted containers) — absent, not wrong.
 
 struct MachineTopology {
   size_t hardware_threads = 0;
-  std::string simd_tier;        // vec::SimdTier(): "avx2" / "sse2" / "scalar"
+  std::string simd_tier;        // vec::SimdTier(): "avx2" / "scalar"
   size_t cache_line_bytes = 0;  // coherency line size; 0 = unknown
   size_t l1d_kib = 0;           // per-core L1 data cache; 0 = unknown
   size_t l2_kib = 0;

@@ -159,70 +159,15 @@ std::vector<float> GaussianVec(size_t n, uint64_t seed) {
   return v;
 }
 
-// The vec tiers this host can run, so the tiered kernels' benchmarks
-// report them side by side (BM_<kernel>/<tier>): every tier gives the
-// same bits, so the names differ only in speed.
-struct VecTier {
-  const char* name;
-  float (*dot)(const float*, const float*, size_t);
-  void (*dot_rows)(const float*, const float*, size_t, const uint32_t*,
-                   size_t, size_t, float*);
-  void (*dot_tile)(const double*, size_t, const double*, size_t, size_t,
-                   float*, size_t);
-  void (*cosine_grad_run)(const float*, const float*, size_t,
-                          const uint32_t*, const float*, const float*, size_t,
-                          float*, size_t);
-  void (*cosine_grad_runs)(const float*, const float*, size_t,
-                           const uint32_t*, const float*, const float*,
-                           const uint32_t*, size_t, float*, size_t);
-  void (*weighted_row_sum)(const float*, const uint32_t*, size_t,
-                           const float*, size_t, float*, size_t);
-  void (*adam_step)(const vec::AdamCoeffs&, const float*, float*, float*,
-                    float*, size_t);
-};
-
-std::vector<VecTier> HostTiers() {
-#if defined(__x86_64__)
-  std::vector<VecTier> tiers = {
-      {"sse2", vec::sse2::Dot, vec::sse2::DotRows, vec::sse2::DotTile,
-       vec::sse2::AccumulateCosineGradRun,
-       vec::sse2::AccumulateCosineGradRuns, vec::sse2::WeightedRowSum,
-       vec::sse2::AdamStep}};
-  if (std::string(vec::SimdTier()) == "avx2") {
-    tiers.push_back({"avx2", vec::avx2::Dot, vec::avx2::DotRows,
-                     vec::avx2::DotTile, vec::avx2::AccumulateCosineGradRun,
-                     vec::avx2::AccumulateCosineGradRuns,
-                     vec::avx2::WeightedRowSum, vec::avx2::AdamStep});
-  }
-  return tiers;
-#else
-  return {{vec::SimdTier(), vec::Dot, vec::DotRows, vec::DotTile,
-           vec::AccumulateCosineGradRun, vec::AccumulateCosineGradRuns,
-           vec::WeightedRowSum, vec::AdamStep}};
-#endif
-}
-
-// Registers fn once per host tier as <name>/<tier>.
-template <typename Fn>
-std::vector<benchmark::internal::Benchmark*> RegisterPerTier(
-    const std::string& name, Fn fn) {
-  std::vector<benchmark::internal::Benchmark*> benches;
-  for (const VecTier& tier : HostTiers()) {
-    benches.push_back(benchmark::RegisterBenchmark(
-        (name + "/" + tier.name).c_str(),
-        [fn, tier](benchmark::State& st) { fn(st, tier); }));
-  }
-  return benches;
-}
-
-void BM_DotBlocked(benchmark::State& state, const VecTier& tier) {
+void BM_DotBlocked(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const auto a = GaussianVec(n, 11), b = GaussianVec(n, 12);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tier.dot(a.data(), b.data(), n));
+    benchmark::DoNotOptimize(vec::Dot(a.data(), b.data(), n));
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
+BENCHMARK(BM_DotBlocked)->Arg(16)->Arg(64)->Arg(256)->Arg(4096);
 
 void BM_DotNaive(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
@@ -349,19 +294,20 @@ std::vector<uint32_t> SampleRowIds() {
   return ids;
 }
 
-void BM_DotRows(benchmark::State& state, const VecTier& tier) {
+void BM_DotRows(benchmark::State& state) {
   const auto table = GaussianVec(kTableItems * kTableDim, 32);
   const auto q = GaussianVec(kTableDim, 33);
   const std::vector<uint32_t> ids = SampleRowIds();
   std::vector<float> out(kSampleRows);
   for (auto _ : state) {
-    tier.dot_rows(q.data(), table.data(), kTableDim, ids.data(), kSampleRows,
-                  kTableDim, out.data());
+    vec::DotRows(q.data(), table.data(), kTableDim, ids.data(), kSampleRows,
+                 kTableDim, out.data());
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * kSampleRows);
 }
+BENCHMARK(BM_DotRows);
 
 void BM_DotRowsPerRowDot(benchmark::State& state) {
   const auto table = GaussianVec(kTableItems * kTableDim, 32);
@@ -388,7 +334,7 @@ BENCHMARK(BM_DotRowsPerRowDot);
 constexpr size_t kTileBatch = 1024;
 constexpr size_t kTileDim = 64;
 
-void BM_DotTile(benchmark::State& state, const VecTier& tier) {
+void BM_DotTile(benchmark::State& state) {
   const auto users = GaussianVec(kTileBatch * kTileDim, 23);
   const auto items = GaussianVec(kTileBatch * kTileDim, 24);
   std::vector<double> users_wide(users.size()), items_wide(items.size());
@@ -396,13 +342,14 @@ void BM_DotTile(benchmark::State& state, const VecTier& tier) {
   for (auto _ : state) {
     vec::Widen(users.data(), users.size(), users_wide.data());
     vec::Widen(items.data(), items.size(), items_wide.data());
-    tier.dot_tile(users_wide.data(), kTileBatch, items_wide.data(),
-                  kTileBatch, kTileDim, out.data(), kTileBatch);
+    vec::DotTile(users_wide.data(), kTileBatch, items_wide.data(), kTileBatch,
+                 kTileDim, out.data(), kTileBatch);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * kTileBatch * kTileBatch);
 }
+BENCHMARK(BM_DotTile)->Unit(benchmark::kMillisecond);
 
 void BM_DotTilePerPairDot(benchmark::State& state) {
   const auto users = GaussianVec(kTileBatch * kTileDim, 23);
@@ -426,7 +373,7 @@ BENCHMARK(BM_DotTilePerPairDot)->Unit(benchmark::kMillisecond);
 // One in-batch user run at the same shape: the user's 1023 terms (the
 // positive and every other sample's positive) summed into its gradient
 // row at dim 64, as the trainer's phase A does once per sample.
-void BM_CosineGradRun(benchmark::State& state, const VecTier& tier) {
+void BM_CosineGradRun(benchmark::State& state) {
   constexpr size_t kTerms = kTileBatch - 1;
   const auto self = GaussianVec(kTileDim, 25);
   const auto others = GaussianVec(kTileBatch * kTileDim, 26);
@@ -436,24 +383,25 @@ void BM_CosineGradRun(benchmark::State& state, const VecTier& tier) {
   for (size_t j = 0; j < kTerms; ++j) idx[j] = static_cast<uint32_t>(j + 1);
   std::vector<float> grad(kTileDim, 0.0f);
   for (auto _ : state) {
-    tier.cosine_grad_run(self.data(), others.data(), kTileDim, idx.data(),
-                         scores.data(), scales.data(), kTerms, grad.data(),
-                         kTileDim);
+    vec::AccumulateCosineGradRun(self.data(), others.data(), kTileDim,
+                                 idx.data(), scores.data(), scales.data(),
+                                 kTerms, grad.data(), kTileDim);
     benchmark::DoNotOptimize(grad.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * kTerms);
 }
+BENCHMARK(BM_CosineGradRun)->Unit(benchmark::kMicrosecond);
 
 // One item row's phase-B runs (Trainer::OwnSampledItemRow and
 // OwnInBatchItemRow) at the trainer's two shapes, Args({runs, terms per
 // run}) against a 1024 x 64 table of normalized users: {8, 1} is a
 // sampled item (about 8 terms per batch at b = 1024 and N- = 64, each in
 // its own 32-sample shard), {64, 16} an in-batch item that occurs once
-// (a term from every sample, in 64 shards of 16). BM_CosineGradRuns/<tier>
-// is one vec::AccumulateCosineGradRuns call; BM_CosineGradRunLoop/<tier>
-// is the per-run loop it replaced, with the same bits: per run a +0.0f
-// partial, one AccumulateCosineGradRun into it and one Axpy into the row.
+// (a term from every sample, in 64 shards of 16). BM_CosineGradRuns is
+// one vec::AccumulateCosineGradRuns call; BM_CosineGradRunLoop is the
+// per-run loop it replaced, with the same bits: per run a +0.0f partial,
+// one AccumulateCosineGradRun into it and one Axpy into the row.
 struct GradRunsInput {
   std::vector<float> self, others, scores, scales, grad, partial;
   std::vector<uint32_t> idx, ends;
@@ -479,29 +427,30 @@ GradRunsInput MakeGradRunsInput(const benchmark::State& state) {
   return in;
 }
 
-void BM_CosineGradRuns(benchmark::State& state, const VecTier& tier) {
+void BM_CosineGradRuns(benchmark::State& state) {
   GradRunsInput in = MakeGradRunsInput(state);
   for (auto _ : state) {
-    tier.cosine_grad_runs(in.self.data(), in.others.data(), kTileDim,
-                          in.idx.data(), in.scores.data(), in.scales.data(),
-                          in.ends.data(), in.ends.size(), in.grad.data(),
-                          kTileDim);
+    vec::AccumulateCosineGradRuns(in.self.data(), in.others.data(), kTileDim,
+                                  in.idx.data(), in.scores.data(),
+                                  in.scales.data(), in.ends.data(),
+                                  in.ends.size(), in.grad.data(), kTileDim);
     benchmark::DoNotOptimize(in.grad.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * in.idx.size());
 }
+BENCHMARK(BM_CosineGradRuns)->Args({8, 1})->Args({64, 16});
 
-void BM_CosineGradRunLoop(benchmark::State& state, const VecTier& tier) {
+void BM_CosineGradRunLoop(benchmark::State& state) {
   GradRunsInput in = MakeGradRunsInput(state);
   for (auto _ : state) {
     size_t begin = 0;
     for (const uint32_t end : in.ends) {
       vec::Fill(in.partial.data(), kTileDim, 0.0f);
-      tier.cosine_grad_run(in.self.data(), in.others.data(), kTileDim,
-                           in.idx.data() + begin, in.scores.data() + begin,
-                           in.scales.data() + begin, end - begin,
-                           in.partial.data(), kTileDim);
+      vec::AccumulateCosineGradRun(
+          in.self.data(), in.others.data(), kTileDim, in.idx.data() + begin,
+          in.scores.data() + begin, in.scales.data() + begin, end - begin,
+          in.partial.data(), kTileDim);
       vec::Axpy(1.0f, in.partial.data(), in.grad.data(), kTileDim);
       begin = end;
     }
@@ -510,10 +459,11 @@ void BM_CosineGradRunLoop(benchmark::State& state, const VecTier& tier) {
   }
   state.SetItemsProcessed(state.iterations() * in.idx.size());
 }
+BENCHMARK(BM_CosineGradRunLoop)->Args({8, 1})->Args({64, 16});
 
 // One sparse-times-dense product at LightGCN's propagation shape: a
 // 12k x 12k CSR matrix with 13 nonzeros per row (156k, the benchmark's
-// 4k x 8k graph) times a 12k x 64 table. BM_SpmmRowKernel/<tier> is
+// 4k x 8k graph) times a 12k x 64 table. BM_SpmmRowKernel is
 // vec::WeightedRowSum per row, as SparseMatrix's products run it;
 // BM_SpmmFillAxpy is the Fill + one Axpy per nonzero loop it replaced,
 // with the same bits.
@@ -546,20 +496,21 @@ SpmmInput MakeSpmmInput() {
   return in;
 }
 
-void BM_SpmmRowKernel(benchmark::State& state, const VecTier& tier) {
+void BM_SpmmRowKernel(benchmark::State& state) {
   SpmmInput in = MakeSpmmInput();
   for (auto _ : state) {
     for (size_t r = 0; r < kSpmmRows; ++r) {
-      tier.weighted_row_sum(in.values.data() + r * kSpmmRowNnz,
-                            in.cols.data() + r * kSpmmRowNnz, kSpmmRowNnz,
-                            in.x.data(), kSpmmDim,
-                            in.out.data() + r * kSpmmDim, kSpmmDim);
+      vec::WeightedRowSum(in.values.data() + r * kSpmmRowNnz,
+                          in.cols.data() + r * kSpmmRowNnz, kSpmmRowNnz,
+                          in.x.data(), kSpmmDim, in.out.data() + r * kSpmmDim,
+                          kSpmmDim);
     }
     benchmark::DoNotOptimize(in.out.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * kSpmmRows * kSpmmRowNnz);
 }
+BENCHMARK(BM_SpmmRowKernel)->Unit(benchmark::kMillisecond);
 
 void BM_SpmmFillAxpy(benchmark::State& state) {
   SpmmInput in = MakeSpmmInput();
@@ -580,10 +531,10 @@ void BM_SpmmFillAxpy(benchmark::State& state) {
 BENCHMARK(BM_SpmmFillAxpy)->Unit(benchmark::kMillisecond);
 
 // One Adam step over the 786,432 elements of the benchmark model's
-// user and item tables (12k rows x 64): each tier (BM_AdamStep/<tier>,
-// registered with the other tiered kernels) and the scalar loop it
-// replaced (BM_AdamStepRef). The trainer's pool divides this per-step
-// cost across its workers in fixed element shards.
+// user and item tables (12k rows x 64): the dispatched kernel
+// (BM_AdamStep) and the scalar loop it replaced (BM_AdamStepRef). The
+// trainer's pool divides this per-step cost across its workers in fixed
+// element shards.
 constexpr size_t kAdamElements = 786432;
 
 template <typename Step>
@@ -607,40 +558,15 @@ void RunAdamStep(benchmark::State& state, Step step) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 
-void BM_AdamStep(benchmark::State& state, const VecTier& tier) {
-  RunAdamStep(state, tier.adam_step);
+void BM_AdamStep(benchmark::State& state) {
+  RunAdamStep(state, vec::AdamStep);
 }
+BENCHMARK(BM_AdamStep)->Unit(benchmark::kMillisecond);
 
 void BM_AdamStepRef(benchmark::State& state) {
   RunAdamStep(state, vec::ref::AdamStep);
 }
 BENCHMARK(BM_AdamStepRef)->Unit(benchmark::kMillisecond);
-
-void RegisterTieredBenchmarks() {
-  for (auto* b : RegisterPerTier("BM_DotBlocked", BM_DotBlocked)) {
-    b->Arg(16)->Arg(64)->Arg(256)->Arg(4096);
-  }
-  for (auto* b : RegisterPerTier("BM_DotTile", BM_DotTile)) {
-    b->Unit(benchmark::kMillisecond);
-  }
-  for (auto* b : RegisterPerTier("BM_CosineGradRun", BM_CosineGradRun)) {
-    b->Unit(benchmark::kMicrosecond);
-  }
-  for (auto* b : RegisterPerTier("BM_CosineGradRuns", BM_CosineGradRuns)) {
-    b->Args({8, 1})->Args({64, 16});
-  }
-  for (auto* b :
-       RegisterPerTier("BM_CosineGradRunLoop", BM_CosineGradRunLoop)) {
-    b->Args({8, 1})->Args({64, 16});
-  }
-  for (auto* b : RegisterPerTier("BM_SpmmRowKernel", BM_SpmmRowKernel)) {
-    b->Unit(benchmark::kMillisecond);
-  }
-  RegisterPerTier("BM_DotRows", BM_DotRows);
-  for (auto* b : RegisterPerTier("BM_AdamStep", BM_AdamStep)) {
-    b->Unit(benchmark::kMillisecond);
-  }
-}
 
 // ---- int8 IVF list-scan kernels (ScorerOptions::quantize) ----
 // SIMD dispatch vs the always-compiled scalar reference (vec::ref), and
@@ -848,7 +774,6 @@ BENCHMARK(BM_WorstCaseWeights)->Arg(256)->Arg(4096);
 
 int main(int argc, char** argv) {
   RegisterLossBenchmarks();
-  RegisterTieredBenchmarks();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

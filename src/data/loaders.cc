@@ -70,7 +70,14 @@ bool SaveInteractions(const Dataset& data, const std::string& train_path,
       return false;
     }
     for (const Edge& e : edges) out << e.user << ' ' << e.item << '\n';
-    return static_cast<bool>(out);
+    // The last lines may still sit in the stream's buffer: close flushes
+    // them, and a failed flush (a full disk) must fail the save.
+    out.close();
+    if (!out) {
+      std::fprintf(stderr, "bslrec: writing '%s' failed\n", path.c_str());
+      return false;
+    }
+    return true;
   };
   return write(train_path, data.train_edges()) &&
          write(test_path, data.test_edges());

@@ -49,28 +49,6 @@ SparseMatrix::SparseMatrix(size_t rows, size_t cols,
   for (size_t r = 0; r < rows; ++r) row_offsets_[r + 1] += row_offsets_[r];
 }
 
-void SparseMatrix::EnsureTransposeIndex() const {
-  if (transpose_built_) return;
-  // Column-compressed transpose index. Filling in row-major order leaves
-  // each column's entries sorted by row, which preserves the summation
-  // order of the classic scatter-based A^T*X (see header design notes).
-  const size_t nnz = values_.size();
-  col_offsets_.assign(cols_ + 1, 0);
-  for (uint32_t c : col_indices_) ++col_offsets_[c + 1];
-  for (size_t c = 0; c < cols_; ++c) col_offsets_[c + 1] += col_offsets_[c];
-  row_indices_.resize(nnz);
-  col_values_.resize(nnz);
-  std::vector<size_t> cursor(col_offsets_.begin(), col_offsets_.end() - 1);
-  for (size_t r = 0; r < rows_; ++r) {
-    for (size_t k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
-      const size_t pos = cursor[col_indices_[k]]++;
-      row_indices_[pos] = static_cast<uint32_t>(r);
-      col_values_[pos] = values_[k];
-    }
-  }
-  transpose_built_ = true;
-}
-
 void SparseMatrix::MultiplyRowRange(const Matrix& x, Matrix& out,
                                     size_t row_begin, size_t row_end) const {
   BSLREC_CHECK(out.cols() == x.cols());
@@ -84,19 +62,6 @@ void SparseMatrix::MultiplyRow(const Matrix& x, size_t r, float* out) const {
   vec::WeightedRowSum(values_.data() + lo, col_indices_.data() + lo,
                       row_offsets_[r + 1] - lo, x.data(), x.cols(), out,
                       x.cols());
-}
-
-void SparseMatrix::TransposeMultiplyRowRange(const Matrix& x, Matrix& out,
-                                             size_t row_begin,
-                                             size_t row_end) const {
-  EnsureTransposeIndex();  // no-op after the first transpose product
-  const size_t d = x.cols();
-  BSLREC_CHECK(x.rows() == rows_ && out.cols() == d);
-  for (size_t c = row_begin; c < row_end; ++c) {
-    const size_t lo = col_offsets_[c];
-    vec::WeightedRowSum(col_values_.data() + lo, row_indices_.data() + lo,
-                        col_offsets_[c + 1] - lo, x.data(), d, out.Row(c), d);
-  }
 }
 
 void SparseMatrix::Multiply(const Matrix& x, Matrix& out) const {
@@ -120,11 +85,8 @@ void SparseMatrix::Multiply(const Matrix& x, Matrix& out,
 void SparseMatrix::TransposeMultiply(const Matrix& x, Matrix& out) const {
   BSLREC_CHECK(x.rows() == rows_ && out.rows() == cols_ &&
                x.cols() == out.cols());
-  // Index-free scatter: serial-only callers (e.g. the SVD's one-shot
-  // products) never pay for the CSC index. Accumulation into output row
-  // c happens in increasing source-row order — exactly the gather order
-  // of TransposeMultiplyRowRange, so the two paths are bit-identical
-  // (locked by tests/test_propagation_engine.cc).
+  // Index-free scatter: accumulation into output row c happens in
+  // increasing source-row order.
   const size_t d = x.cols();
   out.SetZero();
   for (size_t r = 0; r < rows_; ++r) {
@@ -133,19 +95,6 @@ void SparseMatrix::TransposeMultiply(const Matrix& x, Matrix& out) const {
       vec::Axpy(values_[k], x_row, out.Row(col_indices_[k]), d);
     }
   }
-}
-
-void SparseMatrix::TransposeMultiply(const Matrix& x, Matrix& out,
-                                     runtime::ThreadPool& pool,
-                                     size_t row_grain) const {
-  BSLREC_CHECK(x.rows() == rows_ && out.rows() == cols_ &&
-               x.cols() == out.cols());
-  EnsureTransposeIndex();  // build on the calling thread, not in a task
-  runtime::ParallelFor(pool, 0, cols_, row_grain,
-                       [&](size_t lo, size_t hi, size_t /*shard*/,
-                           size_t /*worker*/) {
-                         TransposeMultiplyRowRange(x, out, lo, hi);
-                       });
 }
 
 namespace graph {
@@ -180,18 +129,6 @@ void PropagationEngine::Multiply(const SparseMatrix& a, const Matrix& x,
       [&](size_t lo, size_t hi, size_t, size_t) {
         a.MultiplyRowRange(x, out, lo, hi);
       });
-}
-
-void PropagationEngine::TransposeMultiply(const SparseMatrix& a,
-                                          const Matrix& x,
-                                          Matrix& out) const {
-  // Delegate so the lazy CSC index is built on the calling thread
-  // before any task shard touches it.
-  if (pool_ != nullptr) {
-    a.TransposeMultiply(x, out, *pool_, row_grain_);
-  } else {
-    a.TransposeMultiply(x, out);
-  }
 }
 
 void PropagationEngine::MeanPropagate(const SparseMatrix& adjacency,

@@ -2,10 +2,10 @@
 //
 // Graph-based backbones (NGCF, LightGCN, SGL, SimGCL, LightGCL) propagate
 // embeddings through the normalized bipartite adjacency. `SparseMatrix` is
-// a CSR matrix with the two products the models need — A*X and A^T*X over
-// row-major dense matrices — and `graph::PropagationEngine` layers
-// multi-hop propagation with layer combination on top, fanning the work
-// across a `runtime::ThreadPool`.
+// a CSR matrix with the products the models need — A*X, sharded across a
+// `runtime::ThreadPool`, and a serial A^T*X — over row-major dense
+// matrices, and `graph::PropagationEngine` layers multi-hop propagation
+// with layer combination on top.
 //
 // ========================== Design notes ==============================
 //
@@ -24,13 +24,6 @@
 //   parallel products are *bit identical* to the serial ones for any
 //   pool size (the contract documented atop
 //   src/runtime/thread_pool.h).
-//
-//   A^T*X is made row-shardable by a column-compressed (CSC) view of the
-//   matrix, built lazily on the first transpose product (edge-dropped
-//   adjacencies drawn per batch never pay for it — their operator is
-//   symmetric): gathering column c's entries in increasing row order
-//   reproduces, bit for bit, the order in which the classic row-major
-//   scatter would have accumulated into output row c.
 //
 // PropagationEngine
 //   The engine owns (a pointer to) the pool plus persistent ping-pong
@@ -77,23 +70,16 @@ class SparseMatrix {
   void Multiply(const Matrix& x, Matrix& out, runtime::ThreadPool& pool,
                 size_t row_grain) const;
 
-  // out = this^T * x. Requires x.rows() == rows(), out.rows() == cols().
-  // The serial overload is an index-free scatter; the pool overload
-  // gathers through the CSC index, building it on the first call (one
-  // O(nnz) pass on the calling thread, cached thereafter — that first
-  // call must not race with other operations on the same matrix). Both
-  // orders coincide, so the overloads are bit-identical.
+  // out = this^T * x, serially: an index-free scatter, one vec::Axpy per
+  // nonzero in CSR order. Requires x.rows() == rows(), out.rows() ==
+  // cols(). The truncated SVD's products use it.
   void TransposeMultiply(const Matrix& x, Matrix& out) const;
-  void TransposeMultiply(const Matrix& x, Matrix& out,
-                         runtime::ThreadPool& pool, size_t row_grain) const;
 
-  // Row-range kernels shared by the serial and sharded paths: overwrite
-  // output rows [row_begin, row_end) of A*X (resp. A^T*X). All variants
-  // above funnel through these, which is what makes parallel == serial.
+  // Row-range kernel shared by the serial and sharded paths: overwrites
+  // output rows [row_begin, row_end) of A*X. Both Multiply overloads
+  // funnel through it, which is what makes parallel == serial.
   void MultiplyRowRange(const Matrix& x, Matrix& out, size_t row_begin,
                         size_t row_end) const;
-  void TransposeMultiplyRowRange(const Matrix& x, Matrix& out,
-                                 size_t row_begin, size_t row_end) const;
   // Row r of A*X into out (x.cols() floats), by the same row kernel:
   // the propagation engine's last hop, which finishes each row where it
   // is computed instead of storing a whole table.
@@ -105,24 +91,11 @@ class SparseMatrix {
   const std::vector<float>& values() const { return values_; }
 
  private:
-  // Builds the CSC transpose index if absent. Lazy (and `mutable`)
-  // because most matrices — notably the per-batch edge-dropped
-  // adjacencies — never take a transpose product; not thread-safe on
-  // the building call (see TransposeMultiply).
-  void EnsureTransposeIndex() const;
-
   size_t rows_ = 0;
   size_t cols_ = 0;
   std::vector<size_t> row_offsets_;
   std::vector<uint32_t> col_indices_;
   std::vector<float> values_;
-  // Column-compressed transpose index: column c's entries live at
-  // [col_offsets_[c], col_offsets_[c+1]) in increasing row order, with
-  // values copied out so the gather runs without indirection.
-  mutable bool transpose_built_ = false;
-  mutable std::vector<size_t> col_offsets_;
-  mutable std::vector<uint32_t> row_indices_;
-  mutable std::vector<float> col_values_;
 };
 
 namespace graph {
@@ -152,10 +125,8 @@ class PropagationEngine {
   runtime::ThreadPool* pool() const { return pool_; }
   size_t row_grain() const { return row_grain_; }
 
-  // Sharded products through the pool. out is overwritten.
+  // out = a * x, sharded through the pool. out is overwritten.
   void Multiply(const SparseMatrix& a, const Matrix& x, Matrix& out) const;
-  void TransposeMultiply(const SparseMatrix& a, const Matrix& x,
-                         Matrix& out) const;
 
   // Mean-of-powers layer combination (the LightGCN readout, also the
   // per-layer trunk the contrastive views reuse):
@@ -181,14 +152,6 @@ class PropagationEngine {
   // only for L >= 2. `accum` must not alias `grad`.
   void MeanPropagateAccum(const SparseMatrix& adjacency, const Matrix& grad,
                           int num_layers, Matrix& accum);
-
-  // Per-layer propagation for backbones that combine layers themselves
-  // (NGCF's per-layer transform path): writes A*x into `out` only.
-  // Identical to Multiply; named for intent at call sites.
-  void PropagateLayer(const SparseMatrix& adjacency, const Matrix& x,
-                      Matrix& out) const {
-    Multiply(adjacency, x, out);
-  }
 
   // Row-sharded dense products (NGCF's layer transforms). Deterministic
   // for any worker count: output rows are disjoint.

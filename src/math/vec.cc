@@ -4,15 +4,15 @@
 #include <cmath>
 #include <limits>
 
-// SIMD tiers. Every x86-64 build compiles an SSE2 tier (the x86-64
-// baseline) and an AVX2 tier of the dispatched kernels, and picks one per
-// process at run time (RunAvx2). The AVX2 forms are marked
-// target("avx2") and nothing more, so they run AVX2 instructions without
-// the build targeting AVX2, and a portable build has no FMA for GCC to
-// fuse a mul + add into (see the vec.h contract note). Anything else
-// falls back to the scalar reference — which is always compiled
-// regardless, both as the vec::ref contract oracle and as the portable
-// path.
+// Two forms per dispatched kernel. Every x86-64 build compiles an AVX2
+// form of each and runs it where the CPU has AVX2 (RunAvx2, read once per
+// process); everywhere else the kernel runs its scalar reference, which
+// is always compiled as the vec::ref contract oracle. The AVX2 forms are
+// internal to this file and marked target("avx2") and nothing more, so
+// they run AVX2 instructions without the build targeting AVX2, and a
+// portable build has no FMA for GCC to fuse a mul + add into (see the
+// vec.h contract note). QuantizeRow's one SIMD form is SSE2, the x86-64
+// baseline, so every x86-64 build runs it.
 #if defined(__x86_64__)
 #include <immintrin.h>
 #define BSLREC_VEC_X86 1
@@ -27,39 +27,38 @@
 //     fixed accumulator lanes combined in a fixed order — so results
 //     never depend on call context. The multi-threaded trainer and
 //     evaluator rely on this for their bit-identical-results guarantee.
-// The SIMD forms keep the same four double lanes in hardware registers
-// (see the vec.h contract note), so the tier a host runs changes no
+// The AVX2 forms keep the same four double lanes in hardware registers
+// (see the vec.h contract note), so which form a host runs changes no
 // result.
 
 namespace bslrec::vec {
 
+#if BSLREC_VEC_X86
 namespace {
 
-// Whether this process runs the AVX2 tier: CPUID, read once (the check
+// Whether this process runs the AVX2 forms: CPUID, read once (the check
 // includes the OS's support for the 256-bit register state). A build
 // whose target already has AVX2 needs no check.
 bool RunAvx2() {
 #if defined(__AVX2__)
   return true;
-#elif BSLREC_VEC_X86
+#else
   static const bool avx2 = [] {
     __builtin_cpu_init();
     return __builtin_cpu_supports("avx2") != 0;
   }();
   return avx2;
-#else
-  return false;
 #endif
 }
 
 }  // namespace
+#endif
 
 const char* SimdTier() {
 #if BSLREC_VEC_X86
-  return RunAvx2() ? "avx2" : "sse2";
-#else
-  return "scalar";
+  if (RunAvx2()) return "avx2";
 #endif
+  return "scalar";
 }
 
 namespace ref {
@@ -178,109 +177,6 @@ BSLREC_AVX2 inline __m256i MaddI8(__m256i acc, __m256i a16,
                                   const int8_t* b) {
   return _mm256_add_epi32(acc, _mm256_madd_epi16(a16, LoadI8AsI16(b)));
 }
-#endif
-
-}  // namespace
-
-#if BSLREC_VEC_X86
-namespace sse2 {
-
-float Dot(const float* a, const float* b, size_t n) {
-  // The reference's four lanes split across two 128-bit registers.
-  __m128d acc01 = _mm_setzero_pd();
-  __m128d acc23 = _mm_setzero_pd();
-  size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    const __m128 va = _mm_loadu_ps(a + k);
-    const __m128 vb = _mm_loadu_ps(b + k);
-    acc01 = _mm_add_pd(acc01, _mm_mul_pd(_mm_cvtps_pd(va), _mm_cvtps_pd(vb)));
-    acc23 = _mm_add_pd(acc23, _mm_mul_pd(_mm_cvtps_pd(_mm_movehl_ps(va, va)),
-                                         _mm_cvtps_pd(_mm_movehl_ps(vb, vb))));
-  }
-  alignas(16) double lane01[2], lane23[2];
-  _mm_store_pd(lane01, acc01);
-  _mm_store_pd(lane23, acc23);
-  double acc0 = lane01[0];
-  for (; k < n; ++k) acc0 += static_cast<double>(a[k]) * b[k];
-  return static_cast<float>((acc0 + lane01[1]) + (lane23[0] + lane23[1]));
-}
-
-int32_t DotI8(const int8_t* a, const int8_t* b, size_t n) {
-  const __m128i zero = _mm_setzero_si128();
-  __m128i acc = zero;
-  size_t k = 0;
-  for (; k + 16 <= n; k += 16) {
-    const __m128i va =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + k));
-    const __m128i vb =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + k));
-    // SSE2 has no 8->16 sign-extend; widen via sign-mask unpack.
-    const __m128i sa = _mm_cmpgt_epi8(zero, va);
-    const __m128i sb = _mm_cmpgt_epi8(zero, vb);
-    acc = _mm_add_epi32(acc, _mm_madd_epi16(_mm_unpacklo_epi8(va, sa),
-                                            _mm_unpacklo_epi8(vb, sb)));
-    acc = _mm_add_epi32(acc, _mm_madd_epi16(_mm_unpackhi_epi8(va, sa),
-                                            _mm_unpackhi_epi8(vb, sb)));
-  }
-  int32_t sum = HSumEpi32(acc);
-  for (; k < n; ++k) {
-    sum += static_cast<int32_t>(a[k]) * static_cast<int32_t>(b[k]);
-  }
-  return sum;
-}
-
-void DotBatchI8(const int8_t* q, const int8_t* rows, size_t m, size_t d,
-                int32_t* out) {
-  for (size_t r = 0; r < m; ++r) out[r] = DotI8(q, rows + r * d, d);
-}
-
-// The multi-row dot: two rows per block, each with Dot's four lanes in
-// two registers, against one query widened once per block; an odd last
-// row goes through Dot.
-template <typename Rows>
-void MultiDot(const float* q, Rows row, size_t m, size_t d, float* out) {
-  size_t r = 0;
-  for (; r + 2 <= m; r += 2) {
-    const float* x0 = row(r);
-    const float* x1 = row(r + 1);
-    __m128d lo0 = _mm_setzero_pd(), hi0 = _mm_setzero_pd();
-    __m128d lo1 = _mm_setzero_pd(), hi1 = _mm_setzero_pd();
-    size_t k = 0;
-    for (; k + 4 <= d; k += 4) {
-      const __m128 vq = _mm_loadu_ps(q + k);
-      const __m128d q01 = _mm_cvtps_pd(vq);
-      const __m128d q23 = _mm_cvtps_pd(_mm_movehl_ps(vq, vq));
-      const __m128 v0 = _mm_loadu_ps(x0 + k);
-      const __m128 v1 = _mm_loadu_ps(x1 + k);
-      lo0 = _mm_add_pd(lo0, _mm_mul_pd(q01, _mm_cvtps_pd(v0)));
-      hi0 = _mm_add_pd(hi0,
-                       _mm_mul_pd(q23, _mm_cvtps_pd(_mm_movehl_ps(v0, v0))));
-      lo1 = _mm_add_pd(lo1, _mm_mul_pd(q01, _mm_cvtps_pd(v1)));
-      hi1 = _mm_add_pd(hi1,
-                       _mm_mul_pd(q23, _mm_cvtps_pd(_mm_movehl_ps(v1, v1))));
-    }
-    alignas(16) double l0[2], h0[2], l1[2], h1[2];
-    _mm_store_pd(l0, lo0);
-    _mm_store_pd(h0, hi0);
-    _mm_store_pd(l1, lo1);
-    _mm_store_pd(h1, hi1);
-    double a0 = l0[0], b0 = l1[0];
-    for (; k < d; ++k) {
-      a0 += static_cast<double>(q[k]) * x0[k];
-      b0 += static_cast<double>(q[k]) * x1[k];
-    }
-    out[r] = static_cast<float>((a0 + l0[1]) + (h0[0] + h0[1]));
-    out[r + 1] = static_cast<float>((b0 + l1[1]) + (h1[0] + h1[1]));
-  }
-  if (r < m) out[r] = Dot(q, row(r), d);
-}
-
-void DotRows(const float* q, const float* table, size_t stride,
-             const uint32_t* ids, size_t m, size_t d, float* out) {
-  MultiDot(q, IdRows{table, stride, ids}, m, d, out);
-}
-
-}  // namespace sse2
 
 namespace avx2 {
 
@@ -411,59 +307,44 @@ BSLREC_AVX2 void DotRows(const float* q, const float* table, size_t stride,
 }  // namespace avx2
 #endif
 
+}  // namespace
+
 float Dot(const float* a, const float* b, size_t n) {
 #if BSLREC_VEC_X86
-  return RunAvx2() ? avx2::Dot(a, b, n) : sse2::Dot(a, b, n);
-#else
-  return ref::Dot(a, b, n);
+  if (RunAvx2()) return avx2::Dot(a, b, n);
 #endif
+  return ref::Dot(a, b, n);
 }
 
 int32_t DotI8(const int8_t* a, const int8_t* b, size_t n) {
 #if BSLREC_VEC_X86
-  return RunAvx2() ? avx2::DotI8(a, b, n) : sse2::DotI8(a, b, n);
-#else
-  return ref::DotI8(a, b, n);
+  if (RunAvx2()) return avx2::DotI8(a, b, n);
 #endif
+  return ref::DotI8(a, b, n);
 }
 
 void DotBatchI8(const int8_t* q, const int8_t* rows, size_t m, size_t d,
                 int32_t* out) {
 #if BSLREC_VEC_X86
-  if (RunAvx2()) {
-    avx2::DotBatchI8(q, rows, m, d, out);
-  } else {
-    sse2::DotBatchI8(q, rows, m, d, out);
-  }
-#else
-  ref::DotBatchI8(q, rows, m, d, out);
+  if (RunAvx2()) return avx2::DotBatchI8(q, rows, m, d, out);
 #endif
+  ref::DotBatchI8(q, rows, m, d, out);
 }
 
 void DotRows(const float* q, const float* table, size_t stride,
              const uint32_t* ids, size_t m, size_t d, float* out) {
 #if BSLREC_VEC_X86
-  if (RunAvx2()) {
-    avx2::DotRows(q, table, stride, ids, m, d, out);
-  } else {
-    sse2::DotRows(q, table, stride, ids, m, d, out);
-  }
-#else
-  ref::DotRows(q, table, stride, ids, m, d, out);
+  if (RunAvx2()) return avx2::DotRows(q, table, stride, ids, m, d, out);
 #endif
+  ref::DotRows(q, table, stride, ids, m, d, out);
 }
 
 void DotBatch(const float* q, const float* rows, size_t m, size_t d,
               float* out) {
 #if BSLREC_VEC_X86
-  if (RunAvx2()) {
-    avx2::MultiDot(q, ContiguousRows{rows, d}, m, d, out);
-  } else {
-    sse2::MultiDot(q, ContiguousRows{rows, d}, m, d, out);
-  }
-#else
-  for (size_t r = 0; r < m; ++r) out[r] = ref::Dot(q, rows + r * d, d);
+  if (RunAvx2()) return avx2::MultiDot(q, ContiguousRows{rows, d}, m, d, out);
 #endif
+  for (size_t r = 0; r < m; ++r) out[r] = ref::Dot(q, rows + r * d, d);
 }
 
 namespace ref {
@@ -612,12 +493,18 @@ void AccumulateCosineGrad(const float* u_hat, const float* i_hat, float score,
   }
 }
 
+// The AVX2 forms of AccumulateCosineGradRun(s) and WeightedRowSum hand
+// their last n % 8 columns to their references below, which stay out of
+// line: inlined, a tail's calls make the AVX2 form save more registers and
+// realign its stack on every call, tail or not. The SpMM row kernel pays
+// that once per row; micro_kernels' BM_GraphPropagation/3 (dim 16) ran
+// 20-35% slower with the tail inlined.
 namespace ref {
 
-void AccumulateCosineGradRun(const float* self_hat, const float* others,
-                             size_t stride, const uint32_t* idx,
-                             const float* scores, const float* scales,
-                             size_t m, float* grad, size_t n) {
+[[gnu::noinline]] void AccumulateCosineGradRun(
+    const float* self_hat, const float* others, size_t stride,
+    const uint32_t* idx, const float* scores, const float* scales, size_t m,
+    float* grad, size_t n) {
   for (size_t j = 0; j < m; ++j) {
     const float* x = others + static_cast<size_t>(idx[j]) * stride;
     for (size_t k = 0; k < n; ++k) {
@@ -626,11 +513,10 @@ void AccumulateCosineGradRun(const float* self_hat, const float* others,
   }
 }
 
-void AccumulateCosineGradRuns(const float* self_hat, const float* others,
-                              size_t stride, const uint32_t* idx,
-                              const float* scores, const float* scales,
-                              const uint32_t* run_ends, size_t num_runs,
-                              float* grad, size_t n) {
+[[gnu::noinline]] void AccumulateCosineGradRuns(
+    const float* self_hat, const float* others, size_t stride,
+    const uint32_t* idx, const float* scores, const float* scales,
+    const uint32_t* run_ends, size_t num_runs, float* grad, size_t n) {
   // The per-run loop of the contract, on column slices of at most
   // kSlice elements so the partial lives on the stack (elements never
   // mix, so a slice computes its columns' bits).
@@ -671,8 +557,9 @@ void DotTile(const double* q, size_t m, const double* rows, size_t n,
   }
 }
 
-void WeightedRowSum(const float* values, const uint32_t* idx, size_t m,
-                    const float* x, size_t stride, float* out, size_t n) {
+[[gnu::noinline]] void WeightedRowSum(const float* values, const uint32_t* idx,
+                                      size_t m, const float* x, size_t stride,
+                                      float* out, size_t n) {
   Fill(out, n, 0.0f);
   for (size_t j = 0; j < m; ++j) {
     Axpy(values[j], x + static_cast<size_t>(idx[j]) * stride, out, n);
@@ -688,64 +575,14 @@ void Widen(const float* x, size_t n, double* out) {
 #if BSLREC_VEC_X86
 namespace {
 
-// One cosine-gradient term on four elements: acc + scale * (x - score * y),
+// One cosine-gradient term on eight elements: acc + scale * (x - score * y),
 // AccumulateCosineGrad's expression operation for operation.
-inline __m128 CosineGradTerm(__m128 acc, __m128 scale, __m128 score,
-                             const float* x, __m128 y) {
-  const __m128 diff = _mm_sub_ps(_mm_loadu_ps(x), _mm_mul_ps(score, y));
-  return _mm_add_ps(acc, _mm_mul_ps(scale, diff));
-}
-
-// The same term on eight elements.
 BSLREC_AVX2 inline __m256 CosineGradTerm(__m256 acc, __m256 scale,
                                          __m256 score, const float* x,
                                          __m256 y) {
   const __m256 diff =
       _mm256_sub_ps(_mm256_loadu_ps(x), _mm256_mul_ps(score, y));
   return _mm256_add_ps(acc, _mm256_mul_ps(scale, diff));
-}
-
-// One MQ x NR block of the SSE2 DotTile: every (query, row) pair keeps
-// Dot's four double lanes, lanes 0-1 in lo[][] and 2-3 in hi[][]. A
-// 2 x 2 block holds 8 accumulators plus 6 operands, within SSE2's 16
-// registers.
-template <size_t MQ, size_t NR>
-inline void DotTileBlock(const double* q, const double* rows, size_t d,
-                         float* out, size_t out_stride) {
-  __m128d lo[MQ][NR], hi[MQ][NR];
-  for (size_t i = 0; i < MQ; ++i) {
-    for (size_t j = 0; j < NR; ++j) {
-      lo[i][j] = _mm_setzero_pd();
-      hi[i][j] = _mm_setzero_pd();
-    }
-  }
-  size_t k = 0;
-  for (; k + 4 <= d; k += 4) {
-    __m128d r01[NR], r23[NR];
-    for (size_t j = 0; j < NR; ++j) {
-      r01[j] = _mm_loadu_pd(rows + j * d + k);
-      r23[j] = _mm_loadu_pd(rows + j * d + k + 2);
-    }
-    for (size_t i = 0; i < MQ; ++i) {
-      const __m128d q01 = _mm_loadu_pd(q + i * d + k);
-      const __m128d q23 = _mm_loadu_pd(q + i * d + k + 2);
-      for (size_t j = 0; j < NR; ++j) {
-        lo[i][j] = _mm_add_pd(lo[i][j], _mm_mul_pd(q01, r01[j]));
-        hi[i][j] = _mm_add_pd(hi[i][j], _mm_mul_pd(q23, r23[j]));
-      }
-    }
-  }
-  for (size_t i = 0; i < MQ; ++i) {
-    for (size_t j = 0; j < NR; ++j) {
-      alignas(16) double l01[2], l23[2];
-      _mm_store_pd(l01, lo[i][j]);
-      _mm_store_pd(l23, hi[i][j]);
-      double acc0 = l01[0];
-      for (size_t t = k; t < d; ++t) acc0 += q[i * d + t] * rows[j * d + t];
-      out[i * out_stride + j] =
-          static_cast<float>((acc0 + l01[1]) + (l23[0] + l23[1]));
-    }
-  }
 }
 
 // One MQ x NR block (NR <= 4) of the AVX2 DotTile. acc[i][j] holds the
@@ -833,185 +670,6 @@ BSLREC_AVX2 inline void DotTileRows256(const double* q, const double* rows,
 // d doubles) to stay in L1 while every query block passes over them.
 constexpr size_t kDotTileChunk = 32;
 
-}  // namespace
-
-namespace sse2 {
-
-void AccumulateCosineGradRun(const float* self_hat, const float* others,
-                             size_t stride, const uint32_t* idx,
-                             const float* scores, const float* scales,
-                             size_t m, float* grad, size_t n) {
-  // Element k sees the reference's operations in the reference's term
-  // order; the blocks only decide which elements share registers.
-  size_t k = 0;
-  for (; k + 16 <= n; k += 16) {
-    __m128 a0 = _mm_loadu_ps(grad + k + 0);
-    __m128 a1 = _mm_loadu_ps(grad + k + 4);
-    __m128 a2 = _mm_loadu_ps(grad + k + 8);
-    __m128 a3 = _mm_loadu_ps(grad + k + 12);
-    const __m128 y0 = _mm_loadu_ps(self_hat + k + 0);
-    const __m128 y1 = _mm_loadu_ps(self_hat + k + 4);
-    const __m128 y2 = _mm_loadu_ps(self_hat + k + 8);
-    const __m128 y3 = _mm_loadu_ps(self_hat + k + 12);
-    for (size_t j = 0; j < m; ++j) {
-      const float* x = others + static_cast<size_t>(idx[j]) * stride + k;
-      const __m128 sc = _mm_set1_ps(scores[j]);
-      const __m128 sl = _mm_set1_ps(scales[j]);
-      a0 = CosineGradTerm(a0, sl, sc, x + 0, y0);
-      a1 = CosineGradTerm(a1, sl, sc, x + 4, y1);
-      a2 = CosineGradTerm(a2, sl, sc, x + 8, y2);
-      a3 = CosineGradTerm(a3, sl, sc, x + 12, y3);
-    }
-    _mm_storeu_ps(grad + k + 0, a0);
-    _mm_storeu_ps(grad + k + 4, a1);
-    _mm_storeu_ps(grad + k + 8, a2);
-    _mm_storeu_ps(grad + k + 12, a3);
-  }
-  for (; k + 4 <= n; k += 4) {
-    __m128 a = _mm_loadu_ps(grad + k);
-    const __m128 y = _mm_loadu_ps(self_hat + k);
-    for (size_t j = 0; j < m; ++j) {
-      const float* x = others + static_cast<size_t>(idx[j]) * stride + k;
-      const __m128 sc = _mm_set1_ps(scores[j]);
-      const __m128 sl = _mm_set1_ps(scales[j]);
-      a = CosineGradTerm(a, sl, sc, x, y);
-    }
-    _mm_storeu_ps(grad + k, a);
-  }
-  if (k < n) {
-    // The last n % 4 elements: the reference on a column slice.
-    ref::AccumulateCosineGradRun(self_hat + k, others + k, stride, idx,
-                                 scores, scales, m, grad + k, n - k);
-  }
-}
-
-void AccumulateCosineGradRuns(const float* self_hat, const float* others,
-                              size_t stride, const uint32_t* idx,
-                              const float* scores, const float* scales,
-                              const uint32_t* run_ends, size_t num_runs,
-                              float* grad, size_t n) {
-  // A block of 16 elements keeps the row (g), the run's partial (p) and
-  // self_hat (y) in 12 registers across every run; per element the
-  // operations are the reference's, in its order.
-  size_t k = 0;
-  for (; k + 16 <= n; k += 16) {
-    __m128 g0 = _mm_loadu_ps(grad + k + 0);
-    __m128 g1 = _mm_loadu_ps(grad + k + 4);
-    __m128 g2 = _mm_loadu_ps(grad + k + 8);
-    __m128 g3 = _mm_loadu_ps(grad + k + 12);
-    const __m128 y0 = _mm_loadu_ps(self_hat + k + 0);
-    const __m128 y1 = _mm_loadu_ps(self_hat + k + 4);
-    const __m128 y2 = _mm_loadu_ps(self_hat + k + 8);
-    const __m128 y3 = _mm_loadu_ps(self_hat + k + 12);
-    size_t j = 0;
-    for (size_t r = 0; r < num_runs; ++r) {
-      __m128 p0 = _mm_setzero_ps(), p1 = _mm_setzero_ps();
-      __m128 p2 = _mm_setzero_ps(), p3 = _mm_setzero_ps();
-      for (; j < run_ends[r]; ++j) {
-        const float* x = others + static_cast<size_t>(idx[j]) * stride + k;
-        const __m128 sc = _mm_set1_ps(scores[j]);
-        const __m128 sl = _mm_set1_ps(scales[j]);
-        p0 = CosineGradTerm(p0, sl, sc, x + 0, y0);
-        p1 = CosineGradTerm(p1, sl, sc, x + 4, y1);
-        p2 = CosineGradTerm(p2, sl, sc, x + 8, y2);
-        p3 = CosineGradTerm(p3, sl, sc, x + 12, y3);
-      }
-      g0 = _mm_add_ps(g0, p0);
-      g1 = _mm_add_ps(g1, p1);
-      g2 = _mm_add_ps(g2, p2);
-      g3 = _mm_add_ps(g3, p3);
-    }
-    _mm_storeu_ps(grad + k + 0, g0);
-    _mm_storeu_ps(grad + k + 4, g1);
-    _mm_storeu_ps(grad + k + 8, g2);
-    _mm_storeu_ps(grad + k + 12, g3);
-  }
-  for (; k + 4 <= n; k += 4) {
-    __m128 g = _mm_loadu_ps(grad + k);
-    const __m128 y = _mm_loadu_ps(self_hat + k);
-    size_t j = 0;
-    for (size_t r = 0; r < num_runs; ++r) {
-      __m128 p = _mm_setzero_ps();
-      for (; j < run_ends[r]; ++j) {
-        const float* x = others + static_cast<size_t>(idx[j]) * stride + k;
-        p = CosineGradTerm(p, _mm_set1_ps(scales[j]), _mm_set1_ps(scores[j]),
-                           x, y);
-      }
-      g = _mm_add_ps(g, p);
-    }
-    _mm_storeu_ps(grad + k, g);
-  }
-  if (k < n) {
-    // The last n % 4 elements: the reference on a column slice.
-    ref::AccumulateCosineGradRuns(self_hat + k, others + k, stride, idx,
-                                  scores, scales, run_ends, num_runs,
-                                  grad + k, n - k);
-  }
-}
-
-void DotTile(const double* q, size_t m, const double* rows, size_t n,
-             size_t d, float* out, size_t out_stride) {
-  for (size_t c0 = 0; c0 < n; c0 += kDotTileChunk) {
-    const size_t c1 = std::min(n, c0 + kDotTileChunk);
-    size_t i = 0;
-    for (; i + 2 <= m; i += 2) {
-      const double* qi = q + i * d;
-      float* oi = out + i * out_stride;
-      size_t j = c0;
-      for (; j + 2 <= c1; j += 2) {
-        DotTileBlock<2, 2>(qi, rows + j * d, d, oi + j, out_stride);
-      }
-      if (j < c1) DotTileBlock<2, 1>(qi, rows + j * d, d, oi + j, out_stride);
-    }
-    if (i < m) {
-      const double* qi = q + i * d;
-      float* oi = out + i * out_stride;
-      size_t j = c0;
-      for (; j + 2 <= c1; j += 2) {
-        DotTileBlock<1, 2>(qi, rows + j * d, d, oi + j, out_stride);
-      }
-      if (j < c1) DotTileBlock<1, 1>(qi, rows + j * d, d, oi + j, out_stride);
-    }
-  }
-}
-
-void WeightedRowSum(const float* values, const uint32_t* idx, size_t m,
-                    const float* x, size_t stride, float* out, size_t n) {
-  // Per element: +0.0f, then each term added in order, as the reference
-  // does; a block of 16 elements stays in four registers for the row.
-  size_t k = 0;
-  for (; k + 16 <= n; k += 16) {
-    __m128 a0 = _mm_setzero_ps(), a1 = _mm_setzero_ps();
-    __m128 a2 = _mm_setzero_ps(), a3 = _mm_setzero_ps();
-    for (size_t j = 0; j < m; ++j) {
-      const float* xj = x + static_cast<size_t>(idx[j]) * stride + k;
-      const __m128 v = _mm_set1_ps(values[j]);
-      a0 = _mm_add_ps(a0, _mm_mul_ps(v, _mm_loadu_ps(xj + 0)));
-      a1 = _mm_add_ps(a1, _mm_mul_ps(v, _mm_loadu_ps(xj + 4)));
-      a2 = _mm_add_ps(a2, _mm_mul_ps(v, _mm_loadu_ps(xj + 8)));
-      a3 = _mm_add_ps(a3, _mm_mul_ps(v, _mm_loadu_ps(xj + 12)));
-    }
-    _mm_storeu_ps(out + k + 0, a0);
-    _mm_storeu_ps(out + k + 4, a1);
-    _mm_storeu_ps(out + k + 8, a2);
-    _mm_storeu_ps(out + k + 12, a3);
-  }
-  for (; k + 4 <= n; k += 4) {
-    __m128 a = _mm_setzero_ps();
-    for (size_t j = 0; j < m; ++j) {
-      const float* xj = x + static_cast<size_t>(idx[j]) * stride + k;
-      a = _mm_add_ps(a, _mm_mul_ps(_mm_set1_ps(values[j]), _mm_loadu_ps(xj)));
-    }
-    _mm_storeu_ps(out + k, a);
-  }
-  if (k < n) {
-    // The last n % 4 elements: the reference on a column slice.
-    ref::WeightedRowSum(values, idx, m, x + k, stride, out + k, n - k);
-  }
-}
-
-}  // namespace sse2
-
 namespace avx2 {
 
 BSLREC_AVX2 void AccumulateCosineGradRun(const float* self_hat,
@@ -1020,8 +678,9 @@ BSLREC_AVX2 void AccumulateCosineGradRun(const float* self_hat,
                                          const float* scores,
                                          const float* scales, size_t m,
                                          float* grad, size_t n) {
-  // The SSE2 form's scheme at eight floats per register: 32 elements in
-  // four accumulators across the whole run, then 8 at a time.
+  // Element k sees the reference's operations in the reference's term
+  // order; the blocks only decide which elements share registers: 32
+  // elements in four accumulators across the whole run, then 8 at a time.
   size_t k = 0;
   for (; k + 32 <= n; k += 32) {
     __m256 a0 = _mm256_loadu_ps(grad + k + 0);
@@ -1057,9 +716,9 @@ BSLREC_AVX2 void AccumulateCosineGradRun(const float* self_hat,
     _mm256_storeu_ps(grad + k, a);
   }
   if (k < n) {
-    // The last n % 8 elements: the SSE2 form on a column slice.
-    sse2::AccumulateCosineGradRun(self_hat + k, others + k, stride, idx,
-                                  scores, scales, m, grad + k, n - k);
+    // The last n % 8 elements: the reference on a column slice.
+    ref::AccumulateCosineGradRun(self_hat + k, others + k, stride, idx,
+                                 scores, scales, m, grad + k, n - k);
   }
 }
 
@@ -1071,9 +730,9 @@ BSLREC_AVX2 void AccumulateCosineGradRuns(const float* self_hat,
                                           const uint32_t* run_ends,
                                           size_t num_runs, float* grad,
                                           size_t n) {
-  // The SSE2 form's scheme at eight floats per register: 32 elements of
-  // the row, the partial and self_hat in 12 registers across every run,
-  // then 8 at a time.
+  // A block of 32 elements keeps the row (g), the run's partial (p) and
+  // self_hat (y) in 12 registers across every run, then 8 at a time; per
+  // element the operations are the reference's, in its order.
   size_t k = 0;
   for (; k + 32 <= n; k += 32) {
     __m256 g0 = _mm256_loadu_ps(grad + k + 0);
@@ -1123,10 +782,10 @@ BSLREC_AVX2 void AccumulateCosineGradRuns(const float* self_hat,
     _mm256_storeu_ps(grad + k, g);
   }
   if (k < n) {
-    // The last n % 8 elements: the SSE2 form on a column slice.
-    sse2::AccumulateCosineGradRuns(self_hat + k, others + k, stride, idx,
-                                   scores, scales, run_ends, num_runs,
-                                   grad + k, n - k);
+    // The last n % 8 elements: the reference on a column slice.
+    ref::AccumulateCosineGradRuns(self_hat + k, others + k, stride, idx,
+                                  scores, scales, run_ends, num_runs,
+                                  grad + k, n - k);
   }
 }
 
@@ -1155,8 +814,9 @@ BSLREC_AVX2 void DotTile(const double* q, size_t m, const double* rows,
 BSLREC_AVX2 void WeightedRowSum(const float* values, const uint32_t* idx,
                                 size_t m, const float* x, size_t stride,
                                 float* out, size_t n) {
-  // The SSE2 form's scheme at eight floats per register: 32 elements in
-  // four accumulators across the row's terms, then 8 at a time.
+  // Per element: +0.0f, then each term added in order, as the reference
+  // does; 32 elements stay in four registers across the row's terms,
+  // then 8 at a time.
   size_t k = 0;
   for (; k + 32 <= n; k += 32) {
     __m256 a0 = _mm256_setzero_ps(), a1 = _mm256_setzero_ps();
@@ -1184,12 +844,13 @@ BSLREC_AVX2 void WeightedRowSum(const float* values, const uint32_t* idx,
     _mm256_storeu_ps(out + k, a);
   }
   if (k < n) {
-    // The last n % 8 elements: the SSE2 form on a column slice.
-    sse2::WeightedRowSum(values, idx, m, x + k, stride, out + k, n - k);
+    // The last n % 8 elements: the reference on a column slice.
+    ref::WeightedRowSum(values, idx, m, x + k, stride, out + k, n - k);
   }
 }
 
 }  // namespace avx2
+}  // namespace
 #endif
 
 void AccumulateCosineGradRun(const float* self_hat, const float* others,
@@ -1198,16 +859,12 @@ void AccumulateCosineGradRun(const float* self_hat, const float* others,
                              size_t m, float* grad, size_t n) {
 #if BSLREC_VEC_X86
   if (RunAvx2()) {
-    avx2::AccumulateCosineGradRun(self_hat, others, stride, idx, scores,
-                                  scales, m, grad, n);
-  } else {
-    sse2::AccumulateCosineGradRun(self_hat, others, stride, idx, scores,
-                                  scales, m, grad, n);
+    return avx2::AccumulateCosineGradRun(self_hat, others, stride, idx,
+                                         scores, scales, m, grad, n);
   }
-#else
+#endif
   ref::AccumulateCosineGradRun(self_hat, others, stride, idx, scores, scales,
                                m, grad, n);
-#endif
 }
 
 void AccumulateCosineGradRuns(const float* self_hat, const float* others,
@@ -1217,42 +874,29 @@ void AccumulateCosineGradRuns(const float* self_hat, const float* others,
                               float* grad, size_t n) {
 #if BSLREC_VEC_X86
   if (RunAvx2()) {
-    avx2::AccumulateCosineGradRuns(self_hat, others, stride, idx, scores,
-                                   scales, run_ends, num_runs, grad, n);
-  } else {
-    sse2::AccumulateCosineGradRuns(self_hat, others, stride, idx, scores,
-                                   scales, run_ends, num_runs, grad, n);
+    return avx2::AccumulateCosineGradRuns(self_hat, others, stride, idx,
+                                          scores, scales, run_ends, num_runs,
+                                          grad, n);
   }
-#else
+#endif
   ref::AccumulateCosineGradRuns(self_hat, others, stride, idx, scores, scales,
                                 run_ends, num_runs, grad, n);
-#endif
 }
 
 void DotTile(const double* q, size_t m, const double* rows, size_t n,
              size_t d, float* out, size_t out_stride) {
 #if BSLREC_VEC_X86
-  if (RunAvx2()) {
-    avx2::DotTile(q, m, rows, n, d, out, out_stride);
-  } else {
-    sse2::DotTile(q, m, rows, n, d, out, out_stride);
-  }
-#else
-  ref::DotTile(q, m, rows, n, d, out, out_stride);
+  if (RunAvx2()) return avx2::DotTile(q, m, rows, n, d, out, out_stride);
 #endif
+  ref::DotTile(q, m, rows, n, d, out, out_stride);
 }
 
 void WeightedRowSum(const float* values, const uint32_t* idx, size_t m,
                     const float* x, size_t stride, float* out, size_t n) {
 #if BSLREC_VEC_X86
-  if (RunAvx2()) {
-    avx2::WeightedRowSum(values, idx, m, x, stride, out, n);
-  } else {
-    sse2::WeightedRowSum(values, idx, m, x, stride, out, n);
-  }
-#else
-  ref::WeightedRowSum(values, idx, m, x, stride, out, n);
+  if (RunAvx2()) return avx2::WeightedRowSum(values, idx, m, x, stride, out, n);
 #endif
+  ref::WeightedRowSum(values, idx, m, x, stride, out, n);
 }
 
 namespace ref {
@@ -1277,66 +921,13 @@ void AdamStep(const AdamCoeffs& c, const float* g, float* w, float* m,
 }  // namespace ref
 
 #if BSLREC_VEC_X86
-namespace sse2 {
-
-void AdamStep(const AdamCoeffs& c, const float* g, float* w, float* m,
-              float* v, size_t n) {
-  // The reference's expression, two double lanes per register, with the
-  // same operations in the same order (see the vec.h contract note).
-  const __m128d beta1 = _mm_set1_pd(c.beta1);
-  const __m128d one_minus_beta1 = _mm_set1_pd(1.0 - c.beta1);
-  const __m128d beta2 = _mm_set1_pd(c.beta2);
-  const __m128d one_minus_beta2 = _mm_set1_pd(1.0 - c.beta2);
-  const __m128d bc1 = _mm_set1_pd(c.bc1);
-  const __m128d bc2 = _mm_set1_pd(c.bc2);
-  const __m128d eps = _mm_set1_pd(c.eps);
-  const __m128d lr = _mm_set1_pd(c.lr);
-  const __m128d wd = _mm_set1_pd(c.weight_decay);
-  // Updates the two elements held in the low float lanes of g4..w4:
-  // their new m and v, and the step to subtract from w, all narrowed to
-  // float in the low lanes.
-  struct Lanes {
-    __m128 m, v, step;
-  };
-  const auto two = [&](__m128 g4, __m128 m4, __m128 v4, __m128 w4) {
-    const __m128d gd = _mm_cvtps_pd(g4);
-    const __m128 m_new =
-        _mm_cvtpd_ps(_mm_add_pd(_mm_mul_pd(beta1, _mm_cvtps_pd(m4)),
-                                _mm_mul_pd(one_minus_beta1, gd)));
-    const __m128 v_new = _mm_cvtpd_ps(
-        _mm_add_pd(_mm_mul_pd(beta2, _mm_cvtps_pd(v4)),
-                   _mm_mul_pd(_mm_mul_pd(one_minus_beta2, gd), gd)));
-    const __m128d m_hat = _mm_div_pd(_mm_cvtps_pd(m_new), bc1);
-    const __m128d v_hat = _mm_div_pd(_mm_cvtps_pd(v_new), bc2);
-    const __m128d ratio =
-        _mm_div_pd(m_hat, _mm_add_pd(_mm_sqrt_pd(v_hat), eps));
-    const __m128 step = _mm_cvtpd_ps(
-        _mm_mul_pd(lr, _mm_add_pd(ratio, _mm_mul_pd(wd, _mm_cvtps_pd(w4)))));
-    return Lanes{m_new, v_new, step};
-  };
-  size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    const __m128 g4 = _mm_loadu_ps(g + k);
-    const __m128 m4 = _mm_loadu_ps(m + k);
-    const __m128 v4 = _mm_loadu_ps(v + k);
-    const __m128 w4 = _mm_loadu_ps(w + k);
-    const Lanes lo = two(g4, m4, v4, w4);
-    const Lanes hi = two(_mm_movehl_ps(g4, g4), _mm_movehl_ps(m4, m4),
-                         _mm_movehl_ps(v4, v4), _mm_movehl_ps(w4, w4));
-    _mm_storeu_ps(m + k, _mm_movelh_ps(lo.m, hi.m));
-    _mm_storeu_ps(v + k, _mm_movelh_ps(lo.v, hi.v));
-    _mm_storeu_ps(w + k, _mm_sub_ps(w4, _mm_movelh_ps(lo.step, hi.step)));
-  }
-  ref::AdamStep(c, g + k, w + k, m + k, v + k, n - k);
-}
-
-}  // namespace sse2
-
+namespace {
 namespace avx2 {
 
 BSLREC_AVX2 void AdamStep(const AdamCoeffs& c, const float* g, float* w,
                           float* m, float* v, size_t n) {
-  // The SSE2 form's expression, four double lanes per register.
+  // The reference's expression, four double lanes per register, with the
+  // same operations in the same order (see the vec.h contract note).
   const __m256d beta1 = _mm256_set1_pd(c.beta1);
   const __m256d one_minus_beta1 = _mm256_set1_pd(1.0 - c.beta1);
   const __m256d beta2 = _mm256_set1_pd(c.beta2);
@@ -1370,19 +961,15 @@ BSLREC_AVX2 void AdamStep(const AdamCoeffs& c, const float* g, float* w,
 }
 
 }  // namespace avx2
+}  // namespace
 #endif
 
 void AdamStep(const AdamCoeffs& c, const float* g, float* w, float* m,
               float* v, size_t n) {
 #if BSLREC_VEC_X86
-  if (RunAvx2()) {
-    avx2::AdamStep(c, g, w, m, v, n);
-  } else {
-    sse2::AdamStep(c, g, w, m, v, n);
-  }
-#else
-  ref::AdamStep(c, g, w, m, v, n);
+  if (RunAvx2()) return avx2::AdamStep(c, g, w, m, v, n);
 #endif
+  ref::AdamStep(c, g, w, m, v, n);
 }
 
 void SgdStep(float lr, float weight_decay, const float* g, float* w,

@@ -9,17 +9,17 @@
 //
 // The hot kernels (`Dot`, `DotRows`, `DotTile`, `AccumulateCosineGradRun`,
 // `AccumulateCosineGradRuns`, `DotI8`, `DotBatchI8`, `WeightedRowSum`,
-// `AdamStep`, `QuantizeRow`) have explicitly vectorized forms. On x86-64
-// every build carries an SSE2 tier (the x86-64 baseline) and, for all
-// but `QuantizeRow`, an AVX2 tier; each process reads CPUID once and
-// runs AVX2 where the CPU has it, SSE2 otherwise (a build that targets
-// AVX2 itself, e.g. -march=native on such a host, skips the check).
-// Other architectures run the scalar forms. `DotBatch` is `DotRows`
-// over contiguous rows and runs the same tiers.
-// The scalar forms are always compiled and exposed under `vec::ref`, and
-// each x86-64 tier's entry points under `vec::sse2` and `vec::avx2`;
-// every SIMD kernel is contractually *bit-identical* to its reference,
-// so the tier a host picks changes speed, never a result:
+// `AdamStep`) each exist in two forms: a scalar reference, always
+// compiled and exposed under `vec::ref`, and an AVX2 form, internal to
+// vec.cc and compiled into every x86-64 build. Each process reads CPUID
+// once and runs the AVX2 forms where the CPU has AVX2, the references
+// otherwise (a build that targets AVX2 itself, e.g. -march=native on such
+// a host, skips the check); other architectures run the references.
+// `DotBatch` is `DotRows` over contiguous rows and runs the same forms.
+// `QuantizeRow` has one SIMD form, in SSE2 (the x86-64 baseline), which
+// every x86-64 build runs. Every SIMD form is contractually
+// *bit-identical* to its reference, so the form a host runs changes
+// speed, never a result:
 //
 //   * integer kernels (`DotI8`, `DotBatchI8`) exactly — int32 arithmetic
 //     is associative, so lane layout cannot change the result;
@@ -27,46 +27,48 @@
 //     each code is a float multiply (identical IEEE rounding in scalar
 //     and packed form) followed by round-to-nearest-even (the default
 //     rounding mode of both std::nearbyintf and CVTPS2DQ);
-//   * fp32 `Dot` via an *identical summation tree*: the SIMD forms keep
-//     the reference's four double-precision accumulator lanes (lane j
-//     sums elements k+j), combined in the same fixed ((0+1)+(2+3))
-//     order. float*float products are exact in double (24+24 < 53
-//     mantissa bits), so mul+add and fma agree bitwise, too.
+//   * fp32 `Dot` via an *identical summation tree*: the AVX2 form keeps
+//     the reference's four double-precision accumulator lanes in one
+//     register (lane j sums elements k+j), combined in the same fixed
+//     ((0+1)+(2+3)) order. float*float products are exact in double
+//     (24+24 < 53 mantissa bits), so mul+add and fma agree bitwise, too.
 //   * `DotRows` (and `DotBatch`) via the same tree per row: every output
-//     equals Dot over its row bitwise. The tiers score a block of rows
-//     against one query (two rows per block in SSE2, four in AVX2), one
-//     accumulator per row, so a block runs several independent add
-//     chains where Dot runs one; the AVX2 tier combines its four rows'
-//     lanes with DotTile's transpose.
+//     equals Dot over its row bitwise. The AVX2 form scores four rows per
+//     block against one query, one accumulator per row, so a block runs
+//     four independent add chains where Dot runs one, and combines its
+//     four rows' lanes with DotTile's transpose.
 //   * `DotTile` via the same tree: each (query, row) entry keeps Dot's
 //     four double lanes (lane j sums the products with k = j mod 4, the
 //     d % 4 tail goes to lane 0, the lanes combine as (0+1)+(2+3)), so
 //     every entry equals Dot over the float rows bitwise. Its operands
 //     are rows widened to double once (`Widen`, exact), so a tile
 //     reuses each widened row across queries instead of re-widening it
-//     per pair. The AVX2 tier holds one pair's four lanes in one
+//     per pair. The AVX2 form holds one pair's four lanes in one
 //     register and transposes four pairs' registers before combining
 //     their lanes, so four adjacent entries combine in one vector add
 //     tree instead of four horizontal sums.
 //   * `AccumulateCosineGradRun` exactly — per element it performs
 //     AccumulateCosineGrad's float expression, term by term in run
-//     order, on the same operands; the SIMD forms only keep a block of
+//     order, on the same operands; the AVX2 form only keeps a block of
 //     the accumulator in registers across the run (elements never mix).
 //   * `AccumulateCosineGradRuns` exactly — per element and per run it
 //     starts a partial at +0.0f, adds the run's terms as
 //     AccumulateCosineGradRun does, then adds the partial into the row as
 //     Axpy(1.0f, ...) does (1.0f * p == p for every p an add can make);
-//     the SIMD forms keep a block of the row, of the partial and of
+//     the AVX2 form keeps a block of the row, of the partial and of
 //     self_hat in registers across all the runs of one call.
 //   * `WeightedRowSum` exactly — per element it starts at +0.0f and adds
 //     each weighted term in order, as Fill + one Axpy per term does; the
-//     SIMD forms keep a block of the output row in registers.
-//   * `AdamStep` exactly — its SSE2 form runs the reference's double-
-//     precision expression two lanes at a time, and its AVX2 form four,
-//     operation for operation: float -> double widening is exact, and
-//     IEEE add, mul, div, sqrt and the double -> float narrowing are
-//     correctly rounded in packed and scalar form alike. (The step is
-//     bound by the divider, which AVX-512 does not widen here.)
+//     AVX2 form keeps a block of the output row in registers.
+//   * `AdamStep` exactly — its AVX2 form runs the reference's double-
+//     precision expression four lanes at a time, operation for
+//     operation: float -> double widening is exact, and IEEE add, mul,
+//     div, sqrt and the double -> float narrowing are correctly rounded
+//     in packed and scalar form alike. (The step is bound by the divider,
+//     which AVX-512 does not widen here.)
+//
+// Elements never mix in the last four kernels, so their AVX2 forms hand
+// the columns past their last full register to the reference itself.
 //
 // No kernel may fuse a multiply-add into an FMA: an FMA rounds once
 // where mul + add rounds twice, so the float kernels (the cosine
@@ -76,10 +78,10 @@
 // with target("avx2") alone, which adds no FMA to a portable build, so
 // even a build without that flag has no FMA to fuse into.
 //
-// tests/test_vec.cc enforces all of these contracts, for every tier the
-// host can run (AdamStep's lives in tests/test_optimizer.cc, next to
-// the pooled optimizer step it feeds, and runs each tier by name too);
-// SimdTier() reports the tier the dispatched kernels run.
+// tests/test_vec.cc holds every dispatched kernel to these contracts, so
+// each host tests the form it runs (AdamStep's test lives in
+// tests/test_optimizer.cc, next to the pooled optimizer step it feeds);
+// SimdTier() reports which form that is.
 #ifndef BSLREC_MATH_VEC_H_
 #define BSLREC_MATH_VEC_H_
 
@@ -90,9 +92,9 @@
 
 namespace bslrec::vec {
 
-// The tier the dispatched kernels run in this process: "avx2" on an
-// x86-64 CPU with AVX2, "sse2" on any other x86-64 CPU, "scalar"
-// elsewhere. Diagnostic only (recorded into BENCH_*.json machine info).
+// The form the dispatched kernels run in this process: "avx2" on an
+// x86-64 CPU with AVX2, "scalar" (the vec::ref forms) on any other CPU.
+// Diagnostic only (recorded into BENCH_*.json machine info).
 const char* SimdTier();
 
 // Coefficients of one Adam update (Kingma & Ba, with decoupled weight
@@ -108,9 +110,11 @@ struct AdamCoeffs {
   double bc2 = 1.0;
 };
 
-// Always-compiled scalar reference forms of the SIMD-dispatched kernels.
-// The public kernels below must match these bit-for-bit (see the header
-// note); benches compare against them to quantify the SIMD win.
+// Always-compiled scalar reference forms of the SIMD-dispatched kernels,
+// which a CPU without AVX2 runs (all but QuantizeRow: every x86-64 CPU
+// runs its SSE2 form). The public kernels below must match these
+// bit-for-bit (see the header note); benches compare against them to
+// quantify the SIMD win.
 namespace ref {
 float Dot(const float* a, const float* b, size_t n);
 void DotRows(const float* q, const float* table, size_t stride,
@@ -136,61 +140,6 @@ void AdamStep(const AdamCoeffs& c, const float* g, float* w, float* m,
               float* v, size_t n);
 }  // namespace ref
 
-#if defined(__x86_64__)
-// Each x86-64 tier's forms of the kernels that have an AVX2 tier. The
-// dispatched kernels below call one of them; they are exposed so the
-// tests can hold every tier the host can run to the vec::ref oracles (a
-// host with AVX2 would otherwise never run the SSE2 tier) and the
-// micro benchmarks can time the tiers side by side. An avx2:: kernel
-// may only be called where SimdTier() is "avx2".
-namespace sse2 {
-float Dot(const float* a, const float* b, size_t n);
-void DotRows(const float* q, const float* table, size_t stride,
-             const uint32_t* ids, size_t m, size_t d, float* out);
-void DotTile(const double* q, size_t m, const double* rows, size_t n,
-             size_t d, float* out, size_t out_stride);
-void AccumulateCosineGradRun(const float* self_hat, const float* others,
-                             size_t stride, const uint32_t* idx,
-                             const float* scores, const float* scales,
-                             size_t m, float* grad, size_t n);
-void AccumulateCosineGradRuns(const float* self_hat, const float* others,
-                              size_t stride, const uint32_t* idx,
-                              const float* scores, const float* scales,
-                              const uint32_t* run_ends, size_t num_runs,
-                              float* grad, size_t n);
-int32_t DotI8(const int8_t* a, const int8_t* b, size_t n);
-void DotBatchI8(const int8_t* q, const int8_t* rows, size_t m, size_t d,
-                int32_t* out);
-void WeightedRowSum(const float* values, const uint32_t* idx, size_t m,
-                    const float* x, size_t stride, float* out, size_t n);
-void AdamStep(const AdamCoeffs& c, const float* g, float* w, float* m,
-              float* v, size_t n);
-}  // namespace sse2
-
-namespace avx2 {
-float Dot(const float* a, const float* b, size_t n);
-void DotRows(const float* q, const float* table, size_t stride,
-             const uint32_t* ids, size_t m, size_t d, float* out);
-void DotTile(const double* q, size_t m, const double* rows, size_t n,
-             size_t d, float* out, size_t out_stride);
-void AccumulateCosineGradRun(const float* self_hat, const float* others,
-                             size_t stride, const uint32_t* idx,
-                             const float* scores, const float* scales,
-                             size_t m, float* grad, size_t n);
-void AccumulateCosineGradRuns(const float* self_hat, const float* others,
-                              size_t stride, const uint32_t* idx,
-                              const float* scores, const float* scales,
-                              const uint32_t* run_ends, size_t num_runs,
-                              float* grad, size_t n);
-int32_t DotI8(const int8_t* a, const int8_t* b, size_t n);
-void DotBatchI8(const int8_t* q, const int8_t* rows, size_t m, size_t d,
-                int32_t* out);
-void WeightedRowSum(const float* values, const uint32_t* idx, size_t m,
-                    const float* x, size_t stride, float* out, size_t n);
-void AdamStep(const AdamCoeffs& c, const float* g, float* w, float* m,
-              float* v, size_t n);
-}  // namespace avx2
-#endif
 
 // Returns sum_i a[i] * b[i].
 float Dot(const float* a, const float* b, size_t n);
@@ -322,8 +271,8 @@ void Widen(const float* x, size_t n, double* out);
 // Tiled scoring of m queries against n rows (both widened with Widen,
 // row-major with stride d): out[i * out_stride + j] equals
 // Dot(query i, row j, d) over the original float rows, bitwise (see the
-// header note). Each widened row is loaded once per block of two (SSE2)
-// or three (AVX2) queries and stays in L1 across the whole query block.
+// header note). Each widened row is loaded once per block of three
+// queries (AVX2) and stays in L1 across the whole query block.
 // It scores the trainer's in-batch shards (Algorithm 2: a shard's users
 // against the batch's positives) and the exact catalog scan's query
 // blocks (serve::ShardTopK: a block of users or requests against a
@@ -340,9 +289,9 @@ void DotTile(const double* q, size_t m, const double* rows, size_t n,
 // does), but keeps a block of `out` in registers across all the terms
 // instead of loading and storing the row once per term. Repeated ids
 // are fine; `out` must not overlap the rows of x it reads. This is the
-// row kernel of SparseMatrix's products (one CSR or CSC row per call),
-// which carry every graph backbone's propagation. A NaN result is NaN
-// in every tier, but which operand's payload it carries is not part of
+// row kernel of SparseMatrix::Multiply (one CSR row per call), which
+// carries every graph backbone's propagation. A NaN result is NaN
+// in both forms, but which operand's payload it carries is not part of
 // the contract (the compiler may commute an add or a multiply).
 void WeightedRowSum(const float* values, const uint32_t* idx, size_t m,
                     const float* x, size_t stride, float* out, size_t n);

@@ -74,7 +74,7 @@ void NgcfModel::Forward(Rng&) {
   for (int l = 0; l < num_layers_; ++l) {
     const Matrix& e = e_[l];
     Matrix& s = s_[l];
-    engine_.PropagateLayer(graph_.Adjacency(), e, s);
+    engine_.Multiply(graph_.Adjacency(), e, s);
     // x1 = e + s; x2 = s ⊙ e (element-wise, row-disjoint shards).
     engine_.For(0, n, grain, [&](size_t lo, size_t hi, size_t, size_t) {
       for (size_t k = lo * d; k < hi * d; ++k) {
@@ -177,7 +177,7 @@ void NgcfModel::Backward() {
       }
     });
     // S = A_hat E^l, A_hat symmetric: dE^l += A_hat dS.
-    engine_.PropagateLayer(graph_.Adjacency(), ds_, prop_);
+    engine_.Multiply(graph_.Adjacency(), ds_, prop_);
     engine_.For(0, n, grain, [&](size_t lo, size_t hi, size_t, size_t) {
       for (size_t r = lo; r < hi; ++r) {
         vec::Axpy(1.0f, prop_.Row(r), d_e.Row(r), d);

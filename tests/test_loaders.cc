@@ -38,6 +38,19 @@ TEST_F(LoadersTest, RoundTripPreservesDataset) {
   }
 }
 
+// /dev/full takes every open and fails every write with ENOSPC. A tiny
+// dataset fits in the stream's buffer, so its lines only reach the
+// device when the file is closed: the save must report that failed
+// flush.
+TEST_F(LoadersTest, SaveReportsAFailedFinalWrite) {
+  std::FILE* probe = std::fopen("/dev/full", "w");
+  if (probe == nullptr) GTEST_SKIP() << "/dev/full cannot be opened here";
+  std::fclose(probe);
+  const Dataset data(3, 3, {{0, 0}, {1, 1}, {2, 2}}, {{0, 1}});
+  EXPECT_FALSE(SaveInteractions(data, "/dev/full", test_path_));
+  EXPECT_FALSE(SaveInteractions(data, train_path_, "/dev/full"));
+}
+
 TEST_F(LoadersTest, SkipsCommentsAndBlankLines) {
   {
     std::ofstream out(train_path_);

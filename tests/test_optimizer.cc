@@ -4,7 +4,6 @@
 #include <cstring>
 #include <limits>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -202,7 +201,7 @@ vec::AdamCoeffs CoeffsAtStep(int t) {
 
 // TestGrad, with one entry in eight very large (2^66 to 2^127 in
 // magnitude): its square overflows float, so v saturates at +inf and
-// the update's ratio becomes 0 in every tier alike.
+// the update's ratio becomes 0 in both forms alike.
 float KernelTestGrad(Rng& rng) {
   if (rng.NextIndex(8) != 0) return TestGrad(rng);
   const float sign = rng.NextBernoulli(0.5) ? -1.0f : 1.0f;
@@ -210,44 +209,7 @@ float KernelTestGrad(Rng& rng) {
                            66 + static_cast<int>(rng.NextIndex(61)));
 }
 
-// One tier's AdamStep: the dispatched kernel, or an x86-64 tier by name
-// (a host with AVX2 would otherwise never run the SSE2 tier).
-using AdamStepFn = void (*)(const vec::AdamCoeffs&, const float*, float*,
-                            float*, float*, size_t);
-
-class AdamKernel : public ::testing::TestWithParam<std::string> {
- protected:
-  void SetUp() override {
-    const std::string& tier = GetParam();
-    if (tier == "dispatched") {
-      step_ = vec::AdamStep;
-      return;
-    }
-#if defined(__x86_64__)
-    if (tier == "sse2") {
-      step_ = vec::sse2::AdamStep;
-      return;
-    }
-    __builtin_cpu_init();
-    if (!__builtin_cpu_supports("avx2")) {
-      GTEST_SKIP() << "this CPU has no AVX2, so the avx2 tier cannot run";
-    }
-    step_ = vec::avx2::AdamStep;
-#else
-    GTEST_SKIP() << "the " << tier << " tier exists on x86-64 builds only";
-#endif
-  }
-
-  AdamStepFn step_ = nullptr;
-};
-
-INSTANTIATE_TEST_SUITE_P(Tiers, AdamKernel,
-                         ::testing::Values("dispatched", "sse2", "avx2"),
-                         [](const ::testing::TestParamInfo<std::string>& p) {
-                           return p.param;
-                         });
-
-TEST_P(AdamKernel, MatchesReferenceLoopBitwise) {
+TEST(AdamKernel, MatchesReferenceLoopBitwise) {
   // Lengths 0-37 end in every tail n % 4 (and n % 8) several times.
   for (const size_t n : StepLengths()) {
     Rng rng(41 + n);
@@ -256,7 +218,7 @@ TEST_P(AdamKernel, MatchesReferenceLoopBitwise) {
     for (int t = 1; t <= kSteps; ++t) {
       for (float& x : g) x = KernelTestGrad(rng);
       const vec::AdamCoeffs c = CoeffsAtStep(t);
-      step_(c, g.data(), w.data(), m.data(), v.data(), n);
+      vec::AdamStep(c, g.data(), w.data(), m.data(), v.data(), n);
       vec::ref::AdamStep(c, g.data(), w_ref.data(), m_ref.data(),
                          v_ref.data(), n);
       ASSERT_TRUE(SameBits(m.data(), m_ref.data(), n))

@@ -196,102 +196,13 @@ TEST(Vec, GatherNormalizeZeroRowIsSafe) {
 TEST(Vec, SimdTierIsKnown) {
   const std::string tier = vec::SimdTier();
 #if defined(__x86_64__)
-  // The dispatched tier is AVX2 exactly when the CPU (and OS) has it.
+  // The dispatched forms are AVX2 exactly when the CPU (and OS) has it.
   __builtin_cpu_init();
-  EXPECT_EQ(tier, __builtin_cpu_supports("avx2") ? "avx2" : "sse2");
+  EXPECT_EQ(tier, __builtin_cpu_supports("avx2") ? "avx2" : "scalar");
 #else
   EXPECT_EQ(tier, "scalar");
 #endif
 }
-
-// One tier's entry points of the kernels that have per-tier forms.
-struct TierKernels {
-  float (*dot)(const float*, const float*, size_t);
-  void (*dot_rows)(const float*, const float*, size_t, const uint32_t*,
-                   size_t, size_t, float*);
-  void (*dot_tile)(const double*, size_t, const double*, size_t, size_t,
-                   float*, size_t);
-  void (*cosine_grad_run)(const float*, const float*, size_t,
-                          const uint32_t*, const float*, const float*, size_t,
-                          float*, size_t);
-  void (*cosine_grad_runs)(const float*, const float*, size_t,
-                           const uint32_t*, const float*, const float*,
-                           const uint32_t*, size_t, float*, size_t);
-  int32_t (*dot_i8)(const int8_t*, const int8_t*, size_t);
-  void (*dot_batch_i8)(const int8_t*, const int8_t*, size_t, size_t,
-                       int32_t*);
-  void (*weighted_row_sum)(const float*, const uint32_t*, size_t,
-                           const float*, size_t, float*, size_t);
-};
-
-constexpr TierKernels kDispatched = {
-    vec::Dot,
-    vec::DotRows,
-    vec::DotTile,
-    vec::AccumulateCosineGradRun,
-    vec::AccumulateCosineGradRuns,
-    vec::DotI8,
-    vec::DotBatchI8,
-    vec::WeightedRowSum,
-};
-#if defined(__x86_64__)
-constexpr TierKernels kSse2 = {
-    vec::sse2::Dot,
-    vec::sse2::DotRows,
-    vec::sse2::DotTile,
-    vec::sse2::AccumulateCosineGradRun,
-    vec::sse2::AccumulateCosineGradRuns,
-    vec::sse2::DotI8,
-    vec::sse2::DotBatchI8,
-    vec::sse2::WeightedRowSum,
-};
-constexpr TierKernels kAvx2 = {
-    vec::avx2::Dot,
-    vec::avx2::DotRows,
-    vec::avx2::DotTile,
-    vec::avx2::AccumulateCosineGradRun,
-    vec::avx2::AccumulateCosineGradRuns,
-    vec::avx2::DotI8,
-    vec::avx2::DotBatchI8,
-    vec::avx2::WeightedRowSum,
-};
-#endif
-
-// Runs each kernel contract test on the dispatched kernels and on every
-// x86-64 tier by name: a host that dispatches to AVX2 still holds its
-// SSE2 tier to the vec::ref oracles. A tier the host cannot run shows
-// as skipped, with the reason.
-class VecTier : public ::testing::TestWithParam<std::string> {
- protected:
-  void SetUp() override {
-    const std::string& tier = GetParam();
-    if (tier == "dispatched") {
-      k_ = kDispatched;
-      return;
-    }
-#if defined(__x86_64__)
-    if (tier == "sse2") {
-      k_ = kSse2;
-      return;
-    }
-    __builtin_cpu_init();
-    if (!__builtin_cpu_supports("avx2")) {
-      GTEST_SKIP() << "this CPU has no AVX2, so the avx2 tier cannot run";
-    }
-    k_ = kAvx2;
-#else
-    GTEST_SKIP() << "the " << tier << " tier exists on x86-64 builds only";
-#endif
-  }
-
-  TierKernels k_{};
-};
-
-INSTANTIATE_TEST_SUITE_P(Tiers, VecTier,
-                         ::testing::Values("dispatched", "sse2", "avx2"),
-                         [](const ::testing::TestParamInfo<std::string>& p) {
-                           return p.param;
-                         });
 
 // Length sweep crossing every SIMD block boundary (4-wide fp32 lanes,
 // 8-wide quantize blocks, 16-wide int8 blocks) plus odd tails.
@@ -299,7 +210,7 @@ const size_t kKernelLens[] = {0,  1,  2,  3,  4,   5,   7,   8,   9,  15, 16,
                               17, 24, 31, 32, 33,  48,  63,  64,  65, 100,
                               127, 128, 129, 200, 255, 256, 257, 333};
 
-TEST_P(VecTier, DotBitwiseMatchesScalarReference) {
+TEST(Vec, DotBitwiseMatchesScalarReference) {
   // The SIMD fp32 dot must reproduce the scalar reference's summation
   // tree exactly (vec.h contract) — EXPECT_EQ, not NEAR.
   Rng rng(21);
@@ -308,21 +219,21 @@ TEST_P(VecTier, DotBitwiseMatchesScalarReference) {
       std::vector<float> a(n), b(n);
       for (auto& v : a) v = static_cast<float>(rng.NextGaussian());
       for (auto& v : b) v = static_cast<float>(rng.NextGaussian());
-      EXPECT_EQ(k_.dot(a.data(), b.data(), n),
+      EXPECT_EQ(vec::Dot(a.data(), b.data(), n),
                 vec::ref::Dot(a.data(), b.data(), n))
           << "n=" << n;
     }
   }
 }
 
-TEST_P(VecTier, DotI8MatchesScalarReferenceExactly) {
+TEST(Vec, DotI8MatchesScalarReferenceExactly) {
   Rng rng(22);
   for (const size_t n : kKernelLens) {
     for (int rep = 0; rep < 8; ++rep) {
       std::vector<int8_t> a(n), b(n);
       for (auto& v : a) v = static_cast<int8_t>(rng.NextInt(-127, 127));
       for (auto& v : b) v = static_cast<int8_t>(rng.NextInt(-127, 127));
-      EXPECT_EQ(k_.dot_i8(a.data(), b.data(), n),
+      EXPECT_EQ(vec::DotI8(a.data(), b.data(), n),
                 vec::ref::DotI8(a.data(), b.data(), n))
           << "n=" << n;
     }
@@ -330,13 +241,13 @@ TEST_P(VecTier, DotI8MatchesScalarReferenceExactly) {
   // Extremes: the maximum-magnitude products must accumulate exactly.
   const size_t n = 256;
   std::vector<int8_t> lo(n, -127), hi(n, 127);
-  EXPECT_EQ(k_.dot_i8(lo.data(), hi.data(), n),
+  EXPECT_EQ(vec::DotI8(lo.data(), hi.data(), n),
             -127 * 127 * static_cast<int32_t>(n));
-  EXPECT_EQ(k_.dot_i8(lo.data(), lo.data(), n),
+  EXPECT_EQ(vec::DotI8(lo.data(), lo.data(), n),
             127 * 127 * static_cast<int32_t>(n));
 }
 
-TEST_P(VecTier, DotBatchI8MatchesPerRowAndReference) {
+TEST(Vec, DotBatchI8MatchesPerRowAndReference) {
   Rng rng(23);
   for (const size_t m : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 9u, 16u, 17u}) {
     for (const size_t d : {1u, 8u, 15u, 16u, 17u, 32u, 128u}) {
@@ -344,7 +255,7 @@ TEST_P(VecTier, DotBatchI8MatchesPerRowAndReference) {
       for (auto& v : q) v = static_cast<int8_t>(rng.NextInt(-127, 127));
       for (auto& v : rows) v = static_cast<int8_t>(rng.NextInt(-127, 127));
       std::vector<int32_t> got(m, -1), want(m, -2);
-      k_.dot_batch_i8(q.data(), rows.data(), m, d, got.data());
+      vec::DotBatchI8(q.data(), rows.data(), m, d, got.data());
       vec::ref::DotBatchI8(q.data(), rows.data(), m, d, want.data());
       for (size_t r = 0; r < m; ++r) {
         EXPECT_EQ(got[r], want[r]) << "m=" << m << " d=" << d << " row " << r;
@@ -457,7 +368,7 @@ std::vector<size_t> TileDims() {
   return dims;
 }
 
-TEST_P(VecTier, DotTileBitwiseMatchesDot) {
+TEST(Vec, DotTileBitwiseMatchesDot) {
   // Every entry of the tile must be Dot over the float rows, bit for
   // bit, for odd and even block shapes and an output stride wider than
   // the tile; the padding columns stay untouched.
@@ -474,8 +385,8 @@ TEST_P(VecTier, DotTileBitwiseMatchesDot) {
         const size_t stride = n + 3;
         std::vector<float> out(m * stride, kSentinel);
         std::vector<float> ref_out(m * stride, kSentinel);
-        k_.dot_tile(q_wide.data(), m, rows_wide.data(), n, d, out.data(),
-                    stride);
+        vec::DotTile(q_wide.data(), m, rows_wide.data(), n, d, out.data(),
+                     stride);
         vec::ref::DotTile(q_wide.data(), m, rows_wide.data(), n, d,
                           ref_out.data(), stride);
         for (size_t i = 0; i < m; ++i) {
@@ -498,7 +409,7 @@ TEST_P(VecTier, DotTileBitwiseMatchesDot) {
   }
 }
 
-TEST_P(VecTier, DotRowsMatchesDotPerRowBitwise) {
+TEST(Vec, DotRowsMatchesDotPerRowBitwise) {
   // Every output of the indexed multi-row dot is vec::ref::Dot over its
   // row, bit for bit: row counts around the four-row block, dims around
   // the four-lane tree, repeated ids, and a table stride wider than d.
@@ -517,8 +428,8 @@ TEST_P(VecTier, DotRowsMatchesDotPerRowBitwise) {
         }
         if (m >= 3) ids[2] = ids[0];  // a repeated id
         std::vector<float> out(m + 2, kSentinel);
-        k_.dot_rows(q.data(), table.data(), stride, ids.data(), m, d,
-                    out.data());
+        vec::DotRows(q.data(), table.data(), stride, ids.data(), m, d,
+                     out.data());
         std::vector<float> ref_out(m + 2, kSentinel);
         vec::ref::DotRows(q.data(), table.data(), stride, ids.data(), m, d,
                           ref_out.data());
@@ -540,7 +451,7 @@ TEST_P(VecTier, DotRowsMatchesDotPerRowBitwise) {
   }
 }
 
-TEST_P(VecTier, AccumulateCosineGradRunMatchesCallLoopBitwise) {
+TEST(Vec, AccumulateCosineGradRunMatchesCallLoopBitwise) {
   // A run must be the loop of AccumulateCosineGrad calls it replaces,
   // bit for bit, zero coefficients included (the run skips nothing),
   // with repeated rows, an all-zero norm (the 1e-12 guard) and a row
@@ -576,8 +487,9 @@ TEST_P(VecTier, AccumulateCosineGradRunMatchesCallLoopBitwise) {
                                     scores[j], norm, coeffs[j], want.data(),
                                     n);
         }
-        k_.cosine_grad_run(self.data(), others.data(), stride, idx.data(),
-                           scores.data(), scales.data(), m, got.data(), n);
+        vec::AccumulateCosineGradRun(self.data(), others.data(), stride,
+                                     idx.data(), scores.data(), scales.data(),
+                                     m, got.data(), n);
         vec::ref::AccumulateCosineGradRun(self.data(), others.data(), stride,
                                           idx.data(), scores.data(),
                                           scales.data(), m, ref_got.data(),
@@ -595,11 +507,12 @@ TEST_P(VecTier, AccumulateCosineGradRunMatchesCallLoopBitwise) {
   }
 }
 
-TEST_P(VecTier, AccumulateCosineGradRunsMatchesPerRunLoopBitwise) {
+TEST(Vec, AccumulateCosineGradRunsMatchesPerRunLoopBitwise) {
   // Several runs into one row must be the per-run loop they replace, bit
   // for bit: per run a +0.0f partial, one AccumulateCosineGradRun into
-  // it and one Axpy(1.0f) into the row. Widths around the tiers' 4, 8,
-  // 16 and 32 blocks; no runs, one-term runs (a sampled item's shards),
+  // it and one Axpy(1.0f) into the row. Widths around the AVX2 form's 8
+  // and 32 blocks, with every column tail of 1 to 7 (the reference runs
+  // those columns); no runs, one-term runs (a sampled item's shards),
   // runs of 2 and of 16 terms (an in-batch item's shards), an empty run;
   // repeated rows, +-0 coefficients, a row stride wider than the row,
   // and columns past the row left untouched. Each layout also goes in
@@ -611,8 +524,8 @@ TEST_P(VecTier, AccumulateCosineGradRunsMatchesPerRunLoopBitwise) {
   constexpr size_t kRows = 5;  // rows 0-4 drawn; row 5 is all +0.0f
   const std::vector<std::vector<size_t>> layouts = {
       {}, {1, 1, 1, 1, 1, 1, 1, 1}, {2, 2, 2}, {16, 16, 16}, {1, 0, 2, 16, 1}};
-  for (const size_t n : {1u, 3u, 4u, 7u, 8u, 15u, 16u, 17u, 31u, 32u, 33u,
-                         63u, 64u, 65u}) {
+  for (const size_t n : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 15u, 16u, 17u,
+                         31u, 32u, 33u, 63u, 64u, 65u}) {
     for (const std::vector<size_t>& layout : layouts) {
       for (const int variant : {0, 1}) {
         const size_t stride = n + 2;
@@ -659,9 +572,9 @@ TEST_P(VecTier, AccumulateCosineGradRunsMatchesPerRunLoopBitwise) {
           vec::Axpy(1.0f, partial.data(), want.data(), n);
           begin = end;
         }
-        k_.cosine_grad_runs(self.data(), others.data(), stride, idx.data(),
-                            scores.data(), scales.data(), ends.data(),
-                            ends.size(), got.data(), n);
+        vec::AccumulateCosineGradRuns(self.data(), others.data(), stride,
+                                      idx.data(), scores.data(), scales.data(),
+                                      ends.data(), ends.size(), got.data(), n);
         vec::ref::AccumulateCosineGradRuns(
             self.data(), others.data(), stride, idx.data(), scores.data(),
             scales.data(), ends.data(), ends.size(), ref_got.data(), n);
@@ -673,13 +586,13 @@ TEST_P(VecTier, AccumulateCosineGradRunsMatchesPerRunLoopBitwise) {
         for (size_t r = cut; r < ends.size(); ++r) {
           tail_ends.push_back(static_cast<uint32_t>(ends[r] - off));
         }
-        k_.cosine_grad_runs(self.data(), others.data(), stride, idx.data(),
-                            scores.data(), scales.data(), ends.data(), cut,
-                            split.data(), n);
-        k_.cosine_grad_runs(self.data(), others.data(), stride,
-                            idx.data() + off, scores.data() + off,
-                            scales.data() + off, tail_ends.data(),
-                            tail_ends.size(), split.data(), n);
+        vec::AccumulateCosineGradRuns(self.data(), others.data(), stride,
+                                      idx.data(), scores.data(), scales.data(),
+                                      ends.data(), cut, split.data(), n);
+        vec::AccumulateCosineGradRuns(self.data(), others.data(), stride,
+                                      idx.data() + off, scores.data() + off,
+                                      scales.data() + off, tail_ends.data(),
+                                      tail_ends.size(), split.data(), n);
         for (size_t k = 0; k < n + 4; ++k) {
           const uint32_t w = std::bit_cast<uint32_t>(want[k]);
           EXPECT_EQ(std::bit_cast<uint32_t>(got[k]), w)
@@ -694,9 +607,10 @@ TEST_P(VecTier, AccumulateCosineGradRunsMatchesPerRunLoopBitwise) {
           // Eight one-term runs; the first one's -0.0f term left the row
           // at +0.0f before the other seven ran. Check it directly too.
           std::vector<float> row(n, 0.0f);
-          k_.cosine_grad_runs(self.data(), others.data(), stride, idx.data(),
-                              scores.data(), scales.data(), ends.data(), 1,
-                              row.data(), n);
+          vec::AccumulateCosineGradRuns(self.data(), others.data(), stride,
+                                        idx.data(), scores.data(),
+                                        scales.data(), ends.data(), 1,
+                                        row.data(), n);
           for (size_t k = 0; k < n; ++k) {
             EXPECT_EQ(std::bit_cast<uint32_t>(row[k]), 0u)
                 << "n=" << n << ": a -0.0f term must leave a +0.0f row";
@@ -714,20 +628,21 @@ bool SameBitsOrBothNan(float got, float want) {
   return std::bit_cast<uint32_t>(got) == std::bit_cast<uint32_t>(want);
 }
 
-TEST_P(VecTier, WeightedRowSumMatchesFillAxpyBitwise) {
+TEST(Vec, WeightedRowSumMatchesFillAxpyBitwise) {
   // The SpMM row kernel against its definition: Fill(out, 0) and one
-  // Axpy per term, at every width around the tiers' 4, 8, 16 and 32
-  // blocks, on rows of 0, 1 and 40 terms with repeated ids, a wider
-  // row stride, and columns past the row left untouched. Variant 1
-  // makes the first product -0.0f (a +0.0f start turns it into +0.0f);
-  // variant 2 mixes NaN and +-Inf into x and one weight.
+  // Axpy per term, at every width around the AVX2 form's 8 and 32 blocks
+  // and every column tail of 1 to 7, on rows of 0, 1 and 40 terms with
+  // repeated ids, a wider row stride, and columns past the row left
+  // untouched. Variant 1 makes the first product -0.0f (a +0.0f start
+  // turns it into +0.0f); variant 2 mixes NaN and +-Inf into x and one
+  // weight.
   Rng rng(47);
   const float kSentinel = 12345.0f;
   const float kNan = std::numeric_limits<float>::quiet_NaN();
   const float kInf = std::numeric_limits<float>::infinity();
   constexpr size_t kRows = 9;
-  for (const size_t d : {1u, 3u, 4u, 7u, 8u, 15u, 16u, 17u, 31u, 32u, 33u,
-                         63u, 64u, 65u}) {
+  for (const size_t d : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 15u, 16u, 17u,
+                         31u, 32u, 33u, 63u, 64u, 65u}) {
     for (const size_t m : {0u, 1u, 40u}) {
       for (const int variant : {0, 1, 2}) {
         const size_t stride = d + 3;
@@ -756,7 +671,7 @@ TEST_P(VecTier, WeightedRowSumMatchesFillAxpyBitwise) {
           vec::Axpy(values[j], x.data() + idx[j] * stride, want.data(), d);
         }
         std::vector<float> got(d + 4, kSentinel), ref_got(d + 4, kSentinel);
-        k_.weighted_row_sum(values.data(), idx.data(), m, x.data(), stride,
+        vec::WeightedRowSum(values.data(), idx.data(), m, x.data(), stride,
                             got.data(), d);
         vec::ref::WeightedRowSum(values.data(), idx.data(), m, x.data(),
                                  stride, ref_got.data(), d);

@@ -42,6 +42,7 @@
 
 #include "graph/bipartite_graph.h"
 #include "models/checkpoint.h"
+#include "runtime/runtime_config.h"
 #include "serve/net_server.h"
 #include "serve/serving_frontend.h"
 #include "tool_util.h"
@@ -143,7 +144,7 @@ void Usage() {
       "--port:        listen port (0 = ephemeral; the bound port is\n"
       "               printed on startup)\n"
       "--backlog:     listen(2) backlog\n"
-      "--io-threads:  epoll event-loop threads (>= 1); connections are\n"
+      "--io-threads:  epoll event-loop threads (1-1024); connections are\n"
       "               assigned round-robin. Handlers never score — all\n"
       "               scoring happens behind the front door\n"
       "--max-line:    longest accepted request line in bytes; a\n"
@@ -201,7 +202,12 @@ bool ParseFlags(int argc, char** argv, Options& opts) {
     } else if (key == "seed") {
       opts.seed = static_cast<uint64_t>(as_int());
     } else if (key == "threads") {
-      opts.threads = static_cast<size_t>(as_int());
+      const long long n = as_int();
+      if (n < 0) {
+        std::fprintf(stderr, "--threads must be >= 0 (got %lld)\n", n);
+        return false;
+      }
+      opts.threads = static_cast<size_t>(n);
     } else if (key == "batch") {
       opts.batch = static_cast<size_t>(as_int());
     } else if (key == "flush-us") {
@@ -221,7 +227,13 @@ bool ParseFlags(int argc, char** argv, Options& opts) {
     } else if (key == "backlog") {
       opts.backlog = static_cast<int>(as_int());
     } else if (key == "io-threads") {
-      opts.io_threads = static_cast<size_t>(as_int());
+      const long long n = as_int();
+      if (n < 1 || n > static_cast<long long>(runtime::kMaxThreads)) {
+        std::fprintf(stderr, "--io-threads must be in [1, %zu] (got %lld)\n",
+                     runtime::kMaxThreads, n);
+        return false;
+      }
+      opts.io_threads = static_cast<size_t>(n);
     } else if (key == "max-line") {
       opts.max_line = static_cast<size_t>(as_int());
     } else if (key == "help") {
@@ -252,8 +264,8 @@ bool ParseFlags(int argc, char** argv, Options& opts) {
                  "--quantize scans the IVF lists as int8 and needs --ann\n");
     return false;
   }
-  if (opts.io_threads == 0 || opts.max_line == 0) {
-    std::fprintf(stderr, "--io-threads and --max-line must be >= 1\n");
+  if (opts.max_line == 0) {
+    std::fprintf(stderr, "--max-line must be >= 1\n");
     return false;
   }
   return true;
