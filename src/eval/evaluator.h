@@ -32,9 +32,10 @@
 // `BeginPassOn(snapshot)` opens a pass over an *already frozen*
 // snapshot instead of freezing one itself. That is the seam async
 // evaluation rides: the trainer freezes the snapshot on its own pool,
-// then a background AsyncEvaluator scores it on a different pool —
-// and because ranking is thread-count invariant, the metrics are
-// bit-identical to a synchronous pass over the same snapshot.
+// then a second Evaluator, on a std::async thread, scores it on a
+// different pool — and because ranking is thread-count invariant, the
+// metrics are bit-identical to a synchronous pass over the same
+// snapshot.
 //
 // The `scoring` options pick the tier BlockTopK runs per pass:
 //   * default — exact full-catalog scan, tiled per user block;

@@ -498,7 +498,12 @@ void AccumulateCosineGrad(const float* u_hat, const float* i_hat, float score,
 // line: inlined, a tail's calls make the AVX2 form save more registers and
 // realign its stack on every call, tail or not. The SpMM row kernel pays
 // that once per row; micro_kernels' BM_GraphPropagation/3 (dim 16) ran
-// 20-35% slower with the tail inlined.
+// 20-35% slower with the tail inlined. The references are SSE code, so
+// each AVX2 form clears the upper halves of the ymm registers
+// (_mm256_zeroupper) before calling its tail: SSE code run with those
+// halves dirty can run several times slower, and GCC emitted a
+// vzeroupper before WeightedRowSum's tail but not before the gradient
+// kernels' tails.
 namespace ref {
 
 [[gnu::noinline]] void AccumulateCosineGradRun(
@@ -717,6 +722,7 @@ BSLREC_AVX2 void AccumulateCosineGradRun(const float* self_hat,
   }
   if (k < n) {
     // The last n % 8 elements: the reference on a column slice.
+    _mm256_zeroupper();
     ref::AccumulateCosineGradRun(self_hat + k, others + k, stride, idx,
                                  scores, scales, m, grad + k, n - k);
   }
@@ -783,6 +789,7 @@ BSLREC_AVX2 void AccumulateCosineGradRuns(const float* self_hat,
   }
   if (k < n) {
     // The last n % 8 elements: the reference on a column slice.
+    _mm256_zeroupper();
     ref::AccumulateCosineGradRuns(self_hat + k, others + k, stride, idx,
                                   scores, scales, run_ends, num_runs,
                                   grad + k, n - k);
@@ -845,6 +852,7 @@ BSLREC_AVX2 void WeightedRowSum(const float* values, const uint32_t* idx,
   }
   if (k < n) {
     // The last n % 8 elements: the reference on a column slice.
+    _mm256_zeroupper();
     ref::WeightedRowSum(values, idx, m, x + k, stride, out + k, n - k);
   }
 }
@@ -970,11 +978,6 @@ void AdamStep(const AdamCoeffs& c, const float* g, float* w, float* m,
   if (RunAvx2()) return avx2::AdamStep(c, g, w, m, v, n);
 #endif
   ref::AdamStep(c, g, w, m, v, n);
-}
-
-void SgdStep(float lr, float weight_decay, const float* g, float* w,
-             size_t n) {
-  for (size_t k = 0; k < n; ++k) w[k] -= lr * (g[k] + weight_decay * w[k]);
 }
 
 double LogSumExp(const float* x, size_t n) {

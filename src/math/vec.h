@@ -306,12 +306,6 @@ void WeightedRowSum(const float* values, const uint32_t* idx, size_t m,
 void AdamStep(const AdamCoeffs& c, const float* g, float* w, float* m,
               float* v, size_t n);
 
-// One SGD update in place, in float: w -= lr * (g + weight_decay * w).
-// Elementwise like AdamStep, and like it never fused into FMAs (vec.cc
-// is compiled with -ffp-contract=off).
-void SgdStep(float lr, float weight_decay, const float* g, float* w,
-             size_t n);
-
 // Numerically stable log(sum_j exp(x[j])) over n values.
 double LogSumExp(const float* x, size_t n);
 

@@ -20,16 +20,18 @@ struct RuntimeConfig {
   size_t num_threads = 0;
 
   // Worker count for the *background* evaluation pool when asynchronous
-  // evaluation is enabled (runtime::TaskRunner + AsyncEvaluator). The
-  // overlapped pass runs on its own pool so the trainer keeps its full
-  // `num_threads` budget; the two pools timeshare the machine through
-  // the OS scheduler. 0 = share/steal policy: the eval pool is sized to
-  // half the resolved training worker count (at least 1), so an
-  // overlapped pass mostly soaks up the cycles the trainer leaves idle
-  // (its serial per-batch bookkeeping between the pooled phases, and the
-  // workers' waits at each phase's end) instead of doubling the thread
-  // count. Results never depend on this value — evaluation is
-  // thread-count invariant — so the knob is purely about wall time.
+  // evaluation is enabled (TrainConfig::async_eval: the trainer ranks
+  // each snapshot on a std::async thread through an Evaluator owning
+  // this pool). The overlapped pass runs on its own pool so the trainer
+  // keeps its full `num_threads` budget; the two pools timeshare the
+  // machine through the OS scheduler. 0 = share/steal policy: the eval
+  // pool is sized to half the resolved training worker count (at least
+  // 1), so an overlapped pass mostly soaks up the cycles the trainer
+  // leaves idle (its serial per-batch bookkeeping between the pooled
+  // phases, and the workers' waits at each phase's end) instead of
+  // doubling the thread count. Results never depend on this value —
+  // evaluation is thread-count invariant — so the knob is purely about
+  // wall time.
   size_t eval_threads = 0;
 };
 

@@ -57,8 +57,8 @@
 //     `flush_deadline_us` has elapsed since that oldest request
 //     arrived (deadline flush) — whichever fires first. Shutdown/drain
 //     flushes immediately.
-//   * Worker ownership (the TaskRunner pattern, task_runner.h). The
-//     front end owns a *private* `runtime::ThreadPool`, and the single
+//   * Worker ownership. A `runtime::ThreadPool` takes one driver at a
+//     time, so the front end owns a *private* pool and the single
 //     dispatcher thread is its sole driver. Producers never touch the
 //     pool; they only enqueue.
 //

@@ -8,31 +8,6 @@
 
 namespace bslrec {
 
-void Optimizer::ForEachShard(
-    size_t n, const std::function<void(size_t, size_t)>& fn) const {
-  if (pool_ == nullptr || n <= kStepGrain) {
-    fn(0, n);
-    return;
-  }
-  runtime::ParallelFor(
-      *pool_, 0, n, kStepGrain,
-      [&](size_t lo, size_t hi, size_t, size_t) { fn(lo, hi); });
-}
-
-void SgdOptimizer::Step(const std::vector<ParamGrad>& params) {
-  const float lr = static_cast<float>(lr_);
-  const float wd = static_cast<float>(weight_decay_);
-  for (const ParamGrad& pg : params) {
-    BSLREC_CHECK(pg.value != nullptr && pg.grad != nullptr);
-    BSLREC_CHECK(pg.value->size() == pg.grad->size());
-    float* w = pg.value->data();
-    const float* g = pg.grad->data();
-    ForEachShard(pg.value->size(), [&](size_t lo, size_t hi) {
-      vec::SgdStep(lr, wd, g + lo, w + lo, hi - lo);
-    });
-  }
-}
-
 void AdamOptimizer::Step(const std::vector<ParamGrad>& params) {
   ++step_;
   const vec::AdamCoeffs c{
@@ -56,9 +31,19 @@ void AdamOptimizer::Step(const std::vector<ParamGrad>& params) {
     const float* g = pg.grad->data();
     float* m = slot.m.data();
     float* v = slot.v.data();
-    ForEachShard(pg.value->size(), [&](size_t lo, size_t hi) {
+    const size_t n = pg.value->size();
+    // Elements [lo, hi): kStepGrain-element ranges on the attached pool
+    // when there is more than one.
+    const auto step = [&](size_t lo, size_t hi) {
       vec::AdamStep(c, g + lo, w + lo, m + lo, v + lo, hi - lo);
-    });
+    };
+    if (pool_ == nullptr || n <= kStepGrain) {
+      step(0, n);
+    } else {
+      runtime::ParallelFor(
+          *pool_, 0, n, kStepGrain,
+          [&](size_t lo, size_t hi, size_t, size_t) { step(lo, hi); });
+    }
   }
 }
 

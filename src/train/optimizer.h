@@ -1,4 +1,4 @@
-// First-order optimizers over ParamGrad lists.
+// Adam over ParamGrad lists.
 //
 // Adam follows Kingma & Ba with bias correction; weight decay is applied
 // decoupled (AdamW-style), which matches how the paper's L2 coefficient
@@ -6,16 +6,15 @@
 // matrix address, so the same optimizer instance can drive any model as
 // long as its parameter set is stable across steps.
 //
-// A step is elementwise (vec::AdamStep / vec::SgdStep): every parameter
-// entry's update reads only that entry, its gradient and its moment
-// state. So an attached pool (SetRuntime) runs each tensor as fixed
-// kStepGrain-element shards on its workers, and the result is
-// bit-identical for any worker count, and to no pool at all.
+// A step is elementwise (vec::AdamStep): every parameter entry's update
+// reads only that entry, its gradient and its moment state. So an
+// attached pool (SetRuntime) runs each tensor as fixed kStepGrain-element
+// shards on its workers, and the result is bit-identical for any worker
+// count, and to no pool at all.
 #ifndef BSLREC_TRAIN_OPTIMIZER_H_
 #define BSLREC_TRAIN_OPTIMIZER_H_
 
 #include <cstddef>
-#include <functional>
 #include <map>
 #include <vector>
 
@@ -24,13 +23,19 @@
 
 namespace bslrec {
 
-class Optimizer {
+class AdamOptimizer {
  public:
   // Elements per pooled shard of one parameter tensor. A tensor of at
   // most this many elements is stepped inline on the calling thread.
   static constexpr size_t kStepGrain = size_t{1} << 14;
 
-  virtual ~Optimizer() = default;
+  AdamOptimizer(double lr, double weight_decay = 0.0, double beta1 = 0.9,
+                double beta2 = 0.999, double eps = 1e-8)
+      : lr_(lr),
+        weight_decay_(weight_decay),
+        beta1_(beta1),
+        beta2_(beta2),
+        eps_(eps) {}
 
   // Borrows `pool` for Step (the trainer attaches its own, as it does
   // for EmbeddingModel::SetRuntime). nullptr, the default, steps inline;
@@ -39,39 +44,7 @@ class Optimizer {
   void SetRuntime(runtime::ThreadPool* pool) { pool_ = pool; }
 
   // Applies one update using the gradients currently stored in `params`.
-  virtual void Step(const std::vector<ParamGrad>& params) = 0;
-
- protected:
-  // Calls fn(lo, hi) over [0, n) in kStepGrain-element ranges, on the
-  // attached pool when there is more than one range.
-  void ForEachShard(size_t n,
-                    const std::function<void(size_t, size_t)>& fn) const;
-
- private:
-  runtime::ThreadPool* pool_ = nullptr;
-};
-
-class SgdOptimizer : public Optimizer {
- public:
-  explicit SgdOptimizer(double lr, double weight_decay = 0.0)
-      : lr_(lr), weight_decay_(weight_decay) {}
-  void Step(const std::vector<ParamGrad>& params) override;
-
- private:
-  double lr_;
-  double weight_decay_;
-};
-
-class AdamOptimizer : public Optimizer {
- public:
-  AdamOptimizer(double lr, double weight_decay = 0.0, double beta1 = 0.9,
-                double beta2 = 0.999, double eps = 1e-8)
-      : lr_(lr),
-        weight_decay_(weight_decay),
-        beta1_(beta1),
-        beta2_(beta2),
-        eps_(eps) {}
-  void Step(const std::vector<ParamGrad>& params) override;
+  void Step(const std::vector<ParamGrad>& params);
 
  private:
   struct Slot {
@@ -85,6 +58,7 @@ class AdamOptimizer : public Optimizer {
   double eps_;
   long step_ = 0;
   std::map<const Matrix*, Slot> slots_;
+  runtime::ThreadPool* pool_ = nullptr;
 };
 
 }  // namespace bslrec

@@ -15,6 +15,17 @@ namespace {
 // leaves sampling_stream_seed = 0.
 constexpr uint64_t kSamplingStreamSalt = 0x4E45474154495645ULL;  // "NEGATIVE"
 
+// Folds one completed evaluation into `result`: best (by NDCG), final
+// and the evals history.
+void ApplyEvalRecord(const EvalRecord& rec, TrainResult& result) {
+  result.final_metrics = rec.metrics;
+  result.evals.push_back(rec);
+  if (rec.metrics.ndcg > result.best.ndcg) {
+    result.best = rec.metrics;
+    result.best_epoch = rec.epoch;
+  }
+}
+
 }  // namespace
 
 Trainer::Trainer(const Dataset& data, EmbeddingModel& model,
@@ -29,6 +40,7 @@ Trainer::Trainer(const Dataset& data, EmbeddingModel& model,
           config.runtime.num_threads)),
       scratch_(pool_->num_workers()),
       evaluator_(data, config.metric_k, pool_.get()),
+      optimizer_(config.lr, config.weight_decay),
       rng_(config.seed),
       stream_seed_(config.sampling_stream_seed != 0
                        ? config.sampling_stream_seed
@@ -36,21 +48,16 @@ Trainer::Trainer(const Dataset& data, EmbeddingModel& model,
   BSLREC_CHECK(config.epochs >= 0);
   BSLREC_CHECK(config.batch_size > 0 && config.num_negatives > 0);
   BSLREC_CHECK(config.eval_every >= 1);
-  if (config.use_adam) {
-    optimizer_ =
-        std::make_unique<AdamOptimizer>(config.lr, config.weight_decay);
-  } else {
-    optimizer_ =
-        std::make_unique<SgdOptimizer>(config.lr, config.weight_decay);
-  }
   if (config.async_eval) {
-    async_eval_ = std::make_unique<AsyncEvaluator>(data, config.metric_k,
-                                                   config.runtime);
+    background_eval_ = std::make_unique<Evaluator>(
+        data, config.metric_k,
+        runtime::RuntimeConfig{
+            .num_threads = runtime::ResolveEvalThreads(config.runtime)});
   }
   // Route the model's own heavy compute (graph propagation, contrastive
   // views) and the optimizer step through the trainer's pool as well.
   model_.SetRuntime(pool_.get());
-  optimizer_->SetRuntime(pool_.get());
+  optimizer_.SetRuntime(pool_.get());
   const size_t slots = 1 + config.num_negatives;
   if (config.sampling_mode == SamplingMode::kSampledNegatives) {
     // Item terms index a batch's (sample, slot) pairs in 32 bits.
@@ -593,7 +600,7 @@ Trainer::BatchOutcome Trainer::RunBatch(const std::vector<Edge>& edges,
   out.aux = model_.AuxLossAndGrad(batch_users, batch_items, rng_);
 
   model_.Backward();
-  optimizer_->Step(model_.Params());
+  optimizer_.Step(model_.Params());
   ++step_count_;  // invalidates any snapshot frozen before this batch
   return out;
 }
@@ -650,62 +657,30 @@ TopKMetrics Trainer::Evaluate() const {
   return evaluator_.BeginPassOn(FreezeSnapshot()).Evaluate();
 }
 
-bool Trainer::ApplyEvalRecord(TrainResult& result, const EvalRecord& rec,
-                              int* evals_without_improvement) {
-  result.final_metrics = rec.metrics;
-  result.evals.push_back(rec);
-  if (rec.metrics.ndcg > result.best.ndcg) {
-    result.best = rec.metrics;
-    result.best_epoch = rec.epoch;
-    *evals_without_improvement = 0;
-    return false;
-  }
-  ++*evals_without_improvement;
-  return config_.early_stop_patience > 0 &&
-         *evals_without_improvement >= config_.early_stop_patience;
-}
-
-bool Trainer::JoinAsyncEvals(TrainResult& result,
-                             int* evals_without_improvement) {
-  bool stop = false;
-  for (const EvalRecord& rec : async_eval_->Join()) {
-    stop = ApplyEvalRecord(result, rec, evals_without_improvement) || stop;
-  }
-  return stop;
-}
-
 TrainResult Trainer::Train() {
   TrainResult result;
-  int evals_without_improvement = 0;
   for (int epoch = 1; epoch <= config_.epochs; ++epoch) {
     result.history.push_back(RunEpoch(epoch));
     if (result.history.back().non_finite) {
       result.non_finite = result.history.back().non_finite;
       break;
     }
-    const bool last_epoch = epoch == config_.epochs;
-    if (epoch % config_.eval_every != 0 && !last_epoch) continue;
-    if (async_eval_ != nullptr) {
-      // Pipeline depth 1: finish the previous overlapped pass (and let
-      // it veto further training) before freezing the next snapshot.
-      if (JoinAsyncEvals(result, &evals_without_improvement)) break;
-      async_eval_->Submit(epoch, FreezeSnapshot());
-      // Early stopping decides after *every* eval; deferring the
-      // decision to the next join would change the epoch trajectory
-      // relative to sync, so an early-stop config joins immediately.
-      if (config_.early_stop_patience > 0 &&
-          JoinAsyncEvals(result, &evals_without_improvement)) {
-        break;
-      }
-    } else {
-      const EvalRecord rec{epoch, Evaluate()};
-      if (ApplyEvalRecord(result, rec, &evals_without_improvement)) break;
+    if (epoch % config_.eval_every != 0 && epoch != config_.epochs) continue;
+    if (background_eval_ == nullptr) {
+      ApplyEvalRecord({epoch, Evaluate()}, result);
+      continue;
     }
+    // Pipeline depth 1: join the pass in flight, then rank this epoch's
+    // snapshot while the next epoch trains. The snapshot freezes here,
+    // on the trainer's pool; only the ranking runs on the async thread.
+    if (eval_in_flight_.valid()) ApplyEvalRecord(eval_in_flight_.get(), result);
+    eval_in_flight_ = std::async(
+        std::launch::async, [this, epoch, snapshot = FreezeSnapshot()] {
+          return EvalRecord{
+              epoch, background_eval_->BeginPassOn(snapshot).Evaluate()};
+        });
   }
-  if (async_eval_ != nullptr) {
-    // Join the final epoch's pass (a post-loop stop verdict is moot).
-    JoinAsyncEvals(result, &evals_without_improvement);
-  }
+  if (eval_in_flight_.valid()) ApplyEvalRecord(eval_in_flight_.get(), result);
   if (result.evals.empty() && !result.non_finite) {
     // epochs == 0, so no eval ran: report the untrained model. (Keyed
     // on the recorded evals, not on best.num_users — an empty test

@@ -66,40 +66,38 @@
 // contrastive aux pass — through the same worker budget (the sharded
 // kernels in graph/propagation.h keep those bit-identical too). The
 // pool is detached again when the trainer is destroyed. Step 6's
-// optimizer step runs on the pool as well (`Optimizer::SetRuntime`):
+// optimizer step runs on the pool as well (`AdamOptimizer::SetRuntime`):
 // every parameter tensor is stepped as fixed-size element shards, and
 // the update is elementwise, so its bits do not depend on the worker
 // count either.
 //
 // Evaluation runs every `eval_every` epochs on the held-out test split;
 // the best checkpoint metrics (by NDCG) are reported, emulating the
-// paper's early-stopping/grid protocol without storing weights.
+// paper's protocol of reporting the best epoch without storing weights.
 //
 // With `TrainConfig::async_eval` the trainer stops stopping the world
 // for those evaluations: at an eval epoch it freezes a
-// `serve::ModelSnapshot` on its own pool (the cheap step) and submits
-// the full ranking pass to a background `AsyncEvaluator`, then
-// immediately starts the next epoch. Pending passes are joined at the
-// next eval epoch (pipeline depth 1) and at the end of Train. Because
-// passes score only their frozen snapshot and ranking is thread-count
-// invariant, the recorded `TrainResult::evals` history is bit-identical
-// to synchronous evaluation — asynchrony changes wall time, never
-// numbers. The one control-flow coupling is early stopping: the stop
-// decision consumes each eval's metrics, so when
-// `early_stop_patience > 0` the trainer joins each pass right after
-// submitting it (the pass still runs on the background pool, but
-// without overlap) to keep the epoch trajectory identical to sync.
+// `serve::ModelSnapshot` on its own pool (the cheap step), then ranks it
+// on one std::async thread through a second Evaluator, which owns
+// `runtime::ResolveEvalThreads` workers, while the next epoch trains.
+// At most one pass is in flight: the next eval epoch, and the end of
+// Train, join it before anything else. So only the pass's thread ever
+// drives the second pool, as ThreadPool's one-driver contract requires.
+// Because a pass scores only its frozen snapshot and ranking is
+// thread-count invariant, the recorded `TrainResult::evals` history is
+// bit-identical to synchronous evaluation — asynchrony changes wall
+// time, never numbers.
 #ifndef BSLREC_TRAIN_TRAINER_H_
 #define BSLREC_TRAIN_TRAINER_H_
 
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "core/losses.h"
 #include "data/dataset.h"
-#include "eval/async_evaluator.h"
 #include "eval/evaluator.h"
 #include "models/model.h"
 #include "runtime/thread_pool.h"
@@ -132,10 +130,8 @@ struct TrainConfig {
   double inbatch_logq_tau = 0.0;
   double lr = 0.05;
   double weight_decay = 1e-6;
-  bool use_adam = true;
-  int eval_every = 5;           // epochs between evaluations (>=1)
-  uint32_t metric_k = 20;       // Recall@K / NDCG@K cutoff
-  int early_stop_patience = 0;  // consecutive non-improving evals; 0 = off
+  int eval_every = 5;      // epochs between evaluations (>=1)
+  uint32_t metric_k = 20;  // Recall@K / NDCG@K cutoff
   uint64_t seed = 123;
   // Seed of the counter-based negative-sampling streams (kSampledNegatives
   // mode). 0 derives it from `seed`, which is what experiments want: one
@@ -197,6 +193,10 @@ class Trainer {
   // Detaches the trainer's pool from the model (the pool dies with the
   // trainer; the model may outlive it).
   ~Trainer();
+
+  // An overlapped evaluation pass holds `this` on its own thread.
+  Trainer(const Trainer&) = delete;
+  Trainer& operator=(const Trainer&) = delete;
 
   // Runs the configured number of epochs with periodic evaluation.
   TrainResult Train();
@@ -410,13 +410,6 @@ class Trainer {
   // current state: re-runs Forward exactly as a synchronous eval would,
   // then copies+normalizes the final tables on the trainer's pool.
   std::shared_ptr<const serve::ModelSnapshot> FreezeSnapshot() const;
-  // Folds one completed evaluation into `result` (best/final/evals) and
-  // the early-stop counter; returns true when training should stop.
-  bool ApplyEvalRecord(TrainResult& result, const EvalRecord& rec,
-                       int* evals_without_improvement);
-  // Joins every pending background pass, applying each record in epoch
-  // order; returns true when any of them tripped early stopping.
-  bool JoinAsyncEvals(TrainResult& result, int* evals_without_improvement);
 
   const Dataset& data_;
   EmbeddingModel& model_;
@@ -427,18 +420,24 @@ class Trainer {
   std::vector<WorkerScratch> scratch_;  // one per pool worker
   BatchBuffers batch_;
   Evaluator evaluator_;
-  std::unique_ptr<AsyncEvaluator> async_eval_;  // null unless async_eval
-  std::unique_ptr<Optimizer> optimizer_;
+  AdamOptimizer optimizer_;
   Rng rng_;
   uint64_t stream_seed_;  // keys the per-sample negative-draw streams
 
   // Snapshot-reuse bookkeeping: the optimizer-step counter, the last
   // frozen snapshot and the step it captured. Evaluate() and the async
-  // submit path share a freeze when no step happened in between.
+  // launch share a freeze when no step happened in between.
   uint64_t step_count_ = 0;
   mutable std::shared_ptr<const serve::ModelSnapshot> frozen_snapshot_;
   mutable uint64_t frozen_snapshot_step_ = 0;
   mutable size_t snapshots_frozen_ = 0;
+
+  // async_eval: the evaluator the overlapped passes rank through (null
+  // otherwise) and the pass in flight. The future is the last member, so
+  // it dies first: if Train left by exception with a pass in flight, the
+  // future's destructor waits for that pass before its evaluator dies.
+  std::unique_ptr<Evaluator> background_eval_;
+  std::future<EvalRecord> eval_in_flight_;
 };
 
 }  // namespace bslrec

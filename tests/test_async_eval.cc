@@ -1,35 +1,27 @@
-// Async evaluation pipeline contracts:
-//   * TaskRunner runs tasks FIFO on one dispatcher, drains on
-//     destruction, and propagates background exceptions through Drain.
-//   * AsyncEvaluator metrics are bit-identical to a synchronous
-//     Evaluator pass over the same snapshot, for any background pool
-//     size, and records land in submission order.
+// Overlapped evaluation contracts:
 //   * Trainer with async_eval reproduces the synchronous metric history
 //     (evals, best, final, per-epoch losses) bitwise — for sampled MF
-//     and in-batch LightGCN, with and without early stopping, at any
-//     (num_threads, eval_threads) combination.
+//     and in-batch LightGCN, at any (num_threads, eval_threads)
+//     combination.
 //   * Checkpoints saved while a pass is in flight see the live tables;
 //     the pass sees the frozen ones (snapshot isolation).
 //   * Trainer::Evaluate() reuses the snapshot frozen for the current
 //     optimizer step instead of rebuilding it.
-#include "eval/async_evaluator.h"
-
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <future>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "data/synthetic.h"
+#include "eval/evaluator.h"
 #include "graph/bipartite_graph.h"
 #include "gtest/gtest.h"
 #include "models/checkpoint.h"
 #include "models/lightgcn.h"
 #include "models/mf.h"
-#include "runtime/task_runner.h"
 #include "runtime/thread_pool.h"
 #include "sampling/negative_sampler.h"
 #include "test_util.h"
@@ -106,155 +98,6 @@ TrainResult TrainLightGcnInBatch(const Dataset& data, TrainConfig cfg) {
   return trainer.Train();
 }
 
-// ---- TaskRunner --------------------------------------------------------
-
-TEST(TaskRunner, RunsTasksInSubmissionOrder) {
-  runtime::TaskRunner runner(2);
-  std::vector<int> order;  // dispatcher-only writes; read after Drain
-  for (int t = 0; t < 8; ++t) {
-    runner.Submit([&order, t] { order.push_back(t); });
-  }
-  runner.Drain();
-  ASSERT_EQ(order.size(), 8u);
-  for (int t = 0; t < 8; ++t) EXPECT_EQ(order[t], t);
-  EXPECT_EQ(runner.pending(), 0u);
-}
-
-TEST(TaskRunner, TasksMayDriveTheRunnersOwnPool) {
-  runtime::TaskRunner runner(3);
-  // A task is the pool's sole driver, so ParallelFor from inside it is
-  // legal — this is exactly how a background evaluation pass runs.
-  std::vector<uint64_t> shard_sums;
-  runner.Submit([&] {
-    constexpr size_t kN = 1000, kGrain = 64;
-    shard_sums.assign((kN + kGrain - 1) / kGrain, 0);
-    runtime::ParallelFor(runner.pool(), 0, kN, kGrain,
-                         [&](size_t lo, size_t hi, size_t shard, size_t) {
-                           for (size_t i = lo; i < hi; ++i) {
-                             shard_sums[shard] += i;
-                           }
-                         });
-  });
-  runner.Drain();
-  uint64_t total = 0;
-  for (uint64_t s : shard_sums) total += s;
-  EXPECT_EQ(total, 999u * 1000u / 2);
-}
-
-TEST(TaskRunner, DrainRethrowsTheFirstTaskException) {
-  runtime::TaskRunner runner(1);
-  std::atomic<int> ran{0};
-  runner.Submit([&] { ++ran; });
-  runner.Submit([] { throw std::runtime_error("pass failed"); });
-  runner.Submit([&] { ++ran; });  // later tasks still run
-  EXPECT_THROW(runner.Drain(), std::runtime_error);
-  EXPECT_EQ(ran.load(), 2);
-  // The error was consumed; the runner stays usable.
-  runner.Submit([&] { ++ran; });
-  runner.Drain();
-  EXPECT_EQ(ran.load(), 3);
-}
-
-TEST(TaskRunner, ExceptionInsidePoolSectionReachesDrain) {
-  runtime::TaskRunner runner(2);
-  runner.Submit([&] {
-    runtime::ParallelFor(runner.pool(), 0, 16, 1,
-                         [](size_t lo, size_t, size_t, size_t) {
-                           if (lo == 7) throw std::runtime_error("shard 7");
-                         });
-  });
-  EXPECT_THROW(runner.Drain(), std::runtime_error);
-}
-
-TEST(TaskRunner, DestructionDrainsPendingTasks) {
-  std::atomic<int> ran{0};
-  {
-    runtime::TaskRunner runner(1);
-    for (int t = 0; t < 5; ++t) {
-      runner.Submit([&ran] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        ++ran;
-      });
-    }
-    // No Drain: the destructor must finish all five ("join on
-    // destruction"), not abandon the queue.
-  }
-  EXPECT_EQ(ran.load(), 5);
-}
-
-// ---- AsyncEvaluator ----------------------------------------------------
-
-TEST(AsyncEvaluator, MatchesSynchronousPassOverTheSameSnapshot) {
-  const SyntheticData data = EvalData();
-  Rng rng(3);
-  MfModel model(data.dataset.num_users(), data.dataset.num_items(), 16, rng);
-  model.Forward(rng);
-
-  runtime::ThreadPool freeze_pool(2);
-  const auto snapshot =
-      std::make_shared<const serve::ModelSnapshot>(model, freeze_pool);
-
-  const Evaluator sync_eval(data.dataset, 10, runtime::RuntimeConfig{1});
-  const TopKMetrics expected = sync_eval.BeginPassOn(snapshot).Evaluate();
-
-  runtime::RuntimeConfig rt;
-  rt.eval_threads = 2;
-  AsyncEvaluator async_eval(data.dataset, 10, rt);
-  async_eval.Submit(42, snapshot);
-  const std::vector<EvalRecord> records = async_eval.Join();
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].epoch, 42);
-  ExpectSameMetrics(records[0].metrics, expected);
-}
-
-TEST(AsyncEvaluator, BackgroundPoolSizeNeverChangesMetrics) {
-  const SyntheticData data = EvalData(13);
-  Rng rng(4);
-  MfModel model(data.dataset.num_users(), data.dataset.num_items(), 16, rng);
-  model.Forward(rng);
-  runtime::ThreadPool freeze_pool(1);
-  const auto snapshot =
-      std::make_shared<const serve::ModelSnapshot>(model, freeze_pool);
-
-  std::vector<EvalRecord> baseline;
-  for (size_t eval_threads : {1u, 2u, 8u}) {
-    runtime::RuntimeConfig rt;
-    rt.eval_threads = eval_threads;
-    AsyncEvaluator async_eval(data.dataset, 10, rt);
-    EXPECT_EQ(async_eval.num_workers(), eval_threads);
-    async_eval.Submit(1, snapshot);
-    async_eval.Submit(2, snapshot);  // FIFO: same pass twice, in order
-    const std::vector<EvalRecord> records = async_eval.Join();
-    ASSERT_EQ(records.size(), 2u);
-    EXPECT_EQ(records[0].epoch, 1);
-    EXPECT_EQ(records[1].epoch, 2);
-    ExpectSameMetrics(records[0].metrics, records[1].metrics);
-    if (baseline.empty()) {
-      baseline = records;
-    } else {
-      ExpectSameMetrics(records[0].metrics, baseline[0].metrics);
-    }
-  }
-}
-
-TEST(AsyncEvaluator, DestructionJoinsInFlightPasses) {
-  const SyntheticData data = EvalData(17);
-  Rng rng(9);
-  MfModel model(data.dataset.num_users(), data.dataset.num_items(), 16, rng);
-  model.Forward(rng);
-  runtime::ThreadPool freeze_pool(1);
-  auto snapshot =
-      std::make_shared<const serve::ModelSnapshot>(model, freeze_pool);
-  {
-    AsyncEvaluator async_eval(data.dataset, 10, runtime::RuntimeConfig{});
-    async_eval.Submit(1, snapshot);
-    // No Join: destruction must complete the pass, not abandon it.
-  }
-  // The background task held the only other reference to the snapshot;
-  // it ran to completion and released it.
-  EXPECT_EQ(snapshot.use_count(), 1);
-}
-
 // ---- Trainer integration ----------------------------------------------
 
 TEST(AsyncTrainer, MfHistoryBitIdenticalToSync) {
@@ -297,25 +140,9 @@ TEST(AsyncTrainer, ThreadCountInvarianceAcrossBothPools) {
   }
 }
 
-TEST(AsyncTrainer, EarlyStoppingTrajectoryMatchesSync) {
-  const SyntheticData data = EvalData(31);
-  TrainConfig sync_cfg = BaseConfig();
-  sync_cfg.epochs = 40;  // long enough that patience trips
-  sync_cfg.eval_every = 1;
-  sync_cfg.early_stop_patience = 2;
-  TrainConfig async_cfg = sync_cfg;
-  async_cfg.async_eval = true;
-  async_cfg.runtime.num_threads = 2;
-  const TrainResult sync_result = TrainMf(data.dataset, sync_cfg);
-  const TrainResult async_result = TrainMf(data.dataset, async_cfg);
-  // The whole point: the stop must fire after the same epoch.
-  EXPECT_LT(sync_result.history.size(), 40u);
-  ExpectSameResult(sync_result, async_result);
-}
-
-// Snapshot isolation (satellite): a checkpoint saved while a background
-// pass is provably in flight reflects the *live* tables; the joined
-// pass reflects the *frozen* ones.
+// Snapshot isolation: a checkpoint saved while a background pass is
+// provably in flight reflects the *live* tables; the joined pass
+// reflects the *frozen* ones.
 TEST(AsyncEvalCheckpoint, SaveDuringInFlightPassSeesLiveTables) {
   const SyntheticData data = EvalData(37);
   const std::string path =
@@ -324,8 +151,8 @@ TEST(AsyncEvalCheckpoint, SaveDuringInFlightPassSeesLiveTables) {
   MfModel model(data.dataset.num_users(), data.dataset.num_items(), 8, rng);
   model.Forward(rng);
 
-  runtime::TaskRunner runner(2);
-  const Evaluator background_eval(data.dataset, 10, &runner.pool());
+  const Evaluator background_eval(data.dataset, 10,
+                                  runtime::RuntimeConfig{.num_threads = 2});
   runtime::ThreadPool freeze_pool(1);
   const auto snapshot =
       std::make_shared<const serve::ModelSnapshot>(model, freeze_pool);
@@ -334,19 +161,16 @@ TEST(AsyncEvalCheckpoint, SaveDuringInFlightPassSeesLiveTables) {
   const TopKMetrics frozen_metrics =
       reference_eval.BeginPassOn(snapshot).Evaluate();
 
-  // Gate the queue so the pass is still pending while we mutate + save.
+  // Gate the pass so it is still in flight while we mutate + save.
   std::atomic<bool> go{false};
-  runner.Submit([&go] {
+  std::future<TopKMetrics> in_flight = std::async(std::launch::async, [&] {
     while (!go.load()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-  });
-  TopKMetrics in_flight_metrics;
-  runner.Submit([&] {
-    in_flight_metrics = background_eval.BeginPassOn(snapshot).Evaluate();
+    return background_eval.BeginPassOn(snapshot).Evaluate();
   });
 
-  // "Training steps" while the pass is queued: mutate the live params.
+  // "Training steps" while the pass is gated: mutate the live params.
   for (ParamGrad pg : model.Params()) {
     for (size_t k = 0; k < pg.value->size(); ++k) {
       pg.value->data()[k] += 0.25f * static_cast<float>(k % 3);
@@ -356,10 +180,9 @@ TEST(AsyncEvalCheckpoint, SaveDuringInFlightPassSeesLiveTables) {
   model.Forward(fwd_rng);
   ASSERT_TRUE(SaveModelParams(model, path));
   go.store(true);
-  runner.Drain();
 
   // The pass scored the frozen snapshot, untouched by the mutation.
-  ExpectSameMetrics(in_flight_metrics, frozen_metrics);
+  ExpectSameMetrics(in_flight.get(), frozen_metrics);
 
   // The checkpoint captured the mutated live tables.
   Rng rng2(999);
@@ -378,9 +201,9 @@ TEST(AsyncEvalCheckpoint, SaveDuringInFlightPassSeesLiveTables) {
   std::remove(path.c_str());
 }
 
-// Snapshot reuse (satellite fix): Evaluate() right after training ended
-// must reuse the snapshot the last eval epoch froze — not rebuild one —
-// and must rebuild once the tables step again.
+// Snapshot reuse: Evaluate() right after training ended must reuse the
+// snapshot the last eval epoch froze — not rebuild one — and must
+// rebuild once the tables step again.
 TEST(AsyncTrainer, EvaluateReusesTheSnapshotFrozenForTheLastEval) {
   const SyntheticData data = EvalData(41);
   TrainConfig cfg = BaseConfig();

@@ -14,37 +14,6 @@
 namespace bslrec {
 namespace {
 
-TEST(Sgd, SingleStepMath) {
-  Matrix w(1, 2), g(1, 2);
-  w.At(0, 0) = 1.0f;
-  w.At(0, 1) = -2.0f;
-  g.At(0, 0) = 0.5f;
-  g.At(0, 1) = -0.5f;
-  SgdOptimizer opt(/*lr=*/0.1);
-  opt.Step({{&w, &g}});
-  EXPECT_FLOAT_EQ(w.At(0, 0), 1.0f - 0.1f * 0.5f);
-  EXPECT_FLOAT_EQ(w.At(0, 1), -2.0f + 0.1f * 0.5f);
-}
-
-TEST(Sgd, WeightDecayShrinksParameters) {
-  Matrix w(1, 1), g(1, 1);
-  w.At(0, 0) = 10.0f;
-  SgdOptimizer opt(/*lr=*/0.1, /*weight_decay=*/0.5);
-  opt.Step({{&w, &g}});  // zero gradient: pure decay
-  EXPECT_FLOAT_EQ(w.At(0, 0), 10.0f - 0.1f * 0.5f * 10.0f);
-}
-
-TEST(Sgd, ConvergesOnQuadratic) {
-  // min (w - 3)^2: gradient 2(w - 3).
-  Matrix w(1, 1), g(1, 1);
-  SgdOptimizer opt(0.1);
-  for (int i = 0; i < 200; ++i) {
-    g.At(0, 0) = 2.0f * (w.At(0, 0) - 3.0f);
-    opt.Step({{&w, &g}});
-  }
-  EXPECT_NEAR(w.At(0, 0), 3.0f, 1e-4f);
-}
-
 TEST(Adam, FirstStepMovesByLearningRate) {
   // With bias correction, the very first Adam step is ~lr * sign(g).
   Matrix w(1, 1), g(1, 1);
@@ -127,7 +96,7 @@ TEST(Adam, StatePersistsAcrossStepsPerTensor) {
 std::vector<size_t> StepLengths() {
   std::vector<size_t> lens;
   for (size_t n = 0; n <= 37; ++n) lens.push_back(n);
-  lens.push_back(3 * Optimizer::kStepGrain + 5);
+  lens.push_back(3 * AdamOptimizer::kStepGrain + 5);
   return lens;
 }
 
@@ -247,30 +216,6 @@ TEST(Adam, PooledStepMatchesReferenceLoopAtAnyWorkerCount) {
         opt.Step({{&w, &g}});
         vec::ref::AdamStep(CoeffsAtStep(t), g.data(), w_ref.data(),
                            m_ref.data(), v_ref.data(), n);
-        ASSERT_TRUE(SameBits(w.data(), w_ref.data(), n))
-            << "n=" << n << " workers=" << workers << " t=" << t;
-      }
-    }
-  }
-}
-
-TEST(Sgd, PooledStepMatchesInlineLoopAtAnyWorkerCount) {
-  const auto pools = TestPools();
-  for (const size_t n : StepLengths()) {
-    for (const auto& pool : pools) {
-      const size_t workers = pool == nullptr ? 0 : pool->num_workers();
-      Rng rng(47 + n);
-      Matrix w = TestParams(n, 11 + n), g(1, n);
-      Matrix w_ref = w;
-      SgdOptimizer opt(0.05, 1e-2);
-      opt.SetRuntime(pool.get());
-      for (int t = 1; t <= kSteps; ++t) {
-        for (size_t k = 0; k < n; ++k) g.data()[k] = TestGrad(rng);
-        opt.Step({{&w, &g}});
-        // The whole tensor in one call: the loop SgdOptimizer ran before
-        // it was sharded.
-        vec::SgdStep(static_cast<float>(0.05), static_cast<float>(1e-2),
-                     g.data(), w_ref.data(), n);
         ASSERT_TRUE(SameBits(w.data(), w_ref.data(), n))
             << "n=" << n << " workers=" << workers << " t=" << t;
       }

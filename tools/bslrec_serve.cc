@@ -38,6 +38,7 @@
 
 #include "graph/bipartite_graph.h"
 #include "models/checkpoint.h"
+#include "runtime/runtime_config.h"
 #include "serve/inference_service.h"
 #include "serve/wire.h"
 #include "tool_util.h"
@@ -45,6 +46,8 @@
 namespace {
 
 using namespace bslrec;  // NOLINT: tool-local convenience
+using runtime::kMaxThreads;
+using tools::ParseIntFlag;
 
 struct Options {
   std::string dataset = "yelp";  // yelp|amazon|gowalla|ml1m
@@ -142,7 +145,7 @@ bool ParseFlags(int argc, char** argv, Options& opts) {
       key = arg.substr(0, eq);
       value = arg.substr(eq + 1);
     }
-    const auto as_int = [&]() { return std::atoll(value.c_str()); };
+    bool ok = true;  // false once an integer flag fails to parse
     if (key == "dataset") {
       opts.dataset = value;
     } else if (key == "train-file") {
@@ -152,21 +155,21 @@ bool ParseFlags(int argc, char** argv, Options& opts) {
     } else if (key == "backbone") {
       opts.backbone = value;
     } else if (key == "dim") {
-      opts.dim = static_cast<size_t>(as_int());
+      ok = ParseIntFlag(key, value, &opts.dim, 1);
     } else if (key == "layers") {
-      opts.layers = static_cast<int>(as_int());
+      ok = ParseIntFlag(key, value, &opts.layers, 0);
     } else if (key == "load") {
       opts.load_path = value;
     } else if (key == "requests") {
       opts.requests_file = value;
     } else if (key == "k") {
-      opts.k = static_cast<uint32_t>(as_int());
+      ok = ParseIntFlag(key, value, &opts.k, 1);
     } else if (key == "max-k") {
-      opts.max_k = static_cast<uint32_t>(as_int());
+      ok = ParseIntFlag(key, value, &opts.max_k, 1);
     } else if (key == "shard-items") {
-      opts.shard_items = static_cast<uint32_t>(as_int());
+      ok = ParseIntFlag(key, value, &opts.shard_items, 1);
     } else if (key == "batch") {
-      opts.batch = static_cast<size_t>(as_int());
+      ok = ParseIntFlag(key, value, &opts.batch, 1);
     } else if (key == "no-cache") {
       opts.no_cache = true;
     } else if (key == "quantize") {
@@ -174,22 +177,17 @@ bool ParseFlags(int argc, char** argv, Options& opts) {
     } else if (key == "ann") {
       opts.ann = true;
     } else if (key == "nlist") {
-      opts.nlist = static_cast<uint32_t>(as_int());
+      ok = ParseIntFlag(key, value, &opts.nlist);
     } else if (key == "nprobe") {
-      opts.nprobe = static_cast<uint32_t>(as_int());
+      ok = ParseIntFlag(key, value, &opts.nprobe, 1);
     } else if (key == "recall") {
       opts.recall = true;
     } else if (key == "margin") {
-      opts.margin = static_cast<uint32_t>(as_int());
+      ok = ParseIntFlag(key, value, &opts.margin);
     } else if (key == "seed") {
-      opts.seed = static_cast<uint64_t>(as_int());
+      ok = ParseIntFlag(key, value, &opts.seed);
     } else if (key == "threads") {
-      const long long n = as_int();
-      if (n < 0) {
-        std::fprintf(stderr, "--threads must be >= 0 (got %lld)\n", n);
-        return false;
-      }
-      opts.threads = static_cast<size_t>(n);
+      ok = ParseIntFlag(key, value, &opts.threads, 0, kMaxThreads);
     } else if (key == "help") {
       Usage();
       std::exit(0);
@@ -197,15 +195,7 @@ bool ParseFlags(int argc, char** argv, Options& opts) {
       std::fprintf(stderr, "unknown flag '--%s'\n", key.c_str());
       return false;
     }
-  }
-  if (opts.k == 0 || opts.max_k == 0 || opts.batch == 0 ||
-      opts.shard_items == 0) {
-    std::fprintf(stderr, "--k, --max-k, --batch, --shard-items must be > 0\n");
-    return false;
-  }
-  if (opts.ann && opts.nprobe == 0) {
-    std::fprintf(stderr, "--nprobe must be >= 1\n");
-    return false;
+    if (!ok) return false;
   }
   if (opts.quantize && !opts.ann) {
     std::fprintf(stderr,

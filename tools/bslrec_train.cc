@@ -12,6 +12,7 @@
 //
 // All flags are --key=value (or bare --key for booleans); unknown flags
 // abort with usage.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -24,6 +25,7 @@
 #include "eval/evaluator.h"
 #include "graph/bipartite_graph.h"
 #include "models/checkpoint.h"
+#include "runtime/runtime_config.h"
 #include "sampling/negative_sampler.h"
 #include "tool_util.h"
 #include "train/trainer.h"
@@ -31,6 +33,8 @@
 namespace {
 
 using bslrec::LossKind;
+using bslrec::runtime::kMaxThreads;
+using bslrec::tools::ParseIntFlag;
 
 struct Options {
   std::string dataset = "yelp";  // yelp|amazon|gowalla|ml1m
@@ -103,7 +107,7 @@ bool ParseFlags(int argc, char** argv, Options& opts) {
       value = arg.substr(eq + 1);
     }
     const auto as_double = [&]() { return std::atof(value.c_str()); };
-    const auto as_int = [&]() { return std::atoll(value.c_str()); };
+    bool ok = true;  // false once an integer flag fails to parse
     if (key == "dataset") {
       opts.dataset = value;
     } else if (key == "train-file") {
@@ -123,43 +127,35 @@ bool ParseFlags(int argc, char** argv, Options& opts) {
     } else if (key == "negative-weight") {
       opts.negative_weight = as_double();
     } else if (key == "dim") {
-      opts.dim = static_cast<size_t>(as_int());
+      ok = ParseIntFlag(key, value, &opts.dim, 1);
     } else if (key == "layers") {
-      opts.layers = static_cast<int>(as_int());
+      ok = ParseIntFlag(key, value, &opts.layers, 0);
     } else if (key == "epochs") {
-      opts.epochs = static_cast<int>(as_int());
+      ok = ParseIntFlag(key, value, &opts.epochs, 0);
     } else if (key == "lr") {
       opts.lr = as_double();
     } else if (key == "weight-decay") {
       opts.weight_decay = as_double();
     } else if (key == "negatives") {
-      opts.negatives = static_cast<size_t>(as_int());
+      // A sampled batch indexes its batch x (1 + N-) item terms in 32
+      // bits (checked against --batch below).
+      ok = ParseIntFlag(key, value, &opts.negatives, 1, UINT32_MAX - 1);
     } else if (key == "batch") {
-      opts.batch = static_cast<size_t>(as_int());
+      ok = ParseIntFlag(key, value, &opts.batch, 1);
     } else if (key == "in-batch") {
       opts.in_batch = true;
     } else if (key == "eval-every") {
-      opts.eval_every = static_cast<int>(as_int());
+      ok = ParseIntFlag(key, value, &opts.eval_every, 1);
     } else if (key == "eval-k") {
-      opts.eval_k = static_cast<uint32_t>(as_int());
+      ok = ParseIntFlag(key, value, &opts.eval_k, 1);
     } else if (key == "seed") {
-      opts.seed = static_cast<uint64_t>(as_int());
+      ok = ParseIntFlag(key, value, &opts.seed);
     } else if (key == "threads") {
-      const long long n = as_int();
-      if (n < 0) {
-        std::fprintf(stderr, "--threads must be >= 0 (got %lld)\n", n);
-        return false;
-      }
-      opts.threads = static_cast<size_t>(n);
+      ok = ParseIntFlag(key, value, &opts.threads, 0, kMaxThreads);
     } else if (key == "async-eval") {
       opts.async_eval = true;
     } else if (key == "eval-threads") {
-      const long long n = as_int();
-      if (n < 0) {
-        std::fprintf(stderr, "--eval-threads must be >= 0 (got %lld)\n", n);
-        return false;
-      }
-      opts.eval_threads = static_cast<size_t>(n);
+      ok = ParseIntFlag(key, value, &opts.eval_threads, 0, kMaxThreads);
     } else if (key == "save") {
       opts.save_path = value;
     } else if (key == "load") {
@@ -171,6 +167,12 @@ bool ParseFlags(int argc, char** argv, Options& opts) {
       std::fprintf(stderr, "unknown flag '--%s'\n", key.c_str());
       return false;
     }
+    if (!ok) return false;
+  }
+  if (!opts.in_batch && opts.batch > UINT32_MAX / (1 + opts.negatives)) {
+    std::fprintf(stderr,
+                 "--batch x (1 + --negatives) must be at most 2^32 - 1\n");
+    return false;
   }
   return true;
 }

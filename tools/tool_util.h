@@ -1,15 +1,20 @@
 // Shared scaffolding for the command-line tools (bslrec_train,
-// bslrec_serve): dataset selection from the common --dataset /
-// --train-file / --test-file flags and the backbone factory behind the
-// common --backbone flag. Keeping these here means a new preset or
-// backbone shows up in every tool at once instead of drifting.
+// bslrec_serve, bslrec_served): strict integer flag parsing, dataset
+// selection from the common --dataset / --train-file / --test-file flags
+// and the backbone factory behind the common --backbone flag. Keeping
+// these here means a new preset or backbone shows up in every tool at
+// once instead of drifting.
 #ifndef BSLREC_TOOLS_TOOL_UTIL_H_
 #define BSLREC_TOOLS_TOOL_UTIL_H_
 
+#include <charconv>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
+#include <system_error>
+#include <type_traits>
 
 #include "data/dataset.h"
 #include "data/loaders.h"
@@ -21,6 +26,28 @@
 #include "models/ngcf.h"
 
 namespace bslrec::tools {
+
+// Parses the value of integer flag --`key`: all of `value` must be a
+// base-10 integer in [lo, hi] (the bounds default to T's range; an
+// unsigned flag takes no sign). Stores it in *out, or prints a
+// diagnostic and returns false, so the tool fails flag parsing (exit 2
+// with usage) instead of casting a wrapped or truncated value.
+template <typename T>
+bool ParseIntFlag(const std::string& key, const std::string& value, T* out,
+                  std::type_identity_t<T> lo = std::numeric_limits<T>::min(),
+                  std::type_identity_t<T> hi = std::numeric_limits<T>::max()) {
+  T v{};
+  const char* const end = value.data() + value.size();
+  const std::from_chars_result r = std::from_chars(value.data(), end, v);
+  if (r.ec != std::errc() || r.ptr != end || v < lo || v > hi) {
+    std::fprintf(stderr, "--%s must be an integer in [%s, %s] (got '%s')\n",
+                 key.c_str(), std::to_string(lo).c_str(),
+                 std::to_string(hi).c_str(), value.c_str());
+    return false;
+  }
+  *out = v;
+  return true;
+}
 
 // Loads interaction files when given, otherwise generates the named
 // synthetic preset (yelp|amazon|gowalla|ml1m). Returns nullopt with a
