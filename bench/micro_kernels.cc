@@ -370,6 +370,45 @@ void BM_DotTilePerPairDot(benchmark::State& state) {
 }
 BENCHMARK(BM_DotTilePerPairDot)->Unit(benchmark::kMillisecond);
 
+// The exact catalog scan's tile: one query block of 16 against one chunk
+// of 64 item rows at dim 64, in single precision over the rows in place
+// (serve::ShardTopK's shape). BM_DotTileF32DoubleTile is the same tile as
+// the scan scored it before, widening the chunk's rows (the block's
+// query rows were widened once per shard, so they are not timed).
+constexpr size_t kScanBlock = 16;
+constexpr size_t kScanChunk = 64;
+
+void BM_DotTileF32(benchmark::State& state) {
+  const auto queries = GaussianVec(kScanBlock * kTileDim, 25);
+  const auto rows = GaussianVec(kScanChunk * kTileDim, 26);
+  std::vector<float> out(kScanBlock * kScanChunk);
+  for (auto _ : state) {
+    vec::DotTileF32(queries.data(), kScanBlock, rows.data(), kScanChunk,
+                    kTileDim, out.data(), kScanChunk);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kScanBlock * kScanChunk);
+}
+BENCHMARK(BM_DotTileF32);
+
+void BM_DotTileF32DoubleTile(benchmark::State& state) {
+  const auto queries = GaussianVec(kScanBlock * kTileDim, 25);
+  const auto rows = GaussianVec(kScanChunk * kTileDim, 26);
+  std::vector<double> queries_wide(queries.size()), rows_wide(rows.size());
+  vec::Widen(queries.data(), queries.size(), queries_wide.data());
+  std::vector<float> out(kScanBlock * kScanChunk);
+  for (auto _ : state) {
+    vec::Widen(rows.data(), rows.size(), rows_wide.data());
+    vec::DotTile(queries_wide.data(), kScanBlock, rows_wide.data(), kScanChunk,
+                 kTileDim, out.data(), kScanChunk);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kScanBlock * kScanChunk);
+}
+BENCHMARK(BM_DotTileF32DoubleTile);
+
 // One in-batch user run at the same shape: the user's 1023 terms (the
 // positive and every other sample's positive) summed into its gradient
 // row at dim 64, as the trainer's phase A does once per sample.
@@ -725,9 +764,10 @@ BENCHMARK(BM_Evaluator);
 
 // One block of m queries through serve::BlockTopK's exact tier at the
 // evaluator's shape: 8000 items, dim 64, 2048-item shards, k = 20, and
-// 20 excluded ids per query. m = 1 is the per-pair vec::Dot scan; larger
-// blocks widen each item chunk once for the whole block and score it
-// with vec::DotTile. Every m returns the same bits per query.
+// 20 excluded ids per query. Every m runs the same scan: each item chunk
+// is scored once for the whole block as a vec::DotTileF32 tile, and each
+// query re-scores with vec::Dot only the items its skip test keeps.
+// Every m returns the same bits per query.
 void BM_BlockTopK(benchmark::State& state) {
   constexpr uint32_t kItems = 8000;
   constexpr uint32_t kUsers = 64;

@@ -15,7 +15,7 @@ namespace {
 // one block of serve::BlockTopK. Fixed (independent of the worker
 // count) so per-shard outputs reduce deterministically; small enough
 // that ranking-heavy shards still load-balance. No ranking depends on
-// it: every block scores each user with vec::Dot's bits.
+// it: every block ranks each user's items by vec::Dot's bits.
 constexpr size_t kEvalGrain = serve::kQueryBlock;
 
 }  // namespace

@@ -18,16 +18,17 @@
 // with per-worker scan buffers, across every query on the pass. Each
 // user shard is ranked as one block by the serving stack's own block
 // kernel, `serve::BlockTopK`, so offline metrics and served responses
-// agree bit-for-bit by construction. On the exact tier a block widens
-// its users' rows once and scores the catalog in vec::DotTile tiles
-// (see serve/topk_scorer.h); `TopKForUser` ranks one user alone, with
-// per-pair vec::Dot. Both give every (user, item) pair vec::Dot's bits
-// and select under the same strict total order, so each user's ranking,
-// and hence every metric, is the same whatever the block — the metrics
-// are the sums of the per-user kernels over those rankings in test-user
-// order. The single-shot `Evaluate`/`GroupNdcg`/... wrappers each open
-// a one-query pass; callers issuing several queries against the same
-// model state should hold a pass instead.
+// agree bit-for-bit by construction. On the exact tier a block scores
+// the catalog in single-precision vec::DotTileF32 tiles and re-scores
+// with vec::Dot only the items that can still reach a user's k-th (see
+// serve/topk_scorer.h); `TopKForUser` runs the same scan for one user.
+// Every ranked item carries vec::Dot's bits, and selection runs under
+// the same strict total order, so each user's ranking, and hence every
+// metric, is the same whatever the block — the metrics are the sums of
+// the per-user kernels over those rankings in test-user order. The
+// single-shot `Evaluate`/`GroupNdcg`/... wrappers each open a one-query
+// pass; callers issuing several queries against the same model state
+// should hold a pass instead.
 //
 // `BeginPassOn(snapshot)` opens a pass over an *already frozen*
 // snapshot instead of freezing one itself. That is the seam async
@@ -38,7 +39,9 @@
 // snapshot.
 //
 // The `scoring` options pick the tier BlockTopK runs per pass:
-//   * default — exact full-catalog scan, tiled per user block;
+//   * default — exact full-catalog scan, tiled per user block
+//     (about 2% of the (user, item) pairs re-scored in double at the
+//     benchmark's 4k x 8k shape);
 //   * `exact = false` — ANN through the snapshot's IVF index at
 //     `nprobe` probes, per user: the *approximate evaluation pass*,
 //     measuring exactly the lists ANN serving would return (with fp32

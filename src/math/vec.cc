@@ -22,7 +22,9 @@
 // The hot kernels below are written as unrolled/blocked loops with
 // multiple independent accumulators. Two properties are load-bearing:
 //   * Stability: reductions still accumulate in double (the original
-//     contract), so long rows don't lose low-order bits.
+//     contract), so long rows don't lose low-order bits. DotTileF32 is
+//     the one float reduction; its only user, the exact scan's skip
+//     test, covers its error with DotTileF32Error.
 //   * Determinism: the summation tree is a pure function of n — four
 //     fixed accumulator lanes combined in a fixed order — so results
 //     never depend on call context. The multi-threaded trainer and
@@ -562,6 +564,36 @@ void DotTile(const double* q, size_t m, const double* rows, size_t n,
   }
 }
 
+void DotTileF32(const float* q, size_t m, const float* rows, size_t n,
+                size_t d, float* out, size_t ld) {
+  for (size_t i = 0; i < m; ++i) {
+    const float* a = q + i * d;
+    for (size_t j = 0; j < n; ++j) {
+      const float* b = rows + j * d;
+      float lane[8] = {};
+      for (size_t k = 0; k < d; k += 8) {
+        for (size_t l = 0; l < 8; ++l) {
+          // Columns past d are zeros: their +0.0f products still go
+          // through the add, as the AVX2 form's masked loads make them.
+          const bool in = k + l < d;
+          lane[l] += (in ? a[k + l] : 0.0f) * (in ? b[k + l] : 0.0f);
+        }
+      }
+      out[i * ld + j] = ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
+                        ((lane[4] + lane[5]) + (lane[6] + lane[7]));
+    }
+  }
+}
+
+size_t IndicesNotBelow(const float* x, size_t n, float t, uint32_t* out) {
+  size_t c = 0;
+  for (size_t i = 0; i < n; ++i) {
+    out[c] = static_cast<uint32_t>(i);
+    c += !(x[i] < t);
+  }
+  return c;
+}
+
 [[gnu::noinline]] void WeightedRowSum(const float* values, const uint32_t* idx,
                                       size_t m, const float* x, size_t stride,
                                       float* out, size_t n) {
@@ -575,6 +607,67 @@ void DotTile(const double* q, size_t m, const double* rows, size_t n,
 
 void Widen(const float* x, size_t n, double* out) {
   for (size_t k = 0; k < n; ++k) out[k] = static_cast<double>(x[k]);
+}
+
+double NormBound(const float* x, size_t n) {
+  // Squares of floats are exact in double (no overflow, no underflow),
+  // so the only roundings are the n adds, the square root and the final
+  // multiply: the relative error of sqrt(ss) stays below
+  // (n / 2 + 2) * 2^-53, which the factor covers with room to spare.
+  double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
+  size_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    acc0 += static_cast<double>(x[k + 0]) * x[k + 0];
+    acc1 += static_cast<double>(x[k + 1]) * x[k + 1];
+    acc2 += static_cast<double>(x[k + 2]) * x[k + 2];
+    acc3 += static_cast<double>(x[k + 3]) * x[k + 3];
+  }
+  for (; k < n; ++k) acc0 += static_cast<double>(x[k]) * x[k];
+  return std::sqrt((acc0 + acc1) + (acc2 + acc3)) *
+         (1.0 + static_cast<double>(n + 2) * 0x1p-52);
+}
+
+// Derivation of DotTileF32Error. Write u = 2^-24 (float) and v = 2^-53
+// (double) for the unit roundoffs, p_k = q_k * x_k for the exact
+// products, P = sum_k |p_k| <= ||q||_2 * ||x||_2 (Cauchy-Schwarz), and
+// gamma_n(u) = n u / (1 - n u).
+//   * DotTileF32: each product is rounded once (float multiply), then
+//     passes through at most ceil(d/8) lane adds and the three levels of
+//     the lane tree, so every term sees at most n = ceil(d/8) + 4
+//     roundings, and |fp32 - sum p| <= gamma_n(u) P (the inner-product
+//     bound of Higham, Accuracy and Stability of Numerical Algorithms,
+//     ch. 3, which holds for any summation tree), as long as nothing
+//     overflows and ignoring underflow. A float add never underflows (a
+//     subnormal sum is exact), but a product can lose up to 2^-150
+//     absolutely; each of the d such errors grows by at most
+//     (1 + gamma_n) on its way up. The padded columns add exact zeros.
+//   * Dot: float products are exact in double, each passes through at
+//     most floor(d/4) + 3 lane adds and two tree levels, so the double
+//     sum D has |D - sum p| <= gamma_{d/4+5}(v) P; the final narrowing
+//     gives |s - D| <= u |D| + 2^-150.
+// Together, with delta = 2 gamma_{d/4+5}(v) covering the double sum and
+// its growth by (1 + u):
+//   |fp32 - s| <= (gamma_n(u) + u + delta) P + (d + 1) 2^-149.
+// The last term is the underflow budget eta. The factor (1 + 2^-20)
+// covers the double roundings of this very computation and of the
+// caller's norm product; the narrowing to float rounds up. Overflow is
+// excluded by refusing norm products above 2^100: then every partial sum
+// of either form stays below 2^101 in magnitude, far under FLT_MAX.
+float DotTileF32Error(size_t d, double norm_product) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const double n = static_cast<double>((d + 7) / 8 + 4);
+  const double nd = static_cast<double>(d / 4 + 5);
+  constexpr double u = 0x1p-24;
+  constexpr double v = 0x1p-53;
+  if (!(norm_product <= 0x1p100) || n * u >= 0.5) return kInf;
+  const double gamma = n * u / (1.0 - n * u);
+  const double delta = 2.0 * nd * v / (1.0 - nd * v);
+  const double eta = static_cast<double>(d + 1) * 0x1p-149;
+  const double bound =
+      ((gamma + u + delta) * norm_product + eta) * (1.0 + 0x1p-20);
+  float e = static_cast<float>(bound);
+  if (static_cast<double>(e) < bound) e = std::nextafter(e, kInf);
+  return e;
 }
 
 #if BSLREC_VEC_X86
@@ -674,6 +767,94 @@ BSLREC_AVX2 inline void DotTileRows256(const double* q, const double* rows,
 // Rows go through DotTile in chunks small enough (kDotTileChunk rows of
 // d doubles) to stay in L1 while every query block passes over them.
 constexpr size_t kDotTileChunk = 32;
+
+// Eight pairs' lane registers a0..a7 reduced to one register whose
+// entry t is ((at0 + at1) + (at2 + at3)) + ((at4 + at5) + (at6 + at7)),
+// the reference's tree: the first two rounds of horizontal adds form
+// each 128-bit half's sum of four, and one vertical add joins the
+// halves.
+BSLREC_AVX2 inline __m256 ReduceLanes8(__m256 a0, __m256 a1, __m256 a2,
+                                       __m256 a3, __m256 a4, __m256 a5,
+                                       __m256 a6, __m256 a7) {
+  const __m256 h01 = _mm256_hadd_ps(a0, a1);
+  const __m256 h23 = _mm256_hadd_ps(a2, a3);
+  const __m256 h45 = _mm256_hadd_ps(a4, a5);
+  const __m256 h67 = _mm256_hadd_ps(a6, a7);
+  const __m256 g0 = _mm256_hadd_ps(h01, h23);  // pairs 0-3: low | high
+  const __m256 g1 = _mm256_hadd_ps(h45, h67);  // pairs 4-7: low | high
+  return _mm256_add_ps(_mm256_permute2f128_ps(g0, g1, 0x20),
+                       _mm256_permute2f128_ps(g0, g1, 0x31));
+}
+
+// One block of eight pairs of the AVX2 DotTileF32: MQ queries (1 or 2)
+// against 8 / MQ rows, pair (i, j) keeping its eight float lanes in
+// acc[i * (8 / MQ) + j], all eight in registers. The d % 8 tail is read
+// through `tail`, a load mask of its columns, so the padded lanes add
+// +0.0f * +0.0f as the reference does. Returns ReduceLanes8 of the
+// pairs, in pair order.
+template <size_t MQ>
+BSLREC_AVX2 inline __m256 DotTileF32Block(const float* const (&q)[MQ],
+                                          const float* const (&x)[8 / MQ],
+                                          size_t d, __m256i tail) {
+  constexpr size_t NR = 8 / MQ;
+  __m256 acc[8];
+  for (size_t t = 0; t < 8; ++t) acc[t] = _mm256_setzero_ps();
+  size_t k = 0;
+  for (; k + 8 <= d; k += 8) {
+    for (size_t i = 0; i < MQ; ++i) {
+      const __m256 qv = _mm256_loadu_ps(q[i] + k);
+      for (size_t j = 0; j < NR; ++j) {
+        const __m256 xv = _mm256_loadu_ps(x[j] + k);
+        acc[i * NR + j] = _mm256_add_ps(acc[i * NR + j], _mm256_mul_ps(qv, xv));
+      }
+    }
+  }
+  if (k < d) {
+    for (size_t i = 0; i < MQ; ++i) {
+      const __m256 qv = _mm256_maskload_ps(q[i] + k, tail);
+      for (size_t j = 0; j < NR; ++j) {
+        const __m256 xv = _mm256_maskload_ps(x[j] + k, tail);
+        acc[i * NR + j] = _mm256_add_ps(acc[i * NR + j], _mm256_mul_ps(qv, xv));
+      }
+    }
+  }
+  return ReduceLanes8(acc[0], acc[1], acc[2], acc[3], acc[4], acc[5], acc[6],
+                      acc[7]);
+}
+
+// The AVX2 DotTileF32's blocks for MQ queries (q[i] = query i) against
+// rows [0, n), 8 / MQ rows at a time; out[i] is query i's output row.
+template <size_t MQ>
+BSLREC_AVX2 inline void DotTileF32Rows(const float* const (&q)[MQ],
+                                       const float* rows, size_t n, size_t d,
+                                       __m256i tail, float* const (&out)[MQ]) {
+  constexpr size_t NR = 8 / MQ;
+  size_t j0 = 0;
+  for (; j0 + NR <= n; j0 += NR) {
+    const float* x[NR];
+    for (size_t j = 0; j < NR; ++j) x[j] = rows + (j0 + j) * d;
+    const __m256 s = DotTileF32Block<MQ>(q, x, d, tail);
+    if constexpr (MQ == 2) {
+      _mm_storeu_ps(out[0] + j0, _mm256_castps256_ps128(s));
+      _mm_storeu_ps(out[1] + j0, _mm256_extractf128_ps(s, 1));
+    } else {
+      _mm256_storeu_ps(out[0] + j0, s);
+    }
+  }
+  if (j0 < n) {
+    // The last n mod NR rows: the block repeats the last row in place of
+    // the missing ones and drops their entries.
+    const float* x[NR];
+    for (size_t j = 0; j < NR; ++j) {
+      x[j] = rows + std::min(j0 + j, n - 1) * d;
+    }
+    alignas(32) float s[8];
+    _mm256_store_ps(s, DotTileF32Block<MQ>(q, x, d, tail));
+    for (size_t i = 0; i < MQ; ++i) {
+      for (size_t j = 0; j0 + j < n; ++j) out[i][j0 + j] = s[i * NR + j];
+    }
+  }
+}
 
 namespace avx2 {
 
@@ -818,6 +999,48 @@ BSLREC_AVX2 void DotTile(const double* q, size_t m, const double* rows,
   }
 }
 
+BSLREC_AVX2 void DotTileF32(const float* q, size_t m, const float* rows,
+                            size_t n, size_t d, float* out, size_t ld) {
+  // Lane l of the tail load is read iff l < d % 8.
+  const __m256i lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m256i tail =
+      _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(d % 8)), lanes);
+  // Two queries against four rows per block (eight accumulators, four
+  // row operands and two query operands in AVX2's 16 registers); a last
+  // single query against eight rows.
+  size_t i = 0;
+  for (; i + 2 <= m; i += 2) {
+    const float* const qs[2] = {q + i * d, q + (i + 1) * d};
+    float* const outs[2] = {out + i * ld, out + (i + 1) * ld};
+    DotTileF32Rows<2>(qs, rows, n, d, tail, outs);
+  }
+  if (i < m) {
+    const float* const qs[1] = {q + i * d};
+    float* const outs[1] = {out + i * ld};
+    DotTileF32Rows<1>(qs, rows, n, d, tail, outs);
+  }
+}
+
+BSLREC_AVX2 size_t IndicesNotBelow(const float* x, size_t n, float t,
+                                   uint32_t* out) {
+  // _CMP_NLT_UQ is !(x < t): true for NaN, like the reference's test.
+  const __m256 tv = _mm256_set1_ps(t);
+  size_t c = 0;
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 keep = _mm256_cmp_ps(_mm256_loadu_ps(x + i), tv, _CMP_NLT_UQ);
+    unsigned mask = static_cast<unsigned>(_mm256_movemask_ps(keep));
+    for (; mask != 0; mask &= mask - 1) {
+      out[c++] = static_cast<uint32_t>(i + __builtin_ctz(mask));
+    }
+  }
+  for (; i < n; ++i) {
+    out[c] = static_cast<uint32_t>(i);
+    c += !(x[i] < t);
+  }
+  return c;
+}
+
 BSLREC_AVX2 void WeightedRowSum(const float* values, const uint32_t* idx,
                                 size_t m, const float* x, size_t stride,
                                 float* out, size_t n) {
@@ -897,6 +1120,21 @@ void DotTile(const double* q, size_t m, const double* rows, size_t n,
   if (RunAvx2()) return avx2::DotTile(q, m, rows, n, d, out, out_stride);
 #endif
   ref::DotTile(q, m, rows, n, d, out, out_stride);
+}
+
+void DotTileF32(const float* q, size_t m, const float* rows, size_t n,
+                size_t d, float* out, size_t ld) {
+#if BSLREC_VEC_X86
+  if (RunAvx2()) return avx2::DotTileF32(q, m, rows, n, d, out, ld);
+#endif
+  ref::DotTileF32(q, m, rows, n, d, out, ld);
+}
+
+size_t IndicesNotBelow(const float* x, size_t n, float t, uint32_t* out) {
+#if BSLREC_VEC_X86
+  if (RunAvx2()) return avx2::IndicesNotBelow(x, n, t, out);
+#endif
+  return ref::IndicesNotBelow(x, n, t, out);
 }
 
 void WeightedRowSum(const float* values, const uint32_t* idx, size_t m,

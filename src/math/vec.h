@@ -7,9 +7,10 @@
 //
 // ---- SIMD dispatch contract ----
 //
-// The hot kernels (`Dot`, `DotRows`, `DotTile`, `AccumulateCosineGradRun`,
-// `AccumulateCosineGradRuns`, `DotI8`, `DotBatchI8`, `WeightedRowSum`,
-// `AdamStep`) each exist in two forms: a scalar reference, always
+// The hot kernels (`Dot`, `DotRows`, `DotTile`, `DotTileF32`,
+// `IndicesNotBelow`, `AccumulateCosineGradRun`, `AccumulateCosineGradRuns`,
+// `DotI8`, `DotBatchI8`, `WeightedRowSum`, `AdamStep`) each exist in two
+// forms: a scalar reference, always
 // compiled and exposed under `vec::ref`, and an AVX2 form, internal to
 // vec.cc and compiled into every x86-64 build. Each process reads CPUID
 // once and runs the AVX2 forms where the CPU has AVX2, the references
@@ -23,6 +24,7 @@
 //
 //   * integer kernels (`DotI8`, `DotBatchI8`) exactly — int32 arithmetic
 //     is associative, so lane layout cannot change the result;
+//   * `IndicesNotBelow` exactly — a packed compare is the scalar one;
 //   * `QuantizeRow` exactly — the max-abs reduction is order-invariant,
 //     each code is a float multiply (identical IEEE rounding in scalar
 //     and packed form) followed by round-to-nearest-even (the default
@@ -47,6 +49,17 @@
 //     register and transposes four pairs' registers before combining
 //     their lanes, so four adjacent entries combine in one vector add
 //     tree instead of four horizontal sums.
+//   * `DotTileF32` via its own fixed tree in float: per (query, row)
+//     entry, lane l of eight sums the float products with k = l mod 8 in
+//     order of k over the rows zero-padded to a multiple of 8 columns,
+//     and the lanes combine as ((0+1)+(2+3))+((4+5)+(6+7)). The AVX2 form
+//     holds one pair's eight lanes in one register, reads the padded
+//     columns with masked loads (zeros), and combines eight pairs'
+//     registers with horizontal adds that perform exactly those sums.
+//     A NaN entry is NaN in both forms; its payload is not part of the
+//     contract. Its entries are not Dot's: DotTileF32Error bounds the
+//     difference, which is all its one user, the exact catalog scan,
+//     relies on.
 //   * `AccumulateCosineGradRun` exactly — per element it performs
 //     AccumulateCosineGrad's float expression, term by term in run
 //     order, on the same operands; the AVX2 form only keeps a block of
@@ -121,6 +134,9 @@ void DotRows(const float* q, const float* table, size_t stride,
              const uint32_t* ids, size_t m, size_t d, float* out);
 void DotTile(const double* q, size_t m, const double* rows, size_t n,
              size_t d, float* out, size_t out_stride);
+void DotTileF32(const float* q, size_t m, const float* rows, size_t n,
+                size_t d, float* out, size_t ld);
+size_t IndicesNotBelow(const float* x, size_t n, float t, uint32_t* out);
 void AccumulateCosineGradRun(const float* self_hat, const float* others,
                              size_t stride, const uint32_t* idx,
                              const float* scores, const float* scales,
@@ -265,7 +281,8 @@ void AccumulateCosineGradRuns(const float* self_hat, const float* others,
                               const uint32_t* run_ends, size_t num_runs,
                               float* grad, size_t n);
 
-// Widens n floats to double (exact): the operand form of DotTile.
+// Widens n floats to double (exact): the operand form of DotTile (the
+// trainer's in-batch shards).
 void Widen(const float* x, size_t n, double* out);
 
 // Tiled scoring of m queries against n rows (both widened with Widen,
@@ -274,12 +291,41 @@ void Widen(const float* x, size_t n, double* out);
 // header note). Each widened row is loaded once per block of three
 // queries (AVX2) and stays in L1 across the whole query block.
 // It scores the trainer's in-batch shards (Algorithm 2: a shard's users
-// against the batch's positives) and the exact catalog scan's query
-// blocks (serve::ShardTopK: a block of users or requests against a
-// chunk of item rows), which the evaluator pass and
-// CatalogScorer::BatchTopK both run.
+// against the batch's positives), where every score is used.
 void DotTile(const double* q, size_t m, const double* rows, size_t n,
              size_t d, float* out, size_t out_stride);
+
+// Single-precision tiled scoring of m queries against n rows, both read
+// in place (row-major floats with stride d, no widening):
+// out[i * ld + j] is query i . row j summed in float by the fixed tree of
+// the header note (eight lanes over the rows zero-padded to a multiple of
+// 8 columns). Half of DotTile's multiply-adds, but not Dot's bits:
+// |out - Dot| <= DotTileF32Error(d, ||q||_2 * ||row||_2). The exact
+// catalog scan (serve::ShardTopK) scores each chunk of item rows against
+// a query block with it, and re-scores with Dot only the items whose
+// entry lies within that bound of the query's running k-th.
+void DotTileF32(const float* q, size_t m, const float* rows, size_t n,
+                size_t d, float* out, size_t ld);
+
+// An upper bound on |DotTileF32(q, x) - Dot(q, x, d)| over every pair of
+// float rows of dim d with ||q||_2 * ||x||_2 <= norm_product, in the
+// default floating-point environment (round to nearest, subnormals
+// kept). Rounded up to a float. +inf when norm_product is NaN, infinite
+// or above 2^100 (where float partial sums could overflow), so a caller
+// that skips items on it skips nothing then. vec.cc derives it.
+float DotTileF32Error(size_t d, double norm_product);
+
+// Writes, in ascending order, every index i < n with !(x[i] < t) (NaN
+// entries included) into `out`, which needs room for n, and returns how
+// many it wrote. The exact scan's skip test over a query's row of a
+// DotTileF32 tile. Exact in both forms: the AVX2 form compares eight
+// entries at a time and writes the set bits of their mask.
+size_t IndicesNotBelow(const float* x, size_t n, float t, uint32_t* out);
+
+// An upper bound on ||x||_2 (sum of squares in double, raised to cover
+// its rounding): NaN if x has a NaN, +inf if it has an infinity. The
+// operand of DotTileF32Error.
+double NormBound(const float* x, size_t n);
 
 // One sparse row times a dense matrix: for j in [0, m), in order,
 //   out[k] += values[j] * x[idx[j] * stride + k]   for k in [0, n),

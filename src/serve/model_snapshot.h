@@ -17,6 +17,14 @@
 // `runtime::ThreadPool`; rows are independent, so the fill is
 // bit-identical for any worker count.
 //
+// Freeze also records `item_norm_bound()`, the largest `vec::NormBound`
+// of a normalized item row (rows with a NaN left out). Normalized rows
+// are unit up to rounding, but not all of them: a zero row stays zero and
+// a row too small to normalize keeps a norm below 1, so the exact scan
+// (topk_scorer.h) bounds its single-precision error with this recorded
+// maximum rather than assuming unit rows. A maximum of exact per-row
+// bounds is the same for every worker count.
+//
 // With `SnapshotOptions::ivf` the snapshot also carries an IVF coarse
 // index (ivf_index.h) built over the normalized item table at freeze
 // time, optionally with int8 copies of its grouped list rows
@@ -60,6 +68,10 @@ class ModelSnapshot {
   const float* UserVec(uint32_t u) const { return user_normed_.Row(u); }
   const float* ItemVec(uint32_t i) const { return item_normed_.Row(i); }
 
+  // An upper bound on ||ItemVec(i)||_2 over every item row without a NaN
+  // (0 for an empty catalog; +inf if a row has an infinity).
+  double item_norm_bound() const { return item_norm_bound_; }
+
   // IVF coarse index (non-null iff built with ivf.build).
   const IvfIndex* ivf() const { return ivf_.get(); }
 
@@ -69,6 +81,7 @@ class ModelSnapshot {
   size_t dim_;
   Matrix user_normed_;
   Matrix item_normed_;
+  double item_norm_bound_ = 0.0;
   std::unique_ptr<const IvfIndex> ivf_;
 };
 

@@ -463,6 +463,10 @@ void ServingFrontEnd::DispatchLoop() {
     }
 
     in_flight_ = batch.size();
+    // Counted before ServeBatch fulfils any promise, so a caller holding
+    // every response already sees its requests here (the accounting
+    // identity in serving_frontend.h).
+    stats_.requests += batch.size();
     ++stats_.batches;
     if (batch.size() == config_.max_batch) {
       ++stats_.size_flushes;
@@ -481,7 +485,6 @@ void ServingFrontEnd::DispatchLoop() {
     lock.lock();
 
     last_batch_us_ = batch_us;
-    stats_.requests += batch.size();
     in_flight_ = 0;
     idle_cv_.notify_all();
   }

@@ -130,13 +130,17 @@
 //     failed) before the front end dies.
 //
 // Stats accounting invariant (tested; the bench's overload probe):
-//   once the front end is idle (Drain() returned, no Submit running),
+//   once every future of the submitted requests is ready (no Submit
+//   running), and so also once Drain() has returned,
 //     submitted == requests + shed_newest + shed_oldest
 //                + expired_admission
 //   where `requests` counts everything finalized by the dispatcher
 //   (served, rejected-invalid, failed-by-scoring-error, expired at
 //   queue or batch stage) and the other three count requests
-//   finalized at admission, which never reach the dispatcher. With a
+//   finalized at admission, which never reach the dispatcher. Each
+//   counter is raised before the promises it counts are fulfilled (the
+//   dispatcher counts a batch when it forms it), so a caller that holds
+//   every response needs no Drain() to see the identity. With a
 //   bounded queue, queue_depth_high_water <= max_queue_depth always.
 #ifndef BSLREC_SERVE_SERVING_FRONTEND_H_
 #define BSLREC_SERVE_SERVING_FRONTEND_H_

@@ -1,6 +1,8 @@
 #include "serve/topk_scorer.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "math/check.h"
 #include "math/vec.h"
@@ -8,15 +10,6 @@
 namespace bslrec::serve {
 
 namespace {
-
-// out[i - lo] = cos(q_hat, item i) for every item in [lo, hi).
-void ScoreItemRange(const ModelSnapshot& snapshot, const float* q_hat,
-                    uint32_t lo, uint32_t hi, float* out) {
-  const size_t d = snapshot.dim();
-  for (uint32_t i = lo; i < hi; ++i) {
-    out[i - lo] = vec::Dot(q_hat, snapshot.ItemVec(i), d);
-  }
-}
 
 // Keeps the ScoredBefore-first min(k, size) entries of `pool`, in order.
 void KeepTopK(std::vector<ScoredItem>& pool, uint32_t k) {
@@ -30,36 +23,142 @@ uint32_t CandidateCount(uint32_t k, uint32_t margin) {
   return k > UINT32_MAX - margin ? UINT32_MAX : k + margin;
 }
 
-// The tiled exact scan of items [lo, hi) for a block of m >= 2 queries
-// (see the header note): every score equals vec::Dot's bitwise, so each
-// query's selection sees exactly its one-query scores.
-void TiledShardTopK(const ModelSnapshot& snapshot,
-                    std::span<const ScoreQuery> block, uint32_t lo, uint32_t hi,
-                    ShardScratch& ws, std::span<std::vector<ScoredItem>> tops) {
+// The running top-k of every selection is a heap under ScoredBefore
+// (std::make_heap on entry, std::sort_heap on exit): its front is the
+// entry that ranks last, which is the k-th once k entries are in.
+// Offers `item` to a heap of at most k >= 1 entries: it enters while
+// there is room, and otherwise replaces the front if it ranks before it
+// (one sift-down from the root).
+void OfferToHeap(std::vector<ScoredItem>& heap, uint32_t k, ScoredItem item) {
+  if (heap.size() < k) {
+    heap.push_back(item);
+    std::push_heap(heap.begin(), heap.end(), ScoredBefore);
+    return;
+  }
+  if (!ScoredBefore(item, heap.front())) return;
+  const size_t n = heap.size();
+  size_t hole = 0;
+  for (size_t c = 1; c < n; c = 2 * hole + 1) {
+    if (c + 1 < n && ScoredBefore(heap[c], heap[c + 1])) ++c;
+    if (!ScoredBefore(item, heap[c])) break;
+    heap[hole] = heap[c];
+    hole = c;
+  }
+  heap[hole] = item;
+}
+
+// A float at or below f - eps: the subtraction rounds to nearest, so one
+// step down covers its rounding. An fp32 score below it therefore lies
+// more than eps below f. NaN when f or eps makes f - eps NaN, and -inf
+// when eps is +inf, so no score is below it then.
+float SkipBelow(float f, float eps) {
+  return std::nextafter(f - eps, -std::numeric_limits<float>::infinity());
+}
+
+// Scores the n items c0 + kept[t] for one query with vec::Dot's bits (one
+// DotRows call) and offers each to the query's heap.
+void RescoreInto(const ModelSnapshot& snapshot, const float* q_hat,
+                 uint32_t c0, size_t n, uint32_t k, ShardScratch& ws,
+                 std::vector<ScoredItem>& heap) {
+  if (n == 0) return;
+  const size_t d = snapshot.dim();
+  vec::DotRows(q_hat, snapshot.ItemVec(c0), d, ws.kept.data(), n, d,
+               ws.exact.data());
+  ws.stats.exact_rescored += n;
+  for (size_t t = 0; t < n; ++t) {
+    OfferToHeap(heap, k, {c0 + ws.kept[t], ws.exact[t]});
+  }
+}
+
+// Offers the query's eligible items of chunk [c0, c1) to its heap, given
+// its row of the chunk's fp32 tile (see the header note): the first
+// items fill the heap to k, and after that only items whose fp32 score
+// is not more than eps below the k-th's exact score are re-scored and
+// offered.
+void OfferChunk(const ModelSnapshot& snapshot, const ScoreQuery& query,
+                uint32_t c0, uint32_t c1, const float* fp32,
+                ShardScratch::QueryState& state, ShardScratch& ws,
+                std::vector<ScoredItem>& heap) {
+  const std::span<const uint32_t> exclude = query.exclude;
+  size_t& ex = state.next_exclude;
+  // Items arrive in ascending order, so the exclusion cursor only moves
+  // forward.
+  const auto excluded = [&](uint32_t i) {
+    while (ex < exclude.size() && exclude[ex] < i) ++ex;
+    return ex < exclude.size() && exclude[ex] == i;
+  };
+  uint32_t i = c0;
+  if (heap.size() < query.k) {
+    size_t n = 0;
+    for (; i < c1 && heap.size() + n < query.k; ++i) {
+      if (!excluded(i)) ws.kept[n++] = i - c0;
+    }
+    RescoreInto(snapshot, query.q_hat, c0, n, query.k, ws, heap);
+    if (heap.size() < query.k) return;  // the chunk ran out first
+  }
+  const float below = SkipBelow(heap.front().score, state.eps);
+  const size_t n =
+      vec::IndicesNotBelow(fp32 + (i - c0), c1 - i, below, ws.kept.data());
+  size_t eligible = 0;
+  for (size_t t = 0; t < n; ++t) {
+    const uint32_t offset = ws.kept[t] + (i - c0);
+    if (!excluded(c0 + offset)) ws.kept[eligible++] = offset;
+  }
+  RescoreInto(snapshot, query.q_hat, c0, eligible, query.k, ws, heap);
+}
+
+// Opens the exact scan of `block` from item `lo` on: copies the query
+// rows into ws.q, and for each query with k > 0 turns tops[j] into a heap
+// and sets its eps and exclusion cursor (tops[j] is cleared for k = 0).
+void BeginScan(const ModelSnapshot& snapshot, std::span<const ScoreQuery> block,
+               uint32_t lo, ShardScratch& ws,
+               std::span<std::vector<ScoredItem>> tops) {
   const size_t d = snapshot.dim();
   const size_t m = block.size();
-  const size_t width = hi - lo;
-  ws.q_wide.resize(m * d);
+  ws.q.resize(m * d);
+  ws.queries.resize(m);
+  ws.tile.resize(m * kItemChunk);
+  ws.kept.resize(kItemChunk);
+  ws.exact.resize(kItemChunk);
   for (size_t j = 0; j < m; ++j) {
-    vec::Widen(block[j].q_hat, d, ws.q_wide.data() + j * d);
-  }
-  // Row j of the block's scores holds query j's scores for [lo, hi).
-  ws.rows_wide.resize(static_cast<size_t>(kItemChunk) * d);
-  ws.scores.resize(m * width);
-  for (uint32_t c0 = lo; c0 < hi; c0 += kItemChunk) {
-    const uint32_t c1 = std::min<uint32_t>(hi, c0 + kItemChunk);
-    vec::Widen(snapshot.ItemVec(c0), (c1 - c0) * d, ws.rows_wide.data());
-    vec::DotTile(ws.q_wide.data(), m, ws.rows_wide.data(), c1 - c0, d,
-                 ws.scores.data() + (c0 - lo), width);
-  }
-  for (size_t j = 0; j < m; ++j) {
-    if (block[j].k == 0) {
+    const ScoreQuery& query = block[j];
+    std::copy_n(query.q_hat, d, ws.q.data() + j * d);
+    if (query.k == 0) {
       tops[j].clear();
       continue;
     }
-    ++ws.stats.exact_shards;
-    SelectTopKInto(ws.scores.data() + j * width, lo, hi, block[j].k,
-                   block[j].exclude, ws.cand, tops[j]);
+    std::make_heap(tops[j].begin(), tops[j].end(), ScoredBefore);
+    ws.queries[j].eps = vec::DotTileF32Error(
+        d, vec::NormBound(query.q_hat, d) * snapshot.item_norm_bound());
+    ws.queries[j].next_exclude = static_cast<size_t>(
+        std::lower_bound(query.exclude.begin(), query.exclude.end(), lo) -
+        query.exclude.begin());
+  }
+}
+
+// Scans items [lo, hi) for an open block (BeginScan): one DotTileF32
+// tile per kItemChunk rows, then each query's OfferChunk.
+void ScanItems(const ModelSnapshot& snapshot, std::span<const ScoreQuery> block,
+               uint32_t lo, uint32_t hi, ShardScratch& ws,
+               std::span<std::vector<ScoredItem>> tops) {
+  const size_t m = block.size();
+  for (size_t j = 0; j < m; ++j) ws.stats.exact_shards += block[j].k > 0;
+  for (uint32_t c0 = lo; c0 < hi; c0 += kItemChunk) {
+    const uint32_t c1 = std::min<uint32_t>(hi, c0 + kItemChunk);
+    vec::DotTileF32(ws.q.data(), m, snapshot.ItemVec(c0), c1 - c0,
+                    snapshot.dim(), ws.tile.data(), kItemChunk);
+    for (size_t j = 0; j < m; ++j) {
+      if (block[j].k == 0) continue;
+      OfferChunk(snapshot, block[j], c0, c1, ws.tile.data() + j * kItemChunk,
+                 ws.queries[j], ws, tops[j]);
+    }
+  }
+}
+
+// Closes the scan: each heap becomes its list in ScoredBefore order.
+void EndScan(std::span<std::vector<ScoredItem>> tops) {
+  for (std::vector<ScoredItem>& top : tops) {
+    std::sort_heap(top.begin(), top.end(), ScoredBefore);
   }
 }
 
@@ -86,7 +185,7 @@ void IvfTopK(const ModelSnapshot& snapshot, const float* q_hat, uint32_t k,
   ws.scores.resize(nlist);
   vec::DotBatch(q_hat, ivf->Centroids(), nlist, d, ws.scores.data());
   ws.probes.clear();
-  SelectTopKInto(ws.scores.data(), 0, nlist, nprobe, {}, ws.cand, ws.probes);
+  SelectTopKInto(ws.scores.data(), 0, nlist, nprobe, {}, ws.probes);
 
   // 2. Gather eligible candidates from the probed lists. Candidates
   // carry their grouped *position* in `item` until the final sort so
@@ -153,44 +252,23 @@ void IvfTopK(const ModelSnapshot& snapshot, const float* q_hat, uint32_t k,
   out.assign(ws.approx.begin(), ws.approx.end());
 }
 
-// One query's shard scan (ShardTopK's contract for a block of one):
-// per-pair vec::Dot scores and selection.
-void OneShardTopK(const ModelSnapshot& snapshot, const ScoreQuery& query,
-                  uint32_t lo, uint32_t hi, ShardScratch& ws,
-                  std::vector<ScoredItem>& top) {
-  if (query.k == 0) {
-    top.clear();
-    return;
-  }
-  ++ws.stats.exact_shards;
-  ws.scores.resize(hi - lo);
-  ScoreItemRange(snapshot, query.q_hat, lo, hi, ws.scores.data());
-  SelectTopKInto(ws.scores.data(), lo, hi, query.k, query.exclude, ws.cand,
-                 top);
-}
-
 }  // namespace
 
 void SelectTopKInto(const float* scores, uint32_t lo, uint32_t hi, uint32_t k,
                     std::span<const uint32_t> exclude,
-                    std::vector<ScoredItem>& scratch,
                     std::vector<ScoredItem>& top) {
-  scratch.assign(top.begin(), top.end());
-  scratch.reserve(top.size() + (hi - lo));
-  // Once `top` holds k items, an item ranked after its k-th has k items
-  // ahead of it and cannot enter the result.
-  const bool full = k > 0 && top.size() >= k;
-  const ScoredItem floor = full ? top[k - 1] : ScoredItem{};
+  if (k == 0) {
+    top.clear();
+    return;
+  }
+  std::make_heap(top.begin(), top.end(), ScoredBefore);
   auto ex = exclude.begin();
   for (uint32_t i = lo; i < hi; ++i) {
     while (ex != exclude.end() && *ex < i) ++ex;
     if (ex != exclude.end() && *ex == i) continue;
-    const ScoredItem item{i, scores[i - lo]};
-    if (full && !ScoredBefore(item, floor)) continue;
-    scratch.push_back(item);
+    OfferToHeap(top, k, {i, scores[i - lo]});
   }
-  KeepTopK(scratch, k);
-  top.assign(scratch.begin(), scratch.end());
+  std::sort_heap(top.begin(), top.end(), ScoredBefore);
 }
 
 SnapshotOptions SnapshotOptionsFor(const ScorerOptions& options,
@@ -220,14 +298,9 @@ void CheckScorerOptions(const ModelSnapshot& snapshot,
 void ShardTopK(const ModelSnapshot& snapshot, std::span<const ScoreQuery> block,
                uint32_t lo, uint32_t hi, ShardScratch& ws,
                std::span<std::vector<ScoredItem>> tops) {
-  // Widening the rows for one query costs more than per-pair Dot saves.
-  if (block.size() >= 2) {
-    TiledShardTopK(snapshot, block, lo, hi, ws, tops);
-    return;
-  }
-  for (size_t j = 0; j < block.size(); ++j) {
-    OneShardTopK(snapshot, block[j], lo, hi, ws, tops[j]);
-  }
+  BeginScan(snapshot, block, lo, ws, tops);
+  ScanItems(snapshot, block, lo, hi, ws, tops);
+  EndScan(tops);
 }
 
 void BlockTopK(const ModelSnapshot& snapshot, std::span<const ScoreQuery> block,
@@ -242,12 +315,15 @@ void BlockTopK(const ModelSnapshot& snapshot, std::span<const ScoreQuery> block,
   }
   const uint32_t n = snapshot.num_items();
   for (size_t j = 0; j < block.size(); ++j) outs[j].clear();
-  // Each shard merges into the running top-k of the shards before it;
-  // the strict total order makes the result independent of the grain.
+  // One heap per query across every shard: a later shard's items only
+  // compete with the k found so far, and the strict total order makes the
+  // result independent of the grain.
+  BeginScan(snapshot, block, 0, ws, outs);
   for (uint32_t lo = 0; lo < n; lo += options.items_per_shard) {
     const uint32_t hi = std::min<uint32_t>(n, lo + options.items_per_shard);
-    ShardTopK(snapshot, block, lo, hi, ws, outs);
+    ScanItems(snapshot, block, lo, hi, ws, outs);
   }
+  EndScan(outs);
 }
 
 CatalogScorer::CatalogScorer(const ModelSnapshot& snapshot,
@@ -303,10 +379,10 @@ std::vector<std::vector<ScoredItem>> CatalogScorer::BatchTopK(
 
   // Flat (query block, item-shard) task grid with one per-shard output
   // slot per query, stored shard-major so a block's slots for one shard
-  // are contiguous, and shard-sized buffers per worker (hoisted into
-  // scorer scratch — steady-state scanning allocates nothing). Each slot
-  // is written by exactly one task, so no synchronization is needed and
-  // the serial per-query merge below is deterministic. Blocks hold up to
+  // are contiguous, and one block's scan buffers per worker (hoisted
+  // into scorer scratch — steady-state scanning allocates nothing). Each
+  // slot is written by exactly one task, so no synchronization is needed
+  // and the serial per-query merge below is deterministic. Blocks hold up to
   // kQueryBlock queries, fewer when a catalog of few shards would
   // otherwise leave workers idle (no response depends on the block).
   const size_t blocks_per_shard =

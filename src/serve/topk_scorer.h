@@ -12,13 +12,12 @@
 //   * `ShardTopK` answers one (query block, item shard) pair of the
 //     exact scan: for each query of the block it merges the exact top-k
 //     of items [lo, hi), with that query's own k and exclusion list,
-//     into the query's running top-k. A block of m >= 2 queries is
-//     scored as tiles (see below); a block of one runs its own per-pair
-//     scan.
+//     into the query's running top-k. Every block size, one query
+//     included, runs the same scan (see below).
 //   * `BlockTopK` answers a block of queries serially, allocation-free:
 //     the IVF probe, list scan and re-rank per query when !exact,
-//     otherwise every fixed-grain shard through `ShardTopK` into the
-//     queries' running top-k lists.
+//     otherwise the same scan over every fixed-grain shard, each query's
+//     heap (below) running across all of them.
 //
 // `CatalogScorer::BatchTopK` parallelizes the flat (query block x
 // shard) grid over a `runtime::ThreadPool`, one `ShardTopK` per task
@@ -26,37 +25,60 @@
 // branch runs one single-query `BlockTopK` per query. The evaluator
 // ranks each shard of its parallel user loop as one `BlockTopK` block.
 // Shard boundaries depend only on the catalog size and
-// `items_per_shard` — never on the worker count or the block size — and
-// a worker's score buffer never holds more than one block's scores for
-// one shard.
+// `items_per_shard` — never on the worker count or the block size.
 //
-// ---- Tiled exact scan (ShardTopK with m >= 2 queries) ----
+// ---- Tiled exact scan (ShardTopK, and BlockTopK when exact) ----
 //
-// Scoring one (query, item) pair with vec::Dot widens both rows to
-// double for that pair alone. A block of m queries instead widens its
-// query rows once per shard, widens the shard's item rows kItemChunk at
-// a time into per-worker scratch (vec::Widen), scores each
-// m x chunk tile with vec::DotTile into the block's score rows, and then
-// runs each query's SelectTopKInto over its own row. DotTile keeps
-// Dot's summation tree for every pair, so each score equals vec::Dot's
-// bitwise and each query's result is its one-query result, whatever
-// the block. A single query keeps the per-pair Dot scan: widening the
-// rows for one query costs more than it saves. The per-worker scratch
-// is m x items_per_shard floats plus (m + kItemChunk) x dim doubles.
+// A block of m queries copies its query rows once, then scores the item
+// rows kItemChunk at a time, read in place, as one m x chunk
+// single-precision tile (vec::DotTileF32): half the multiply-adds of a
+// double-precision score and no widening. Each query keeps its running
+// top-k in tops[j] as a heap under ScoredBefore whose front is its k-th
+// (std::make_heap on entry, std::sort_heap on exit), and walks its row
+// of the tile:
 //
-// Why the bits hold: the exact scan selects a strict `ScoredBefore`
-// top-k over the same `vec::Dot` scores, so the merged per-shard top-k
-// is the full-catalog top-k whatever the grain, the merge order, the
-// block, the thread count or the batch packing. That needs a total
-// order: a NaN score compares neither above nor below a number, so
-// `ScoredBefore` ranks every number before every NaN and breaks ties
-// among NaNs, like ties among equal numbers, by ascending id. The
-// evaluator and the server call the same kernels, so the evaluator
-// measures the lists the server returns. The total order also gives the
-// global top-k the *prefix property*: the top-k list is exactly the
-// first k entries of any top-k' list with k' >= k. The inference
-// service's cutoff-prefix reuse and the evaluator's cached rankings
-// both lean on this.
+//   * fill: while the heap holds fewer than k items, the next eligible
+//     (not excluded) items enter with exact scores, whatever their fp32
+//     scores;
+//   * skip test: after that, an item is skipped when its fp32 score plus
+//     eps lies below f, the k-th's exact score. eps is the query's
+//     vec::DotTileF32Error bound for vec::NormBound(q) times the
+//     snapshot's recorded item_norm_bound(). The test compares the fp32
+//     score with a float at or below f - eps (vec::IndicesNotBelow), so
+//     rounding can only keep an item. A NaN fp32 score is always kept,
+//     and while f is NaN every item is, as for a query whose norm the
+//     bound cannot cover (eps = +inf);
+//   * re-score: the chunk's kept eligible items get vec::Dot's exact
+//     scores in one vec::DotRows call, and each enters the heap if it
+//     ranks before the front (ScanStats::exact_rescored counts them).
+//
+// The threshold is taken once per chunk, before that chunk's inserts;
+// the k-th only rises, so a stale f keeps more items, never fewer. A
+// worker's scratch holds the block's query rows and one m x kItemChunk
+// tile. A query whose running k-th is well placed re-scores a few
+// percent of the catalog (about 2% of the evaluator's pairs at 8000
+// items, dim 64, k = 20); one whose heap never fills (k near the
+// catalog size) re-scores every item. A BatchTopK shard task starts its
+// heap empty, so each task re-scores at least its first k items.
+//
+// Why the bits hold. A skipped item has exact score s <= fp32 + eps < f,
+// where f is the exact score of the heap's k-th when the item was
+// tested; so it ranks after that k-th, and after every later one, since
+// the k-th only rises: k items already rank before it, and it cannot be
+// in the top-k. Every item that is not skipped is offered with
+// vec::Dot's bits and ordered by the strict total order `ScoredBefore`.
+// So each query's result is the unique ScoredBefore top-k of the same
+// set of items with the same scores as a full exact scan: the same
+// whatever the block, the chunk, the grain, the merge order, the thread
+// count or the batch packing. That needs a total order: a NaN score
+// compares neither above nor below a number, so `ScoredBefore` ranks
+// every number before every NaN and breaks ties among NaNs, like ties
+// among equal numbers, by ascending id. The evaluator and the server
+// call the same kernels, so the evaluator measures the lists the server
+// returns. The total order also gives the global top-k the *prefix
+// property*: the top-k list is exactly the first k entries of any top-k'
+// list with k' >= k. The inference service's cutoff-prefix reuse and the
+// evaluator's cached rankings both lean on this.
 //
 // ---- IVF approximate retrieval (ScorerOptions::exact = false) ----
 //
@@ -123,13 +145,11 @@ inline bool ScoredBefore(const ScoredItem& a, const ScoredItem& b) {
 // ascending; entries outside the block are ignored) are skipped. On
 // entry `top` holds at most k items in ScoredBefore order (empty for a
 // fresh selection); on return it holds the top-k of those items and
-// the block's, in order. Once `top` is full, only items ranked before
-// its k-th become candidates. Candidates are built in `scratch`; both
-// buffers keep their capacity, so steady-state selection allocates
-// nothing.
+// the block's, in order. The selection runs on the exact scan's heap
+// (see the header note), in place, so steady-state selection allocates
+// nothing. The IVF probe picks its lists with it.
 void SelectTopKInto(const float* scores, uint32_t lo, uint32_t hi, uint32_t k,
                     std::span<const uint32_t> exclude,
-                    std::vector<ScoredItem>& scratch,
                     std::vector<ScoredItem>& top);
 
 // One full-catalog top-k query against a snapshot.
@@ -148,8 +168,7 @@ inline constexpr uint32_t kDefaultCandidateMargin = 64;
 inline constexpr uint32_t kDefaultNprobe = 8;
 
 struct ScorerOptions {
-  // Catalog items per scoring shard (a worker's score buffer holds one
-  // block of queries' scores for one shard).
+  // Catalog items per scoring shard (one task of the exact scan).
   uint32_t items_per_shard = 2048;
   // Scan the IVF lists as int8, then re-rank the survivors in fp32.
   // Needs exact = false and an index built with
@@ -184,13 +203,16 @@ void CheckScorerOptions(const ModelSnapshot& snapshot,
 // Chosen by measurement; no result depends on it.
 inline constexpr size_t kQueryBlock = 16;
 
-// Item rows the tiled exact scan widens to double at a time.
+// Item rows per single-precision tile of the exact scan.
 inline constexpr uint32_t kItemChunk = 64;
 
 // Per-tier scan counters. Each tier ticks only its own, so a scorer's
 // counters identify the path it actually ran.
 struct ScanStats {
   uint64_t exact_shards = 0;    // exact fp32 (query, shard) scans
+  // Items the exact scan scored with vec::Dot (fills and items the
+  // single-precision skip test kept).
+  uint64_t exact_rescored = 0;
   uint64_t ivf_queries = 0;     // ANN queries answered
   uint64_t ivf_lists = 0;       // coarse lists probed (incl. empty)
   uint64_t ivf_candidates = 0;  // eligible list candidates gathered
@@ -200,6 +222,7 @@ struct ScanStats {
 
   ScanStats& operator+=(const ScanStats& o) {
     exact_shards += o.exact_shards;
+    exact_rescored += o.exact_rescored;
     ivf_queries += o.ivf_queries;
     ivf_lists += o.ivf_lists;
     ivf_candidates += o.ivf_candidates;
@@ -212,24 +235,30 @@ struct ScanStats {
 // the owner's scan statistics. All buffers keep their capacity across
 // calls, so steady-state scanning allocates nothing.
 struct ShardScratch {
-  std::vector<float> scores;       // fp32 scores (shard / block / list)
-  std::vector<double> q_wide;      // a query block widened to double
-  std::vector<double> rows_wide;   // kItemChunk item rows, widened
-  std::vector<int32_t> idot;       // one integer dot per int8 list row
-  std::vector<ScoredItem> approx;  // gathered IVF candidates
-  std::vector<ScoredItem> cand;    // SelectTopKInto candidate scratch
-  std::vector<ScoredItem> probes;  // top-nprobe centroids (ivf)
-  std::vector<int8_t> q_codes;     // the query's int8 codes (int8 lists)
-  ScanStats stats;                 // summed by CatalogScorer::stats()
+  // One query's state in the exact scan of a shard.
+  struct QueryState {
+    float eps = 0.0f;         // its DotTileF32Error bound
+    size_t next_exclude = 0;  // exclusion cursor (index into exclude)
+  };
+  std::vector<float> q;             // the block's query rows (exact)
+  std::vector<float> tile;          // m x kItemChunk fp32 scores (exact)
+  std::vector<QueryState> queries;  // per query of the block (exact)
+  std::vector<uint32_t> kept;       // a chunk's re-scored item offsets
+  std::vector<float> exact;         // their vec::Dot scores
+  std::vector<float> scores;        // fp32 scores (IVF centroids / list)
+  std::vector<int32_t> idot;        // one integer dot per int8 list row
+  std::vector<ScoredItem> approx;   // gathered IVF candidates
+  std::vector<ScoredItem> probes;   // top-nprobe centroids (ivf)
+  std::vector<int8_t> q_codes;      // the query's int8 codes (int8 lists)
+  ScanStats stats;                  // summed by CatalogScorer::stats()
 };
 
 // The shard kernel of the exact scan: for each query j of `block`,
 // merges the exact top-k of items [lo, hi), skipping the query's
 // excluded ids, into the running top-k tops[j] (SelectTopKInto's in/out
 // contract: empty on entry for the shard's own top-k; always empty on
-// return for k = 0). A block of one scores the range with per-pair
-// vec::Dot, a larger block with DotTile tiles (see the header note);
-// both give the same bits.
+// return for k = 0). Any block size runs the tiled scan of the header
+// note, with the same bits.
 void ShardTopK(const ModelSnapshot& snapshot, std::span<const ScoreQuery> block,
                uint32_t lo, uint32_t hi, ShardScratch& ws,
                std::span<std::vector<ScoredItem>> tops);
@@ -237,20 +266,20 @@ void ShardTopK(const ModelSnapshot& snapshot, std::span<const ScoreQuery> block,
 // The serial per-block kernel: writes the top-k of each query of
 // `block` into outs[j] without allocating in steady state. With
 // !options.exact it runs the IVF probe, list scan and re-rank per
-// query; otherwise it runs every options.items_per_shard shard through
-// ShardTopK into `outs` as the running top-k lists, so later shards
-// only compete with the k items found so far. This is the per-query
-// unit of the ANN BatchTopK (blocks of one) and the evaluator's kernel
-// (one block per shard of its parallel user loop, so each block's scan
-// stays on one worker).
+// query; otherwise it runs ShardTopK's scan over every
+// options.items_per_shard shard with one heap per query across all of
+// them, so later shards only compete with the k items found so far (and
+// exact_shards counts each (query, shard) as ShardTopK does). This is
+// the per-query unit of the ANN BatchTopK (blocks of one) and the
+// evaluator's kernel (one block per shard of its parallel user loop, so
+// each block's scan stays on one worker).
 void BlockTopK(const ModelSnapshot& snapshot, std::span<const ScoreQuery> block,
                const ScorerOptions& options, ShardScratch& ws,
                std::span<std::vector<ScoredItem>> outs);
 
 class CatalogScorer {
  public:
-  // Items per scoring shard; a worker's score buffer holds one block of
-  // queries' scores for one shard.
+  // Items per scoring shard (one task of the exact scan).
   static constexpr uint32_t kDefaultItemsPerShard = 2048;
 
   // Per-tier scan counters, cumulative since construction (or the last

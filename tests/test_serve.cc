@@ -8,6 +8,8 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -112,15 +114,15 @@ TEST(ModelSnapshot, IsImmutableCopyOfTheModel) {
 TEST(TopKScorer, SelectTopKOrdersAndExcludes) {
   const float scores[] = {0.1f, 0.9f, 0.9f, 0.5f, -0.2f};
   const std::vector<uint32_t> exclude = {1};
-  std::vector<ScoredItem> scratch, top;
-  serve::SelectTopKInto(scores, 0, 5, 3, exclude, scratch, top);
+  std::vector<ScoredItem> top;
+  serve::SelectTopKInto(scores, 0, 5, 3, exclude, top);
   ASSERT_EQ(top.size(), 3u);
   EXPECT_EQ(top[0].item, 2u);  // 0.9, id 1 excluded
   EXPECT_EQ(top[1].item, 3u);  // 0.5
   EXPECT_EQ(top[2].item, 0u);  // 0.1
   // A second block (items 5..7) merges into the running top-3.
   const float more[] = {0.5f, 0.95f, 0.1f};
-  serve::SelectTopKInto(more, 5, 8, 3, exclude, scratch, top);
+  serve::SelectTopKInto(more, 5, 8, 3, exclude, top);
   ASSERT_EQ(top.size(), 3u);
   EXPECT_EQ(top[0].item, 6u);  // 0.95
   EXPECT_EQ(top[1].item, 2u);  // 0.9
@@ -195,9 +197,10 @@ void ExpectSameRanking(const std::vector<ScoredItem>& got,
 }
 
 // Every query of a block must get, bitwise, the result it gets alone:
-// blocks of m >= 2 score through vec::DotTile tiles, a block of one
-// through per-pair vec::Dot. The catalog spans three item chunks, so
-// the exclusion lists can cover a whole chunk and the whole catalog.
+// the single-precision tile, and with it the skip test's threshold, is
+// the block's, but every kept item is re-scored with vec::Dot. The
+// catalog spans three item chunks, so the exclusion lists can cover a
+// whole chunk and the whole catalog.
 TEST(BlockTopK, EveryQueryMatchesItsOneQueryResultBitwise) {
   constexpr uint32_t kUsers = 20;
   const uint32_t n = 2 * serve::kItemChunk + 22;
@@ -242,6 +245,194 @@ TEST(BlockTopK, EveryQueryMatchesItsOneQueryResultBitwise) {
       }
     }
   }
+}
+
+// The brute-force oracle, independent of the scan's selection code:
+// every non-excluded item scored with vec::Dot, std::sort under
+// ScoredBefore, the first k kept.
+std::vector<ScoredItem> BruteForceTopK(const ModelSnapshot& snap,
+                                       const serve::ScoreQuery& query) {
+  std::vector<ScoredItem> all;
+  for (uint32_t i = 0; i < snap.num_items(); ++i) {
+    if (std::binary_search(query.exclude.begin(), query.exclude.end(), i)) {
+      continue;
+    }
+    all.push_back({i, vec::Dot(query.q_hat, snap.ItemVec(i), snap.dim())});
+  }
+  std::sort(all.begin(), all.end(), serve::ScoredBefore);
+  all.resize(std::min<size_t>(query.k, all.size()));
+  return all;
+}
+
+// A catalog of three and a half item chunks whose rows include exact
+// duplicates (ties broken by id), NaN rows and zero rows, queried by
+// users that include a NaN row and a zero row, with k in {0, 1, 20, n}
+// and exclusions of nothing, scattered ids, a whole chunk, and
+// everything.
+struct OracleFixture {
+  static constexpr uint32_t kUsers = 24;
+  static constexpr uint32_t kItems = 3 * serve::kItemChunk + 37;
+
+  explicit OracleFixture(size_t dim) : model(kUsers, kItems, dim, rng) {
+    std::vector<ParamGrad> params = model.Params();  // {users}, {items}
+    Matrix& users = *params[0].value;
+    Matrix& items = *params[1].value;
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    for (const uint32_t dup : {6u, 64u, 65u, 200u, kItems - 1}) {
+      std::copy_n(items.Row(5), dim, items.Row(dup));
+    }
+    for (const uint32_t i : {9u, 70u, 150u}) {
+      std::fill_n(items.Row(i), dim, nan);
+    }
+    for (const uint32_t i : {11u, 130u}) {
+      std::fill_n(items.Row(i), dim, 0.0f);
+    }
+    std::fill_n(users.Row(3), dim, nan);
+    std::fill_n(users.Row(4), dim, 0.0f);
+    runtime::ThreadPool pool(1);
+    snap = std::make_unique<ModelSnapshot>(model, pool);
+    excludes.resize(4);
+    excludes[1] = {0, 5, 6, 63, 64, 65, 128, kItems - 1};
+    for (uint32_t i = serve::kItemChunk; i < 2 * serve::kItemChunk; ++i) {
+      excludes[2].push_back(i);
+    }
+    for (uint32_t i = 0; i < kItems; ++i) excludes[3].push_back(i);
+    const uint32_t ks[] = {20, 1, kItems, 0, 20, 1};
+    for (uint32_t u = 0; u < kUsers; ++u) {
+      queries.push_back({snap->UserVec(u), ks[u % 6], excludes[u / 6 % 4]});
+    }
+  }
+
+  Rng rng{77};
+  MfModel model;
+  std::unique_ptr<ModelSnapshot> snap;
+  std::vector<std::vector<uint32_t>> excludes;
+  std::vector<serve::ScoreQuery> queries;
+};
+
+TEST(BruteForceOracle, BlockTopKMatchesASortOverDotAtEveryBlockSize) {
+  for (const size_t d : {13u, 64u}) {
+    const OracleFixture fx(d);
+    std::vector<std::vector<ScoredItem>> want;
+    for (const serve::ScoreQuery& q : fx.queries) {
+      want.push_back(BruteForceTopK(*fx.snap, q));
+    }
+    for (const uint32_t grain :
+         {CatalogScorer::kDefaultItemsPerShard, 7u, serve::kItemChunk}) {
+      const serve::ScorerOptions options{.items_per_shard = grain};
+      serve::ShardScratch ws;
+      for (size_t m = 1; m <= 17; ++m) {
+        for (size_t q0 = 0; q0 < fx.queries.size(); q0 += m) {
+          const size_t mm = std::min(m, fx.queries.size() - q0);
+          std::vector<std::vector<ScoredItem>> got(mm);
+          serve::BlockTopK(*fx.snap, std::span(fx.queries).subspan(q0, mm),
+                           options, ws, got);
+          for (size_t j = 0; j < mm; ++j) {
+            ExpectSameRanking(got[j], want[q0 + j],
+                              "d " + std::to_string(d) + " grain " +
+                                  std::to_string(grain) + " m " +
+                                  std::to_string(m) + " query " +
+                                  std::to_string(q0 + j));
+          }
+        }
+      }
+      // The skip test did skip: fewer re-scores than scored pairs.
+      EXPECT_GT(ws.stats.exact_rescored, 0u);
+      EXPECT_LT(ws.stats.exact_rescored,
+                17u * fx.queries.size() * OracleFixture::kItems);
+    }
+  }
+}
+
+TEST(BruteForceOracle, BatchTopKMatchesASortOverDotAtEveryGrain) {
+  for (const size_t d : {13u, 64u}) {
+    const OracleFixture fx(d);
+    const uint32_t n = OracleFixture::kItems;
+    for (const size_t threads : {1u, 3u}) {
+      runtime::ThreadPool pool(threads);
+      for (const uint32_t grain : {1u, 7u, 64u, n + 1}) {
+        const CatalogScorer scorer(*fx.snap, pool, {.items_per_shard = grain});
+        const auto got = scorer.BatchTopK(fx.queries);
+        for (size_t j = 0; j < fx.queries.size(); ++j) {
+          ExpectSameRanking(got[j], BruteForceTopK(*fx.snap, fx.queries[j]),
+                            "d " + std::to_string(d) + " threads " +
+                                std::to_string(threads) + " grain " +
+                                std::to_string(grain) + " query " +
+                                std::to_string(j));
+        }
+      }
+    }
+  }
+}
+
+// Rows whose exact scores straddle the k-th by less than the fp32
+// error bound. Item 0 is a row A nearly orthogonal to the query (a score
+// near 0.01, where one float ulp is about 1e-9 but the single-precision
+// tile's error is about 1e-8), item 1 a copy of A nudged by 5e-9 towards
+// the query, and every other item points away from the query. Among the
+// seeds tried, the test uses the first whose snapshot has Dot(B) ranking
+// before Dot(A) while B's DotTileF32 score lies below A's Dot score by
+// more than one ulp: a scan that skipped on fp32 < f, without the error
+// bound, would drop B and answer A. With the bound, B is re-scored and
+// ranks first.
+TEST(NearTies, ItemsWithinTheErrorBoundOfTheKthAreRescored) {
+  constexpr size_t d = 64;
+  constexpr uint32_t kItems = 3 * serve::kItemChunk;
+  bool found = false;
+  for (uint64_t seed = 0; seed < 400 && !found; ++seed) {
+    Rng rng(1000 + seed);
+    MfModel model(1, kItems, d, rng);
+    std::vector<ParamGrad> params = model.Params();
+    float* q = params[0].value->Row(0);
+    std::vector<float> q_hat(d);
+    vec::Normalize(q, q_hat.data(), d);
+    float* a = params[1].value->Row(0);
+    // a -= (a . q_hat - 0.01) q_hat, then normalize: a score near 0.01.
+    vec::Normalize(a, a, d);
+    vec::Axpy(0.01f - vec::Dot(a, q_hat.data(), d), q_hat.data(), a, d);
+    float* b = params[1].value->Row(1);
+    std::copy_n(a, d, b);
+    vec::Axpy(5e-9f, q_hat.data(), b, d);
+    for (uint32_t i = 2; i < kItems; ++i) {
+      vec::Axpy(-4.0f, q_hat.data(), params[1].value->Row(i), d);
+    }
+    runtime::ThreadPool pool(1);
+    const ModelSnapshot snap(model, pool);
+    const float* qs = snap.UserVec(0);
+    const float f = vec::Dot(qs, snap.ItemVec(0), d);
+    const float s = vec::Dot(qs, snap.ItemVec(1), d);
+    float fp32 = 0.0f;
+    vec::DotTileF32(qs, 1, snap.ItemVec(1), 1, d, &fp32, 1);
+    const float below_f =
+        std::nextafter(f, -std::numeric_limits<float>::infinity());
+    if (!(s > f && fp32 < below_f)) continue;
+    found = true;
+
+    const serve::ScoreQuery query{qs, 1, {}};
+    const std::vector<ScoredItem> want = BruteForceTopK(snap, query);
+    ASSERT_EQ(want.size(), 1u);
+    ASSERT_EQ(want[0].item, 1u);
+    // Single queries and blocks, through BlockTopK and BatchTopK.
+    for (const size_t m : {1u, 4u}) {
+      const std::vector<serve::ScoreQuery> block(m, query);
+      serve::ShardScratch ws;
+      std::vector<std::vector<ScoredItem>> got(m);
+      serve::BlockTopK(snap, block, {}, ws, got);
+      for (size_t j = 0; j < m; ++j) {
+        ExpectSameRanking(got[j], want, "block " + std::to_string(m));
+      }
+      // Item 0 filled the heap, item 1 was re-scored past the skip test,
+      // and the items pointing away were skipped.
+      EXPECT_GE(ws.stats.exact_rescored, 2u * m);
+      EXPECT_LT(ws.stats.exact_rescored, m * kItems / 2);
+    }
+    for (const uint32_t grain : {1u, 2u, 64u, kItems}) {
+      const CatalogScorer scorer(snap, pool, {.items_per_shard = grain});
+      ExpectSameRanking(scorer.TopK(query), want,
+                        "grain " + std::to_string(grain));
+    }
+  }
+  EXPECT_TRUE(found) << "no seed produced a near tie";
 }
 
 // Aggregates per-user TopKForUser lists, in test-user order, through the

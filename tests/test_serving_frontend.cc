@@ -339,6 +339,33 @@ TEST(ServingFrontEnd, ExtraSeenIsCopiedAtSubmit) {
   ExpectSameResponse(fut.get().topk, want, "extra_seen lifetime");
 }
 
+// The accounting identity holds as soon as every future of a round is
+// ready, with no Drain(): the dispatcher counts a batch in `requests`
+// before it fulfils the batch's promises. Rounds of 1 to 7 requests
+// against batches of 4 end on both size and deadline flushes.
+TEST(ServingFrontEnd, AccountingHoldsOnceEveryFutureIsReady) {
+  const Dataset d = MediumDataset();
+  const std::unique_ptr<MfModel> model = MakeModel(d, 12);
+  ServingFrontEnd frontend(d, *model, Config(/*max_batch=*/4, /*flush_us=*/50));
+  uint64_t submitted = 0;
+  size_t lagging_rounds = 0;
+  for (uint32_t round = 0; round < 200; ++round) {
+    std::vector<std::future<ServedResponse>> futures;
+    for (uint32_t i = 0; i < 1 + round % 7; ++i) {
+      const uint32_t user = (round * 7 + i) % d.num_users();
+      futures.push_back(frontend.Submit(Req(user, 5)));
+    }
+    for (std::future<ServedResponse>& fut : futures) fut.wait();
+    const serve::FrontEndStats st = frontend.stats();
+    submitted += futures.size();
+    EXPECT_EQ(st.submitted, submitted) << "round " << round;
+    const uint64_t accounted =
+        st.requests + st.shed_newest + st.shed_oldest + st.expired_admission;
+    lagging_rounds += st.submitted != accounted;
+  }
+  EXPECT_EQ(lagging_rounds, 0u);
+}
+
 TEST(ServingFrontEnd, DrainBlocksUntilQueueIsServed) {
   const Dataset d = MediumDataset();
   const std::unique_ptr<MfModel> model = MakeModel(d, 10);

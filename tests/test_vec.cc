@@ -409,6 +409,164 @@ TEST(Vec, DotTileBitwiseMatchesDot) {
   }
 }
 
+TEST(Vec, DotTileF32MatchesReferenceBitwise) {
+  // The dispatched single-precision tile equals vec::ref::DotTileF32 bit
+  // for bit: d = 0-37 crosses every tail of the eight-lane tree (the
+  // masked loads) four times over, 64 and 128 are scan dims, and the
+  // block shapes straddle the 2 x 4 and 1 x 8 blocks and their partial
+  // last blocks. The output stride is wider than the tile; the padding
+  // stays untouched.
+  Rng rng(44);
+  const float kSentinel = 12345.0f;
+  std::vector<size_t> dims = TileDims();
+  dims.push_back(128);
+  for (const size_t d : dims) {
+    for (const size_t m : {1u, 2u, 3u, 4u, 5u, 16u, 17u}) {
+      for (const size_t n : {1u, 3u, 4u, 5u, 7u, 8u, 9u, 16u, 37u, 64u}) {
+        const std::vector<float> q = HardValues(m * d, rng);
+        const std::vector<float> rows = HardValues(n * d, rng);
+        const size_t ld = n + 3;
+        std::vector<float> out(m * ld, kSentinel);
+        std::vector<float> ref_out(m * ld, kSentinel);
+        vec::DotTileF32(q.data(), m, rows.data(), n, d, out.data(), ld);
+        vec::ref::DotTileF32(q.data(), m, rows.data(), n, d, ref_out.data(),
+                             ld);
+        for (size_t t = 0; t < m * ld; ++t) {
+          ASSERT_EQ(std::bit_cast<uint32_t>(out[t]),
+                    std::bit_cast<uint32_t>(ref_out[t]))
+              << "d=" << d << " m=" << m << " n=" << n << " entry " << t;
+        }
+        for (size_t i = 0; i < m; ++i) {
+          for (size_t j = n; j < ld; ++j) {
+            EXPECT_EQ(ref_out[i * ld + j], kSentinel) << "d=" << d;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Vec, DotTileF32SumsEightLanesInTreeOrder) {
+  // The documented tree, spelled out: with q = 1 every product is exact,
+  // so at d = 13 lane l is (+0 + x[l]) + x[l + 8], columns 13-15 add
+  // +0.0f * +0.0f, and the lanes combine as ((0+1)+(2+3))+((4+5)+(6+7)).
+  // HardValues' mixed magnitudes make other groupings round differently.
+  Rng rng(48);
+  constexpr size_t d = 13;
+  const std::vector<float> q(d, 1.0f);
+  for (int rep = 0; rep < 200; ++rep) {
+    const std::vector<float> x = HardValues(d, rng);
+    float lane[8];
+    for (size_t l = 0; l < 8; ++l) {
+      lane[l] = (0.0f + x[l]) + (l + 8 < d ? x[l + 8] : 0.0f * 0.0f);
+    }
+    const float want = ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
+                       ((lane[4] + lane[5]) + (lane[6] + lane[7]));
+    float got = 0.0f, ref = 0.0f;
+    vec::DotTileF32(q.data(), 1, x.data(), 1, d, &got, 1);
+    vec::ref::DotTileF32(q.data(), 1, x.data(), 1, d, &ref, 1);
+    EXPECT_EQ(std::bit_cast<uint32_t>(ref), std::bit_cast<uint32_t>(want))
+        << "rep " << rep;
+    EXPECT_EQ(std::bit_cast<uint32_t>(got), std::bit_cast<uint32_t>(want))
+        << "rep " << rep;
+  }
+}
+
+// |DotTileF32 - Dot| <= DotTileF32Error(d, NormBound(q) * NormBound(x))
+// on the inputs that stress it: random rows, near-cancelling pairs (a
+// large norm product with a tiny dot), and subnormal rows whose products
+// underflow.
+TEST(Vec, DotTileF32ErrorBoundsTheDistanceToDot) {
+  Rng rng(45);
+  std::vector<size_t> dims = TileDims();
+  dims.push_back(128);
+  double worst = 0.0;  // largest observed error / bound
+  for (const size_t d : dims) {
+    for (int kind = 0; kind < 4; ++kind) {
+      for (int rep = 0; rep < 40; ++rep) {
+        std::vector<float> q(d), x(d);
+        for (size_t k = 0; k < d; ++k) {
+          q[k] = static_cast<float>(rng.NextGaussian());
+          x[k] = static_cast<float>(rng.NextGaussian());
+        }
+        if (kind == 1) {
+          // Pairs (2i, 2i+1) cancel: q_a x_a ~ -q_b x_b.
+          for (size_t k = 0; k + 1 < d; k += 2) {
+            const auto g = static_cast<float>(rng.NextGaussian());
+            x[k] = q[k + 1];
+            x[k + 1] = -q[k] * (1.0f + 1e-3f * g);
+          }
+        } else if (kind == 2) {
+          for (float& v : q) v *= 1e-20f;  // products underflow
+          for (float& v : x) v *= 1e-20f;
+        } else if (kind == 3) {
+          for (float& v : x) v *= 1e-41f;  // subnormal rows
+        }
+        const double p =
+            vec::NormBound(q.data(), d) * vec::NormBound(x.data(), d);
+        const float eps = vec::DotTileF32Error(d, p);
+        float fp32 = 0.0f;
+        vec::DotTileF32(q.data(), 1, x.data(), 1, d, &fp32, 1);
+        const float s = vec::Dot(q.data(), x.data(), d);
+        const double err = std::fabs(static_cast<double>(fp32) - s);
+        ASSERT_LE(err, eps) << "d=" << d << " kind " << kind << " rep " << rep;
+        if (eps > 0.0f) worst = std::max(worst, err / eps);
+      }
+    }
+  }
+  EXPECT_GT(worst, 0.0);  // some input did round
+  // Unit rows at the scan's dim: a bound small enough to skip on.
+  EXPECT_LT(vec::DotTileF32Error(64, 1.0), 1e-6f);
+  EXPECT_GT(vec::DotTileF32Error(64, 1.0), 0.0f);
+  // Norm products the bound cannot cover skip nothing.
+  const float inf = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(vec::DotTileF32Error(64, std::nan("")), inf);
+  EXPECT_EQ(vec::DotTileF32Error(64, HUGE_VAL), inf);
+  EXPECT_EQ(vec::DotTileF32Error(64, 0x1p101), inf);
+}
+
+TEST(Vec, NormBoundIsAtLeastTheNorm) {
+  Rng rng(46);
+  for (const size_t n : kKernelLens) {
+    const std::vector<float> x = HardValues(n, rng);
+    long double ss = 0.0L;
+    for (const float v : x) ss += static_cast<long double>(v) * v;
+    EXPECT_GE(static_cast<long double>(vec::NormBound(x.data(), n)),
+              std::sqrt(ss))
+        << "n=" << n;
+  }
+  const float nan_row[] = {1.0f, std::numeric_limits<float>::quiet_NaN()};
+  EXPECT_TRUE(std::isnan(vec::NormBound(nan_row, 2)));
+  const float inf_row[] = {1.0f, std::numeric_limits<float>::infinity()};
+  EXPECT_EQ(vec::NormBound(inf_row, 2), HUGE_VAL);
+  EXPECT_EQ(vec::NormBound(nan_row, 0), 0.0);
+}
+
+TEST(Vec, IndicesNotBelowMatchesReference) {
+  // Every length around the eight-wide compare, thresholds below, inside
+  // and above the values, NaN entries (always listed) and a NaN threshold
+  // (everything listed).
+  Rng rng(47);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const size_t n : kKernelLens) {
+    std::vector<float> x(n);
+    for (float& v : x) {
+      v = rng.NextIndex(9) == 0 ? nan : static_cast<float>(rng.NextGaussian());
+    }
+    for (const float t : {-HUGE_VALF, -0.5f, 0.0f, 1.0f, HUGE_VALF, nan}) {
+      std::vector<uint32_t> want;
+      for (size_t i = 0; i < n; ++i) {
+        if (!(x[i] < t)) want.push_back(static_cast<uint32_t>(i));
+      }
+      std::vector<uint32_t> got(n), ref(n);
+      got.resize(vec::IndicesNotBelow(x.data(), n, t, got.data()));
+      ref.resize(vec::ref::IndicesNotBelow(x.data(), n, t, ref.data()));
+      EXPECT_EQ(got, want) << "n=" << n << " t=" << t;
+      EXPECT_EQ(ref, want) << "n=" << n << " t=" << t;
+    }
+  }
+}
+
 TEST(Vec, DotRowsMatchesDotPerRowBitwise) {
   // Every output of the indexed multi-row dot is vec::ref::Dot over its
   // row, bit for bit: row counts around the four-row block, dims around

@@ -197,6 +197,7 @@ bool ParseFlags(int argc, char** argv, Options& opts) {
     }
     if (!ok) return false;
   }
+  if (!tools::CheckBackboneFlags(opts.backbone, opts.layers)) return false;
   if (opts.quantize && !opts.ann) {
     std::fprintf(stderr,
                  "--quantize scans the IVF lists as int8 and needs --ann\n");
@@ -317,7 +318,6 @@ int main(int argc, char** argv) {
   Rng rng(opts.seed);
   auto model =
       tools::MakeBackbone(opts.backbone, graph, opts.dim, opts.layers, rng);
-  if (model == nullptr) return 1;
   if (!opts.load_path.empty()) {
     if (!LoadModelParams(*model, opts.load_path)) return 1;
     std::fprintf(stderr, "loaded checkpoint %s\n", opts.load_path.c_str());

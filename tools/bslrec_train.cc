@@ -169,6 +169,9 @@ bool ParseFlags(int argc, char** argv, Options& opts) {
     }
     if (!ok) return false;
   }
+  if (!bslrec::tools::CheckBackboneFlags(opts.backbone, opts.layers)) {
+    return false;
+  }
   if (!opts.in_batch && opts.batch > UINT32_MAX / (1 + opts.negatives)) {
     std::fprintf(stderr,
                  "--batch x (1 + --negatives) must be at most 2^32 - 1\n");
@@ -209,7 +212,6 @@ int main(int argc, char** argv) {
   bslrec::Rng rng(opts.seed);
   auto model = bslrec::tools::MakeBackbone(opts.backbone, graph, opts.dim,
                                            opts.layers, rng);
-  if (model == nullptr) return 1;
   if (!opts.load_path.empty() &&
       !bslrec::LoadModelParams(*model, opts.load_path)) {
     return 1;

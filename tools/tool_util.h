@@ -1,7 +1,8 @@
 // Shared scaffolding for the command-line tools (bslrec_train,
 // bslrec_serve, bslrec_served): strict integer flag parsing, dataset
 // selection from the common --dataset / --train-file / --test-file flags
-// and the backbone factory behind the common --backbone flag. Keeping
+// and the backbone table behind the common --backbone and --layers flags
+// (their check at flag parsing, and the factory). Keeping
 // these here means a new preset or backbone shows up in every tool at
 // once instead of drifting.
 #ifndef BSLREC_TOOLS_TOOL_UTIL_H_
@@ -20,6 +21,7 @@
 #include "data/loaders.h"
 #include "data/synthetic.h"
 #include "graph/bipartite_graph.h"
+#include "math/check.h"
 #include "models/contrastive.h"
 #include "models/lightgcn.h"
 #include "models/mf.h"
@@ -78,35 +80,89 @@ inline std::optional<Dataset> LoadDatasetFromFlags(
   return std::nullopt;
 }
 
-// Builds the backbone named by --backbone
-// (mf|ngcf|lightgcn|sgl|simgcl|lightgcl); nullptr with a stderr
-// diagnostic on an unknown name.
+// One backbone --backbone can name: its least --layers (NGCF needs a
+// propagation layer; every other backbone runs with none) and its
+// factory.
+struct BackboneSpec {
+  const char* name;
+  int min_layers;
+  std::unique_ptr<EmbeddingModel> (*make)(const BipartiteGraph& graph,
+                                          size_t dim, int layers, Rng& rng);
+};
+
+// The backbones' factories: MF takes neither the graph nor the layer
+// count, NGCF and LightGCN take both, and the contrastive backbones
+// differ only in their augmentation.
+inline std::unique_ptr<EmbeddingModel> MakeMf(const BipartiteGraph& graph,
+                                              size_t dim, int /*layers*/,
+                                              Rng& rng) {
+  return std::make_unique<MfModel>(graph.num_users(), graph.num_items(), dim,
+                                   rng);
+}
+
+template <typename Model>
+std::unique_ptr<EmbeddingModel> MakeGraphModel(const BipartiteGraph& graph,
+                                               size_t dim, int layers,
+                                               Rng& rng) {
+  return std::make_unique<Model>(graph, dim, layers, rng);
+}
+
+template <AugmentationKind kKind>
+std::unique_ptr<EmbeddingModel> MakeContrastive(const BipartiteGraph& graph,
+                                                size_t dim, int layers,
+                                                Rng& rng) {
+  ContrastiveConfig cc;
+  cc.num_layers = layers;
+  cc.kind = kKind;
+  return std::make_unique<ContrastiveModel>(graph, dim, cc, rng);
+}
+
+// Every backbone of the tools, in --backbone's usage order
+// (mf|ngcf|lightgcn|sgl|simgcl|lightgcl).
+inline constexpr BackboneSpec kBackbones[] = {
+    {"mf", 0, MakeMf},
+    {"ngcf", 1, MakeGraphModel<NgcfModel>},
+    {"lightgcn", 0, MakeGraphModel<LightGcnModel>},
+    {"sgl", 0, MakeContrastive<AugmentationKind::kEdgeDropout>},
+    {"simgcl", 0, MakeContrastive<AugmentationKind::kEmbeddingNoise>},
+    {"lightgcl", 0, MakeContrastive<AugmentationKind::kSvdView>},
+};
+
+// The spec --backbone names, or nullptr.
+inline const BackboneSpec* FindBackbone(const std::string& backbone) {
+  for (const BackboneSpec& spec : kBackbones) {
+    if (backbone == spec.name) return &spec;
+  }
+  return nullptr;
+}
+
+// Checks --backbone and --layers together, at flag parsing: false with a
+// stderr diagnostic for an unknown backbone or a --layers below the
+// backbone's minimum, so the tool exits 2 with usage before any data
+// loads.
+inline bool CheckBackboneFlags(const std::string& backbone, int layers) {
+  const BackboneSpec* spec = FindBackbone(backbone);
+  if (spec == nullptr) {
+    std::fprintf(stderr, "unknown backbone '%s'\n", backbone.c_str());
+    return false;
+  }
+  if (layers < spec->min_layers) {
+    std::fprintf(stderr, "--backbone=%s needs --layers >= %d (got %d)\n",
+                 spec->name, spec->min_layers, layers);
+    return false;
+  }
+  return true;
+}
+
+// Builds the backbone named by --backbone; the flags must have passed
+// CheckBackboneFlags.
 inline std::unique_ptr<EmbeddingModel> MakeBackbone(
     const std::string& backbone, const BipartiteGraph& graph, size_t dim,
     int layers, Rng& rng) {
-  if (backbone == "mf") {
-    return std::make_unique<MfModel>(graph.num_users(), graph.num_items(),
-                                     dim, rng);
-  }
-  if (backbone == "ngcf") {
-    return std::make_unique<NgcfModel>(graph, dim, layers, rng);
-  }
-  if (backbone == "lightgcn") {
-    return std::make_unique<LightGcnModel>(graph, dim, layers, rng);
-  }
-  ContrastiveConfig cc;
-  cc.num_layers = layers;
-  if (backbone == "sgl") {
-    cc.kind = AugmentationKind::kEdgeDropout;
-  } else if (backbone == "simgcl") {
-    cc.kind = AugmentationKind::kEmbeddingNoise;
-  } else if (backbone == "lightgcl") {
-    cc.kind = AugmentationKind::kSvdView;
-  } else {
-    std::fprintf(stderr, "unknown backbone '%s'\n", backbone.c_str());
-    return nullptr;
-  }
-  return std::make_unique<ContrastiveModel>(graph, dim, cc, rng);
+  const BackboneSpec* spec = FindBackbone(backbone);
+  BSLREC_CHECK_MSG(spec != nullptr && layers >= spec->min_layers,
+                   "MakeBackbone needs flags that passed CheckBackboneFlags");
+  return spec->make(graph, dim, layers, rng);
 }
 
 }  // namespace bslrec::tools
