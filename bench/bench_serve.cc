@@ -1,12 +1,13 @@
 // Inference-service bench: per-batch latency percentiles (p50/p99) and
-// request throughput for the sharded top-k scorer across its two
-// serving modes — exact fp32 scan and IVF approximate retrieval
+// request throughput for the top-k scorer across its two serving
+// modes — exact fp32 scan and IVF approximate retrieval
 // (ServeConfig::exact = false) — across batch sizes and 1 / 2 /
 // hardware threads. Probes gate the exit code: exact responses must be
-// bit-identical to the 1-thread baseline for every worker count; IVF
-// responses must be bit-identical across thread counts, shard grains,
-// and batch packings (and equal the exact scan outright at
-// nprobe >= nlist with fp32 lists). Emits machine-readable
+// bit-identical to the 1-thread baseline for every worker count, which
+// sets how the exact scan splits the catalog, and batch packing; IVF
+// responses must be bit-identical across thread counts and batch
+// packings (and equal the exact scan outright at nprobe >= nlist with
+// fp32 lists). Emits machine-readable
 // BENCH_serve.json into the working directory.
 //
 // An ANN tier sweeps (nlist, nprobe) and reports recall@k of each
@@ -327,7 +328,9 @@ int main() {
   const Dataset data = GenerateSynthetic(cfg).dataset;
   const size_t dim = scale ? 128 : (fast ? 16 : 48);
   const uint32_t k = 20;
-  const size_t batches_per_point = scale ? 10 : (fast ? 8 : 30);
+  // The scale tier's batches take tens of milliseconds each, so a point
+  // needs enough of them that a host stall cannot pass for the scan.
+  const size_t batches_per_point = scale ? 40 : (fast ? 8 : 30);
   const std::vector<size_t> batch_sizes =
       scale ? std::vector<size_t>{64, 256} : std::vector<size_t>{1, 16, 256};
 
@@ -386,7 +389,8 @@ int main() {
 
   // ---- bit-identity probe (gates the exit code) ----
   // The exact scorer at every worker count must reproduce its 1-thread
-  // responses bitwise.
+  // responses bitwise, as a whole batch (one item range per query
+  // block) and one request at a time (one item range per worker).
   bool identical = true;
   {
     const std::vector<serve::TopKRequest> probe =
@@ -398,19 +402,19 @@ int main() {
                                       MakeConfig(k, threads, "exact"));
       const auto got = service.HandleBatch(probe);
       for (size_t r = 0; r < probe.size(); ++r) {
-        identical = identical && got[r].items == want[r].items &&
-                    got[r].scores == want[r].scores;
+        identical = identical && SameResponse(got[r], want[r]) &&
+                    SameResponse(service.Handle(probe[r]), want[r]);
       }
     }
   }
-  std::printf("exact bit-identical across thread counts: %s\n",
+  std::printf("exact bit-identical across thread counts and batching: %s\n",
               identical ? "yes" : "NO — BUG");
 
   // ---- ANN determinism probes (gate the exit code) ----
   // IVF responses are a pure function of (snapshot, request): the
   // per-query probe/scan/re-rank kernel is serial and the pool only
-  // parallelizes across queries, so thread count, shard grain (unused
-  // in ANN mode), and batch packing must not move a bit. And with fp32
+  // parallelizes across queries, so neither thread count nor batch
+  // packing may move a bit. And with fp32
   // lists and nprobe >= nlist the "approximation" visits the whole
   // catalog, so it must reproduce the exact scan outright.
   bool ann_identical = true;
@@ -418,39 +422,34 @@ int main() {
     const std::vector<serve::TopKRequest> probe =
         MakeRequests(scale ? 32 : 64, data.num_users(), k, 131);
     const uint32_t probe_nlist = 16;
-    const auto ann_cfg = [&](size_t threads, uint32_t grain,
-                             uint32_t nprobe) {
+    const auto ann_cfg = [&](size_t threads, uint32_t nprobe) {
       serve::ServeConfig sc = MakeConfig(k, threads, "ivf");
       sc.ivf.nlist = probe_nlist;
       sc.nprobe = nprobe;
-      sc.items_per_shard = grain;
       return sc;
     };
-    serve::InferenceService baseline(data, model, ann_cfg(1, 2048, 4));
+    serve::InferenceService baseline(data, model, ann_cfg(1, 4));
     const auto want = baseline.HandleBatch(probe);
     for (size_t threads : ThreadCounts()) {
-      for (uint32_t grain : {512u, 2048u}) {
-        serve::InferenceService service(data, model,
-                                        ann_cfg(threads, grain, 4));
-        const auto whole = service.HandleBatch(probe);
-        for (size_t r = 0; r < probe.size(); ++r) {
-          ann_identical = ann_identical && SameResponse(whole[r], want[r]);
-          // Re-serve one-by-one: batch packing must not matter either.
-          ann_identical = ann_identical &&
-                          SameResponse(service.Handle(probe[r]), want[r]);
-        }
+      serve::InferenceService service(data, model, ann_cfg(threads, 4));
+      const auto whole = service.HandleBatch(probe);
+      for (size_t r = 0; r < probe.size(); ++r) {
+        ann_identical = ann_identical && SameResponse(whole[r], want[r]);
+        // Re-serve one-by-one: batch packing must not matter either.
+        ann_identical = ann_identical &&
+                        SameResponse(service.Handle(probe[r]), want[r]);
       }
     }
     serve::InferenceService exact_ref(data, model, MakeConfig(k, 1, "exact"));
     const auto exact_want = exact_ref.HandleBatch(probe);
     serve::InferenceService full_probe(
-        data, model, ann_cfg(ThreadCounts().back(), 2048, probe_nlist));
+        data, model, ann_cfg(ThreadCounts().back(), probe_nlist));
     const auto full = full_probe.HandleBatch(probe);
     for (size_t r = 0; r < probe.size(); ++r) {
       ann_identical = ann_identical && SameResponse(full[r], exact_want[r]);
     }
   }
-  std::printf("ivf bit-identical across threads/grains/batching and "
+  std::printf("ivf bit-identical across threads/batching and "
               "full-probe == exact: %s\n",
               ann_identical ? "yes" : "NO — BUG");
 

@@ -763,11 +763,11 @@ void BM_Evaluator(benchmark::State& state) {
 BENCHMARK(BM_Evaluator);
 
 // One block of m queries through serve::BlockTopK's exact tier at the
-// evaluator's shape: 8000 items, dim 64, 2048-item shards, k = 20, and
-// 20 excluded ids per query. Every m runs the same scan: each item chunk
-// is scored once for the whole block as a vec::DotTileF32 tile, and each
-// query re-scores with vec::Dot only the items its skip test keeps.
-// Every m returns the same bits per query.
+// evaluator's shape: 8000 items, dim 64, k = 20, and 20 excluded ids per
+// query. Every m runs the same scan: each item chunk is scored once for
+// the whole block as a vec::DotTileF32 tile, and each query re-scores
+// with vec::Dot only the items its skip test keeps. Every m returns the
+// same bits per query.
 void BM_BlockTopK(benchmark::State& state) {
   constexpr uint32_t kItems = 8000;
   constexpr uint32_t kUsers = 64;
@@ -788,11 +788,10 @@ void BM_BlockTopK(benchmark::State& state) {
     const auto user = static_cast<uint32_t>(j % kUsers);
     block.push_back({snapshot.UserVec(user), 20, excluded[j]});
   }
-  const serve::ScorerOptions options{.items_per_shard = 2048};
   serve::ShardScratch ws;
   std::vector<std::vector<serve::ScoredItem>> tops(m);
   for (auto _ : state) {
-    serve::BlockTopK(snapshot, block, options, ws, tops);
+    serve::BlockTopK(snapshot, block, {}, ws, tops);
     benchmark::DoNotOptimize(tops.data());
     benchmark::ClobberMemory();
   }
@@ -800,6 +799,42 @@ void BM_BlockTopK(benchmark::State& state) {
                           kItems);
 }
 BENCHMARK(BM_BlockTopK)->Arg(1)->Arg(2)->Arg(8)->Arg(16);
+
+// A batch of q queries through serve::CatalogScorer::BatchTopK's exact
+// tier on a 2-worker pool, at the serving cache depth: 8000 items, dim
+// 64, k = 100, 20 excluded ids per query. One query is split into two
+// item ranges, one per worker, and merged; 32 queries fill both workers
+// with one 16-query block each over the whole catalog. Timed in wall
+// time, since the second worker's CPU time is not the caller's.
+void BM_BatchTopK(benchmark::State& state) {
+  constexpr uint32_t kItems = 8000;
+  constexpr uint32_t kUsers = 64;
+  constexpr uint32_t kExcluded = 20;
+  const size_t q = static_cast<size_t>(state.range(0));
+  Rng rng(43);
+  MfModel model(kUsers, kItems, 64, rng);
+  runtime::ThreadPool pool(2);
+  const serve::ModelSnapshot snapshot(model, pool);
+  std::vector<std::vector<uint32_t>> excluded(q);
+  std::vector<serve::ScoreQuery> queries;
+  for (size_t j = 0; j < q; ++j) {
+    for (uint32_t t = 0; t < kExcluded; ++t) {
+      excluded[j].push_back(
+          static_cast<uint32_t>((j * 131 + t * 397) % kItems));
+    }
+    std::sort(excluded[j].begin(), excluded[j].end());
+    const auto user = static_cast<uint32_t>(j % kUsers);
+    queries.push_back({snapshot.UserVec(user), 100, excluded[j]});
+  }
+  const serve::CatalogScorer scorer(snapshot, pool, {});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(scorer.BatchTopK(queries));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(q) *
+                          kItems);
+}
+BENCHMARK(BM_BatchTopK)->Arg(1)->Arg(32)->UseRealTime();
 
 void BM_WorstCaseWeights(benchmark::State& state) {
   const auto scores = MakeScores(static_cast<size_t>(state.range(0)), 10);

@@ -49,6 +49,16 @@
 //     count either. The trainer's gradient in both sampling modes
 //     (phase B) and the optimizer step (disjoint element ranges) work
 //     this way.
+//   * Selection under a strict total order over exact per-item values
+//     needs neither: when every candidate's value is computed the same
+//     way wherever it is computed, and the result is the unique set of
+//     the k candidates that rank first under a strict total order, any
+//     split of the candidates, merged in any order, selects the same
+//     set. No floating-point value is reduced across the split, so it
+//     may depend on the worker count. `serve::CatalogScorer::BatchTopK`
+//     splits the catalog by the pool's worker count this way; every
+//     score it returns is `vec::Dot`'s and its order is `ScoredBefore`
+//     (see serve/topk_scorer.h).
 //
 // How to pin the worker count
 //   * `RuntimeConfig{.num_threads = N}` threads through `TrainConfig`,

@@ -33,8 +33,7 @@ SnapshotOptions SnapshotOptionsFor(const ServeConfig& config) {
 }
 
 ScorerOptions ScorerOptionsFor(const ServeConfig& config) {
-  return ScorerOptions{.items_per_shard = config.items_per_shard,
-                       .quantize = config.quantize,
+  return ScorerOptions{.quantize = config.quantize,
                        .candidate_margin = config.candidate_margin,
                        .exact = config.exact,
                        .nprobe = config.nprobe};

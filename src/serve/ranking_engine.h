@@ -52,8 +52,6 @@ struct ServeConfig {
   // Depth of the per-user cached ranking; requests with k <= max_k and
   // default filtering share one cached computation per user.
   uint32_t max_k = 100;
-  // Catalog items per scoring shard (per-worker buffer size).
-  uint32_t items_per_shard = CatalogScorer::kDefaultItemsPerShard;
   // Disable to score every request from scratch (benchmarks).
   bool cache_rankings = true;
   // Scan the IVF lists as int8 (built at snapshot time), then re-rank
@@ -71,6 +69,8 @@ struct ServeConfig {
   // ivf.int8_lists follows quantize; set ivf.build directly to build the
   // index without serving through it).
   IvfBuildOptions ivf;
+  // The scoring pool. An exact batch's item split follows its worker
+  // count (CatalogScorer::BatchTopK); no response does.
   runtime::RuntimeConfig runtime;
 };
 

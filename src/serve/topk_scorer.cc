@@ -282,8 +282,6 @@ SnapshotOptions SnapshotOptionsFor(const ScorerOptions& options,
 
 void CheckScorerOptions(const ModelSnapshot& snapshot,
                         const ScorerOptions& options) {
-  BSLREC_CHECK_MSG(options.items_per_shard > 0,
-                   "ScorerOptions::items_per_shard must be > 0");
   BSLREC_CHECK_MSG(options.exact || snapshot.ivf() != nullptr,
                    "ScorerOptions::exact = false needs a snapshot with an "
                    "IVF index (SnapshotOptions::ivf.build)");
@@ -313,17 +311,8 @@ void BlockTopK(const ModelSnapshot& snapshot, std::span<const ScoreQuery> block,
     }
     return;
   }
-  const uint32_t n = snapshot.num_items();
   for (size_t j = 0; j < block.size(); ++j) outs[j].clear();
-  // One heap per query across every shard: a later shard's items only
-  // compete with the k found so far, and the strict total order makes the
-  // result independent of the grain.
-  BeginScan(snapshot, block, 0, ws, outs);
-  for (uint32_t lo = 0; lo < n; lo += options.items_per_shard) {
-    const uint32_t hi = std::min<uint32_t>(n, lo + options.items_per_shard);
-    ScanItems(snapshot, block, lo, hi, ws, outs);
-  }
-  EndScan(outs);
+  ShardTopK(snapshot, block, 0, snapshot.num_items(), ws, outs);
 }
 
 CatalogScorer::CatalogScorer(const ModelSnapshot& snapshot,
@@ -346,16 +335,9 @@ void CatalogScorer::ResetStats() const {
   for (ShardScratch& ws : scratch_) ws.stats = {};
 }
 
-std::vector<ScoredItem> CatalogScorer::TopK(const ScoreQuery& query) const {
-  return BatchTopK({&query, 1})[0];
-}
-
 std::vector<std::vector<ScoredItem>> CatalogScorer::BatchTopK(
     std::span<const ScoreQuery> queries) const {
   const uint32_t n = snapshot_.num_items();
-  const uint32_t items_per_shard = options_.items_per_shard;
-  const size_t num_shards =
-      (static_cast<size_t>(n) + items_per_shard - 1) / items_per_shard;
   const size_t num_queries = queries.size();
   std::vector<std::vector<ScoredItem>> out(num_queries);
   if (queries.empty()) return out;
@@ -363,8 +345,7 @@ std::vector<std::vector<ScoredItem>> CatalogScorer::BatchTopK(
   if (!options_.exact) {
     // ANN: each query is one serial probe/scan/re-rank unit writing its
     // own output slot; the pool only fans out *across* queries, so the
-    // responses are bit-identical for any thread count, shard grain
-    // (unused here), or batch packing.
+    // responses are bit-identical for any thread count or batch packing.
     runtime::ParallelFor(
         pool_, 0, num_queries, 1,
         [&](size_t lo, size_t hi, size_t /*shard*/, size_t worker) {
@@ -375,46 +356,65 @@ std::vector<std::vector<ScoredItem>> CatalogScorer::BatchTopK(
         });
     return out;
   }
-  if (num_shards == 0) return out;
+  if (n == 0) return out;
 
-  // Flat (query block, item-shard) task grid with one per-shard output
-  // slot per query, stored shard-major so a block's slots for one shard
-  // are contiguous, and one block's scan buffers per worker (hoisted
-  // into scorer scratch — steady-state scanning allocates nothing). Each
-  // slot is written by exactly one task, so no synchronization is needed
-  // and the serial per-query merge below is deterministic. Blocks hold up to
-  // kQueryBlock queries, fewer when a catalog of few shards would
-  // otherwise leave workers idle (no response depends on the block).
-  const size_t blocks_per_shard =
-      (pool_.num_workers() + num_shards - 1) / num_shards;
+  // The item split of the header note: each query block scans as large a
+  // range as still keeps every worker busy, but no range holds fewer than
+  // kMinRangeFloats of item rows; ranges split the catalog's chunks as
+  // evenly as they go, and blocks hold up to kQueryBlock queries, fewer
+  // when blocks x ranges would not cover the pool. No response depends
+  // on the split.
+  const size_t workers = pool_.num_workers();
+  const size_t chunks = (n + kItemChunk - 1) / kItemChunk;
+  const size_t chunk_floats = kItemChunk * std::max<size_t>(snapshot_.dim(), 1);
+  const size_t min_chunks = (kMinRangeFloats + chunk_floats - 1) / chunk_floats;
+  const size_t query_blocks = (num_queries + kQueryBlock - 1) / kQueryBlock;
+  const size_t num_ranges =
+      std::min((workers + query_blocks - 1) / query_blocks,
+               std::max<size_t>(1, chunks / min_chunks));
+  const size_t blocks_per_range = (workers + num_ranges - 1) / num_ranges;
   const size_t block = std::clamp<size_t>(
-      (num_queries + blocks_per_shard - 1) / blocks_per_shard, 1, kQueryBlock);
+      (num_queries + blocks_per_range - 1) / blocks_per_range, 1, kQueryBlock);
   const size_t num_blocks = (num_queries + block - 1) / block;
-  shard_tops_.resize(num_shards * num_queries);
+  const auto range_start = [&](size_t r) {
+    return static_cast<uint32_t>(
+        std::min<size_t>(n, r * chunks / num_ranges * kItemChunk));
+  };
+  // One slot per (range, query), range-major so a block's slots for one
+  // range are contiguous, and one block's scan buffers per worker
+  // (hoisted into scorer scratch: steady-state scanning allocates
+  // nothing). Each slot is written by exactly one task, so no
+  // synchronization is needed and the serial merge below is
+  // deterministic.
+  shard_tops_.resize(num_ranges * num_queries);
   runtime::ParallelFor(
-      pool_, 0, num_blocks * num_shards, 1,
+      pool_, 0, num_blocks * num_ranges, 1,
       [&](size_t lo, size_t hi, size_t /*shard*/, size_t worker) {
         for (size_t t = lo; t < hi; ++t) {
-          const size_t q0 = (t / num_shards) * block;
+          const size_t q0 = (t / num_ranges) * block;
           const size_t m = std::min(block, num_queries - q0);
-          const size_t s = t % num_shards;
-          const uint32_t item_lo = static_cast<uint32_t>(s * items_per_shard);
-          const uint32_t item_hi =
-              std::min<uint32_t>(n, item_lo + items_per_shard);
+          const size_t r = t % num_ranges;
           const std::span<std::vector<ScoredItem>> tops(
-              &shard_tops_[s * num_queries + q0], m);
+              &shard_tops_[r * num_queries + q0], m);
           for (std::vector<ScoredItem>& top : tops) top.clear();
-          ShardTopK(snapshot_, queries.subspan(q0, m), item_lo, item_hi,
-                    scratch_[worker], tops);
+          ShardTopK(snapshot_, queries.subspan(q0, m), range_start(r),
+                    range_start(r + 1), scratch_[worker], tops);
         }
       });
-  // Concatenated in a reused buffer, so each result is allocated at its
-  // own size (the ranking engine caches these vectors).
+  // Each result is allocated at its own size (the ranking engine caches
+  // these vectors): copied from its one slot, or from the top-k of its
+  // ranges' slots concatenated in a reused buffer.
+  if (num_ranges == 1) {
+    for (size_t qi = 0; qi < num_queries; ++qi) {
+      out[qi].assign(shard_tops_[qi].begin(), shard_tops_[qi].end());
+    }
+    return out;
+  }
   std::vector<ScoredItem> merge;
   for (size_t qi = 0; qi < num_queries; ++qi) {
     merge.clear();
-    for (size_t s = 0; s < num_shards; ++s) {
-      const std::vector<ScoredItem>& top = shard_tops_[s * num_queries + qi];
+    for (size_t r = 0; r < num_ranges; ++r) {
+      const std::vector<ScoredItem>& top = shard_tops_[r * num_queries + qi];
       merge.insert(merge.end(), top.begin(), top.end());
     }
     KeepTopK(merge, queries[qi].k);

@@ -1,4 +1,4 @@
-// Sharded full-catalog top-k scoring.
+// Full-catalog top-k scoring.
 //
 // The scoring core behind both the inference service and the offline
 // evaluator: cosine-score every catalog item of a `ModelSnapshot`
@@ -9,23 +9,32 @@
 //
 // Every tier is built from two kernels:
 //
-//   * `ShardTopK` answers one (query block, item shard) pair of the
+//   * `ShardTopK` answers one (query block, item range) pair of the
 //     exact scan: for each query of the block it merges the exact top-k
 //     of items [lo, hi), with that query's own k and exclusion list,
 //     into the query's running top-k. Every block size, one query
 //     included, runs the same scan (see below).
 //   * `BlockTopK` answers a block of queries serially, allocation-free:
 //     the IVF probe, list scan and re-rank per query when !exact,
-//     otherwise the same scan over every fixed-grain shard, each query's
-//     heap (below) running across all of them.
+//     otherwise one ShardTopK over the whole catalog, with one heap
+//     (below) per query.
 //
-// `CatalogScorer::BatchTopK` parallelizes the flat (query block x
-// shard) grid over a `runtime::ThreadPool`, one `ShardTopK` per task
+// `CatalogScorer::BatchTopK` parallelizes the flat (query block x item
+// range) grid over a `runtime::ThreadPool`, one `ShardTopK` per task
 // into its own slots, and merges each query's slots serially; its ANN
 // branch runs one single-query `BlockTopK` per query. The evaluator
 // ranks each shard of its parallel user loop as one `BlockTopK` block.
-// Shard boundaries depend only on the catalog size and
-// `items_per_shard` — never on the worker count or the block size.
+//
+// BatchTopK splits the catalog only as far as the pool needs: it gives
+// each query block ceil(workers / query blocks) item ranges, each a whole
+// number of kItemChunk chunks holding at least kMinRangeFloats of item
+// rows (the last range may end short), and then sizes the blocks so that
+// blocks x ranges covers the pool. A batch of at least as many query
+// blocks as workers (any batch of workers x kQueryBlock queries, and
+// every batch on a one-worker pool) scans the whole catalog as one
+// range, with one heap per query, as BlockTopK does, and so does any
+// batch over a catalog too small for two ranges. The split depends on
+// the worker count, which no result does: see "Why the bits hold" below.
 //
 // ---- Tiled exact scan (ShardTopK, and BlockTopK when exact) ----
 //
@@ -58,8 +67,9 @@
 // tile. A query whose running k-th is well placed re-scores a few
 // percent of the catalog (about 2% of the evaluator's pairs at 8000
 // items, dim 64, k = 20); one whose heap never fills (k near the
-// catalog size) re-scores every item. A BatchTopK shard task starts its
-// heap empty, so each task re-scores at least its first k items.
+// catalog size) re-scores every item. Each BatchTopK task starts its
+// heap empty, so a query split into r ranges re-scores at least r x k
+// items; a one-range batch re-scores exactly what BlockTopK does.
 //
 // Why the bits hold. A skipped item has exact score s <= fp32 + eps < f,
 // where f is the exact score of the heap's k-th when the item was
@@ -69,9 +79,9 @@
 // vec::Dot's bits and ordered by the strict total order `ScoredBefore`.
 // So each query's result is the unique ScoredBefore top-k of the same
 // set of items with the same scores as a full exact scan: the same
-// whatever the block, the chunk, the grain, the merge order, the thread
-// count or the batch packing. That needs a total order: a NaN score
-// compares neither above nor below a number, so `ScoredBefore` ranks
+// whatever the block, the chunk, the item split, the merge order, the
+// thread count or the batch packing. That needs a total order: a NaN
+// score compares neither above nor below a number, so `ScoredBefore` ranks
 // every number before every NaN and breaks ties among NaNs, like ties
 // among equal numbers, by ascending id. The evaluator and the server
 // call the same kernels, so the evaluator measures the lists the server
@@ -84,7 +94,7 @@
 //
 // With a snapshot built with SnapshotOptions::ivf, BlockTopK routes
 // each query through the snapshot's IvfIndex (ivf_index.h) instead of
-// the sharded full scan:
+// the full scan:
 //
 //   1. score all nlist centroids with one fused vec::DotBatch;
 //   2. visit the top-nprobe lists under (score desc, centroid id asc);
@@ -102,11 +112,10 @@
 // stays absolute: the index is frozen at snapshot time, each query's
 // probe/scan/re-rank runs serially into its own output slot, and the
 // pool only parallelizes *across* queries — so ANN responses are
-// bit-identical across thread counts, shard grains (items_per_shard is
-// not used at all), and batch packings: same index => same lists =>
-// same candidates => same total order. With nprobe >= nlist and fp32
-// lists, every item is visible and the response equals the exact
-// scan's bitwise.
+// bit-identical across thread counts and batch packings: same index =>
+// same lists => same candidates => same total order. With nprobe >=
+// nlist and fp32 lists, every item is visible and the response equals
+// the exact scan's bitwise.
 #ifndef BSLREC_SERVE_TOPK_SCORER_H_
 #define BSLREC_SERVE_TOPK_SCORER_H_
 
@@ -168,8 +177,6 @@ inline constexpr uint32_t kDefaultCandidateMargin = 64;
 inline constexpr uint32_t kDefaultNprobe = 8;
 
 struct ScorerOptions {
-  // Catalog items per scoring shard (one task of the exact scan).
-  uint32_t items_per_shard = 2048;
   // Scan the IVF lists as int8, then re-rank the survivors in fp32.
   // Needs exact = false and an index built with
   // IvfBuildOptions::int8_lists.
@@ -191,10 +198,10 @@ struct ScorerOptions {
 SnapshotOptions SnapshotOptionsFor(const ScorerOptions& options,
                                    IvfBuildOptions ivf = {});
 
-// Aborts unless a scorer with `options` can run on `snapshot`:
-// items_per_shard > 0, !exact needs the snapshot's IVF index, and
-// quantize needs !exact and an index built with int8 lists. The one
-// validation point of CatalogScorer and the evaluator's pass.
+// Aborts unless a scorer with `options` can run on `snapshot`: !exact
+// needs the snapshot's IVF index, and quantize needs !exact and an index
+// built with int8 lists. The one validation point of CatalogScorer and
+// the evaluator's pass.
 void CheckScorerOptions(const ModelSnapshot& snapshot,
                         const ScorerOptions& options);
 
@@ -203,13 +210,27 @@ void CheckScorerOptions(const ModelSnapshot& snapshot,
 // Chosen by measurement; no result depends on it.
 inline constexpr size_t kQueryBlock = 16;
 
-// Item rows per single-precision tile of the exact scan.
+// Item rows per single-precision tile of the exact scan, and the unit
+// of CatalogScorer::BatchTopK's item ranges.
 inline constexpr uint32_t kItemChunk = 64;
+
+// The least item-row data, in floats (items x dim), that one item range
+// of CatalogScorer::BatchTopK holds (1536 items at dim 64): below it,
+// handing a range to a worker and re-filling its heap cost more than
+// the split saves. One query split into two ranges on a 2-worker pool
+// first beat a single range between 2048 and 4096 items at dim 64, 1024
+// and 2048 at dim 128, and 8192 and 16384 at dim 16; and at 8000 items,
+// dim 64, k = 20, four ranges of 2000 items beat three of 2667 on a
+// 4-worker pool (perfbench's serving recipe, 4-core AVX2 host). Chosen
+// by measurement; no result depends on it.
+inline constexpr size_t kMinRangeFloats = 1536 * 64;
 
 // Per-tier scan counters. Each tier ticks only its own, so a scorer's
 // counters identify the path it actually ran.
 struct ScanStats {
-  uint64_t exact_shards = 0;    // exact fp32 (query, shard) scans
+  // Exact scans of one query over one item range (ShardTopK): one per
+  // query under BlockTopK, one per range of its batch under BatchTopK.
+  uint64_t exact_shards = 0;
   // Items the exact scan scored with vec::Dot (fills and items the
   // single-precision skip test kept).
   uint64_t exact_rescored = 0;
@@ -235,7 +256,7 @@ struct ScanStats {
 // the owner's scan statistics. All buffers keep their capacity across
 // calls, so steady-state scanning allocates nothing.
 struct ShardScratch {
-  // One query's state in the exact scan of a shard.
+  // One query's state in the exact scan of an item range.
   struct QueryState {
     float eps = 0.0f;         // its DotTileF32Error bound
     size_t next_exclude = 0;  // exclusion cursor (index into exclude)
@@ -253,12 +274,12 @@ struct ShardScratch {
   ScanStats stats;                  // summed by CatalogScorer::stats()
 };
 
-// The shard kernel of the exact scan: for each query j of `block`,
-// merges the exact top-k of items [lo, hi), skipping the query's
-// excluded ids, into the running top-k tops[j] (SelectTopKInto's in/out
-// contract: empty on entry for the shard's own top-k; always empty on
-// return for k = 0). Any block size runs the tiled scan of the header
-// note, with the same bits.
+// The kernel of the exact scan: for each query j of `block`, merges the
+// exact top-k of items [lo, hi), skipping the query's excluded ids, into
+// the running top-k tops[j] (SelectTopKInto's in/out contract: empty on
+// entry for the range's own top-k; always empty on return for k = 0).
+// Any block size runs the tiled scan of the header note, with the same
+// bits.
 void ShardTopK(const ModelSnapshot& snapshot, std::span<const ScoreQuery> block,
                uint32_t lo, uint32_t hi, ShardScratch& ws,
                std::span<std::vector<ScoredItem>> tops);
@@ -266,29 +287,24 @@ void ShardTopK(const ModelSnapshot& snapshot, std::span<const ScoreQuery> block,
 // The serial per-block kernel: writes the top-k of each query of
 // `block` into outs[j] without allocating in steady state. With
 // !options.exact it runs the IVF probe, list scan and re-rank per
-// query; otherwise it runs ShardTopK's scan over every
-// options.items_per_shard shard with one heap per query across all of
-// them, so later shards only compete with the k items found so far (and
-// exact_shards counts each (query, shard) as ShardTopK does). This is
-// the per-query unit of the ANN BatchTopK (blocks of one) and the
-// evaluator's kernel (one block per shard of its parallel user loop, so
-// each block's scan stays on one worker).
+// query; otherwise one ShardTopK over the whole catalog, so every item
+// competes with the k found so far. This is the per-query unit of the
+// ANN BatchTopK (blocks of one) and the evaluator's kernel (one block
+// per shard of its parallel user loop, so each block's scan stays on one
+// worker).
 void BlockTopK(const ModelSnapshot& snapshot, std::span<const ScoreQuery> block,
                const ScorerOptions& options, ShardScratch& ws,
                std::span<std::vector<ScoredItem>> outs);
 
 class CatalogScorer {
  public:
-  // Items per scoring shard (one task of the exact scan).
-  static constexpr uint32_t kDefaultItemsPerShard = 2048;
-
   // Per-tier scan counters, cumulative since construction (or the last
   // ResetStats).
   using Stats = ScanStats;
 
   // `snapshot` and `pool` must outlive the scorer. The pool is driven
-  // from the calling thread — one TopK/BatchTopK at a time (they are
-  // const but share mutable per-worker scratch). Aborts on options the
+  // from the calling thread — one BatchTopK at a time (it is const but
+  // shares mutable per-worker scratch). Aborts on options the
   // snapshot cannot serve (CheckScorerOptions).
   CatalogScorer(const ModelSnapshot& snapshot, runtime::ThreadPool& pool,
                 const ScorerOptions& options);
@@ -303,13 +319,11 @@ class CatalogScorer {
   // per-worker scratch, under the same one-driver contract.
   void ResetStats() const;
 
-  // Full-catalog top-k for one query.
-  std::vector<ScoredItem> TopK(const ScoreQuery& query) const;
-
-  // Batched queries: parallelizes over the flat (query block x
-  // item-shard) task grid, so a single large query and many small ones
-  // saturate the pool equally well. Exact blocks hold up to kQueryBlock
-  // queries. Result i answers queries[i].
+  // Full-catalog top-k for a batch of queries (one query included):
+  // parallelizes over the flat (query block x item range) task grid of
+  // the header note, so a single query and many saturate the pool
+  // equally well. Exact blocks hold up to kQueryBlock queries. Result i
+  // answers queries[i], and is allocated at its own size.
   std::vector<std::vector<ScoredItem>> BatchTopK(
       std::span<const ScoreQuery> queries) const;
 
@@ -323,6 +337,7 @@ class CatalogScorer {
   // scoring is logically const; guarded by the one-call-at-a-time
   // contract above.
   mutable std::vector<ShardScratch> scratch_;  // one per worker
+  // One slot per (item range, query), range-major.
   mutable std::vector<std::vector<ScoredItem>> shard_tops_;
 };
 

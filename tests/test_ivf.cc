@@ -1,6 +1,6 @@
 // Tests for IVF approximate retrieval: seeded k-means reproducibility,
 // index layout invariants, ANN response determinism across thread
-// counts / shard grains / batch packings, the nprobe >= nlist exactness
+// counts and batch packings, the nprobe >= nlist exactness
 // degeneration, int8 list-scan composition, empty-list edge cases,
 // scorer stats, the recall floor on clustered tables, the approximate
 // evaluator pass, and the concurrent front door on an ANN config.
@@ -52,11 +52,9 @@ serve::SnapshotOptions SnapOpts(bool int8_lists, uint32_t nlist) {
 
 // ANN serving config: exact = false routes the scorer through the
 // snapshot's IVF index.
-ServeConfig AnnConfig(size_t threads, uint32_t nlist, uint32_t nprobe,
-                      uint32_t items_per_shard = 16) {
+ServeConfig AnnConfig(size_t threads, uint32_t nlist, uint32_t nprobe) {
   ServeConfig cfg;
   cfg.max_k = 20;
-  cfg.items_per_shard = items_per_shard;
   cfg.runtime.num_threads = threads;
   cfg.exact = false;
   cfg.nprobe = nprobe;
@@ -168,36 +166,33 @@ TEST(IvfIndex, LayoutPartitionsTheCatalogWithAscendingIds) {
   }
 }
 
-TEST(AnnService, BitIdenticalAcrossThreadsGrainsAndBatchSizes) {
+TEST(AnnService, BitIdenticalAcrossThreadsAndBatchSizes) {
   const Dataset d = MediumDataset();
   Rng rng(42);
   MfModel model(d.num_users(), d.num_items(), 8, rng);
   model.Forward(rng);
   const std::vector<TopKRequest> reqs = AllUserRequests(d);
-  InferenceService baseline(d, model, AnnConfig(1, 8, 3, 7));
+  InferenceService baseline(d, model, AnnConfig(1, 8, 3));
   const std::vector<TopKResponse> want = baseline.HandleBatch(reqs);
-  for (const size_t threads : {2u, 8u}) {
-    for (const uint32_t grain : {7u, 64u}) {
-      InferenceService service(d, model, AnnConfig(threads, 8, 3, grain));
-      // Whole batch, then the same requests one at a time and in
-      // five-request slices: every packing must answer identically.
-      const std::vector<TopKResponse> got = service.HandleBatch(reqs);
-      ASSERT_EQ(got.size(), want.size());
-      for (size_t r = 0; r < want.size(); ++r) {
-        ExpectSameResponse(got[r], want[r],
-                           std::to_string(threads) + " threads, grain " +
-                               std::to_string(grain) + ", request " +
-                               std::to_string(r));
-      }
-      InferenceService single(d, model, AnnConfig(threads, 8, 3, grain));
-      for (size_t r = 0; r < reqs.size(); r += 5) {
-        const size_t n = std::min<size_t>(5, reqs.size() - r);
-        const std::vector<TopKResponse> slice =
-            single.HandleBatch({reqs.data() + r, n});
-        for (size_t j = 0; j < n; ++j) {
-          ExpectSameResponse(slice[j], want[r + j],
-                             "slice at " + std::to_string(r + j));
-        }
+  for (const size_t threads : {2u, 3u, 8u}) {
+    InferenceService service(d, model, AnnConfig(threads, 8, 3));
+    // Whole batch, then the same requests in five-request slices: every
+    // packing must answer identically.
+    const std::vector<TopKResponse> got = service.HandleBatch(reqs);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t r = 0; r < want.size(); ++r) {
+      ExpectSameResponse(got[r], want[r],
+                         std::to_string(threads) + " threads, request " +
+                             std::to_string(r));
+    }
+    InferenceService single(d, model, AnnConfig(threads, 8, 3));
+    for (size_t r = 0; r < reqs.size(); r += 5) {
+      const size_t n = std::min<size_t>(5, reqs.size() - r);
+      const std::vector<TopKResponse> slice =
+          single.HandleBatch({reqs.data() + r, n});
+      for (size_t j = 0; j < n; ++j) {
+        ExpectSameResponse(slice[j], want[r + j],
+                           "slice at " + std::to_string(r + j));
       }
     }
   }
@@ -211,7 +206,6 @@ TEST(AnnService, FullProbeFp32MatchesExactServiceBitwise) {
   const std::vector<TopKRequest> reqs = AllUserRequests(d);
   ServeConfig exact_cfg;
   exact_cfg.max_k = 20;
-  exact_cfg.items_per_shard = 16;
   exact_cfg.runtime.num_threads = 2;
   InferenceService exact(d, model, exact_cfg);
   // nprobe far above nlist: every list is visited, every item visible,

@@ -72,7 +72,6 @@ FrontEndConfig Config(size_t max_batch = 8, uint32_t flush_us = 200,
   cfg.max_batch = max_batch;
   cfg.flush_deadline_us = flush_us;
   cfg.serve.max_k = 20;
-  cfg.serve.items_per_shard = 16;  // several shards per scan
   cfg.serve.runtime.num_threads = threads;
   return cfg;
 }

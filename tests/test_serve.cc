@@ -1,7 +1,7 @@
-// Tests for the serving layer: snapshot construction, the sharded
-// top-k scoring core and its tiled block kernel, the inference service's
-// batching, seen-item filtering, cutoff-prefix reuse, and thread-count
-// determinism, and the evaluator's blocked ranking pass.
+// Tests for the serving layer: snapshot construction, the top-k scoring
+// core, its item split and its tiled block kernel, the inference
+// service's batching, seen-item filtering, cutoff-prefix reuse, and
+// thread-count determinism, and the evaluator's blocked ranking pass.
 #include "serve/inference_service.h"
 
 #include <algorithm>
@@ -34,7 +34,7 @@ using serve::ServeConfig;
 using serve::TopKRequest;
 using serve::TopKResponse;
 
-// A dataset big enough that item shards and thread counts both matter.
+// A dataset big enough that item ranges and thread counts both matter.
 Dataset MediumDataset(uint64_t seed = 11) {
   SyntheticConfig cfg;
   cfg.num_users = 60;
@@ -45,11 +45,9 @@ Dataset MediumDataset(uint64_t seed = 11) {
   return GenerateSynthetic(cfg).dataset;
 }
 
-ServeConfig Config(size_t threads, uint32_t items_per_shard = 16,
-                   uint32_t max_k = 20, bool cache = true) {
+ServeConfig Config(size_t threads, uint32_t max_k = 20, bool cache = true) {
   ServeConfig cfg;
   cfg.max_k = max_k;
-  cfg.items_per_shard = items_per_shard;
   cfg.cache_rankings = cache;
   cfg.runtime.num_threads = threads;
   return cfg;
@@ -63,6 +61,15 @@ TopKRequest Req(uint32_t user, uint32_t k, bool filter_seen = true,
   req.filter_seen = filter_seen;
   req.extra_seen = extra_seen;
   return req;
+}
+
+// Items in the smallest item range CatalogScorer::BatchTopK makes at
+// dim d: whole chunks holding at least serve::kMinRangeFloats floats.
+uint32_t MinRangeItems(size_t d) {
+  const size_t chunk_floats = serve::kItemChunk * d;
+  const size_t chunks =
+      (serve::kMinRangeFloats + chunk_floats - 1) / chunk_floats;
+  return static_cast<uint32_t>(chunks * serve::kItemChunk);
 }
 
 void ExpectSameResponse(const TopKResponse& a, const TopKResponse& b,
@@ -129,26 +136,49 @@ TEST(TopKScorer, SelectTopKOrdersAndExcludes) {
   EXPECT_EQ(top[2].item, 3u);  // 0.5 ties item 5, lower id first
 }
 
-TEST(TopKScorer, ShardSizeNeverChangesTheResult) {
+// BatchTopK splits the catalog by the pool's worker count and the batch
+// size. On a catalog of eight smallest ranges and a bit, 8 workers split
+// a query alone or in a batch of 2 into 8 item ranges, in a batch of 17
+// into 4, of 33 into 3 and of 129 into one. Every split must give the
+// query the bits of a one-worker pool.
+TEST(TopKScorer, PoolAndBatchSizeNeverChangeTheResult) {
+  constexpr size_t kDim = 64;
+  const uint32_t num_items = 8 * MinRangeItems(kDim) + 5;
   const Dataset d = MediumDataset();
   Rng rng(3);
-  MfModel model(d.num_users(), d.num_items(), 8, rng);
+  MfModel model(d.num_users(), num_items, kDim, rng);
   model.Forward(rng);
-  runtime::ThreadPool pool(2);
-  const ModelSnapshot snap(model, pool);
+  runtime::ThreadPool pool1(1);
+  const ModelSnapshot snap(model, pool1);
   const std::vector<uint32_t> exclude = d.TestUsers();  // arbitrary ids
   const serve::ScoreQuery query{snap.UserVec(7), 12, exclude};
-  const CatalogScorer reference(snap, pool,
-                                {.items_per_shard = d.num_items() + 1});
-  const std::vector<ScoredItem> want = reference.TopK(query);
+  const CatalogScorer reference(snap, pool1, {});
+  const std::vector<ScoredItem> want = reference.BatchTopK({&query, 1})[0];
   ASSERT_EQ(want.size(), 12u);
-  for (uint32_t shard : {1u, 7u, 16u, 64u}) {
-    const CatalogScorer scorer(snap, pool, {.items_per_shard = shard});
-    const std::vector<ScoredItem> got = scorer.TopK(query);
-    ASSERT_EQ(got.size(), want.size()) << "shard " << shard;
-    for (size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(got[i].item, want[i].item) << "shard " << shard;
-      EXPECT_EQ(got[i].score, want[i].score) << "shard " << shard;
+  const size_t batches[] = {1, 2, 17, 33, 129};
+  // Item ranges per query at each batch size.
+  const std::pair<size_t, std::vector<uint64_t>> splits[] = {
+      {2, {2, 2, 1, 1, 1}}, {3, {3, 3, 2, 1, 1}}, {8, {8, 8, 4, 3, 1}}};
+  for (const auto& [threads, ranges] : splits) {
+    runtime::ThreadPool pool(threads);
+    const CatalogScorer scorer(snap, pool, {});
+    for (size_t b = 0; b < std::size(batches); ++b) {
+      // The query last, behind batch - 1 other users' queries.
+      std::vector<serve::ScoreQuery> queries;
+      for (size_t j = 0; j + 1 < batches[b]; ++j) {
+        queries.push_back({snap.UserVec(j % d.num_users()), 12, {}});
+      }
+      queries.push_back(query);
+      scorer.ResetStats();
+      const std::vector<ScoredItem> got = scorer.BatchTopK(queries).back();
+      const std::string what = "threads " + std::to_string(threads) +
+                               " batch " + std::to_string(batches[b]);
+      EXPECT_EQ(scorer.stats().exact_shards, ranges[b] * batches[b]) << what;
+      ASSERT_EQ(got.size(), want.size()) << what;
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].item, want[i].item) << what;
+        EXPECT_EQ(got[i].score, want[i].score) << what;
+      }
     }
   }
 }
@@ -171,7 +201,7 @@ TEST(TopKScorer, ZeroCutoffReturnsEmptyOnEveryTier) {
     const CatalogScorer scorer(snap, pool, options);
     const std::string tier = std::string(options.quantize ? "int8" : "fp32") +
                              (options.exact ? "" : " ivf");
-    EXPECT_TRUE(scorer.TopK(zero).empty()) << tier;
+    EXPECT_TRUE(scorer.BatchTopK({&zero, 1})[0].empty()) << tier;
     // A zero cutoff beside a real one in the same batch.
     const std::vector<serve::ScoreQuery> batch = {zero, five};
     const std::vector<std::vector<ScoredItem>> got = scorer.BatchTopK(batch);
@@ -217,43 +247,40 @@ TEST(BlockTopK, EveryQueryMatchesItsOneQueryResultBitwise) {
     MfModel model(kUsers, n, d, rng);
     runtime::ThreadPool pool(1);
     const ModelSnapshot snap(model, pool);
-    for (const uint32_t grain : {1u, 7u, 64u, n + 1}) {
-      const serve::ScorerOptions options{.items_per_shard = grain};
-      for (const size_t m : {1u, 2u, 3u, 8u, 9u, 17u}) {
-        // Query j takes cutoff ks[j % 4] and exclusion list j / 4 % 4, so
-        // the 17-query block covers every pairing.
-        std::vector<serve::ScoreQuery> block;
-        for (size_t j = 0; j < m; ++j) {
-          const auto u = static_cast<uint32_t>(j % kUsers);
-          block.push_back({snap.UserVec(u), ks[j % 4], excludes[j / 4 % 4]});
-        }
-        serve::ShardScratch block_ws, one_ws;
-        std::vector<std::vector<ScoredItem>> got(m);
-        serve::BlockTopK(snap, block, options, block_ws, got);
-        for (size_t j = 0; j < m; ++j) {
-          std::vector<ScoredItem> want;
-          serve::BlockTopK(snap, {&block[j], 1}, options, one_ws, {&want, 1});
-          const std::string what = "d " + std::to_string(d) + " grain " +
-                                   std::to_string(grain) + " m " +
-                                   std::to_string(m) + " query " +
-                                   std::to_string(j);
-          ExpectSameRanking(got[j], want, what);
-        }
-        // The counter still counts (query, shard) scans.
-        EXPECT_EQ(block_ws.stats.exact_shards, one_ws.stats.exact_shards)
-            << "d " << d << " grain " << grain << " m " << m;
+    for (const size_t m : {1u, 2u, 3u, 8u, 9u, 17u}) {
+      // Query j takes cutoff ks[j % 4] and exclusion list j / 4 % 4, so
+      // the 17-query block covers every pairing.
+      std::vector<serve::ScoreQuery> block;
+      for (size_t j = 0; j < m; ++j) {
+        const auto u = static_cast<uint32_t>(j % kUsers);
+        block.push_back({snap.UserVec(u), ks[j % 4], excludes[j / 4 % 4]});
       }
+      serve::ShardScratch block_ws, one_ws;
+      std::vector<std::vector<ScoredItem>> got(m);
+      serve::BlockTopK(snap, block, {}, block_ws, got);
+      for (size_t j = 0; j < m; ++j) {
+        std::vector<ScoredItem> want;
+        serve::BlockTopK(snap, {&block[j], 1}, {}, one_ws, {&want, 1});
+        const std::string what = "d " + std::to_string(d) + " m " +
+                                 std::to_string(m) + " query " +
+                                 std::to_string(j);
+        ExpectSameRanking(got[j], want, what);
+      }
+      // The counter still counts (query, item range) scans.
+      EXPECT_EQ(block_ws.stats.exact_shards, one_ws.stats.exact_shards)
+          << "d " << d << " m " << m;
     }
   }
 }
 
 // The brute-force oracle, independent of the scan's selection code:
-// every non-excluded item scored with vec::Dot, std::sort under
-// ScoredBefore, the first k kept.
+// every non-excluded item of [lo, hi) scored with vec::Dot, std::sort
+// under ScoredBefore, the first k kept.
 std::vector<ScoredItem> BruteForceTopK(const ModelSnapshot& snap,
-                                       const serve::ScoreQuery& query) {
+                                       const serve::ScoreQuery& query,
+                                       uint32_t lo, uint32_t hi) {
   std::vector<ScoredItem> all;
-  for (uint32_t i = 0; i < snap.num_items(); ++i) {
+  for (uint32_t i = lo; i < hi; ++i) {
     if (std::binary_search(query.exclude.begin(), query.exclude.end(), i)) {
       continue;
     }
@@ -264,21 +291,28 @@ std::vector<ScoredItem> BruteForceTopK(const ModelSnapshot& snap,
   return all;
 }
 
-// A catalog of three and a half item chunks whose rows include exact
-// duplicates (ties broken by id), NaN rows and zero rows, queried by
-// users that include a NaN row and a zero row, with k in {0, 1, 20, n}
+std::vector<ScoredItem> BruteForceTopK(const ModelSnapshot& snap,
+                                       const serve::ScoreQuery& query) {
+  return BruteForceTopK(snap, query, 0, snap.num_items());
+}
+
+// A catalog (by default three and a half item chunks) whose rows include
+// exact duplicates (ties broken by id), NaN rows and zero rows, queried
+// by users that include a NaN row and a zero row, with k in {0, 1, 20, n}
 // and exclusions of nothing, scattered ids, a whole chunk, and
 // everything.
 struct OracleFixture {
   static constexpr uint32_t kUsers = 24;
-  static constexpr uint32_t kItems = 3 * serve::kItemChunk + 37;
+  static constexpr uint32_t kSmallItems = 3 * serve::kItemChunk + 37;
 
-  explicit OracleFixture(size_t dim) : model(kUsers, kItems, dim, rng) {
+  explicit OracleFixture(size_t dim, uint32_t catalog = kSmallItems)
+      : num_items(catalog), model(kUsers, num_items, dim, rng) {
     std::vector<ParamGrad> params = model.Params();  // {users}, {items}
     Matrix& users = *params[0].value;
     Matrix& items = *params[1].value;
     const float nan = std::numeric_limits<float>::quiet_NaN();
-    for (const uint32_t dup : {6u, 64u, 65u, 200u, kItems - 1}) {
+    for (const uint32_t dup :
+         {6u, 64u, 65u, 200u, num_items / 2, num_items - 1}) {
       std::copy_n(items.Row(5), dim, items.Row(dup));
     }
     for (const uint32_t i : {9u, 70u, 150u}) {
@@ -292,17 +326,18 @@ struct OracleFixture {
     runtime::ThreadPool pool(1);
     snap = std::make_unique<ModelSnapshot>(model, pool);
     excludes.resize(4);
-    excludes[1] = {0, 5, 6, 63, 64, 65, 128, kItems - 1};
+    excludes[1] = {0, 5, 6, 63, 64, 65, 128, num_items - 1};
     for (uint32_t i = serve::kItemChunk; i < 2 * serve::kItemChunk; ++i) {
       excludes[2].push_back(i);
     }
-    for (uint32_t i = 0; i < kItems; ++i) excludes[3].push_back(i);
-    const uint32_t ks[] = {20, 1, kItems, 0, 20, 1};
+    for (uint32_t i = 0; i < num_items; ++i) excludes[3].push_back(i);
+    const uint32_t ks[] = {20, 1, num_items, 0, 20, 1};
     for (uint32_t u = 0; u < kUsers; ++u) {
       queries.push_back({snap->UserVec(u), ks[u % 6], excludes[u / 6 % 4]});
     }
   }
 
+  const uint32_t num_items;
   Rng rng{77};
   MfModel model;
   std::unique_ptr<ModelSnapshot> snap;
@@ -317,52 +352,145 @@ TEST(BruteForceOracle, BlockTopKMatchesASortOverDotAtEveryBlockSize) {
     for (const serve::ScoreQuery& q : fx.queries) {
       want.push_back(BruteForceTopK(*fx.snap, q));
     }
-    for (const uint32_t grain :
-         {CatalogScorer::kDefaultItemsPerShard, 7u, serve::kItemChunk}) {
-      const serve::ScorerOptions options{.items_per_shard = grain};
-      serve::ShardScratch ws;
-      for (size_t m = 1; m <= 17; ++m) {
-        for (size_t q0 = 0; q0 < fx.queries.size(); q0 += m) {
-          const size_t mm = std::min(m, fx.queries.size() - q0);
-          std::vector<std::vector<ScoredItem>> got(mm);
-          serve::BlockTopK(*fx.snap, std::span(fx.queries).subspan(q0, mm),
-                           options, ws, got);
-          for (size_t j = 0; j < mm; ++j) {
-            ExpectSameRanking(got[j], want[q0 + j],
-                              "d " + std::to_string(d) + " grain " +
-                                  std::to_string(grain) + " m " +
-                                  std::to_string(m) + " query " +
-                                  std::to_string(q0 + j));
-          }
+    serve::ShardScratch ws;
+    for (size_t m = 1; m <= 17; ++m) {
+      for (size_t q0 = 0; q0 < fx.queries.size(); q0 += m) {
+        const size_t mm = std::min(m, fx.queries.size() - q0);
+        std::vector<std::vector<ScoredItem>> got(mm);
+        serve::BlockTopK(*fx.snap, std::span(fx.queries).subspan(q0, mm), {},
+                         ws, got);
+        for (size_t j = 0; j < mm; ++j) {
+          ExpectSameRanking(got[j], want[q0 + j],
+                            "d " + std::to_string(d) + " m " +
+                                std::to_string(m) + " query " +
+                                std::to_string(q0 + j));
         }
       }
-      // The skip test did skip: fewer re-scores than scored pairs.
-      EXPECT_GT(ws.stats.exact_rescored, 0u);
-      EXPECT_LT(ws.stats.exact_rescored,
-                17u * fx.queries.size() * OracleFixture::kItems);
+    }
+    // The skip test did skip: fewer re-scores than scored pairs.
+    EXPECT_GT(ws.stats.exact_rescored, 0u);
+    EXPECT_LT(ws.stats.exact_rescored,
+              17u * fx.queries.size() * fx.num_items);
+  }
+}
+
+// ShardTopK over item ranges no split of BatchTopK makes: a start that
+// is not chunk-aligned, fewer items than k, the first and the last item
+// alone, and an empty range, each against the oracle restricted to it;
+// then consecutive odd ranges merged into one running top-k per query,
+// against the full oracle.
+TEST(BruteForceOracle, ShardTopKMatchesASortOverDotOnAnyItemRange) {
+  constexpr uint32_t n = OracleFixture::kSmallItems;
+  const std::pair<uint32_t, uint32_t> ranges[] = {
+      {7, 200}, {65, 130}, {100, 105}, {0, 1}, {n - 1, n}, {150, 150}};
+  const uint32_t cuts[] = {0, 1, 7, 64, 200, 201, n - 1, n};
+  for (const size_t d : {13u, 64u}) {
+    const OracleFixture fx(d);
+    for (const size_t m : {1u, 5u, 24u}) {
+      serve::ShardScratch ws;
+      for (size_t q0 = 0; q0 < fx.queries.size(); q0 += m) {
+        const size_t mm = std::min(m, fx.queries.size() - q0);
+        const auto block = std::span(fx.queries).subspan(q0, mm);
+        const std::string at =
+            "d " + std::to_string(d) + " m " + std::to_string(m);
+        for (const auto& [lo, hi] : ranges) {
+          std::vector<std::vector<ScoredItem>> tops(mm);
+          serve::ShardTopK(*fx.snap, block, lo, hi, ws, tops);
+          for (size_t j = 0; j < mm; ++j) {
+            ExpectSameRanking(
+                tops[j], BruteForceTopK(*fx.snap, block[j], lo, hi),
+                at + " [" + std::to_string(lo) + ", " + std::to_string(hi) +
+                    ") query " + std::to_string(q0 + j));
+          }
+        }
+        std::vector<std::vector<ScoredItem>> tops(mm);
+        for (size_t c = 0; c + 1 < std::size(cuts); ++c) {
+          serve::ShardTopK(*fx.snap, block, cuts[c], cuts[c + 1], ws, tops);
+        }
+        for (size_t j = 0; j < mm; ++j) {
+          ExpectSameRanking(tops[j], BruteForceTopK(*fx.snap, block[j]),
+                            at + " cuts, query " + std::to_string(q0 + j));
+        }
+      }
     }
   }
 }
 
-TEST(BruteForceOracle, BatchTopKMatchesASortOverDotAtEveryGrain) {
+// BatchTopK at pools of 1, 2, 3 and 8 workers over a catalog of eight
+// smallest item ranges and a short chunk, serving the fixture's queries
+// alone (1, 2, 3 and 8 ranges, the last one short: the counter shows the
+// split), in batches of 5 and as one batch of 24.
+TEST(BruteForceOracle, BatchTopKMatchesASortOverDotAtEverySplit) {
   for (const size_t d : {13u, 64u}) {
-    const OracleFixture fx(d);
-    const uint32_t n = OracleFixture::kItems;
-    for (const size_t threads : {1u, 3u}) {
+    const OracleFixture fx(d, 8 * MinRangeItems(d) + 37);
+    std::vector<std::vector<ScoredItem>> want;
+    for (const serve::ScoreQuery& q : fx.queries) {
+      want.push_back(BruteForceTopK(*fx.snap, q));
+    }
+    for (const size_t threads : {1u, 2u, 3u, 8u}) {
       runtime::ThreadPool pool(threads);
-      for (const uint32_t grain : {1u, 7u, 64u, n + 1}) {
-        const CatalogScorer scorer(*fx.snap, pool, {.items_per_shard = grain});
-        const auto got = scorer.BatchTopK(fx.queries);
-        for (size_t j = 0; j < fx.queries.size(); ++j) {
-          ExpectSameRanking(got[j], BruteForceTopK(*fx.snap, fx.queries[j]),
-                            "d " + std::to_string(d) + " threads " +
-                                std::to_string(threads) + " grain " +
-                                std::to_string(grain) + " query " +
-                                std::to_string(j));
+      const CatalogScorer scorer(*fx.snap, pool, {});
+      for (const size_t batch : {1u, 5u, 24u}) {
+        for (size_t q0 = 0; q0 < fx.queries.size(); q0 += batch) {
+          const size_t m = std::min(batch, fx.queries.size() - q0);
+          const auto queries = std::span(fx.queries).subspan(q0, m);
+          scorer.ResetStats();
+          const auto got = scorer.BatchTopK(queries);
+          const std::string at = "d " + std::to_string(d) + " threads " +
+                                 std::to_string(threads) + " batch " +
+                                 std::to_string(batch);
+          for (size_t j = 0; j < m; ++j) {
+            ExpectSameRanking(got[j], want[q0 + j],
+                              at + " query " + std::to_string(q0 + j));
+          }
+          if (batch == 1) {
+            EXPECT_EQ(scorer.stats().exact_shards,
+                      queries[0].k > 0 ? threads : 0u)
+                << at << " query " << q0;
+          }
         }
       }
     }
   }
+}
+
+// A batch of at least workers x kQueryBlock queries scans the whole
+// catalog as one item range, and so does one query on a one-worker pool:
+// each query's heap then meets the items in the order the evaluator's
+// BlockTopK offers them, so BatchTopK re-scores exactly the items
+// BlockTopK does (a query's fp32 tile values and heap do not depend on
+// its block).
+TEST(TopKScorer, OneRangeBatchRescoresWhatBlockTopKRescores) {
+  constexpr uint32_t kUsers = 40;
+  constexpr uint32_t kItems = 5000;
+  Rng rng(61);
+  MfModel model(kUsers, kItems, 16, rng);
+  runtime::ThreadPool pool1(1);
+  runtime::ThreadPool pool2(2);
+  const ModelSnapshot snap(model, pool1);
+  const std::vector<uint32_t> exclude = {3, 2047, 2048, 4999};
+  std::vector<serve::ScoreQuery> queries;
+  for (uint32_t u = 0; u < kUsers; ++u) {
+    queries.push_back({snap.UserVec(u), 20, exclude});
+  }
+  ASSERT_GE(queries.size(), pool2.num_workers() * serve::kQueryBlock);
+  const auto block_rescored = [&](std::span<const serve::ScoreQuery> qs) {
+    serve::ShardScratch ws;
+    std::vector<std::vector<ScoredItem>> outs(serve::kQueryBlock);
+    for (size_t q0 = 0; q0 < qs.size(); q0 += serve::kQueryBlock) {
+      const size_t m = std::min(serve::kQueryBlock, qs.size() - q0);
+      serve::BlockTopK(snap, qs.subspan(q0, m), {}, ws,
+                       std::span(outs).first(m));
+    }
+    return ws.stats.exact_rescored;
+  };
+  const CatalogScorer batch_scorer(snap, pool2, {});
+  batch_scorer.BatchTopK(queries);
+  EXPECT_EQ(batch_scorer.stats().exact_rescored, block_rescored(queries));
+  const CatalogScorer one_scorer(snap, pool1, {});
+  one_scorer.BatchTopK({&queries[0], 1});
+  EXPECT_EQ(one_scorer.stats().exact_rescored,
+            block_rescored({&queries[0], 1}));
 }
 
 // Rows whose exact scores straddle the k-th by less than the fp32
@@ -426,11 +554,15 @@ TEST(NearTies, ItemsWithinTheErrorBoundOfTheKthAreRescored) {
       EXPECT_GE(ws.stats.exact_rescored, 2u * m);
       EXPECT_LT(ws.stats.exact_rescored, m * kItems / 2);
     }
-    for (const uint32_t grain : {1u, 2u, 64u, kItems}) {
-      const CatalogScorer scorer(snap, pool, {.items_per_shard = grain});
-      ExpectSameRanking(scorer.TopK(query), want,
-                        "grain " + std::to_string(grain));
-    }
+    // The near tie split across a range boundary: item 0 alone fills
+    // the heap, then item 1 meets the skip test against it.
+    serve::ShardScratch ws;
+    std::vector<ScoredItem> top;
+    serve::ShardTopK(snap, {&query, 1}, 0, 1, ws, {&top, 1});
+    serve::ShardTopK(snap, {&query, 1}, 1, kItems, ws, {&top, 1});
+    ExpectSameRanking(top, want, "ranges [0, 1) and [1, n)");
+    const CatalogScorer scorer(snap, pool, {});
+    ExpectSameRanking(scorer.BatchTopK({&query, 1})[0], want, "BatchTopK");
   }
   EXPECT_TRUE(found) << "no seed produced a near tie";
 }
@@ -482,14 +614,10 @@ TEST(BlockedEvaluator, MetricsAndExposureMatchAPerUserLoop) {
   MfModel model(d.num_users(), d.num_items(), 8, rng);
   const uint32_t k = 10;
   for (const size_t threads : {1u, 2u, 8u}) {
-    for (const uint32_t grain : {CatalogScorer::kDefaultItemsPerShard, 7u}) {
-      const Evaluator eval(d, k, runtime::RuntimeConfig{threads},
-                           serve::ScorerOptions{.items_per_shard = grain});
-      Evaluator::Pass pass = eval.BeginPass(model);
-      const std::string what =
-          std::to_string(threads) + " threads, grain " + std::to_string(grain);
-      ExpectPassMatchesPerUserLoop(d, pass, k, what);
-    }
+    const Evaluator eval(d, k, runtime::RuntimeConfig{threads});
+    Evaluator::Pass pass = eval.BeginPass(model);
+    ExpectPassMatchesPerUserLoop(d, pass, k,
+                                 std::to_string(threads) + " threads");
   }
 }
 
@@ -500,20 +628,14 @@ TEST(InferenceService, MatchesEvaluatorRankingsOnTheSameSnapshot) {
   model.Forward(rng);
   const uint32_t k = 15;
   InferenceService service(d, model, Config(2));
-  // The evaluator's serial kernel over one shard, and over 13 shards
-  // merged into its running top-k.
-  for (const uint32_t grain : {CatalogScorer::kDefaultItemsPerShard, 7u}) {
-    const Evaluator eval(d, k, runtime::RuntimeConfig{2},
-                         serve::ScorerOptions{.items_per_shard = grain});
-    Evaluator::Pass pass = eval.BeginPass(model);
-    for (uint32_t u = 0; u < d.num_users(); ++u) {
-      const std::vector<uint32_t> want = pass.TopKForUser(u);
-      const TopKResponse got = service.Handle(Req(u, k));
-      ASSERT_EQ(got.items.size(), want.size()) << "user " << u;
-      for (size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(got.items[i], want[i])
-            << "grain " << grain << " user " << u << " rank " << i;
-      }
+  const Evaluator eval(d, k, runtime::RuntimeConfig{2});
+  Evaluator::Pass pass = eval.BeginPass(model);
+  for (uint32_t u = 0; u < d.num_users(); ++u) {
+    const std::vector<uint32_t> want = pass.TopKForUser(u);
+    const TopKResponse got = service.Handle(Req(u, k));
+    ASSERT_EQ(got.items.size(), want.size()) << "user " << u;
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got.items[i], want[i]) << "user " << u << " rank " << i;
     }
   }
 }
@@ -605,7 +727,7 @@ TEST(InferenceService, SmallerCutoffsArePrefixesAndReuseTheCache) {
   Rng rng(8);
   MfModel model(d.num_users(), d.num_items(), 8, rng);
   model.Forward(rng);
-  InferenceService warm(d, model, Config(2, 16, 20));
+  InferenceService warm(d, model, Config(2, 20));
   const TopKResponse deep = warm.Handle(Req(4, 20));
   ASSERT_EQ(deep.items.size(), 20u);
   for (uint32_t k : {1u, 3u, 12u}) {
@@ -618,9 +740,9 @@ TEST(InferenceService, SmallerCutoffsArePrefixesAndReuseTheCache) {
   }
   // A cold service answering the small cutoff directly must agree with
   // the warm cache-served prefix, and so must a cache-disabled one.
-  InferenceService cold(d, model, Config(2, 16, 20));
+  InferenceService cold(d, model, Config(2, 20));
   ExpectSameResponse(cold.Handle(Req(4, 12)), warm.Handle(Req(4, 12)), "cold");
-  InferenceService uncached(d, model, Config(2, 16, 20, false));
+  InferenceService uncached(d, model, Config(2, 20, false));
   ExpectSameResponse(uncached.Handle(Req(4, 12)), warm.Handle(Req(4, 12)),
                      "uncached");
   // Cutoffs beyond max_k bypass the cache but stay consistent prefixes.
@@ -636,7 +758,7 @@ TEST(InferenceService, CutoffLargerThanCatalogIsClamped) {
   Rng rng(9);
   MfModel model(d.num_users(), d.num_items(), 4, rng);
   model.Forward(rng);
-  InferenceService service(d, model, Config(2, 4, 100));
+  InferenceService service(d, model, Config(2, 100));
   const TopKResponse resp = service.Handle(Req(0, 1000));
   EXPECT_EQ(resp.items.size(), d.num_items() - d.TrainItems(0).size());
   std::vector<uint32_t> sorted = resp.items;
@@ -650,7 +772,7 @@ TEST(InferenceService, ServesWhileTheModelKeepsChanging) {
   Rng rng(10);
   MfModel model(d.num_users(), d.num_items(), 4, rng);
   model.Forward(rng);
-  InferenceService service(d, model, Config(2, 4));
+  InferenceService service(d, model, Config(2));
   const TopKResponse before = service.Handle(Req(1, 3));
   for (ParamGrad& pg : model.Params()) pg.value->SetZero();
   model.Forward(rng);
@@ -662,12 +784,12 @@ TEST(InferenceService, EmptyBatchIsANoOp) {
   Rng rng(11);
   MfModel model(d.num_users(), d.num_items(), 4, rng);
   model.Forward(rng);
-  InferenceService service(d, model, Config(1, 4));
+  InferenceService service(d, model, Config(1));
   EXPECT_TRUE(service.HandleBatch({}).empty());
 }
 
 // A NaN score is neither above nor below a number. ScoredBefore ranks it
-// after every number, so every split of the catalog (shard grains,
+// after every number, so every split of the catalog (item ranges,
 // blocks, batches, threads) ranks NaN the same way.
 TEST(NanScores, RankLastAndTheSameOnEveryPathAndTier) {
   const Dataset d = MediumDataset();
@@ -691,10 +813,10 @@ TEST(NanScores, RankLastAndTheSameOnEveryPathAndTier) {
     const uint32_t k = u % 2 == 0 ? 10 : n;
     queries.push_back({snap.UserVec(u), k, d.TrainItems(u)});
   }
-  const CatalogScorer reference(snap, pool1, {.items_per_shard = n + 1});
+  const CatalogScorer reference(snap, pool1, {});
   std::vector<std::vector<ScoredItem>> want;
   for (const serve::ScoreQuery& q : queries) {
-    want.push_back(reference.TopK(q));
+    want.push_back(reference.BatchTopK({&q, 1})[0]);
     bool seen_nan = false;
     for (const ScoredItem& e : want.back()) {
       if (std::isnan(e.score)) seen_nan = true;
@@ -705,35 +827,33 @@ TEST(NanScores, RankLastAndTheSameOnEveryPathAndTier) {
   EXPECT_TRUE(std::isnan(want[nan_user][0].score));
   EXPECT_TRUE(std::isnan(want[1].back().score));  // full list ends in NaN
 
-  for (const size_t threads : {1u, 2u}) {
+  // The whole batch and each query alone, at several pool sizes; the
+  // oracle fixture's NaN rows cover NaN across item ranges.
+  for (const size_t threads : {1u, 2u, 3u, 8u}) {
     runtime::ThreadPool pool(threads);
-    for (const uint32_t grain : {1u, 7u, n + 1}) {
-      const std::string what = "threads " + std::to_string(threads) +
-                               " grain " + std::to_string(grain);
-      const serve::ScorerOptions options{.items_per_shard = grain};
-      const CatalogScorer scorer(snap, pool, options);
-      const auto batch = scorer.BatchTopK(queries);
+    const std::string what = "threads " + std::to_string(threads);
+    const CatalogScorer scorer(snap, pool, {});
+    const auto batch = scorer.BatchTopK(queries);
+    for (uint32_t u = 0; u < d.num_users(); ++u) {
+      const std::string who = what + " user " + std::to_string(u);
+      ExpectSameRanking(batch[u], want[u], "batch " + who);
+      ExpectSameRanking(scorer.BatchTopK({&queries[u], 1})[0], want[u],
+                        "single " + who);
+    }
+    for (const uint32_t k : {10u, n}) {
+      const Evaluator eval(d, k, runtime::RuntimeConfig{threads});
+      Evaluator::Pass pass = eval.BeginPass(model);
+      const std::string at_k = "evaluator " + what + " k " + std::to_string(k);
       for (uint32_t u = 0; u < d.num_users(); ++u) {
-        const std::string who = what + " user " + std::to_string(u);
-        ExpectSameRanking(batch[u], want[u], "batch " + who);
-        ExpectSameRanking(scorer.TopK(queries[u]), want[u], "single " + who);
-      }
-      for (const uint32_t k : {10u, n}) {
-        const Evaluator eval(d, k, runtime::RuntimeConfig{threads}, options);
-        Evaluator::Pass pass = eval.BeginPass(model);
-        const std::string at_k =
-            "evaluator " + what + " k " + std::to_string(k);
-        for (uint32_t u = 0; u < d.num_users(); ++u) {
-          const std::vector<uint32_t> ids = pass.TopKForUser(u);
-          const serve::ScoreQuery q{snap.UserVec(u), k, d.TrainItems(u)};
-          const std::vector<ScoredItem> full = reference.TopK(q);
-          ASSERT_EQ(ids.size(), full.size()) << at_k << " user " << u;
-          for (size_t i = 0; i < ids.size(); ++i) {
-            EXPECT_EQ(ids[i], full[i].item) << at_k << " user " << u;
-          }
+        const std::vector<uint32_t> ids = pass.TopKForUser(u);
+        const serve::ScoreQuery q{snap.UserVec(u), k, d.TrainItems(u)};
+        const std::vector<ScoredItem> full = reference.BatchTopK({&q, 1})[0];
+        ASSERT_EQ(ids.size(), full.size()) << at_k << " user " << u;
+        for (size_t i = 0; i < ids.size(); ++i) {
+          EXPECT_EQ(ids[i], full[i].item) << at_k << " user " << u;
         }
-        ExpectPassMatchesPerUserLoop(d, pass, k, at_k);
       }
+      ExpectPassMatchesPerUserLoop(d, pass, k, at_k);
     }
   }
 }

@@ -4,7 +4,9 @@
 // serving snapshot, and answers top-k recommendation requests from
 // stdin (or --requests=FILE), batching consecutive requests for
 // throughput. Batches are served one at a time by a single driver
-// (serve::InferenceService over a --threads pool). For concurrent
+// (serve::InferenceService over a --threads pool); an exact batch
+// splits a large catalog only as far as the pool needs, and every
+// response is bit-identical for any --threads and --batch. For concurrent
 // producers over a socket, run the bslrec_served daemon instead: it
 // reads the same request lines and takes the same scoring flags, plus
 // the front door's batching and admission flags.
@@ -60,7 +62,6 @@ struct Options {
   std::string requests_file;  // empty = stdin
   uint32_t k = 10;            // default cutoff per request
   uint32_t max_k = 100;       // cache / prefix-reuse depth
-  uint32_t shard_items = serve::CatalogScorer::kDefaultItemsPerShard;
   size_t batch = 32;          // requests handled per HandleBatch call
   bool no_cache = false;
   bool quantize = false;      // int8 IVF list scan (needs --ann)
@@ -81,7 +82,7 @@ void Usage() {
       "                    [--backbone=mf|ngcf|lightgcn|sgl|simgcl|lightgcl]\n"
       "                    [--dim=N] [--layers=N] [--load=CKPT]\n"
       "                    [--requests=FILE] [--k=N] [--max-k=N]\n"
-      "                    [--batch=N] [--shard-items=N] [--no-cache]\n"
+      "                    [--batch=N] [--no-cache]\n"
       "                    [--ann] [--nlist=N] [--nprobe=P] [--recall]\n"
       "                    [--quantize] [--margin=N]\n"
       "                    [--threads=N] [--seed=N]\n"
@@ -102,17 +103,14 @@ void Usage() {
       "               responses are identical for any batch size\n"
       "--max-k:       per-user rankings are cached at this depth and\n"
       "               smaller cutoffs served as prefixes\n"
-      "--shard-items: catalog items per scoring shard (a worker's\n"
-      "               score buffer holds one request block's scores\n"
-      "               for one shard)\n"
       "--ann:         approximate retrieval through an IVF coarse index\n"
       "               built at snapshot time: score --nlist centroids,\n"
       "               visit the top --nprobe lists, exact fp32 re-rank\n"
       "               the gathered candidates. Composes with --quantize\n"
       "               (int8 list scans, then the fp32 re-rank).\n"
       "               Responses are deterministic (bit-identical for any\n"
-      "               --threads / --batch / --shard-items) but may miss\n"
-      "               items outside the probed lists\n"
+      "               --threads / --batch) but may miss items outside\n"
+      "               the probed lists\n"
       "--nlist:       coarse lists in the IVF index\n"
       "               (0 = ceil(sqrt(num_items)))\n"
       "--nprobe:      lists visited per query (clamped to [1, nlist]);\n"
@@ -127,8 +125,10 @@ void Usage() {
       "               for the fp32 re-rank (--ann --quantize; larger =\n"
       "               fewer true top-k items lost to int8 rounding)\n"
       "--threads:     worker count (0 = one per hardware thread,\n"
-      "               1 = serial). Results are bit-identical for any\n"
-      "               value.\n");
+      "               1 = serial). The exact scan splits a large\n"
+      "               catalog into item ranges only as far as a batch\n"
+      "               needs to keep every worker busy; results are\n"
+      "               bit-identical for any value.\n");
 }
 
 bool ParseFlags(int argc, char** argv, Options& opts) {
@@ -166,8 +166,6 @@ bool ParseFlags(int argc, char** argv, Options& opts) {
       ok = ParseIntFlag(key, value, &opts.k, 1);
     } else if (key == "max-k") {
       ok = ParseIntFlag(key, value, &opts.max_k, 1);
-    } else if (key == "shard-items") {
-      ok = ParseIntFlag(key, value, &opts.shard_items, 1);
     } else if (key == "batch") {
       ok = ParseIntFlag(key, value, &opts.batch, 1);
     } else if (key == "no-cache") {
@@ -330,7 +328,6 @@ int main(int argc, char** argv) {
 
   serve::ServeConfig cfg;
   cfg.max_k = opts.max_k;
-  cfg.items_per_shard = opts.shard_items;
   cfg.cache_rankings = !opts.no_cache;
   cfg.quantize = opts.quantize;
   cfg.exact = !opts.ann;

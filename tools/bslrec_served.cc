@@ -9,7 +9,10 @@
 // brownout all apply to socket traffic exactly as they do in-process.
 // This is the serving entry point for concurrent producers;
 // bslrec_serve answers a request file or stdin synchronously, with the
-// same scoring flags and the same request lines.
+// same scoring flags and the same request lines. The dispatcher scores
+// each micro-batch on a --threads pool; an exact batch splits a large
+// catalog only as far as that pool needs, and every response is
+// bit-identical for any --threads and any batching.
 //
 // The protocol is the newline-delimited grammar documented atop
 // src/serve/wire.h (both the TOPK wire form and the legacy
@@ -63,7 +66,6 @@ struct Options {
   std::string load_path;
   uint32_t k = 10;      // default cutoff for lines that name none
   uint32_t max_k = 100;  // cache / prefix-reuse depth
-  uint32_t shard_items = serve::CatalogScorer::kDefaultItemsPerShard;
   bool no_cache = false;
   bool quantize = false;  // int8 IVF list scan (needs --ann)
   bool ann = false;
@@ -95,8 +97,7 @@ void Usage() {
       "                     "
       "[--backbone=mf|ngcf|lightgcn|sgl|simgcl|lightgcl]\n"
       "                     [--dim=N] [--layers=N] [--load=CKPT]\n"
-      "                     [--k=N] [--max-k=N] [--shard-items=N]\n"
-      "                     [--no-cache]\n"
+      "                     [--k=N] [--max-k=N] [--no-cache]\n"
       "                     [--ann] [--nlist=N] [--nprobe=P] [--quantize]\n"
       "                     [--margin=N] [--threads=N] [--seed=N]\n"
       "                     [--batch=N] [--flush-us=D] [--max-queue=N]\n"
@@ -120,12 +121,13 @@ void Usage() {
       "               the model serves its random initialization)\n"
       "--k:           cutoff for request lines that name no k\n"
       "--max-k:       per-user rankings are cached at this depth\n"
-      "--shard-items: catalog items per scoring shard\n"
       "--ann:         IVF approximate retrieval (--nlist/--nprobe)\n"
       "--quantize:    int8 IVF list scan + fp32 re-rank (needs --ann)\n"
       "--margin:      extra int8 candidates per request kept for the\n"
       "               fp32 re-rank (--ann --quantize)\n"
-      "--threads:     scorer workers (0 = hardware concurrency)\n"
+      "--threads:     scorer workers (0 = hardware concurrency); an\n"
+      "               exact batch splits a large catalog only as far\n"
+      "               as they need, with the same bits at any value\n"
       "\n"
       "Front-door flags (a request's lane travels on its own line as\n"
       "LANE=interactive|bulk):\n"
@@ -187,8 +189,6 @@ bool ParseFlags(int argc, char** argv, Options& opts) {
       ok = ParseIntFlag(key, value, &opts.k, 1);
     } else if (key == "max-k") {
       ok = ParseIntFlag(key, value, &opts.max_k, 1);
-    } else if (key == "shard-items") {
-      ok = ParseIntFlag(key, value, &opts.shard_items, 1);
     } else if (key == "no-cache") {
       opts.no_cache = true;
     } else if (key == "quantize") {
@@ -357,7 +357,6 @@ int main(int argc, char** argv) {
     fe.brownout.nprobe = opts.brownout_nprobe;
   }
   fe.serve.max_k = opts.max_k;
-  fe.serve.items_per_shard = opts.shard_items;
   fe.serve.cache_rankings = !opts.no_cache;
   fe.serve.quantize = opts.quantize;
   fe.serve.exact = !opts.ann;
