@@ -6,9 +6,8 @@
 // bit-identical to the 1-thread baseline for every worker count, which
 // sets how the exact scan splits the catalog, and batch packing; IVF
 // responses must be bit-identical across thread counts and batch
-// packings (and equal the exact scan outright at nprobe >= nlist with
-// fp32 lists). Emits machine-readable
-// BENCH_serve.json into the working directory.
+// packings (and equal the exact scan outright at nprobe >= nlist).
+// Emits machine-readable BENCH_serve.json into the working directory.
 //
 // An ANN tier sweeps (nlist, nprobe) and reports recall@k of each
 // point's response lists against the exact scorer's, plus req/s; the
@@ -412,11 +411,11 @@ int main() {
 
   // ---- ANN determinism probes (gate the exit code) ----
   // IVF responses are a pure function of (snapshot, request): the
-  // per-query probe/scan/re-rank kernel is serial and the pool only
+  // per-query probe and list scan are serial and the pool only
   // parallelizes across queries, so neither thread count nor batch
-  // packing may move a bit. And with fp32
-  // lists and nprobe >= nlist the "approximation" visits the whole
-  // catalog, so it must reproduce the exact scan outright.
+  // packing may move a bit. And with nprobe >= nlist the
+  // "approximation" visits the whole catalog, so it must reproduce the
+  // exact scan outright.
   bool ann_identical = true;
   {
     const std::vector<serve::TopKRequest> probe =
@@ -1055,11 +1054,11 @@ int main() {
                ann_headline_nprobe);
   std::fprintf(out,
                "  \"probe_scan\": {\"queries\": %llu, \"lists\": %llu, "
-               "\"candidates\": %llu, \"reranked\": %llu},\n",
+               "\"candidates\": %llu, \"rescored\": %llu},\n",
                static_cast<unsigned long long>(ivf_stats.ivf_queries),
                static_cast<unsigned long long>(ivf_stats.ivf_lists),
                static_cast<unsigned long long>(ivf_stats.ivf_candidates),
-               static_cast<unsigned long long>(ivf_stats.ivf_reranked));
+               static_cast<unsigned long long>(ivf_stats.ivf_rescored));
   std::fprintf(out, "  \"determinism\": {\"ivf_bit_identical\": %s}},\n",
                ann_identical ? "true" : "false");
   std::fprintf(out,

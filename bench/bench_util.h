@@ -81,8 +81,8 @@ inline bool ScaleMode() {
 //
 // Every BENCH_*.json leads with a "machine" object so a results file is
 // interpretable without knowing which host produced it: thread count,
-// SIMD form the vec kernels dispatched to, cache geometry (the tiled exact
-// scan and the int8 IVF lists are cache-footprint plays), and which env
+// SIMD form the vec kernels dispatched to, cache geometry (the tiled
+// top-k scan is a cache-footprint play), and which env
 // switches shaped the workload. Cache fields are 0 when sysfs is
 // unavailable (non-Linux, restricted containers) — absent, not wrong.
 

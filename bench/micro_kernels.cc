@@ -607,98 +607,6 @@ void BM_AdamStepRef(benchmark::State& state) {
 }
 BENCHMARK(BM_AdamStepRef)->Unit(benchmark::kMillisecond);
 
-// ---- int8 IVF list-scan kernels (ScorerOptions::quantize) ----
-// SIMD dispatch vs the always-compiled scalar reference (vec::ref), and
-// the batched int8 list scan vs the fp32 DotBatch of an fp32 list — the
-// latter pair is the memory-traffic argument in numbers.
-
-std::vector<int8_t> QuantizedVec(size_t n, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<int8_t> v(n);
-  for (auto& x : v) {
-    x = static_cast<int8_t>(static_cast<int>(rng.NextIndex(255)) - 127);
-  }
-  return v;
-}
-
-void BM_DotI8(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const auto a = QuantizedVec(n, 31), b = QuantizedVec(n, 32);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(vec::DotI8(a.data(), b.data(), n));
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_DotI8)->Arg(16)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_DotI8Ref(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const auto a = QuantizedVec(n, 31), b = QuantizedVec(n, 32);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(vec::ref::DotI8(a.data(), b.data(), n));
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_DotI8Ref)->Arg(16)->Arg(64)->Arg(128)->Arg(256);
-
-// One int8 list scan: 64 grouped rows against one quantized query.
-// Compare against BM_DotBatchBlocked at the same dim for the int8 vs
-// fp32 bandwidth story.
-void BM_DotBatchI8(benchmark::State& state) {
-  const size_t d = static_cast<size_t>(state.range(0));
-  constexpr size_t kRows = 64;
-  const auto q = QuantizedVec(d, 33);
-  const auto rows = QuantizedVec(kRows * d, 34);
-  std::vector<int32_t> out(kRows);
-  for (auto _ : state) {
-    vec::DotBatchI8(q.data(), rows.data(), kRows, d, out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * kRows * d);
-}
-BENCHMARK(BM_DotBatchI8)->Arg(16)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_DotBatchI8Ref(benchmark::State& state) {
-  const size_t d = static_cast<size_t>(state.range(0));
-  constexpr size_t kRows = 64;
-  const auto q = QuantizedVec(d, 33);
-  const auto rows = QuantizedVec(kRows * d, 34);
-  std::vector<int32_t> out(kRows);
-  for (auto _ : state) {
-    vec::ref::DotBatchI8(q.data(), rows.data(), kRows, d, out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * kRows * d);
-}
-BENCHMARK(BM_DotBatchI8Ref)->Arg(16)->Arg(64)->Arg(128)->Arg(256);
-
-// Row quantization — the snapshot-freeze cost of building the int8
-// table and the per-query cost of encoding q into codes.
-void BM_QuantizeRow(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const auto x = GaussianVec(n, 35);
-  std::vector<int8_t> codes(n);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(vec::QuantizeRow(x.data(), n, codes.data()));
-    benchmark::DoNotOptimize(codes.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_QuantizeRow)->Arg(16)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_QuantizeRowRef(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const auto x = GaussianVec(n, 35);
-  std::vector<int8_t> codes(n);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        vec::ref::QuantizeRow(x.data(), n, codes.data()));
-    benchmark::DoNotOptimize(codes.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_QuantizeRowRef)->Arg(16)->Arg(64)->Arg(128)->Arg(256);
-
 void BM_StreamRngDraws(benchmark::State& state) {
   // Cost of one full per-sample stream: construction + 64 bounded draws,
   // the trainer's per-sample sampling pattern.
@@ -835,6 +743,50 @@ void BM_BatchTopK(benchmark::State& state) {
                           kItems);
 }
 BENCHMARK(BM_BatchTopK)->Arg(1)->Arg(32)->UseRealTime();
+
+// One ANN query through serve::BlockTopK's IVF tier at nprobe lists:
+// 20000 items, dim 64, the automatic nlist (142), k = 20 and 20 excluded
+// ids, over rows clustered around 25 shared centers (as bench_serve
+// clusters its tables), so the probed lists hold the query's neighbours.
+// The query scans the centroid rows for its top nprobe lists, then the
+// lists' grouped rows into one heap.
+void BM_IvfTopK(benchmark::State& state) {
+  constexpr uint32_t kItems = 20000;
+  constexpr size_t kDim = 64;
+  constexpr size_t kClusters = 25;
+  constexpr uint32_t kExcluded = 20;
+  const auto nprobe = static_cast<uint32_t>(state.range(0));
+  Rng rng(47);
+  MfModel model(1, kItems, kDim, rng);
+  const auto centers = GaussianVec(kClusters * kDim, 48);
+  for (ParamGrad& pg : model.Params()) {
+    Matrix& table = *pg.value;
+    for (size_t r = 0; r < table.rows(); ++r) {
+      const float* center = centers.data() + rng.NextIndex(kClusters) * kDim;
+      for (size_t j = 0; j < kDim; ++j) {
+        table.Row(r)[j] =
+            center[j] + 0.15f * static_cast<float>(rng.NextGaussian());
+      }
+    }
+  }
+  model.Forward(rng);
+  runtime::ThreadPool pool(1);
+  serve::SnapshotOptions options;
+  options.ivf.build = true;
+  const serve::ModelSnapshot snapshot(model, pool, options);
+  std::vector<uint32_t> excluded;
+  for (uint32_t t = 0; t < kExcluded; ++t) excluded.push_back(t * 997);
+  const serve::ScoreQuery query{snapshot.UserVec(0), 20, excluded};
+  const serve::ScorerOptions ann{.exact = false, .nprobe = nprobe};
+  serve::ShardScratch ws;
+  std::vector<serve::ScoredItem> top;
+  for (auto _ : state) {
+    serve::BlockTopK(snapshot, {&query, 1}, ann, ws, {&top, 1});
+    benchmark::DoNotOptimize(top.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_IvfTopK)->Arg(8)->Arg(32);
 
 void BM_WorstCaseWeights(benchmark::State& state) {
   const auto scores = MakeScores(static_cast<size_t>(state.range(0)), 10);

@@ -44,9 +44,8 @@
 //     benchmark's 4k x 8k shape);
 //   * `exact = false` — ANN through the snapshot's IVF index at
 //     `nprobe` probes, per user: the *approximate evaluation pass*,
-//     measuring exactly the lists ANN serving would return (with fp32
-//     lists and nprobe >= nlist it degenerates to the exact metrics
-//     bitwise); `quantize` scans the lists as int8 first.
+//     measuring exactly the lists ANN serving would return (with
+//     nprobe >= nlist it degenerates to the exact metrics bitwise).
 // Every tier runs serially per block inside the parallel user loop, so
 // all metric variants are bit-identical for any worker count.
 #ifndef BSLREC_EVAL_EVALUATOR_H_

@@ -11,8 +11,7 @@
 // internal to this file and marked target("avx2") and nothing more, so
 // they run AVX2 instructions without the build targeting AVX2, and a
 // portable build has no FMA for GCC to fuse a mul + add into (see the
-// vec.h contract note). QuantizeRow's one SIMD form is SSE2, the x86-64
-// baseline, so every x86-64 build runs it.
+// vec.h contract note).
 #if defined(__x86_64__)
 #include <immintrin.h>
 #define BSLREC_VEC_X86 1
@@ -23,7 +22,7 @@
 // multiple independent accumulators. Two properties are load-bearing:
 //   * Stability: reductions still accumulate in double (the original
 //     contract), so long rows don't lose low-order bits. DotTileF32 is
-//     the one float reduction; its only user, the exact scan's skip
+//     the one float reduction; its only user, the top-k scan's skip
 //     test, covers its error with DotTileF32Error.
 //   * Determinism: the summation tree is a pure function of n — four
 //     fixed accumulator lanes combined in a fixed order — so results
@@ -78,19 +77,6 @@ float Dot(const float* a, const float* b, size_t n) {
   return static_cast<float>((acc0 + acc1) + (acc2 + acc3));
 }
 
-int32_t DotI8(const int8_t* a, const int8_t* b, size_t n) {
-  int32_t acc = 0;
-  for (size_t k = 0; k < n; ++k) {
-    acc += static_cast<int32_t>(a[k]) * static_cast<int32_t>(b[k]);
-  }
-  return acc;
-}
-
-void DotBatchI8(const int8_t* q, const int8_t* rows, size_t m, size_t d,
-                int32_t* out) {
-  for (size_t r = 0; r < m; ++r) out[r] = DotI8(q, rows + r * d, d);
-}
-
 void DotRows(const float* q, const float* table, size_t stride,
              const uint32_t* ids, size_t m, size_t d, float* out) {
   for (size_t r = 0; r < m; ++r) {
@@ -119,67 +105,7 @@ struct ContiguousRows {
   const float* operator()(size_t r) const { return rows + r * d; }
 };
 
-// Shared quantization encoder: max_abs -> scale + codes. Both the
-// reference and the degenerate branches of the SIMD kernel route here,
-// so the two stay bitwise aligned by construction. The main branch
-// (nearbyintf(x * inv)) is also exactly what the packed CVTPS2DQ form
-// computes: one IEEE float multiply, then round-to-nearest-even.
-float QuantizeCodes(const float* x, size_t n, float max_abs, int8_t* out) {
-  if (!(max_abs > 0.0f)) {
-    std::fill(out, out + n, static_cast<int8_t>(0));
-    return 0.0f;
-  }
-  const float inv = 127.0f / max_abs;
-  if (!std::isfinite(inv)) {
-    // Denormal max_abs overflows the reciprocal; divide instead
-    // (|x / max_abs| <= 1, so the codes stay in range).
-    for (size_t k = 0; k < n; ++k) {
-      const float r = std::nearbyintf((x[k] / max_abs) * 127.0f);
-      out[k] = static_cast<int8_t>(std::min(127.0f, std::max(-127.0f, r)));
-    }
-    return max_abs / 127.0f;
-  }
-  for (size_t k = 0; k < n; ++k) {
-    const float r = std::nearbyintf(x[k] * inv);
-    out[k] = static_cast<int8_t>(std::min(127.0f, std::max(-127.0f, r)));
-  }
-  return max_abs / 127.0f;
-}
-
-float MaxAbsScalar(const float* x, size_t n) {
-  float m = 0.0f;
-  for (size_t k = 0; k < n; ++k) m = std::max(m, std::fabs(x[k]));
-  return m;
-}
-
 #if BSLREC_VEC_X86
-// Horizontal sum of four int32 lanes (exact: integer adds).
-inline int32_t HSumEpi32(__m128i v) {
-  v = _mm_add_epi32(v, _mm_shuffle_epi32(v, _MM_SHUFFLE(1, 0, 3, 2)));
-  v = _mm_add_epi32(v, _mm_shuffle_epi32(v, _MM_SHUFFLE(2, 3, 0, 1)));
-  return _mm_cvtsi128_si32(v);
-}
-
-BSLREC_AVX2 inline int32_t HSumEpi32(__m256i v) {
-  return HSumEpi32(
-      _mm_add_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256(v, 1)));
-}
-
-// 16 int8 codes sign-extended to 16 int16 lanes.
-BSLREC_AVX2 inline __m256i LoadI8AsI16(const int8_t* x) {
-  return _mm256_cvtepi8_epi16(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(x)));
-}
-
-// 16 int16 lanes (widened codes) times b's 16 codes, multiply-
-// accumulated into 8 int32 lanes. Products are <= 127^2, so MADD's
-// pairwise int32 sums and the running accumulator are overflow-free for
-// any realistic dim.
-BSLREC_AVX2 inline __m256i MaddI8(__m256i acc, __m256i a16,
-                                  const int8_t* b) {
-  return _mm256_add_epi32(acc, _mm256_madd_epi16(a16, LoadI8AsI16(b)));
-}
-
 namespace avx2 {
 
 BSLREC_AVX2 float Dot(const float* a, const float* b, size_t n) {
@@ -198,58 +124,6 @@ BSLREC_AVX2 float Dot(const float* a, const float* b, size_t n) {
   double acc0 = lane[0];
   for (; k < n; ++k) acc0 += static_cast<double>(a[k]) * b[k];
   return static_cast<float>((acc0 + lane[1]) + (lane[2] + lane[3]));
-}
-
-BSLREC_AVX2 int32_t DotI8(const int8_t* a, const int8_t* b, size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  size_t k = 0;
-  for (; k + 16 <= n; k += 16) acc = MaddI8(acc, LoadI8AsI16(a + k), b + k);
-  int32_t sum = HSumEpi32(acc);
-  for (; k < n; ++k) {
-    sum += static_cast<int32_t>(a[k]) * static_cast<int32_t>(b[k]);
-  }
-  return sum;
-}
-
-BSLREC_AVX2 void DotBatchI8(const int8_t* q, const int8_t* rows, size_t m,
-                            size_t d, int32_t* out) {
-  // Four-row blocking: the widened query block is loaded once and
-  // multiply-accumulated against four item rows, quartering the query
-  // traffic of the per-row form. Integer adds are associative, so the
-  // blocking cannot change any result.
-  size_t r = 0;
-  for (; r + 4 <= m; r += 4) {
-    const int8_t* r0 = rows + (r + 0) * d;
-    const int8_t* r1 = rows + (r + 1) * d;
-    const int8_t* r2 = rows + (r + 2) * d;
-    const int8_t* r3 = rows + (r + 3) * d;
-    __m256i acc0 = _mm256_setzero_si256();
-    __m256i acc1 = _mm256_setzero_si256();
-    __m256i acc2 = _mm256_setzero_si256();
-    __m256i acc3 = _mm256_setzero_si256();
-    size_t k = 0;
-    for (; k + 16 <= d; k += 16) {
-      const __m256i q16 = LoadI8AsI16(q + k);
-      acc0 = MaddI8(acc0, q16, r0 + k);
-      acc1 = MaddI8(acc1, q16, r1 + k);
-      acc2 = MaddI8(acc2, q16, r2 + k);
-      acc3 = MaddI8(acc3, q16, r3 + k);
-    }
-    int32_t s0 = HSumEpi32(acc0), s1 = HSumEpi32(acc1);
-    int32_t s2 = HSumEpi32(acc2), s3 = HSumEpi32(acc3);
-    for (; k < d; ++k) {
-      const int32_t qk = q[k];
-      s0 += qk * r0[k];
-      s1 += qk * r1[k];
-      s2 += qk * r2[k];
-      s3 += qk * r3[k];
-    }
-    out[r + 0] = s0;
-    out[r + 1] = s1;
-    out[r + 2] = s2;
-    out[r + 3] = s3;
-  }
-  for (; r < m; ++r) out[r] = DotI8(q, rows + r * d, d);
 }
 
 // The multi-row dot: four rows per block against one query widened once
@@ -318,21 +192,6 @@ float Dot(const float* a, const float* b, size_t n) {
   return ref::Dot(a, b, n);
 }
 
-int32_t DotI8(const int8_t* a, const int8_t* b, size_t n) {
-#if BSLREC_VEC_X86
-  if (RunAvx2()) return avx2::DotI8(a, b, n);
-#endif
-  return ref::DotI8(a, b, n);
-}
-
-void DotBatchI8(const int8_t* q, const int8_t* rows, size_t m, size_t d,
-                int32_t* out) {
-#if BSLREC_VEC_X86
-  if (RunAvx2()) return avx2::DotBatchI8(q, rows, m, d, out);
-#endif
-  ref::DotBatchI8(q, rows, m, d, out);
-}
-
 void DotRows(const float* q, const float* table, size_t stride,
              const uint32_t* ids, size_t m, size_t d, float* out) {
 #if BSLREC_VEC_X86
@@ -347,56 +206,6 @@ void DotBatch(const float* q, const float* rows, size_t m, size_t d,
   if (RunAvx2()) return avx2::MultiDot(q, ContiguousRows{rows, d}, m, d, out);
 #endif
   for (size_t r = 0; r < m; ++r) out[r] = ref::Dot(q, rows + r * d, d);
-}
-
-namespace ref {
-float QuantizeRow(const float* x, size_t n, int8_t* out) {
-  return QuantizeCodes(x, n, MaxAbsScalar(x, n), out);
-}
-}  // namespace ref
-
-float QuantizeRow(const float* x, size_t n, int8_t* out) {
-#if BSLREC_VEC_X86
-  // Max-abs reduction (order-invariant: abs and max are exact).
-  const __m128 abs_mask = _mm_castsi128_ps(_mm_set1_epi32(0x7fffffff));
-  __m128 vmax = _mm_setzero_ps();
-  size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    vmax = _mm_max_ps(vmax, _mm_and_ps(abs_mask, _mm_loadu_ps(x + k)));
-  }
-  alignas(16) float lane[4];
-  _mm_store_ps(lane, vmax);
-  float max_abs = std::max(std::max(lane[0], lane[1]),
-                           std::max(lane[2], lane[3]));
-  for (; k < n; ++k) max_abs = std::max(max_abs, std::fabs(x[k]));
-
-  const float inv = max_abs > 0.0f ? 127.0f / max_abs : 0.0f;
-  if (!(max_abs > 0.0f) || !std::isfinite(inv)) {
-    return QuantizeCodes(x, n, max_abs, out);  // degenerate rows: scalar
-  }
-  // Encode 8 floats per iteration: multiply, CVTPS2DQ (round-to-nearest
-  // -even, same as nearbyintf under the default FP environment), then
-  // narrow 32->16->8 with saturating packs. |x*inv| <= 127*(1 + 2^-22)
-  // < 127.5, so neither the rounding nor the packs ever saturate and
-  // every code lands in [-127, 127] — bitwise equal to the scalar form.
-  const __m128 vinv = _mm_set1_ps(inv);
-  k = 0;
-  for (; k + 8 <= n; k += 8) {
-    const __m128i i0 = _mm_cvtps_epi32(_mm_mul_ps(_mm_loadu_ps(x + k), vinv));
-    const __m128i i1 =
-        _mm_cvtps_epi32(_mm_mul_ps(_mm_loadu_ps(x + k + 4), vinv));
-    const __m128i p8 = _mm_packs_epi16(_mm_packs_epi32(i0, i1),
-                                       _mm_setzero_si128());
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(out + k), p8);
-  }
-  for (; k < n; ++k) {
-    const float r = std::nearbyintf(x[k] * inv);
-    out[k] = static_cast<int8_t>(std::min(127.0f, std::max(-127.0f, r)));
-  }
-  return max_abs / 127.0f;
-#else
-  return ref::QuantizeRow(x, n, out);
-#endif
 }
 
 void Axpy(float alpha, const float* x, float* y, size_t n) {

@@ -9,26 +9,18 @@
 //
 // The hot kernels (`Dot`, `DotRows`, `DotTile`, `DotTileF32`,
 // `IndicesNotBelow`, `AccumulateCosineGradRun`, `AccumulateCosineGradRuns`,
-// `DotI8`, `DotBatchI8`, `WeightedRowSum`, `AdamStep`) each exist in two
-// forms: a scalar reference, always
-// compiled and exposed under `vec::ref`, and an AVX2 form, internal to
-// vec.cc and compiled into every x86-64 build. Each process reads CPUID
-// once and runs the AVX2 forms where the CPU has AVX2, the references
-// otherwise (a build that targets AVX2 itself, e.g. -march=native on such
-// a host, skips the check); other architectures run the references.
-// `DotBatch` is `DotRows` over contiguous rows and runs the same forms.
-// `QuantizeRow` has one SIMD form, in SSE2 (the x86-64 baseline), which
-// every x86-64 build runs. Every SIMD form is contractually
-// *bit-identical* to its reference, so the form a host runs changes
-// speed, never a result:
+// `WeightedRowSum`, `AdamStep`) each exist in two forms: a scalar
+// reference, always compiled and exposed under `vec::ref`, and an AVX2
+// form, internal to vec.cc and compiled into every x86-64 build. Each
+// process reads CPUID once and runs the AVX2 forms where the CPU has
+// AVX2, the references otherwise (a build that targets AVX2 itself, e.g.
+// -march=native on such a host, skips the check); other architectures
+// run the references. `DotBatch` is `DotRows` over contiguous rows and
+// runs the same forms. Every SIMD form is contractually *bit-identical*
+// to its reference, so the form a host runs changes speed, never a
+// result:
 //
-//   * integer kernels (`DotI8`, `DotBatchI8`) exactly — int32 arithmetic
-//     is associative, so lane layout cannot change the result;
 //   * `IndicesNotBelow` exactly — a packed compare is the scalar one;
-//   * `QuantizeRow` exactly — the max-abs reduction is order-invariant,
-//     each code is a float multiply (identical IEEE rounding in scalar
-//     and packed form) followed by round-to-nearest-even (the default
-//     rounding mode of both std::nearbyintf and CVTPS2DQ);
 //   * fp32 `Dot` via an *identical summation tree*: the AVX2 form keeps
 //     the reference's four double-precision accumulator lanes in one
 //     register (lane j sums elements k+j), combined in the same fixed
@@ -58,8 +50,7 @@
 //     registers with horizontal adds that perform exactly those sums.
 //     A NaN entry is NaN in both forms; its payload is not part of the
 //     contract. Its entries are not Dot's: DotTileF32Error bounds the
-//     difference, which is all its one user, the exact catalog scan,
-//     relies on.
+//     difference, which is all its one user, the top-k scan, relies on.
 //   * `AccumulateCosineGradRun` exactly — per element it performs
 //     AccumulateCosineGrad's float expression, term by term in run
 //     order, on the same operands; the AVX2 form only keeps a block of
@@ -124,10 +115,9 @@ struct AdamCoeffs {
 };
 
 // Always-compiled scalar reference forms of the SIMD-dispatched kernels,
-// which a CPU without AVX2 runs (all but QuantizeRow: every x86-64 CPU
-// runs its SSE2 form). The public kernels below must match these
-// bit-for-bit (see the header note); benches compare against them to
-// quantify the SIMD win.
+// which a CPU without AVX2 runs. The public kernels below must match
+// these bit-for-bit (see the header note); benches compare against them
+// to quantify the SIMD win.
 namespace ref {
 float Dot(const float* a, const float* b, size_t n);
 void DotRows(const float* q, const float* table, size_t stride,
@@ -146,12 +136,8 @@ void AccumulateCosineGradRuns(const float* self_hat, const float* others,
                               const float* scores, const float* scales,
                               const uint32_t* run_ends, size_t num_runs,
                               float* grad, size_t n);
-int32_t DotI8(const int8_t* a, const int8_t* b, size_t n);
-void DotBatchI8(const int8_t* q, const int8_t* rows, size_t m, size_t d,
-                int32_t* out);
 void WeightedRowSum(const float* values, const uint32_t* idx, size_t m,
                     const float* x, size_t stride, float* out, size_t n);
-float QuantizeRow(const float* x, size_t n, int8_t* out);
 void AdamStep(const AdamCoeffs& c, const float* g, float* w, float* m,
               float* v, size_t n);
 }  // namespace ref
@@ -159,25 +145,6 @@ void AdamStep(const AdamCoeffs& c, const float* g, float* w, float* m,
 
 // Returns sum_i a[i] * b[i].
 float Dot(const float* a, const float* b, size_t n);
-
-// Integer dot product over int8 codes, accumulated in int32 (exact — no
-// rounding anywhere, so SIMD and scalar agree trivially). Safe from
-// overflow for n < 2^17: each product is at most 127*127 < 2^14, so the
-// int32 accumulator holds at least 2^31 / 2^14 = 2^17 terms.
-int32_t DotI8(const int8_t* a, const int8_t* b, size_t n);
-
-// Batch form: out[r] = DotI8(q, rows + r*d, d) for r in [0, m). `rows`
-// is a contiguous m x d int8 block (an IVF list's grouped int8 rows).
-// This is the IVF list-scan kernel under ScorerOptions::quantize.
-void DotBatchI8(const int8_t* q, const int8_t* rows, size_t m, size_t d,
-                int32_t* out);
-
-// Symmetric int8 quantization of one row: scale = max_i |x[i]| / 127,
-// out[i] = round-to-nearest-even(x[i] / scale). Returns the scale (the
-// dequantization multiplier: x[i] ≈ out[i] * scale, with per-element
-// error |x[i] - out[i]*scale| <= scale * (0.5 + eps)). An all-zero row
-// gets scale 0 and all-zero codes.
-float QuantizeRow(const float* x, size_t n, int8_t* out);
 
 // y += alpha * x  (the classic AXPY update).
 void Axpy(float alpha, const float* x, float* y, size_t n);
@@ -216,8 +183,8 @@ void DotRows(const float* q, const float* table, size_t stride,
              const uint32_t* ids, size_t m, size_t d, float* out);
 
 // DotRows over a contiguous m x d block: out[r] = Dot(q, rows + r*d, d)
-// bitwise, through the same block kernel. It scores the IVF centroids
-// and an IVF list's grouped fp32 rows.
+// bitwise, through the same block kernel. It scores each row against
+// the IVF build's centroids (the k-means assignment).
 void DotBatch(const float* q, const float* rows, size_t m, size_t d,
               float* out);
 
@@ -300,10 +267,11 @@ void DotTile(const double* q, size_t m, const double* rows, size_t n,
 // out[i * ld + j] is query i . row j summed in float by the fixed tree of
 // the header note (eight lanes over the rows zero-padded to a multiple of
 // 8 columns). Half of DotTile's multiply-adds, but not Dot's bits:
-// |out - Dot| <= DotTileF32Error(d, ||q||_2 * ||row||_2). The exact
-// catalog scan (serve::ShardTopK) scores each chunk of item rows against
-// a query block with it, and re-scores with Dot only the items whose
-// entry lies within that bound of the query's running k-th.
+// |out - Dot| <= DotTileF32Error(d, ||q||_2 * ||row||_2). The top-k
+// scan (serve/topk_scorer.h: the catalog's item rows, the IVF centroids
+// and list rows) scores each chunk of rows against a query block with
+// it, and re-scores with Dot only the rows whose entry lies within that
+// bound of the query's running k-th.
 void DotTileF32(const float* q, size_t m, const float* rows, size_t n,
                 size_t d, float* out, size_t ld);
 
@@ -317,7 +285,7 @@ float DotTileF32Error(size_t d, double norm_product);
 
 // Writes, in ascending order, every index i < n with !(x[i] < t) (NaN
 // entries included) into `out`, which needs room for n, and returns how
-// many it wrote. The exact scan's skip test over a query's row of a
+// many it wrote. The top-k scan's skip test over a query's row of a
 // DotTileF32 tile. Exact in both forms: the AVX2 form compares eight
 // entries at a time and writes the set bits of their mask.
 size_t IndicesNotBelow(const float* x, size_t n, float t, uint32_t* out);

@@ -154,27 +154,26 @@ IvfIndex::IvfIndex(const Matrix& items, runtime::ThreadPool& pool,
     list_items_[cursor[assign_all[i]]++] = i;
   }
 
-  // Grouped representation tables in posting order: list visits become
-  // contiguous fused scans. Per-position fills — deterministic. Each
-  // int8 row quantizes its grouped fp32 row, a bitwise copy of the item
-  // row, so the codes depend only on the item.
+  // Grouped rows in posting order: list visits become contiguous scans.
+  // Per-position fills — deterministic.
   grouped_f32_.resize(static_cast<size_t>(num_items_) * dim_);
-  if (options.int8_lists) {
-    grouped_codes_.resize(static_cast<size_t>(num_items_) * dim_);
-    grouped_scale_.resize(num_items_);
-  }
   runtime::ParallelFor(
       pool, 0, num_items_, kIvfGrain,
       [&](size_t lo, size_t hi, size_t /*shard*/, size_t /*worker*/) {
         for (size_t p = lo; p < hi; ++p) {
-          float* row = grouped_f32_.data() + p * dim_;
-          std::memcpy(row, items.Row(list_items_[p]), dim_ * sizeof(float));
-          if (options.int8_lists) {
-            grouped_scale_[p] =
-                vec::QuantizeRow(row, dim_, grouped_codes_.data() + p * dim_);
-          }
+          std::memcpy(grouped_f32_.data() + p * dim_,
+                      items.Row(list_items_[p]), dim_ * sizeof(float));
         }
       });
+
+  // std::max keeps its first argument against a NaN, so NaN rows drop
+  // out; a serial maximum of exact per-row bounds.
+  for (uint32_t l = 0; l < nlist_; ++l) {
+    centroid_norm_bound_ = std::max(
+        centroid_norm_bound_,
+        vec::NormBound(centroids_.data() + static_cast<size_t>(l) * dim_,
+                       dim_));
+  }
 }
 
 }  // namespace bslrec::serve

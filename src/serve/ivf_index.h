@@ -6,16 +6,14 @@
 // item is assigned to its best centroid under (dot score descending,
 // centroid id ascending). The index stores:
 //
-//   * the centroids as one contiguous nlist x dim block (so a query
-//     scores all of them with one fused vec::DotBatch), and
+//   * the centroids as one contiguous nlist x dim block, with a bound on
+//     their norms (`centroid_norm_bound()`), so a query scans them like
+//     any table of rows (topk_scorer.h), and
 //   * CSR postings: `ListOffset(l)..ListOffset(l+1)` index into a
 //     catalog-length array of item ids, ascending within each list, and
-//   * *grouped* copies of the item representations in posting order —
-//     always the fp32 rows (bitwise equal to the snapshot's ItemVec
-//     rows, so the exact re-rank reads only the index), plus, with
-//     `int8_lists`, each grouped row's symmetric int8 codes and scale
-//     (vec::QuantizeRow) — so visiting a list is a contiguous fused
-//     scan, never a gather.
+//   * *grouped* copies of the item rows in posting order, bitwise equal
+//     to the snapshot's ItemVec rows, so visiting a list is a scan of
+//     contiguous rows read in place, never a gather.
 //
 // Determinism: the k-means is a fixed-iteration Lloyd loop with a
 // serial seeded init (math/rng.h), parallelized per the PR 1 contract
@@ -48,9 +46,6 @@ struct IvfBuildOptions {
   // Master switch (SnapshotOptions::ivf.build): off by default, so
   // plain snapshots pay nothing.
   bool build = false;
-  // Also keep int8 codes of the grouped rows (enables
-  // ScorerOptions::quantize's int8 list scan).
-  bool int8_lists = false;
   // Coarse list count; 0 = ceil(sqrt(num_items)), always clamped to
   // [1, num_items].
   uint32_t nlist = 0;
@@ -69,8 +64,7 @@ struct IvfBuildOptions {
 class IvfIndex {
  public:
   // Builds the index over `items` (L2-normalized rows — the snapshot's
-  // item table), with grouped int8 rows under options.int8_lists.
-  // `pool` is only used during construction.
+  // item table). `pool` is only used during construction.
   IvfIndex(const Matrix& items, runtime::ThreadPool& pool,
            const IvfBuildOptions& options);
 
@@ -80,6 +74,12 @@ class IvfIndex {
 
   // Contiguous nlist x dim unit centroid block.
   const float* Centroids() const { return centroids_.data(); }
+  // The largest vec::NormBound of a centroid row, rows with a NaN left
+  // out (0 without centroids), recorded at build time as
+  // ModelSnapshot::item_norm_bound() is: a centroid is normalized in
+  // double and rounded to float, another path than the item rows', so
+  // the item bound does not cover it.
+  double centroid_norm_bound() const { return centroid_norm_bound_; }
 
   // CSR postings: items of list l occupy grouped positions
   // [ListOffset(l), ListOffset(l+1)), ids ascending within the list.
@@ -89,29 +89,20 @@ class IvfIndex {
   const uint32_t* ItemIds(uint32_t p) const { return list_items_.data() + p; }
 
   // Grouped fp32 row at position p — bitwise equal to the snapshot's
-  // ItemVec(ItemIdAt(p)), so exact re-ranking stays inside the index.
+  // ItemVec(ItemIdAt(p)), so a list scan reads only the index.
   const float* Row(uint32_t p) const {
     return grouped_f32_.data() + static_cast<size_t>(p) * dim_;
   }
-
-  // Grouped int8 row at position p, present iff built with int8_lists
-  // over a non-empty catalog: Row(p)[j] ~= Codes(p)[j] * Scale(p).
-  bool has_codes() const { return !grouped_scale_.empty(); }
-  const int8_t* Codes(uint32_t p) const {
-    return grouped_codes_.data() + static_cast<size_t>(p) * dim_;
-  }
-  float Scale(uint32_t p) const { return grouped_scale_[p]; }
 
  private:
   uint32_t nlist_ = 0;
   uint32_t num_items_ = 0;
   size_t dim_ = 0;
   std::vector<float> centroids_;       // nlist x dim, unit rows
+  double centroid_norm_bound_ = 0.0;
   std::vector<uint32_t> list_offsets_; // nlist + 1
   std::vector<uint32_t> list_items_;   // num_items, grouped by list
   std::vector<float> grouped_f32_;     // num_items x dim, posting order
-  std::vector<int8_t> grouped_codes_;  // iff int8_lists
-  std::vector<float> grouped_scale_;   // iff int8_lists
 };
 
 }  // namespace bslrec::serve

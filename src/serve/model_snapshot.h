@@ -27,8 +27,7 @@
 //
 // With `SnapshotOptions::ivf` the snapshot also carries an IVF coarse
 // index (ivf_index.h) built over the normalized item table at freeze
-// time, optionally with int8 copies of its grouped list rows
-// (`IvfBuildOptions::int8_lists`). It trades exactness for speed,
+// time. It trades exactness for speed,
 // driving true ANN retrieval (`ScorerOptions::exact = false`;
 // topk_scorer.h documents the scan and its determinism guarantees).
 // `serve::SnapshotOptionsFor` maps scorer options to the tables they
@@ -48,8 +47,7 @@ namespace bslrec::serve {
 
 struct SnapshotOptions {
   // With ivf.build, also build the IVF coarse index over the item table
-  // (enables ScorerOptions::exact = false, and with ivf.int8_lists
-  // ScorerOptions::quantize). See ivf_index.h.
+  // (enables ScorerOptions::exact = false). See ivf_index.h.
   IvfBuildOptions ivf;
 };
 

@@ -33,10 +33,7 @@ SnapshotOptions SnapshotOptionsFor(const ServeConfig& config) {
 }
 
 ScorerOptions ScorerOptionsFor(const ServeConfig& config) {
-  return ScorerOptions{.quantize = config.quantize,
-                       .candidate_margin = config.candidate_margin,
-                       .exact = config.exact,
-                       .nprobe = config.nprobe};
+  return ScorerOptions{.exact = config.exact, .nprobe = config.nprobe};
 }
 
 RankingEngine::RankingEngine(const Dataset& data,

@@ -54,20 +54,13 @@ struct ServeConfig {
   uint32_t max_k = 100;
   // Disable to score every request from scratch (benchmarks).
   bool cache_rankings = true;
-  // Scan the IVF lists as int8 (built at snapshot time), then re-rank
-  // the survivors in fp32 (see topk_scorer.h). Needs exact = false.
-  bool quantize = false;
-  // Extra int8 candidates per request beyond its k, kept for the fp32
-  // re-rank.
-  uint32_t candidate_margin = kDefaultCandidateMargin;
   // With exact = false, serve through the snapshot's IVF index (built
-  // automatically): probe the top-nprobe coarse lists and exact fp32
-  // re-rank the gathered candidates. See topk_scorer.h.
+  // automatically): probe the top-nprobe coarse lists and keep the exact
+  // top-k of their items. See topk_scorer.h.
   bool exact = true;
   uint32_t nprobe = kDefaultNprobe;
-  // Index shape for ANN serving (ivf.build is forced on when !exact and
-  // ivf.int8_lists follows quantize; set ivf.build directly to build the
-  // index without serving through it).
+  // Index shape for ANN serving (ivf.build is forced on when !exact; set
+  // ivf.build directly to build the index without serving through it).
   IvfBuildOptions ivf;
   // The scoring pool. An exact batch's item split follows its worker
   // count (CatalogScorer::BatchTopK); no response does.

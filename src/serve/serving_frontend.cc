@@ -66,12 +66,10 @@ ServeConfig BrownoutServeConfigFor(const ServeConfig& serve, DegradeMode mode,
     case DegradeMode::kNone:
       break;
     case DegradeMode::kIvf:
-      // Pure IVF probe + exact fp32 re-rank: the degraded tier's cost
-      // is governed by nprobe alone, independent of the primary tier's
-      // scan representation.
+      // The IVF probe and list scan: the degraded tier's cost is
+      // governed by nprobe alone.
       out.exact = false;
       out.nprobe = brownout_nprobe;
-      out.quantize = false;
       break;
   }
   return out;

@@ -18,11 +18,6 @@ void KeepTopK(std::vector<ScoredItem>& pool, uint32_t k) {
   pool.resize(static_cast<size_t>(kk));
 }
 
-// k + margin int8 candidates kept for the fp32 re-rank, saturating.
-uint32_t CandidateCount(uint32_t k, uint32_t margin) {
-  return k > UINT32_MAX - margin ? UINT32_MAX : k + margin;
-}
-
 // The running top-k of every selection is a heap under ScoredBefore
 // (std::make_heap on entry, std::sort_heap on exit): its front is the
 // entry that ranks last, which is the k-th once k entries are in.
@@ -55,37 +50,63 @@ float SkipBelow(float f, float eps) {
   return std::nextafter(f - eps, -std::numeric_limits<float>::infinity());
 }
 
-// Scores the n items c0 + kept[t] for one query with vec::Dot's bits (one
-// DotRows call) and offers each to the query's heap.
-void RescoreInto(const ModelSnapshot& snapshot, const float* q_hat,
-                 uint32_t c0, size_t n, uint32_t k, ShardScratch& ws,
+// The rows one scan reads in place (see the header note): row p starts at
+// rows + p * dim and carries the id ids[p], or p itself when ids is null.
+// norm_bound bounds ||row||_2 over every row without a NaN, for the skip
+// test's eps, and the scan's re-scores tick the counter `rescored` (none
+// when null).
+struct RowTable {
+  const float* rows;
+  const uint32_t* ids;
+  size_t dim;
+  double norm_bound;
+  uint64_t ScanStats::*rescored;
+
+  const float* Row(uint32_t p) const {
+    return rows + static_cast<size_t>(p) * dim;
+  }
+  uint32_t Id(uint32_t p) const { return ids == nullptr ? p : ids[p]; }
+};
+
+// The catalog's item rows, by item id: the exact tier's table.
+RowTable ItemTable(const ModelSnapshot& snapshot) {
+  return {snapshot.num_items() > 0 ? snapshot.ItemVec(0) : nullptr, nullptr,
+          snapshot.dim(), snapshot.item_norm_bound(),
+          &ScanStats::exact_rescored};
+}
+
+// Scores the n rows c0 + kept[t] of `table` for one query with vec::Dot's
+// bits (one DotRows call) and offers each, under its id, to the query's
+// heap.
+void RescoreInto(const RowTable& table, const float* q_hat, uint32_t c0,
+                 size_t n, uint32_t k, ShardScratch& ws,
                  std::vector<ScoredItem>& heap) {
   if (n == 0) return;
-  const size_t d = snapshot.dim();
-  vec::DotRows(q_hat, snapshot.ItemVec(c0), d, ws.kept.data(), n, d,
+  vec::DotRows(q_hat, table.Row(c0), table.dim, ws.kept.data(), n, table.dim,
                ws.exact.data());
-  ws.stats.exact_rescored += n;
+  if (table.rescored != nullptr) ws.stats.*table.rescored += n;
   for (size_t t = 0; t < n; ++t) {
-    OfferToHeap(heap, k, {c0 + ws.kept[t], ws.exact[t]});
+    OfferToHeap(heap, k, {table.Id(c0 + ws.kept[t]), ws.exact[t]});
   }
 }
 
-// Offers the query's eligible items of chunk [c0, c1) to its heap, given
+// Offers the query's eligible rows of chunk [c0, c1) to its heap, given
 // its row of the chunk's fp32 tile (see the header note): the first
-// items fill the heap to k, and after that only items whose fp32 score
+// rows fill the heap to k, and after that only rows whose fp32 score
 // is not more than eps below the k-th's exact score are re-scored and
 // offered.
-void OfferChunk(const ModelSnapshot& snapshot, const ScoreQuery& query,
-                uint32_t c0, uint32_t c1, const float* fp32,
+void OfferChunk(const RowTable& table, const ScoreQuery& query, uint32_t c0,
+                uint32_t c1, const float* fp32,
                 ShardScratch::QueryState& state, ShardScratch& ws,
                 std::vector<ScoredItem>& heap) {
   const std::span<const uint32_t> exclude = query.exclude;
   size_t& ex = state.next_exclude;
-  // Items arrive in ascending order, so the exclusion cursor only moves
-  // forward.
-  const auto excluded = [&](uint32_t i) {
-    while (ex < exclude.size() && exclude[ex] < i) ++ex;
-    return ex < exclude.size() && exclude[ex] == i;
+  // Ids ascend within a scanned range, so the exclusion cursor only
+  // moves forward.
+  const auto excluded = [&](uint32_t p) {
+    const uint32_t id = table.Id(p);
+    while (ex < exclude.size() && exclude[ex] < id) ++ex;
+    return ex < exclude.size() && exclude[ex] == id;
   };
   uint32_t i = c0;
   if (heap.size() < query.k) {
@@ -93,7 +114,7 @@ void OfferChunk(const ModelSnapshot& snapshot, const ScoreQuery& query,
     for (; i < c1 && heap.size() + n < query.k; ++i) {
       if (!excluded(i)) ws.kept[n++] = i - c0;
     }
-    RescoreInto(snapshot, query.q_hat, c0, n, query.k, ws, heap);
+    RescoreInto(table, query.q_hat, c0, n, query.k, ws, heap);
     if (heap.size() < query.k) return;  // the chunk ran out first
   }
   const float below = SkipBelow(heap.front().score, state.eps);
@@ -104,16 +125,15 @@ void OfferChunk(const ModelSnapshot& snapshot, const ScoreQuery& query,
     const uint32_t offset = ws.kept[t] + (i - c0);
     if (!excluded(c0 + offset)) ws.kept[eligible++] = offset;
   }
-  RescoreInto(snapshot, query.q_hat, c0, eligible, query.k, ws, heap);
+  RescoreInto(table, query.q_hat, c0, eligible, query.k, ws, heap);
 }
 
-// Opens the exact scan of `block` from item `lo` on: copies the query
-// rows into ws.q, and for each query with k > 0 turns tops[j] into a heap
-// and sets its eps and exclusion cursor (tops[j] is cleared for k = 0).
-void BeginScan(const ModelSnapshot& snapshot, std::span<const ScoreQuery> block,
-               uint32_t lo, ShardScratch& ws,
-               std::span<std::vector<ScoredItem>> tops) {
-  const size_t d = snapshot.dim();
+// Opens a scan of `table` for `block`: copies the query rows into ws.q,
+// and for each query with k > 0 turns tops[j] into a heap and sets its
+// eps (tops[j] is cleared for k = 0).
+void BeginScan(const RowTable& table, std::span<const ScoreQuery> block,
+               ShardScratch& ws, std::span<std::vector<ScoredItem>> tops) {
+  const size_t d = table.dim;
   const size_t m = block.size();
   ws.q.resize(m * d);
   ws.queries.resize(m);
@@ -129,27 +149,32 @@ void BeginScan(const ModelSnapshot& snapshot, std::span<const ScoreQuery> block,
     }
     std::make_heap(tops[j].begin(), tops[j].end(), ScoredBefore);
     ws.queries[j].eps = vec::DotTileF32Error(
-        d, vec::NormBound(query.q_hat, d) * snapshot.item_norm_bound());
-    ws.queries[j].next_exclude = static_cast<size_t>(
-        std::lower_bound(query.exclude.begin(), query.exclude.end(), lo) -
-        query.exclude.begin());
+        d, vec::NormBound(query.q_hat, d) * table.norm_bound);
   }
 }
 
-// Scans items [lo, hi) for an open block (BeginScan): one DotTileF32
-// tile per kItemChunk rows, then each query's OfferChunk.
-void ScanItems(const ModelSnapshot& snapshot, std::span<const ScoreQuery> block,
+// Scans rows [lo, hi) of `table` for an open block (BeginScan): sets each
+// query's exclusion cursor at the range's first id, then one DotTileF32
+// tile per kItemChunk rows and each query's OfferChunk.
+void ScanItems(const RowTable& table, std::span<const ScoreQuery> block,
                uint32_t lo, uint32_t hi, ShardScratch& ws,
                std::span<std::vector<ScoredItem>> tops) {
+  if (lo >= hi) return;
   const size_t m = block.size();
-  for (size_t j = 0; j < m; ++j) ws.stats.exact_shards += block[j].k > 0;
+  const uint32_t first = table.Id(lo);
+  for (size_t j = 0; j < m; ++j) {
+    const std::span<const uint32_t> exclude = block[j].exclude;
+    ws.queries[j].next_exclude = static_cast<size_t>(
+        std::lower_bound(exclude.begin(), exclude.end(), first) -
+        exclude.begin());
+  }
   for (uint32_t c0 = lo; c0 < hi; c0 += kItemChunk) {
     const uint32_t c1 = std::min<uint32_t>(hi, c0 + kItemChunk);
-    vec::DotTileF32(ws.q.data(), m, snapshot.ItemVec(c0), c1 - c0,
-                    snapshot.dim(), ws.tile.data(), kItemChunk);
+    vec::DotTileF32(ws.q.data(), m, table.Row(c0), c1 - c0, table.dim,
+                    ws.tile.data(), kItemChunk);
     for (size_t j = 0; j < m; ++j) {
       if (block[j].k == 0) continue;
-      OfferChunk(snapshot, block[j], c0, c1, ws.tile.data() + j * kItemChunk,
+      OfferChunk(table, block[j], c0, c1, ws.tile.data() + j * kItemChunk,
                  ws.queries[j], ws, tops[j]);
     }
   }
@@ -162,120 +187,48 @@ void EndScan(std::span<std::vector<ScoredItem>> tops) {
   }
 }
 
-// One serial ANN query through the snapshot's IVF index: probes the
-// top-nprobe lists, scans them in fp32 or int8, exact fp32 re-ranks the
-// int8 candidates, and writes the top-k into `out`.
-void IvfTopK(const ModelSnapshot& snapshot, const float* q_hat, uint32_t k,
-             std::span<const uint32_t> exclude, const ScorerOptions& options,
-             ShardScratch& ws, std::vector<ScoredItem>& out) {
+// One serial ANN query through the snapshot's IVF index, on the exact
+// scan's helpers: a scan of the centroid rows picks the top-nprobe lists,
+// then one heap runs across the probed lists' grouped rows.
+void IvfTopK(const ModelSnapshot& snapshot, const ScoreQuery& query,
+             uint32_t nprobe, ShardScratch& ws, std::vector<ScoredItem>& out) {
   const IvfIndex* ivf = snapshot.ivf();
   BSLREC_CHECK_MSG(ivf != nullptr,
                    "ANN scoring needs a snapshot built with "
                    "SnapshotOptions::ivf.build");
-  const size_t d = snapshot.dim();
-  const uint32_t nlist = ivf->nlist();
   ++ws.stats.ivf_queries;
   out.clear();
-  if (nlist == 0 || k == 0) return;
+  if (ivf->nlist() == 0 || query.k == 0) return;
 
-  // 1. Score every centroid with one fused scan, then pick the
-  // top-nprobe lists under (score desc, centroid id asc).
-  const uint32_t nprobe =
-      std::min<uint32_t>(std::max<uint32_t>(options.nprobe, 1), nlist);
-  ws.scores.resize(nlist);
-  vec::DotBatch(q_hat, ivf->Centroids(), nlist, d, ws.scores.data());
+  const ScoreQuery probe{query.q_hat,
+                         std::clamp<uint32_t>(nprobe, 1, ivf->nlist()), {}};
+  const RowTable centroids{ivf->Centroids(), nullptr, ivf->dim(),
+                           ivf->centroid_norm_bound(), nullptr};
   ws.probes.clear();
-  SelectTopKInto(ws.scores.data(), 0, nlist, nprobe, {}, ws.probes);
+  BeginScan(centroids, {&probe, 1}, ws, {&ws.probes, 1});
+  ScanItems(centroids, {&probe, 1}, 0, ivf->nlist(), ws, {&ws.probes, 1});
+  EndScan({&ws.probes, 1});
 
-  // 2. Gather eligible candidates from the probed lists. Candidates
-  // carry their grouped *position* in `item` until the final sort so
-  // phase 2 can read the index's contiguous rows.
-  float q_scale = 0.0f;
-  if (options.quantize) {
-    ws.q_codes.resize(d);
-    q_scale = vec::QuantizeRow(q_hat, d, ws.q_codes.data());
-  }
-  ws.approx.clear();
-  for (const ScoredItem& probe : ws.probes) {
+  // The grouped rows are bitwise the snapshot's, so its bound covers them.
+  const RowTable lists{ivf->Row(0), ivf->ItemIds(0), ivf->dim(),
+                       snapshot.item_norm_bound(), &ScanStats::ivf_rescored};
+  BeginScan(lists, {&query, 1}, ws, {&out, 1});
+  for (const ScoredItem& list : ws.probes) {
+    const uint32_t lo = ivf->ListOffset(list.item);
+    const uint32_t hi = ivf->ListOffset(list.item + 1);
     ++ws.stats.ivf_lists;
-    const uint32_t begin = ivf->ListOffset(probe.item);
-    const uint32_t end = ivf->ListOffset(probe.item + 1);
-    if (begin == end) continue;  // empty list
-    const uint32_t m = end - begin;
-    ws.scores.resize(m);
-    if (options.quantize) {
-      ws.idot.resize(m);
-      vec::DotBatchI8(ws.q_codes.data(), ivf->Codes(begin), m, d,
-                      ws.idot.data());
-      for (uint32_t j = 0; j < m; ++j) {
-        ws.scores[j] = static_cast<float>(ws.idot[j]) *
-                       (q_scale * ivf->Scale(begin + j));
-      }
-    } else {
-      vec::DotBatch(q_hat, ivf->Row(begin), m, d, ws.scores.data());
-    }
-    // Exclusion merge: list ids and the exclude span are both sorted
-    // ascending, so one forward walk per list suffices.
-    const uint32_t* ids = ivf->ItemIds(begin);
-    auto ex = std::lower_bound(exclude.begin(), exclude.end(), ids[0]);
-    for (uint32_t j = 0; j < m; ++j) {
-      const uint32_t id = ids[j];
-      while (ex != exclude.end() && *ex < id) ++ex;
-      if (ex != exclude.end() && *ex == id) continue;
-      ws.approx.push_back({begin + j, ws.scores[j]});
-    }
+    ws.stats.ivf_candidates += hi - lo;
+    ScanItems(lists, {&query, 1}, lo, hi, ws, {&out, 1});
   }
-  ws.stats.ivf_candidates += ws.approx.size();
-
-  // 3. int8 lists: keep the top c = k + margin of the whole candidate
-  // pool by approximate score (position tie-break — a fixed property of
-  // the index, so still deterministic), then exact fp32 re-rank the
-  // survivors. fp32 lists scored exactly already.
-  size_t cc = ws.approx.size();
-  if (options.quantize) {
-    cc = std::min<size_t>(CandidateCount(k, options.candidate_margin),
-                          ws.approx.size());
-    std::partial_sort(ws.approx.begin(),
-                      ws.approx.begin() + static_cast<long>(cc),
-                      ws.approx.end(), ScoredBefore);
-    for (size_t j = 0; j < cc; ++j) {
-      ws.approx[j].score = vec::Dot(q_hat, ivf->Row(ws.approx[j].item), d);
-    }
-    ws.stats.ivf_reranked += cc;
-  }
-
-  // 4. Map positions back to item ids, then the final top-k under the
-  // strict (score desc, id asc) total order.
-  ws.approx.resize(cc);
-  for (ScoredItem& e : ws.approx) e.item = ivf->ItemIdAt(e.item);
-  KeepTopK(ws.approx, k);
-  out.assign(ws.approx.begin(), ws.approx.end());
+  EndScan({&out, 1});
 }
 
 }  // namespace
-
-void SelectTopKInto(const float* scores, uint32_t lo, uint32_t hi, uint32_t k,
-                    std::span<const uint32_t> exclude,
-                    std::vector<ScoredItem>& top) {
-  if (k == 0) {
-    top.clear();
-    return;
-  }
-  std::make_heap(top.begin(), top.end(), ScoredBefore);
-  auto ex = exclude.begin();
-  for (uint32_t i = lo; i < hi; ++i) {
-    while (ex != exclude.end() && *ex < i) ++ex;
-    if (ex != exclude.end() && *ex == i) continue;
-    OfferToHeap(top, k, {i, scores[i - lo]});
-  }
-  std::sort_heap(top.begin(), top.end(), ScoredBefore);
-}
 
 SnapshotOptions SnapshotOptionsFor(const ScorerOptions& options,
                                    IvfBuildOptions ivf) {
   SnapshotOptions so;
   so.ivf = ivf;
-  so.ivf.int8_lists = options.quantize;
   if (!options.exact) so.ivf.build = true;
   return so;
 }
@@ -285,19 +238,15 @@ void CheckScorerOptions(const ModelSnapshot& snapshot,
   BSLREC_CHECK_MSG(options.exact || snapshot.ivf() != nullptr,
                    "ScorerOptions::exact = false needs a snapshot with an "
                    "IVF index (SnapshotOptions::ivf.build)");
-  BSLREC_CHECK_MSG(!options.quantize || !options.exact,
-                   "ScorerOptions::quantize scans the IVF index's lists as "
-                   "int8, so it needs exact = false");
-  BSLREC_CHECK_MSG(!options.quantize || snapshot.ivf()->has_codes(),
-                   "ScorerOptions::quantize needs an IVF index built with "
-                   "int8 lists (IvfBuildOptions::int8_lists)");
 }
 
 void ShardTopK(const ModelSnapshot& snapshot, std::span<const ScoreQuery> block,
                uint32_t lo, uint32_t hi, ShardScratch& ws,
                std::span<std::vector<ScoredItem>> tops) {
-  BeginScan(snapshot, block, lo, ws, tops);
-  ScanItems(snapshot, block, lo, hi, ws, tops);
+  const RowTable items = ItemTable(snapshot);
+  for (const ScoreQuery& query : block) ws.stats.exact_shards += query.k > 0;
+  BeginScan(items, block, ws, tops);
+  ScanItems(items, block, lo, hi, ws, tops);
   EndScan(tops);
 }
 
@@ -306,8 +255,7 @@ void BlockTopK(const ModelSnapshot& snapshot, std::span<const ScoreQuery> block,
                std::span<std::vector<ScoredItem>> outs) {
   if (!options.exact) {
     for (size_t j = 0; j < block.size(); ++j) {
-      IvfTopK(snapshot, block[j].q_hat, block[j].k, block[j].exclude, options,
-              ws, outs[j]);
+      IvfTopK(snapshot, block[j], options.nprobe, ws, outs[j]);
     }
     return;
   }

@@ -15,9 +15,12 @@
 //     into the query's running top-k. Every block size, one query
 //     included, runs the same scan (see below).
 //   * `BlockTopK` answers a block of queries serially, allocation-free:
-//     the IVF probe, list scan and re-rank per query when !exact,
-//     otherwise one ShardTopK over the whole catalog, with one heap
-//     (below) per query.
+//     the IVF probe and list scan per query when !exact, otherwise one
+//     ShardTopK over the whole catalog, with one heap (below) per query.
+//
+// Both run one scan (below) over a table of rows read in place: the
+// catalog's item rows, the IVF index's centroids, or its grouped list
+// rows.
 //
 // `CatalogScorer::BatchTopK` parallelizes the flat (query block x item
 // range) grid over a `runtime::ThreadPool`, one `ShardTopK` per task
@@ -36,10 +39,10 @@
 // batch over a catalog too small for two ranges. The split depends on
 // the worker count, which no result does: see "Why the bits hold" below.
 //
-// ---- Tiled exact scan (ShardTopK, and BlockTopK when exact) ----
+// ---- Tiled exact scan (every tier) ----
 //
-// A block of m queries copies its query rows once, then scores the item
-// rows kItemChunk at a time, read in place, as one m x chunk
+// A block of m queries copies its query rows once, then scores the
+// table's rows kItemChunk at a time, read in place, as one m x chunk
 // single-precision tile (vec::DotTileF32): half the multiply-adds of a
 // double-precision score and no widening. Each query keeps its running
 // top-k in tops[j] as a heap under ScoredBefore whose front is its k-th
@@ -51,15 +54,17 @@
 //     scores;
 //   * skip test: after that, an item is skipped when its fp32 score plus
 //     eps lies below f, the k-th's exact score. eps is the query's
-//     vec::DotTileF32Error bound for vec::NormBound(q) times the
-//     snapshot's recorded item_norm_bound(). The test compares the fp32
-//     score with a float at or below f - eps (vec::IndicesNotBelow), so
-//     rounding can only keep an item. A NaN fp32 score is always kept,
+//     vec::DotTileF32Error bound for vec::NormBound(q) times the table's
+//     recorded norm bound (ModelSnapshot::item_norm_bound() for item
+//     rows, IvfIndex::centroid_norm_bound() for centroids). The test
+//     compares the fp32 score with a float at or below f - eps
+//     (vec::IndicesNotBelow), so rounding can only keep an item. A NaN fp32 score is always kept,
 //     and while f is NaN every item is, as for a query whose norm the
 //     bound cannot cover (eps = +inf);
 //   * re-score: the chunk's kept eligible items get vec::Dot's exact
 //     scores in one vec::DotRows call, and each enters the heap if it
-//     ranks before the front (ScanStats::exact_rescored counts them).
+//     ranks before the front (ScanStats::exact_rescored counts them for
+//     item rows, ScanStats::ivf_rescored for list rows).
 //
 // The threshold is taken once per chunk, before that chunk's inserts;
 // the k-th only rises, so a stale f keeps more items, never fewer. A
@@ -94,28 +99,30 @@
 //
 // With a snapshot built with SnapshotOptions::ivf, BlockTopK routes
 // each query through the snapshot's IvfIndex (ivf_index.h) instead of
-// the full scan:
+// the full scan, in two runs of the same scan:
 //
-//   1. score all nlist centroids with one fused vec::DotBatch;
-//   2. visit the top-nprobe lists under (score desc, centroid id asc);
-//   3. scan each list's grouped rows contiguously — fp32 by default, or
-//      the index's int8 codes (vec::DotBatchI8) under
-//      ScorerOptions::quantize, in which case the top
-//      k + candidate_margin of the query's gathered pool by approximate
-//      score are kept;
-//   4. exact fp32 re-rank the surviving candidates and emit the top-k
-//      under the same (score desc, item id asc) total order.
+//   1. the centroid rows, with k = nprobe and no exclusions: the
+//      ScoredBefore top-nprobe lists (score desc, centroid id asc);
+//   2. the probed lists' grouped rows, read in place, into one heap per
+//      query: each list is a range of the grouped table whose rows carry
+//      their item ids (ascending within a list, so each list starts its
+//      own exclusion cursor), and the k-th rises list by list. The
+//      grouped rows are bitwise the snapshot's item rows, so
+//      item_norm_bound() covers them.
 //
-// Items outside the probed lists are invisible, so ANN responses may
-// diverge from the exact ranking — recall@k-vs-exact is the quality
-// metric (bench_serve sweeps (nlist, nprobe)). Determinism, however,
-// stays absolute: the index is frozen at snapshot time, each query's
-// probe/scan/re-rank runs serially into its own output slot, and the
+// By the argument above, the probe set is the ScoredBefore top-nprobe of
+// the centroids under vec::Dot's bits, and the result is the unique
+// ScoredBefore top-k of the probed lists' non-excluded items scored by
+// vec::Dot. Items outside the probed lists are invisible, so ANN
+// responses may diverge from the exact ranking — recall@k-vs-exact is
+// the quality metric (bench_serve sweeps (nlist, nprobe)). Determinism,
+// however, stays absolute: the index is frozen at snapshot time, each
+// query's probe and scan run serially into its own output slot, and the
 // pool only parallelizes *across* queries — so ANN responses are
 // bit-identical across thread counts and batch packings: same index =>
 // same lists => same candidates => same total order. With nprobe >=
-// nlist and fp32 lists, every item is visible and the response equals
-// the exact scan's bitwise.
+// nlist every item is visible and the response equals the exact scan's
+// bitwise.
 #ifndef BSLREC_SERVE_TOPK_SCORER_H_
 #define BSLREC_SERVE_TOPK_SCORER_H_
 
@@ -149,18 +156,6 @@ inline bool ScoredBefore(const ScoredItem& a, const ScoredItem& b) {
   return a.item < b.item;
 }
 
-// Merges the top-k of a scored block into `top`: `scores[i - lo]` is
-// item i's score for i in [lo, hi), and ids listed in `exclude` (sorted
-// ascending; entries outside the block are ignored) are skipped. On
-// entry `top` holds at most k items in ScoredBefore order (empty for a
-// fresh selection); on return it holds the top-k of those items and
-// the block's, in order. The selection runs on the exact scan's heap
-// (see the header note), in place, so steady-state selection allocates
-// nothing. The IVF probe picks its lists with it.
-void SelectTopKInto(const float* scores, uint32_t lo, uint32_t hi, uint32_t k,
-                    std::span<const uint32_t> exclude,
-                    std::vector<ScoredItem>& top);
-
 // One full-catalog top-k query against a snapshot.
 struct ScoreQuery {
   const float* q_hat;  // unit query vector, snapshot dim
@@ -168,24 +163,13 @@ struct ScoreQuery {
   std::span<const uint32_t> exclude;  // sorted ascending ids to skip
 };
 
-// Extra int8 candidates per ANN query beyond k, kept from the query's
-// gathered IVF pool for the exact fp32 re-rank. A larger margin re-ranks
-// more candidates, so fewer true top-k items are lost to int8 rounding.
-inline constexpr uint32_t kDefaultCandidateMargin = 64;
-
 // Default coarse lists visited per ANN query.
 inline constexpr uint32_t kDefaultNprobe = 8;
 
 struct ScorerOptions {
-  // Scan the IVF lists as int8, then re-rank the survivors in fp32.
-  // Needs exact = false and an index built with
-  // IvfBuildOptions::int8_lists.
-  bool quantize = false;
-  uint32_t candidate_margin = kDefaultCandidateMargin;
   // false = ANN: retrieve through the snapshot's IVF index (the
   // snapshot must have been built with SnapshotOptions::ivf.build)
-  // instead of scanning the full catalog. quantize then picks the
-  // list-scan representation.
+  // instead of scanning the full catalog.
   bool exact = true;
   // Coarse lists visited per ANN query (clamped to [1, nlist]);
   // ignored when exact.
@@ -193,15 +177,13 @@ struct ScorerOptions {
 };
 
 // The snapshot tables a scorer with `options` reads: the IVF index
-// (shaped by `ivf`) when !exact or when ivf.build asks for it anyway,
-// with int8 lists under quantize.
+// (shaped by `ivf`) when !exact or when ivf.build asks for it anyway.
 SnapshotOptions SnapshotOptionsFor(const ScorerOptions& options,
                                    IvfBuildOptions ivf = {});
 
 // Aborts unless a scorer with `options` can run on `snapshot`: !exact
-// needs the snapshot's IVF index, and quantize needs !exact and an index
-// built with int8 lists. The one validation point of CatalogScorer and
-// the evaluator's pass.
+// needs the snapshot's IVF index. The one validation point of
+// CatalogScorer and the evaluator's pass.
 void CheckScorerOptions(const ModelSnapshot& snapshot,
                         const ScorerOptions& options);
 
@@ -210,8 +192,8 @@ void CheckScorerOptions(const ModelSnapshot& snapshot,
 // Chosen by measurement; no result depends on it.
 inline constexpr size_t kQueryBlock = 16;
 
-// Item rows per single-precision tile of the exact scan, and the unit
-// of CatalogScorer::BatchTopK's item ranges.
+// Rows per single-precision tile of the scan, and the unit of
+// CatalogScorer::BatchTopK's item ranges.
 inline constexpr uint32_t kItemChunk = 64;
 
 // The least item-row data, in floats (items x dim), that one item range
@@ -236,10 +218,10 @@ struct ScanStats {
   uint64_t exact_rescored = 0;
   uint64_t ivf_queries = 0;     // ANN queries answered
   uint64_t ivf_lists = 0;       // coarse lists probed (incl. empty)
-  uint64_t ivf_candidates = 0;  // eligible list candidates gathered
-  // Exact fp32 re-scores of int8 list candidates. Zero with fp32 lists,
-  // where the list scan itself already produced exact scores.
-  uint64_t ivf_reranked = 0;
+  uint64_t ivf_candidates = 0;  // list rows scanned
+  // List rows the ANN scan scored with vec::Dot (fills and rows the
+  // single-precision skip test kept).
+  uint64_t ivf_rescored = 0;
 
   ScanStats& operator+=(const ScanStats& o) {
     exact_shards += o.exact_shards;
@@ -247,7 +229,7 @@ struct ScanStats {
     ivf_queries += o.ivf_queries;
     ivf_lists += o.ivf_lists;
     ivf_candidates += o.ivf_candidates;
-    ivf_reranked += o.ivf_reranked;
+    ivf_rescored += o.ivf_rescored;
     return *this;
   }
 };
@@ -256,38 +238,35 @@ struct ScanStats {
 // the owner's scan statistics. All buffers keep their capacity across
 // calls, so steady-state scanning allocates nothing.
 struct ShardScratch {
-  // One query's state in the exact scan of an item range.
+  // One query's state in the scan of a row range.
   struct QueryState {
     float eps = 0.0f;         // its DotTileF32Error bound
     size_t next_exclude = 0;  // exclusion cursor (index into exclude)
   };
-  std::vector<float> q;             // the block's query rows (exact)
-  std::vector<float> tile;          // m x kItemChunk fp32 scores (exact)
-  std::vector<QueryState> queries;  // per query of the block (exact)
-  std::vector<uint32_t> kept;       // a chunk's re-scored item offsets
+  std::vector<float> q;             // the block's query rows
+  std::vector<float> tile;          // m x kItemChunk fp32 scores
+  std::vector<QueryState> queries;  // per query of the block
+  std::vector<uint32_t> kept;       // a chunk's re-scored row offsets
   std::vector<float> exact;         // their vec::Dot scores
-  std::vector<float> scores;        // fp32 scores (IVF centroids / list)
-  std::vector<int32_t> idot;        // one integer dot per int8 list row
-  std::vector<ScoredItem> approx;   // gathered IVF candidates
   std::vector<ScoredItem> probes;   // top-nprobe centroids (ivf)
-  std::vector<int8_t> q_codes;      // the query's int8 codes (int8 lists)
   ScanStats stats;                  // summed by CatalogScorer::stats()
 };
 
 // The kernel of the exact scan: for each query j of `block`, merges the
 // exact top-k of items [lo, hi), skipping the query's excluded ids, into
-// the running top-k tops[j] (SelectTopKInto's in/out contract: empty on
-// entry for the range's own top-k; always empty on return for k = 0).
-// Any block size runs the tiled scan of the header note, with the same
-// bits.
+// the running top-k tops[j]. On entry tops[j] holds at most k items in
+// ScoredBefore order (empty for the range's own top-k); on return it
+// holds the top-k of those items and the range's, in order (always
+// empty for k = 0). Any block size runs the tiled scan of the header
+// note, with the same bits.
 void ShardTopK(const ModelSnapshot& snapshot, std::span<const ScoreQuery> block,
                uint32_t lo, uint32_t hi, ShardScratch& ws,
                std::span<std::vector<ScoredItem>> tops);
 
 // The serial per-block kernel: writes the top-k of each query of
 // `block` into outs[j] without allocating in steady state. With
-// !options.exact it runs the IVF probe, list scan and re-rank per
-// query; otherwise one ShardTopK over the whole catalog, so every item
+// !options.exact it runs the IVF probe and list scan per query;
+// otherwise one ShardTopK over the whole catalog, so every item
 // competes with the k found so far. This is the per-query unit of the
 // ANN BatchTopK (blocks of one) and the evaluator's kernel (one block
 // per shard of its parallel user loop, so each block's scan stays on one

@@ -160,21 +160,19 @@ TEST(EdgeCasesDeathTest, SamplerStarvationAborts) {
   EXPECT_DEATH(sampler.Sample(0, 1, rng, out), "negatives");
 }
 
-TEST(EdgeCasesDeathTest, QuantizeOnTheExactTierAborts) {
+TEST(EdgeCasesDeathTest, AnnWithoutAnIndexAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  // int8 lives only in IVF lists, so quantize on the exact tier is
-  // rejected even on a snapshot frozen for exactly these options.
+  // The ANN tier reads the snapshot's IVF index, so a scorer asking for
+  // it on a snapshot frozen without one is rejected at construction.
   const Dataset d = ColdStartDataset();
   Rng rng(9);
   MfModel model(d.num_users(), d.num_items(), 4, rng);
   model.Forward(rng);
-  const serve::ScorerOptions quantize{.quantize = true};
   runtime::ThreadPool pool(1);
-  const serve::ModelSnapshot snap(model, pool,
-                                  serve::SnapshotOptionsFor(quantize));
-  EXPECT_DEATH(serve::CatalogScorer(snap, pool, quantize), "IVF index");
-  const Evaluator eval(d, 2, &pool, quantize);
-  EXPECT_DEATH(eval.BeginPass(model), "IVF index");
+  const serve::ModelSnapshot snap(model, pool);
+  ASSERT_EQ(snap.ivf(), nullptr);
+  EXPECT_DEATH(serve::CatalogScorer(snap, pool, {.exact = false}),
+               "IVF index");
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 // Tests for IVF approximate retrieval: seeded k-means reproducibility,
 // index layout invariants, ANN response determinism across thread
 // counts and batch packings, the nprobe >= nlist exactness
-// degeneration, int8 list-scan composition, empty-list edge cases,
-// scorer stats, the recall floor on clustered tables, the approximate
+// degeneration, empty-list edge cases, scorer stats, the recall floor on clustered tables, the approximate
 // evaluator pass, and the concurrent front door on an ANN config.
 #include "serve/ivf_index.h"
 
@@ -42,10 +41,9 @@ Dataset MediumDataset(uint64_t seed = 11) {
   return GenerateSynthetic(cfg).dataset;
 }
 
-serve::SnapshotOptions SnapOpts(bool int8_lists, uint32_t nlist) {
+serve::SnapshotOptions SnapOpts(uint32_t nlist) {
   serve::SnapshotOptions so;
   so.ivf.build = true;
-  so.ivf.int8_lists = int8_lists;
   so.ivf.nlist = nlist;
   return so;
 }
@@ -93,12 +91,11 @@ TEST(IvfIndex, KMeansIsSeedReproducibleForAnyPoolSize) {
   MfModel model(d.num_users(), d.num_items(), 8, rng);
   model.Forward(rng);
   runtime::ThreadPool pool1(1);
-  const ModelSnapshot base(model, pool1, SnapOpts(true, 8));
+  const ModelSnapshot base(model, pool1, SnapOpts(8));
   ASSERT_NE(base.ivf(), nullptr);
-  ASSERT_TRUE(base.ivf()->has_codes());
   for (const size_t threads : {2u, 8u}) {
     runtime::ThreadPool pool(threads);
-    const ModelSnapshot snap(model, pool, SnapOpts(true, 8));
+    const ModelSnapshot snap(model, pool, SnapOpts(8));
     const IvfIndex& a = *base.ivf();
     const IvfIndex& b = *snap.ivf();
     ASSERT_EQ(a.nlist(), b.nlist()) << threads << " threads";
@@ -109,17 +106,13 @@ TEST(IvfIndex, KMeansIsSeedReproducibleForAnyPoolSize) {
     for (uint32_t p = 0; p < a.num_items(); ++p) {
       EXPECT_EQ(a.ItemIdAt(p), b.ItemIdAt(p))
           << threads << " threads, pos " << p;
-      // The grouped int8 rows too, bitwise.
-      EXPECT_EQ(a.Scale(p), b.Scale(p)) << threads << " threads, pos " << p;
-      for (size_t c = 0; c < a.dim(); ++c) {
-        EXPECT_EQ(a.Codes(p)[c], b.Codes(p)[c])
-            << threads << " threads, pos " << p;
-      }
     }
     for (size_t c = 0; c < static_cast<size_t>(a.nlist()) * a.dim(); ++c) {
       EXPECT_EQ(a.Centroids()[c], b.Centroids()[c])
           << threads << " threads, coord " << c;
     }
+    EXPECT_EQ(a.centroid_norm_bound(), b.centroid_norm_bound())
+        << threads << " threads";
   }
 }
 
@@ -129,7 +122,7 @@ TEST(IvfIndex, LayoutPartitionsTheCatalogWithAscendingIds) {
   MfModel model(d.num_users(), d.num_items(), 8, rng);
   model.Forward(rng);
   runtime::ThreadPool pool(4);
-  const ModelSnapshot snap(model, pool, SnapOpts(true, 8));
+  const ModelSnapshot snap(model, pool, SnapOpts(8));
   const IvfIndex& ivf = *snap.ivf();
   ASSERT_EQ(ivf.num_items(), snap.num_items());
   EXPECT_EQ(ivf.ListOffset(0), 0u);
@@ -149,19 +142,13 @@ TEST(IvfIndex, LayoutPartitionsTheCatalogWithAscendingIds) {
   for (uint32_t i = 0; i < snap.num_items(); ++i) {
     EXPECT_TRUE(seen[i]) << "item " << i << " missing from every list";
   }
-  // Grouped fp32 rows are bitwise copies of the snapshot rows in
-  // posting order (the bit-identity of ANN scores rests on this), and
-  // each grouped int8 row is vec::QuantizeRow of its item's row.
-  ASSERT_TRUE(ivf.has_codes());
-  std::vector<int8_t> codes(snap.dim());
+  // Grouped rows are bitwise copies of the snapshot rows in posting
+  // order (the bit-identity of ANN scores, and the list scan's use of
+  // item_norm_bound(), rest on this).
   for (uint32_t p = 0; p < ivf.num_items(); ++p) {
     const uint32_t id = ivf.ItemIdAt(p);
-    EXPECT_EQ(ivf.Scale(p),
-              vec::QuantizeRow(snap.ItemVec(id), snap.dim(), codes.data()))
-        << "pos " << p;
     for (size_t c = 0; c < snap.dim(); ++c) {
       EXPECT_EQ(ivf.Row(p)[c], snap.ItemVec(id)[c]) << "pos " << p;
-      EXPECT_EQ(ivf.Codes(p)[c], codes[c]) << "pos " << p;
     }
   }
 }
@@ -220,41 +207,6 @@ TEST(AnnService, FullProbeFp32MatchesExactServiceBitwise) {
   }
 }
 
-TEST(AnnService, Int8ListScanStaysDeterministicWithExactScores) {
-  const Dataset d = MediumDataset();
-  Rng rng(44);
-  MfModel model(d.num_users(), d.num_items(), 8, rng);
-  model.Forward(rng);
-  const std::vector<TopKRequest> reqs = AllUserRequests(d);
-  ServeConfig base_cfg = AnnConfig(1, 8, 3);
-  base_cfg.quantize = true;
-  InferenceService baseline(d, model, base_cfg);
-  const std::vector<TopKResponse> want = baseline.HandleBatch(reqs);
-  const ModelSnapshot& snap = baseline.snapshot();
-  // Phase 2 re-ranks every ANN candidate in fp32, so each returned
-  // score must equal the exact cosine recomputed from the fp32 rows.
-  for (size_t r = 0; r < want.size(); ++r) {
-    for (size_t i = 0; i < want[r].items.size(); ++i) {
-      EXPECT_EQ(want[r].scores[i],
-                vec::Dot(snap.UserVec(reqs[r].user),
-                         snap.ItemVec(want[r].items[i]), snap.dim()))
-          << "request " << r;
-    }
-  }
-  for (const size_t threads : {2u, 8u}) {
-    ServeConfig cfg = base_cfg;
-    cfg.runtime.num_threads = threads;
-    InferenceService service(d, model, cfg);
-    const std::vector<TopKResponse> got = service.HandleBatch(reqs);
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t r = 0; r < want.size(); ++r) {
-      ExpectSameResponse(got[r], want[r],
-                         std::to_string(threads) + " threads, request " +
-                             std::to_string(r));
-    }
-  }
-}
-
 TEST(AnnService, DegenerateEmbeddingsAndEmptyListsAreSafe) {
   const Dataset d = MediumDataset();
   Rng rng(45);
@@ -292,29 +244,23 @@ TEST(AnnService, StatsCountProbesAndResetZeroes) {
   MfModel model(d.num_users(), d.num_items(), 8, rng);
   model.Forward(rng);
   const std::vector<TopKRequest> reqs = AllUserRequests(d);
-  // fp32 ANN: lists are scanned exactly, so nothing is re-ranked.
-  InferenceService fp32(d, model, AnnConfig(2, 8, 3));
-  fp32.HandleBatch(reqs);
-  serve::CatalogScorer::Stats st = fp32.scorer().stats();
+  // The list scan re-scores with vec::Dot only the list rows it keeps,
+  // and the ANN tier ticks no exact counter.
+  InferenceService ann(d, model, AnnConfig(2, 8, 3));
+  ann.HandleBatch(reqs);
+  serve::CatalogScorer::Stats st = ann.scorer().stats();
   EXPECT_EQ(st.ivf_queries, reqs.size());
   EXPECT_EQ(st.ivf_lists, 3 * reqs.size());
-  EXPECT_GT(st.ivf_candidates, 0u);
-  EXPECT_EQ(st.ivf_reranked, 0u);
+  EXPECT_GT(st.ivf_rescored, 0u);
+  EXPECT_LE(st.ivf_rescored, st.ivf_candidates);
   EXPECT_EQ(st.exact_shards, 0u);
-  fp32.scorer().ResetStats();
-  st = fp32.scorer().stats();
+  EXPECT_EQ(st.exact_rescored, 0u);
+  ann.scorer().ResetStats();
+  st = ann.scorer().stats();
   EXPECT_EQ(st.ivf_queries, 0u);
   EXPECT_EQ(st.ivf_lists, 0u);
   EXPECT_EQ(st.ivf_candidates, 0u);
-  // int8 list scans re-rank their surviving candidates in fp32.
-  ServeConfig qcfg = AnnConfig(2, 8, 3);
-  qcfg.quantize = true;
-  InferenceService quant(d, model, qcfg);
-  quant.HandleBatch(reqs);
-  st = quant.scorer().stats();
-  EXPECT_EQ(st.ivf_queries, reqs.size());
-  EXPECT_GT(st.ivf_reranked, 0u);
-  EXPECT_LE(st.ivf_reranked, st.ivf_candidates);
+  EXPECT_EQ(st.ivf_rescored, 0u);
 }
 
 // Rewrites both embedding tables the way bench_serve does: shared unit

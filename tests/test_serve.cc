@@ -1,7 +1,8 @@
 // Tests for the serving layer: snapshot construction, the top-k scoring
-// core, its item split and its tiled block kernel, the inference
-// service's batching, seen-item filtering, cutoff-prefix reuse, and
-// thread-count determinism, and the evaluator's blocked ranking pass.
+// core, its item split and its tiled block kernel, the IVF tier against
+// a brute-force oracle, the inference service's batching, seen-item
+// filtering, cutoff-prefix reuse, and thread-count determinism, and the
+// evaluator's blocked ranking pass.
 #include "serve/inference_service.h"
 
 #include <algorithm>
@@ -118,24 +119,6 @@ TEST(ModelSnapshot, IsImmutableCopyOfTheModel) {
   }
 }
 
-TEST(TopKScorer, SelectTopKOrdersAndExcludes) {
-  const float scores[] = {0.1f, 0.9f, 0.9f, 0.5f, -0.2f};
-  const std::vector<uint32_t> exclude = {1};
-  std::vector<ScoredItem> top;
-  serve::SelectTopKInto(scores, 0, 5, 3, exclude, top);
-  ASSERT_EQ(top.size(), 3u);
-  EXPECT_EQ(top[0].item, 2u);  // 0.9, id 1 excluded
-  EXPECT_EQ(top[1].item, 3u);  // 0.5
-  EXPECT_EQ(top[2].item, 0u);  // 0.1
-  // A second block (items 5..7) merges into the running top-3.
-  const float more[] = {0.5f, 0.95f, 0.1f};
-  serve::SelectTopKInto(more, 5, 8, 3, exclude, top);
-  ASSERT_EQ(top.size(), 3u);
-  EXPECT_EQ(top[0].item, 6u);  // 0.95
-  EXPECT_EQ(top[1].item, 2u);  // 0.9
-  EXPECT_EQ(top[2].item, 3u);  // 0.5 ties item 5, lower id first
-}
-
 // BatchTopK splits the catalog by the pool's worker count and the batch
 // size. On a catalog of eight smallest ranges and a bit, 8 workers split
 // a query alone or in a batch of 2 into 8 item ranges, in a batch of 17
@@ -191,16 +174,13 @@ TEST(TopKScorer, ZeroCutoffReturnsEmptyOnEveryTier) {
   runtime::ThreadPool pool(2);
   serve::SnapshotOptions so;
   so.ivf.build = true;
-  so.ivf.int8_lists = true;
   const ModelSnapshot snap(model, pool, so);
   const serve::ScoreQuery zero{snap.UserVec(3), 0, {}};
   const serve::ScoreQuery five{snap.UserVec(3), 5, {}};
   for (const serve::ScorerOptions& options :
-       {serve::ScorerOptions{}, serve::ScorerOptions{.exact = false},
-        serve::ScorerOptions{.quantize = true, .exact = false}}) {
+       {serve::ScorerOptions{}, serve::ScorerOptions{.exact = false}}) {
     const CatalogScorer scorer(snap, pool, options);
-    const std::string tier = std::string(options.quantize ? "int8" : "fp32") +
-                             (options.exact ? "" : " ivf");
+    const std::string tier = options.exact ? "exact" : "ivf";
     EXPECT_TRUE(scorer.BatchTopK({&zero, 1})[0].empty()) << tier;
     // A zero cutoff beside a real one in the same batch.
     const std::vector<serve::ScoreQuery> batch = {zero, five};
@@ -416,6 +396,107 @@ TEST(BruteForceOracle, ShardTopKMatchesASortOverDotOnAnyItemRange) {
   }
 }
 
+// The IVF oracle, independent of the scan's selection code: the centroid
+// ids sorted by (vec::Dot(q, centroid), id) under ScoredBefore, the first
+// nprobe kept; then every non-excluded item of those lists scored with
+// vec::Dot, sorted under ScoredBefore, the first k kept.
+std::vector<ScoredItem> BruteForceIvfTopK(const ModelSnapshot& snap,
+                                          const serve::ScoreQuery& query,
+                                          uint32_t nprobe) {
+  const serve::IvfIndex& ivf = *snap.ivf();
+  std::vector<ScoredItem> lists;
+  for (uint32_t l = 0; l < ivf.nlist(); ++l) {
+    lists.push_back(
+        {l, vec::Dot(query.q_hat, ivf.Centroids() + l * ivf.dim(), ivf.dim())});
+  }
+  std::sort(lists.begin(), lists.end(), serve::ScoredBefore);
+  lists.resize(std::min<size_t>(std::max(nprobe, 1u), lists.size()));
+  std::vector<ScoredItem> all;
+  for (const ScoredItem& list : lists) {
+    for (uint32_t p = ivf.ListOffset(list.item);
+         p < ivf.ListOffset(list.item + 1); ++p) {
+      const uint32_t i = ivf.ItemIdAt(p);
+      if (std::binary_search(query.exclude.begin(), query.exclude.end(), i)) {
+        continue;
+      }
+      all.push_back({i, vec::Dot(query.q_hat, snap.ItemVec(i), snap.dim())});
+    }
+  }
+  std::sort(all.begin(), all.end(), serve::ScoredBefore);
+  all.resize(std::min<size_t>(query.k, all.size()));
+  return all;
+}
+
+// The IVF tier against its oracle on the fixture's rows, cutoffs and
+// exclusion sets, at nlist 1, 7 and 16 and nprobe 1, 3, nlist and
+// nlist + 5: BlockTopK one query at a time, and BatchTopK on pools of 1
+// and 3 workers. The larger catalog's lists span more than one item
+// chunk, so one heap runs across chunks and lists. At nlist 16 its
+// index seeds centroid 0 from a NaN row, and the build's first-max
+// assignment never moves off a NaN best, so every item lands in list 0;
+// at each nlist > 1 the smaller catalog has several non-empty lists.
+TEST(BruteForceOracle, IvfTopKMatchesASortOverTheProbedLists) {
+  for (const size_t d : {13u, 64u}) {
+    // Per nlist, the most non-empty lists any catalog's index had.
+    std::vector<uint32_t> most_lists(17, 0);
+    for (const uint32_t catalog :
+         {OracleFixture::kSmallItems, 24 * serve::kItemChunk + 5}) {
+      const OracleFixture fx(d, catalog);
+      for (const uint32_t nlist : {1u, 7u, 16u}) {
+        serve::SnapshotOptions so;
+        so.ivf.build = true;
+        so.ivf.nlist = nlist;
+        runtime::ThreadPool pool1(1);
+        const ModelSnapshot snap(fx.model, pool1, so);
+        const serve::IvfIndex& ivf = *snap.ivf();
+        ASSERT_EQ(ivf.nlist(), nlist);
+        uint32_t non_empty = 0;
+        uint32_t longest = 0;
+        for (uint32_t l = 0; l < nlist; ++l) {
+          const uint32_t size = ivf.ListOffset(l + 1) - ivf.ListOffset(l);
+          non_empty += size > 0;
+          longest = std::max(longest, size);
+        }
+        most_lists[nlist] = std::max(most_lists[nlist], non_empty);
+        if (catalog > OracleFixture::kSmallItems) {
+          EXPECT_GT(longest, serve::kItemChunk) << "nlist " << nlist;
+        }
+        for (const uint32_t nprobe : {1u, 3u, nlist, nlist + 5}) {
+          const std::string at =
+              "d " + std::to_string(d) + " items " + std::to_string(catalog) +
+              " nlist " + std::to_string(nlist) + " nprobe " +
+              std::to_string(nprobe);
+          const serve::ScorerOptions ann{.exact = false, .nprobe = nprobe};
+          std::vector<std::vector<ScoredItem>> want;
+          for (const serve::ScoreQuery& q : fx.queries) {
+            want.push_back(BruteForceIvfTopK(snap, q, nprobe));
+          }
+          serve::ShardScratch ws;
+          for (size_t j = 0; j < fx.queries.size(); ++j) {
+            std::vector<ScoredItem> got;
+            serve::BlockTopK(snap, {&fx.queries[j], 1}, ann, ws, {&got, 1});
+            ExpectSameRanking(got, want[j],
+                              at + " BlockTopK query " + std::to_string(j));
+          }
+          for (const size_t threads : {1u, 3u}) {
+            runtime::ThreadPool pool(threads);
+            const CatalogScorer scorer(snap, pool, ann);
+            const auto got = scorer.BatchTopK(fx.queries);
+            for (size_t j = 0; j < fx.queries.size(); ++j) {
+              ExpectSameRanking(got[j], want[j],
+                                at + " threads " + std::to_string(threads) +
+                                    " query " + std::to_string(j));
+            }
+          }
+        }
+      }
+    }
+    for (const uint32_t nlist : {7u, 16u}) {
+      EXPECT_GE(most_lists[nlist], 3u) << "d " << d << " nlist " << nlist;
+    }
+  }
+}
+
 // BatchTopK at pools of 1, 2, 3 and 8 workers over a catalog of eight
 // smallest item ranges and a short chunk, serving the fixture's queries
 // alone (1, 2, 3 and 8 ranges, the last one short: the counter shows the
@@ -565,6 +646,85 @@ TEST(NearTies, ItemsWithinTheErrorBoundOfTheKthAreRescored) {
     ExpectSameRanking(scorer.BatchTopK({&query, 1})[0], want, "BatchTopK");
   }
   EXPECT_TRUE(found) << "no seed produced a near tie";
+}
+
+// The near tie of the test above inside one IVF list: row A at a score
+// near 0.01, a copy B nudged 5e-9 towards the query, every other row
+// pointing away. Among the seeds tried, the test uses the first whose
+// snapshot has the same straddle as above and whose index puts A and B
+// in one list that ranks first among the centroids, so A (the lower id,
+// first in the list) fills the heap and B meets the skip test against
+// A's exact score. k = 1 through the IVF tier at nprobe = nlist and at
+// the smallest nprobe that probes their list (1); a scan that skipped
+// list rows on fp32 < f, without the error bound, would answer A.
+TEST(NearTies, ListRowsWithinTheErrorBoundOfTheKthAreRescored) {
+  constexpr size_t d = 64;
+  constexpr uint32_t kItems = 3 * serve::kItemChunk;
+  bool found = false;
+  for (uint64_t seed = 0; seed < 400 && !found; ++seed) {
+    Rng rng(1000 + seed);
+    MfModel model(1, kItems, d, rng);
+    std::vector<ParamGrad> params = model.Params();
+    float* q = params[0].value->Row(0);
+    std::vector<float> q_hat(d);
+    vec::Normalize(q, q_hat.data(), d);
+    float* a = params[1].value->Row(0);
+    vec::Normalize(a, a, d);
+    vec::Axpy(0.01f - vec::Dot(a, q_hat.data(), d), q_hat.data(), a, d);
+    float* b = params[1].value->Row(1);
+    std::copy_n(a, d, b);
+    vec::Axpy(5e-9f, q_hat.data(), b, d);
+    for (uint32_t i = 2; i < kItems; ++i) {
+      vec::Axpy(-4.0f, q_hat.data(), params[1].value->Row(i), d);
+    }
+    runtime::ThreadPool pool(1);
+    serve::SnapshotOptions so;
+    so.ivf.build = true;
+    const ModelSnapshot snap(model, pool, so);
+    const float* qs = snap.UserVec(0);
+    const float f = vec::Dot(qs, snap.ItemVec(0), d);
+    const float s = vec::Dot(qs, snap.ItemVec(1), d);
+    float fp32 = 0.0f;
+    vec::DotTileF32(qs, 1, snap.ItemVec(1), 1, d, &fp32, 1);
+    const float below_f =
+        std::nextafter(f, -std::numeric_limits<float>::infinity());
+    if (!(s > f && fp32 < below_f)) continue;
+    const serve::IvfIndex& ivf = *snap.ivf();
+    const uint32_t nlist = ivf.nlist();
+    uint32_t first_list = 0;  // the top centroid under ScoredBefore
+    for (uint32_t l = 1; l < nlist; ++l) {
+      const ScoredItem cand{l, vec::Dot(qs, ivf.Centroids() + l * d, d)};
+      const ScoredItem best{first_list,
+                            vec::Dot(qs, ivf.Centroids() + first_list * d, d)};
+      if (serve::ScoredBefore(cand, best)) first_list = l;
+    }
+    const uint32_t lo = ivf.ListOffset(first_list);
+    if (ivf.ListOffset(first_list + 1) - lo < 2 || ivf.ItemIdAt(lo) != 0 ||
+        ivf.ItemIdAt(lo + 1) != 1) {
+      continue;
+    }
+    found = true;
+
+    const serve::ScoreQuery query{qs, 1, {}};
+    for (const uint32_t nprobe : {1u, nlist}) {
+      const std::string at = "nprobe " + std::to_string(nprobe);
+      const std::vector<ScoredItem> want =
+          BruteForceIvfTopK(snap, query, nprobe);
+      ASSERT_EQ(want.size(), 1u) << at;
+      ASSERT_EQ(want[0].item, 1u) << at;
+      const serve::ScorerOptions ann{.exact = false, .nprobe = nprobe};
+      serve::ShardScratch ws;
+      std::vector<ScoredItem> got;
+      serve::BlockTopK(snap, {&query, 1}, ann, ws, {&got, 1});
+      ExpectSameRanking(got, want, at + " BlockTopK");
+      // A filled the heap and B was re-scored past the skip test.
+      EXPECT_GE(ws.stats.ivf_rescored, 2u) << at;
+      const CatalogScorer scorer(snap, pool, ann);
+      ExpectSameRanking(scorer.BatchTopK({&query, 1})[0], want,
+                        at + " BatchTopK");
+    }
+  }
+  EXPECT_TRUE(found) << "no seed produced a near tie inside the first list";
 }
 
 // Aggregates per-user TopKForUser lists, in test-user order, through the

@@ -204,8 +204,8 @@ TEST(Vec, SimdTierIsKnown) {
 #endif
 }
 
-// Length sweep crossing every SIMD block boundary (4-wide fp32 lanes,
-// 8-wide quantize blocks, 16-wide int8 blocks) plus odd tails.
+// Length sweep crossing every SIMD block boundary (4-wide double lanes,
+// 8-wide float blocks) plus odd tails.
 const size_t kKernelLens[] = {0,  1,  2,  3,  4,   5,   7,   8,   9,  15, 16,
                               17, 24, 31, 32, 33,  48,  63,  64,  65, 100,
                               127, 128, 129, 200, 255, 256, 257, 333};
@@ -224,102 +224,6 @@ TEST(Vec, DotBitwiseMatchesScalarReference) {
           << "n=" << n;
     }
   }
-}
-
-TEST(Vec, DotI8MatchesScalarReferenceExactly) {
-  Rng rng(22);
-  for (const size_t n : kKernelLens) {
-    for (int rep = 0; rep < 8; ++rep) {
-      std::vector<int8_t> a(n), b(n);
-      for (auto& v : a) v = static_cast<int8_t>(rng.NextInt(-127, 127));
-      for (auto& v : b) v = static_cast<int8_t>(rng.NextInt(-127, 127));
-      EXPECT_EQ(vec::DotI8(a.data(), b.data(), n),
-                vec::ref::DotI8(a.data(), b.data(), n))
-          << "n=" << n;
-    }
-  }
-  // Extremes: the maximum-magnitude products must accumulate exactly.
-  const size_t n = 256;
-  std::vector<int8_t> lo(n, -127), hi(n, 127);
-  EXPECT_EQ(vec::DotI8(lo.data(), hi.data(), n),
-            -127 * 127 * static_cast<int32_t>(n));
-  EXPECT_EQ(vec::DotI8(lo.data(), lo.data(), n),
-            127 * 127 * static_cast<int32_t>(n));
-}
-
-TEST(Vec, DotBatchI8MatchesPerRowAndReference) {
-  Rng rng(23);
-  for (const size_t m : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 9u, 16u, 17u}) {
-    for (const size_t d : {1u, 8u, 15u, 16u, 17u, 32u, 128u}) {
-      std::vector<int8_t> q(d), rows(m * d);
-      for (auto& v : q) v = static_cast<int8_t>(rng.NextInt(-127, 127));
-      for (auto& v : rows) v = static_cast<int8_t>(rng.NextInt(-127, 127));
-      std::vector<int32_t> got(m, -1), want(m, -2);
-      vec::DotBatchI8(q.data(), rows.data(), m, d, got.data());
-      vec::ref::DotBatchI8(q.data(), rows.data(), m, d, want.data());
-      for (size_t r = 0; r < m; ++r) {
-        EXPECT_EQ(got[r], want[r]) << "m=" << m << " d=" << d << " row " << r;
-        EXPECT_EQ(got[r], vec::ref::DotI8(q.data(), rows.data() + r * d, d))
-            << "m=" << m << " d=" << d << " row " << r;
-      }
-    }
-  }
-}
-
-TEST(Vec, QuantizeRowMatchesScalarReference) {
-  Rng rng(24);
-  for (const size_t n : kKernelLens) {
-    for (int rep = 0; rep < 8; ++rep) {
-      std::vector<float> x(n);
-      for (auto& v : x) v = static_cast<float>(rng.NextGaussian());
-      std::vector<int8_t> got(n, 99), want(n, -99);
-      const float sg = vec::QuantizeRow(x.data(), n, got.data());
-      const float sw = vec::ref::QuantizeRow(x.data(), n, want.data());
-      EXPECT_EQ(sg, sw) << "n=" << n;
-      for (size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(got[i], want[i]) << "n=" << n << " i=" << i;
-      }
-    }
-  }
-}
-
-TEST(Vec, QuantizeRowRoundTripBound) {
-  // Symmetric quantization error: |x - code*scale| <= scale*(0.5+eps),
-  // codes within [-127, 127], and the max-magnitude entry maps to +-127.
-  Rng rng(25);
-  for (int rep = 0; rep < 100; ++rep) {
-    const size_t n = 1 + rng.NextIndex(200);
-    std::vector<float> x(n);
-    for (auto& v : x) v = static_cast<float>(rng.NextGaussian());
-    std::vector<int8_t> codes(n);
-    const float scale = vec::QuantizeRow(x.data(), n, codes.data());
-    ASSERT_GT(scale, 0.0f);
-    for (size_t i = 0; i < n; ++i) {
-      EXPECT_GE(codes[i], -127);
-      EXPECT_LE(codes[i], 127);
-      const double err = std::fabs(static_cast<double>(x[i]) -
-                                   static_cast<double>(codes[i]) *
-                                       static_cast<double>(scale));
-      EXPECT_LE(err, 0.5001 * static_cast<double>(scale) + 1e-12)
-          << "n=" << n << " i=" << i;
-    }
-  }
-}
-
-TEST(Vec, QuantizeRowDegenerateRows) {
-  // All-zero rows: zero scale, zero codes (and no NaN anywhere).
-  std::vector<float> zero(13, 0.0f);
-  std::vector<int8_t> codes(13, 5);
-  EXPECT_EQ(vec::QuantizeRow(zero.data(), zero.size(), codes.data()), 0.0f);
-  for (int8_t c : codes) EXPECT_EQ(c, 0);
-  // Constant rows quantize to exactly +-127 with scale |v|/127.
-  std::vector<float> flat(9, -0.25f);
-  codes.assign(9, 0);
-  const float scale = vec::QuantizeRow(flat.data(), flat.size(), codes.data());
-  EXPECT_FLOAT_EQ(scale, 0.25f / 127.0f);
-  for (int8_t c : codes) EXPECT_EQ(c, -127);
-  // Empty row.
-  EXPECT_EQ(vec::QuantizeRow(flat.data(), 0, codes.data()), 0.0f);
 }
 
 // Values that stress an exactness contract: signed zeros, subnormals,

@@ -64,12 +64,10 @@ struct Options {
   uint32_t max_k = 100;       // cache / prefix-reuse depth
   size_t batch = 32;          // requests handled per HandleBatch call
   bool no_cache = false;
-  bool quantize = false;      // int8 IVF list scan (needs --ann)
   bool ann = false;           // IVF approximate retrieval
   uint32_t nlist = 0;         // coarse lists (0 = ceil(sqrt(num_items)))
   uint32_t nprobe = serve::kDefaultNprobe;  // lists visited per query
   bool recall = false;        // replay against an exact reference
-  uint32_t margin = serve::kDefaultCandidateMargin;
   uint64_t seed = 42;
   size_t threads = 0;  // 0 = hardware concurrency, 1 = serial
 };
@@ -84,7 +82,6 @@ void Usage() {
       "                    [--requests=FILE] [--k=N] [--max-k=N]\n"
       "                    [--batch=N] [--no-cache]\n"
       "                    [--ann] [--nlist=N] [--nprobe=P] [--recall]\n"
-      "                    [--quantize] [--margin=N]\n"
       "                    [--threads=N] [--seed=N]\n"
       "\n"
       "Serves top-k recommendations from a frozen model snapshot, one\n"
@@ -105,9 +102,8 @@ void Usage() {
       "               smaller cutoffs served as prefixes\n"
       "--ann:         approximate retrieval through an IVF coarse index\n"
       "               built at snapshot time: score --nlist centroids,\n"
-      "               visit the top --nprobe lists, exact fp32 re-rank\n"
-      "               the gathered candidates. Composes with --quantize\n"
-      "               (int8 list scans, then the fp32 re-rank).\n"
+      "               visit the top --nprobe lists and keep the exact\n"
+      "               top k of their items.\n"
       "               Responses are deterministic (bit-identical for any\n"
       "               --threads / --batch) but may miss items outside\n"
       "               the probed lists\n"
@@ -118,12 +114,7 @@ void Usage() {
       "--recall:      after serving, replay every request against an\n"
       "               exact reference scorer and report measured\n"
       "               recall-vs-exact on stderr (needs --ann)\n"
-      "--quantize:    scan the IVF lists as int8 codes, then re-rank\n"
-      "               the best --margin + k candidates in fp32 (needs\n"
-      "               --ann)\n"
-      "--margin:      extra int8 candidates per request beyond k kept\n"
-      "               for the fp32 re-rank (--ann --quantize; larger =\n"
-      "               fewer true top-k items lost to int8 rounding)\n"
+
       "--threads:     worker count (0 = one per hardware thread,\n"
       "               1 = serial). The exact scan splits a large\n"
       "               catalog into item ranges only as far as a batch\n"
@@ -170,8 +161,6 @@ bool ParseFlags(int argc, char** argv, Options& opts) {
       ok = ParseIntFlag(key, value, &opts.batch, 1);
     } else if (key == "no-cache") {
       opts.no_cache = true;
-    } else if (key == "quantize") {
-      opts.quantize = true;
     } else if (key == "ann") {
       opts.ann = true;
     } else if (key == "nlist") {
@@ -180,8 +169,6 @@ bool ParseFlags(int argc, char** argv, Options& opts) {
       ok = ParseIntFlag(key, value, &opts.nprobe, 1);
     } else if (key == "recall") {
       opts.recall = true;
-    } else if (key == "margin") {
-      ok = ParseIntFlag(key, value, &opts.margin);
     } else if (key == "seed") {
       ok = ParseIntFlag(key, value, &opts.seed);
     } else if (key == "threads") {
@@ -196,11 +183,6 @@ bool ParseFlags(int argc, char** argv, Options& opts) {
     if (!ok) return false;
   }
   if (!tools::CheckBackboneFlags(opts.backbone, opts.layers)) return false;
-  if (opts.quantize && !opts.ann) {
-    std::fprintf(stderr,
-                 "--quantize scans the IVF lists as int8 and needs --ann\n");
-    return false;
-  }
   if (opts.recall && !opts.ann) {
     std::fprintf(stderr,
                  "--recall needs the approximate mode (--ann); exact "
@@ -253,7 +235,6 @@ void ReportRecall(const Options& opts, const Dataset& data,
                   const std::vector<serve::TopKRequest>& reqs,
                   const std::vector<serve::TopKResponse>& resps) {
   serve::ServeConfig ref_cfg = cfg;
-  ref_cfg.quantize = false;
   ref_cfg.exact = true;
   ref_cfg.ivf = serve::IvfBuildOptions{};
   serve::InferenceService ref(data, model, ref_cfg);
@@ -290,11 +271,11 @@ void ReportScanStats(const serve::CatalogScorer& scorer) {
   const serve::CatalogScorer::Stats st = scorer.stats();
   std::fprintf(stderr,
                "ivf probe: %llu queries, %llu lists visited, %llu "
-               "candidates gathered, %llu re-ranked\n",
+               "list rows scanned, %llu re-scored\n",
                static_cast<unsigned long long>(st.ivf_queries),
                static_cast<unsigned long long>(st.ivf_lists),
                static_cast<unsigned long long>(st.ivf_candidates),
-               static_cast<unsigned long long>(st.ivf_reranked));
+               static_cast<unsigned long long>(st.ivf_rescored));
 }
 
 }  // namespace
@@ -329,11 +310,9 @@ int main(int argc, char** argv) {
   serve::ServeConfig cfg;
   cfg.max_k = opts.max_k;
   cfg.cache_rankings = !opts.no_cache;
-  cfg.quantize = opts.quantize;
   cfg.exact = !opts.ann;
   cfg.nprobe = opts.nprobe;
   cfg.ivf.nlist = opts.nlist;
-  cfg.candidate_margin = opts.margin;
   cfg.runtime.num_threads = opts.threads;
   std::ifstream req_file;
   if (!opts.requests_file.empty()) {

@@ -67,11 +67,9 @@ struct Options {
   uint32_t k = 10;      // default cutoff for lines that name none
   uint32_t max_k = 100;  // cache / prefix-reuse depth
   bool no_cache = false;
-  bool quantize = false;  // int8 IVF list scan (needs --ann)
   bool ann = false;
   uint32_t nlist = 0;
   uint32_t nprobe = serve::kDefaultNprobe;
-  uint32_t margin = serve::kDefaultCandidateMargin;
   uint64_t seed = 42;
   size_t threads = 0;  // 0 = hardware concurrency, 1 = serial
   // ---- front door ----
@@ -98,8 +96,8 @@ void Usage() {
       "[--backbone=mf|ngcf|lightgcn|sgl|simgcl|lightgcl]\n"
       "                     [--dim=N] [--layers=N] [--load=CKPT]\n"
       "                     [--k=N] [--max-k=N] [--no-cache]\n"
-      "                     [--ann] [--nlist=N] [--nprobe=P] [--quantize]\n"
-      "                     [--margin=N] [--threads=N] [--seed=N]\n"
+      "                     [--ann] [--nlist=N] [--nprobe=P]\n"
+      "                     [--threads=N] [--seed=N]\n"
       "                     [--batch=N] [--flush-us=D] [--max-queue=N]\n"
       "                     [--overflow=block|shed-newest|shed-oldest]\n"
       "                     [--deadline-us=D] [--brownout-nprobe=P]\n"
@@ -122,9 +120,7 @@ void Usage() {
       "--k:           cutoff for request lines that name no k\n"
       "--max-k:       per-user rankings are cached at this depth\n"
       "--ann:         IVF approximate retrieval (--nlist/--nprobe)\n"
-      "--quantize:    int8 IVF list scan + fp32 re-rank (needs --ann)\n"
-      "--margin:      extra int8 candidates per request kept for the\n"
-      "               fp32 re-rank (--ann --quantize)\n"
+
       "--threads:     scorer workers (0 = hardware concurrency); an\n"
       "               exact batch splits a large catalog only as far\n"
       "               as they need, with the same bits at any value\n"
@@ -191,16 +187,12 @@ bool ParseFlags(int argc, char** argv, Options& opts) {
       ok = ParseIntFlag(key, value, &opts.max_k, 1);
     } else if (key == "no-cache") {
       opts.no_cache = true;
-    } else if (key == "quantize") {
-      opts.quantize = true;
     } else if (key == "ann") {
       opts.ann = true;
     } else if (key == "nlist") {
       ok = ParseIntFlag(key, value, &opts.nlist);
     } else if (key == "nprobe") {
       ok = ParseIntFlag(key, value, &opts.nprobe, 1);
-    } else if (key == "margin") {
-      ok = ParseIntFlag(key, value, &opts.margin);
     } else if (key == "seed") {
       ok = ParseIntFlag(key, value, &opts.seed);
     } else if (key == "threads") {
@@ -242,13 +234,7 @@ bool ParseFlags(int argc, char** argv, Options& opts) {
                  "--overflow must be block, shed-newest, or shed-oldest\n");
     return false;
   }
-  if (!tools::CheckBackboneFlags(opts.backbone, opts.layers)) return false;
-  if (opts.quantize && !opts.ann) {
-    std::fprintf(stderr,
-                 "--quantize scans the IVF lists as int8 and needs --ann\n");
-    return false;
-  }
-  return true;
+  return tools::CheckBackboneFlags(opts.backbone, opts.layers);
 }
 
 serve::OverflowPolicy OverflowFromFlag(const std::string& name) {
@@ -358,11 +344,9 @@ int main(int argc, char** argv) {
   }
   fe.serve.max_k = opts.max_k;
   fe.serve.cache_rankings = !opts.no_cache;
-  fe.serve.quantize = opts.quantize;
   fe.serve.exact = !opts.ann;
   fe.serve.nprobe = opts.nprobe;
   fe.serve.ivf.nlist = opts.nlist;
-  fe.serve.candidate_margin = opts.margin;
   fe.serve.runtime.num_threads = opts.threads;
   serve::ServingFrontEnd frontend(*data, *model, fe);
   std::fprintf(stderr,
