@@ -82,9 +82,9 @@ inline bool ScaleMode() {
 // Every BENCH_*.json leads with a "machine" object so a results file is
 // interpretable without knowing which host produced it: thread count,
 // SIMD form the vec kernels dispatched to, cache geometry (the tiled
-// top-k scan is a cache-footprint play), and which env
-// switches shaped the workload. Cache fields are 0 when sysfs is
-// unavailable (non-Linux, restricted containers) — absent, not wrong.
+// top-k scan is a cache-footprint play), and which env switches shaped
+// the workload. Cache fields are 0 when sysfs is unavailable (non-Linux,
+// restricted containers) — absent, not wrong.
 
 struct MachineTopology {
   size_t hardware_threads = 0;

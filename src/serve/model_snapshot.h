@@ -27,9 +27,9 @@
 //
 // With `SnapshotOptions::ivf` the snapshot also carries an IVF coarse
 // index (ivf_index.h) built over the normalized item table at freeze
-// time. It trades exactness for speed,
-// driving true ANN retrieval (`ScorerOptions::exact = false`;
-// topk_scorer.h documents the scan and its determinism guarantees).
+// time. It trades exactness for speed, driving true ANN retrieval
+// (`ScorerOptions::exact = false`; topk_scorer.h documents the scan and
+// its determinism guarantees).
 // `serve::SnapshotOptionsFor` maps scorer options to the tables they
 // read.
 #ifndef BSLREC_SERVE_MODEL_SNAPSHOT_H_

@@ -291,7 +291,7 @@ std::vector<std::vector<ScoredItem>> CatalogScorer::BatchTopK(
   if (queries.empty()) return out;
 
   if (!options_.exact) {
-    // ANN: each query is one serial probe/scan/re-rank unit writing its
+    // ANN: each query is one serial probe and list scan writing its
     // own output slot; the pool only fans out *across* queries, so the
     // responses are bit-identical for any thread count or batch packing.
     runtime::ParallelFor(

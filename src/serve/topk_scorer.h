@@ -58,9 +58,9 @@
 //     recorded norm bound (ModelSnapshot::item_norm_bound() for item
 //     rows, IvfIndex::centroid_norm_bound() for centroids). The test
 //     compares the fp32 score with a float at or below f - eps
-//     (vec::IndicesNotBelow), so rounding can only keep an item. A NaN fp32 score is always kept,
-//     and while f is NaN every item is, as for a query whose norm the
-//     bound cannot cover (eps = +inf);
+//     (vec::IndicesNotBelow), so rounding can only keep an item. A NaN
+//     fp32 score is always kept, and while f is NaN every item is, as for
+//     a query whose norm the bound cannot cover (eps = +inf);
 //   * re-score: the chunk's kept eligible items get vec::Dot's exact
 //     scores in one vec::DotRows call, and each enters the heap if it
 //     ranks before the front (ScanStats::exact_rescored counts them for

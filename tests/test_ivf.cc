@@ -1,8 +1,9 @@
 // Tests for IVF approximate retrieval: seeded k-means reproducibility,
 // index layout invariants, ANN response determinism across thread
 // counts and batch packings, the nprobe >= nlist exactness
-// degeneration, empty-list edge cases, scorer stats, the recall floor on clustered tables, the approximate
-// evaluator pass, and the concurrent front door on an ANN config.
+// degeneration, empty-list edge cases, scorer stats, the recall floor
+// on clustered tables, the approximate evaluator pass, and the
+// concurrent front door on an ANN config.
 #include "serve/ivf_index.h"
 
 #include <algorithm>

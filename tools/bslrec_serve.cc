@@ -114,7 +114,6 @@ void Usage() {
       "--recall:      after serving, replay every request against an\n"
       "               exact reference scorer and report measured\n"
       "               recall-vs-exact on stderr (needs --ann)\n"
-
       "--threads:     worker count (0 = one per hardware thread,\n"
       "               1 = serial). The exact scan splits a large\n"
       "               catalog into item ranges only as far as a batch\n"

@@ -120,7 +120,6 @@ void Usage() {
       "--k:           cutoff for request lines that name no k\n"
       "--max-k:       per-user rankings are cached at this depth\n"
       "--ann:         IVF approximate retrieval (--nlist/--nprobe)\n"
-
       "--threads:     scorer workers (0 = hardware concurrency); an\n"
       "               exact batch splits a large catalog only as far\n"
       "               as they need, with the same bits at any value\n"
