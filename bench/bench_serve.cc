@@ -147,37 +147,6 @@ serve::ServeConfig MakeConfig(uint32_t k, size_t threads, const char* mode) {
   return sc;
 }
 
-// Rewrites both embedding tables in place as `num_clusters` shared unit
-// centers plus small per-row Gaussian noise (noise L2 ~= 0.15 against
-// unit centers, split evenly across dimensions). Users then score their
-// own cluster's items far above the rest, giving the catalog the
-// neighborhood structure that makes the ANN tier's recall-vs-nprobe
-// curve meaningful. Call Forward() afterwards to refresh the served
-// embeddings.
-void ClusterEmbeddings(MfModel& model, size_t num_clusters, Rng& rng) {
-  std::vector<ParamGrad> params = model.Params();
-  const size_t dim = params[0].value->cols();
-  const float sigma = 0.15f / std::sqrt(static_cast<float>(dim));
-  std::vector<float> centers(num_clusters * dim);
-  for (size_t c = 0; c < num_clusters; ++c) {
-    float* row = centers.data() + c * dim;
-    for (size_t j = 0; j < dim; ++j) {
-      row[j] = static_cast<float>(rng.NextGaussian());
-    }
-    vec::Normalize(row, row, dim);
-  }
-  for (ParamGrad& pg : params) {
-    Matrix& m = *pg.value;
-    for (size_t r = 0; r < m.rows(); ++r) {
-      const float* center = centers.data() + rng.NextIndex(num_clusters) * dim;
-      float* row = m.Row(r);
-      for (size_t j = 0; j < dim; ++j) {
-        row[j] = center[j] + sigma * static_cast<float>(rng.NextGaussian());
-      }
-    }
-  }
-}
-
 // ---- closed-loop front-door load generator ----
 
 struct FrontEndPoint {
@@ -335,7 +304,7 @@ int main() {
 
   Rng rng(5);
   MfModel model(data.num_users(), data.num_items(), dim, rng);
-  ClusterEmbeddings(model, cfg.num_clusters, rng);
+  bench::ClusterEmbeddings(model, cfg.num_clusters, rng);
   model.Forward(rng);
 
   std::printf("serve bench%s: %u users, %u items, dim %zu, k %u, "

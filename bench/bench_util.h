@@ -9,6 +9,7 @@
 #ifndef BSLREC_BENCH_BENCH_UTIL_H_
 #define BSLREC_BENCH_BENCH_UTIL_H_
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -19,6 +20,7 @@
 #include "core/losses.h"
 #include "data/synthetic.h"
 #include "graph/bipartite_graph.h"
+#include "math/rng.h"
 #include "math/vec.h"
 #include "models/contrastive.h"
 #include "models/lightgcn.h"
@@ -182,6 +184,38 @@ inline void FinishBenchJson(FILE* out, const char* path, bool probe_passed) {
   std::fprintf(out, "}\n");
   std::fclose(out);
   std::printf("wrote %s\n", path);
+}
+
+// Rewrites both embedding tables in place as `num_clusters` shared unit
+// centers plus small per-row Gaussian noise (noise L2 ~= 0.15 against
+// unit centers, split evenly across dimensions). Users then score their
+// own cluster's items far above the rest, giving the catalog the
+// neighborhood structure that makes the ANN tier's recall-vs-nprobe
+// curve meaningful. Call Forward() afterwards to refresh the served
+// embeddings.
+inline void ClusterEmbeddings(MfModel& model, size_t num_clusters,
+                              Rng& rng) {
+  std::vector<ParamGrad> params = model.Params();
+  const size_t dim = params[0].value->cols();
+  const float sigma = 0.15f / std::sqrt(static_cast<float>(dim));
+  std::vector<float> centers(num_clusters * dim);
+  for (size_t c = 0; c < num_clusters; ++c) {
+    float* row = centers.data() + c * dim;
+    for (size_t j = 0; j < dim; ++j) {
+      row[j] = static_cast<float>(rng.NextGaussian());
+    }
+    vec::Normalize(row, row, dim);
+  }
+  for (ParamGrad& pg : params) {
+    Matrix& m = *pg.value;
+    for (size_t r = 0; r < m.rows(); ++r) {
+      const float* center = centers.data() + rng.NextIndex(num_clusters) * dim;
+      float* row = m.Row(r);
+      for (size_t j = 0; j < dim; ++j) {
+        row[j] = center[j] + sigma * static_cast<float>(rng.NextGaussian());
+      }
+    }
+  }
 }
 
 // Standard protocol used by (almost) every figure/table.

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "core/dro.h"
 #include "core/losses.h"
 #include "data/synthetic.h"
@@ -746,29 +747,16 @@ BENCHMARK(BM_BatchTopK)->Arg(1)->Arg(32)->UseRealTime();
 
 // One ANN query through serve::BlockTopK's IVF tier at nprobe lists:
 // 20000 items, dim 64, the automatic nlist (142), k = 20 and 20 excluded
-// ids, over rows clustered around 25 shared centers (as bench_serve
-// clusters its tables), so the probed lists hold the query's neighbours.
-// The query scans the centroid rows for its top nprobe lists, then the
-// lists' grouped rows into one heap.
+// ids, over bench_serve's clustered tables (25 clusters), so the probed
+// lists hold the query's neighbours. The query scans the centroid rows
+// for its top nprobe lists, then the lists' grouped rows into one heap.
 void BM_IvfTopK(benchmark::State& state) {
   constexpr uint32_t kItems = 20000;
-  constexpr size_t kDim = 64;
-  constexpr size_t kClusters = 25;
   constexpr uint32_t kExcluded = 20;
   const auto nprobe = static_cast<uint32_t>(state.range(0));
   Rng rng(47);
-  MfModel model(1, kItems, kDim, rng);
-  const auto centers = GaussianVec(kClusters * kDim, 48);
-  for (ParamGrad& pg : model.Params()) {
-    Matrix& table = *pg.value;
-    for (size_t r = 0; r < table.rows(); ++r) {
-      const float* center = centers.data() + rng.NextIndex(kClusters) * kDim;
-      for (size_t j = 0; j < kDim; ++j) {
-        table.Row(r)[j] =
-            center[j] + 0.15f * static_cast<float>(rng.NextGaussian());
-      }
-    }
-  }
+  MfModel model(1, kItems, 64, rng);
+  bench::ClusterEmbeddings(model, 25, rng);
   model.Forward(rng);
   runtime::ThreadPool pool(1);
   serve::SnapshotOptions options;
